@@ -1,9 +1,5 @@
-//! Gate benchmark recordings against regressions.
-//!
-//! Two modes:
-//!
-//! **Within-run ratio gates** (the CI default) — one recording, gates
-//! between benchmarks *of that same run*:
+//! Gate a benchmark recording with within-run ratio gates: one
+//! recording, gates between benchmarks *of that same run*.
 //!
 //! ```text
 //! bench_guard <current.json> --gate "GROUP/FAST<=0.6*GROUP/SLOW" [--gate ...]
@@ -16,14 +12,7 @@
 //! equally). Use this to pin structural speedups — e.g. the fused lazy
 //! pipeline must stay well under the strict pipeline it replaced.
 //!
-//! **Absolute baseline comparison** (legacy; only meaningful on
-//! comparable hosts):
-//!
-//! ```text
-//! bench_guard <baseline.json> <current.json> [--threshold 1.25] [--only PFX1,PFX2]
-//! ```
-//!
-//! Files may be either the repository's wrapped baseline format
+//! The recording may be either the repository's wrapped format
 //! (`{"benchmarks": [{"id": ..., "ns_per_iter": ...}, ...]}`, e.g.
 //! `BENCH_seed.json`) or the raw JSON-lines the criterion shim appends
 //! under `CRITERION_JSON=`.
@@ -150,83 +139,22 @@ fn run_ratio_gates(file: &str, gates: &[RatioGate]) -> ExitCode {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut files = Vec::new();
-    let mut threshold = 1.25f64;
-    let mut only: Vec<String> = Vec::new();
     let mut gates: Vec<RatioGate> = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        match a.as_str() {
-            "--threshold" => {
-                threshold = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--threshold needs a number");
-            }
-            "--only" => {
-                only = it
-                    .next()
-                    .map(|v| v.split(',').map(str::to_string).collect())
-                    .unwrap_or_default();
-            }
-            "--gate" => {
-                let spec = it.next().expect("--gate needs a SPEC");
-                gates.push(
-                    parse_gate(spec)
-                        .unwrap_or_else(|| panic!("bad gate spec {spec:?} (want \"A<=F*B\")")),
-                );
-            }
-            _ => files.push(a.clone()),
-        }
-    }
-    if !gates.is_empty() {
-        if files.len() != 1 {
-            eprintln!("usage: bench_guard <current.json> --gate \"A<=F*B\" [--gate ...]");
-            return ExitCode::from(2);
-        }
-        return run_ratio_gates(&files[0], &gates);
-    }
-    if files.len() != 2 {
-        eprintln!(
-            "usage: bench_guard <current.json> --gate \"A<=F*B\" [--gate ...]\n       bench_guard <baseline.json> <current.json> [--threshold X] [--only PFX1,PFX2]"
-        );
-        return ExitCode::from(2);
-    }
-    let read = |p: &str| std::fs::read_to_string(p).unwrap_or_else(|e| panic!("read {p}: {e}"));
-    let baseline = parse_benchmarks(&read(&files[0]));
-    let current = parse_benchmarks(&read(&files[1]));
-
-    let mut regressions = 0usize;
-    let mut compared = 0usize;
-    println!(
-        "{:<52} {:>12} {:>12} {:>8}",
-        "benchmark", "baseline ns", "current ns", "ratio"
-    );
-    for (id, &base) in &baseline {
-        if !only.is_empty() && !only.iter().any(|pfx| id.starts_with(pfx.as_str())) {
-            continue;
-        }
-        let Some(&cur) = current.get(id) else {
-            continue;
-        };
-        compared += 1;
-        let ratio = cur / base;
-        let flag = if ratio > threshold {
-            regressions += 1;
-            "  << REGRESSION"
+        if a == "--gate" {
+            let spec = it.next().expect("--gate needs a SPEC");
+            gates.push(
+                parse_gate(spec)
+                    .unwrap_or_else(|| panic!("bad gate spec {spec:?} (want \"A<=F*B\")")),
+            );
         } else {
-            ""
-        };
-        println!("{id:<52} {base:>12.1} {cur:>12.1} {ratio:>7.2}x{flag}");
+            files.push(a.clone());
+        }
     }
-    println!();
-    if compared == 0 {
-        eprintln!("no common benchmarks between the two files — nothing compared");
+    if files.len() != 1 || gates.is_empty() {
+        eprintln!("usage: bench_guard <current.json> --gate \"A<=F*B\" [--gate ...]");
         return ExitCode::from(2);
     }
-    if regressions > 0 {
-        eprintln!("{regressions}/{compared} benchmarks regressed beyond {threshold}x the baseline");
-        return ExitCode::FAILURE;
-    }
-    println!("{compared} benchmarks within {threshold}x of the baseline");
-    ExitCode::SUCCESS
+    run_ratio_gates(&files[0], &gates)
 }

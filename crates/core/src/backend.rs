@@ -1137,23 +1137,11 @@ pub trait NttBackend: Send {
     }
 
     /// Forward-NTT a device-resident batch in place (`buf` = rows × N
-    /// words, row `r` mod prime `r % level`). Default: staged through
-    /// [`NttBackend::memory`] with counted transfers — override to stay on
-    /// the device.
-    fn dev_forward(&mut self, plan: &RingPlan, buf: DeviceBuf, level: usize) {
-        let mut host = vec![0u64; buf.len()];
-        lock_memory(&self.memory()).download(buf, &mut host);
-        self.forward_batch(plan, LimbBatch::new(&mut host, plan.degree(), level));
-        lock_memory(&self.memory()).upload(buf, &host);
-    }
+    /// words, row `r` mod prime `r % level`).
+    fn dev_forward(&mut self, plan: &RingPlan, buf: DeviceBuf, level: usize);
 
     /// Inverse counterpart of [`NttBackend::dev_forward`].
-    fn dev_inverse(&mut self, plan: &RingPlan, buf: DeviceBuf, level: usize) {
-        let mut host = vec![0u64; buf.len()];
-        lock_memory(&self.memory()).download(buf, &mut host);
-        self.inverse_batch(plan, LimbBatch::new(&mut host, plan.degree(), level));
-        lock_memory(&self.memory()).upload(buf, &host);
-    }
+    fn dev_inverse(&mut self, plan: &RingPlan, buf: DeviceBuf, level: usize);
 
     /// Device-resident fused negacyclic multiply: `out = a ·̄ b` for
     /// coefficient-form resident operands (all three buffers share the
@@ -1165,36 +1153,10 @@ pub trait NttBackend: Send {
         b: DeviceBuf,
         out: DeviceBuf,
         level: usize,
-    ) {
-        let (mut ha, mut hb) = (vec![0u64; a.len()], vec![0u64; b.len()]);
-        {
-            let mem = self.memory();
-            let mut m = lock_memory(&mem);
-            m.download(a, &mut ha);
-            m.download(b, &mut hb);
-        }
-        let mut ho = vec![0u64; out.len()];
-        self.multiply_batch(
-            plan,
-            &ha,
-            &hb,
-            LimbBatch::new(&mut ho, plan.degree(), level),
-        );
-        lock_memory(&self.memory()).upload(out, &ho);
-    }
+    );
 
     /// Device-resident pointwise product `acc[i] *= rhs[i]` per row.
-    fn dev_pointwise(&mut self, plan: &RingPlan, acc: DeviceBuf, rhs: DeviceBuf, level: usize) {
-        let (mut ha, mut hr) = (vec![0u64; acc.len()], vec![0u64; rhs.len()]);
-        {
-            let mem = self.memory();
-            let mut m = lock_memory(&mem);
-            m.download(acc, &mut ha);
-            m.download(rhs, &mut hr);
-        }
-        host_pointwise_rows(plan, level, &mut ha, &hr);
-        lock_memory(&self.memory()).upload(acc, &ha);
-    }
+    fn dev_pointwise(&mut self, plan: &RingPlan, acc: DeviceBuf, rhs: DeviceBuf, level: usize);
 
     /// Device-resident fused multiply-accumulate `acc[i] += x[i] * y[i]`
     /// per row (the key-switch inner product).
@@ -1205,32 +1167,10 @@ pub trait NttBackend: Send {
         x: DeviceBuf,
         y: DeviceBuf,
         level: usize,
-    ) {
-        let mut ha = vec![0u64; acc.len()];
-        let (mut hx, mut hy) = (vec![0u64; x.len()], vec![0u64; y.len()]);
-        {
-            let mem = self.memory();
-            let mut m = lock_memory(&mem);
-            m.download(acc, &mut ha);
-            m.download(x, &mut hx);
-            m.download(y, &mut hy);
-        }
-        host_fma_rows(plan, level, &mut ha, &hx, &hy);
-        lock_memory(&self.memory()).upload(acc, &ha);
-    }
+    );
 
-    /// Device-resident row-wise sum `acc[i] += rhs[i]`.
-    fn dev_add(&mut self, plan: &RingPlan, acc: DeviceBuf, rhs: DeviceBuf, level: usize) {
-        self.dev_addsub(plan, acc, rhs, level, false);
-    }
-
-    /// Device-resident row-wise difference `acc[i] -= rhs[i]`.
-    fn dev_sub(&mut self, plan: &RingPlan, acc: DeviceBuf, rhs: DeviceBuf, level: usize) {
-        self.dev_addsub(plan, acc, rhs, level, true);
-    }
-
-    /// Shared add/sub implementation hook (overriding [`NttBackend::dev_add`]
-    /// / [`NttBackend::dev_sub`] individually is equivalent).
+    /// Device-resident row-wise sum `acc[i] += rhs[i]`, or difference
+    /// `acc[i] -= rhs[i]` when `subtract` is set.
     fn dev_addsub(
         &mut self,
         plan: &RingPlan,
@@ -1238,41 +1178,16 @@ pub trait NttBackend: Send {
         rhs: DeviceBuf,
         level: usize,
         subtract: bool,
-    ) {
-        let (mut ha, mut hr) = (vec![0u64; acc.len()], vec![0u64; rhs.len()]);
-        {
-            let mem = self.memory();
-            let mut m = lock_memory(&mem);
-            m.download(acc, &mut ha);
-            m.download(rhs, &mut hr);
-        }
-        host_addsub_rows(plan, level, &mut ha, &hr, subtract);
-        lock_memory(&self.memory()).upload(acc, &ha);
-    }
+    );
 
     /// Device-resident negation of every row.
-    fn dev_negate(&mut self, plan: &RingPlan, buf: DeviceBuf, level: usize) {
-        let mut host = vec![0u64; buf.len()];
-        lock_memory(&self.memory()).download(buf, &mut host);
-        host_negate_rows(plan, level, &mut host);
-        lock_memory(&self.memory()).upload(buf, &host);
-    }
+    fn dev_negate(&mut self, plan: &RingPlan, buf: DeviceBuf, level: usize);
 
     /// Device-resident CKKS rescale step on a `level`-row coefficient
     /// buffer: rows `0..level-1` become `(row_i − row_last)·p_last^{-1}
     /// mod p_i`; the last row is left as garbage (the caller drops it from
     /// the logical view).
-    fn dev_rescale(&mut self, plan: &RingPlan, buf: DeviceBuf, level: usize) {
-        let mut host = vec![0u64; buf.len()];
-        lock_memory(&self.memory()).download(buf, &mut host);
-        crate::poly::rescale_rows(
-            plan.ring().basis().primes(),
-            plan.degree(),
-            level,
-            &mut host,
-        );
-        lock_memory(&self.memory()).upload(buf, &host);
-    }
+    fn dev_rescale(&mut self, plan: &RingPlan, buf: DeviceBuf, level: usize);
 
     /// Device-resident gadget digit decomposition (see
     /// [`host_decompose_rows`] for the exact layout): `src` holds `level`
@@ -1286,22 +1201,12 @@ pub trait NttBackend: Send {
         level: usize,
         digits: usize,
         gadget_bits: u32,
-    ) {
-        let (mut hs, mut hd) = (vec![0u64; src.len()], vec![0u64; dst.len()]);
-        lock_memory(&self.memory()).download(src, &mut hs);
-        host_decompose_rows(plan.degree(), level, digits, gadget_bits, &hs, &mut hd);
-        lock_memory(&self.memory()).upload(dst, &hd);
-    }
+    );
 
     /// Device-resident CKKS mod-raise (see [`host_modraise_rows`] for the
     /// lift): `src` holds one coefficient row mod `p_0`, `dst` receives
     /// `to_level` re-embedded rows of the full basis.
-    fn dev_modraise(&mut self, plan: &RingPlan, src: DeviceBuf, dst: DeviceBuf, to_level: usize) {
-        let (mut hs, mut hd) = (vec![0u64; src.len()], vec![0u64; dst.len()]);
-        lock_memory(&self.memory()).download(src, &mut hs);
-        host_modraise_rows(plan, to_level, &hs, &mut hd);
-        lock_memory(&self.memory()).upload(dst, &hd);
-    }
+    fn dev_modraise(&mut self, plan: &RingPlan, src: DeviceBuf, dst: DeviceBuf, to_level: usize);
 
     /// Device-resident Galois automorphism `X → X^g` (see
     /// [`host_automorphism_rows`] for the index map): `src` holds `level`
@@ -1313,12 +1218,7 @@ pub trait NttBackend: Send {
         dst: DeviceBuf,
         level: usize,
         g: u64,
-    ) {
-        let (mut hs, mut hd) = (vec![0u64; src.len()], vec![0u64; dst.len()]);
-        lock_memory(&self.memory()).download(src, &mut hs);
-        host_automorphism_rows(plan, level, g, &hs, &mut hd);
-        lock_memory(&self.memory()).upload(dst, &hd);
-    }
+    );
 
     // ---- Fallible surface -------------------------------------------------
     //

@@ -1,5 +1,14 @@
 //! `SimBackend`: the simulated-GPU implementation of
-//! [`ntt_core::backend::NttBackend`].
+//! [`ntt_core::backend::NttBackend`] on one device, and the device layer
+//! every simulated backend runs on.
+//!
+//! [`SimBackend`] is the `K = 1` instance of [`SimDevices`], the one
+//! implementation the multi-device [`crate::ShardedBackend`] is the
+//! `K`-device instance of — two constructors, one body (see
+//! [`crate::sharded`]). This module holds what a single device owns: the
+//! [`SimMemory`] shard (GMEM, launch trace, stream scheduler, handle map,
+//! plan tables, readiness events), the forward-route calibration, and
+//! the row-local kernels (element-wise ops, automorphism).
 //!
 //! Every trait call executes through the warp kernels on the `gpu-sim`
 //! substrate — data really moves through simulated GMEM, twiddles stream
@@ -40,14 +49,14 @@
 //!
 //! The `try_*` overrides of the [`NttBackend`] / [`DeviceMemory`] hot ops
 //! return a classified [`BackendError`] instead of panicking. They are
-//! **gate-then-delegate**: each draws the device's armed
-//! [`gpu_sim::FaultPlan`] (and validates operand handles) *before* any
-//! data moves, then runs the unchanged infallible body — so an `Err`
-//! always leaves host and device state untouched and the identical call
-//! can be retried. The infallible entry points never consult the plan,
-//! which keeps calibration sweeps and the figure harness fault-free even
-//! when `NTT_WARP_FAULTS` is set (the env plan is armed in
-//! [`SimBackend::new`], not in [`SimMemory::new`], for the same reason).
+//! **gate-then-delegate**: each validates operand handles and draws the
+//! armed [`gpu_sim::FaultPlan`] of every shard *before* any data moves,
+//! then runs the unchanged infallible body — so an `Err` always leaves
+//! host and device state untouched and the identical call can be retried.
+//! The infallible entry points never consult the plan, which keeps
+//! calibration sweeps and the figure harness fault-free even when
+//! `NTT_WARP_FAULTS` is set (the env plan is armed when a backend is
+//! constructed, not in [`SimMemory::new`], for the same reason).
 //!
 //! # Panic audit
 //!
@@ -55,11 +64,10 @@
 //! was introduced are *invariant assertions*, not recoverable device
 //! conditions:
 //!
-//! * `resolve`/`root_base`'s "freed or foreign DeviceBuf" — a caller
-//!   using a handle after `free` or against the wrong memory. The
-//!   fallible surface pre-validates handles (`is_live`) and reports
-//!   [`BackendError::Fatal`] instead; reaching the panic means an
-//!   *infallible* caller broke the handle contract.
+//! * "freed or foreign DeviceBuf" — a caller using a handle after `free`
+//!   or against the wrong memory. The fallible surface pre-validates
+//!   handles and reports [`BackendError::Fatal`] instead; reaching the
+//!   panic means an *infallible* caller broke the handle contract.
 //! * "tables uploaded" — every trait op calls `ensure_tables` before the
 //!   kernel helpers run, so an absent table is an internal sequencing
 //!   bug, unreachable through the trait.
@@ -67,7 +75,7 @@
 //!   repeated prime can't be constructed (`RnsRing::new` rejects it).
 //! * Shape `assert!`s on trait entry (`dev_decompose`, `pointwise`) —
 //!   caller-contract violations, mirrored from the documented panics of
-//!   the `ntt-core` trait defaults.
+//!   the `ntt-core` trait.
 //! * Kernel-lane `expect`s ("rhs loaded", "lane active") — a warp lane
 //!   reading a value its own address computation requested; failure is a
 //!   kernel bug, independent of any device state a caller controls.
@@ -93,12 +101,12 @@
 use crate::hier::{self, DeviceTwist};
 use crate::ot::DeviceOt;
 use crate::radix2::{launch_forward, launch_inverse, ModMul};
+use crate::sharded::{ShardedMemory, SimDevices, Single};
 use crate::smem::{self, SmemConfig, SmemJob};
 use gpu_sim::{Buf, Event, Gpu, GpuConfig, LaunchConfig, OpClass, Stream, WarpCtx, WarpKernel};
-use ntt_core::backend::{
-    BackendError, DeviceBuf, DeviceMemory, LimbBatch, NttBackend, RingPlan, SharedDeviceMemory,
-    TransferStats,
-};
+#[cfg(doc)]
+use ntt_core::backend::NttBackend;
+use ntt_core::backend::{BackendError, DeviceBuf, DeviceMemory, RingPlan, TransferStats};
 use ntt_math::modops::{add_mod, mul_mod, neg_mod, sub_mod};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -150,15 +158,15 @@ impl DevData {
     }
 }
 
-/// The simulated device memory behind [`SimBackend`]: the [`Gpu`] itself
-/// (GMEM + launch trace + stream scheduler), the [`DeviceBuf`] handle map,
-/// the shared plan tables, and the per-buffer readiness events that guard
-/// cross-stream buffer reuse. One mutex guards all of it — forks of a
-/// backend share this structure, so resident data is visible to every
-/// fork. The mutex keeps the *functional* execution sequentially
-/// consistent (one simulated address space); the *modeled* time is no
-/// longer serialized: each fork enqueues its kernels and transfers on its
-/// own [`Stream`], and the scheduler overlaps them subject to SM capacity
+/// One simulated device — a shard of [`ShardedMemory`]: the [`Gpu`]
+/// itself (GMEM + launch trace + stream scheduler), the shard-local
+/// [`DeviceBuf`] handle map, the plan tables, and the per-buffer readiness
+/// events that guard cross-stream buffer reuse. One mutex guards all of
+/// it — forks of a backend share the shard, so resident data is visible
+/// to every fork. The mutex keeps the *functional* execution sequentially
+/// consistent (one simulated address space); the *modeled* time is not
+/// serialized: each fork enqueues its kernels and transfers on its own
+/// [`Stream`], and the scheduler overlaps them subject to SM capacity
 /// (see [`gpu_sim::stream`]).
 pub struct SimMemory {
     gpu: Gpu,
@@ -181,10 +189,7 @@ impl SimMemory {
     ///
     /// Handle ids start in a process-unique namespace
     /// ([`ntt_core::backend::handle_namespace`]) so a [`DeviceBuf`] minted
-    /// by one memory never accidentally resolves against another — a
-    /// foreign handle misses the map and surfaces as
-    /// [`BackendError::Fatal`] on the fallible paths instead of silently
-    /// aliasing an unrelated allocation.
+    /// by one memory never accidentally resolves against another.
     pub fn new(config: GpuConfig) -> Self {
         Self {
             gpu: Gpu::new(config),
@@ -200,10 +205,9 @@ impl SimMemory {
     ///
     /// # Panics
     ///
-    /// Panics on a freed or foreign handle — an invariant assertion on
-    /// the infallible paths (the fallible surface pre-validates with
-    /// [`is_live`](SimMemory::is_live) and returns
-    /// [`BackendError::Fatal`] instead).
+    /// Panics on a freed or foreign handle — an invariant assertion (the
+    /// fallible surface pre-validates logical handles in
+    /// [`ShardedMemory`] and returns [`BackendError::Fatal`] instead).
     pub(crate) fn resolve(&self, buf: DeviceBuf) -> Buf {
         self.bufs
             .get(&buf.id())
@@ -322,16 +326,6 @@ impl SimMemory {
         self.buf_ready.len()
     }
 
-    /// Whether a handle view still resolves to a live allocation (the
-    /// fallible surface's non-panicking counterpart of [`resolve`]).
-    ///
-    /// [`resolve`]: SimMemory::resolve
-    pub(crate) fn is_live(&self, buf: DeviceBuf) -> bool {
-        self.bufs
-            .get(&buf.id())
-            .is_some_and(|b| buf.base() + buf.len() <= b.len())
-    }
-
     /// Draw the device's armed fault plan (if any) for one fallible
     /// backend entry point, classifying a fired fault into the typed
     /// error surface. A fault charges a stall on the active stream — see
@@ -408,36 +402,6 @@ impl DeviceMemory for SimMemory {
 
     fn reset_stats(&mut self) {
         self.gpu.gmem.reset_transfer_stats();
-    }
-
-    // The fallible surface: each op draws the armed fault plan *before*
-    // touching any data, so an `Err` leaves host and device state exactly
-    // as they were and the identical call can be retried.
-
-    fn try_alloc(&mut self, words: usize) -> Result<DeviceBuf, BackendError> {
-        let projected = self.gpu.gmem.allocated_words() + words;
-        self.gpu
-            .fault_check_alloc(projected)
-            .map_err(|k| classify(k, "alloc", words))?;
-        Ok(self.alloc(words))
-    }
-
-    fn try_upload(&mut self, dst: DeviceBuf, src: &[u64]) -> Result<(), BackendError> {
-        if !self.is_live(dst) {
-            return Err(BackendError::Fatal { op: "upload" });
-        }
-        self.fault_gate("upload", gpu_sim::FaultOp::Upload)?;
-        self.upload(dst, src);
-        Ok(())
-    }
-
-    fn try_download(&mut self, src: DeviceBuf, dst: &mut [u64]) -> Result<(), BackendError> {
-        if !self.is_live(src) {
-            return Err(BackendError::Fatal { op: "download" });
-        }
-        self.fault_gate("download", gpu_sim::FaultOp::Download)?;
-        self.download(src, dst);
-        Ok(())
     }
 }
 
@@ -609,113 +573,6 @@ impl WarpKernel for ElemwiseKernel<'_> {
     }
 }
 
-/// The device-side CKKS rescale step (see
-/// `ntt_core::backend::NttBackend::dev_rescale` for the contract): one
-/// thread per element of rows `0..level-1`, each reading its own word and
-/// the last row's word of the same column.
-struct RescaleKernel<'a> {
-    data: Buf,
-    n: usize,
-    level: usize,
-    /// Per-prime `(p_last^{-1} mod p_i, p_i)` for rows `0..level-1`.
-    inv_p: &'a [(u64, u64)],
-}
-
-impl WarpKernel for RescaleKernel<'_> {
-    fn phases(&self) -> usize {
-        1
-    }
-
-    fn run_warp(&self, ctx: &mut WarpCtx<'_>) {
-        let total = (self.level - 1) * self.n;
-        let lanes = ctx.lanes();
-        let mut addr_x = vec![None; lanes];
-        let mut addr_l = vec![None; lanes];
-        let mut row = vec![0usize; lanes];
-        let mut active = 0u64;
-        for l in 0..lanes {
-            let gt = ctx.global_thread(l);
-            if gt >= total {
-                continue;
-            }
-            active += 1;
-            row[l] = gt / self.n;
-            addr_x[l] = Some(self.data.word(gt));
-            addr_l[l] = Some(self.data.word((self.level - 1) * self.n + gt % self.n));
-        }
-        if active == 0 {
-            return;
-        }
-        let (x, last) = ctx.gmem_load2(&addr_x, &addr_l);
-        let writes: Vec<Option<(usize, u64)>> = (0..lanes)
-            .map(|l| {
-                let xv = x[l]?;
-                let lv = last[l].expect("last row loaded");
-                let (inv, p) = self.inv_p[row[l]];
-                let diff = sub_mod(xv, lv % p, p);
-                Some((addr_x[l].expect("lane active"), mul_mod(diff, inv, p)))
-            })
-            .collect();
-        ctx.count_op(OpClass::NativeModMul, active);
-        ctx.count_op(OpClass::ModAddSub, active);
-        ctx.gmem_store(&writes);
-    }
-}
-
-/// Device-side gadget digit decomposition (layout per
-/// `ntt_core::backend::NttBackend::dev_decompose`): one thread per output
-/// element, each reading its source word and extracting one base-`2^w`
-/// digit.
-struct DecomposeKernel {
-    src: Buf,
-    dst: Buf,
-    n: usize,
-    level: usize,
-    digits: usize,
-    gadget_bits: u32,
-}
-
-impl WarpKernel for DecomposeKernel {
-    fn phases(&self) -> usize {
-        1
-    }
-
-    fn run_warp(&self, ctx: &mut WarpCtx<'_>) {
-        let total = self.level * self.digits * self.level * self.n;
-        let mask = (1u64 << self.gadget_bits) - 1;
-        let lanes = ctx.lanes();
-        let mut addr_s = vec![None; lanes];
-        let mut shift = vec![0u32; lanes];
-        let mut active = 0u64;
-        for l in 0..lanes {
-            let gt = ctx.global_thread(l);
-            if gt >= total {
-                continue;
-            }
-            active += 1;
-            let poly = gt / (self.level * self.n);
-            let (j, d) = (poly / self.digits, poly % self.digits);
-            let t = gt % self.n;
-            shift[l] = self.gadget_bits * d as u32;
-            addr_s[l] = Some(self.src.word(j * self.n + t));
-        }
-        if active == 0 {
-            return;
-        }
-        // Replicated rows re-read the same source words; the read-only
-        // path absorbs the repeats the way twiddle broadcasts do.
-        let vals = ctx.gmem_load_cached(&addr_s);
-        let writes: Vec<Option<(usize, u64)>> = (0..lanes)
-            .map(|l| {
-                let v = vals[l]?;
-                Some((self.dst.word(ctx.global_thread(l)), (v >> shift[l]) & mask))
-            })
-            .collect();
-        ctx.count_op(OpClass::Generic, active);
-        ctx.gmem_store(&writes);
-    }
-}
-
 /// Device-side Galois automorphism `X → X^g` (index map per
 /// `ntt_core::backend::NttBackend::dev_automorphism`): one thread per
 /// *input* element — a coalesced read, a scattered sign-wrapped write —
@@ -775,62 +632,6 @@ impl WarpKernel for AutomorphismKernel<'_> {
             })
             .collect();
         ctx.count_op(OpClass::ModAddSub, active);
-        ctx.gmem_store(&writes);
-    }
-}
-
-/// Device-side mod-raise (centered lift per
-/// `ntt_core::backend::NttBackend::dev_modraise`): one thread per *output*
-/// element; each of the `to_level` rows re-reads the same `N` source words,
-/// so the read goes through the cached path like the decompose kernel's
-/// replicated rows.
-struct ModRaiseKernel<'a> {
-    src: Buf,
-    dst: Buf,
-    n: usize,
-    to_level: usize,
-    p0: u64,
-    moduli: &'a [u64],
-}
-
-impl WarpKernel for ModRaiseKernel<'_> {
-    fn phases(&self) -> usize {
-        1
-    }
-
-    fn run_warp(&self, ctx: &mut WarpCtx<'_>) {
-        let total = self.to_level * self.n;
-        let half = self.p0 >> 1;
-        let lanes = ctx.lanes();
-        let mut addr_s = vec![None; lanes];
-        let mut prime = vec![0usize; lanes];
-        let mut active = 0u64;
-        for l in 0..lanes {
-            let gt = ctx.global_thread(l);
-            if gt >= total {
-                continue;
-            }
-            active += 1;
-            prime[l] = gt / self.n;
-            addr_s[l] = Some(self.src.word(gt % self.n));
-        }
-        if active == 0 {
-            return;
-        }
-        let vals = ctx.gmem_load_cached(&addr_s);
-        let writes: Vec<Option<(usize, u64)>> = (0..lanes)
-            .map(|l| {
-                let v = vals[l]?;
-                let p = self.moduli[prime[l]];
-                let lifted = if v <= half {
-                    v % p
-                } else {
-                    neg_mod((self.p0 - v) % p, p)
-                };
-                Some((self.dst.word(ctx.global_thread(l)), lifted))
-            })
-            .collect();
-        ctx.count_op(OpClass::Generic, active);
         ctx.gmem_store(&writes);
     }
 }
@@ -1025,9 +826,7 @@ pub(crate) fn launch_elemwise(
         moduli: &t.primes,
         op,
     };
-    let blocks = (row_prime.len() * n).div_ceil(THREADS);
-    let cfg = LaunchConfig::new(kernel.op.label(), blocks, THREADS).regs_per_thread(40);
-    m.gpu.launch(&kernel, &cfg);
+    launch_rows(&mut m.gpu, op.label(), row_prime.len() * n, &kernel);
 }
 
 /// Launch the Galois automorphism kernel over `row_prime.len()` local
@@ -1052,78 +851,33 @@ pub(crate) fn launch_automorphism(
         row_prime,
         moduli: &t.primes,
     };
-    let blocks = (row_prime.len() * n).div_ceil(THREADS);
-    let cfg = LaunchConfig::new("sim-automorphism", blocks, THREADS).regs_per_thread(40);
-    m.gpu.launch(&kernel, &cfg);
+    launch_rows(&mut m.gpu, "sim-automorphism", row_prime.len() * n, &kernel);
 }
 
-/// The simulated-GPU backend: shared device memory (GMEM + handle map +
-/// plan tables) plus per-fork staging buffers, the memoized forward
-/// routing table, and this executor's [`Stream`].
-///
-/// The root backend runs on [`Stream::DEFAULT`]; every [`NttBackend::fork`]
-/// allocates its own stream, so concurrent evaluators from the pool
-/// enqueue on independent queues and their modeled device time overlaps
-/// (subject to SM capacity) instead of serializing the way the old
-/// single-launch-lock model did.
-pub struct SimBackend {
-    mem: Arc<Mutex<SimMemory>>,
-    /// The stream this executor's launches and transfers are charged to.
-    stream: Stream,
-    /// Lazily created copy stream for staging prefetches
-    /// ([`NttBackend::stage_upload`]): uploads ride here so compute
-    /// queued on `stream` overlaps the transfer, fenced per buffer by
-    /// the readiness events.
-    copy_stream: Option<Stream>,
-    /// Staging buffer for host-batch primary operands.
-    data: DevData,
-    /// Staging buffer for host-batch secondary operands.
-    scratch: DevData,
-    /// Device scratch for `dev_multiply`'s second operand.
-    mul_scratch: DevData,
-    /// Memoized per-`N` forward implementation choice (shared by forks so
-    /// the calibration runs once per shape per backend family).
-    split_cache: Arc<Mutex<HashMap<usize, ShapeChoice>>>,
+/// Launch a one-thread-per-element kernel over `threads` elements.
+pub(crate) fn launch_rows<K: WarpKernel>(
+    gpu: &mut Gpu,
+    label: &'static str,
+    threads: usize,
+    kernel: &K,
+) {
+    let cfg = LaunchConfig::new(label, threads.div_ceil(THREADS), THREADS).regs_per_thread(40);
+    gpu.launch(kernel, &cfg);
 }
 
-impl Default for SimBackend {
-    fn default() -> Self {
-        Self::titan_v()
-    }
-}
+/// The simulated GPU on one device: the `K = 1` instance of
+/// [`SimDevices`], reporting `gpu-sim`. The root backend runs on
+/// [`Stream::DEFAULT`]; every [`NttBackend::fork`] allocates its own
+/// stream, so concurrent evaluators from the pool enqueue on independent
+/// queues and their modeled device time overlaps (subject to SM
+/// capacity).
+pub type SimBackend = SimDevices<Single>;
 
-impl Drop for SimBackend {
-    fn drop(&mut self) {
-        if self.stream != Stream::DEFAULT {
-            self.lock().gpu.destroy_stream(self.stream);
-        }
-        if let Some(copy) = self.copy_stream {
-            self.lock().gpu.destroy_stream(copy);
-        }
-    }
-}
-
-impl SimBackend {
+impl SimDevices<Single> {
     /// Backend over an explicit device model.
-    ///
-    /// If `NTT_WARP_FAULTS` is set, the parsed [`gpu_sim::FaultPlan`] is
-    /// armed on this backend's device. Arming happens *here*, not in
-    /// [`SimMemory::new`], so the scratch devices the forward-choice
-    /// calibration sweeps build stay fault-free by construction.
     pub fn new(config: GpuConfig) -> Self {
-        let backend = Self {
-            mem: Arc::new(Mutex::new(SimMemory::new(config))),
-            stream: Stream::DEFAULT,
-            copy_stream: None,
-            data: DevData::default(),
-            scratch: DevData::default(),
-            mul_scratch: DevData::default(),
-            split_cache: Arc::new(Mutex::new(HashMap::new())),
-        };
-        if let Some(plan) = gpu_sim::FaultPlan::from_env() {
-            backend.set_fault_plan(Some(plan));
-        }
-        backend
+        // One device partitions nothing, so the partition degree is moot.
+        Self::over(ShardedMemory::new(config, 1, 1))
     }
 
     /// Backend over the paper's Titan-V device model.
@@ -1131,130 +885,18 @@ impl SimBackend {
         Self::new(GpuConfig::titan_v())
     }
 
-    /// Arm (or with `None`, disarm) a deterministic fault schedule on the
-    /// shared device. Affects every fork sharing this backend's memory;
-    /// only the fallible `try_*` entry points draw from the plan. See
-    /// [`gpu_sim::FaultPlan`].
-    pub fn set_fault_plan(&self, plan: Option<gpu_sim::FaultPlan>) {
-        self.lock().gpu.set_fault_plan(plan);
-    }
-
-    fn lock(&self) -> MutexGuard<'_, SimMemory> {
-        lock_mem(&self.mem)
-    }
-
-    /// The stream this executor enqueues on (the root backend uses the
-    /// default stream; forks get their own).
-    pub fn stream(&self) -> Stream {
-        self.stream
-    }
-
-    /// A clone of the shared device-memory handle, typed — lets harnesses
+    /// A clone of the live device's handle, typed — lets harnesses
     /// observe the device (timeline, trace) after the backend has been
-    /// boxed into an evaluator or `HeContext`.
+    /// boxed into an evaluator or `HeContext`. Every op holds this lock
+    /// for its whole duration, so an observer sees whole ops.
     pub fn memory_handle(&self) -> Arc<Mutex<SimMemory>> {
-        Arc::clone(&self.mem)
+        self.lock().shard(0)
     }
 
     /// Inspect the underlying simulated device (launch trace, traffic
-    /// counters) under the shared-memory lock.
+    /// counters) under its lock.
     pub fn with_gpu<R>(&self, f: impl FnOnce(&Gpu) -> R) -> R {
-        f(&self.lock().gpu)
-    }
-
-    /// Clear the device launch trace (keeps memory and cached tables).
-    pub fn reset_trace(&mut self) {
-        self.lock().gpu.reset_trace();
-    }
-
-    /// The host↔device transfer ledger (see [`gpu_sim::Gmem`]).
-    pub fn transfer_stats(&self) -> TransferStats {
-        self.lock().stats()
-    }
-
-    /// The device's stream-schedule accounting: serialized vs overlapped
-    /// modeled time across every fork's stream.
-    pub fn timeline(&self) -> gpu_sim::DeviceTimeline {
-        self.lock().gpu.timeline()
-    }
-
-    /// The forward implementation for an `n`-point batch: the env
-    /// override, the small-shape radix-2 floor, or the memoized
-    /// modeled-time winner over the paper's split candidates.
-    fn forward_choice(&self, n: usize, rows: usize) -> ForwardImpl {
-        match forward_mode() {
-            ForwardMode::Radix2 => return ForwardImpl::Radix2,
-            ForwardMode::Smem if n >= 4 => {
-                return self.cached_or_calibrated(n, rows).best_smem;
-            }
-            ForwardMode::Hier if n >= 4 => {
-                return self.cached_or_calibrated(n, rows).best_hier;
-            }
-            _ => {}
-        }
-        if n < SMEM_MIN_N {
-            return ForwardImpl::Radix2;
-        }
-        self.cached_or_calibrated(n, rows).auto
-    }
-
-    fn cached_or_calibrated(&self, n: usize, rows: usize) -> ShapeChoice {
-        if let Some(&c) = self
-            .split_cache
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(&n)
-        {
-            return c;
-        }
-        let config = self.lock().gpu.config.clone();
-        let choice = calibrate_forward_choice(&config, n, rows);
-        self.split_cache
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .insert(n, choice);
-        choice
-    }
-
-    // ---- Fault gates for the fallible surface ---------------------------
-    //
-    // Every `try_*` override below is gate-then-delegate: draw the armed
-    // fault plan (and validate operand handles) *up front*, then run the
-    // unchanged infallible body. Injected faults therefore fire between
-    // ops — never mid-op — which is what makes a failed call retry-safe:
-    // on `Err`, no operand byte has moved. The gates draw one schedule
-    // slot per hardware command class the op would issue (a staged host
-    // batch is upload + launch + download; a device-resident op is one
-    // launch), so fault *rates* scale with real command traffic.
-
-    /// Gates for one staged host-batch op (upload, launch, download — in
-    /// issue order, on this executor's stream).
-    fn gate_staged(&self, op: &'static str) -> Result<(), BackendError> {
-        let mut m = self.lock();
-        m.bind(self.stream);
-        m.fault_gate(op, gpu_sim::FaultOp::Upload)?;
-        m.fault_gate(op, gpu_sim::FaultOp::Launch)?;
-        m.fault_gate(op, gpu_sim::FaultOp::Download)
-    }
-
-    /// Launch-class gate for one device-resident op.
-    fn gate_launch(&self, op: &'static str) -> Result<(), BackendError> {
-        let mut m = self.lock();
-        m.bind(self.stream);
-        m.fault_gate(op, gpu_sim::FaultOp::Launch)
-    }
-
-    /// Handle validation for device-resident try ops: a freed or foreign
-    /// handle is a caller bug the infallible path treats as an invariant
-    /// violation (panic in [`SimMemory::resolve`]); on the typed surface
-    /// it comes back as a fatal error instead.
-    fn check_handles(&self, op: &'static str, bufs: &[DeviceBuf]) -> Result<(), BackendError> {
-        let m = self.lock();
-        if bufs.iter().all(|&b| m.is_live(b)) {
-            Ok(())
-        } else {
-            Err(BackendError::Fatal { op })
-        }
+        f(lock_mem(&self.memory_handle()).gpu())
     }
 }
 
@@ -1381,563 +1023,10 @@ pub(crate) fn calibrate_forward_choice(config: &GpuConfig, n: usize, rows: usize
     }
 }
 
-impl NttBackend for SimBackend {
-    fn name(&self) -> &'static str {
-        "gpu-sim"
-    }
-
-    fn memory(&self) -> SharedDeviceMemory {
-        let shared: SharedDeviceMemory = self.mem.clone();
-        shared
-    }
-
-    fn fork(&self) -> Box<dyn NttBackend> {
-        let stream = self.lock().gpu.create_stream();
-        Box::new(SimBackend {
-            mem: Arc::clone(&self.mem),
-            stream,
-            copy_stream: None,
-            data: DevData::default(),
-            scratch: DevData::default(),
-            mul_scratch: DevData::default(),
-            split_cache: Arc::clone(&self.split_cache),
-        })
-    }
-
-    fn prefers_residency(&self) -> bool {
-        true
-    }
-
-    fn bind_stream(&self) {
-        self.lock().bind(self.stream);
-    }
-
-    /// Prefetch a staging upload on this executor's copy stream: the
-    /// transfer is enqueued off the compute stream and the buffer's
-    /// readiness event is recorded on the copy stream, so consuming
-    /// kernels (which fence per buffer via `wait_ready`) start exactly
-    /// when the copy lands while previously queued compute overlaps it
-    /// (ROADMAP item p).
-    fn stage_upload(&mut self, data: &[u64]) -> DeviceBuf {
-        let mut m = lock_mem(&self.mem);
-        let copy = *self
-            .copy_stream
-            .get_or_insert_with(|| m.gpu.create_stream());
-        let buf = m.alloc(data.len());
-        m.bind(copy);
-        // `upload` fences the copy stream on any stale readiness event a
-        // recycled base may carry, then records the new one there.
-        m.upload(buf, data);
-        m.bind(self.stream);
-        buf
-    }
-
-    fn forward_batch(&mut self, plan: &RingPlan, mut batch: LimbBatch<'_>) {
-        let (n, level) = (batch.n(), batch.level());
-        let rows = batch.rows();
-        let choice = self.forward_choice(n, rows);
-        let row_prime: Vec<usize> = (0..rows).map(|r| r % level).collect();
-        let mut m = lock_mem(&self.mem);
-        m.bind(self.stream);
-        ensure_tables(&mut m, plan);
-        let buf = self.data.ensure(&mut m.gpu, batch.as_slice().len());
-        let buf = buf.sub(0, batch.as_slice().len());
-        m.wait_ready(&[buf.base()]);
-        m.gpu.stream_upload(buf, 0, batch.as_slice());
-        run_forward(&mut m, plan, buf, &row_prime, choice);
-        m.gpu.stream_download(buf, batch.data());
-        m.mark_written(&[buf.base()]);
-    }
-
-    fn inverse_batch(&mut self, plan: &RingPlan, mut batch: LimbBatch<'_>) {
-        let (n, level) = (batch.n(), batch.level());
-        let rows = batch.as_slice().len() / n;
-        let row_prime: Vec<usize> = (0..rows).map(|r| r % level).collect();
-        let mut m = lock_mem(&self.mem);
-        m.bind(self.stream);
-        ensure_tables(&mut m, plan);
-        let buf = self.data.ensure(&mut m.gpu, batch.as_slice().len());
-        let buf = buf.sub(0, batch.as_slice().len());
-        m.wait_ready(&[buf.base()]);
-        m.gpu.stream_upload(buf, 0, batch.as_slice());
-        run_inverse(&mut m, buf, &row_prime);
-        m.gpu.stream_download(buf, batch.data());
-        m.mark_written(&[buf.base()]);
-    }
-
-    fn pointwise_batch(&mut self, plan: &RingPlan, mut acc: LimbBatch<'_>, rhs: &[u64]) {
-        assert_eq!(acc.as_slice().len(), rhs.len(), "operand shape mismatch");
-        let (n, level) = (acc.n(), acc.level());
-        let rows = acc.as_slice().len() / n;
-        let row_prime: Vec<usize> = (0..rows).map(|r| r % level).collect();
-        let mut m = lock_mem(&self.mem);
-        m.bind(self.stream);
-        ensure_tables(&mut m, plan);
-        let abuf = self.data.ensure(&mut m.gpu, acc.as_slice().len());
-        let abuf = abuf.sub(0, acc.as_slice().len());
-        let bbuf = self.scratch.ensure(&mut m.gpu, rhs.len());
-        let bbuf = bbuf.sub(0, rhs.len());
-        m.wait_ready(&[abuf.base(), bbuf.base()]);
-        m.gpu.stream_upload(abuf, 0, acc.as_slice());
-        m.gpu.stream_upload(bbuf, 0, rhs);
-        launch_elemwise(&mut m, ElemOp::Mul, abuf, Some(bbuf), None, n, &row_prime);
-        m.gpu.stream_download(abuf, acc.data());
-        m.mark_written(&[abuf.base(), bbuf.base()]);
-    }
-
-    fn multiply_batch(&mut self, plan: &RingPlan, a: &[u64], b: &[u64], mut out: LimbBatch<'_>) {
-        assert_eq!(a.len(), out.as_slice().len(), "operand shape mismatch");
-        assert_eq!(b.len(), out.as_slice().len(), "operand shape mismatch");
-        let (n, level) = (out.n(), out.level());
-        let rows = a.len() / n;
-        let choice = self.forward_choice(n, rows);
-        let row_prime: Vec<usize> = (0..rows).map(|r| r % level).collect();
-        let mut m = lock_mem(&self.mem);
-        m.bind(self.stream);
-        ensure_tables(&mut m, plan);
-        let abuf = self.data.ensure(&mut m.gpu, a.len());
-        let abuf = abuf.sub(0, a.len());
-        let bbuf = self.scratch.ensure(&mut m.gpu, b.len());
-        let bbuf = bbuf.sub(0, b.len());
-        m.wait_ready(&[abuf.base(), bbuf.base()]);
-        m.gpu.stream_upload(abuf, 0, a);
-        m.gpu.stream_upload(bbuf, 0, b);
-        // The classic device pipeline: NTT(a), NTT(b), pointwise, iNTT —
-        // four launch groups over one resident batch.
-        run_forward(&mut m, plan, abuf, &row_prime, choice);
-        run_forward(&mut m, plan, bbuf, &row_prime, choice);
-        launch_elemwise(&mut m, ElemOp::Mul, abuf, Some(bbuf), None, n, &row_prime);
-        run_inverse(&mut m, abuf, &row_prime);
-        m.gpu.stream_download(abuf, out.data());
-        m.mark_written(&[abuf.base(), bbuf.base()]);
-    }
-
-    // ---- Device-resident execution (zero host↔device traffic) ----------
-
-    fn dev_forward(&mut self, plan: &RingPlan, buf: DeviceBuf, level: usize) {
-        let n = plan.degree();
-        let rows = buf.len() / n;
-        let choice = self.forward_choice(n, rows);
-        let row_prime: Vec<usize> = (0..rows).map(|r| r % level).collect();
-        let mut m = lock_mem(&self.mem);
-        m.bind(self.stream);
-        ensure_tables(&mut m, plan);
-        let data = m.resolve(buf);
-        let root = m.root_base(buf);
-        m.wait_ready(&[root]);
-        run_forward(&mut m, plan, data, &row_prime, choice);
-        m.mark_written(&[root]);
-    }
-
-    fn dev_inverse(&mut self, plan: &RingPlan, buf: DeviceBuf, level: usize) {
-        let n = plan.degree();
-        let row_prime: Vec<usize> = (0..buf.len() / n).map(|r| r % level).collect();
-        let mut m = lock_mem(&self.mem);
-        m.bind(self.stream);
-        ensure_tables(&mut m, plan);
-        let data = m.resolve(buf);
-        let root = m.root_base(buf);
-        m.wait_ready(&[root]);
-        run_inverse(&mut m, data, &row_prime);
-        m.mark_written(&[root]);
-    }
-
-    fn dev_multiply(
-        &mut self,
-        plan: &RingPlan,
-        a: DeviceBuf,
-        b: DeviceBuf,
-        out: DeviceBuf,
-        level: usize,
-    ) {
-        let n = plan.degree();
-        let rows = out.len() / n;
-        let choice = self.forward_choice(n, rows);
-        let row_prime: Vec<usize> = (0..rows).map(|r| r % level).collect();
-        let mut m = lock_mem(&self.mem);
-        m.bind(self.stream);
-        ensure_tables(&mut m, plan);
-        let (abuf, bbuf, obuf) = (m.resolve(a), m.resolve(b), m.resolve(out));
-        let scratch = self.mul_scratch.ensure(&mut m.gpu, bbuf.len());
-        let scratch = scratch.sub(0, bbuf.len());
-        let reads = [
-            m.root_base(a),
-            m.root_base(b),
-            m.root_base(out),
-            scratch.base(),
-        ];
-        m.wait_ready(&reads);
-        // Stage both operands on the device (d2d; inputs stay intact).
-        m.gpu.gmem.copy(abuf, obuf);
-        m.gpu.gmem.copy(bbuf, scratch);
-        run_forward(&mut m, plan, obuf, &row_prime, choice);
-        run_forward(&mut m, plan, scratch, &row_prime, choice);
-        launch_elemwise(
-            &mut m,
-            ElemOp::Mul,
-            obuf,
-            Some(scratch),
-            None,
-            n,
-            &row_prime,
-        );
-        run_inverse(&mut m, obuf, &row_prime);
-        m.mark_written(&[reads[2], reads[3]]);
-    }
-
-    fn dev_pointwise(&mut self, plan: &RingPlan, acc: DeviceBuf, rhs: DeviceBuf, level: usize) {
-        let n = plan.degree();
-        let row_prime: Vec<usize> = (0..acc.len() / n).map(|r| r % level).collect();
-        let mut m = lock_mem(&self.mem);
-        m.bind(self.stream);
-        ensure_tables(&mut m, plan);
-        let (a, b) = (m.resolve(acc), m.resolve(rhs));
-        let roots = [m.root_base(acc), m.root_base(rhs)];
-        m.wait_ready(&roots);
-        launch_elemwise(&mut m, ElemOp::Mul, a, Some(b), None, n, &row_prime);
-        m.mark_written(&roots[..1]);
-    }
-
-    fn dev_fma(
-        &mut self,
-        plan: &RingPlan,
-        acc: DeviceBuf,
-        x: DeviceBuf,
-        y: DeviceBuf,
-        level: usize,
-    ) {
-        let n = plan.degree();
-        let row_prime: Vec<usize> = (0..acc.len() / n).map(|r| r % level).collect();
-        let mut m = lock_mem(&self.mem);
-        m.bind(self.stream);
-        ensure_tables(&mut m, plan);
-        let (a, xb, yb) = (m.resolve(acc), m.resolve(x), m.resolve(y));
-        let roots = [m.root_base(acc), m.root_base(x), m.root_base(y)];
-        m.wait_ready(&roots);
-        launch_elemwise(&mut m, ElemOp::Fma, a, Some(xb), Some(yb), n, &row_prime);
-        m.mark_written(&roots[..1]);
-    }
-
-    fn dev_addsub(
-        &mut self,
-        plan: &RingPlan,
-        acc: DeviceBuf,
-        rhs: DeviceBuf,
-        level: usize,
-        subtract: bool,
-    ) {
-        let n = plan.degree();
-        let row_prime: Vec<usize> = (0..acc.len() / n).map(|r| r % level).collect();
-        let op = if subtract { ElemOp::Sub } else { ElemOp::Add };
-        let mut m = lock_mem(&self.mem);
-        m.bind(self.stream);
-        ensure_tables(&mut m, plan);
-        let (a, b) = (m.resolve(acc), m.resolve(rhs));
-        let roots = [m.root_base(acc), m.root_base(rhs)];
-        m.wait_ready(&roots);
-        launch_elemwise(&mut m, op, a, Some(b), None, n, &row_prime);
-        m.mark_written(&roots[..1]);
-    }
-
-    fn dev_negate(&mut self, plan: &RingPlan, buf: DeviceBuf, level: usize) {
-        let n = plan.degree();
-        let row_prime: Vec<usize> = (0..buf.len() / n).map(|r| r % level).collect();
-        let mut m = lock_mem(&self.mem);
-        m.bind(self.stream);
-        ensure_tables(&mut m, plan);
-        let a = m.resolve(buf);
-        let root = m.root_base(buf);
-        m.wait_ready(&[root]);
-        launch_elemwise(&mut m, ElemOp::Neg, a, None, None, n, &row_prime);
-        m.mark_written(&[root]);
-    }
-
-    fn dev_rescale(&mut self, plan: &RingPlan, buf: DeviceBuf, level: usize) {
-        assert!(level > 1, "cannot rescale past the last prime");
-        let n = plan.degree();
-        let primes = plan.ring().basis().primes();
-        let p_last = primes[level - 1];
-        let inv_p: Vec<(u64, u64)> = primes[..level - 1]
-            .iter()
-            .map(|&p| {
-                (
-                    ntt_math::inv_mod(p_last % p, p).expect("distinct primes are coprime"),
-                    p,
-                )
-            })
-            .collect();
-        let mut m = lock_mem(&self.mem);
-        m.bind(self.stream);
-        ensure_tables(&mut m, plan);
-        let data = m.resolve(buf);
-        let root = m.root_base(buf);
-        m.wait_ready(&[root]);
-        let kernel = RescaleKernel {
-            data,
-            n,
-            level,
-            inv_p: &inv_p,
-        };
-        let blocks = ((level - 1) * n).div_ceil(THREADS);
-        let cfg = LaunchConfig::new("sim-rescale", blocks, THREADS).regs_per_thread(40);
-        m.gpu.launch(&kernel, &cfg);
-        m.mark_written(&[root]);
-    }
-
-    fn dev_decompose(
-        &mut self,
-        plan: &RingPlan,
-        src: DeviceBuf,
-        dst: DeviceBuf,
-        level: usize,
-        digits: usize,
-        gadget_bits: u32,
-    ) {
-        let n = plan.degree();
-        assert_eq!(src.len(), level * n, "source must be level x N");
-        assert_eq!(
-            dst.len(),
-            level * digits * level * n,
-            "digit buffer shape mismatch"
-        );
-        let mut m = lock_mem(&self.mem);
-        m.bind(self.stream);
-        ensure_tables(&mut m, plan);
-        let kernel = DecomposeKernel {
-            src: m.resolve(src),
-            dst: m.resolve(dst),
-            n,
-            level,
-            digits,
-            gadget_bits,
-        };
-        let roots = [m.root_base(src), m.root_base(dst)];
-        m.wait_ready(&roots);
-        let blocks = (level * digits * level * n).div_ceil(THREADS);
-        let cfg = LaunchConfig::new("sim-decompose", blocks, THREADS).regs_per_thread(40);
-        m.gpu.launch(&kernel, &cfg);
-        m.mark_written(&roots[1..]);
-    }
-
-    fn dev_automorphism(
-        &mut self,
-        plan: &RingPlan,
-        src: DeviceBuf,
-        dst: DeviceBuf,
-        level: usize,
-        g: u64,
-    ) {
-        let n = plan.degree();
-        let rows = src.len() / n;
-        assert_eq!(src.len(), dst.len(), "operand shape mismatch");
-        let g = g % (2 * n as u64);
-        assert_eq!(g % 2, 1, "Galois element must be odd");
-        let row_prime: Vec<usize> = (0..rows).map(|r| r % level).collect();
-        let mut m = lock_mem(&self.mem);
-        m.bind(self.stream);
-        ensure_tables(&mut m, plan);
-        let (src_raw, dst_raw) = (m.resolve(src), m.resolve(dst));
-        let roots = [m.root_base(src), m.root_base(dst)];
-        m.wait_ready(&roots);
-        launch_automorphism(&mut m, src_raw, dst_raw, n, g, &row_prime);
-        m.mark_written(&roots[1..]);
-    }
-
-    fn dev_modraise(&mut self, plan: &RingPlan, src: DeviceBuf, dst: DeviceBuf, to_level: usize) {
-        let n = plan.degree();
-        assert_eq!(src.len(), n, "mod-raise source must be one level-1 row");
-        assert_eq!(dst.len(), to_level * n, "mod-raise destination shape");
-        let moduli = plan.ring().basis().primes().to_vec();
-        let p0 = moduli[0];
-        let mut m = lock_mem(&self.mem);
-        m.bind(self.stream);
-        ensure_tables(&mut m, plan);
-        let kernel = ModRaiseKernel {
-            src: m.resolve(src),
-            dst: m.resolve(dst),
-            n,
-            to_level,
-            p0,
-            moduli: &moduli,
-        };
-        let roots = [m.root_base(src), m.root_base(dst)];
-        m.wait_ready(&roots);
-        let blocks = (to_level * n).div_ceil(THREADS);
-        let cfg = LaunchConfig::new("sim-modraise", blocks, THREADS).regs_per_thread(40);
-        m.gpu.launch(&kernel, &cfg);
-        m.mark_written(&roots[1..]);
-    }
-
-    // ---- Fallible surface: gate-then-delegate (see the fault-gate
-    // helpers on `SimBackend` for the granularity contract). ------------
-
-    fn try_forward_batch(
-        &mut self,
-        plan: &RingPlan,
-        batch: LimbBatch<'_>,
-    ) -> Result<(), BackendError> {
-        self.gate_staged("forward_batch")?;
-        self.forward_batch(plan, batch);
-        Ok(())
-    }
-
-    fn try_inverse_batch(
-        &mut self,
-        plan: &RingPlan,
-        batch: LimbBatch<'_>,
-    ) -> Result<(), BackendError> {
-        self.gate_staged("inverse_batch")?;
-        self.inverse_batch(plan, batch);
-        Ok(())
-    }
-
-    fn try_pointwise_batch(
-        &mut self,
-        plan: &RingPlan,
-        acc: LimbBatch<'_>,
-        rhs: &[u64],
-    ) -> Result<(), BackendError> {
-        self.gate_staged("pointwise_batch")?;
-        self.pointwise_batch(plan, acc, rhs);
-        Ok(())
-    }
-
-    fn try_multiply_batch(
-        &mut self,
-        plan: &RingPlan,
-        a: &[u64],
-        b: &[u64],
-        out: LimbBatch<'_>,
-    ) -> Result<(), BackendError> {
-        self.gate_staged("multiply_batch")?;
-        self.multiply_batch(plan, a, b, out);
-        Ok(())
-    }
-
-    fn try_dev_forward(
-        &mut self,
-        plan: &RingPlan,
-        buf: DeviceBuf,
-        level: usize,
-    ) -> Result<(), BackendError> {
-        self.check_handles("dev_forward", &[buf])?;
-        self.gate_launch("dev_forward")?;
-        self.dev_forward(plan, buf, level);
-        Ok(())
-    }
-
-    fn try_dev_inverse(
-        &mut self,
-        plan: &RingPlan,
-        buf: DeviceBuf,
-        level: usize,
-    ) -> Result<(), BackendError> {
-        self.check_handles("dev_inverse", &[buf])?;
-        self.gate_launch("dev_inverse")?;
-        self.dev_inverse(plan, buf, level);
-        Ok(())
-    }
-
-    fn try_dev_multiply(
-        &mut self,
-        plan: &RingPlan,
-        a: DeviceBuf,
-        b: DeviceBuf,
-        out: DeviceBuf,
-        level: usize,
-    ) -> Result<(), BackendError> {
-        self.check_handles("dev_multiply", &[a, b, out])?;
-        self.gate_launch("dev_multiply")?;
-        self.dev_multiply(plan, a, b, out, level);
-        Ok(())
-    }
-
-    fn try_dev_pointwise(
-        &mut self,
-        plan: &RingPlan,
-        acc: DeviceBuf,
-        rhs: DeviceBuf,
-        level: usize,
-    ) -> Result<(), BackendError> {
-        self.check_handles("dev_pointwise", &[acc, rhs])?;
-        self.gate_launch("dev_pointwise")?;
-        self.dev_pointwise(plan, acc, rhs, level);
-        Ok(())
-    }
-
-    fn try_dev_fma(
-        &mut self,
-        plan: &RingPlan,
-        acc: DeviceBuf,
-        x: DeviceBuf,
-        y: DeviceBuf,
-        level: usize,
-    ) -> Result<(), BackendError> {
-        self.check_handles("dev_fma", &[acc, x, y])?;
-        self.gate_launch("dev_fma")?;
-        self.dev_fma(plan, acc, x, y, level);
-        Ok(())
-    }
-
-    fn try_dev_rescale(
-        &mut self,
-        plan: &RingPlan,
-        buf: DeviceBuf,
-        level: usize,
-    ) -> Result<(), BackendError> {
-        self.check_handles("dev_rescale", &[buf])?;
-        self.gate_launch("dev_rescale")?;
-        self.dev_rescale(plan, buf, level);
-        Ok(())
-    }
-
-    fn try_dev_decompose(
-        &mut self,
-        plan: &RingPlan,
-        src: DeviceBuf,
-        dst: DeviceBuf,
-        level: usize,
-        digits: usize,
-        gadget_bits: u32,
-    ) -> Result<(), BackendError> {
-        self.check_handles("dev_decompose", &[src, dst])?;
-        self.gate_launch("dev_decompose")?;
-        self.dev_decompose(plan, src, dst, level, digits, gadget_bits);
-        Ok(())
-    }
-
-    fn try_dev_automorphism(
-        &mut self,
-        plan: &RingPlan,
-        src: DeviceBuf,
-        dst: DeviceBuf,
-        level: usize,
-        g: u64,
-    ) -> Result<(), BackendError> {
-        self.check_handles("dev_automorphism", &[src, dst])?;
-        self.gate_launch("dev_automorphism")?;
-        self.dev_automorphism(plan, src, dst, level, g);
-        Ok(())
-    }
-
-    fn try_dev_modraise(
-        &mut self,
-        plan: &RingPlan,
-        src: DeviceBuf,
-        dst: DeviceBuf,
-        to_level: usize,
-    ) -> Result<(), BackendError> {
-        self.check_handles("dev_modraise", &[src, dst])?;
-        self.gate_launch("dev_modraise")?;
-        self.dev_modraise(plan, src, dst, to_level);
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ntt_core::backend::{CpuBackend, Evaluator};
+    use ntt_core::backend::{CpuBackend, Evaluator, LimbBatch, NttBackend};
     use ntt_core::{RnsPoly, RnsRing};
 
     fn ring(n: usize, np: usize) -> RnsRing {
@@ -2031,6 +1120,47 @@ mod tests {
             after_first,
             "repeat calls must reuse device tables and data buffers"
         );
+    }
+
+    #[test]
+    fn alternating_ring_degrees_stay_exact_in_bounded_memory() {
+        // One device serves any plan: switching ring degree re-uploads
+        // the plan tables (returning the previous plan's buffers to the
+        // free list), results stay bit-exact with the CPU, and the
+        // address space stops growing after the first round.
+        let rings = [ring(16, 2), ring(32, 3)];
+        let plans = rings.each_ref().map(RingPlan::new);
+        let mut sim = SimBackend::titan_v();
+        let mut cpu = CpuBackend::default();
+        let mut after_first = None;
+        for round in 0..8i64 {
+            for (ring, plan) in rings.iter().zip(&plans) {
+                let n = ring.degree();
+                let (a, b) = (sample(ring, 3 + round), sample(ring, 7 + round));
+                let (mut fc, mut fs) = (a.clone(), a.clone());
+                cpu.forward_batch(plan, LimbBatch::from_poly(&mut fc));
+                sim.forward_batch(plan, LimbBatch::from_poly(&mut fs));
+                assert_eq!(fc.flat(), fs.flat(), "forward N={n} round {round}");
+                let (mut mc, mut ms) = (RnsPoly::zero(ring), RnsPoly::zero(ring));
+                cpu.multiply_batch(plan, a.flat(), b.flat(), LimbBatch::from_poly(&mut mc));
+                sim.multiply_batch(plan, a.flat(), b.flat(), LimbBatch::from_poly(&mut ms));
+                assert_eq!(mc.flat(), ms.flat(), "multiply N={n} round {round}");
+                // The resident path through the same plan switch.
+                let mem = sim.memory();
+                let buf = mem.lock().unwrap().alloc(a.flat().len());
+                mem.lock().unwrap().upload(buf, a.flat());
+                sim.dev_forward(plan, buf, plan.np());
+                let mut got = vec![0u64; a.flat().len()];
+                mem.lock().unwrap().download(buf, &mut got);
+                mem.lock().unwrap().free(buf);
+                assert_eq!(got, fc.flat(), "resident forward N={n} round {round}");
+            }
+            let words = sim.with_gpu(|g| g.gmem.allocated_words());
+            match after_first {
+                None => after_first = Some(words),
+                Some(w) => assert_eq!(words, w, "round {round} grew the address space"),
+            }
+        }
     }
 
     #[test]
@@ -2271,11 +1401,12 @@ mod tests {
         let mut sim = hier_pinned(n, 64);
         let mut x = sample(&ring, 5);
         sim.forward_batch(&plan, LimbBatch::from_poly(&mut x));
-        let baseline = sim.lock().readiness_entries();
+        let shard = sim.memory_handle();
+        let baseline = lock_mem(&shard).readiness_entries();
         for _ in 0..32 {
             sim.forward_batch(&plan, LimbBatch::from_poly(&mut x));
         }
-        let after = sim.lock().readiness_entries();
+        let after = lock_mem(&shard).readiness_entries();
         assert!(
             after <= baseline + 1,
             "readiness map grew {baseline} -> {after} across 32 hier forwards"

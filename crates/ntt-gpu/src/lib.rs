@@ -18,14 +18,17 @@
 //! * [`fpga_baseline`] — an analytic model of the FCCM'20 FPGA NTT
 //!   accelerator the paper compares against in §VIII.
 //! * [`batch`] — device-side layout of polynomial data and twiddle tables.
-//! * [`backend`] — [`SimBackend`], the simulated-GPU implementation of
-//!   `ntt_core::backend::NttBackend`: the same plan-based batched trait
-//!   calls the CPU engine serves, executed through the warp kernels
-//!   (bit-identical outputs, full traffic accounting).
-//! * [`sharded`] — [`ShardedBackend`], the same trait surface over `K`
-//!   simulated devices: RNS residue rows partition across shards and
-//!   key-switch base conversion pays an explicit all-gather over a
-//!   modeled inter-device link.
+//! * [`sharded`] — [`sharded::SimDevices`], the one simulated-GPU
+//!   implementation of `ntt_core::backend::NttBackend`: the same
+//!   plan-based batched trait calls the CPU engine serves, executed
+//!   through the warp kernels (bit-identical outputs, full traffic
+//!   accounting) over `K` simulated devices. It has two constructors:
+//!   [`ShardedBackend`] partitions RNS residue rows across `K` shards and
+//!   pays key-switch base conversion as an explicit all-gather over a
+//!   modeled inter-device link; [`SimBackend`] is the `K = 1` instance.
+//! * [`backend`] — [`SimBackend`] and the single-device layer every shard
+//!   runs on: device memory, plan tables, forward routing, row-local
+//!   kernels.
 //! * [`report`] — run summaries (time, traffic, utilization) used by the
 //!   figure harness.
 //!

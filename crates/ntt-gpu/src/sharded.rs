@@ -1,5 +1,14 @@
-//! `ShardedBackend`: multi-device RNS sharding behind the
-//! [`NttBackend`] seam.
+//! [`SimDevices`]: the simulated-GPU implementation of [`NttBackend`],
+//! over `K` simulated devices.
+//!
+//! One implementation, two constructors. [`crate::SimBackend`]`::titan_v()`
+//! is the `K = 1` instance and reports `gpu-sim`;
+//! [`ShardedBackend`]`::titan_v(k, n)` spreads RNS rows over `k` devices
+//! and reports `gpu-sim-sharded` at every `k`. Both are type aliases of
+//! [`SimDevices`], so every routing decision, fault gate, staging path and
+//! kernel below serves both, and every output is **bit-identical** to
+//! [`ntt_core::backend::CpuBackend`] for any `K` — pinned by
+//! `tests/backend_conformance.rs` and `tests/sharded.rs`.
 //!
 //! The RNS row decomposition that makes the paper's batched NTT
 //! embarrassingly parallel *within* one GPU also partitions cleanly
@@ -38,12 +47,27 @@
 //! (uncharged) GMEM accessors — the modeled cost is the explicit link
 //! charge, not a double-counted PCIe transfer.
 //!
-//! The swap is one constructor: [`ShardedBackend::titan_v`]`(k, n)`
-//! instead of [`crate::SimBackend::titan_v`]`()`. `K = 1` degenerates
-//! to the single-device backend (no link traffic, identical routing),
-//! and every output is **bit-identical** to `SimBackend` and
-//! [`ntt_core::backend::CpuBackend`] for any `K` — pinned by
-//! `tests/sharded.rs`.
+//! # `K = 1`
+//!
+//! The single device is this code at `K = 1`, not a second code path.
+//! Every allocation stays unpartitioned on shard 0, so the backend needs
+//! no ring degree and serves any plan; there is no link and no copy
+//! engine; every operand "gather" is the zero-copy direct reference. Each
+//! op therefore issues exactly the launches, transfers and fault draws of
+//! one device: upload, launch and download per host batch, one launch per
+//! device op, one alloc check per alloc.
+//!
+//! # Locks
+//!
+//! [`ShardedMemory`] sits behind one mutex, shared by every fork and
+//! every device-resident polynomial. Each shard's [`SimMemory`] sits
+//! behind a mutex of its own, which is what
+//! [`crate::SimBackend::memory_handle`] hands to observers. The lock
+//! order is fixed: **the sharded-memory lock first, then shard locks in
+//! shard order** — never a shard lock before the sharded one. An op
+//! takes every shard lock once, up front, and holds them all until it
+//! finishes (`ShardedMemory::hold`), so an observer that locks one
+//! shard sees whole ops, never half of one.
 //!
 //! # Operand misalignment
 //!
@@ -54,18 +78,17 @@
 //! up. The *written* operand's partition decides placement: each of
 //! its shard-local pieces runs where it lives, and any secondary
 //! operand piece resident elsewhere is gathered into shard-local
-//! scratch over the link first ([`ShardedMemory::gather`]). Aligned
+//! scratch over the link first (`Held::gather_rows`). Aligned
 //! operands (the common case) gather into a zero-copy direct
 //! reference; misaligned ones pay honest link traffic.
 
 use crate::backend::{
     calibrate_forward_choice, classify, ensure_tables, launch_automorphism, launch_elemwise,
-    run_forward, run_inverse, DevData, ElemOp, ForwardImpl, ForwardMode, ShapeChoice, SimMemory,
-    SMEM_MIN_N, THREADS,
+    launch_rows, lock_mem, run_forward, run_inverse, DevData, ElemOp, ForwardImpl, ForwardMode,
+    ShapeChoice, SimMemory, SMEM_MIN_N,
 };
 use gpu_sim::{
-    Buf, DeviceTimeline, Event, FaultOp, GpuConfig, LaunchConfig, OpClass, Stream, WarpCtx,
-    WarpKernel,
+    Buf, DeviceTimeline, Event, FaultOp, GpuConfig, OpClass, Stream, WarpCtx, WarpKernel,
 };
 use ntt_core::backend::{
     handle_namespace, BackendError, DeviceBuf, DeviceMemory, LimbBatch, NttBackend, RingPlan,
@@ -73,6 +96,7 @@ use ntt_core::backend::{
 };
 use ntt_math::modops::{mul_mod, neg_mod, sub_mod};
 use std::collections::HashMap;
+use std::marker::PhantomData;
 use std::ops::Range;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -113,15 +137,64 @@ fn rows_on_shard(rows: usize, k: usize, s: usize) -> usize {
     (rows + k - 1 - s) / k
 }
 
+/// An ascending progression of view-relative row indices `first,
+/// first + step, …` (`count` of them): the rows one shard owns under
+/// the cyclic partition (`step = K`), or a contiguous run (`step = 1`).
+#[derive(Debug, Clone, Copy)]
+struct Rows {
+    first: usize,
+    step: usize,
+    count: usize,
+}
+
+impl Rows {
+    /// Rows `first..first + count`.
+    fn run(first: usize, count: usize) -> Self {
+        Rows {
+            first,
+            step: 1,
+            count,
+        }
+    }
+
+    /// The `i`-th row of the progression.
+    fn get(&self, i: usize) -> usize {
+        self.first + i * self.step
+    }
+
+    /// Each row's prime index (`r % level`), the row map the row-wise
+    /// kernels take.
+    fn primes(&self, level: usize) -> Vec<usize> {
+        (0..self.count).map(|i| self.get(i) % level).collect()
+    }
+}
+
 /// One logical allocation spread over the shard set.
 struct ShardAlloc {
     /// Total words of the logical allocation.
     len: usize,
     /// Residue rows partitioned across shards; `0` means the
-    /// allocation is not row-shaped and lives whole on shard 0.
+    /// allocation is not partitioned and lives whole on shard 0 (every
+    /// allocation at `K = 1`).
     rows: usize,
     /// Per-shard local handle (`None` where the shard owns no rows).
     parts: Vec<Option<DeviceBuf>>,
+}
+
+/// The allocation behind a logical view.
+///
+/// # Panics
+///
+/// Panics on a freed or foreign handle, or a view past its allocation —
+/// invariant assertions (the fallible surface pre-validates with
+/// [`ShardedMemory::is_live`]).
+fn alloc_of(map: &HashMap<u64, ShardAlloc>, view: DeviceBuf) -> &ShardAlloc {
+    let a = map.get(&view.id()).expect("freed or foreign DeviceBuf");
+    assert!(
+        view.base() + view.len() <= a.len,
+        "view outside its allocation"
+    );
+    a
 }
 
 /// A shard-local piece of a logical view.
@@ -134,53 +207,154 @@ struct Seg {
     local: DeviceBuf,
 }
 
+/// One shard's slice of a device-op view: the view-relative rows it
+/// owns and the locally *contiguous* piece holding them in that order.
+struct RowSeg {
+    shard: usize,
+    rows: Rows,
+    /// The rows as one contiguous view into the shard-local part.
+    local: DeviceBuf,
+}
+
 /// A secondary operand materialized on one shard: either a zero-copy
 /// reference to the resident piece or gathered scratch that must go
-/// back via [`ShardedMemory::release_gather`].
+/// back via `Held::release_gather`.
 struct Gathered {
     buf: Buf,
     scratch: bool,
 }
 
+/// One shard piece of a row-wise device op, as its kernel sees it.
+struct Piece<const R: usize> {
+    shard: usize,
+    /// View-relative rows of the written operand in this piece.
+    rows: Rows,
+    /// The written operand's piece.
+    dst: Buf,
+    /// The read operands, materialized on this shard.
+    src: [Buf; R],
+}
+
+/// The modeled inter-device link: one copy-engine stream per shard
+/// (none at `K = 1`, which has no link) and the traffic ledger.
+struct Link {
+    streams: Vec<Stream>,
+    stats: LinkStats,
+}
+
+impl Link {
+    /// Move `src.len()` words from a raw buffer on shard `from` to a
+    /// raw buffer on shard `to` over the modeled link, driven by the
+    /// two endpoints' **copy-engine streams** rather than their compute
+    /// streams. The source engine fences on `ready` (the data
+    /// dependency — events are modeled times on clocks that share
+    /// `t = 0`, so they compare across devices), charges the wire, and
+    /// hands its completion event to the destination engine, which
+    /// charges its side and records the landing. Compute on both
+    /// shards keeps running: a transfer serializes only behind earlier
+    /// transfers on the same engine and the data it actually needs,
+    /// never behind unrelated kernels already enqueued.
+    ///
+    /// Returns `(sent, landed)`: the source-side completion (the
+    /// write-after-read fence for the source allocation) and the
+    /// destination-side completion (what a consumer of `dst` must wait
+    /// on). Readiness bookkeeping for tracked allocations is the
+    /// caller's job.
+    fn move_words(
+        &mut self,
+        sh: &mut [MutexGuard<'_, SimMemory>],
+        from: usize,
+        ready: Event,
+        src: Buf,
+        to: usize,
+        dst: Buf,
+    ) -> (Event, Event) {
+        debug_assert_ne!(from, to, "link move within one shard");
+        let words = src.len();
+        assert_eq!(words, dst.len(), "link endpoints must agree on size");
+        // Functional move through the raw (uncharged) GMEM accessors;
+        // the modeled cost is the explicit link charge below.
+        let data = sh[from].gpu().gmem.slice(src).to_vec();
+        let ls = self.streams[from];
+        let sg = sh[from].gpu_mut();
+        let prev = sg.active_stream();
+        sg.wait_event(ls, ready);
+        sg.set_active_stream(ls);
+        sg.link_stall(words);
+        let sent = sg.record_event(ls);
+        sg.set_active_stream(prev);
+        let ld = self.streams[to];
+        let dg = sh[to].gpu_mut();
+        let prev = dg.active_stream();
+        dg.wait_event(ld, sent);
+        dg.set_active_stream(ld);
+        dg.link_stall(words);
+        let landed = dg.record_event(ld);
+        dg.set_active_stream(prev);
+        dg.gmem.write(dst, 0, &data);
+        self.stats.transfers += 1;
+        self.stats.words += words;
+        (sent, landed)
+    }
+}
+
 /// `K` simulated devices joined by a modeled inter-device link, behind
 /// one [`DeviceMemory`]: logical handles map to per-shard pieces, row
 /// `r` of a row-shaped allocation living on shard `r % K` at local row
-/// `r / K` (the cyclic partition — see the module docs for why).
-/// Shared by every fork of a [`ShardedBackend`] the way [`SimMemory`]
-/// is shared by forks of `SimBackend`.
+/// `r / K` (the cyclic partition — see the module docs for why; at
+/// `K = 1` nothing is partitioned). Shared by every fork of a
+/// [`SimDevices`] backend.
 pub struct ShardedMemory {
-    shards: Vec<SimMemory>,
-    /// Per-shard copy-engine stream: cross-shard transfers charge these,
-    /// not the compute streams, so a gather in flight never serializes
-    /// behind unrelated kernels already enqueued on either endpoint —
-    /// the modeled analogue of a GPU's dedicated copy engine driving the
-    /// NVLink port while the SMs keep working.
-    link_streams: Vec<Stream>,
+    /// Each shard's device behind its own lock (taken only after this
+    /// memory's lock — see the module docs).
+    shards: Vec<Arc<Mutex<SimMemory>>>,
+    /// Per-shard copy-engine streams and the traffic ledger:
+    /// cross-shard transfers charge these, not the compute streams, so
+    /// a gather in flight never serializes behind unrelated kernels
+    /// already enqueued on either endpoint — the modeled analogue of a
+    /// GPU's dedicated copy engine driving the NVLink port while the SMs
+    /// keep working.
+    link: Link,
     map: HashMap<u64, ShardAlloc>,
     next_id: u64,
-    /// Row granularity (ring degree `N`) used to partition allocations.
+    /// Row granularity (ring degree `N`) used to partition allocations
+    /// (unused at `K = 1`).
     n: usize,
-    link: LinkStats,
 }
 
 impl ShardedMemory {
     /// `k` fresh devices of the same model, partitioning at ring
-    /// degree `degree`.
+    /// degree `degree` (ignored when `k == 1`: one device partitions
+    /// nothing).
+    ///
+    /// Handle ids start in a process-unique namespace
+    /// ([`ntt_core::backend::handle_namespace`]) so a [`DeviceBuf`]
+    /// minted by one memory never resolves against another — a foreign
+    /// handle surfaces as [`BackendError::Fatal`] on the fallible paths
+    /// instead of silently aliasing an unrelated allocation.
     pub fn new(config: GpuConfig, k: usize, degree: usize) -> Self {
         assert!(k >= 1, "need at least one shard");
         assert!(degree >= 1, "ring degree must be positive");
-        let mut shards: Vec<SimMemory> = (0..k).map(|_| SimMemory::new(config.clone())).collect();
-        let link_streams = shards
-            .iter_mut()
-            .map(|sh| sh.gpu_mut().create_stream())
+        let shards: Vec<Arc<Mutex<SimMemory>>> = (0..k)
+            .map(|_| Arc::new(Mutex::new(SimMemory::new(config.clone()))))
             .collect();
+        let streams = if k > 1 {
+            shards
+                .iter()
+                .map(|sh| lock_mem(sh).gpu_mut().create_stream())
+                .collect()
+        } else {
+            Vec::new()
+        };
         Self {
             shards,
-            link_streams,
+            link: Link {
+                streams,
+                stats: LinkStats::default(),
+            },
             map: HashMap::new(),
             next_id: handle_namespace(),
             n: degree,
-            link: LinkStats::default(),
         }
     }
 
@@ -189,19 +363,15 @@ impl ShardedMemory {
         self.shards.len()
     }
 
-    /// The ring degree allocations are partitioned at.
-    pub fn degree(&self) -> usize {
-        self.n
-    }
-
-    /// One shard's simulated device memory (timeline, trace, GMEM).
-    pub fn shard(&self, s: usize) -> &SimMemory {
-        &self.shards[s]
+    /// One shard's simulated device memory (timeline, trace, GMEM), as
+    /// the shared handle ops lock it through.
+    pub fn shard(&self, s: usize) -> Arc<Mutex<SimMemory>> {
+        Arc::clone(&self.shards[s])
     }
 
     /// The inter-device traffic ledger.
     pub fn link_stats(&self) -> LinkStats {
-        self.link
+        self.link.stats
     }
 
     /// Aggregate device timeline: makespan is the slowest shard's
@@ -209,8 +379,7 @@ impl ShardedMemory {
     /// serialized time, launches and transfers sum over the set.
     pub fn timeline(&self) -> DeviceTimeline {
         let mut agg = DeviceTimeline::default();
-        for sh in &self.shards {
-            let t = sh.gpu().timeline();
+        for t in self.shard_timelines() {
             agg.serialized_s += t.serialized_s;
             agg.overlapped_s = agg.overlapped_s.max(t.overlapped_s);
             agg.launches += t.launches;
@@ -221,39 +390,115 @@ impl ShardedMemory {
 
     /// Per-shard timelines (for balance diagnostics in the harness).
     pub fn shard_timelines(&self) -> Vec<DeviceTimeline> {
-        self.shards.iter().map(|sh| sh.gpu().timeline()).collect()
+        self.shards
+            .iter()
+            .map(|sh| lock_mem(sh).gpu().timeline())
+            .collect()
     }
 
     /// Drain every shard's stream schedule.
     pub fn sync_all(&mut self) {
-        for sh in &mut self.shards {
-            sh.gpu_mut().sync_all();
+        for sh in &self.shards {
+            lock_mem(sh).gpu_mut().sync_all();
         }
     }
 
     /// Whether a logical handle view still resolves to a live
-    /// allocation (mirrors `SimMemory::is_live`).
+    /// allocation (the fallible surface's non-panicking handle check).
     fn is_live(&self, buf: DeviceBuf) -> bool {
         self.map
             .get(&buf.id())
             .is_some_and(|a| buf.base() + buf.len() <= a.len)
     }
 
+    /// Lock every shard, in shard order, for the whole of one op (the
+    /// caller already holds this memory's lock, which fixes the order).
+    fn hold(&mut self) -> Held<'_> {
+        Held {
+            sh: self.shards.iter().map(|sh| lock_mem(sh)).collect(),
+            map: &mut self.map,
+            next_id: &mut self.next_id,
+            n: self.n,
+            link: &mut self.link,
+        }
+    }
+}
+
+/// A [`ShardedMemory`] with every shard locked: what one op runs on.
+struct Held<'a> {
+    /// Each shard's device, locked (index = shard).
+    sh: Vec<MutexGuard<'a, SimMemory>>,
+    map: &'a mut HashMap<u64, ShardAlloc>,
+    next_id: &'a mut u64,
+    n: usize,
+    link: &'a mut Link,
+}
+
+impl Held<'_> {
+    /// Route every shard's launches and charged transfers to this
+    /// executor's stream on it.
+    fn bind(&mut self, streams: &[Stream]) {
+        for (sh, &s) in self.sh.iter_mut().zip(streams) {
+            sh.bind(s);
+        }
+    }
+
+    /// Residue rows a `words`-word allocation is partitioned into: `0`
+    /// (whole on shard 0) at `K = 1` or when `words` is not a whole
+    /// number of rows.
+    fn partition_rows(&self, words: usize) -> usize {
+        if self.sh.len() > 1 && words.is_multiple_of(self.n) {
+            words / self.n
+        } else {
+            0
+        }
+    }
+
+    /// Words shard `s` holds of a `words`-word allocation partitioned
+    /// into `rows` rows (`None` where it holds no part).
+    fn share(&self, rows: usize, words: usize, s: usize) -> Option<usize> {
+        if rows == 0 {
+            (s == 0).then_some(words)
+        } else {
+            Some(rows_on_shard(rows, self.sh.len(), s) * self.n).filter(|&w| w > 0)
+        }
+    }
+
+    fn alloc(&mut self, words: usize) -> DeviceBuf {
+        let rows = self.partition_rows(words);
+        let mut parts = Vec::with_capacity(self.sh.len());
+        for s in 0..self.sh.len() {
+            let share = self.share(rows, words, s);
+            parts.push(share.map(|w| self.sh[s].alloc(w)));
+        }
+        *self.next_id += 1;
+        self.map.insert(
+            *self.next_id,
+            ShardAlloc {
+                len: words,
+                rows,
+                parts,
+            },
+        );
+        DeviceBuf::root(*self.next_id, words)
+    }
+
+    fn free(&mut self, buf: DeviceBuf) {
+        if let Some(a) = self.map.remove(&buf.id()) {
+            for (s, part) in a.parts.iter().enumerate() {
+                if let Some(p) = part {
+                    self.sh[s].free(*p);
+                }
+            }
+        }
+    }
+
     /// Split a logical view into its shard-local pieces, in view order.
     /// Under the cyclic partition a multi-row view alternates shards
-    /// every `n` words, so pieces are at most one row long; adjacent
-    /// pieces that are contiguous on one shard (the `K = 1` degenerate
-    /// case) are merged.
+    /// every `n` words, so pieces are at most one row long; an
+    /// unpartitioned allocation is one piece.
     fn segments(&self, view: DeviceBuf) -> Vec<Seg> {
-        let a = self
-            .map
-            .get(&view.id())
-            .expect("freed or foreign DeviceBuf");
-        assert!(
-            view.base() + view.len() <= a.len,
-            "view outside its allocation"
-        );
-        let k = self.shards.len();
+        let a = alloc_of(self.map, view);
         if a.rows == 0 {
             let local = a.parts[0].expect("unpartitioned alloc lives on shard 0");
             return vec![Seg {
@@ -262,31 +507,19 @@ impl ShardedMemory {
                 local: local.sub(view.base(), view.len()),
             }];
         }
-        let n = self.n;
+        let (n, k) = (self.n, self.sh.len());
         let (v0, v1) = (view.base(), view.base() + view.len());
-        let mut out: Vec<Seg> = Vec::new();
+        let mut out = Vec::new();
         let mut w = v0;
         while w < v1 {
             let r = w / n;
             let hi = v1.min((r + 1) * n);
-            let s = r % k;
-            let part = a.parts[s].expect("owned rows have a local part");
-            let l0 = (r / k) * n + (w - r * n);
-            match out.last_mut() {
-                Some(prev)
-                    if prev.shard == s
-                        && prev.local.base() + prev.local.len() == part.base() + l0 =>
-                {
-                    prev.view.end += hi - w;
-                    let start = prev.local.base() - part.base();
-                    prev.local = part.sub(start, prev.view.end - prev.view.start);
-                }
-                _ => out.push(Seg {
-                    shard: s,
-                    view: (w - v0)..(hi - v0),
-                    local: part.sub(l0, hi - w),
-                }),
-            }
+            let part = a.parts[r % k].expect("owned rows have a local part");
+            out.push(Seg {
+                shard: r % k,
+                view: (w - v0)..(hi - v0),
+                local: part.sub((r / k) * n + (w - r * n), hi - w),
+            });
             w = hi;
         }
         out
@@ -300,13 +533,9 @@ impl ShardedMemory {
     /// traffic stays one PCIe transfer.
     fn shard_pieces(&self, view: DeviceBuf) -> Vec<(usize, DeviceBuf, Vec<Range<usize>>)> {
         let segs = self.segments(view);
-        let a = self
-            .map
-            .get(&view.id())
-            .expect("freed or foreign DeviceBuf");
-        let k = self.shards.len();
+        let a = alloc_of(self.map, view);
         let mut out = Vec::new();
-        for s in 0..k {
+        for s in 0..self.sh.len() {
             let mine: Vec<&Seg> = segs.iter().filter(|g| g.shard == s).collect();
             let Some(first) = mine.first() else { continue };
             let part = a.parts[s].expect("owned rows have a local part");
@@ -326,201 +555,36 @@ impl ShardedMemory {
         out
     }
 
-    /// Move `src.len()` words from a raw buffer on shard `from` to a
-    /// raw buffer on shard `to` over the modeled link, driven by the
-    /// two endpoints' **copy-engine streams** rather than their compute
-    /// streams. The source engine fences on `ready` (the data
-    /// dependency — events are modeled times on clocks that share
-    /// `t = 0`, so they compare across devices), charges the wire, and
-    /// hands its completion event to the destination engine, which
-    /// charges its side and records the landing. Compute on both
-    /// shards keeps running: a transfer serializes only behind earlier
-    /// transfers on the same engine and the data it actually needs,
-    /// never behind unrelated kernels already enqueued.
-    ///
-    /// Returns `(sent, landed)`: the source-side completion (the
-    /// write-after-read fence for the source allocation) and the
-    /// destination-side completion (what a consumer of `dst` must wait
-    /// on). Readiness bookkeeping for tracked allocations is the
-    /// caller's job.
-    fn link_words(
+    /// Draw `kind` from the fault plane of every shard `view` touches.
+    fn gate_view(
         &mut self,
-        from: usize,
-        ready: Event,
-        src: Buf,
-        to: usize,
-        dst: Buf,
-    ) -> (Event, Event) {
-        debug_assert_ne!(from, to, "link move within one shard");
-        let words = src.len();
-        assert_eq!(words, dst.len(), "link endpoints must agree on size");
-        // Functional move through the raw (uncharged) GMEM accessors;
-        // the modeled cost is the explicit link charge below.
-        let data = self.shards[from].gpu().gmem.slice(src).to_vec();
-        let ls = self.link_streams[from];
-        let sg = self.shards[from].gpu_mut();
-        let prev = sg.active_stream();
-        sg.wait_event(ls, ready);
-        sg.set_active_stream(ls);
-        sg.link_stall(words);
-        let sent = sg.record_event(ls);
-        sg.set_active_stream(prev);
-        let ld = self.link_streams[to];
-        let dg = self.shards[to].gpu_mut();
-        let prev = dg.active_stream();
-        dg.wait_event(ld, sent);
-        dg.set_active_stream(ld);
-        dg.link_stall(words);
-        let landed = dg.record_event(ld);
-        dg.set_active_stream(prev);
-        dg.gmem.write(dst, 0, &data);
-        self.link.transfers += 1;
-        self.link.words += words;
-        (sent, landed)
-    }
-
-    /// Materialize the given view rows of a row-aligned `view` on
-    /// shard `to`, in list order (`rows` are view-relative indices,
-    /// ascending).
-    ///
-    /// If every row already lives on `to` at consecutive local rows,
-    /// that span is returned directly — zero traffic, the
-    /// aligned-operand fast path (this is what the cyclic partition
-    /// buys: key-switch digit views hit it whenever `level % K == 0`).
-    /// Otherwise scratch is acquired on `to` and every row is pulled
-    /// in: same-shard rows move d2d, remote rows over the link. This
-    /// *is* the base-conversion all-gather when `view` is a decompose
-    /// source. Pair with [`release_gather`].
-    ///
-    /// [`release_gather`]: ShardedMemory::release_gather
-    fn gather_rows(&mut self, view: DeviceBuf, rows: &[usize], to: usize) -> Gathered {
-        let n = self.n;
-        // Resolve each requested row to (owning shard, span within the
-        // shard-local part) before touching any device state.
-        let locs: Vec<(usize, DeviceBuf)> = {
-            let a = self
-                .map
-                .get(&view.id())
-                .expect("freed or foreign DeviceBuf");
-            assert!(
-                view.base() + view.len() <= a.len,
-                "view outside its allocation"
-            );
-            assert_eq!(view.base() % n, 0, "gathered views must be row-aligned");
-            let k = self.shards.len();
-            let vb = view.base() / n;
-            rows.iter()
-                .map(|&j| {
-                    assert!((j + 1) * n <= view.len(), "gathered row outside the view");
-                    if a.rows == 0 {
-                        let part = a.parts[0].expect("unpartitioned alloc lives on shard 0");
-                        (0, part.sub(view.base() + j * n, n))
-                    } else {
-                        let g = vb + j;
-                        let part = a.parts[g % k].expect("owned rows have a local part");
-                        (g % k, part.sub((g / k) * n, n))
-                    }
-                })
-                .collect()
-        };
-        let aligned = !locs.is_empty()
-            && locs.iter().all(|(s, _)| *s == to)
-            && locs.windows(2).all(|w| w[0].1.base() + n == w[1].1.base());
-        if aligned {
-            let (b0, total) = (locs[0].1, rows.len() * n);
-            let span = DeviceBuf::root(b0.id(), b0.base() + total).sub(b0.base(), total);
-            let root = self.shards[to].root_base(span);
-            self.shards[to].wait_ready(&[root]);
-            return Gathered {
-                buf: self.shards[to].raw_buf(span),
-                scratch: false,
-            };
-        }
-        let scratch = self.shards[to].acquire_scratch(rows.len() * n);
-        let mut landings: Vec<Event> = Vec::new();
-        for (i, (s, local)) in locs.iter().enumerate() {
-            let dst = scratch.sub(i * n, n);
-            let root = self.shards[*s].root_base(*local);
-            let raw = self.shards[*s].raw_buf(*local);
-            if *s == to {
-                self.shards[to].wait_ready(&[root]);
-                self.shards[to].gpu_mut().gmem.copy(raw, dst);
-            } else {
-                // The copy engines do the waiting; `to`'s compute
-                // stream only fences on the landings, collected below.
-                let ready = self.shards[*s].ready_fence(&[root]);
-                let (sent, landed) = self.link_words(*s, ready, raw, to, dst);
-                self.shards[*s].fence_until(root, sent);
-                landings.push(landed);
+        view: DeviceBuf,
+        op: &'static str,
+        kind: FaultOp,
+    ) -> Result<(), BackendError> {
+        let segs = self.segments(view);
+        for s in 0..self.sh.len() {
+            if segs.iter().any(|g| g.shard == s) {
+                self.sh[s].fault_gate(op, kind)?;
             }
         }
-        let g = self.shards[to].gpu_mut();
-        let cs = g.active_stream();
-        for e in landings {
-            g.wait_event(cs, e);
-        }
-        Gathered {
-            buf: scratch,
-            scratch: true,
-        }
+        Ok(())
     }
 
-    /// Return gathered scratch to shard `s`'s free list (no-op for the
-    /// zero-copy direct case).
-    fn release_gather(&mut self, s: usize, g: Gathered) {
-        if g.scratch {
-            self.shards[s].release_scratch(g.buf);
-        }
-    }
-}
-
-impl DeviceMemory for ShardedMemory {
-    fn alloc(&mut self, words: usize) -> DeviceBuf {
-        let k = self.shards.len();
-        let rows = if words.is_multiple_of(self.n) {
-            words / self.n
-        } else {
-            0
-        };
-        let mut parts = vec![None; k];
-        if rows == 0 {
-            // Not row-shaped at the partition granularity: keep it
-            // whole on shard 0 (tables and odd scratch land here).
-            parts[0] = Some(self.shards[0].alloc(words));
-        } else {
-            for (s, part) in parts.iter_mut().enumerate() {
-                let share = rows_on_shard(rows, k, s);
-                if share > 0 {
-                    *part = Some(self.shards[s].alloc(share * self.n));
-                }
-            }
-        }
-        self.next_id += 1;
-        self.map.insert(
-            self.next_id,
-            ShardAlloc {
-                len: words,
-                rows,
-                parts,
-            },
-        );
-        DeviceBuf::root(self.next_id, words)
-    }
-
+    /// Front-of-view fill, fanned out: each shard charges its own PCIe
+    /// link on its bound stream (one transfer per shard, the cyclic rows
+    /// packed into local order host-side), so a `K`-way upload overlaps
+    /// `K` ways.
     fn upload(&mut self, dst: DeviceBuf, src: &[u64]) {
-        // Front-of-view fill, fanned out: each shard charges its own
-        // PCIe link (one transfer per shard, the cyclic rows packed
-        // into local order host-side), so a K-way upload overlaps K
-        // ways.
         for (s, span, views) in self.shard_pieces(dst.sub(0, src.len())) {
             if let [v] = views.as_slice() {
-                self.shards[s].upload(span, &src[v.clone()]);
+                self.sh[s].upload(span, &src[v.clone()]);
             } else {
                 let mut host = Vec::with_capacity(span.len());
                 for v in &views {
                     host.extend_from_slice(&src[v.clone()]);
                 }
-                self.shards[s].upload(span, &host);
+                self.sh[s].upload(span, &host);
             }
         }
     }
@@ -528,10 +592,10 @@ impl DeviceMemory for ShardedMemory {
     fn download(&mut self, src: DeviceBuf, dst: &mut [u64]) {
         for (s, span, views) in self.shard_pieces(src.sub(0, dst.len())) {
             if let [v] = views.as_slice() {
-                self.shards[s].download(span, &mut dst[v.clone()]);
+                self.sh[s].download(span, &mut dst[v.clone()]);
             } else {
                 let mut host = vec![0u64; span.len()];
-                self.shards[s].download(span, &mut host);
+                self.sh[s].download(span, &mut host);
                 let mut off = 0;
                 for v in &views {
                     dst[v.clone()].copy_from_slice(&host[off..off + v.len()]);
@@ -541,9 +605,9 @@ impl DeviceMemory for ShardedMemory {
         }
     }
 
+    /// Word-wise intersection of the two partitions: co-resident
+    /// stretches copy d2d, the rest crosses the link.
     fn copy(&mut self, src: DeviceBuf, dst: DeviceBuf) {
-        // Word-wise intersection of the two partitions: co-resident
-        // stretches copy d2d, the rest crosses the link.
         let s_segs = self.segments(src);
         let d_segs = self.segments(dst.sub(0, src.len()));
         for ss in &s_segs {
@@ -556,43 +620,214 @@ impl DeviceMemory for ShardedMemory {
                 let sl = ss.local.sub(lo - ss.view.start, hi - lo);
                 let dl = ds.local.sub(lo - ds.view.start, hi - lo);
                 if ss.shard == ds.shard {
-                    self.shards[ss.shard].copy(sl, dl);
+                    self.sh[ss.shard].copy(sl, dl);
                 } else {
                     // The wire waits for both the source bytes and the
                     // destination's previous readers/writers (flow
                     // control), then the landing becomes the
                     // destination allocation's readiness fence — no
                     // compute stream on either side stalls here.
-                    let sroot = self.shards[ss.shard].root_base(sl);
-                    let droot = self.shards[ds.shard].root_base(dl);
-                    let ready = self.shards[ss.shard]
+                    let sroot = self.sh[ss.shard].root_base(sl);
+                    let droot = self.sh[ds.shard].root_base(dl);
+                    let ready = self.sh[ss.shard]
                         .ready_fence(&[sroot])
-                        .max(self.shards[ds.shard].ready_fence(&[droot]));
-                    let sraw = self.shards[ss.shard].raw_buf(sl);
-                    let draw = self.shards[ds.shard].raw_buf(dl);
-                    let (sent, landed) = self.link_words(ss.shard, ready, sraw, ds.shard, draw);
-                    self.shards[ss.shard].fence_until(sroot, sent);
-                    self.shards[ds.shard].fence_until(droot, landed);
+                        .max(self.sh[ds.shard].ready_fence(&[droot]));
+                    let sraw = self.sh[ss.shard].raw_buf(sl);
+                    let draw = self.sh[ds.shard].raw_buf(dl);
+                    let (sent, landed) =
+                        self.link
+                            .move_words(&mut self.sh, ss.shard, ready, sraw, ds.shard, draw);
+                    self.sh[ss.shard].fence_until(sroot, sent);
+                    self.sh[ds.shard].fence_until(droot, landed);
                 }
             }
         }
     }
 
-    fn free(&mut self, buf: DeviceBuf) {
-        if let Some(a) = self.map.remove(&buf.id()) {
-            for (s, part) in a.parts.iter().enumerate() {
-                if let Some(p) = part {
-                    self.shards[s].free(*p);
-                }
+    /// Row-aligned shard pieces of a device-op view. Device ops always
+    /// pass row-aligned views (the evaluator slices at digit
+    /// boundaries), and the cyclic partition cuts on row boundaries by
+    /// construction, so alignment is an invariant — the asserts catch a
+    /// plan whose degree differs from the partition granularity before
+    /// a kernel reads garbage. An unpartitioned allocation is one piece
+    /// (the cyclic formula at one shard).
+    fn row_segments(&self, view: DeviceBuf, n: usize) -> Vec<RowSeg> {
+        let a = alloc_of(self.map, view);
+        assert_eq!(view.base() % n, 0, "device-op views must be row-aligned");
+        assert_eq!(view.len() % n, 0, "device-op views must be row-aligned");
+        let k = if a.rows == 0 {
+            1
+        } else {
+            assert_eq!(
+                n, self.n,
+                "ShardedBackend partitions at the ring degree it was constructed for"
+            );
+            self.sh.len()
+        };
+        let (vb, vrows) = (view.base() / n, view.len() / n);
+        (0..k)
+            .filter_map(|s| {
+                // First global row >= vb congruent to s mod k.
+                let g0 = vb + ((s + k - vb % k) % k);
+                (g0 < vb + vrows).then(|| {
+                    let count = (vb + vrows - g0).div_ceil(k);
+                    RowSeg {
+                        shard: s,
+                        rows: Rows {
+                            first: g0 - vb,
+                            step: k,
+                            count,
+                        },
+                        local: a.parts[s]
+                            .expect("owned rows have a local part")
+                            .sub((g0 / k) * n, count * n),
+                    }
+                })
+            })
+            .collect()
+    }
+
+    /// Materialize `rows` of the row-aligned `view` (`n`-word rows) on
+    /// shard `to`, in progression order.
+    ///
+    /// If every row already lives on `to` at consecutive local rows,
+    /// that span is returned directly — zero traffic, the
+    /// aligned-operand fast path (this is what the cyclic partition
+    /// buys: key-switch digit views hit it whenever `level % K == 0`,
+    /// and at `K = 1` every gather does). Otherwise scratch is acquired
+    /// on `to` and every row is pulled in: same-shard rows move d2d,
+    /// remote rows over the link. This *is* the base-conversion
+    /// all-gather when `view` is a decompose source. Pair with
+    /// [`release_gather`](Held::release_gather).
+    fn gather_rows(&mut self, view: DeviceBuf, rows: Rows, n: usize, to: usize) -> Gathered {
+        let a = alloc_of(self.map, view);
+        assert_eq!(view.base() % n, 0, "gathered views must be row-aligned");
+        assert!(
+            rows.count == 0 || (rows.get(rows.count - 1) + 1) * n <= view.len(),
+            "gathered row outside the view"
+        );
+        // View row j is global row vb + j: on shard (vb + j) % k at local
+        // row (vb + j) / k (an unpartitioned allocation is the k = 1 case).
+        let k = if a.rows == 0 { 1 } else { self.sh.len() };
+        let vb = view.base() / n;
+        let g0 = vb + rows.first;
+        if rows.count > 0 && g0 % k == to && (rows.count == 1 || rows.step == k) {
+            let part = a.parts[to].expect("owned rows have a local part");
+            let span = part.sub((g0 / k) * n, rows.count * n);
+            let sh = &mut self.sh[to];
+            let root = sh.root_base(span);
+            sh.wait_ready(&[root]);
+            return Gathered {
+                buf: sh.raw_buf(span),
+                scratch: false,
+            };
+        }
+        let scratch = self.sh[to].acquire_scratch(rows.count * n);
+        let mut landed = Event::DONE;
+        for i in 0..rows.count {
+            let g = vb + rows.get(i);
+            let s = g % k;
+            let local = a.parts[s]
+                .expect("owned rows have a local part")
+                .sub((g / k) * n, n);
+            let dst = scratch.sub(i * n, n);
+            let root = self.sh[s].root_base(local);
+            let raw = self.sh[s].raw_buf(local);
+            if s == to {
+                self.sh[to].wait_ready(&[root]);
+                self.sh[to].gpu_mut().gmem.copy(raw, dst);
+            } else {
+                // The copy engines do the waiting; `to`'s compute
+                // stream only fences on the landings.
+                let ready = self.sh[s].ready_fence(&[root]);
+                let (sent, l) = self.link.move_words(&mut self.sh, s, ready, raw, to, dst);
+                self.sh[s].fence_until(root, sent);
+                landed = landed.max(l);
             }
         }
+        let g = self.sh[to].gpu_mut();
+        let cs = g.active_stream();
+        g.wait_event(cs, landed);
+        Gathered {
+            buf: scratch,
+            scratch: true,
+        }
+    }
+
+    /// Return gathered scratch to shard `s`'s free list (no-op for the
+    /// zero-copy direct case).
+    fn release_gather(&mut self, s: usize, g: Gathered) {
+        if g.scratch {
+            self.sh[s].release_scratch(g.buf);
+        }
+    }
+
+    /// Run one row-wise device op on every shard piece of the written
+    /// view `dst`: gather each of `reads` onto the piece's shard (`None`
+    /// rows = the piece's own rows; `Some` = fixed rows every piece
+    /// needs, e.g. a broadcast), fence on `dst`, run `kernel`, record
+    /// the write, release the gathers.
+    fn each_piece<const R: usize>(
+        &mut self,
+        plan: &RingPlan,
+        dst: DeviceBuf,
+        reads: [(DeviceBuf, Option<Rows>); R],
+        mut kernel: impl FnMut(&mut SimMemory, Piece<R>),
+    ) {
+        let n = plan.degree();
+        for seg in self.row_segments(dst, n) {
+            let s = seg.shard;
+            ensure_tables(&mut self.sh[s], plan);
+            let gathered =
+                reads.map(|(view, rows)| self.gather_rows(view, rows.unwrap_or(seg.rows), n, s));
+            let sh = &mut self.sh[s];
+            let root = sh.root_base(seg.local);
+            let data = sh.raw_buf(seg.local);
+            sh.wait_ready(&[root]);
+            let src = gathered.each_ref().map(|g| g.buf);
+            kernel(
+                sh,
+                Piece {
+                    shard: s,
+                    rows: seg.rows,
+                    dst: data,
+                    src,
+                },
+            );
+            sh.mark_written(&[root]);
+            for g in gathered {
+                self.release_gather(s, g);
+            }
+        }
+    }
+}
+
+impl DeviceMemory for ShardedMemory {
+    fn alloc(&mut self, words: usize) -> DeviceBuf {
+        self.hold().alloc(words)
+    }
+
+    fn upload(&mut self, dst: DeviceBuf, src: &[u64]) {
+        self.hold().upload(dst, src);
+    }
+
+    fn download(&mut self, src: DeviceBuf, dst: &mut [u64]) {
+        self.hold().download(src, dst);
+    }
+
+    fn copy(&mut self, src: DeviceBuf, dst: DeviceBuf) {
+        self.hold().copy(src, dst);
+    }
+
+    fn free(&mut self, buf: DeviceBuf) {
+        self.hold().free(buf);
     }
 
     fn stats(&self) -> TransferStats {
         // Sum over shards: each card drives its own PCIe link.
         let mut t = TransferStats::default();
         for sh in &self.shards {
-            let s = sh.stats();
+            let s = lock_mem(sh).stats();
             t.uploads += s.uploads;
             t.upload_words += s.upload_words;
             t.downloads += s.downloads;
@@ -605,55 +840,38 @@ impl DeviceMemory for ShardedMemory {
     }
 
     fn reset_stats(&mut self) {
-        for sh in &mut self.shards {
-            sh.reset_stats();
+        for sh in &self.shards {
+            lock_mem(sh).reset_stats();
         }
     }
 
+    // The fallible surface: each op draws the armed fault plan of every
+    // shard it touches *before* any data moves, so an `Err` leaves host
+    // and device state exactly as they were and the identical call can
+    // be retried.
+
     fn try_alloc(&mut self, words: usize) -> Result<DeviceBuf, BackendError> {
-        let k = self.shards.len();
-        let rows = if words.is_multiple_of(self.n) {
-            words / self.n
-        } else {
-            0
-        };
-        for s in 0..k {
-            let share = if rows == 0 {
-                if s == 0 {
-                    words
-                } else {
-                    0
-                }
-            } else {
-                rows_on_shard(rows, k, s) * self.n
-            };
-            if share == 0 {
-                continue;
+        let mut h = self.hold();
+        let rows = h.partition_rows(words);
+        for s in 0..h.sh.len() {
+            if let Some(share) = h.share(rows, words, s) {
+                let projected = h.sh[s].gpu().gmem.allocated_words() + share;
+                h.sh[s]
+                    .gpu_mut()
+                    .fault_check_alloc(projected)
+                    .map_err(|kind| classify(kind, "alloc", share))?;
             }
-            let projected = self.shards[s].gpu().gmem.allocated_words() + share;
-            self.shards[s]
-                .gpu_mut()
-                .fault_check_alloc(projected)
-                .map_err(|kind| classify(kind, "alloc", share))?;
         }
-        Ok(self.alloc(words))
+        Ok(h.alloc(words))
     }
 
     fn try_upload(&mut self, dst: DeviceBuf, src: &[u64]) -> Result<(), BackendError> {
         if !self.is_live(dst) || src.len() > dst.len() {
             return Err(BackendError::Fatal { op: "upload" });
         }
-        let mut involved: Vec<usize> = self
-            .segments(dst.sub(0, src.len()))
-            .iter()
-            .map(|s| s.shard)
-            .collect();
-        involved.sort_unstable();
-        involved.dedup();
-        for s in involved {
-            self.shards[s].fault_gate("upload", FaultOp::Upload)?;
-        }
-        self.upload(dst, src);
+        let mut h = self.hold();
+        h.gate_view(dst.sub(0, src.len()), "upload", FaultOp::Upload)?;
+        h.upload(dst, src);
         Ok(())
     }
 
@@ -661,89 +879,49 @@ impl DeviceMemory for ShardedMemory {
         if !self.is_live(src) || dst.len() > src.len() {
             return Err(BackendError::Fatal { op: "download" });
         }
-        let mut involved: Vec<usize> = self
-            .segments(src.sub(0, dst.len()))
-            .iter()
-            .map(|s| s.shard)
-            .collect();
-        involved.sort_unstable();
-        involved.dedup();
-        for s in involved {
-            self.shards[s].fault_gate("download", FaultOp::Download)?;
-        }
-        self.download(src, dst);
+        let mut h = self.hold();
+        h.gate_view(src.sub(0, dst.len()), "download", FaultOp::Download)?;
+        h.download(src, dst);
         Ok(())
     }
 }
 
-/// Lock a shared [`ShardedMemory`], recovering from poisoning.
-fn lock_sharded(mem: &Arc<Mutex<ShardedMemory>>) -> MutexGuard<'_, ShardedMemory> {
+/// Lock a shared [`ShardedMemory`], recovering from poisoning (free
+/// function so callers can hold `&mut` to other backend fields across
+/// the guard).
+pub(crate) fn lock_sharded(mem: &Arc<Mutex<ShardedMemory>>) -> MutexGuard<'_, ShardedMemory> {
     mem.lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// One shard's slice of a device-op view under the cyclic partition:
-/// the view-relative row indices it owns (an ascending stride-`K`
-/// progression) and the locally *contiguous* piece holding them in
-/// that order.
-struct RowSeg {
-    shard: usize,
-    /// View-relative indices of the rows this shard owns, ascending.
-    rows: Vec<usize>,
-    /// The rows as one contiguous view into the shard-local part.
-    local: DeviceBuf,
+/// Names one face of [`SimDevices`]: a zero-sized marker, since the
+/// faces differ only in their constructors and the name they report.
+pub trait Flavor: Send + 'static {
+    /// What [`NttBackend::name`] reports.
+    const NAME: &'static str;
 }
 
-/// Row-aligned shard pieces of a device-op view. Device ops always
-/// pass row-aligned views (the evaluator slices at digit boundaries),
-/// and the cyclic partition cuts on row boundaries by construction, so
-/// alignment is an invariant — the asserts catch a plan whose degree
-/// differs from the partition granularity before a kernel reads
-/// garbage.
-fn row_segments(m: &ShardedMemory, view: DeviceBuf, n: usize) -> Vec<RowSeg> {
-    assert_eq!(
-        n, m.n,
-        "ShardedBackend partitions at the ring degree it was constructed for"
-    );
-    let a = m.map.get(&view.id()).expect("freed or foreign DeviceBuf");
-    assert!(
-        view.base() + view.len() <= a.len,
-        "view outside its allocation"
-    );
-    assert_eq!(view.base() % n, 0, "device-op views must be row-aligned");
-    assert_eq!(view.len() % n, 0, "device-op views must be row-aligned");
-    let vrows = view.len() / n;
-    if a.rows == 0 {
-        let part = a.parts[0].expect("unpartitioned alloc lives on shard 0");
-        return vec![RowSeg {
-            shard: 0,
-            rows: (0..vrows).collect(),
-            local: part.sub(view.base(), view.len()),
-        }];
-    }
-    let k = m.shards.len();
-    let vb = view.base() / n;
-    let mut out = Vec::new();
-    for s in 0..k {
-        // First global row >= vb congruent to s mod k.
-        let g0 = vb + ((s + k - vb % k) % k);
-        if g0 >= vb + vrows {
-            continue;
-        }
-        let count = (vb + vrows - g0).div_ceil(k);
-        let part = a.parts[s].expect("owned rows have a local part");
-        out.push(RowSeg {
-            shard: s,
-            rows: (0..count).map(|i| g0 + i * k - vb).collect(),
-            local: part.sub((g0 / k) * n, count * n),
-        });
-    }
-    out
+/// The single-device face, [`crate::SimBackend`].
+pub struct Single;
+
+impl Flavor for Single {
+    const NAME: &'static str = "gpu-sim";
 }
 
-/// Per-shard staging buffers (one [`SimBackend`]-style set per device).
-///
-/// [`SimBackend`]: crate::SimBackend
+/// The multi-device face, [`ShardedBackend`].
+pub struct Sharded;
+
+impl Flavor for Sharded {
+    const NAME: &'static str = "gpu-sim-sharded";
+}
+
+/// The multi-device backend: `K` simulated GPUs, each owning the cyclic
+/// slice `r ≡ s (mod K)` of the RNS residue rows, joined by a modeled
+/// inter-device link. The swap from [`crate::SimBackend`] is the
+/// constructor; see the module docs for the partition and traffic model.
+pub type ShardedBackend = SimDevices<Sharded>;
+
+/// One executor's per-shard staging state.
 #[derive(Default)]
 struct ShardStaging {
     /// Primary host-batch operand.
@@ -752,35 +930,57 @@ struct ShardStaging {
     scratch: DevData,
     /// `dev_multiply`'s second-operand scratch.
     mul_scratch: DevData,
+    /// Lazily created copy stream for staging prefetches
+    /// ([`NttBackend::stage_upload`]): uploads ride here so compute
+    /// queued on the compute stream overlaps the transfer, fenced per
+    /// buffer by the readiness events.
+    copy: Option<Stream>,
 }
 
-/// The multi-device backend: `K` simulated GPUs, each owning the
-/// cyclic slice `r ≡ s (mod K)` of the RNS residue rows, joined by a
-/// modeled inter-device link. Same [`NttBackend`] surface as
-/// [`crate::SimBackend`] — the swap is the constructor. See the module
-/// docs for the partition and traffic model.
-pub struct ShardedBackend {
+/// The simulated-GPU backend over `K` devices: shared sharded memory
+/// (GMEM + handle maps + plan tables per shard), this executor's
+/// compute stream and staging buffers on each shard, and the memoized
+/// forward routing table. Use it through its two faces,
+/// [`crate::SimBackend`] and [`ShardedBackend`].
+///
+/// The root backend runs on each shard's [`Stream::DEFAULT`]; every
+/// [`NttBackend::fork`] allocates its own stream per shard, so
+/// concurrent evaluators from the pool enqueue on independent queues
+/// and their modeled device time overlaps (subject to SM capacity).
+pub struct SimDevices<F: Flavor> {
     mem: Arc<Mutex<ShardedMemory>>,
-    /// This executor's stream on each shard (index = shard).
+    /// This executor's compute stream on each shard (index = shard).
     streams: Vec<Stream>,
-    /// This executor's staging buffers on each shard.
+    /// This executor's staging state on each shard.
     staging: Vec<ShardStaging>,
-    /// Memoized per-`N` forward choice, shared by forks.
-    split_cache: Arc<Mutex<HashMap<usize, ShapeChoice>>>,
+    /// Memoized per-`N` forward implementation choice (shared by forks
+    /// so the calibration runs once per shape per backend family).
+    pub(crate) split_cache: Arc<Mutex<HashMap<usize, ShapeChoice>>>,
+    flavor: PhantomData<F>,
 }
 
-impl ShardedBackend {
-    /// `shards` devices of one model, partitioning rings of `degree`.
+/// The fault draws of one staged host-batch op, in issue order.
+const STAGED: &[FaultOp] = &[FaultOp::Upload, FaultOp::Launch, FaultOp::Download];
+/// The fault draw of one device-resident op.
+const LAUNCH: &[FaultOp] = &[FaultOp::Launch];
+
+impl<F: Flavor> SimDevices<F> {
+    /// A root executor on the default streams of `mem`'s shards.
     ///
-    /// An `NTT_WARP_FAULTS` plan is armed on **every** shard — each
-    /// device draws its own schedule, so fault rates scale with the
-    /// device count the way a real multi-GPU node's do.
-    pub fn new(config: GpuConfig, shards: usize, degree: usize) -> Self {
+    /// If `NTT_WARP_FAULTS` is set, the parsed [`gpu_sim::FaultPlan`]
+    /// is armed on **every** shard — each device draws its own
+    /// schedule, so fault rates scale with the device count the way a
+    /// real multi-GPU node's do. Arming happens here, not in
+    /// [`SimMemory::new`], so the scratch devices the forward-choice
+    /// calibration sweeps build stay fault-free by construction.
+    pub(crate) fn over(mem: ShardedMemory) -> Self {
+        let k = mem.shard_count();
         let backend = Self {
-            mem: Arc::new(Mutex::new(ShardedMemory::new(config, shards, degree))),
-            streams: vec![Stream::DEFAULT; shards],
-            staging: (0..shards).map(|_| ShardStaging::default()).collect(),
+            mem: Arc::new(Mutex::new(mem)),
+            streams: vec![Stream::DEFAULT; k],
+            staging: (0..k).map(|_| ShardStaging::default()).collect(),
             split_cache: Arc::new(Mutex::new(HashMap::new())),
+            flavor: PhantomData,
         };
         if let Some(plan) = gpu_sim::FaultPlan::from_env() {
             backend.set_fault_plan(Some(plan));
@@ -788,67 +988,40 @@ impl ShardedBackend {
         backend
     }
 
-    /// `shards` Titan-V-model devices for rings of `degree`.
-    pub fn titan_v(shards: usize, degree: usize) -> Self {
-        Self::new(GpuConfig::titan_v(), shards, degree)
-    }
-
-    /// Arm (or disarm) a deterministic fault schedule on every shard.
+    /// Arm (or with `None`, disarm) a deterministic fault schedule on
+    /// every shard. Affects every fork sharing this backend's memory;
+    /// only the fallible `try_*` entry points draw from the plan. See
+    /// [`gpu_sim::FaultPlan`].
     pub fn set_fault_plan(&self, plan: Option<gpu_sim::FaultPlan>) {
-        let mut m = self.lock();
-        for sh in &mut m.shards {
-            sh.gpu_mut().set_fault_plan(plan.clone());
+        for sh in &self.lock().shards {
+            lock_mem(sh).gpu_mut().set_fault_plan(plan.clone());
         }
     }
 
-    fn lock(&self) -> MutexGuard<'_, ShardedMemory> {
+    pub(crate) fn lock(&self) -> MutexGuard<'_, ShardedMemory> {
         lock_sharded(&self.mem)
     }
 
-    /// A clone of the shared sharded-memory handle (timeline, link
-    /// ledger, per-shard devices) for harness observation.
-    pub fn memory_handle(&self) -> Arc<Mutex<ShardedMemory>> {
-        Arc::clone(&self.mem)
-    }
-
-    /// Number of devices in the shard set.
-    pub fn shard_count(&self) -> usize {
-        self.streams.len()
-    }
-
-    /// Aggregate timeline over the shard set (see
-    /// [`ShardedMemory::timeline`]).
-    pub fn timeline(&self) -> DeviceTimeline {
-        self.lock().timeline()
-    }
-
-    /// The inter-device traffic ledger.
-    pub fn link_stats(&self) -> LinkStats {
-        self.lock().link_stats()
-    }
-
-    /// Drain every shard's stream schedule.
-    pub fn sync_all(&self) {
-        self.lock().sync_all();
-    }
-
-    /// Host↔device transfer ledger summed over shards.
+    /// The host↔device transfer ledger, summed over shards (see
+    /// [`gpu_sim::Gmem`]).
     pub fn transfer_stats(&self) -> TransferStats {
         self.lock().stats()
     }
 
-    /// Bind every shard's active stream to this executor.
-    fn bind_all(&self, m: &mut ShardedMemory) {
-        for (s, sh) in m.shards.iter_mut().enumerate() {
-            sh.bind(self.streams[s]);
-        }
+    /// Run `op` on the shard set with every shard locked and bound to
+    /// this executor's streams, handing it this executor's staging.
+    fn on_shards<R>(&mut self, op: impl FnOnce(&mut Held<'_>, &mut [ShardStaging]) -> R) -> R {
+        let mut m = lock_sharded(&self.mem);
+        let mut h = m.hold();
+        h.bind(&self.streams);
+        op(&mut h, &mut self.staging)
     }
 
-    /// Forward-implementation routing, identical to
-    /// [`crate::SimBackend`]'s: env override, small-shape radix-2
-    /// floor, else the memoized calibration winner (swept on a scratch
-    /// single device — per-shard row counts shrink with `K`, but the
-    /// shape class is decided by `N`).
+    /// The forward implementation for an `n`-point batch: the env
+    /// override, the small-shape radix-2 floor, or the memoized
+    /// modeled-time winner over the paper's split candidates (swept on
+    /// a scratch single device — per-shard row counts shrink with `K`,
+    /// but the shape class is decided by `N`).
     fn forward_choice(&self, n: usize, rows: usize) -> ForwardImpl {
         match crate::backend::forward_mode() {
             ForwardMode::Radix2 => return ForwardImpl::Radix2,
@@ -867,73 +1040,136 @@ impl ShardedBackend {
     }
 
     fn cached_or_calibrated(&self, n: usize, rows: usize) -> ShapeChoice {
-        if let Some(&c) = self
-            .split_cache
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(&n)
-        {
+        let cache = || {
+            self.split_cache
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+        };
+        if let Some(&c) = cache().get(&n) {
             return c;
         }
-        let config = self.lock().shards[0].gpu().config.clone();
+        let config = lock_mem(&self.lock().shards[0]).gpu().config.clone();
         let choice = calibrate_forward_choice(&config, n, rows);
-        self.split_cache
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .insert(n, choice);
+        cache().insert(n, choice);
         choice
     }
 
-    /// Fault gates for one staged host-batch op: every shard stages
-    /// its own rows, so each draws upload + launch + download.
-    fn gate_staged(&self, op: &'static str) -> Result<(), BackendError> {
+    // ---- Fault gates for the fallible surface ---------------------------
+    //
+    // Every `try_*` override below is gate-then-delegate: validate the
+    // operand handles and draw the armed fault plan *up front*, then run
+    // the unchanged infallible body. Injected faults therefore fire
+    // between ops — never mid-op — which is what makes a failed call
+    // retry-safe: on `Err`, no operand byte has moved. Each shard draws
+    // one schedule slot per hardware command class the op would issue on
+    // it (a staged host batch is upload + launch + download; a
+    // device-resident op is one launch), so fault *rates* scale with real
+    // command traffic.
+
+    /// Handle validation plus the fault draws `kinds` on every shard,
+    /// in shard order. A freed or foreign handle is a caller bug the
+    /// infallible path treats as an invariant violation (a panic); on
+    /// the typed surface it comes back as a fatal error instead.
+    fn gate(
+        &self,
+        op: &'static str,
+        handles: &[DeviceBuf],
+        kinds: &[FaultOp],
+    ) -> Result<(), BackendError> {
         let mut m = self.lock();
-        for (s, sh) in m.shards.iter_mut().enumerate() {
-            sh.bind(self.streams[s]);
-            sh.fault_gate(op, FaultOp::Upload)?;
-            sh.fault_gate(op, FaultOp::Launch)?;
-            sh.fault_gate(op, FaultOp::Download)?;
+        if !handles.iter().all(|&b| m.is_live(b)) {
+            return Err(BackendError::Fatal { op });
+        }
+        let mut h = m.hold();
+        h.bind(&self.streams);
+        for sh in h.sh.iter_mut() {
+            for &kind in kinds {
+                sh.fault_gate(op, kind)?;
+            }
         }
         Ok(())
     }
 
-    /// Launch-class gate for one device-resident op, drawn per shard.
-    fn gate_launch(&self, op: &'static str) -> Result<(), BackendError> {
-        let mut m = self.lock();
-        for (s, sh) in m.shards.iter_mut().enumerate() {
-            sh.bind(self.streams[s]);
-            sh.fault_gate(op, FaultOp::Launch)?;
-        }
-        Ok(())
-    }
-
-    /// Freed/foreign handles surface as [`BackendError::Fatal`] on the
-    /// fallible paths (the infallible ones treat them as invariant
-    /// violations, as on [`crate::SimBackend`]).
-    fn check_handles(&self, op: &'static str, bufs: &[DeviceBuf]) -> Result<(), BackendError> {
-        let m = self.lock();
-        if bufs.iter().all(|&b| m.is_live(b)) {
-            Ok(())
-        } else {
-            Err(BackendError::Fatal { op })
-        }
+    /// One staged host-batch op: shard `s` takes the contiguous row
+    /// block `shard_rows(rows, K, s)` of `io`, uploads its slice of `io`
+    /// (and of `rhs`) into its staging buffers, runs `kernels` on them,
+    /// and downloads the primary operand back into `io` — one upload per
+    /// operand and one download per call on each shard, charged to the
+    /// [`gpu_sim::Gmem`] transfer ledger: exactly the per-call round
+    /// trip the residency layer exists to remove.
+    fn host_batch(
+        &mut self,
+        plan: &RingPlan,
+        mut io: LimbBatch<'_>,
+        rhs: Option<&[u64]>,
+        kernels: impl Fn(&mut SimMemory, Buf, Option<Buf>, &[usize]),
+    ) {
+        let (n, level, rows) = (io.n(), io.level(), io.rows());
+        let io = io.data();
+        self.on_shards(|h, staging| {
+            let k = h.sh.len();
+            for (s, (sh, st)) in h.sh.iter_mut().zip(staging).enumerate() {
+                let r = shard_rows(rows, k, s);
+                if r.is_empty() {
+                    continue;
+                }
+                let row_prime: Vec<usize> = r.clone().map(|r| r % level).collect();
+                let words = r.start * n..r.end * n;
+                ensure_tables(sh, plan);
+                let a = st.data.ensure(sh.gpu_mut(), words.len());
+                let a = a.sub(0, words.len());
+                let b = rhs.map(|_| st.scratch.ensure(sh.gpu_mut(), words.len()));
+                let b = b.map(|b| b.sub(0, words.len()));
+                let bases = [a.base(), b.unwrap_or(a).base()];
+                sh.wait_ready(&bases);
+                sh.gpu_mut().stream_upload(a, 0, &io[words.clone()]);
+                if let (Some(b), Some(rhs)) = (b, rhs) {
+                    sh.gpu_mut().stream_upload(b, 0, &rhs[words.clone()]);
+                }
+                kernels(sh, a, b, &row_prime);
+                sh.gpu_mut().stream_download(a, &mut io[words]);
+                sh.mark_written(&bases);
+            }
+        });
     }
 }
 
-impl Drop for ShardedBackend {
+impl SimDevices<Sharded> {
+    /// `shards` devices of one model, partitioning rings of `degree`.
+    pub fn new(config: GpuConfig, shards: usize, degree: usize) -> Self {
+        Self::over(ShardedMemory::new(config, shards, degree))
+    }
+
+    /// `shards` Titan-V-model devices for rings of `degree`.
+    pub fn titan_v(shards: usize, degree: usize) -> Self {
+        Self::new(GpuConfig::titan_v(), shards, degree)
+    }
+
+    /// A clone of the shared sharded-memory handle (timeline, link
+    /// ledger, per-shard devices) for harness observation.
+    pub fn memory_handle(&self) -> Arc<Mutex<ShardedMemory>> {
+        Arc::clone(&self.mem)
+    }
+}
+
+impl<F: Flavor> Drop for SimDevices<F> {
     fn drop(&mut self) {
-        let mut m = lock_sharded(&self.mem);
-        for (s, &st) in self.streams.iter().enumerate() {
-            if st != Stream::DEFAULT {
-                m.shards[s].gpu_mut().destroy_stream(st);
+        let m = lock_sharded(&self.mem);
+        for ((sh, &stream), st) in m.shards.iter().zip(&self.streams).zip(&self.staging) {
+            let mut sh = lock_mem(sh);
+            if stream != Stream::DEFAULT {
+                sh.gpu_mut().destroy_stream(stream);
+            }
+            if let Some(copy) = st.copy {
+                sh.gpu_mut().destroy_stream(copy);
             }
         }
     }
 }
 
-impl NttBackend for ShardedBackend {
+impl<F: Flavor> NttBackend for SimDevices<F> {
     fn name(&self) -> &'static str {
-        "gpu-sim-sharded"
+        F::NAME
     }
 
     fn memory(&self) -> SharedDeviceMemory {
@@ -942,18 +1178,18 @@ impl NttBackend for ShardedBackend {
     }
 
     fn fork(&self) -> Box<dyn NttBackend> {
-        let mut m = self.lock();
+        let m = self.lock();
         let streams: Vec<Stream> = m
             .shards
-            .iter_mut()
-            .map(|sh| sh.gpu_mut().create_stream())
+            .iter()
+            .map(|sh| lock_mem(sh).gpu_mut().create_stream())
             .collect();
-        let shards = streams.len();
-        Box::new(ShardedBackend {
+        Box::new(SimDevices::<F> {
             mem: Arc::clone(&self.mem),
+            staging: streams.iter().map(|_| ShardStaging::default()).collect(),
             streams,
-            staging: (0..shards).map(|_| ShardStaging::default()).collect(),
             split_cache: Arc::clone(&self.split_cache),
+            flavor: PhantomData,
         })
     }
 
@@ -962,168 +1198,83 @@ impl NttBackend for ShardedBackend {
     }
 
     fn bind_stream(&self) {
-        let mut m = self.lock();
-        self.bind_all(&mut m);
+        self.lock().hold().bind(&self.streams);
     }
 
-    fn forward_batch(&mut self, plan: &RingPlan, mut batch: LimbBatch<'_>) {
-        let (n, level) = (batch.n(), batch.level());
-        let rows = batch.rows();
-        let choice = self.forward_choice(n, rows);
-        let mut m = lock_sharded(&self.mem);
-        let k = m.shards.len();
-        for s in 0..k {
-            let r = shard_rows(rows, k, s);
-            if r.is_empty() {
-                continue;
+    /// Prefetch a staging upload on this executor's copy stream of each
+    /// shard: the transfer is enqueued off the compute stream and the
+    /// buffer's readiness event is recorded on the copy stream, so
+    /// consuming kernels (which fence per buffer via `wait_ready`) start
+    /// exactly when the copy lands while previously queued compute
+    /// overlaps it.
+    fn stage_upload(&mut self, data: &[u64]) -> DeviceBuf {
+        self.on_shards(|h, staging| {
+            let buf = h.alloc(data.len());
+            for (sh, st) in h.sh.iter_mut().zip(staging) {
+                let copy = *st.copy.get_or_insert_with(|| sh.gpu_mut().create_stream());
+                sh.bind(copy);
             }
-            let row_prime: Vec<usize> = r.clone().map(|r| r % level).collect();
-            let words = r.len() * n;
-            let sh = &mut m.shards[s];
-            sh.bind(self.streams[s]);
-            ensure_tables(sh, plan);
-            let buf = self.staging[s].data.ensure(sh.gpu_mut(), words);
-            let buf = buf.sub(0, words);
-            sh.wait_ready(&[buf.base()]);
-            sh.gpu_mut()
-                .stream_upload(buf, 0, &batch.as_slice()[r.start * n..r.end * n]);
-            run_forward(sh, plan, buf, &row_prime, choice);
-            sh.gpu_mut()
-                .stream_download(buf, &mut batch.data()[r.start * n..r.end * n]);
-            sh.mark_written(&[buf.base()]);
-        }
+            // `upload` fences each copy stream on any stale readiness
+            // event a recycled base may carry, then records the new one
+            // there.
+            h.upload(buf, data);
+            buf
+        })
     }
 
-    fn inverse_batch(&mut self, plan: &RingPlan, mut batch: LimbBatch<'_>) {
-        let (n, level) = (batch.n(), batch.level());
-        let rows = batch.as_slice().len() / n;
-        let mut m = lock_sharded(&self.mem);
-        let k = m.shards.len();
-        for s in 0..k {
-            let r = shard_rows(rows, k, s);
-            if r.is_empty() {
-                continue;
-            }
-            let row_prime: Vec<usize> = r.clone().map(|r| r % level).collect();
-            let words = r.len() * n;
-            let sh = &mut m.shards[s];
-            sh.bind(self.streams[s]);
-            ensure_tables(sh, plan);
-            let buf = self.staging[s].data.ensure(sh.gpu_mut(), words);
-            let buf = buf.sub(0, words);
-            sh.wait_ready(&[buf.base()]);
-            sh.gpu_mut()
-                .stream_upload(buf, 0, &batch.as_slice()[r.start * n..r.end * n]);
-            run_inverse(sh, buf, &row_prime);
-            sh.gpu_mut()
-                .stream_download(buf, &mut batch.data()[r.start * n..r.end * n]);
-            sh.mark_written(&[buf.base()]);
-        }
+    fn forward_batch(&mut self, plan: &RingPlan, batch: LimbBatch<'_>) {
+        let choice = self.forward_choice(batch.n(), batch.rows());
+        self.host_batch(plan, batch, None, |sh, a, _, rp| {
+            run_forward(sh, plan, a, rp, choice)
+        });
     }
 
-    fn pointwise_batch(&mut self, plan: &RingPlan, mut acc: LimbBatch<'_>, rhs: &[u64]) {
+    fn inverse_batch(&mut self, plan: &RingPlan, batch: LimbBatch<'_>) {
+        self.host_batch(plan, batch, None, |sh, a, _, rp| run_inverse(sh, a, rp));
+    }
+
+    fn pointwise_batch(&mut self, plan: &RingPlan, acc: LimbBatch<'_>, rhs: &[u64]) {
         assert_eq!(acc.as_slice().len(), rhs.len(), "operand shape mismatch");
-        let (n, level) = (acc.n(), acc.level());
-        let rows = acc.as_slice().len() / n;
-        let mut m = lock_sharded(&self.mem);
-        let k = m.shards.len();
-        for s in 0..k {
-            let r = shard_rows(rows, k, s);
-            if r.is_empty() {
-                continue;
-            }
-            let row_prime: Vec<usize> = r.clone().map(|r| r % level).collect();
-            let words = r.len() * n;
-            let sh = &mut m.shards[s];
-            sh.bind(self.streams[s]);
-            ensure_tables(sh, plan);
-            let abuf = self.staging[s].data.ensure(sh.gpu_mut(), words);
-            let abuf = abuf.sub(0, words);
-            let bbuf = self.staging[s].scratch.ensure(sh.gpu_mut(), words);
-            let bbuf = bbuf.sub(0, words);
-            sh.wait_ready(&[abuf.base(), bbuf.base()]);
-            sh.gpu_mut()
-                .stream_upload(abuf, 0, &acc.as_slice()[r.start * n..r.end * n]);
-            sh.gpu_mut()
-                .stream_upload(bbuf, 0, &rhs[r.start * n..r.end * n]);
-            launch_elemwise(sh, ElemOp::Mul, abuf, Some(bbuf), None, n, &row_prime);
-            sh.gpu_mut()
-                .stream_download(abuf, &mut acc.data()[r.start * n..r.end * n]);
-            sh.mark_written(&[abuf.base(), bbuf.base()]);
-        }
+        let n = acc.n();
+        self.host_batch(plan, acc, Some(rhs), |sh, a, b, rp| {
+            launch_elemwise(sh, ElemOp::Mul, a, b, None, n, rp)
+        });
     }
 
     fn multiply_batch(&mut self, plan: &RingPlan, a: &[u64], b: &[u64], mut out: LimbBatch<'_>) {
         assert_eq!(a.len(), out.as_slice().len(), "operand shape mismatch");
         assert_eq!(b.len(), out.as_slice().len(), "operand shape mismatch");
-        let (n, level) = (out.n(), out.level());
-        let rows = a.len() / n;
-        let choice = self.forward_choice(n, rows);
-        let mut m = lock_sharded(&self.mem);
-        let k = m.shards.len();
-        for s in 0..k {
-            let r = shard_rows(rows, k, s);
-            if r.is_empty() {
-                continue;
-            }
-            let row_prime: Vec<usize> = r.clone().map(|r| r % level).collect();
-            let words = r.len() * n;
-            let sh = &mut m.shards[s];
-            sh.bind(self.streams[s]);
-            ensure_tables(sh, plan);
-            let abuf = self.staging[s].data.ensure(sh.gpu_mut(), words);
-            let abuf = abuf.sub(0, words);
-            let bbuf = self.staging[s].scratch.ensure(sh.gpu_mut(), words);
-            let bbuf = bbuf.sub(0, words);
-            sh.wait_ready(&[abuf.base(), bbuf.base()]);
-            sh.gpu_mut()
-                .stream_upload(abuf, 0, &a[r.start * n..r.end * n]);
-            sh.gpu_mut()
-                .stream_upload(bbuf, 0, &b[r.start * n..r.end * n]);
-            run_forward(sh, plan, abuf, &row_prime, choice);
-            run_forward(sh, plan, bbuf, &row_prime, choice);
-            launch_elemwise(sh, ElemOp::Mul, abuf, Some(bbuf), None, n, &row_prime);
-            run_inverse(sh, abuf, &row_prime);
-            sh.gpu_mut()
-                .stream_download(abuf, &mut out.data()[r.start * n..r.end * n]);
-            sh.mark_written(&[abuf.base(), bbuf.base()]);
-        }
+        let n = out.n();
+        let choice = self.forward_choice(n, out.rows());
+        out.data().copy_from_slice(a);
+        // The classic device pipeline: NTT(a), NTT(b), pointwise, iNTT —
+        // four launch groups over one resident batch.
+        self.host_batch(plan, out, Some(b), |sh, a, b, rp| {
+            let b = b.expect("multiply stages both operands");
+            run_forward(sh, plan, a, rp, choice);
+            run_forward(sh, plan, b, rp, choice);
+            launch_elemwise(sh, ElemOp::Mul, a, Some(b), None, n, rp);
+            run_inverse(sh, a, rp);
+        });
     }
 
-    // ---- Device-resident execution ---------------------------------
+    // ---- Device-resident execution (zero host↔device traffic) ----------
 
     fn dev_forward(&mut self, plan: &RingPlan, buf: DeviceBuf, level: usize) {
-        let n = plan.degree();
-        let rows = buf.len() / n;
-        let choice = self.forward_choice(n, rows);
-        let mut m = self.lock();
-        self.bind_all(&mut m);
-        for seg in row_segments(&m, buf, n) {
-            let row_prime: Vec<usize> = seg.rows.iter().map(|&r| r % level).collect();
-            let sh = &mut m.shards[seg.shard];
-            ensure_tables(sh, plan);
-            let root = sh.root_base(seg.local);
-            let data = sh.raw_buf(seg.local);
-            sh.wait_ready(&[root]);
-            run_forward(sh, plan, data, &row_prime, choice);
-            sh.mark_written(&[root]);
-        }
+        let choice = self.forward_choice(plan.degree(), buf.len() / plan.degree());
+        self.on_shards(|h, _| {
+            h.each_piece(plan, buf, [], |sh, p| {
+                run_forward(sh, plan, p.dst, &p.rows.primes(level), choice)
+            })
+        });
     }
 
     fn dev_inverse(&mut self, plan: &RingPlan, buf: DeviceBuf, level: usize) {
-        let n = plan.degree();
-        let mut m = self.lock();
-        self.bind_all(&mut m);
-        for seg in row_segments(&m, buf, n) {
-            let row_prime: Vec<usize> = seg.rows.iter().map(|&r| r % level).collect();
-            let sh = &mut m.shards[seg.shard];
-            ensure_tables(sh, plan);
-            let root = sh.root_base(seg.local);
-            let data = sh.raw_buf(seg.local);
-            sh.wait_ready(&[root]);
-            run_inverse(sh, data, &row_prime);
-            sh.mark_written(&[root]);
-        }
+        self.on_shards(|h, _| {
+            h.each_piece(plan, buf, [], |sh, p| {
+                run_inverse(sh, p.dst, &p.rows.primes(level))
+            })
+        });
     }
 
     fn dev_multiply(
@@ -1135,53 +1286,35 @@ impl NttBackend for ShardedBackend {
         level: usize,
     ) {
         let n = plan.degree();
-        let rows = out.len() / n;
-        let choice = self.forward_choice(n, rows);
-        let mut m = lock_sharded(&self.mem);
-        self.bind_all(&mut m);
-        for seg in row_segments(&m, out, n) {
-            let s = seg.shard;
-            let row_prime: Vec<usize> = seg.rows.iter().map(|&r| r % level).collect();
-            let words = seg.rows.len() * n;
-            ensure_tables(&mut m.shards[s], plan);
-            let ga = m.gather_rows(a, &seg.rows, s);
-            let gb = m.gather_rows(b, &seg.rows, s);
-            let sh = &mut m.shards[s];
-            let oroot = sh.root_base(seg.local);
-            let oraw = sh.raw_buf(seg.local);
-            let scratch = self.staging[s].mul_scratch.ensure(sh.gpu_mut(), words);
-            let scratch = scratch.sub(0, words);
-            sh.wait_ready(&[oroot, scratch.base()]);
-            // Stage both operands on the owning shard (inputs intact).
-            sh.gpu_mut().gmem.copy(ga.buf, oraw);
-            sh.gpu_mut().gmem.copy(gb.buf, scratch);
-            run_forward(sh, plan, oraw, &row_prime, choice);
-            run_forward(sh, plan, scratch, &row_prime, choice);
-            launch_elemwise(sh, ElemOp::Mul, oraw, Some(scratch), None, n, &row_prime);
-            run_inverse(sh, oraw, &row_prime);
-            sh.mark_written(&[oroot, scratch.base()]);
-            m.release_gather(s, ga);
-            m.release_gather(s, gb);
-        }
+        let choice = self.forward_choice(n, out.len() / n);
+        self.on_shards(|h, staging| {
+            h.each_piece(plan, out, [(a, None), (b, None)], |sh, p| {
+                let words = p.rows.count * n;
+                let scratch = staging[p.shard].mul_scratch.ensure(sh.gpu_mut(), words);
+                let scratch = scratch.sub(0, words);
+                sh.wait_ready(&[scratch.base()]);
+                // Stage both operands on the owning shard (inputs intact).
+                let [ga, gb] = p.src;
+                sh.gpu_mut().gmem.copy(ga, p.dst);
+                sh.gpu_mut().gmem.copy(gb, scratch);
+                let row_prime = p.rows.primes(level);
+                run_forward(sh, plan, p.dst, &row_prime, choice);
+                run_forward(sh, plan, scratch, &row_prime, choice);
+                launch_elemwise(sh, ElemOp::Mul, p.dst, Some(scratch), None, n, &row_prime);
+                run_inverse(sh, p.dst, &row_prime);
+                sh.mark_written(&[scratch.base()]);
+            })
+        });
     }
 
     fn dev_pointwise(&mut self, plan: &RingPlan, acc: DeviceBuf, rhs: DeviceBuf, level: usize) {
         let n = plan.degree();
-        let mut m = self.lock();
-        self.bind_all(&mut m);
-        for seg in row_segments(&m, acc, n) {
-            let s = seg.shard;
-            let row_prime: Vec<usize> = seg.rows.iter().map(|&r| r % level).collect();
-            ensure_tables(&mut m.shards[s], plan);
-            let g = m.gather_rows(rhs, &seg.rows, s);
-            let sh = &mut m.shards[s];
-            let root = sh.root_base(seg.local);
-            let araw = sh.raw_buf(seg.local);
-            sh.wait_ready(&[root]);
-            launch_elemwise(sh, ElemOp::Mul, araw, Some(g.buf), None, n, &row_prime);
-            sh.mark_written(&[root]);
-            m.release_gather(s, g);
-        }
+        self.on_shards(|h, _| {
+            h.each_piece(plan, acc, [(rhs, None)], |sh, p| {
+                let rp = p.rows.primes(level);
+                launch_elemwise(sh, ElemOp::Mul, p.dst, Some(p.src[0]), None, n, &rp)
+            })
+        });
     }
 
     fn dev_fma(
@@ -1193,38 +1326,20 @@ impl NttBackend for ShardedBackend {
         level: usize,
     ) {
         let n = plan.degree();
-        let mut m = self.lock();
-        self.bind_all(&mut m);
-        for seg in row_segments(&m, acc, n) {
-            let s = seg.shard;
-            let row_prime: Vec<usize> = seg.rows.iter().map(|&r| r % level).collect();
-            ensure_tables(&mut m.shards[s], plan);
-            // The key-switch inner product lands here: `x` is a digit
-            // sub-view of the decompose scratch at row offset
-            // `d * level`. The cyclic partition makes that view land on
-            // the accumulator's shards whenever `level % K == 0` — the
-            // zero-copy fast path in `gather_rows` — and any genuinely
-            // misaligned view (e.g. `K = 3` with `level = 8`) arrives
-            // over the link, correct either way.
-            let gx = m.gather_rows(x, &seg.rows, s);
-            let gy = m.gather_rows(y, &seg.rows, s);
-            let sh = &mut m.shards[s];
-            let root = sh.root_base(seg.local);
-            let araw = sh.raw_buf(seg.local);
-            sh.wait_ready(&[root]);
-            launch_elemwise(
-                sh,
-                ElemOp::Fma,
-                araw,
-                Some(gx.buf),
-                Some(gy.buf),
-                n,
-                &row_prime,
-            );
-            sh.mark_written(&[root]);
-            m.release_gather(s, gx);
-            m.release_gather(s, gy);
-        }
+        // The key-switch inner product lands here: `x` is a digit
+        // sub-view of the decompose scratch at row offset `d * level`.
+        // The cyclic partition makes that view land on the
+        // accumulator's shards whenever `level % K == 0` — the
+        // zero-copy fast path of the gather — and any genuinely
+        // misaligned view (e.g. `K = 3` with `level = 8`) arrives over
+        // the link, correct either way.
+        self.on_shards(|h, _| {
+            h.each_piece(plan, acc, [(x, None), (y, None)], |sh, p| {
+                let rp = p.rows.primes(level);
+                let [x, y] = p.src;
+                launch_elemwise(sh, ElemOp::Fma, p.dst, Some(x), Some(y), n, &rp)
+            })
+        });
     }
 
     fn dev_addsub(
@@ -1237,37 +1352,28 @@ impl NttBackend for ShardedBackend {
     ) {
         let n = plan.degree();
         let op = if subtract { ElemOp::Sub } else { ElemOp::Add };
-        let mut m = self.lock();
-        self.bind_all(&mut m);
-        for seg in row_segments(&m, acc, n) {
-            let s = seg.shard;
-            let row_prime: Vec<usize> = seg.rows.iter().map(|&r| r % level).collect();
-            ensure_tables(&mut m.shards[s], plan);
-            let g = m.gather_rows(rhs, &seg.rows, s);
-            let sh = &mut m.shards[s];
-            let root = sh.root_base(seg.local);
-            let araw = sh.raw_buf(seg.local);
-            sh.wait_ready(&[root]);
-            launch_elemwise(sh, op, araw, Some(g.buf), None, n, &row_prime);
-            sh.mark_written(&[root]);
-            m.release_gather(s, g);
-        }
+        self.on_shards(|h, _| {
+            h.each_piece(plan, acc, [(rhs, None)], |sh, p| {
+                launch_elemwise(
+                    sh,
+                    op,
+                    p.dst,
+                    Some(p.src[0]),
+                    None,
+                    n,
+                    &p.rows.primes(level),
+                )
+            })
+        });
     }
 
     fn dev_negate(&mut self, plan: &RingPlan, buf: DeviceBuf, level: usize) {
         let n = plan.degree();
-        let mut m = self.lock();
-        self.bind_all(&mut m);
-        for seg in row_segments(&m, buf, n) {
-            let row_prime: Vec<usize> = seg.rows.iter().map(|&r| r % level).collect();
-            let sh = &mut m.shards[seg.shard];
-            ensure_tables(sh, plan);
-            let root = sh.root_base(seg.local);
-            let araw = sh.raw_buf(seg.local);
-            sh.wait_ready(&[root]);
-            launch_elemwise(sh, ElemOp::Neg, araw, None, None, n, &row_prime);
-            sh.mark_written(&[root]);
-        }
+        self.on_shards(|h, _| {
+            h.each_piece(plan, buf, [], |sh, p| {
+                launch_elemwise(sh, ElemOp::Neg, p.dst, None, None, n, &p.rows.primes(level))
+            })
+        });
     }
 
     fn dev_rescale(&mut self, plan: &RingPlan, buf: DeviceBuf, level: usize) {
@@ -1284,34 +1390,27 @@ impl NttBackend for ShardedBackend {
                 )
             })
             .collect();
-        let mut m = self.lock();
-        self.bind_all(&mut m);
-        // Rows 0..level-1 rescale in place; every owning shard needs
-        // the dropped last row — a broadcast of N words per remote
-        // shard over the link.
-        let data_view = buf.sub(0, (level - 1) * n);
-        for seg in row_segments(&m, data_view, n) {
-            let s = seg.shard;
-            ensure_tables(&mut m.shards[s], plan);
-            let last = m.gather_rows(buf, &[level - 1], s);
-            let inv: Vec<(u64, u64)> = seg.rows.iter().map(|&r| inv_p[r]).collect();
-            let sh = &mut m.shards[s];
-            let root = sh.root_base(seg.local);
-            let data = sh.raw_buf(seg.local);
-            sh.wait_ready(&[root]);
-            let kernel = ShardRescaleKernel {
-                data,
-                last: last.buf,
-                n,
-                rows: seg.rows.len(),
-                inv_p: &inv,
-            };
-            let blocks = (seg.rows.len() * n).div_ceil(THREADS);
-            let cfg = LaunchConfig::new("sim-rescale", blocks, THREADS).regs_per_thread(40);
-            sh.gpu_mut().launch(&kernel, &cfg);
-            sh.mark_written(&[root]);
-            m.release_gather(s, last);
-        }
+        // Rows 0..level-1 rescale in place; every owning shard needs the
+        // dropped last row — a broadcast of N words per remote shard over
+        // the link.
+        let last = Rows::run(level - 1, 1);
+        self.on_shards(|h, _| {
+            h.each_piece(
+                plan,
+                buf.sub(0, (level - 1) * n),
+                [(buf, Some(last))],
+                |sh, p| {
+                    let kernel = RescaleKernel {
+                        data: p.dst,
+                        last: p.src[0],
+                        n,
+                        rows: p.rows,
+                        inv_p: &inv_p,
+                    };
+                    launch_rows(sh.gpu_mut(), "sim-rescale", p.rows.count * n, &kernel);
+                },
+            )
+        });
     }
 
     fn dev_decompose(
@@ -1330,35 +1429,24 @@ impl NttBackend for ShardedBackend {
             level * digits * level * n,
             "digit buffer shape mismatch"
         );
-        let mut m = self.lock();
-        self.bind_all(&mut m);
-        // Every digit reads every residue row of the source: the
-        // sharded base conversion is an all-gather of the remote rows
+        // Every digit reads every residue row of the source: the sharded
+        // base conversion is an all-gather of the remote rows
         // (≈ (K-1)/K · level · N words across the link per shard).
-        let all_src_rows: Vec<usize> = (0..level).collect();
-        for seg in row_segments(&m, dst, n) {
-            let s = seg.shard;
-            ensure_tables(&mut m.shards[s], plan);
-            let gsrc = m.gather_rows(src, &all_src_rows, s);
-            let sh = &mut m.shards[s];
-            let root = sh.root_base(seg.local);
-            let draw = sh.raw_buf(seg.local);
-            sh.wait_ready(&[root]);
-            let kernel = ShardDecomposeKernel {
-                src: gsrc.buf,
-                dst: draw,
-                n,
-                level,
-                digits,
-                gadget_bits,
-                rows: &seg.rows,
-            };
-            let blocks = (seg.rows.len() * n).div_ceil(THREADS);
-            let cfg = LaunchConfig::new("sim-decompose", blocks, THREADS).regs_per_thread(40);
-            sh.gpu_mut().launch(&kernel, &cfg);
-            sh.mark_written(&[root]);
-            m.release_gather(s, gsrc);
-        }
+        let all = Rows::run(0, level);
+        self.on_shards(|h, _| {
+            h.each_piece(plan, dst, [(src, Some(all))], |sh, p| {
+                let kernel = DecomposeKernel {
+                    src: p.src[0],
+                    dst: p.dst,
+                    n,
+                    level,
+                    digits,
+                    gadget_bits,
+                    rows: p.rows,
+                };
+                launch_rows(sh.gpu_mut(), "sim-decompose", p.rows.count * n, &kernel);
+            })
+        });
     }
 
     fn dev_automorphism(
@@ -1373,67 +1461,45 @@ impl NttBackend for ShardedBackend {
         assert_eq!(src.len(), dst.len(), "operand shape mismatch");
         let g = g % (2 * n as u64);
         assert_eq!(g % 2, 1, "Galois element must be odd");
-        let mut m = self.lock();
-        self.bind_all(&mut m);
-        // The permutation is row-local, so each dst row needs exactly
-        // its own src row — aligned allocations stay link-free.
-        for seg in row_segments(&m, dst, n) {
-            let s = seg.shard;
-            let row_prime: Vec<usize> = seg.rows.iter().map(|&r| r % level).collect();
-            ensure_tables(&mut m.shards[s], plan);
-            let gsrc = m.gather_rows(src, &seg.rows, s);
-            let sh = &mut m.shards[s];
-            let root = sh.root_base(seg.local);
-            let draw = sh.raw_buf(seg.local);
-            sh.wait_ready(&[root]);
-            launch_automorphism(sh, gsrc.buf, draw, n, g, &row_prime);
-            sh.mark_written(&[root]);
-            m.release_gather(s, gsrc);
-        }
+        // The permutation is row-local, so each dst row needs exactly its
+        // own src row — aligned allocations stay link-free.
+        self.on_shards(|h, _| {
+            h.each_piece(plan, dst, [(src, None)], |sh, p| {
+                launch_automorphism(sh, p.src[0], p.dst, n, g, &p.rows.primes(level))
+            })
+        });
     }
 
     fn dev_modraise(&mut self, plan: &RingPlan, src: DeviceBuf, dst: DeviceBuf, to_level: usize) {
         let n = plan.degree();
         assert_eq!(src.len(), n, "mod-raise source must be one level-1 row");
         assert_eq!(dst.len(), to_level * n, "mod-raise destination shape");
-        let moduli = plan.ring().basis().primes().to_vec();
-        let p0 = moduli[0];
-        let mut m = self.lock();
-        self.bind_all(&mut m);
+        let moduli = plan.ring().basis().primes();
         // Broadcast the single source row to every shard owning
         // destination rows.
-        for seg in row_segments(&m, dst, n) {
-            let s = seg.shard;
-            ensure_tables(&mut m.shards[s], plan);
-            let gsrc = m.gather_rows(src, &[0], s);
-            let sh = &mut m.shards[s];
-            let root = sh.root_base(seg.local);
-            let draw = sh.raw_buf(seg.local);
-            sh.wait_ready(&[root]);
-            let kernel = ShardModRaiseKernel {
-                src: gsrc.buf,
-                dst: draw,
-                n,
-                rows: &seg.rows,
-                p0,
-                moduli: &moduli,
-            };
-            let blocks = (seg.rows.len() * n).div_ceil(THREADS);
-            let cfg = LaunchConfig::new("sim-modraise", blocks, THREADS).regs_per_thread(40);
-            sh.gpu_mut().launch(&kernel, &cfg);
-            sh.mark_written(&[root]);
-            m.release_gather(s, gsrc);
-        }
+        self.on_shards(|h, _| {
+            h.each_piece(plan, dst, [(src, Some(Rows::run(0, 1)))], |sh, p| {
+                let kernel = ModRaiseKernel {
+                    src: p.src[0],
+                    dst: p.dst,
+                    n,
+                    rows: p.rows,
+                    p0: moduli[0],
+                    moduli,
+                };
+                launch_rows(sh.gpu_mut(), "sim-modraise", p.rows.count * n, &kernel);
+            })
+        });
     }
 
-    // ---- Fallible surface: gate-then-delegate, per shard -----------
+    // ---- Fallible surface: gate-then-delegate (see `gate`) ------------
 
     fn try_forward_batch(
         &mut self,
         plan: &RingPlan,
         batch: LimbBatch<'_>,
     ) -> Result<(), BackendError> {
-        self.gate_staged("forward_batch")?;
+        self.gate("forward_batch", &[], STAGED)?;
         self.forward_batch(plan, batch);
         Ok(())
     }
@@ -1443,7 +1509,7 @@ impl NttBackend for ShardedBackend {
         plan: &RingPlan,
         batch: LimbBatch<'_>,
     ) -> Result<(), BackendError> {
-        self.gate_staged("inverse_batch")?;
+        self.gate("inverse_batch", &[], STAGED)?;
         self.inverse_batch(plan, batch);
         Ok(())
     }
@@ -1454,7 +1520,7 @@ impl NttBackend for ShardedBackend {
         acc: LimbBatch<'_>,
         rhs: &[u64],
     ) -> Result<(), BackendError> {
-        self.gate_staged("pointwise_batch")?;
+        self.gate("pointwise_batch", &[], STAGED)?;
         self.pointwise_batch(plan, acc, rhs);
         Ok(())
     }
@@ -1466,7 +1532,7 @@ impl NttBackend for ShardedBackend {
         b: &[u64],
         out: LimbBatch<'_>,
     ) -> Result<(), BackendError> {
-        self.gate_staged("multiply_batch")?;
+        self.gate("multiply_batch", &[], STAGED)?;
         self.multiply_batch(plan, a, b, out);
         Ok(())
     }
@@ -1477,8 +1543,7 @@ impl NttBackend for ShardedBackend {
         buf: DeviceBuf,
         level: usize,
     ) -> Result<(), BackendError> {
-        self.check_handles("dev_forward", &[buf])?;
-        self.gate_launch("dev_forward")?;
+        self.gate("dev_forward", &[buf], LAUNCH)?;
         self.dev_forward(plan, buf, level);
         Ok(())
     }
@@ -1489,8 +1554,7 @@ impl NttBackend for ShardedBackend {
         buf: DeviceBuf,
         level: usize,
     ) -> Result<(), BackendError> {
-        self.check_handles("dev_inverse", &[buf])?;
-        self.gate_launch("dev_inverse")?;
+        self.gate("dev_inverse", &[buf], LAUNCH)?;
         self.dev_inverse(plan, buf, level);
         Ok(())
     }
@@ -1503,8 +1567,7 @@ impl NttBackend for ShardedBackend {
         out: DeviceBuf,
         level: usize,
     ) -> Result<(), BackendError> {
-        self.check_handles("dev_multiply", &[a, b, out])?;
-        self.gate_launch("dev_multiply")?;
+        self.gate("dev_multiply", &[a, b, out], LAUNCH)?;
         self.dev_multiply(plan, a, b, out, level);
         Ok(())
     }
@@ -1516,8 +1579,7 @@ impl NttBackend for ShardedBackend {
         rhs: DeviceBuf,
         level: usize,
     ) -> Result<(), BackendError> {
-        self.check_handles("dev_pointwise", &[acc, rhs])?;
-        self.gate_launch("dev_pointwise")?;
+        self.gate("dev_pointwise", &[acc, rhs], LAUNCH)?;
         self.dev_pointwise(plan, acc, rhs, level);
         Ok(())
     }
@@ -1530,8 +1592,7 @@ impl NttBackend for ShardedBackend {
         y: DeviceBuf,
         level: usize,
     ) -> Result<(), BackendError> {
-        self.check_handles("dev_fma", &[acc, x, y])?;
-        self.gate_launch("dev_fma")?;
+        self.gate("dev_fma", &[acc, x, y], LAUNCH)?;
         self.dev_fma(plan, acc, x, y, level);
         Ok(())
     }
@@ -1542,8 +1603,7 @@ impl NttBackend for ShardedBackend {
         buf: DeviceBuf,
         level: usize,
     ) -> Result<(), BackendError> {
-        self.check_handles("dev_rescale", &[buf])?;
-        self.gate_launch("dev_rescale")?;
+        self.gate("dev_rescale", &[buf], LAUNCH)?;
         self.dev_rescale(plan, buf, level);
         Ok(())
     }
@@ -1557,8 +1617,7 @@ impl NttBackend for ShardedBackend {
         digits: usize,
         gadget_bits: u32,
     ) -> Result<(), BackendError> {
-        self.check_handles("dev_decompose", &[src, dst])?;
-        self.gate_launch("dev_decompose")?;
+        self.gate("dev_decompose", &[src, dst], LAUNCH)?;
         self.dev_decompose(plan, src, dst, level, digits, gadget_bits);
         Ok(())
     }
@@ -1571,8 +1630,7 @@ impl NttBackend for ShardedBackend {
         level: usize,
         g: u64,
     ) -> Result<(), BackendError> {
-        self.check_handles("dev_automorphism", &[src, dst])?;
-        self.gate_launch("dev_automorphism")?;
+        self.gate("dev_automorphism", &[src, dst], LAUNCH)?;
         self.dev_automorphism(plan, src, dst, level, g);
         Ok(())
     }
@@ -1584,42 +1642,43 @@ impl NttBackend for ShardedBackend {
         dst: DeviceBuf,
         to_level: usize,
     ) -> Result<(), BackendError> {
-        self.check_handles("dev_modraise", &[src, dst])?;
-        self.gate_launch("dev_modraise")?;
+        self.gate("dev_modraise", &[src, dst], LAUNCH)?;
         self.dev_modraise(plan, src, dst, to_level);
         Ok(())
     }
 }
 
-// ---- Sharded cross-row kernels -------------------------------------
+// ---- Cross-row kernels ---------------------------------------------
 //
-// The single-device rescale/decompose/mod-raise kernels index the whole
-// operand; the sharded variants run on a shard-local row slice plus a
-// gathered copy of the rows the slice reads from other shards, with a
-// per-local-row map (the cyclic partition's stride-K progression)
-// restoring the global row index the math depends on. Per-lane
-// arithmetic is copied verbatim from the `backend.rs` kernels so shard
-// outputs stay bit-identical.
+// Rescale, decompose and mod-raise read rows other than the one they
+// write. Each runs on one shard piece — a row slice of the written
+// operand plus a gathered copy of the rows it reads — with the piece's
+// row progression restoring the global row index the math depends on.
+// At `K = 1` the piece is the whole operand and the gather is a direct
+// reference, so these are the single-device kernels too.
 
-/// Rescale on a shard-local slice of data rows, the dropped last row
-/// arriving as a separate (gathered) buffer.
-struct ShardRescaleKernel<'a> {
+/// CKKS rescale step (contract per
+/// `ntt_core::backend::NttBackend::dev_rescale`) on a piece of data
+/// rows, the dropped last row arriving as a separate buffer: one thread
+/// per element, reading its own word and the last row's word of the
+/// same column.
+struct RescaleKernel<'a> {
     data: Buf,
     last: Buf,
     n: usize,
-    rows: usize,
-    /// `(p_last^{-1} mod p_i, p_i)` per *local* row (global slice
-    /// already applied by the caller).
+    /// Global row index per local row.
+    rows: Rows,
+    /// `(p_last^{-1} mod p_i, p_i)` per global row `i < level - 1`.
     inv_p: &'a [(u64, u64)],
 }
 
-impl WarpKernel for ShardRescaleKernel<'_> {
+impl WarpKernel for RescaleKernel<'_> {
     fn phases(&self) -> usize {
         1
     }
 
     fn run_warp(&self, ctx: &mut WarpCtx<'_>) {
-        let total = self.rows * self.n;
+        let total = self.rows.count * self.n;
         let lanes = ctx.lanes();
         let mut addr_x = vec![None; lanes];
         let mut addr_l = vec![None; lanes];
@@ -1631,7 +1690,7 @@ impl WarpKernel for ShardRescaleKernel<'_> {
                 continue;
             }
             active += 1;
-            row[l] = gt / self.n;
+            row[l] = self.rows.get(gt / self.n);
             addr_x[l] = Some(self.data.word(gt));
             addr_l[l] = Some(self.last.word(gt % self.n));
         }
@@ -1654,27 +1713,29 @@ impl WarpKernel for ShardRescaleKernel<'_> {
     }
 }
 
-/// Gadget digit decomposition writing a shard-local slice of the
-/// digit-poly rows, reading a gathered full `level × N` source.
-struct ShardDecomposeKernel<'a> {
+/// Gadget digit decomposition (layout per
+/// `ntt_core::backend::NttBackend::dev_decompose`) writing a piece of
+/// the digit-poly rows from the full `level × N` source: one thread per
+/// output element, each reading its source word and extracting one
+/// base-`2^w` digit.
+struct DecomposeKernel {
     src: Buf,
     dst: Buf,
     n: usize,
     level: usize,
     digits: usize,
     gadget_bits: u32,
-    /// Global row index per local destination row (the shard's cyclic
-    /// stride-`K` progression).
-    rows: &'a [usize],
+    /// Global row index per local destination row.
+    rows: Rows,
 }
 
-impl WarpKernel for ShardDecomposeKernel<'_> {
+impl WarpKernel for DecomposeKernel {
     fn phases(&self) -> usize {
         1
     }
 
     fn run_warp(&self, ctx: &mut WarpCtx<'_>) {
-        let total = self.rows.len() * self.n;
+        let total = self.rows.count * self.n;
         let mask = (1u64 << self.gadget_bits) - 1;
         let lanes = ctx.lanes();
         let mut addr_s = vec![None; lanes];
@@ -1686,7 +1747,7 @@ impl WarpKernel for ShardDecomposeKernel<'_> {
                 continue;
             }
             active += 1;
-            let poly = self.rows[gt / self.n] / self.level;
+            let poly = self.rows.get(gt / self.n) / self.level;
             let (j, d) = (poly / self.digits, poly % self.digits);
             let t = gt % self.n;
             shift[l] = self.gadget_bits * d as u32;
@@ -1709,25 +1770,29 @@ impl WarpKernel for ShardDecomposeKernel<'_> {
     }
 }
 
-/// Mod-raise writing a shard-local slice of the raised rows, reading
-/// the gathered single source row.
-struct ShardModRaiseKernel<'a> {
+/// Mod-raise (centered lift per
+/// `ntt_core::backend::NttBackend::dev_modraise`) writing a piece of the
+/// raised rows from the single source row: one thread per *output*
+/// element; every row re-reads the same `N` source words, so the read
+/// goes through the cached path like the decompose kernel's replicated
+/// rows.
+struct ModRaiseKernel<'a> {
     src: Buf,
     dst: Buf,
     n: usize,
     /// Global row index (= prime index) per local destination row.
-    rows: &'a [usize],
+    rows: Rows,
     p0: u64,
     moduli: &'a [u64],
 }
 
-impl WarpKernel for ShardModRaiseKernel<'_> {
+impl WarpKernel for ModRaiseKernel<'_> {
     fn phases(&self) -> usize {
         1
     }
 
     fn run_warp(&self, ctx: &mut WarpCtx<'_>) {
-        let total = self.rows.len() * self.n;
+        let total = self.rows.count * self.n;
         let half = self.p0 >> 1;
         let lanes = ctx.lanes();
         let mut addr_s = vec![None; lanes];
@@ -1739,7 +1804,7 @@ impl WarpKernel for ShardModRaiseKernel<'_> {
                 continue;
             }
             active += 1;
-            prime[l] = self.rows[gt / self.n];
+            prime[l] = self.rows.get(gt / self.n);
             addr_s[l] = Some(self.src.word(gt % self.n));
         }
         if active == 0 {
@@ -2036,6 +2101,53 @@ mod tests {
         let mut got = ev.multiply(&ra, &ra);
         got.sync();
         assert_eq!(lock_sharded(&handle).link_stats(), LinkStats::default());
+    }
+
+    #[test]
+    fn mixed_residency_multiply_overlaps_staging_upload_on_each_shard() {
+        // The copy-stream prefetch at K = 2: a mixed-residency multiply
+        // stages its host operand on every shard's copy stream, so the
+        // compute already queued on that shard's compute stream overlaps
+        // the upload. Judged on each shard's own timeline, so two shards
+        // merely running at once cannot pass it.
+        let ring = RnsRing::new(64, ntt_math::ntt_primes(50, 128, 3)).unwrap();
+        let sample = |seed: i64| {
+            let coeffs: Vec<i64> = (0..64).map(|i| (seed * (i + 2)) % 31 - 15).collect();
+            RnsPoly::from_i64_coeffs(&ring, &coeffs)
+        };
+        let expected = Evaluator::cpu(&ring).multiply(&sample(7), &sample(9));
+
+        let backend = ShardedBackend::titan_v(2, 64);
+        let handle = backend.memory_handle();
+        let mut ev = Evaluator::with_backend(&ring, Box::new(backend));
+        let mut x = sample(7);
+        ev.make_resident(&mut x);
+        let mut w = sample(3);
+        ev.make_resident(&mut w);
+        ev.to_evaluation(&mut w);
+        lock_sharded(&handle).sync_all();
+        let before = lock_sharded(&handle).shard_timelines();
+
+        for _ in 0..4 {
+            ev.to_coefficient(&mut w);
+            ev.to_evaluation(&mut w);
+        }
+        let mut prod = ev.multiply(&x, &sample(9));
+        let after = lock_sharded(&handle).shard_timelines();
+        for (s, (t0, t1)) in before.iter().zip(&after).enumerate() {
+            let d = t1.since(t0);
+            assert!(
+                d.transfers >= 1,
+                "shard {s}: the host operand crosses: {d:?}"
+            );
+            assert!(d.overlapped_s <= d.serialized_s + 1e-12, "shard {s}: {d}");
+            assert!(
+                d.serialized_s - d.overlapped_s > 5e-6,
+                "shard {s}: staging upload must overlap queued compute ({d})"
+            );
+        }
+        prod.sync();
+        assert_eq!(prod, expected, "copy-stream prefetch changed the bits");
     }
 
     #[test]

@@ -49,15 +49,17 @@
 #
 # Usage:
 #   scripts/bench_smoke.sh                  # within-run ratio gates (CI)
-#   scripts/bench_smoke.sh BASELINE.json [THRESHOLD]
-#                                           # legacy absolute comparison
-#                                           # (comparable hosts only)
 #
 # Ratio gates replace the old absolute-ns comparison against the
 # checked-in BENCH_seed.json, which only held on hosts comparable to the
-# recording machine (ROADMAP item e).
+# recording machine (ROADMAP item e); BENCH_seed.json and BENCH_pr2.json
+# stay as records.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+if [[ $# -gt 0 ]]; then
+    echo "usage: scripts/bench_smoke.sh (takes no arguments)" >&2
+    exit 2
+fi
 
 # Absolute path: cargo runs bench binaries with cwd set to the package dir.
 NOW="$(pwd)/target/bench_now.json"
@@ -69,15 +71,7 @@ cargo build --release --quiet
 cargo run --release --quiet --bin figures -- --quick > /dev/null
 CRITERION_JSON="$NOW" cargo bench -p ntt-bench --bench cpu_ntt --bench he_ops --bench modmul
 
-if [[ $# -ge 1 ]]; then
-    # Legacy mode: absolute comparison against a recorded baseline.
-    BASELINE="$1"
-    THRESHOLD="${2:-1.25}"
-    cargo run --release --quiet -p ntt-bench --bin bench_guard -- \
-        "$BASELINE" "$NOW" --threshold "$THRESHOLD" \
-        --only "cpu_ntt_pipeline/,rns_multiply,he_lite,modmul_"
-else
-    cargo run --release --quiet -p ntt-bench --bin bench_guard -- "$NOW" \
+cargo run --release --quiet -p ntt-bench --bin bench_guard -- "$NOW" \
         --gate "rns_multiply_n8192_np8/fused_1thread<=0.6*rns_multiply_n8192_np8/strict_legacy" \
         --gate "cpu_ntt_pipeline/negacyclic_multiply_4096<=1.15*cpu_ntt_pipeline/negacyclic_multiply_strict_4096" \
         --gate "he_lite_n2048_l3/multiply_relinearize_rescale<=80*he_lite_n2048_l3/forward_ntt_all_primes" \
@@ -90,4 +84,3 @@ else
         --gate "ntt_hier_n65536/four_step_device_time<=1.0*ntt_hier_n65536/single_kernel_extrapolated_device_time" \
         --gate "ntt_hier_n8192/auto_device_time<=1.05*ntt_hier_n8192/best_single_kernel_device_time" \
         --gate "ntt_sharded/k4_device_time<=0.45*ntt_sharded/k1_device_time"
-fi
