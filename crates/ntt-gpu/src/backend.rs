@@ -32,18 +32,22 @@
 //!   rescaling and gadget digit decomposition, with **zero** host↔device
 //!   transfers.
 //!
-//! Forward transforms are routed per shape: large batches go through the
+//! Transforms are routed per shape: large forward batches go through the
 //! two-kernel SMEM implementation (+OT) the paper's Table II favors or
 //! the three-kernel hierarchical 4-step plan ([`crate::hier`]) at
 //! bootstrapping scale, with the winner chosen like `best_split` — by the
 //! minimum *modeled* time over the Fig. 12(a) candidates plus the
 //! near-square hierarchical column counts, measured once per `N` on a
 //! scratch device and cached (deterministic, so plans are reproducible).
-//! Small shapes keep the radix-2 stage kernels. Set
+//! Small shapes keep the radix-2 stage kernels. Inverses take the
+//! forward's verdict without a sweep of their own ([`run_inverse`]): an
+//! SMEM split runs the mirrored SMEM inverse at the same split, radix-2
+//! stays radix-2, and a hierarchical verdict (there is no hierarchical
+//! inverse) runs the shape's best SMEM split. Set
 //! `NTT_WARP_SIM_FORWARD=radix2` (or `smem`, or `hier`) to pin one
-//! implementation, and `NTT_WARP_SPLIT=AxB` to pin the hierarchical
-//! split itself; swept hierarchical winners persist in the per-host
-//! calibration file (`ntt_core::calibration`).
+//! implementation in both directions, and `NTT_WARP_SPLIT=AxB` to pin the
+//! hierarchical split itself; swept hierarchical winners persist in the
+//! per-host calibration file (`ntt_core::calibration`).
 //!
 //! # Fallible surface and fault injection
 //!
@@ -98,11 +102,12 @@
 //! # Ok::<(), ntt_core::RingError>(())
 //! ```
 
+use crate::batch::upload_table;
 use crate::hier::{self, DeviceTwist};
 use crate::ot::DeviceOt;
 use crate::radix2::{launch_forward, launch_inverse, ModMul};
 use crate::sharded::{ShardedMemory, SimDevices, Single};
-use crate::smem::{self, SmemConfig, SmemJob};
+use crate::smem::{self, Direction, SmemConfig, SmemJob};
 use gpu_sim::{Buf, Event, Gpu, GpuConfig, LaunchConfig, OpClass, Stream, WarpCtx, WarpKernel};
 #[cfg(doc)]
 use ntt_core::backend::NttBackend;
@@ -128,8 +133,10 @@ struct DevTables {
     itwc: Buf,
     /// Per-prime `(N^{-1}, companion, p)` for the inverse scaling pass.
     n_inv: Vec<(u64, u64, u64)>,
-    /// Cached OT factor tables (built on first OT-routed forward).
-    ot: Option<DeviceOt>,
+    /// Cached OT factor tables over `ψ` and `ψ⁻¹`, built together on the
+    /// first OT-routed transform, so the first inverse after a warm-up
+    /// forward uploads nothing.
+    ot: Option<[DeviceOt; 2]>,
     /// Cached hierarchical twist-factor tables (built on first
     /// hier-routed forward).
     twist: Option<DeviceTwist>,
@@ -648,22 +655,19 @@ pub(crate) fn ensure_tables(m: &mut SimMemory, plan: &RingPlan) {
             return;
         }
     }
-    // Plan change: return the previous plan's table (and OT) buffers to
-    // the free list before uploading the new ones, so alternating between
-    // rings does not grow the simulated address space without bound.
+    // Plan change: return the previous plan's table (OT, twist) buffers
+    // to the free list before uploading the new ones, so alternating
+    // between rings does not grow the simulated address space without
+    // bound.
     if let Some(old) = m.tables.take() {
         for buf in [old.tw, old.twc, old.itw, old.itwc] {
             m.gpu.gmem.free(buf);
         }
-        if let Some(ot) = old.ot {
-            for buf in [ot.lo_w, ot.lo_c, ot.hi_w, ot.hi_c] {
-                m.gpu.gmem.free(buf);
-            }
+        for ot in old.ot.into_iter().flatten() {
+            ot.free(&mut m.gpu);
         }
-        if let Some(tw) = old.twist {
-            for buf in [tw.lo_w, tw.lo_c, tw.hi_w, tw.hi_c] {
-                m.gpu.gmem.free(buf);
-            }
+        if let Some(twist) = old.twist {
+            twist.free(&mut m.gpu);
         }
     }
     let np = plan.np();
@@ -683,12 +687,9 @@ pub(crate) fn ensure_tables(m: &mut SimMemory, plan: &RingPlan) {
     // Table uploads are charged to whichever stream first needs the plan
     // (typically the keygen/setup stream); every later op on any stream
     // fences on `tables_ready` before launching.
-    let up = |m: &mut SimMemory, host: &[u64]| -> Buf {
-        let b = m.gpu.gmem.alloc(host.len());
-        m.gpu.stream_upload(b, 0, host);
-        b
-    };
-    let (tw, twc, itw, itwc) = (up(m, &tw), up(m, &twc), up(m, &itw), up(m, &itwc));
+    let g = &mut m.gpu;
+    let (tw, twc) = (upload_table(g, &tw), upload_table(g, &twc));
+    let (itw, itwc) = (upload_table(g, &itw), upload_table(g, &itwc));
     m.tables = Some(DevTables {
         n,
         primes: primes.to_vec(),
@@ -704,17 +705,24 @@ pub(crate) fn ensure_tables(m: &mut SimMemory, plan: &RingPlan) {
     m.tables_ready = m.gpu.record_event(s);
 }
 
-/// The cached OT factor tables for the current plan tables, built on the
-/// first OT-routed forward.
-fn ensure_ot(m: &mut SimMemory, plan: &RingPlan, base: usize) -> DeviceOt {
+/// The cached OT factor tables of `direction` for the current plan
+/// tables; the first OT-routed transform builds both directions.
+fn ensure_ot(m: &mut SimMemory, plan: &RingPlan, base: usize, direction: Direction) -> DeviceOt {
     let tables = m.tables.as_ref().expect("tables uploaded");
-    if let Some(ot) = tables.ot {
-        return ot;
+    let [fwd, inv] = match tables.ot {
+        Some(ot) => ot,
+        None => {
+            let host: Vec<&ntt_core::NttTable> = (0..plan.np()).map(|i| plan.table(i)).collect();
+            let ot = [Direction::Forward, Direction::Inverse]
+                .map(|d| DeviceOt::upload_tables(&mut m.gpu, plan.degree(), &host, base, d));
+            m.tables.as_mut().expect("tables uploaded").ot = Some(ot);
+            ot
+        }
+    };
+    match direction {
+        Direction::Forward => fwd,
+        Direction::Inverse => inv,
     }
-    let host_tables: Vec<&ntt_core::NttTable> = (0..plan.np()).map(|i| plan.table(i)).collect();
-    let ot = DeviceOt::upload_tables(&mut m.gpu, plan.degree(), &host_tables, base);
-    m.tables.as_mut().expect("tables uploaded").ot = Some(ot);
-    ot
 }
 
 /// The cached hierarchical twist-factor tables for the current plan
@@ -757,20 +765,7 @@ pub(crate) fn run_forward(
             );
         }
         ForwardImpl::Smem { n1, ot_stages } => {
-            let cfg = SmemConfig::new(n1).ot_stages(ot_stages);
-            let ot = (ot_stages > 0).then(|| ensure_ot(m, plan, cfg.ot_base));
-            let SimMemory { gpu, tables, .. } = m;
-            let t = tables.as_ref().expect("tables uploaded");
-            let job = SmemJob {
-                data,
-                tw: t.tw,
-                twc: t.twc,
-                n: t.n,
-                log_n: t.n.trailing_zeros(),
-                moduli: &t.primes,
-                row_prime,
-            };
-            smem::launch_job(gpu, &job, &cfg, ot.as_ref());
+            run_smem(m, plan, data, row_prime, n1, ot_stages, Direction::Forward);
         }
         ForwardImpl::Hier { n1 } => {
             let twist = ensure_twist(m, plan);
@@ -795,14 +790,63 @@ pub(crate) fn run_forward(
     }
 }
 
-/// Launch the inverse NTT (always the radix-2 stage kernels — the SMEM
-/// implementation is forward-only, matching the paper's Table II setup).
-pub(crate) fn run_inverse(m: &mut SimMemory, data: Buf, row_prime: &[usize]) {
+/// Launch an inverse NTT over `row_prime.len()` rows at `data`, routed by
+/// the shape's forward verdict `choice`: radix-2 stages plus the `N⁻¹`
+/// scaling launch for [`ForwardImpl::Radix2`], the mirrored two-kernel
+/// SMEM inverse at the same split (OT included, `N⁻¹` folded into its
+/// last store) for [`ForwardImpl::Smem`]. There is no hierarchical
+/// inverse: the routing maps that verdict to the shape's best SMEM split
+/// before it gets here, and one that does arrive runs the radix-2 stages.
+pub(crate) fn run_inverse(
+    m: &mut SimMemory,
+    plan: &RingPlan,
+    data: Buf,
+    row_prime: &[usize],
+    choice: ForwardImpl,
+) {
+    match choice {
+        ForwardImpl::Smem { n1, ot_stages } => {
+            run_smem(m, plan, data, row_prime, n1, ot_stages, Direction::Inverse);
+        }
+        ForwardImpl::Radix2 | ForwardImpl::Hier { .. } => {
+            let SimMemory { gpu, tables, .. } = m;
+            let t = tables.as_ref().expect("tables uploaded");
+            launch_inverse(
+                gpu, data, t.itw, t.itwc, t.n, row_prime, &t.primes, &t.n_inv,
+            );
+        }
+    }
+}
+
+/// Launch the two SMEM kernels in `direction` over the plan's table of
+/// that direction, with OT on `ot_stages` stages.
+fn run_smem(
+    m: &mut SimMemory,
+    plan: &RingPlan,
+    data: Buf,
+    row_prime: &[usize],
+    n1: usize,
+    ot_stages: u32,
+    direction: Direction,
+) {
+    let cfg = SmemConfig::new(n1).ot_stages(ot_stages);
+    let ot = (ot_stages > 0).then(|| ensure_ot(m, plan, cfg.ot_base, direction));
     let SimMemory { gpu, tables, .. } = m;
     let t = tables.as_ref().expect("tables uploaded");
-    launch_inverse(
-        gpu, data, t.itw, t.itwc, t.n, row_prime, &t.primes, &t.n_inv,
-    );
+    let (tw, twc) = match direction {
+        Direction::Forward => (t.tw, t.twc),
+        Direction::Inverse => (t.itw, t.itwc),
+    };
+    let job = SmemJob {
+        data,
+        tw,
+        twc,
+        n: t.n,
+        log_n: t.n.trailing_zeros(),
+        moduli: &t.primes,
+        row_prime,
+    };
+    smem::launch_job(gpu, &job, &cfg, ot.as_ref(), direction);
 }
 
 /// Launch one element-wise kernel.
@@ -1127,8 +1171,11 @@ mod tests {
         // One device serves any plan: switching ring degree re-uploads
         // the plan tables (returning the previous plan's buffers to the
         // free list), results stay bit-exact with the CPU, and the
-        // address space stops growing after the first round.
-        let rings = [ring(16, 2), ring(32, 3)];
+        // address space stops growing after the first round. N = 16 and
+        // 32 route to radix-2; N = 2^11 and 2^13 to SMEM with OT in both
+        // directions, so their ψ and ψ⁻¹ factor tables are freed on every
+        // plan change too.
+        let rings = [ring(16, 2), ring(32, 3), ring(1 << 11, 2), ring(1 << 13, 2)];
         let plans = rings.each_ref().map(RingPlan::new);
         let mut sim = SimBackend::titan_v();
         let mut cpu = CpuBackend::default();
@@ -1152,8 +1199,19 @@ mod tests {
                 sim.dev_forward(plan, buf, plan.np());
                 let mut got = vec![0u64; a.flat().len()];
                 mem.lock().unwrap().download(buf, &mut got);
-                mem.lock().unwrap().free(buf);
                 assert_eq!(got, fc.flat(), "resident forward N={n} round {round}");
+                sim.dev_inverse(plan, buf, plan.np());
+                mem.lock().unwrap().download(buf, &mut got);
+                mem.lock().unwrap().free(buf);
+                assert_eq!(got, a.flat(), "resident inverse N={n} round {round}");
+                // The route: the inverse ran the SMEM kernels, at the
+                // forward's split, whose OT tables exist.
+                let shard = sim.memory_handle();
+                let dev = lock_mem(&shard);
+                let last = &dev.gpu().trace.last().expect("launched").launch.label;
+                let ot = dev.tables.as_ref().expect("tables uploaded").ot.is_some();
+                let smem = last.starts_with("smem-k1-") && last.ends_with("-inv");
+                assert_eq!((smem, ot), (n >= 1 << 11, n >= 1 << 11), "N={n}: {last}");
             }
             let words = sim.with_gpu(|g| g.gmem.allocated_words());
             match after_first {
@@ -1411,6 +1469,79 @@ mod tests {
             after <= baseline + 1,
             "readiness map grew {baseline} -> {after} across 32 hier forwards"
         );
+    }
+
+    #[test]
+    fn smem_inverse_ranks_splits_like_the_forward() {
+        // The inverse takes the forward's verdict instead of a sweep of
+        // its own. That is sound because the mirrored inverse costs what
+        // its forward costs, plus the `N⁻¹` fold, at every split: each
+        // candidate's inverse is within 5% of its forward, the inverses
+        // rank in the forwards' order, and the routed inverse is the
+        // fastest inverse among the calibration's candidates.
+        let config = GpuConfig::titan_v();
+        let (log_n, rows) = (13u32, 2usize);
+        let n = 1usize << log_n;
+        // Modeled seconds of one transform: SMEM at `cfg`, or radix-2.
+        let time = |direction: Direction, cfg: Option<&SmemConfig>| -> f64 {
+            let mut mem = SimMemory::new(config.clone());
+            let batch =
+                crate::batch::DeviceBatch::sequential_on(&mut mem, log_n, rows, 60).unwrap();
+            let gpu = mem.gpu_mut();
+            let rep = match (direction, cfg) {
+                (Direction::Forward, None) => crate::radix2::run(gpu, &batch, ModMul::Shoup),
+                (Direction::Inverse, None) => crate::radix2::run_inverse(gpu, &batch),
+                (Direction::Forward, Some(c)) => smem::run(gpu, &batch, c),
+                (Direction::Inverse, Some(c)) => smem::run_inverse(gpu, &batch, c),
+            };
+            rep.total_s()
+        };
+        // (route, forward s, inverse s) for radix-2 and every feasible split.
+        let mut cands = vec![(
+            ForwardImpl::Radix2,
+            time(Direction::Forward, None),
+            time(Direction::Inverse, None),
+        )];
+        for n1 in (1..log_n).map(|k| 1usize << k) {
+            for ot_stages in [0u32, 2] {
+                let cfg = SmemConfig::new(n1).ot_stages(ot_stages);
+                if (1usize << ot_stages) > n / n1 || !smem::job_feasible(n, &cfg, &config) {
+                    continue;
+                }
+                let (fwd, inv) = (
+                    time(Direction::Forward, Some(&cfg)),
+                    time(Direction::Inverse, Some(&cfg)),
+                );
+                assert!(
+                    inv <= 1.05 * fwd,
+                    "{}: {inv:e} s vs {fwd:e} s",
+                    cfg.label(n)
+                );
+                cands.push((ForwardImpl::Smem { n1, ot_stages }, fwd, inv));
+            }
+        }
+        assert!(cands.len() > 20, "sweep covers the splits: {cands:?}");
+        let order = |key: fn(&(ForwardImpl, f64, f64)) -> f64| -> Vec<ForwardImpl> {
+            let mut sorted = cands.clone();
+            sorted.sort_by(|a, b| key(a).total_cmp(&key(b)));
+            sorted.into_iter().map(|c| c.0).collect()
+        };
+        assert_eq!(order(|c| c.1), order(|c| c.2), "rank order differs");
+
+        let choice = calibrate_forward_choice(&config, n, rows);
+        let routed = match choice.auto {
+            ForwardImpl::Hier { .. } => choice.best_smem,
+            other => other,
+        };
+        let fastest = cands
+            .iter()
+            .filter(|c| match c.0 {
+                ForwardImpl::Smem { n1, .. } => SmemConfig::paper_splits(log_n).contains(&n1),
+                _ => true,
+            })
+            .min_by(|a, b| a.2.total_cmp(&b.2))
+            .map(|c| c.0);
+        assert_eq!(Some(routed), fastest, "verdict {choice:?}");
     }
 
     #[test]

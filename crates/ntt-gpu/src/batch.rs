@@ -85,6 +85,16 @@ fn build_host(log_n: u32, prime_bits: u32, rows: &[Vec<u64>]) -> Result<HostBatc
     })
 }
 
+/// Upload `host` as a fresh device table on the active stream, so the copy
+/// crosses the modeled PCIe bus (the device timeline) as well as the
+/// transfer ledger. [`gpu_sim::Gmem::alloc_from`] counts the upload but
+/// bypasses the bus, which would make table setup look free.
+pub(crate) fn upload_table(gpu: &mut Gpu, host: &[u64]) -> Buf {
+    let buf = gpu.gmem.alloc(host.len());
+    gpu.stream_upload(buf, 0, host);
+    buf
+}
+
 /// Deterministic pseudo-input rows
 /// (`x_i = (i * 0x9E3779B97F4A7C15) mod p` per prime).
 fn sequential_rows(n: usize, primes: &[u64]) -> Vec<Vec<u64>> {
@@ -290,17 +300,41 @@ impl DeviceBatch {
     }
 
     /// The expected forward-NTT output (scalar reference, bit-reversed
-    /// order), computed on the host.
+    /// order) of every row under its mapped prime, computed on the host.
     pub fn expected_ntt(&self) -> Vec<Vec<u64>> {
+        self.expected(ntt_core::ct::ntt)
+    }
+
+    /// The expected inverse-NTT output (scalar reference applied to the
+    /// input rows as bit-reversed-domain values) of every row under its
+    /// mapped prime, computed on the host.
+    pub fn expected_intt(&self) -> Vec<Vec<u64>> {
+        self.expected(ntt_core::ct::intt)
+    }
+
+    fn expected(&self, transform: fn(&mut [u64], &NttTable)) -> Vec<Vec<u64>> {
         self.input
             .iter()
-            .zip(&self.tables)
-            .map(|(row, table)| {
+            .zip(&self.row_prime)
+            .map(|(row, &prime)| {
                 let mut a = row.clone();
-                ntt_core::ct::ntt(&mut a, table);
+                transform(&mut a, &self.tables[prime]);
                 a
             })
             .collect()
+    }
+
+    /// Upload the inverse twiddle tables `Ψ⁻¹` (values, companions) for one
+    /// harness run of an inverse kernel, through [`upload_table`]. The
+    /// caller frees both buffers after the run.
+    pub(crate) fn upload_inverse_tables(&self, gpu: &mut Gpu) -> (Buf, Buf) {
+        let mut itw = Vec::with_capacity(self.np * self.n);
+        let mut itwc = Vec::with_capacity(self.np * self.n);
+        for t in &self.tables {
+            itw.extend_from_slice(t.inverse_values());
+            itwc.extend_from_slice(t.inverse_companions());
+        }
+        (upload_table(gpu, &itw), upload_table(gpu, &itwc))
     }
 
     /// Per-prime twiddle-table bytes (values + companions) on the device.

@@ -25,7 +25,7 @@
 //! The result is bit-identical to `ntt_core::ct::ntt` (and to the CPU
 //! [`ntt_core::HierPlan`], which runs the same factorization).
 
-use crate::batch::DeviceBatch;
+use crate::batch::{upload_table, DeviceBatch};
 use crate::report::RunReport;
 use crate::smem::{self, HierStageJob};
 use gpu_sim::{Buf, Gpu, GpuConfig, LaunchConfig, OpClass, WarpCtx, WarpKernel};
@@ -118,19 +118,21 @@ impl DeviceTwist {
         }
         // Stream-charged uploads: every factor word crosses the modeled
         // bus and lands in the transfer ledger (same policy as DeviceOt).
-        let upload = |gpu: &mut Gpu, data: &[u64]| -> Buf {
-            let buf = gpu.gmem.alloc(data.len());
-            gpu.stream_upload(buf, 0, data);
-            buf
-        };
         Self {
             base,
             lo_len,
             hi_len,
-            lo_w: upload(gpu, &lo_w),
-            lo_c: upload(gpu, &lo_c),
-            hi_w: upload(gpu, &hi_w),
-            hi_c: upload(gpu, &hi_c),
+            lo_w: upload_table(gpu, &lo_w),
+            lo_c: upload_table(gpu, &lo_c),
+            hi_w: upload_table(gpu, &hi_w),
+            hi_c: upload_table(gpu, &hi_c),
+        }
+    }
+
+    /// Return the four factor tables to the GMEM free list.
+    pub(crate) fn free(self, gpu: &mut Gpu) {
+        for buf in [self.lo_w, self.lo_c, self.hi_w, self.hi_c] {
+            gpu.gmem.free(buf);
         }
     }
 

@@ -10,9 +10,11 @@
 //!   Fig. 4/5).
 //! * [`smem`] — the two-kernel shared-memory implementation with
 //!   block-merged coalescing, twiddle preloading, and configurable
-//!   per-thread NTT size (paper §VI-C, Fig. 7/9/11/12, Table II).
-//! * [`ot`] — on-the-fly twiddling applied to the last 1–2 stages
-//!   (paper §VII).
+//!   per-thread NTT size (paper §VI-C, Fig. 7/9/11/12, Table II), in both
+//!   directions: the inverse is the same two kernels run as the
+//!   forward's transpose, with `N⁻¹` folded into the last store.
+//! * [`ot`] — on-the-fly twiddling applied to the last 1–2 stages of the
+//!   forward, and the first 1–2 of the inverse (paper §VII).
 //! * [`dft`] — the complex (2×f32) DFT counterparts of all of the above
 //!   (paper Fig. 3(b)/5/11(b)).
 //! * [`fpga_baseline`] — an analytic model of the FCCM'20 FPGA NTT
@@ -27,14 +29,14 @@
 //!   pays key-switch base conversion as an explicit all-gather over a
 //!   modeled inter-device link; [`SimBackend`] is the `K = 1` instance.
 //! * [`backend`] — [`SimBackend`] and the single-device layer every shard
-//!   runs on: device memory, plan tables, forward routing, row-local
+//!   runs on: device memory, plan tables, transform routing, row-local
 //!   kernels.
 //! * [`report`] — run summaries (time, traffic, utilization) used by the
 //!   figure harness.
 //!
 //! Every kernel is *functionally* executed: results are bit-exact equal to
-//! `ntt_core::ct::ntt` (asserted throughout the test suite), while the
-//! simulator counts the traffic the paper profiles.
+//! `ntt_core::ct::ntt` and `ntt_core::ct::intt` (asserted throughout the
+//! test suite), while the simulator counts the traffic the paper profiles.
 //!
 //! # Example
 //!

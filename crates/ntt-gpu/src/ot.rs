@@ -11,10 +11,15 @@
 //! multiplies its operand by `lo[e % B]` then `hi[e / B]` (`e = bitrev(i)`)
 //! — two Shoup modmuls, no native reduction, and (for `N = 2^17`)
 //! `1024 + 128` entries instead of 131072.
+//!
+//! The inverse transform's twiddle `Ψ⁻¹[i] = psi^{-bitrev(i)}` factors the
+//! same way over `psi⁻¹`: same layout, same lookup, only the root changes
+//! ([`Direction::Inverse`]).
 
-use crate::batch::DeviceBatch;
+use crate::batch::{upload_table, DeviceBatch};
+use crate::smem::Direction;
 use gpu_sim::{Buf, Gpu};
-use ntt_math::modops::pow_mod;
+use ntt_math::modops::{inv_mod, pow_mod};
 use ntt_math::shoup::precompute;
 
 /// OT factor tables resident in GMEM, one set per prime.
@@ -37,7 +42,8 @@ pub struct DeviceOt {
 }
 
 impl DeviceOt {
-    /// Build and upload the factor tables for every prime in the batch.
+    /// Build and upload the forward factor tables for every prime in the
+    /// batch.
     ///
     /// # Panics
     ///
@@ -45,12 +51,12 @@ impl DeviceOt {
     /// suffice (`base² < N`).
     pub fn upload(gpu: &mut Gpu, batch: &DeviceBatch, base: usize) -> Self {
         let tables: Vec<&ntt_core::NttTable> = (0..batch.np()).map(|i| batch.table(i)).collect();
-        Self::upload_tables(gpu, batch.n(), &tables, base)
+        Self::upload_tables(gpu, batch.n(), &tables, base, Direction::Forward)
     }
 
-    /// Build and upload the factor tables from explicit per-prime twiddle
-    /// tables (the plan-driven path used by `SimBackend`, which has no
-    /// [`DeviceBatch`]).
+    /// Build and upload the factor tables of `direction` (over `psi` or
+    /// `psi⁻¹`) from explicit per-prime twiddle tables (the plan-driven
+    /// path used by `SimBackend`, which has no [`DeviceBatch`]).
     ///
     /// # Panics
     ///
@@ -61,6 +67,7 @@ impl DeviceOt {
         n: usize,
         tables: &[&ntt_core::NttTable],
         base: usize,
+        direction: Direction,
     ) -> Self {
         assert!(base.is_power_of_two() && base >= 2, "invalid OT base");
         assert!(
@@ -75,7 +82,11 @@ impl DeviceOt {
         let mut hi_w = Vec::with_capacity(np * hi_len);
         let mut hi_c = Vec::with_capacity(np * hi_len);
         for table in tables {
-            let (p, psi) = (table.modulus(), table.psi());
+            let p = table.modulus();
+            let psi = match direction {
+                Direction::Forward => table.psi(),
+                Direction::Inverse => inv_mod(table.psi(), p).expect("psi is a unit"),
+            };
             for d in 0..lo_len as u64 {
                 let v = pow_mod(psi, d, p);
                 lo_w.push(v);
@@ -88,21 +99,23 @@ impl DeviceOt {
             }
         }
         // Charge every table upload to the active stream: `alloc_from`
-        // bypasses the PCIe bus model *and* the transfer ledger, which
-        // made OT setup look free in the timeline (ROADMAP item n).
-        let upload = |gpu: &mut Gpu, data: &[u64]| -> Buf {
-            let buf = gpu.gmem.alloc(data.len());
-            gpu.stream_upload(buf, 0, data);
-            buf
-        };
+        // counts the upload in the transfer ledger but bypasses the PCIe
+        // bus model, which made OT setup look free in the timeline.
         Self {
             base,
             lo_len,
             hi_len,
-            lo_w: upload(gpu, &lo_w),
-            lo_c: upload(gpu, &lo_c),
-            hi_w: upload(gpu, &hi_w),
-            hi_c: upload(gpu, &hi_c),
+            lo_w: upload_table(gpu, &lo_w),
+            lo_c: upload_table(gpu, &lo_c),
+            hi_w: upload_table(gpu, &hi_w),
+            hi_c: upload_table(gpu, &hi_c),
+        }
+    }
+
+    /// Return the four factor tables to the GMEM free list.
+    pub(crate) fn free(self, gpu: &mut Gpu) {
+        for buf in [self.lo_w, self.lo_c, self.hi_w, self.hi_c] {
+            gpu.gmem.free(buf);
         }
     }
 
@@ -142,26 +155,34 @@ mod tests {
     fn factors_reconstruct_every_twiddle() {
         let mut gpu = Gpu::new(GpuConfig::titan_v());
         let batch = DeviceBatch::sequential(&mut gpu, 8, 2, 60).unwrap();
-        let ot = DeviceOt::upload(&mut gpu, &batch, 32);
-        for prime in 0..2 {
-            let table = batch.table(prime);
-            let p = table.modulus();
-            for i in 1..256usize {
-                let e = bit_reverse(i, 8);
-                let (a0, a1, a2, a3) = ot.factor_addrs(prime, e);
-                let (lw, lc) = (gpu.gmem.slice(ot.lo_w)[a0 - ot.lo_w.base()], {
-                    let _ = a1;
-                    gpu.gmem.slice(ot.lo_c)[a1 - ot.lo_c.base()]
-                });
-                let (hw, hc) = (
-                    gpu.gmem.slice(ot.hi_w)[a2 - ot.hi_w.base()],
-                    gpu.gmem.slice(ot.hi_c)[a3 - ot.hi_c.base()],
-                );
-                // Applying lo then hi to x equals multiplying by Ψ[i].
-                let x = 0xABCDEFu64 % p;
-                let step = mul_shoup(x, lw, lc, p);
-                let got = mul_shoup(step, hw, hc, p);
-                assert_eq!(got, table.forward(i).mul(x), "prime {prime} idx {i}");
+        let tables: Vec<&ntt_core::NttTable> = (0..2).map(|i| batch.table(i)).collect();
+        for direction in [Direction::Forward, Direction::Inverse] {
+            let ot = DeviceOt::upload_tables(&mut gpu, 256, &tables, 32, direction);
+            for prime in 0..2 {
+                let table = batch.table(prime);
+                let p = table.modulus();
+                for i in 1..256usize {
+                    let e = bit_reverse(i, 8);
+                    let (a0, a1, a2, a3) = ot.factor_addrs(prime, e);
+                    let (lw, lc) = (gpu.gmem.slice(ot.lo_w)[a0 - ot.lo_w.base()], {
+                        let _ = a1;
+                        gpu.gmem.slice(ot.lo_c)[a1 - ot.lo_c.base()]
+                    });
+                    let (hw, hc) = (
+                        gpu.gmem.slice(ot.hi_w)[a2 - ot.hi_w.base()],
+                        gpu.gmem.slice(ot.hi_c)[a3 - ot.hi_c.base()],
+                    );
+                    // Applying lo then hi to x equals multiplying by Ψ[i]
+                    // (forward) or Ψ⁻¹[i] (inverse).
+                    let x = 0xABCDEFu64 % p;
+                    let step = mul_shoup(x, lw, lc, p);
+                    let got = mul_shoup(step, hw, hc, p);
+                    let want = match direction {
+                        Direction::Forward => table.forward(i).mul(x),
+                        Direction::Inverse => table.inverse(i).mul(x),
+                    };
+                    assert_eq!(got, want, "{direction:?} prime {prime} idx {i}");
+                }
             }
         }
     }

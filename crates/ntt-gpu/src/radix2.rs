@@ -353,34 +353,32 @@ pub(crate) fn launch_inverse(
 }
 
 /// Run the batched **inverse** NTT (bit-reversed input, natural-order
-/// output, `N^{-1}` folded into a final scaling launch). Inverse twiddle
-/// tables are uploaded on demand from the batch's host tables.
+/// output, `N^{-1}` folded into a final scaling launch). The inverse
+/// twiddle tables are uploaded on the active stream for this run and
+/// freed after it.
 pub fn run_inverse(gpu: &mut Gpu, batch: &DeviceBatch) -> RunReport {
-    let n = batch.n();
-    let np = batch.np();
-    let mut itw_host = Vec::with_capacity(np * n);
-    let mut itwc_host = Vec::with_capacity(np * n);
-    let mut n_inv = Vec::with_capacity(np);
-    for i in 0..np {
-        let t = batch.table(i);
-        itw_host.extend_from_slice(t.inverse_values());
-        itwc_host.extend_from_slice(t.inverse_companions());
-        n_inv.push((t.n_inv().value(), t.n_inv().companion(), t.modulus()));
-    }
-    let itw = gpu.gmem.alloc_from(&itw_host);
-    let itwc = gpu.gmem.alloc_from(&itwc_host);
-
+    let n_inv: Vec<(u64, u64, u64)> = (0..batch.np())
+        .map(|i| {
+            let t = batch.table(i);
+            (t.n_inv().value(), t.n_inv().companion(), t.modulus())
+        })
+        .collect();
+    let (itw, itwc) = batch.upload_inverse_tables(gpu);
     let launches = launch_inverse(
         gpu,
         batch.data,
         itw,
         itwc,
-        n,
+        batch.n(),
         batch.row_prime(),
         batch.moduli(),
         &n_inv,
     );
-    RunReport::from_trace("radix-2 inverse", gpu, launches)
+    let report = RunReport::from_trace("radix-2 inverse", gpu, launches);
+    for buf in [itw, itwc] {
+        gpu.gmem.free(buf);
+    }
+    report
 }
 
 /// Run the full batched forward NTT as `log2 N` stage launches.
@@ -466,6 +464,24 @@ mod tests {
         let rep = run_inverse(&mut gpu, &batch);
         assert_eq!(batch.download(&gpu), batch.input(), "iNTT(NTT(x)) = x");
         assert_eq!(rep.launches.len(), 10); // 9 stages + scaling
+    }
+
+    #[test]
+    fn inverse_tables_cross_the_bus_and_are_freed() {
+        // Each call uploads Ψ⁻¹ and its companions on the active stream
+        // (so the bus time shows on the timeline) and frees them after the
+        // run (so repeated calls do not grow the address space).
+        let (mut gpu, batch) = setup(8, 2);
+        let mut after_first = None;
+        for call in 0..2 {
+            let t0 = gpu.timeline();
+            run_inverse(&mut gpu, &batch);
+            let dt = gpu.timeline().since(&t0);
+            assert_eq!(dt.transfers, 2, "call {call}: both tables cross the bus");
+            assert!(dt.serialized_s > 0.0, "call {call}: bus time is charged");
+            let words = gpu.gmem.allocated_words();
+            assert_eq!(*after_first.get_or_insert(words), words, "call {call}");
+        }
     }
 
     #[test]

@@ -1039,6 +1039,19 @@ impl<F: Flavor> SimDevices<F> {
         self.cached_or_calibrated(n, rows).auto
     }
 
+    /// The inverse implementation for an `n`-point batch: the forward's
+    /// verdict, mirrored — radix-2 stays radix-2 and an SMEM split runs
+    /// the SMEM inverse at the same split. There is no hierarchical
+    /// inverse, so a hierarchical verdict takes the shape's best SMEM
+    /// split. No sweep of its own: the mirrored inverse ranks the splits
+    /// like the forward does.
+    fn inverse_choice(&self, n: usize, rows: usize) -> ForwardImpl {
+        match self.forward_choice(n, rows) {
+            ForwardImpl::Hier { .. } => self.cached_or_calibrated(n, rows).best_smem,
+            choice => choice,
+        }
+    }
+
     fn cached_or_calibrated(&self, n: usize, rows: usize) -> ShapeChoice {
         let cache = || {
             self.split_cache
@@ -1230,7 +1243,10 @@ impl<F: Flavor> NttBackend for SimDevices<F> {
     }
 
     fn inverse_batch(&mut self, plan: &RingPlan, batch: LimbBatch<'_>) {
-        self.host_batch(plan, batch, None, |sh, a, _, rp| run_inverse(sh, a, rp));
+        let choice = self.inverse_choice(batch.n(), batch.rows());
+        self.host_batch(plan, batch, None, |sh, a, _, rp| {
+            run_inverse(sh, plan, a, rp, choice)
+        });
     }
 
     fn pointwise_batch(&mut self, plan: &RingPlan, acc: LimbBatch<'_>, rhs: &[u64]) {
@@ -1245,7 +1261,10 @@ impl<F: Flavor> NttBackend for SimDevices<F> {
         assert_eq!(a.len(), out.as_slice().len(), "operand shape mismatch");
         assert_eq!(b.len(), out.as_slice().len(), "operand shape mismatch");
         let n = out.n();
-        let choice = self.forward_choice(n, out.rows());
+        let (choice, inverse) = (
+            self.forward_choice(n, out.rows()),
+            self.inverse_choice(n, out.rows()),
+        );
         out.data().copy_from_slice(a);
         // The classic device pipeline: NTT(a), NTT(b), pointwise, iNTT —
         // four launch groups over one resident batch.
@@ -1254,7 +1273,7 @@ impl<F: Flavor> NttBackend for SimDevices<F> {
             run_forward(sh, plan, a, rp, choice);
             run_forward(sh, plan, b, rp, choice);
             launch_elemwise(sh, ElemOp::Mul, a, Some(b), None, n, rp);
-            run_inverse(sh, a, rp);
+            run_inverse(sh, plan, a, rp, inverse);
         });
     }
 
@@ -1270,9 +1289,10 @@ impl<F: Flavor> NttBackend for SimDevices<F> {
     }
 
     fn dev_inverse(&mut self, plan: &RingPlan, buf: DeviceBuf, level: usize) {
+        let choice = self.inverse_choice(plan.degree(), buf.len() / plan.degree());
         self.on_shards(|h, _| {
             h.each_piece(plan, buf, [], |sh, p| {
-                run_inverse(sh, p.dst, &p.rows.primes(level))
+                run_inverse(sh, plan, p.dst, &p.rows.primes(level), choice)
             })
         });
     }
@@ -1286,7 +1306,10 @@ impl<F: Flavor> NttBackend for SimDevices<F> {
         level: usize,
     ) {
         let n = plan.degree();
-        let choice = self.forward_choice(n, out.len() / n);
+        let (choice, inverse) = (
+            self.forward_choice(n, out.len() / n),
+            self.inverse_choice(n, out.len() / n),
+        );
         self.on_shards(|h, staging| {
             h.each_piece(plan, out, [(a, None), (b, None)], |sh, p| {
                 let words = p.rows.count * n;
@@ -1301,7 +1324,7 @@ impl<F: Flavor> NttBackend for SimDevices<F> {
                 run_forward(sh, plan, p.dst, &row_prime, choice);
                 run_forward(sh, plan, scratch, &row_prime, choice);
                 launch_elemwise(sh, ElemOp::Mul, p.dst, Some(scratch), None, n, &row_prime);
-                run_inverse(sh, p.dst, &row_prime);
+                run_inverse(sh, plan, p.dst, &row_prime, inverse);
                 sh.mark_written(&[scratch.base()]);
             })
         });

@@ -17,6 +17,16 @@
 //! with a block barrier and an SMEM transpose between levels. The twiddle
 //! index algebra is the `tw_base` composition derived in
 //! `ntt_core::radix`.
+//!
+//! The **inverse** ([`Direction::Inverse`], [`run_inverse`]) is the exact
+//! transpose of the forward on the same kernels: Gentleman–Sande stage
+//! `h` pairs the elements Cooley–Tukey stage `m = h` pairs and reads the
+//! same twiddle index, in `Ψ⁻¹`. So the contiguous kernel runs first
+//! (stages `N/2 … N1`, OT on its first `ot_stages` stages), the strided
+//! kernel second (stages `N1/2 … 1`, `Ψ⁻¹[1..N1]` preloaded), each
+//! kernel's levels and stages run in reverse, and `N⁻¹` is folded into
+//! the strided kernel's final store — two DRAM round trips, no scaling
+//! launch.
 
 // Kernel code models warp lanes with explicit indices into parallel
 // per-lane arrays (live/base/vals/regs), mirroring the CUDA original;
@@ -29,8 +39,8 @@ use crate::radix2::ModMul;
 use crate::report::RunReport;
 use gpu_sim::{Buf, Gpu, LaunchConfig, OpClass, WarpCtx, WarpKernel};
 use ntt_core::bitrev::bit_reverse;
-use ntt_math::modops::{add_mod, mul_mod, sub_mod};
-use ntt_math::shoup::mul_shoup;
+use ntt_math::modops::{add_mod, inv_mod, mul_mod, sub_mod};
+use ntt_math::shoup::{mul_shoup, precompute};
 
 /// Configuration of the SMEM implementation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,6 +144,18 @@ pub(crate) fn regs_per_thread(t: usize) -> u32 {
     4 * t as u32 + 64
 }
 
+/// Which transform a two-kernel run computes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Direction {
+    /// Cooley–Tukey forward: strided kernel first, levels and stages in
+    /// order, butterfly `(u, v) → (u + v·w, u − v·w)` with `Ψ`.
+    Forward,
+    /// Gentleman–Sande inverse: contiguous kernel first, levels and
+    /// stages reversed, butterfly `(u, v) → (u + v, (u − v)·w)` with
+    /// `Ψ⁻¹`, and `N⁻¹` folded into the final store.
+    Inverse,
+}
+
 /// Which half of the factorization a kernel instance runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Orientation {
@@ -179,9 +201,22 @@ struct TwoStepKernel {
     native: bool,
     /// OT tables plus the first twiddle index handled by OT.
     ot: Option<(DeviceOt, usize)>,
+    /// Forward (CT) or inverse (GS); `tw`/`twc` hold the matching table.
+    direction: Direction,
+    /// Per-prime `(N⁻¹, companion)` multiplied into the final GMEM store
+    /// (the inverse's last kernel only).
+    n_inv: Option<Vec<(u64, u64)>>,
 }
 
 impl TwoStepKernel {
+    /// The level run at `step`: the inverse walks the levels last-first.
+    fn level_at(&self, step: usize) -> usize {
+        match self.direction {
+            Direction::Forward => step,
+            Direction::Inverse => self.levels.len() - 1 - step,
+        }
+    }
+
     fn threads_per_group(&self) -> usize {
         self.r / self.t
     }
@@ -282,11 +317,19 @@ impl TwoStepKernel {
         let blocks_per_row = self.groups_per_prime() / self.c;
         let prime = self.row_prime[ctx.block / blocks_per_row];
         let block_in_prime = ctx.block % blocks_per_row;
+        let inverse = self.direction == Direction::Inverse;
 
         for b in 0..subs {
-            let mut m_loc = 1;
-            let mut t_loc = size / 2;
-            while m_loc < size {
+            for stage in 0..size.trailing_zeros() {
+                // CT runs the local stages m = 1, 2, … size/2; GS runs
+                // the same stages (same pairs, same twiddle index) in
+                // reverse.
+                let m_loc = if inverse {
+                    size >> (stage + 1)
+                } else {
+                    1 << stage
+                };
+                let t_loc = size / (2 * m_loc);
                 for i_loc in 0..m_loc {
                     // Per-lane twiddle index (uniform stage, per-lane group).
                     let mut idxs = vec![0usize; lanes];
@@ -364,11 +407,18 @@ impl TwoStepKernel {
                             let regs = ctx.regs(l);
                             let u_val = regs[s_lo];
                             let b_val = regs[s_hi];
+                            // The operand the twiddle multiplies: `v` (CT)
+                            // or `u − v` (GS).
+                            let x = if inverse {
+                                sub_mod(u_val, b_val, p)
+                            } else {
+                                b_val
+                            };
                             let wv = w[l].expect("twiddle loaded");
                             let mut v = if self.native {
-                                mul_mod(b_val, wv, p)
+                                mul_mod(x, wv, p)
                             } else {
-                                mul_shoup(b_val, wv, wc[l].expect("companion loaded"), p)
+                                mul_shoup(x, wv, wc[l].expect("companion loaded"), p)
                             };
                             if use_ot {
                                 let hwv = hw.as_ref().expect("ot hi")[l].expect("lane");
@@ -376,8 +426,13 @@ impl TwoStepKernel {
                                 v = mul_shoup(v, hwv, hcv, p);
                             }
                             let regs = ctx.regs(l);
-                            regs[s_lo] = add_mod(u_val, v, p);
-                            regs[s_hi] = sub_mod(u_val, v, p);
+                            if inverse {
+                                regs[s_lo] = add_mod(u_val, b_val, p);
+                                regs[s_hi] = v;
+                            } else {
+                                regs[s_lo] = add_mod(u_val, v, p);
+                                regs[s_hi] = sub_mod(u_val, v, p);
+                            }
                         }
                         let n_ops = lanes as u64;
                         if self.native {
@@ -388,8 +443,6 @@ impl TwoStepKernel {
                         ctx.count_op(OpClass::ModAddSub, 2 * n_ops);
                     }
                 }
-                m_loc *= 2;
-                t_loc /= 2;
             }
         }
     }
@@ -446,18 +499,20 @@ impl WarpKernel for TwoStepKernel {
                     idx += threads; // all warps advance together
                 }
             }
-            // Level-0 gather: GMEM -> registers. Without block merging the
-            // per-warp pattern is scattered but dense across the grid, so
-            // the loads are served through L2 (Fig. 6(a) behaviour).
-            for s in 0..self.levels[0] {
-                let subs = self.t / self.levels[0];
+            // First-level gather: GMEM -> registers. Without block merging
+            // the per-warp pattern is scattered but dense across the grid,
+            // so the loads are served through L2 (Fig. 6(a) behaviour).
+            let first = self.level_at(0);
+            let size = self.levels[first];
+            for s in 0..size {
+                let subs = self.t / size;
                 for b in 0..subs {
                     let addrs: Vec<Option<usize>> = (0..lanes)
                         .map(|l| {
                             let tid = ctx.thread_in_block(l);
                             let (c, u) = self.split_tid(tid);
                             let group = self.global_group(block_in_prime, c);
-                            let e = self.item_elem(0, u + b * tpg, s);
+                            let e = self.item_elem(first, u + b * tpg, s);
                             Some(self.elem_addr(self.data, row, group, e))
                         })
                         .collect();
@@ -467,7 +522,7 @@ impl WarpKernel for TwoStepKernel {
                         ctx.gmem_load_cached(&addrs)
                     };
                     for l in 0..lanes {
-                        ctx.regs(l)[b * self.levels[0] + s] = vals[l].expect("lane active");
+                        ctx.regs(l)[b * size + s] = vals[l].expect("lane active");
                     }
                 }
             }
@@ -504,14 +559,15 @@ impl WarpKernel for TwoStepKernel {
 
         if phase % 2 == 1 {
             // Compute level and store out.
-            let level = (phase - 1) / 2;
+            let step = (phase - 1) / 2;
+            let level = self.level_at(step);
             self.compute_level(ctx, level);
             let size = self.levels[level];
             let subs = self.t / size;
             // With a transposing write-out the last level parks its
             // results in SMEM for the final cooperative phase instead of
             // scattering strided stores to GMEM.
-            let last = level + 1 == n_levels && !self.transposed_out;
+            let last = step + 1 == n_levels && !self.transposed_out;
             for b in 0..subs {
                 for s in 0..size {
                     if last {
@@ -521,10 +577,17 @@ impl WarpKernel for TwoStepKernel {
                                 let (c, u) = self.split_tid(tid);
                                 let group = self.global_group(block_in_prime, c);
                                 let e = self.item_elem(level, u + b * tpg, s);
-                                let v = ctx.regs(l)[b * size + s];
+                                let mut v = ctx.regs(l)[b * size + s];
+                                if let Some(n_inv) = &self.n_inv {
+                                    let (w, wc) = n_inv[prime];
+                                    v = mul_shoup(v, w, wc, self.moduli[prime]);
+                                }
                                 Some((self.elem_addr(self.out, row, group, e), v))
                             })
                             .collect();
+                        if self.n_inv.is_some() {
+                            ctx.count_op(OpClass::ShoupMul, lanes as u64);
+                        }
                         if self.coalesced || self.orientation == Orientation::Contiguous {
                             ctx.gmem_store(&writes);
                         } else {
@@ -546,7 +609,7 @@ impl WarpKernel for TwoStepKernel {
             }
         } else {
             // Gather the next level from SMEM (the Fig. 2 "transposed" load).
-            let level = phase / 2;
+            let level = self.level_at(phase / 2);
             let size = self.levels[level];
             let subs = self.t / size;
             for b in 0..subs {
@@ -597,7 +660,8 @@ pub(crate) fn launch_shape(r: usize, t: usize, groups_per_prime: usize) -> (usiz
 pub(crate) struct SmemJob<'a> {
     /// `rows × N` data words, transformed in place.
     pub data: Buf,
-    /// `np × N` forward twiddle values (bit-reversed).
+    /// `np × N` twiddle values (bit-reversed) of the transform's
+    /// direction: `Ψ` forward, `Ψ⁻¹` inverse.
     pub tw: Buf,
     /// `np × N` Shoup companions.
     pub twc: Buf,
@@ -637,6 +701,7 @@ fn make_kernel(
     job: &SmemJob<'_>,
     cfg: &SmemConfig,
     orientation: Orientation,
+    direction: Direction,
     ot: Option<(DeviceOt, usize)>,
 ) -> (TwoStepKernel, LaunchConfig) {
     let n = job.n;
@@ -650,10 +715,26 @@ fn make_kernel(
     let preload = cfg.preload && orientation == Orientation::Strided;
     let smem_words = c * r + if preload { 2 * r } else { 0 };
     let blocks = job.row_prime.len() * (n / r) / c;
-    let name = match orientation {
-        Orientation::Strided => format!("smem-k1-{r}"),
-        Orientation::Contiguous => format!("smem-k2-{r}"),
+    let kind = match orientation {
+        Orientation::Strided => "k1",
+        Orientation::Contiguous => "k2",
     };
+    let name = match direction {
+        Direction::Forward => format!("smem-{kind}-{r}"),
+        Direction::Inverse => format!("smem-{kind}-{r}-inv"),
+    };
+    // The inverse's last kernel (the strided one) folds `N⁻¹` into its
+    // store; like the moduli, the per-prime factors are host constants.
+    let n_inv =
+        (direction == Direction::Inverse && orientation == Orientation::Strided).then(|| {
+            job.moduli
+                .iter()
+                .map(|&p| {
+                    let v = inv_mod(n as u64 % p, p).expect("N is invertible mod an NTT prime");
+                    (v, precompute(v, p))
+                })
+                .collect()
+        });
     let kernel = TwoStepKernel {
         data: job.data,
         out: job.data,
@@ -673,6 +754,8 @@ fn make_kernel(
         preload: cfg.preload,
         native: cfg.modmul == ModMul::Native,
         ot,
+        direction,
+        n_inv,
     };
     let launch = LaunchConfig::new(name, blocks, threads)
         .regs_per_thread(regs_per_thread(t))
@@ -751,6 +834,8 @@ pub(crate) fn launch_hier_stage(gpu: &mut Gpu, job: &HierStageJob<'_>) {
         preload: true,
         native: false,
         ot: None,
+        direction: Direction::Forward,
+        n_inv: None,
     };
     let launch = LaunchConfig::new(job.name.clone(), blocks, threads)
         .regs_per_thread(regs_per_thread(t))
@@ -759,20 +844,24 @@ pub(crate) fn launch_hier_stage(gpu: &mut Gpu, job: &HierStageJob<'_>) {
     gpu.launch(&kernel, &launch);
 }
 
-/// Launch the two SMEM kernels over an arbitrary row-mapped job. Returns
-/// the launch count (always 2). Shared by [`run_with_ot`] (identity
-/// mapping over a [`DeviceBatch`]) and the `SimBackend` forward path
-/// (stacked / device-resident batches).
+/// Launch the two SMEM kernels over an arbitrary row-mapped job, in
+/// `direction` (`job.tw`/`job.twc` must hold the matching table: `Ψ`
+/// forward, `Ψ⁻¹` inverse; `ot` the matching factor tables). Returns the
+/// launch count (always 2). Shared by the [`DeviceBatch`] harness entries
+/// (identity mapping) and the `SimBackend` transform paths (stacked /
+/// device-resident batches).
 ///
 /// # Panics
 ///
 /// Panics on invalid splits (`n1` must be a power of two with
-/// `2 ≤ n1 ≤ N/2`), or if OT stages are requested without tables.
+/// `2 ≤ n1 ≤ N/2`), if OT stages are requested without tables, or if OT
+/// or the inverse is asked of the native multiplication.
 pub(crate) fn launch_job(
     gpu: &mut Gpu,
     job: &SmemJob<'_>,
     cfg: &SmemConfig,
     ot: Option<&DeviceOt>,
+    direction: Direction,
 ) -> usize {
     let n = job.n;
     assert!(
@@ -788,6 +877,10 @@ pub(crate) fn launch_job(
         !(cfg.ot_stages > 0 && cfg.modmul == ModMul::Native),
         "OT requires Shoup multiplication"
     );
+    assert!(
+        !(direction == Direction::Inverse && cfg.modmul == ModMul::Native),
+        "the inverse requires Shoup multiplication"
+    );
     let ot_pair = if cfg.ot_stages > 0 {
         let tables = *ot.expect("OT stages requested but no tables supplied");
         let threshold = n >> cfg.ot_stages;
@@ -800,10 +893,15 @@ pub(crate) fn launch_job(
         None
     };
 
-    let (k1, l1) = make_kernel(job, cfg, Orientation::Strided, None);
-    gpu.launch(&k1, &l1);
-    let (k2, l2) = make_kernel(job, cfg, Orientation::Contiguous, ot_pair);
-    gpu.launch(&k2, &l2);
+    let order = match direction {
+        Direction::Forward => [Orientation::Strided, Orientation::Contiguous],
+        Direction::Inverse => [Orientation::Contiguous, Orientation::Strided],
+    };
+    for orientation in order {
+        let ot = ot_pair.filter(|_| orientation == Orientation::Contiguous);
+        let (kernel, launch) = make_kernel(job, cfg, orientation, direction, ot);
+        gpu.launch(&kernel, &launch);
+    }
     2
 }
 
@@ -821,16 +919,8 @@ pub fn run_with_ot(
     ot: Option<&DeviceOt>,
 ) -> RunReport {
     let n = batch.n();
-    let job = SmemJob {
-        data: batch.data,
-        tw: batch.twiddles,
-        twc: batch.companions,
-        n,
-        log_n: batch.log_n(),
-        moduli: batch.moduli(),
-        row_prime: batch.row_prime(),
-    };
-    let launches = launch_job(gpu, &job, cfg, ot);
+    let job = batch_job(batch, batch.twiddles, batch.companions);
+    let launches = launch_job(gpu, &job, cfg, ot, Direction::Forward);
     RunReport::from_trace(format!("smem {}", cfg.label(n)), gpu, launches)
 }
 
@@ -838,6 +928,48 @@ pub fn run_with_ot(
 pub fn run(gpu: &mut Gpu, batch: &DeviceBatch, cfg: &SmemConfig) -> RunReport {
     let ot = (cfg.ot_stages > 0).then(|| DeviceOt::upload(gpu, batch, cfg.ot_base));
     run_with_ot(gpu, batch, cfg, ot.as_ref())
+}
+
+/// Run the two-kernel SMEM **inverse** NTT (bit-reversed input,
+/// natural-order output, `N⁻¹` folded into the strided kernel's store).
+/// The inverse tables `Ψ⁻¹` — and the `ψ⁻¹` OT factor tables when
+/// `cfg.ot_stages > 0` — are uploaded on the active stream for this run
+/// and freed after it.
+///
+/// # Panics
+///
+/// Panics on the configurations [`run_with_ot`] rejects, and on the native
+/// multiplication (the inverse is Shoup only).
+pub fn run_inverse(gpu: &mut Gpu, batch: &DeviceBatch, cfg: &SmemConfig) -> RunReport {
+    let n = batch.n();
+    let (itw, itwc) = batch.upload_inverse_tables(gpu);
+    let ot = (cfg.ot_stages > 0).then(|| {
+        let tables: Vec<&ntt_core::NttTable> = (0..batch.np()).map(|i| batch.table(i)).collect();
+        DeviceOt::upload_tables(gpu, n, &tables, cfg.ot_base, Direction::Inverse)
+    });
+    let job = batch_job(batch, itw, itwc);
+    let launches = launch_job(gpu, &job, cfg, ot.as_ref(), Direction::Inverse);
+    let report = RunReport::from_trace(format!("smem inverse {}", cfg.label(n)), gpu, launches);
+    for buf in [itw, itwc] {
+        gpu.gmem.free(buf);
+    }
+    if let Some(ot) = ot {
+        ot.free(gpu);
+    }
+    report
+}
+
+/// The [`SmemJob`] of a harness batch over the twiddle table `(tw, twc)`.
+fn batch_job(batch: &DeviceBatch, tw: Buf, twc: Buf) -> SmemJob<'_> {
+    SmemJob {
+        data: batch.data,
+        tw,
+        twc,
+        n: batch.n(),
+        log_n: batch.log_n(),
+        moduli: batch.moduli(),
+        row_prime: batch.row_prime(),
+    }
 }
 
 #[cfg(test)]
@@ -851,6 +983,21 @@ mod tests {
         (gpu, batch)
     }
 
+    /// The inverse on the batch's raw input matches `ct::intt` on every
+    /// row, through the contiguous kernel first and the strided second.
+    fn inverse_is_bit_exact(gpu: &mut Gpu, batch: &DeviceBatch, cfg: &SmemConfig) -> bool {
+        batch.reset_data(gpu);
+        let rep = run_inverse(gpu, batch, cfg);
+        let labels: Vec<&str> = rep
+            .launches
+            .iter()
+            .map(|l| l.launch.label.as_str())
+            .collect();
+        let (n1, n2) = (cfg.n1, batch.n() / cfg.n1);
+        batch.download(gpu) == batch.expected_intt()
+            && labels == [format!("smem-k2-{n2}-inv"), format!("smem-k1-{n1}-inv")]
+    }
+
     #[test]
     fn bit_exact_across_splits_and_thread_sizes() {
         for n1 in [4usize, 16, 64] {
@@ -860,6 +1007,10 @@ mod tests {
                 let rep = run(&mut gpu, &batch, &cfg);
                 assert!(rep.verify(&gpu, &batch), "n1={n1} t={t}");
                 assert_eq!(rep.launches.len(), 2);
+                assert!(
+                    inverse_is_bit_exact(&mut gpu, &batch, &cfg),
+                    "inverse n1={n1} t={t}"
+                );
             }
         }
     }
@@ -870,6 +1021,7 @@ mod tests {
         let cfg = SmemConfig::new(32).coalesced(false).preload(false);
         let rep = run(&mut gpu, &batch, &cfg);
         assert!(rep.verify(&gpu, &batch));
+        assert!(inverse_is_bit_exact(&mut gpu, &batch, &cfg), "inverse");
     }
 
     #[test]
@@ -879,6 +1031,10 @@ mod tests {
             let cfg = SmemConfig::new(32).ot_stages(stages);
             let rep = run(&mut gpu, &batch, &cfg);
             assert!(rep.verify(&gpu, &batch), "ot_stages={stages}");
+            assert!(
+                inverse_is_bit_exact(&mut gpu, &batch, &cfg),
+                "inverse ot_stages={stages}"
+            );
         }
     }
 
@@ -945,12 +1101,48 @@ mod tests {
     #[test]
     fn two_dram_round_trips_for_data() {
         // The SMEM design's whole point: data crosses DRAM twice
-        // (once per kernel), not log2(N) times.
+        // (once per kernel), not log2(N) times — in both directions. The
+        // inverse has no scaling launch: `N⁻¹` costs one Shoup multiply
+        // per element in the last kernel's store.
         let (mut gpu, batch) = setup(12, 2);
         let rep = run(&mut gpu, &batch, &SmemConfig::new(64));
         let stats = rep.merged_stats();
         let data_words = (2 * 4096 * 2) as u64; // np * N * (two kernels)
         assert_eq!(stats.useful_write_bytes, data_words * 8);
+        let inv = run_inverse(&mut gpu, &batch, &SmemConfig::new(64)).merged_stats();
+        assert_eq!(inv.useful_write_bytes, data_words * 8);
+        let elements = (2 * 4096) as u64;
+        assert_eq!(
+            inv.op(OpClass::ShoupMul),
+            stats.op(OpClass::ShoupMul) + elements
+        );
+        assert_eq!(inv.op(OpClass::ModAddSub), stats.op(OpClass::ModAddSub));
+    }
+
+    #[test]
+    fn inverse_tables_cross_the_bus_and_are_freed() {
+        let (mut gpu, batch) = setup(10, 2);
+        let cfg = SmemConfig::new(32).ot_stages(2);
+        let mut after_first = None;
+        for call in 0..2 {
+            let t0 = gpu.timeline();
+            run_inverse(&mut gpu, &batch, &cfg);
+            // Two `Ψ⁻¹` tables plus four `ψ⁻¹` OT factor tables.
+            assert_eq!(gpu.timeline().since(&t0).transfers, 6, "call {call}");
+            let words = gpu.gmem.allocated_words();
+            assert_eq!(*after_first.get_or_insert(words), words, "call {call}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "the inverse requires Shoup multiplication")]
+    fn inverse_rejects_native_multiplication() {
+        let (mut gpu, batch) = setup(8, 1);
+        run_inverse(
+            &mut gpu,
+            &batch,
+            &SmemConfig::new(16).modmul(ModMul::Native),
+        );
     }
 
     #[test]

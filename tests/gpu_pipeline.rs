@@ -35,6 +35,11 @@ proptest! {
         prop_assert!(rep.verify(&gpu, &batch));
     }
 
+    /// Forward and inverse two-kernel SMEM transforms on one random draw:
+    /// the forward matches `ct::ntt`, the inverse undoes it, and the
+    /// inverse on raw input matches `ct::intt` — every row under its
+    /// mapped prime, including the stacked digit layout (2·np rows, row
+    /// `r` under prime `r % np`).
     #[test]
     fn smem_bit_exact_random_configs(
         log_n in 5u32..=10,
@@ -43,9 +48,17 @@ proptest! {
         coalesced in any::<bool>(),
         preload in any::<bool>(),
         ot in 0u32..=2,
-        np in 1usize..=2
+        np in 1usize..=2,
+        stacked in any::<bool>()
     ) {
-        let (mut gpu, batch) = setup(log_n, np);
+        let (mut gpu, batch) = if stacked {
+            // Primes descend, so row r's input (reduced mod prime r) is
+            // canonical under prime r % np too.
+            let (gpu, batch) = setup(log_n, 2 * np);
+            (gpu, batch.with_row_prime((0..2 * np).map(|r| r % np).collect()))
+        } else {
+            setup(log_n, np)
+        };
         let n1 = 1usize << split.min(log_n - 2).max(1);
         let t = [2usize, 4, 8][t_sel];
         // OT needs base^2 >= N and stages within Kernel-2.
@@ -58,6 +71,10 @@ proptest! {
             .ot_stages(ot);
         let rep = smem::run(&mut gpu, &batch, &cfg);
         prop_assert!(rep.verify(&gpu, &batch), "config {:?}", cfg);
+        smem::run_inverse(&mut gpu, &batch, &cfg);
+        prop_assert_eq!(batch.download(&gpu), batch.input().to_vec(), "roundtrip {:?}", cfg);
+        smem::run_inverse(&mut gpu, &batch, &cfg);
+        prop_assert_eq!(batch.download(&gpu), batch.expected_intt(), "inverse {:?}", cfg);
     }
 
     #[test]

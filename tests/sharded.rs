@@ -18,10 +18,14 @@
 //! * **Bootstrap wiring** — the full bootstrapping pipeline (CoeffToSlot,
 //!   EvalMod, SlotToCoeff: rotation-heavy, key-switch-heavy) is
 //!   bit-identical on a sharded context.
+//! * **SMEM-sized rings** — the checks above run at N = 64, where every
+//!   transform takes the radix-2 stage kernels; at N = 2^10 the two-kernel
+//!   SMEM forward and inverse run on every shard, stacked and resident,
+//!   bit-identical to the CPU for K ∈ {1, 2, 3}.
 
 use he_serve::{loadgen, ArrivalMode, HeServer, LoadConfig, ServeConfig};
-use ntt_warp::core::backend::NttBackend;
-use ntt_warp::core::CpuBackend;
+use ntt_warp::core::backend::{LimbBatch, NttBackend, RingPlan};
+use ntt_warp::core::{CpuBackend, RnsRing};
 use ntt_warp::gpu::{ShardedBackend, SimBackend};
 use ntt_warp::he::{sampling, HeContext, HeLiteParams};
 use proptest::prelude::*;
@@ -181,4 +185,91 @@ fn bootstrap_on_sharded_matches_single_device() {
         sim, sharded,
         "bootstrap pipeline departs between one device and two shards"
     );
+}
+
+/// Transforms at SMEM size over `K` shards: a stacked host-batch inverse
+/// (2·level rows, row r under prime r % level), a resident forward →
+/// inverse over the stacked buffer, and a resident multiply of its two
+/// halves, each bit-identical to `CpuBackend`. The multiply's second
+/// operand starts at row `level` = 4 of the stack: aligned with the
+/// output's rows for K ∈ {1, 2}, misaligned for K = 3, which gathers it
+/// over the inter-device link.
+#[test]
+fn smem_sized_stacked_and_resident_transforms_match_cpu_on_every_shard_count() {
+    let (n, level) = (1usize << 10, 4usize);
+    let ring = RnsRing::new(n, ntt_warp::math::ntt_primes(59, 2 * n as u64, level)).unwrap();
+    let plan = RingPlan::new(&ring);
+    let (half, words) = (level * n, 2 * level * n);
+    let primes = ring.basis().primes();
+    // Canonical pseudo-random stacked rows: row r under prime r % level.
+    let stack: Vec<u64> = (0..words as u64)
+        .map(|i| {
+            let p = primes[(i as usize / n) % level];
+            i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % p
+        })
+        .collect();
+
+    let mut cpu = CpuBackend::default();
+    let mut inv_cpu = stack.clone();
+    cpu.inverse_batch(&plan, LimbBatch::new(&mut inv_cpu, n, level));
+    let mut fwd_cpu = stack.clone();
+    cpu.forward_batch(&plan, LimbBatch::new(&mut fwd_cpu, n, level));
+    let mut mul_cpu = vec![0u64; half];
+    let (x, y) = stack.split_at(half);
+    cpu.multiply_batch(&plan, x, y, LimbBatch::new(&mut mul_cpu, n, level));
+
+    for k in [1usize, 2, 3] {
+        let mut sim = ShardedBackend::titan_v(k, n);
+        let mut inv_sim = stack.clone();
+        sim.inverse_batch(&plan, LimbBatch::new(&mut inv_sim, n, level));
+        assert_eq!(inv_sim, inv_cpu, "stacked inverse_batch, k={k}");
+
+        let mem = sim.memory();
+        let (st, out) = {
+            let mut m = mem.lock().unwrap();
+            let (st, out) = (m.alloc(words), m.alloc(half));
+            m.upload(st, &stack);
+            (st, out)
+        };
+        let download = |buf, len| {
+            let mut got = vec![0u64; len];
+            mem.lock().unwrap().download(buf, &mut got);
+            got
+        };
+        sim.dev_forward(&plan, st, level);
+        assert_eq!(download(st, words), fwd_cpu, "resident forward, k={k}");
+        sim.dev_inverse(&plan, st, level);
+        assert_eq!(
+            download(st, words),
+            stack,
+            "resident forward -> inverse, k={k}"
+        );
+        let link = sim.memory_handle();
+        let before = link.lock().unwrap().link_stats();
+        sim.dev_multiply(&plan, st.sub(0, half), st.sub(half, half), out, level);
+        assert_eq!(download(out, half), mul_cpu, "resident multiply, k={k}");
+        let words_moved = link.lock().unwrap().link_stats().since(&before).words;
+        assert_eq!(words_moved > 0, k == 3, "k={k}: {words_moved} link words");
+
+        // Every shard ran the SMEM kernels in both directions.
+        let shards = link.lock().unwrap();
+        for s in 0..k {
+            let shard = shards.shard(s);
+            let shard = shard.lock().unwrap();
+            let labels: Vec<&str> = shard
+                .gpu()
+                .trace
+                .iter()
+                .map(|r| r.launch.label.as_str())
+                .collect();
+            for want in ["smem-k1-", "smem-k2-"] {
+                assert!(
+                    labels
+                        .iter()
+                        .any(|l| l.starts_with(want) && l.ends_with("-inv")),
+                    "k={k} shard {s}: no {want}*-inv launch in {labels:?}"
+                );
+            }
+        }
+    }
 }
