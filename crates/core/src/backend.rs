@@ -6,12 +6,13 @@
 //! boundary that makes the substrate swappable:
 //!
 //! * [`NttBackend`] — the trait every execution substrate implements. Its
-//!   vocabulary is *batched RNS operations* over [`LimbBatch`] views:
-//!   [`NttBackend::forward_batch`], [`NttBackend::inverse_batch`],
-//!   [`NttBackend::pointwise_batch`], and the fused
-//!   [`NttBackend::multiply_batch`]. Backends never see individual
-//!   polynomials — only flat buffers of limbs, the layout both the CPU
-//!   engine and the simulated GPU kernels natively consume.
+//!   vocabulary is one typed op, [`BackendOp`], run through
+//!   [`NttBackend::run`] or the fallible [`NttBackend::try_run`]: *batched
+//!   RNS operations* over host [`LimbBatch`] views (forward, inverse,
+//!   pointwise and the fused multiply) and over device-resident
+//!   [`DeviceBuf`] views. Backends never see individual polynomials —
+//!   only flat buffers of limbs, the layout both the CPU engine and the
+//!   simulated GPU kernels natively consume.
 //! * [`RingPlan`] — an FFTW-style precomputed plan handle: the ring's
 //!   twiddle tables (per-stage `(value, companion)` slice-pairs in
 //!   bit-reversed order), workspace sizing, and a per-prime pointwise
@@ -38,7 +39,7 @@
 //! let mut ev = Evaluator::cpu(&ring);
 //!
 //! let a = RnsPoly::from_i64_coeffs(&ring, &[1, 1]); // 1 + x
-//! let c = ev.multiply(&a, &a); // one fused multiply_batch call
+//! let c = ev.multiply(&a, &a); // one fused MultiplyBatch op
 //! assert_eq!(c.coefficient_centered(&ring, 1), Some(2));
 //! assert_eq!(plan.np(), 3);
 //! # Ok::<(), ntt_core::RingError>(())
@@ -589,7 +590,7 @@ impl std::error::Error for BackendError {}
 /// a polynomial lazily download itself on a host read without holding the
 /// backend. [`CpuBackend`] supplies the trivial identity implementation
 /// ([`HostArena`]: "device" memory is host memory, transfers are counted
-/// memcpys); the simulated GPU backend charges real [`gpu-sim`] GMEM
+/// memcpys); the simulated GPU backend charges real `gpu-sim` GMEM
 /// traffic.
 pub trait DeviceMemory: Send {
     /// Allocate `words` zeroed device words.
@@ -721,6 +722,14 @@ impl HostArena {
         v[buf.base..buf.base + src.len()].copy_from_slice(src);
     }
 
+    /// Whether a handle view still resolves to a live allocation (the
+    /// typed surface's non-panicking handle check).
+    fn is_live(&self, buf: DeviceBuf) -> bool {
+        self.bufs
+            .get(&buf.id)
+            .is_some_and(|v| buf.base + buf.len <= v.len())
+    }
+
     /// Live allocations (leak checks in tests).
     pub fn live_buffers(&self) -> usize {
         self.bufs.len()
@@ -781,7 +790,7 @@ impl DeviceMemory for HostArena {
     // letting the infallible body panic.
 
     fn try_upload(&mut self, dst: DeviceBuf, src: &[u64]) -> Result<(), BackendError> {
-        if !self.bufs.contains_key(&dst.id) {
+        if !self.is_live(dst) {
             return Err(BackendError::Fatal { op: "upload" });
         }
         self.upload(dst, src);
@@ -789,7 +798,7 @@ impl DeviceMemory for HostArena {
     }
 
     fn try_download(&mut self, src: DeviceBuf, dst: &mut [u64]) -> Result<(), BackendError> {
-        if !self.bufs.contains_key(&src.id) {
+        if !self.is_live(src) {
             return Err(BackendError::Fatal { op: "download" });
         }
         self.download(src, dst);
@@ -1036,12 +1045,239 @@ impl RingPlan {
     }
 }
 
+/// One backend operation: the typed vocabulary every [`NttBackend`]
+/// executes, through [`NttBackend::run`] or the fallible
+/// [`NttBackend::try_run`].
+///
+/// Two families share the enum:
+///
+/// * **host batches** (`*Batch`) work on host [`LimbBatch`] views, so a
+///   backend with a real device stages every call through its memory;
+/// * **device ops** work in place on [`DeviceBuf`] views in the backend's
+///   own memory ([`NttBackend::memory`]) and move nothing across the bus.
+///   Their `level` is the active prime count: row `r` of every operand is
+///   reduced mod prime `r % level`.
+///
+/// One op is also the unit a backend's fault model gates: [`label`]
+/// names it in a [`BackendError`], and [`handles`] lists the buffers a
+/// fallible run validates before any data moves.
+///
+/// [`label`]: BackendOp::label
+/// [`handles`]: BackendOp::handles
+pub enum BackendOp<'a> {
+    /// Forward-NTT every row of the batch in place.
+    ForwardBatch(LimbBatch<'a>),
+    /// Inverse-NTT every row of the batch in place.
+    InverseBatch(LimbBatch<'a>),
+    /// Element-wise product in the evaluation domain: `acc[i] *= rhs[i]`
+    /// per row, reduced mod the row's prime with the plan's strategy.
+    /// `rhs` must have the batch's exact shape.
+    PointwiseBatch {
+        /// The batch multiplied in place.
+        acc: LimbBatch<'a>,
+        /// The right-hand rows, shaped like `acc`.
+        rhs: &'a [u64],
+    },
+    /// Fused negacyclic products, one per row triple: `out = a ·̄ b` where
+    /// all three buffers share the batch's shape and hold coefficient-form
+    /// rows. Implementations fuse forward transforms, pointwise reduction
+    /// and the inverse transform however their substrate prefers.
+    MultiplyBatch {
+        /// Left operand rows.
+        a: &'a [u64],
+        /// Right operand rows.
+        b: &'a [u64],
+        /// The products.
+        out: LimbBatch<'a>,
+    },
+    /// Forward-NTT a device-resident batch in place (`buf` = rows × N
+    /// words, row `r` mod prime `r % level`).
+    Forward {
+        /// The rows transformed in place.
+        buf: DeviceBuf,
+        /// Active primes.
+        level: usize,
+    },
+    /// Inverse counterpart of [`BackendOp::Forward`].
+    Inverse {
+        /// The rows transformed in place.
+        buf: DeviceBuf,
+        /// Active primes.
+        level: usize,
+    },
+    /// Device-resident fused negacyclic multiply: `out = a ·̄ b` for
+    /// coefficient-form resident operands (all three buffers share the
+    /// rows × N shape).
+    Multiply {
+        /// Left operand.
+        a: DeviceBuf,
+        /// Right operand.
+        b: DeviceBuf,
+        /// The product.
+        out: DeviceBuf,
+        /// Active primes.
+        level: usize,
+    },
+    /// Device-resident pointwise product `acc[i] *= rhs[i]` per row.
+    Pointwise {
+        /// The rows multiplied in place.
+        acc: DeviceBuf,
+        /// The right-hand rows.
+        rhs: DeviceBuf,
+        /// Active primes.
+        level: usize,
+    },
+    /// Device-resident fused multiply-accumulate `acc[i] += x[i] * y[i]`
+    /// per row (the key-switch inner product).
+    Fma {
+        /// The accumulator.
+        acc: DeviceBuf,
+        /// First factor.
+        x: DeviceBuf,
+        /// Second factor.
+        y: DeviceBuf,
+        /// Active primes.
+        level: usize,
+    },
+    /// Device-resident row-wise sum `acc[i] += rhs[i]`, or difference
+    /// `acc[i] -= rhs[i]` when `subtract` is set.
+    AddSub {
+        /// The rows updated in place.
+        acc: DeviceBuf,
+        /// The right-hand rows.
+        rhs: DeviceBuf,
+        /// Active primes.
+        level: usize,
+        /// Subtract instead of add.
+        subtract: bool,
+    },
+    /// Device-resident negation of every row.
+    Negate {
+        /// The rows negated in place.
+        buf: DeviceBuf,
+        /// Active primes.
+        level: usize,
+    },
+    /// Device-resident CKKS rescale step on a `level`-row coefficient
+    /// buffer: rows `0..level-1` become `(row_i − row_last)·p_last^{-1}
+    /// mod p_i`; the last row is left as garbage (the caller drops it from
+    /// the logical view).
+    Rescale {
+        /// The rows rescaled in place.
+        buf: DeviceBuf,
+        /// Active primes before the rescale.
+        level: usize,
+    },
+    /// Device-resident gadget digit decomposition: `src` holds `level`
+    /// coefficient rows, `dst` receives `level·digits` stacked polynomials
+    /// of `level` replicated digit rows each. Digit `(j, d)` occupies
+    /// polynomial slot `j·digits + d` as `level` copies of
+    /// `(src_row_j >> (w·d)) & (2^w − 1)`, `w = gadget_bits`.
+    Decompose {
+        /// The `level` coefficient rows.
+        src: DeviceBuf,
+        /// The `level·digits·level` digit rows.
+        dst: DeviceBuf,
+        /// Active primes.
+        level: usize,
+        /// Digits per residue.
+        digits: usize,
+        /// Digit width `w` in bits.
+        gadget_bits: u32,
+    },
+    /// Device-resident CKKS mod-raise: `src` holds one coefficient row mod
+    /// `p_0`, `dst` receives `to_level` re-embedded rows of the full basis
+    /// by the centered lift (`v ↦ v` if `v ≤ p_0/2`, else `v − p_0`).
+    ModRaise {
+        /// The level-1 row.
+        src: DeviceBuf,
+        /// The raised rows.
+        dst: DeviceBuf,
+        /// Primes to raise into.
+        to_level: usize,
+    },
+    /// Device-resident Galois automorphism `X → X^g` (`g` odd): `src`
+    /// holds `level` coefficient rows, `dst` receives the permuted rows,
+    /// `dst[i·g mod 2N] = ±src[i]` per row, negated where the exponent
+    /// wraps past `N`.
+    Automorphism {
+        /// The source rows.
+        src: DeviceBuf,
+        /// The permuted rows (must not alias `src`).
+        dst: DeviceBuf,
+        /// Active primes.
+        level: usize,
+        /// The Galois element.
+        g: u64,
+    },
+}
+
+impl BackendOp<'_> {
+    /// The entry point this op names in diagnostics and in the `op` of a
+    /// [`BackendError`]: `forward_batch`, `dev_forward`, and so on.
+    pub fn label(&self) -> &'static str {
+        match self {
+            BackendOp::ForwardBatch(_) => "forward_batch",
+            BackendOp::InverseBatch(_) => "inverse_batch",
+            BackendOp::PointwiseBatch { .. } => "pointwise_batch",
+            BackendOp::MultiplyBatch { .. } => "multiply_batch",
+            BackendOp::Forward { .. } => "dev_forward",
+            BackendOp::Inverse { .. } => "dev_inverse",
+            BackendOp::Multiply { .. } => "dev_multiply",
+            BackendOp::Pointwise { .. } => "dev_pointwise",
+            BackendOp::Fma { .. } => "dev_fma",
+            BackendOp::AddSub { .. } => "dev_addsub",
+            BackendOp::Negate { .. } => "dev_negate",
+            BackendOp::Rescale { .. } => "dev_rescale",
+            BackendOp::Decompose { .. } => "dev_decompose",
+            BackendOp::ModRaise { .. } => "dev_modraise",
+            BackendOp::Automorphism { .. } => "dev_automorphism",
+        }
+    }
+
+    /// Whether this is a host batch (staged per call) rather than a
+    /// device op.
+    pub fn is_host_batch(&self) -> bool {
+        matches!(
+            self,
+            BackendOp::ForwardBatch(_)
+                | BackendOp::InverseBatch(_)
+                | BackendOp::PointwiseBatch { .. }
+                | BackendOp::MultiplyBatch { .. }
+        )
+    }
+
+    /// The device buffers the op touches (none for a host batch): what a
+    /// fallible run checks are live before it draws a fault or moves data.
+    pub fn handles(&self) -> Vec<DeviceBuf> {
+        match *self {
+            BackendOp::ForwardBatch(_)
+            | BackendOp::InverseBatch(_)
+            | BackendOp::PointwiseBatch { .. }
+            | BackendOp::MultiplyBatch { .. } => Vec::new(),
+            BackendOp::Forward { buf, .. }
+            | BackendOp::Inverse { buf, .. }
+            | BackendOp::Negate { buf, .. }
+            | BackendOp::Rescale { buf, .. } => vec![buf],
+            BackendOp::Pointwise { acc, rhs, .. } | BackendOp::AddSub { acc, rhs, .. } => {
+                vec![acc, rhs]
+            }
+            BackendOp::Multiply { a, b, out, .. } => vec![a, b, out],
+            BackendOp::Fma { acc, x, y, .. } => vec![acc, x, y],
+            BackendOp::Decompose { src, dst, .. }
+            | BackendOp::ModRaise { src, dst, .. }
+            | BackendOp::Automorphism { src, dst, .. } => vec![src, dst],
+        }
+    }
+}
+
 /// An execution substrate for batched RNS NTT workloads.
 ///
-/// All operations are *batched*: one call covers every limb in the
-/// [`LimbBatch`], which is where both the CPU engine (residue-parallel
-/// threading, one dispatch) and the GPU kernels (one launch over the
-/// `np`-polynomial batch, §III of the paper) get their throughput.
+/// All operations are *batched*: one [`BackendOp`] covers every limb in
+/// its [`LimbBatch`] or device view, which is where both the CPU engine
+/// (residue-parallel threading, one dispatch) and the GPU kernels (one
+/// launch over the `np`-polynomial batch, §III of the paper) get their
+/// throughput.
 ///
 /// Contracts shared by all implementations:
 ///
@@ -1055,7 +1291,7 @@ impl RingPlan {
 /// # Example
 ///
 /// ```
-/// use ntt_core::backend::{CpuBackend, LimbBatch, NttBackend, RingPlan};
+/// use ntt_core::backend::{BackendOp, CpuBackend, LimbBatch, NttBackend, RingPlan};
 /// use ntt_core::{RnsPoly, RnsRing};
 ///
 /// let ring = RnsRing::new(8, ntt_math::ntt_primes(59, 16, 2))?;
@@ -1063,33 +1299,14 @@ impl RingPlan {
 /// let mut be = CpuBackend::default();
 /// let mut x = RnsPoly::from_i64_coeffs(&ring, &[1, 2, 3]);
 /// let orig = x.clone();
-/// be.forward_batch(&plan, LimbBatch::from_poly(&mut x));
-/// be.inverse_batch(&plan, LimbBatch::from_poly(&mut x));
+/// be.run(&plan, BackendOp::ForwardBatch(LimbBatch::from_poly(&mut x)));
+/// be.run(&plan, BackendOp::InverseBatch(LimbBatch::from_poly(&mut x)));
 /// assert_eq!(x.flat(), orig.flat()); // round trip is exact
 /// # Ok::<(), ntt_core::RingError>(())
 /// ```
 pub trait NttBackend: Send {
     /// Short label for reports and conformance-test diagnostics.
     fn name(&self) -> &'static str;
-
-    /// Forward-NTT every row of the batch in place.
-    fn forward_batch(&mut self, plan: &RingPlan, batch: LimbBatch<'_>);
-
-    /// Inverse-NTT every row of the batch in place.
-    fn inverse_batch(&mut self, plan: &RingPlan, batch: LimbBatch<'_>);
-
-    /// Element-wise product in the evaluation domain: `acc[i] *= rhs[i]`
-    /// per row, reduced mod the row's prime with the plan's strategy.
-    /// `rhs` must have the batch's exact shape.
-    fn pointwise_batch(&mut self, plan: &RingPlan, acc: LimbBatch<'_>, rhs: &[u64]);
-
-    /// Fused negacyclic products, one per row triple: `out = a ·̄ b` where
-    /// all three buffers share the batch's shape and hold coefficient-form
-    /// rows. Implementations fuse forward transforms, pointwise reduction
-    /// and the inverse transform however their substrate prefers.
-    fn multiply_batch(&mut self, plan: &RingPlan, a: &[u64], b: &[u64], out: LimbBatch<'_>);
-
-    // ---- Device residency -------------------------------------------------
 
     /// This backend's device memory. Device-resident [`RnsPoly`]s embed a
     /// clone of this handle, which is how a host read can lazily download
@@ -1136,263 +1353,25 @@ pub trait NttBackend: Send {
         buf
     }
 
-    /// Forward-NTT a device-resident batch in place (`buf` = rows × N
-    /// words, row `r` mod prime `r % level`).
-    fn dev_forward(&mut self, plan: &RingPlan, buf: DeviceBuf, level: usize);
+    /// Execute one op. Never draws from a fault model: an infallible run
+    /// cannot fail, so calibration, the figure harness and every
+    /// non-serving caller stay deterministic even with faults armed.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a freed or foreign handle or a shape mismatch (caller
+    /// bugs).
+    fn run(&mut self, plan: &RingPlan, op: BackendOp<'_>);
 
-    /// Inverse counterpart of [`NttBackend::dev_forward`].
-    fn dev_inverse(&mut self, plan: &RingPlan, buf: DeviceBuf, level: usize);
-
-    /// Device-resident fused negacyclic multiply: `out = a ·̄ b` for
-    /// coefficient-form resident operands (all three buffers share the
-    /// rows × N shape).
-    fn dev_multiply(
-        &mut self,
-        plan: &RingPlan,
-        a: DeviceBuf,
-        b: DeviceBuf,
-        out: DeviceBuf,
-        level: usize,
-    );
-
-    /// Device-resident pointwise product `acc[i] *= rhs[i]` per row.
-    fn dev_pointwise(&mut self, plan: &RingPlan, acc: DeviceBuf, rhs: DeviceBuf, level: usize);
-
-    /// Device-resident fused multiply-accumulate `acc[i] += x[i] * y[i]`
-    /// per row (the key-switch inner product).
-    fn dev_fma(
-        &mut self,
-        plan: &RingPlan,
-        acc: DeviceBuf,
-        x: DeviceBuf,
-        y: DeviceBuf,
-        level: usize,
-    );
-
-    /// Device-resident row-wise sum `acc[i] += rhs[i]`, or difference
-    /// `acc[i] -= rhs[i]` when `subtract` is set.
-    fn dev_addsub(
-        &mut self,
-        plan: &RingPlan,
-        acc: DeviceBuf,
-        rhs: DeviceBuf,
-        level: usize,
-        subtract: bool,
-    );
-
-    /// Device-resident negation of every row.
-    fn dev_negate(&mut self, plan: &RingPlan, buf: DeviceBuf, level: usize);
-
-    /// Device-resident CKKS rescale step on a `level`-row coefficient
-    /// buffer: rows `0..level-1` become `(row_i − row_last)·p_last^{-1}
-    /// mod p_i`; the last row is left as garbage (the caller drops it from
-    /// the logical view).
-    fn dev_rescale(&mut self, plan: &RingPlan, buf: DeviceBuf, level: usize);
-
-    /// Device-resident gadget digit decomposition (see
-    /// [`host_decompose_rows`] for the exact layout): `src` holds `level`
-    /// coefficient rows, `dst` receives `level·digits` stacked polynomials
-    /// of `level` replicated digit rows each.
-    fn dev_decompose(
-        &mut self,
-        plan: &RingPlan,
-        src: DeviceBuf,
-        dst: DeviceBuf,
-        level: usize,
-        digits: usize,
-        gadget_bits: u32,
-    );
-
-    /// Device-resident CKKS mod-raise (see [`host_modraise_rows`] for the
-    /// lift): `src` holds one coefficient row mod `p_0`, `dst` receives
-    /// `to_level` re-embedded rows of the full basis.
-    fn dev_modraise(&mut self, plan: &RingPlan, src: DeviceBuf, dst: DeviceBuf, to_level: usize);
-
-    /// Device-resident Galois automorphism `X → X^g` (see
-    /// [`host_automorphism_rows`] for the index map): `src` holds `level`
-    /// coefficient rows, `dst` receives the permuted (sign-wrapped) rows.
-    fn dev_automorphism(
-        &mut self,
-        plan: &RingPlan,
-        src: DeviceBuf,
-        dst: DeviceBuf,
-        level: usize,
-        g: u64,
-    );
-
-    // ---- Fallible surface -------------------------------------------------
-    //
-    // The `try_*` variants of the hot ops return a classified
-    // [`BackendError`] instead of panicking, for callers that can retry,
-    // re-fork, or degrade (the serving stack). Defaults delegate to the
-    // infallible methods — the CPU backend never fails, so it inherits
-    // them unchanged; backends with a fault model (the simulated GPU
-    // under an armed `FaultPlan`) override them with fault gates that
-    // fire *before* any data moves, keeping a failed call retry-safe.
-
-    /// Fallible [`NttBackend::forward_batch`]. On `Err` the batch is
-    /// unchanged.
-    fn try_forward_batch(
-        &mut self,
-        plan: &RingPlan,
-        batch: LimbBatch<'_>,
-    ) -> Result<(), BackendError> {
-        self.forward_batch(plan, batch);
-        Ok(())
-    }
-
-    /// Fallible [`NttBackend::inverse_batch`]. On `Err` the batch is
-    /// unchanged.
-    fn try_inverse_batch(
-        &mut self,
-        plan: &RingPlan,
-        batch: LimbBatch<'_>,
-    ) -> Result<(), BackendError> {
-        self.inverse_batch(plan, batch);
-        Ok(())
-    }
-
-    /// Fallible [`NttBackend::pointwise_batch`]. On `Err` the
-    /// accumulator is unchanged.
-    fn try_pointwise_batch(
-        &mut self,
-        plan: &RingPlan,
-        acc: LimbBatch<'_>,
-        rhs: &[u64],
-    ) -> Result<(), BackendError> {
-        self.pointwise_batch(plan, acc, rhs);
-        Ok(())
-    }
-
-    /// Fallible [`NttBackend::multiply_batch`]. On `Err` the output
-    /// batch is unchanged.
-    fn try_multiply_batch(
-        &mut self,
-        plan: &RingPlan,
-        a: &[u64],
-        b: &[u64],
-        out: LimbBatch<'_>,
-    ) -> Result<(), BackendError> {
-        self.multiply_batch(plan, a, b, out);
-        Ok(())
-    }
-
-    /// Fallible [`NttBackend::dev_forward`]. On `Err` the device buffer
-    /// is unchanged.
-    fn try_dev_forward(
-        &mut self,
-        plan: &RingPlan,
-        buf: DeviceBuf,
-        level: usize,
-    ) -> Result<(), BackendError> {
-        self.dev_forward(plan, buf, level);
-        Ok(())
-    }
-
-    /// Fallible [`NttBackend::dev_inverse`]. On `Err` the device buffer
-    /// is unchanged.
-    fn try_dev_inverse(
-        &mut self,
-        plan: &RingPlan,
-        buf: DeviceBuf,
-        level: usize,
-    ) -> Result<(), BackendError> {
-        self.dev_inverse(plan, buf, level);
-        Ok(())
-    }
-
-    /// Fallible [`NttBackend::dev_multiply`]. On `Err` all three
-    /// buffers are unchanged.
-    fn try_dev_multiply(
-        &mut self,
-        plan: &RingPlan,
-        a: DeviceBuf,
-        b: DeviceBuf,
-        out: DeviceBuf,
-        level: usize,
-    ) -> Result<(), BackendError> {
-        self.dev_multiply(plan, a, b, out, level);
-        Ok(())
-    }
-
-    /// Fallible [`NttBackend::dev_pointwise`]. On `Err` the accumulator
-    /// is unchanged.
-    fn try_dev_pointwise(
-        &mut self,
-        plan: &RingPlan,
-        acc: DeviceBuf,
-        rhs: DeviceBuf,
-        level: usize,
-    ) -> Result<(), BackendError> {
-        self.dev_pointwise(plan, acc, rhs, level);
-        Ok(())
-    }
-
-    /// Fallible [`NttBackend::dev_fma`]. On `Err` the accumulator is
-    /// unchanged.
-    fn try_dev_fma(
-        &mut self,
-        plan: &RingPlan,
-        acc: DeviceBuf,
-        x: DeviceBuf,
-        y: DeviceBuf,
-        level: usize,
-    ) -> Result<(), BackendError> {
-        self.dev_fma(plan, acc, x, y, level);
-        Ok(())
-    }
-
-    /// Fallible [`NttBackend::dev_rescale`]. On `Err` the buffer is
-    /// unchanged.
-    fn try_dev_rescale(
-        &mut self,
-        plan: &RingPlan,
-        buf: DeviceBuf,
-        level: usize,
-    ) -> Result<(), BackendError> {
-        self.dev_rescale(plan, buf, level);
-        Ok(())
-    }
-
-    /// Fallible [`NttBackend::dev_decompose`]. On `Err` the destination
-    /// is unchanged.
-    fn try_dev_decompose(
-        &mut self,
-        plan: &RingPlan,
-        src: DeviceBuf,
-        dst: DeviceBuf,
-        level: usize,
-        digits: usize,
-        gadget_bits: u32,
-    ) -> Result<(), BackendError> {
-        self.dev_decompose(plan, src, dst, level, digits, gadget_bits);
-        Ok(())
-    }
-
-    /// Fallible [`NttBackend::dev_modraise`]. On `Err` the destination
-    /// is unchanged.
-    fn try_dev_modraise(
-        &mut self,
-        plan: &RingPlan,
-        src: DeviceBuf,
-        dst: DeviceBuf,
-        to_level: usize,
-    ) -> Result<(), BackendError> {
-        self.dev_modraise(plan, src, dst, to_level);
-        Ok(())
-    }
-
-    /// Fallible [`NttBackend::dev_automorphism`]. On `Err` the
-    /// destination is unchanged.
-    fn try_dev_automorphism(
-        &mut self,
-        plan: &RingPlan,
-        src: DeviceBuf,
-        dst: DeviceBuf,
-        level: usize,
-        g: u64,
-    ) -> Result<(), BackendError> {
-        self.dev_automorphism(plan, src, dst, level, g);
+    /// Fallible [`NttBackend::run`], the one fault gate: a classified
+    /// [`BackendError`] instead of a panic, for callers that retry,
+    /// re-fork or degrade (the serving stack). Backends validate the
+    /// op's [`handles`](BackendOp::handles) and draw their fault model
+    /// *before* any data moves, so on `Err` every operand is unchanged
+    /// and the identical call can be retried. The default runs the op and
+    /// never fails.
+    fn try_run(&mut self, plan: &RingPlan, op: BackendOp<'_>) -> Result<(), BackendError> {
+        self.run(plan, op);
         Ok(())
     }
 }
@@ -1483,54 +1462,6 @@ impl NttBackend for CpuBackend {
         "cpu"
     }
 
-    fn forward_batch(&mut self, plan: &RingPlan, mut batch: LimbBatch<'_>) {
-        let level = batch.level();
-        self.exec
-            .transform_rows_of(plan.ring(), level, batch.data(), true);
-    }
-
-    fn inverse_batch(&mut self, plan: &RingPlan, mut batch: LimbBatch<'_>) {
-        let level = batch.level();
-        self.exec
-            .transform_rows_of(plan.ring(), level, batch.data(), false);
-    }
-
-    fn pointwise_batch(&mut self, plan: &RingPlan, mut acc: LimbBatch<'_>, rhs: &[u64]) {
-        let (n, level) = (acc.n(), acc.level());
-        assert_eq!(acc.as_slice().len(), rhs.len(), "operand shape mismatch");
-        for (r, (row, rhs_row)) in acc
-            .data()
-            .chunks_exact_mut(n)
-            .zip(rhs.chunks_exact(n))
-            .enumerate()
-        {
-            match plan.strategy(r % level) {
-                PointwiseStrategy::Barrett(br) => {
-                    for (x, &y) in row.iter_mut().zip(rhs_row) {
-                        *x = br.mul(*x, y);
-                    }
-                }
-                PointwiseStrategy::Montgomery(m) => {
-                    for (x, &y) in row.iter_mut().zip(rhs_row) {
-                        *x = m.mul_plain(*x, y);
-                    }
-                }
-            }
-        }
-    }
-
-    fn multiply_batch(&mut self, plan: &RingPlan, a: &[u64], b: &[u64], mut out: LimbBatch<'_>) {
-        let level = out.level();
-        self.exec.multiply_rows_of(
-            plan.ring(),
-            level,
-            a,
-            b,
-            out.data(),
-            Some(plan.strategies()),
-        );
-    }
-
     fn memory(&self) -> SharedDeviceMemory {
         self.arena.clone()
     }
@@ -1543,157 +1474,187 @@ impl NttBackend for CpuBackend {
         })
     }
 
-    fn dev_forward(&mut self, plan: &RingPlan, buf: DeviceBuf, level: usize) {
-        self.stage_in(0, buf);
-        let mut tmp = std::mem::take(&mut self.stage[0]);
-        self.exec
-            .transform_rows_of(plan.ring(), level, &mut tmp, true);
-        self.stage[0] = tmp;
-        self.stage_out(0, buf);
+    fn run(&mut self, plan: &RingPlan, op: BackendOp<'_>) {
+        match op {
+            BackendOp::ForwardBatch(mut batch) => {
+                let level = batch.level();
+                self.exec
+                    .transform_rows_of(plan.ring(), level, batch.data(), true);
+            }
+            BackendOp::InverseBatch(mut batch) => {
+                let level = batch.level();
+                self.exec
+                    .transform_rows_of(plan.ring(), level, batch.data(), false);
+            }
+            BackendOp::PointwiseBatch { mut acc, rhs } => {
+                let (n, level) = (acc.n(), acc.level());
+                assert_eq!(acc.as_slice().len(), rhs.len(), "operand shape mismatch");
+                for (r, (row, rhs_row)) in acc
+                    .data()
+                    .chunks_exact_mut(n)
+                    .zip(rhs.chunks_exact(n))
+                    .enumerate()
+                {
+                    match plan.strategy(r % level) {
+                        PointwiseStrategy::Barrett(br) => {
+                            for (x, &y) in row.iter_mut().zip(rhs_row) {
+                                *x = br.mul(*x, y);
+                            }
+                        }
+                        PointwiseStrategy::Montgomery(m) => {
+                            for (x, &y) in row.iter_mut().zip(rhs_row) {
+                                *x = m.mul_plain(*x, y);
+                            }
+                        }
+                    }
+                }
+            }
+            BackendOp::MultiplyBatch { a, b, mut out } => {
+                let level = out.level();
+                self.exec.multiply_rows_of(
+                    plan.ring(),
+                    level,
+                    a,
+                    b,
+                    out.data(),
+                    Some(plan.strategies()),
+                );
+            }
+            BackendOp::Forward { buf, level } => {
+                self.stage_in(0, buf);
+                let mut tmp = std::mem::take(&mut self.stage[0]);
+                self.exec
+                    .transform_rows_of(plan.ring(), level, &mut tmp, true);
+                self.stage[0] = tmp;
+                self.stage_out(0, buf);
+            }
+            BackendOp::Inverse { buf, level } => {
+                self.stage_in(0, buf);
+                let mut tmp = std::mem::take(&mut self.stage[0]);
+                self.exec
+                    .transform_rows_of(plan.ring(), level, &mut tmp, false);
+                self.stage[0] = tmp;
+                self.stage_out(0, buf);
+            }
+            BackendOp::Multiply { a, b, out, level } => {
+                self.stage_in(1, a);
+                self.stage_in(2, b);
+                let mut o = std::mem::take(&mut self.stage[0]);
+                o.clear();
+                o.resize(out.len(), 0);
+                self.exec.multiply_rows_of(
+                    plan.ring(),
+                    level,
+                    &self.stage[1],
+                    &self.stage[2],
+                    &mut o,
+                    Some(plan.strategies()),
+                );
+                self.stage[0] = o;
+                self.stage_out(0, out);
+            }
+            BackendOp::Pointwise { acc, rhs, level } => {
+                self.stage_in(0, acc);
+                self.stage_in(1, rhs);
+                let mut a = std::mem::take(&mut self.stage[0]);
+                host_pointwise_rows(plan, level, &mut a, &self.stage[1]);
+                self.stage[0] = a;
+                self.stage_out(0, acc);
+            }
+            BackendOp::Fma { acc, x, y, level } => {
+                self.stage_in(0, acc);
+                self.stage_in(1, x);
+                self.stage_in(2, y);
+                let mut a = std::mem::take(&mut self.stage[0]);
+                host_fma_rows(plan, level, &mut a, &self.stage[1], &self.stage[2]);
+                self.stage[0] = a;
+                self.stage_out(0, acc);
+            }
+            BackendOp::AddSub {
+                acc,
+                rhs,
+                level,
+                subtract,
+            } => {
+                self.stage_in(0, acc);
+                self.stage_in(1, rhs);
+                let mut a = std::mem::take(&mut self.stage[0]);
+                host_addsub_rows(plan, level, &mut a, &self.stage[1], subtract);
+                self.stage[0] = a;
+                self.stage_out(0, acc);
+            }
+            BackendOp::Negate { buf, level } => {
+                self.stage_in(0, buf);
+                let mut a = std::mem::take(&mut self.stage[0]);
+                host_negate_rows(plan, level, &mut a);
+                self.stage[0] = a;
+                self.stage_out(0, buf);
+            }
+            BackendOp::Rescale { buf, level } => {
+                self.stage_in(0, buf);
+                let mut a = std::mem::take(&mut self.stage[0]);
+                crate::poly::rescale_rows(
+                    plan.ring().basis().primes(),
+                    plan.degree(),
+                    level,
+                    &mut a,
+                );
+                self.stage[0] = a;
+                self.stage_out(0, buf);
+            }
+            BackendOp::Decompose {
+                src,
+                dst,
+                level,
+                digits,
+                gadget_bits,
+            } => {
+                self.stage_in(1, src);
+                let mut d = std::mem::take(&mut self.stage[0]);
+                d.clear();
+                d.resize(dst.len(), 0);
+                host_decompose_rows(
+                    plan.degree(),
+                    level,
+                    digits,
+                    gadget_bits,
+                    &self.stage[1],
+                    &mut d,
+                );
+                self.stage[0] = d;
+                self.stage_out(0, dst);
+            }
+            BackendOp::Automorphism { src, dst, level, g } => {
+                self.stage_in(1, src);
+                let mut d = std::mem::take(&mut self.stage[0]);
+                d.clear();
+                d.resize(dst.len(), 0);
+                host_automorphism_rows(plan, level, g, &self.stage[1], &mut d);
+                self.stage[0] = d;
+                self.stage_out(0, dst);
+            }
+            BackendOp::ModRaise { src, dst, to_level } => {
+                self.stage_in(1, src);
+                let mut d = std::mem::take(&mut self.stage[0]);
+                d.clear();
+                d.resize(dst.len(), 0);
+                host_modraise_rows(plan, to_level, &self.stage[1], &mut d);
+                self.stage[0] = d;
+                self.stage_out(0, dst);
+            }
+        }
     }
 
-    fn dev_inverse(&mut self, plan: &RingPlan, buf: DeviceBuf, level: usize) {
-        self.stage_in(0, buf);
-        let mut tmp = std::mem::take(&mut self.stage[0]);
-        self.exec
-            .transform_rows_of(plan.ring(), level, &mut tmp, false);
-        self.stage[0] = tmp;
-        self.stage_out(0, buf);
-    }
-
-    fn dev_multiply(
-        &mut self,
-        plan: &RingPlan,
-        a: DeviceBuf,
-        b: DeviceBuf,
-        out: DeviceBuf,
-        level: usize,
-    ) {
-        self.stage_in(1, a);
-        self.stage_in(2, b);
-        let mut o = std::mem::take(&mut self.stage[0]);
-        o.clear();
-        o.resize(out.len(), 0);
-        self.exec.multiply_rows_of(
-            plan.ring(),
-            level,
-            &self.stage[1],
-            &self.stage[2],
-            &mut o,
-            Some(plan.strategies()),
-        );
-        self.stage[0] = o;
-        self.stage_out(0, out);
-    }
-
-    fn dev_pointwise(&mut self, plan: &RingPlan, acc: DeviceBuf, rhs: DeviceBuf, level: usize) {
-        self.stage_in(0, acc);
-        self.stage_in(1, rhs);
-        let mut a = std::mem::take(&mut self.stage[0]);
-        host_pointwise_rows(plan, level, &mut a, &self.stage[1]);
-        self.stage[0] = a;
-        self.stage_out(0, acc);
-    }
-
-    fn dev_fma(
-        &mut self,
-        plan: &RingPlan,
-        acc: DeviceBuf,
-        x: DeviceBuf,
-        y: DeviceBuf,
-        level: usize,
-    ) {
-        self.stage_in(0, acc);
-        self.stage_in(1, x);
-        self.stage_in(2, y);
-        let mut a = std::mem::take(&mut self.stage[0]);
-        host_fma_rows(plan, level, &mut a, &self.stage[1], &self.stage[2]);
-        self.stage[0] = a;
-        self.stage_out(0, acc);
-    }
-
-    fn dev_addsub(
-        &mut self,
-        plan: &RingPlan,
-        acc: DeviceBuf,
-        rhs: DeviceBuf,
-        level: usize,
-        subtract: bool,
-    ) {
-        self.stage_in(0, acc);
-        self.stage_in(1, rhs);
-        let mut a = std::mem::take(&mut self.stage[0]);
-        host_addsub_rows(plan, level, &mut a, &self.stage[1], subtract);
-        self.stage[0] = a;
-        self.stage_out(0, acc);
-    }
-
-    fn dev_negate(&mut self, plan: &RingPlan, buf: DeviceBuf, level: usize) {
-        self.stage_in(0, buf);
-        let mut a = std::mem::take(&mut self.stage[0]);
-        host_negate_rows(plan, level, &mut a);
-        self.stage[0] = a;
-        self.stage_out(0, buf);
-    }
-
-    fn dev_rescale(&mut self, plan: &RingPlan, buf: DeviceBuf, level: usize) {
-        self.stage_in(0, buf);
-        let mut a = std::mem::take(&mut self.stage[0]);
-        crate::poly::rescale_rows(plan.ring().basis().primes(), plan.degree(), level, &mut a);
-        self.stage[0] = a;
-        self.stage_out(0, buf);
-    }
-
-    fn dev_decompose(
-        &mut self,
-        plan: &RingPlan,
-        src: DeviceBuf,
-        dst: DeviceBuf,
-        level: usize,
-        digits: usize,
-        gadget_bits: u32,
-    ) {
-        self.stage_in(1, src);
-        let mut d = std::mem::take(&mut self.stage[0]);
-        d.clear();
-        d.resize(dst.len(), 0);
-        host_decompose_rows(
-            plan.degree(),
-            level,
-            digits,
-            gadget_bits,
-            &self.stage[1],
-            &mut d,
-        );
-        self.stage[0] = d;
-        self.stage_out(0, dst);
-    }
-
-    fn dev_automorphism(
-        &mut self,
-        plan: &RingPlan,
-        src: DeviceBuf,
-        dst: DeviceBuf,
-        level: usize,
-        g: u64,
-    ) {
-        self.stage_in(1, src);
-        let mut d = std::mem::take(&mut self.stage[0]);
-        d.clear();
-        d.resize(dst.len(), 0);
-        host_automorphism_rows(plan, level, g, &self.stage[1], &mut d);
-        self.stage[0] = d;
-        self.stage_out(0, dst);
-    }
-
-    fn dev_modraise(&mut self, plan: &RingPlan, src: DeviceBuf, dst: DeviceBuf, to_level: usize) {
-        self.stage_in(1, src);
-        let mut d = std::mem::take(&mut self.stage[0]);
-        d.clear();
-        d.resize(dst.len(), 0);
-        host_modraise_rows(plan, to_level, &self.stage[1], &mut d);
-        self.stage[0] = d;
-        self.stage_out(0, dst);
+    /// No fault model, but a freed or foreign handle is still a
+    /// recoverable condition on the typed surface: validated up front,
+    /// like [`HostArena`]'s `try_upload`, instead of letting the arena's
+    /// invariant check panic mid-op.
+    fn try_run(&mut self, plan: &RingPlan, op: BackendOp<'_>) -> Result<(), BackendError> {
+        if !op.handles().iter().all(|&b| self.arena().is_live(b)) {
+            return Err(BackendError::Fatal { op: op.label() });
+        }
+        self.run(plan, op);
+        Ok(())
     }
 }
 
@@ -1862,12 +1823,14 @@ impl Evaluator {
             return;
         }
         if let Some(buf) = self.device_target(poly) {
-            self.backend.dev_forward(&self.plan, buf, poly.level());
+            let level = poly.level();
+            let op = BackendOp::Forward { buf, level };
+            self.backend.run(&self.plan, op);
             poly.mark_device_dirty();
         } else {
             poly.sync();
-            self.backend
-                .forward_batch(&self.plan, LimbBatch::from_poly(poly));
+            let op = BackendOp::ForwardBatch(LimbBatch::from_poly(poly));
+            self.backend.run(&self.plan, op);
         }
         poly.set_repr(Representation::Evaluation);
     }
@@ -1879,12 +1842,14 @@ impl Evaluator {
             return;
         }
         if let Some(buf) = self.device_target(poly) {
-            self.backend.dev_inverse(&self.plan, buf, poly.level());
+            let level = poly.level();
+            let op = BackendOp::Inverse { buf, level };
+            self.backend.run(&self.plan, op);
             poly.mark_device_dirty();
         } else {
             poly.sync();
-            self.backend
-                .inverse_batch(&self.plan, LimbBatch::from_poly(poly));
+            let op = BackendOp::InverseBatch(LimbBatch::from_poly(poly));
+            self.backend.run(&self.plan, op);
         }
         poly.set_repr(Representation::Coefficient);
     }
@@ -1909,33 +1874,8 @@ impl Evaluator {
     /// NTTs in **one** backend call.
     pub fn forward_flat(&mut self, level: usize, data: &mut [u64]) {
         let n = self.plan.degree();
-        self.backend
-            .forward_batch(&self.plan, LimbBatch::new(data, n, level));
-    }
-
-    /// Inverse counterpart of [`Evaluator::forward_flat`]: inverse-NTT a
-    /// raw `rows × N` batch (row `r` mod prime `r % level`) in **one**
-    /// backend call — the dispatch shape request batchers use to pack
-    /// many small ciphertext ops into a single kernel schedule.
-    pub fn inverse_flat(&mut self, level: usize, data: &mut [u64]) {
-        let n = self.plan.degree();
-        self.backend
-            .inverse_batch(&self.plan, LimbBatch::new(data, n, level));
-    }
-
-    /// Element-wise product over packed rows, `acc[r] *= rhs[r]` with row
-    /// `r` reduced mod prime `r % level` — the flat companion of
-    /// [`Evaluator::mul_pointwise`]. One backend call covers every packed
-    /// polynomial, whatever the row count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rhs` does not match `acc`'s shape.
-    pub fn pointwise_flat(&mut self, level: usize, acc: &mut [u64], rhs: &[u64]) {
-        assert_eq!(acc.len(), rhs.len(), "operand shape mismatch");
-        let n = self.plan.degree();
-        self.backend
-            .pointwise_batch(&self.plan, LimbBatch::new(acc, n, level), rhs);
+        let op = BackendOp::ForwardBatch(LimbBatch::new(data, n, level));
+        self.backend.run(&self.plan, op);
     }
 
     // ---- Fallible surface -------------------------------------------------
@@ -1946,13 +1886,6 @@ impl Evaluator {
     // representation flags are only flipped after the backend call
     // succeeds — so an identical retry is always safe.
 
-    /// Fallible [`Evaluator::make_resident`].
-    pub fn try_make_resident(&mut self, poly: &mut RnsPoly) -> Result<(), BackendError> {
-        self.backend.bind_stream();
-        let mem = self.backend.memory();
-        poly.try_make_resident_in(&mem)
-    }
-
     /// Fallible [`Evaluator::to_evaluation`]. On `Err` the polynomial
     /// keeps its representation and data.
     pub fn try_to_evaluation(&mut self, poly: &mut RnsPoly) -> Result<(), BackendError> {
@@ -1960,13 +1893,14 @@ impl Evaluator {
             return Ok(());
         }
         if let Some(buf) = self.device_target(poly) {
-            self.backend
-                .try_dev_forward(&self.plan, buf, poly.level())?;
+            let level = poly.level();
+            let op = BackendOp::Forward { buf, level };
+            self.backend.try_run(&self.plan, op)?;
             poly.mark_device_dirty();
         } else {
             poly.try_sync()?;
-            self.backend
-                .try_forward_batch(&self.plan, LimbBatch::from_poly(poly))?;
+            let op = BackendOp::ForwardBatch(LimbBatch::from_poly(poly));
+            self.backend.try_run(&self.plan, op)?;
         }
         poly.set_repr(Representation::Evaluation);
         Ok(())
@@ -1979,13 +1913,14 @@ impl Evaluator {
             return Ok(());
         }
         if let Some(buf) = self.device_target(poly) {
-            self.backend
-                .try_dev_inverse(&self.plan, buf, poly.level())?;
+            let level = poly.level();
+            let op = BackendOp::Inverse { buf, level };
+            self.backend.try_run(&self.plan, op)?;
             poly.mark_device_dirty();
         } else {
             poly.try_sync()?;
-            self.backend
-                .try_inverse_batch(&self.plan, LimbBatch::from_poly(poly))?;
+            let op = BackendOp::InverseBatch(LimbBatch::from_poly(poly));
+            self.backend.try_run(&self.plan, op)?;
         }
         poly.set_repr(Representation::Coefficient);
         Ok(())
@@ -1994,18 +1929,24 @@ impl Evaluator {
     /// Fallible [`Evaluator::forward_flat`].
     pub fn try_forward_flat(&mut self, level: usize, data: &mut [u64]) -> Result<(), BackendError> {
         let n = self.plan.degree();
-        self.backend
-            .try_forward_batch(&self.plan, LimbBatch::new(data, n, level))
+        let op = BackendOp::ForwardBatch(LimbBatch::new(data, n, level));
+        self.backend.try_run(&self.plan, op)
     }
 
-    /// Fallible [`Evaluator::inverse_flat`].
+    /// Inverse counterpart of [`Evaluator::try_forward_flat`]: inverse-NTT
+    /// a raw `rows × N` batch (row `r` mod prime `r % level`) in **one**
+    /// backend call — the dispatch shape request batchers use to pack
+    /// many small ciphertext ops into a single kernel schedule.
     pub fn try_inverse_flat(&mut self, level: usize, data: &mut [u64]) -> Result<(), BackendError> {
         let n = self.plan.degree();
-        self.backend
-            .try_inverse_batch(&self.plan, LimbBatch::new(data, n, level))
+        let op = BackendOp::InverseBatch(LimbBatch::new(data, n, level));
+        self.backend.try_run(&self.plan, op)
     }
 
-    /// Fallible [`Evaluator::pointwise_flat`].
+    /// Element-wise product over packed rows, `acc[r] *= rhs[r]` with row
+    /// `r` reduced mod prime `r % level` — the flat companion of
+    /// [`Evaluator::mul_pointwise`]. One backend call covers every packed
+    /// polynomial, whatever the row count.
     ///
     /// # Panics
     ///
@@ -2019,8 +1960,9 @@ impl Evaluator {
     ) -> Result<(), BackendError> {
         assert_eq!(acc.len(), rhs.len(), "operand shape mismatch");
         let n = self.plan.degree();
-        self.backend
-            .try_pointwise_batch(&self.plan, LimbBatch::new(acc, n, level), rhs)
+        let acc = LimbBatch::new(acc, n, level);
+        let op = BackendOp::PointwiseBatch { acc, rhs };
+        self.backend.try_run(&self.plan, op)
     }
 
     /// Dispatch guard for binary ops: device path iff `rhs` is
@@ -2055,13 +1997,20 @@ impl Evaluator {
             "rhs not in NTT form"
         );
         if let Some((abuf, rbuf)) = self.device_pair(acc, rhs) {
-            self.backend
-                .dev_pointwise(&self.plan, abuf, rbuf, acc.level());
+            let op = BackendOp::Pointwise {
+                acc: abuf,
+                rhs: rbuf,
+                level: acc.level(),
+            };
+            self.backend.run(&self.plan, op);
             acc.mark_device_dirty();
         } else {
             acc.sync();
-            self.backend
-                .pointwise_batch(&self.plan, LimbBatch::from_poly(acc), rhs.flat());
+            let op = BackendOp::PointwiseBatch {
+                acc: LimbBatch::from_poly(acc),
+                rhs: rhs.flat(),
+            };
+            self.backend.run(&self.plan, op);
         }
     }
 
@@ -2088,8 +2037,13 @@ impl Evaluator {
         assert_eq!(acc.level(), rhs.level(), "level mismatch");
         assert_eq!(acc.repr(), rhs.repr(), "representation mismatch");
         if let Some((abuf, rbuf)) = self.device_pair(acc, rhs) {
-            self.backend
-                .dev_addsub(&self.plan, abuf, rbuf, acc.level(), subtract);
+            let op = BackendOp::AddSub {
+                acc: abuf,
+                rhs: rbuf,
+                level: acc.level(),
+                subtract,
+            };
+            self.backend.run(&self.plan, op);
             acc.mark_device_dirty();
         } else if subtract {
             acc.sub_assign(rhs, self.plan.ring());
@@ -2101,7 +2055,9 @@ impl Evaluator {
     /// Negate `poly` in place (device-side when resident).
     pub fn negate(&mut self, poly: &mut RnsPoly) {
         if let Some(buf) = self.device_target(poly) {
-            self.backend.dev_negate(&self.plan, buf, poly.level());
+            let level = poly.level();
+            let op = BackendOp::Negate { buf, level };
+            self.backend.run(&self.plan, op);
             poly.mark_device_dirty();
         } else {
             poly.negate(self.plan.ring());
@@ -2123,7 +2079,9 @@ impl Evaluator {
         );
         assert!(poly.level() > 1, "cannot rescale past the last prime");
         if let Some(buf) = self.device_target(poly) {
-            self.backend.dev_rescale(&self.plan, buf, poly.level());
+            let level = poly.level();
+            let op = BackendOp::Rescale { buf, level };
+            self.backend.run(&self.plan, op);
             poly.device_truncate_level();
         } else {
             poly.rescale(self.plan.ring());
@@ -2146,8 +2104,13 @@ impl Evaluator {
         );
         if let Some(src) = self.device_target(poly) {
             let tmp = self.ensure_dev_scratch(src.len());
-            self.backend
-                .dev_automorphism(&self.plan, src, tmp, poly.level(), g);
+            let op = BackendOp::Automorphism {
+                src,
+                dst: tmp,
+                level: poly.level(),
+                g,
+            };
+            self.backend.run(&self.plan, op);
             lock_memory(&self.backend.memory()).copy(tmp, src);
             poly.mark_device_dirty();
         } else {
@@ -2169,8 +2132,13 @@ impl Evaluator {
         );
         if let Some(src) = self.device_target(poly) {
             let tmp = self.ensure_dev_scratch(src.len());
-            self.backend
-                .try_dev_automorphism(&self.plan, src, tmp, poly.level(), g)?;
+            let op = BackendOp::Automorphism {
+                src,
+                dst: tmp,
+                level: poly.level(),
+                g,
+            };
+            self.backend.try_run(&self.plan, op)?;
             lock_memory(&self.backend.memory()).copy(tmp, src);
             poly.mark_device_dirty();
         } else {
@@ -2201,7 +2169,8 @@ impl Evaluator {
         if let Some(src) = self.device_target(poly) {
             let mut out = self.zero_resident(to_level, Representation::Coefficient);
             let dst = self.dev_buf(&out).expect("zero_resident is mirrored");
-            self.backend.dev_modraise(&self.plan, src, dst, to_level);
+            let op = BackendOp::ModRaise { src, dst, to_level };
+            self.backend.run(&self.plan, op);
             out.mark_device_dirty();
             out
         } else {
@@ -2258,7 +2227,13 @@ impl Evaluator {
             .device_target(acc)
             .expect("fma accumulator must be device-resident");
         assert_eq!(x.len(), abuf.len(), "digit view shape mismatch");
-        self.backend.dev_fma(&self.plan, abuf, x, ybuf, acc.level());
+        let op = BackendOp::Fma {
+            acc: abuf,
+            x,
+            y: ybuf,
+            level: acc.level(),
+        };
+        self.backend.run(&self.plan, op);
         acc.mark_device_dirty();
     }
 
@@ -2289,9 +2264,19 @@ impl Evaluator {
         let level = e2c.level();
         let words = level * digits * level * self.plan.degree();
         let scratch = self.ensure_dev_scratch(words);
-        self.backend
-            .dev_decompose(&self.plan, src, scratch, level, digits, gadget_bits);
-        self.backend.dev_forward(&self.plan, scratch, level);
+        let op = BackendOp::Decompose {
+            src,
+            dst: scratch,
+            level,
+            digits,
+            gadget_bits,
+        };
+        self.backend.run(&self.plan, op);
+        let op = BackendOp::Forward {
+            buf: scratch,
+            level,
+        };
+        self.backend.run(&self.plan, op);
         Some(scratch)
     }
 
@@ -2357,8 +2342,13 @@ impl Evaluator {
             };
             let mut out = self.zero_resident(a.level(), Representation::Coefficient);
             let obuf = self.dev_buf(&out).expect("freshly resident");
-            self.backend
-                .dev_multiply(&self.plan, abuf, bbuf, obuf, a.level());
+            let op = BackendOp::Multiply {
+                a: abuf,
+                b: bbuf,
+                out: obuf,
+                level: a.level(),
+            };
+            self.backend.run(&self.plan, op);
             for tmp in [atmp, btmp].into_iter().flatten() {
                 lock_memory(&mem).free(tmp);
             }
@@ -2395,12 +2385,18 @@ pub(crate) fn multiply_with(
         "rhs must be coefficients"
     );
     let mut out = RnsPoly::zero_at_level(plan.ring(), a.level());
-    backend.multiply_batch(plan, a.flat(), b.flat(), LimbBatch::from_poly(&mut out));
+    let op = BackendOp::MultiplyBatch {
+        a: a.flat(),
+        b: b.flat(),
+        out: LimbBatch::from_poly(&mut out),
+    };
+    backend.run(plan, op);
     out
 }
 
 #[cfg(test)]
 mod tests {
+    use super::BackendOp as Op;
     use super::*;
     use crate::naive::negacyclic_convolution;
 
@@ -2476,7 +2472,14 @@ mod tests {
         let b = RnsPoly::from_i64_coeffs(&ring, &[-2, 7]);
         let mut out = RnsPoly::zero(&ring);
         let mut be = CpuBackend::default();
-        be.multiply_batch(&plan, a.flat(), b.flat(), LimbBatch::from_poly(&mut out));
+        be.run(
+            &plan,
+            Op::MultiplyBatch {
+                a: a.flat(),
+                b: b.flat(),
+                out: LimbBatch::from_poly(&mut out),
+            },
+        );
         for i in 0..3 {
             let p = ring.basis().primes()[i];
             let want = negacyclic_convolution(a.row(i), b.row(i), p);
@@ -2494,7 +2497,7 @@ mod tests {
         let y = RnsPoly::from_i64_coeffs(&ring, &[7, 0, -5, 2]);
         let mut stacked: Vec<u64> = [x.flat(), y.flat()].concat();
         let mut be = CpuBackend::default();
-        be.forward_batch(&plan, LimbBatch::new(&mut stacked, 16, 2));
+        be.run(&plan, Op::ForwardBatch(LimbBatch::new(&mut stacked, 16, 2)));
         let (mut ex, mut ey) = (x.clone(), y.clone());
         ex.to_evaluation(&ring);
         ey.to_evaluation(&ring);
@@ -2656,7 +2659,10 @@ mod tests {
         host_decompose_rows(n, level, digits, w, &host_src, &mut expect);
         let plan = RingPlan::new(&ring);
         let mut cpu = CpuBackend::default();
-        cpu.forward_batch(&plan, LimbBatch::new(&mut expect, n, level));
+        cpu.run(
+            &plan,
+            Op::ForwardBatch(LimbBatch::new(&mut expect, n, level)),
+        );
         let mut got = vec![0u64; buf.len()];
         lock_memory(&ev.memory()).download(buf, &mut got);
         assert_eq!(got, expect);

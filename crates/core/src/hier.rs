@@ -26,7 +26,7 @@
 //! to the full `N⁻¹`, so no extra scaling pass exists).
 //!
 //! Following the goldilocks `cooley_tukey.rs` exemplar, the two inner
-//! transforms are *strategy objects* ([`InnerNtt`]): small sizes run the
+//! transforms are *strategy objects* (`InnerNtt`): small sizes run the
 //! existing radix-2 kernel directly, larger ones recurse into a nested
 //! [`HierPlan`]; the inter-block twist is precomputed for small rings and
 //! generated on the fly (one `pow_mod` + a running product per row) for

@@ -18,8 +18,9 @@
 //!   residue-parallel RNS transforms, and the `NTT_WARP_THREADS` thread
 //!   policy.
 //! * [`backend`] — the pluggable execution layer: the [`NttBackend`]
-//!   trait (batched RNS ops over [`LimbBatch`] views plus device-resident
-//!   ops over opaque [`backend::DeviceBuf`] handles), FFTW-style
+//!   trait and its one typed op, [`BackendOp`] (batched RNS ops over
+//!   [`LimbBatch`] views plus device-resident ops over opaque
+//!   [`backend::DeviceBuf`] handles), FFTW-style
 //!   [`RingPlan`] handles with plan-time Montgomery/Barrett pointwise
 //!   selection, the [`CpuBackend`] reference implementation (identity
 //!   device memory), and the backend-generic, residency-aware
@@ -76,7 +77,7 @@ pub mod stockham;
 pub mod table;
 
 pub use backend::{
-    BackendError, CpuBackend, DeviceBuf, DeviceMemory, Evaluator, FaultClass, LimbBatch,
+    BackendError, BackendOp, CpuBackend, DeviceBuf, DeviceMemory, Evaluator, FaultClass, LimbBatch,
     NttBackend, PointwiseStrategy, RingPlan, SharedDeviceMemory, TransferStats,
 };
 pub use ct::{intt, ntt};

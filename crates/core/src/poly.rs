@@ -723,47 +723,6 @@ impl RnsPoly {
         }
     }
 
-    /// Fallible [`RnsPoly::make_resident_in`]: allocation and upload
-    /// faults come back as classified errors. On `Err` the polynomial's
-    /// residency state is unchanged (a buffer allocated before a failed
-    /// first upload is freed, not leaked) and the transition can be
-    /// retried.
-    pub(crate) fn try_make_resident_in(
-        &mut self,
-        mem: &SharedDeviceMemory,
-    ) -> Result<(), BackendError> {
-        if self.mirror.is_some() && !self.has_mirror_in(mem) {
-            self.evict_device();
-        }
-        let active = self.level * self.n;
-        match &mut self.mirror {
-            Some(m) => {
-                if m.host_dirty {
-                    lock_memory(&m.mem).try_upload(m.buf.sub(0, active), &self.data)?;
-                    m.host_dirty = false;
-                }
-            }
-            None => {
-                let buf = {
-                    let mut guard = lock_memory(mem);
-                    let buf = guard.try_alloc(active)?;
-                    if let Err(e) = guard.try_upload(buf, &self.data) {
-                        guard.free(buf);
-                        return Err(e);
-                    }
-                    buf
-                };
-                self.mirror = Some(DeviceMirror {
-                    mem: Arc::clone(mem),
-                    buf,
-                    host_dirty: false,
-                    dev_dirty: false,
-                });
-            }
-        }
-        Ok(())
-    }
-
     /// Attach a pre-allocated (zeroed) device buffer as an in-sync mirror
     /// of an all-zero polynomial — no transfer.
     ///
@@ -886,19 +845,18 @@ impl RnsPoly {
     /// Forward-NTT every active row (no-op if already in evaluation form).
     ///
     /// All limbs are transformed in one batched, residue-parallel
-    /// [`crate::backend::NttBackend::forward_batch`] call on the
-    /// thread-local CPU backend (lazy kernels, canonical output).
+    /// [`crate::backend::BackendOp::ForwardBatch`] on the thread-local
+    /// CPU backend (lazy kernels, canonical output).
     pub fn to_evaluation(&mut self, ring: &RnsRing) {
-        use crate::backend::{LimbBatch, NttBackend};
+        use crate::backend::{BackendOp, LimbBatch, NttBackend};
         if self.repr == Representation::Evaluation {
             return;
         }
         self.ensure_host();
         self.mark_host_edit();
         let plan = ring.plan();
-        crate::backend::with_default_backend(|be| {
-            be.forward_batch(&plan, LimbBatch::new(&mut self.data, self.n, self.level));
-        });
+        let batch = LimbBatch::new(&mut self.data, self.n, self.level);
+        crate::backend::with_default_backend(|be| be.run(&plan, BackendOp::ForwardBatch(batch)));
         self.repr = Representation::Evaluation;
     }
 
@@ -906,16 +864,15 @@ impl RnsPoly {
     ///
     /// Batched and residue-parallel, like [`RnsPoly::to_evaluation`].
     pub fn to_coefficient(&mut self, ring: &RnsRing) {
-        use crate::backend::{LimbBatch, NttBackend};
+        use crate::backend::{BackendOp, LimbBatch, NttBackend};
         if self.repr == Representation::Coefficient {
             return;
         }
         self.ensure_host();
         self.mark_host_edit();
         let plan = ring.plan();
-        crate::backend::with_default_backend(|be| {
-            be.inverse_batch(&plan, LimbBatch::new(&mut self.data, self.n, self.level));
-        });
+        let batch = LimbBatch::new(&mut self.data, self.n, self.level);
+        crate::backend::with_default_backend(|be| be.run(&plan, BackendOp::InverseBatch(batch)));
         self.repr = Representation::Coefficient;
     }
 
@@ -971,8 +928,8 @@ impl RnsPoly {
 
     /// Pointwise product (both operands must be in evaluation form).
     ///
-    /// Runs through the thread-local backend's
-    /// [`crate::backend::NttBackend::pointwise_batch`], using the plan's
+    /// Runs through the thread-local backend as one
+    /// [`crate::backend::BackendOp::PointwiseBatch`], using the plan's
     /// per-prime reduction strategy (Barrett or Montgomery — the canonical
     /// result is identical either way).
     ///
@@ -981,7 +938,7 @@ impl RnsPoly {
     /// Panics on level mismatch or if either operand is in coefficient
     /// form.
     pub fn mul_pointwise(&mut self, other: &RnsPoly, ring: &RnsRing) {
-        use crate::backend::{LimbBatch, NttBackend};
+        use crate::backend::{BackendOp, LimbBatch, NttBackend};
         assert_eq!(self.level, other.level, "level mismatch");
         assert_eq!(self.repr, Representation::Evaluation, "lhs not in NTT form");
         assert_eq!(
@@ -993,13 +950,11 @@ impl RnsPoly {
         self.ensure_host();
         self.mark_host_edit();
         let plan = ring.plan();
-        crate::backend::with_default_backend(|be| {
-            be.pointwise_batch(
-                &plan,
-                LimbBatch::new(&mut self.data, self.n, self.level),
-                &other.data,
-            );
-        });
+        let op = BackendOp::PointwiseBatch {
+            acc: LimbBatch::new(&mut self.data, self.n, self.level),
+            rhs: &other.data,
+        };
+        crate::backend::with_default_backend(|be| be.run(&plan, op));
     }
 
     /// A copy restricted to the first `level` primes (valid in either

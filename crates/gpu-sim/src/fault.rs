@@ -11,9 +11,10 @@
 //!
 //! The plan is armed on a [`Gpu`](crate::Gpu) via
 //! [`Gpu::set_fault_plan`](crate::Gpu::set_fault_plan) and consulted by the
-//! *fallible* backend entry points (`try_*` in `ntt-gpu`); the legacy
-//! infallible paths never draw from it, so calibration runs and
-//! figure-harness sweeps stay fault-free by construction. When a fault
+//! *fallible* backend entry points in `ntt-gpu` (`NttBackend::try_run`
+//! and the device memory's `try_*` calls); the infallible paths never
+//! draw from it, so calibration runs and figure-harness sweeps stay
+//! fault-free by construction. When a fault
 //! fires, the `Gpu` charges a zero-word transfer (one PCIe latency) to the
 //! active stream so the aborted command still occupies the modeled
 //! timeline, like a real failed command occupies the hardware queue.

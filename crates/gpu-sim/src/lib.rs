@@ -110,10 +110,11 @@ impl Gpu {
     }
 
     /// Arm (or with `None`, disarm) a deterministic fault schedule. The
-    /// plan is consulted only by the fallible `try_*` entry points of the
-    /// execution backend via [`Gpu::fault_check`]; infallible paths —
-    /// calibration, the figure harness — never draw from it. Disarming
-    /// also "resets" a sticky-wedged device.
+    /// plan is consulted only by the fallible entry points of the
+    /// execution backend in `ntt-gpu` (`NttBackend::try_run` and the
+    /// device memory's `try_*` calls) via [`Gpu::fault_check`]; infallible
+    /// paths — calibration, the figure harness — never draw from it.
+    /// Disarming also "resets" a sticky-wedged device.
     pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
         self.fault = plan;
     }

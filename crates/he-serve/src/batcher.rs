@@ -1,9 +1,9 @@
 //! Packs many small ciphertext operations into single flat backend calls.
 //!
 //! Every dispatch group the server drains lands here, where `k` jobs of
-//! one kind (and level) execute through **one** `forward_flat` /
-//! `pointwise_flat` / `inverse_flat` call per pipeline stage instead of
-//! `k`. On a staging backend that amortizes the per-call upload/download
+//! one kind (and level) execute through **one** `try_forward_flat` /
+//! `try_pointwise_flat` / `try_inverse_flat` call per pipeline stage
+//! instead of `k`. On a staging backend that amortizes the per-call upload/download
 //! round trip and per-kernel launch overhead across the whole group —
 //! the request-level analogue of the residue-parallel batching the NTT
 //! kernels already do within one polynomial.
@@ -82,8 +82,8 @@ impl Batcher {
     }
 
     /// Encrypt `jobs.len()` value vectors in two backend calls total:
-    /// one `forward_flat` over all `4k` sampled/encoded polynomials
-    /// (`u, e0, e1, m` per job) and one `pointwise_flat` over all `2k`
+    /// one `try_forward_flat` over all `4k` sampled/encoded polynomials
+    /// (`u, e0, e1, m` per job) and one `try_pointwise_flat` over all `2k`
     /// public-key products (`u·b`, `u·a` per job). The additions are
     /// exact host arithmetic.
     pub fn encrypt_batch(
@@ -166,10 +166,10 @@ impl Batcher {
     }
 
     /// Weighted plaintext multiply + rescale for a group of ciphertexts
-    /// sharing one level, in four backend calls total: `forward_flat`
-    /// over the `k` encoded weight polynomials, `pointwise_flat` +
-    /// `inverse_flat` over the `2k` ciphertext halves, and a final
-    /// `forward_flat` over the `2k` rescaled halves at the new level.
+    /// sharing one level, in four backend calls total: `try_forward_flat`
+    /// over the `k` encoded weight polynomials, `try_pointwise_flat` +
+    /// `try_inverse_flat` over the `2k` ciphertext halves, and a final
+    /// `try_forward_flat` over the `2k` rescaled halves at the new level.
     ///
     /// # Panics
     ///
@@ -272,8 +272,8 @@ impl Batcher {
     }
 
     /// Decrypt + decode a group of ciphertexts sharing one level, in two
-    /// backend calls total: `pointwise_flat` over the `k` products
-    /// `c1·s` and `inverse_flat` over the `k` sums `c0 + c1·s`. Returns
+    /// backend calls total: `try_pointwise_flat` over the `k` products
+    /// `c1·s` and `try_inverse_flat` over the `k` sums `c0 + c1·s`. Returns
     /// all `N` decoded coefficients per job, like
     /// [`he_lite::HeContext::decode`].
     ///

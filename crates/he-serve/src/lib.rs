@@ -13,8 +13,8 @@
 //!   backpressure instead of unbounded memory, and a quiet tenant's jobs
 //!   never starve behind the flood.
 //! * **[`batcher`]** — packs every job in a dispatch group into *single*
-//!   flat backend calls (`forward_flat` / `pointwise_flat` /
-//!   `inverse_flat`), so `k` small ciphertext ops cost one kernel
+//!   flat backend calls (`try_forward_flat` / `try_pointwise_flat` /
+//!   `try_inverse_flat`), so `k` small ciphertext ops cost one kernel
 //!   schedule and one staging round-trip instead of `k`. Results are
 //!   bit-identical to per-job dispatch by construction: NTT and
 //!   pointwise rows are independent, and everything else is exact host

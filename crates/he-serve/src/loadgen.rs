@@ -1,6 +1,6 @@
 //! Closed- and open-loop multi-tenant load generation.
 //!
-//! Drives an [`HeServer`](crate::HeServer) the way production traffic
+//! Drives an [`HeServer`] the way production traffic
 //! would: every tenant runs encrypt → eval → decrypt chains with
 //! heavy-tailed value-vector sizes, and the report carries enough
 //! counters for the `figures serve` section to plot throughput against

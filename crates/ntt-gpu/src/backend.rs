@@ -21,12 +21,12 @@
 //!
 //! * **Tables** upload once per plan (re-uploaded only when the plan
 //!   changes) and are shared by every fork of the backend.
-//! * **Host-batch staging** ([`NttBackend::forward_batch`] and friends)
+//! * **Host-batch staging** (the `*Batch` variants of [`BackendOp`])
 //!   reuses cached device buffers, but still pays one upload and one
 //!   download per call — both charged to the [`gpu_sim::Gmem`] transfer
 //!   ledger, which is exactly the per-call round-trip the residency layer
 //!   exists to remove.
-//! * **Device-resident execution** (the `dev_*` trait ops over
+//! * **Device-resident execution** (the device [`BackendOp`]s over
 //!   [`DeviceBuf`] handles) runs whole pipelines on buffers that live in
 //!   simulated GMEM: forward/inverse NTTs, element-wise ring ops,
 //!   rescaling and gadget digit decomposition, with **zero** host↔device
@@ -40,7 +40,7 @@
 //! near-square hierarchical column counts, measured once per `N` on a
 //! scratch device and cached (deterministic, so plans are reproducible).
 //! Small shapes keep the radix-2 stage kernels. Inverses take the
-//! forward's verdict without a sweep of their own ([`run_inverse`]): an
+//! forward's verdict without a sweep of their own (`run_inverse`): an
 //! SMEM split runs the mirrored SMEM inverse at the same split, radix-2
 //! stays radix-2, and a hierarchical verdict (there is no hierarchical
 //! inverse) runs the shape's best SMEM split. Set
@@ -51,9 +51,9 @@
 //!
 //! # Fallible surface and fault injection
 //!
-//! The `try_*` overrides of the [`NttBackend`] / [`DeviceMemory`] hot ops
+//! [`NttBackend::try_run`] and the `try_*` methods of [`DeviceMemory`]
 //! return a classified [`BackendError`] instead of panicking. They are
-//! **gate-then-delegate**: each validates operand handles and draws the
+//! **gate-then-run**: each validates operand handles and draws the
 //! armed [`gpu_sim::FaultPlan`] of every shard *before* any data moves,
 //! then runs the unchanged infallible body — so an `Err` always leaves
 //! host and device state untouched and the identical call can be retried.
@@ -75,9 +75,9 @@
 //! * "tables uploaded" — every trait op calls `ensure_tables` before the
 //!   kernel helpers run, so an absent table is an internal sequencing
 //!   bug, unreachable through the trait.
-//! * "distinct primes are coprime" (`dev_rescale`) — an RNS basis with a
+//! * "distinct primes are coprime" (`Rescale`) — an RNS basis with a
 //!   repeated prime can't be constructed (`RnsRing::new` rejects it).
-//! * Shape `assert!`s on trait entry (`dev_decompose`, `pointwise`) —
+//! * Shape `assert!`s on op entry (`Decompose`, `PointwiseBatch`) —
 //!   caller-contract violations, mirrored from the documented panics of
 //!   the `ntt-core` trait.
 //! * Kernel-lane `expect`s ("rhs loaded", "lane active") — a warp lane
@@ -109,9 +109,9 @@ use crate::radix2::{launch_forward, launch_inverse, ModMul};
 use crate::sharded::{ShardedMemory, SimDevices, Single};
 use crate::smem::{self, Direction, SmemConfig, SmemJob};
 use gpu_sim::{Buf, Event, Gpu, GpuConfig, LaunchConfig, OpClass, Stream, WarpCtx, WarpKernel};
-#[cfg(doc)]
-use ntt_core::backend::NttBackend;
 use ntt_core::backend::{BackendError, DeviceBuf, DeviceMemory, RingPlan, TransferStats};
+#[cfg(doc)]
+use ntt_core::backend::{BackendOp, NttBackend};
 use ntt_math::modops::{add_mod, mul_mod, neg_mod, sub_mod};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -304,7 +304,7 @@ impl SimMemory {
     /// intermediate). The stale readiness event a recycled base may carry
     /// is *consumed* — the active stream fences on it and then owns the
     /// storage — so repeated acquire/release cycles keep at most one
-    /// [`buf_ready`](SimMemory::buf_ready) entry per recycled base
+    /// `buf_ready` entry per recycled base
     /// instead of leaking one per cycle. Pair every call with
     /// [`release_scratch`](SimMemory::release_scratch).
     pub fn acquire_scratch(&mut self, words: usize) -> Buf {
@@ -581,9 +581,9 @@ impl WarpKernel for ElemwiseKernel<'_> {
 }
 
 /// Device-side Galois automorphism `X → X^g` (index map per
-/// `ntt_core::backend::NttBackend::dev_automorphism`): one thread per
-/// *input* element — a coalesced read, a scattered sign-wrapped write —
-/// the same shape a real permutation kernel takes.
+/// [`BackendOp::Automorphism`]): one thread per *input* element — a
+/// coalesced read, a scattered sign-wrapped write — the same shape a
+/// real permutation kernel takes.
 struct AutomorphismKernel<'a> {
     src: Buf,
     dst: Buf,
@@ -1070,7 +1070,7 @@ pub(crate) fn calibrate_forward_choice(config: &GpuConfig, n: usize, rows: usize
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ntt_core::backend::{CpuBackend, Evaluator, LimbBatch, NttBackend};
+    use ntt_core::backend::{BackendOp as Op, CpuBackend, Evaluator, LimbBatch, NttBackend};
     use ntt_core::{RnsPoly, RnsRing};
 
     fn ring(n: usize, np: usize) -> RnsRing {
@@ -1096,25 +1096,51 @@ mod tests {
 
         // forward
         let (mut fc, mut fs) = (a.clone(), a.clone());
-        cpu.forward_batch(&plan, LimbBatch::from_poly(&mut fc));
-        sim.forward_batch(&plan, LimbBatch::from_poly(&mut fs));
+        cpu.run(&plan, Op::ForwardBatch(LimbBatch::from_poly(&mut fc)));
+        sim.run(&plan, Op::ForwardBatch(LimbBatch::from_poly(&mut fs)));
         assert_eq!(fc.flat(), fs.flat(), "forward");
 
         // pointwise on the transformed rows
         let (mut pc, mut ps) = (fc.clone(), fs.clone());
-        cpu.pointwise_batch(&plan, LimbBatch::from_poly(&mut pc), fc.flat());
-        sim.pointwise_batch(&plan, LimbBatch::from_poly(&mut ps), fs.flat());
+        cpu.run(
+            &plan,
+            Op::PointwiseBatch {
+                acc: LimbBatch::from_poly(&mut pc),
+                rhs: fc.flat(),
+            },
+        );
+        sim.run(
+            &plan,
+            Op::PointwiseBatch {
+                acc: LimbBatch::from_poly(&mut ps),
+                rhs: fs.flat(),
+            },
+        );
         assert_eq!(pc.flat(), ps.flat(), "pointwise");
 
         // inverse
-        cpu.inverse_batch(&plan, LimbBatch::from_poly(&mut pc));
-        sim.inverse_batch(&plan, LimbBatch::from_poly(&mut ps));
+        cpu.run(&plan, Op::InverseBatch(LimbBatch::from_poly(&mut pc)));
+        sim.run(&plan, Op::InverseBatch(LimbBatch::from_poly(&mut ps)));
         assert_eq!(pc.flat(), ps.flat(), "inverse");
 
         // fused multiply
         let (mut mc, mut ms) = (RnsPoly::zero(&ring), RnsPoly::zero(&ring));
-        cpu.multiply_batch(&plan, a.flat(), b.flat(), LimbBatch::from_poly(&mut mc));
-        sim.multiply_batch(&plan, a.flat(), b.flat(), LimbBatch::from_poly(&mut ms));
+        cpu.run(
+            &plan,
+            Op::MultiplyBatch {
+                a: a.flat(),
+                b: b.flat(),
+                out: LimbBatch::from_poly(&mut mc),
+            },
+        );
+        sim.run(
+            &plan,
+            Op::MultiplyBatch {
+                a: a.flat(),
+                b: b.flat(),
+                out: LimbBatch::from_poly(&mut ms),
+            },
+        );
         assert_eq!(mc.flat(), ms.flat(), "multiply");
     }
 
@@ -1144,8 +1170,11 @@ mod tests {
         let mut host_sim = host.clone();
         let mut cpu = CpuBackend::default();
         let mut sim = SimBackend::titan_v();
-        cpu.forward_batch(&plan, LimbBatch::new(&mut host, 16, 3));
-        sim.forward_batch(&plan, LimbBatch::new(&mut host_sim, 16, 3));
+        cpu.run(&plan, Op::ForwardBatch(LimbBatch::new(&mut host, 16, 3)));
+        sim.run(
+            &plan,
+            Op::ForwardBatch(LimbBatch::new(&mut host_sim, 16, 3)),
+        );
         assert_eq!(host, host_sim);
     }
 
@@ -1155,10 +1184,10 @@ mod tests {
         let plan = RingPlan::new(&ring);
         let mut sim = SimBackend::titan_v();
         let mut x = sample(&ring, 3);
-        sim.forward_batch(&plan, LimbBatch::from_poly(&mut x));
+        sim.run(&plan, Op::ForwardBatch(LimbBatch::from_poly(&mut x)));
         let after_first = sim.with_gpu(|g| g.gmem.allocated_words());
-        sim.inverse_batch(&plan, LimbBatch::from_poly(&mut x));
-        sim.forward_batch(&plan, LimbBatch::from_poly(&mut x));
+        sim.run(&plan, Op::InverseBatch(LimbBatch::from_poly(&mut x)));
+        sim.run(&plan, Op::ForwardBatch(LimbBatch::from_poly(&mut x)));
         assert_eq!(
             sim.with_gpu(|g| g.gmem.allocated_words()),
             after_first,
@@ -1185,22 +1214,36 @@ mod tests {
                 let n = ring.degree();
                 let (a, b) = (sample(ring, 3 + round), sample(ring, 7 + round));
                 let (mut fc, mut fs) = (a.clone(), a.clone());
-                cpu.forward_batch(plan, LimbBatch::from_poly(&mut fc));
-                sim.forward_batch(plan, LimbBatch::from_poly(&mut fs));
+                cpu.run(plan, Op::ForwardBatch(LimbBatch::from_poly(&mut fc)));
+                sim.run(plan, Op::ForwardBatch(LimbBatch::from_poly(&mut fs)));
                 assert_eq!(fc.flat(), fs.flat(), "forward N={n} round {round}");
                 let (mut mc, mut ms) = (RnsPoly::zero(ring), RnsPoly::zero(ring));
-                cpu.multiply_batch(plan, a.flat(), b.flat(), LimbBatch::from_poly(&mut mc));
-                sim.multiply_batch(plan, a.flat(), b.flat(), LimbBatch::from_poly(&mut ms));
+                cpu.run(
+                    plan,
+                    Op::MultiplyBatch {
+                        a: a.flat(),
+                        b: b.flat(),
+                        out: LimbBatch::from_poly(&mut mc),
+                    },
+                );
+                sim.run(
+                    plan,
+                    Op::MultiplyBatch {
+                        a: a.flat(),
+                        b: b.flat(),
+                        out: LimbBatch::from_poly(&mut ms),
+                    },
+                );
                 assert_eq!(mc.flat(), ms.flat(), "multiply N={n} round {round}");
                 // The resident path through the same plan switch.
-                let mem = sim.memory();
+                let (mem, level) = (sim.memory(), plan.np());
                 let buf = mem.lock().unwrap().alloc(a.flat().len());
                 mem.lock().unwrap().upload(buf, a.flat());
-                sim.dev_forward(plan, buf, plan.np());
+                sim.run(plan, Op::Forward { buf, level });
                 let mut got = vec![0u64; a.flat().len()];
                 mem.lock().unwrap().download(buf, &mut got);
                 assert_eq!(got, fc.flat(), "resident forward N={n} round {round}");
-                sim.dev_inverse(plan, buf, plan.np());
+                sim.run(plan, Op::Inverse { buf, level });
                 mem.lock().unwrap().download(buf, &mut got);
                 mem.lock().unwrap().free(buf);
                 assert_eq!(got, a.flat(), "resident inverse N={n} round {round}");
@@ -1229,9 +1272,9 @@ mod tests {
         let plan = RingPlan::new(&ring);
         let mut sim = SimBackend::titan_v();
         let mut x = sample(&ring, 3);
-        sim.forward_batch(&plan, LimbBatch::from_poly(&mut x));
+        sim.run(&plan, Op::ForwardBatch(LimbBatch::from_poly(&mut x)));
         let t0 = sim.transfer_stats();
-        sim.forward_batch(&plan, LimbBatch::from_poly(&mut x));
+        sim.run(&plan, Op::ForwardBatch(LimbBatch::from_poly(&mut x)));
         let dt = sim.transfer_stats().since(&t0);
         assert_eq!(dt.uploads, 1);
         assert_eq!(dt.downloads, 1);
@@ -1248,11 +1291,11 @@ mod tests {
 
         let mut cpu = CpuBackend::default();
         let mut fc = x.clone();
-        cpu.forward_batch(&plan, LimbBatch::from_poly(&mut fc));
+        cpu.run(&plan, Op::ForwardBatch(LimbBatch::from_poly(&mut fc)));
 
         let mut sim = SimBackend::titan_v();
         let mut fs = x.clone();
-        sim.forward_batch(&plan, LimbBatch::from_poly(&mut fs));
+        sim.run(&plan, Op::ForwardBatch(LimbBatch::from_poly(&mut fs)));
         assert_eq!(fc.flat(), fs.flat(), "auto-routed forward");
 
         // The auto route above the floor must actually be SMEM: its trace
@@ -1272,7 +1315,7 @@ mod tests {
         let plan = RingPlan::new(&ring);
         let mut sim = SimBackend::titan_v();
         let mut x = sample(&ring, 3);
-        sim.forward_batch(&plan, LimbBatch::from_poly(&mut x));
+        sim.run(&plan, Op::ForwardBatch(LimbBatch::from_poly(&mut x)));
         let words = sim.with_gpu(|g| g.gmem.allocated_words());
         let mut forked = sim.fork();
         assert!(ntt_core::backend::same_memory(
@@ -1282,7 +1325,7 @@ mod tests {
         // The fork reuses the shared tables (no re-upload) but allocates
         // its own staging buffer.
         let mut y = sample(&ring, 4);
-        forked.forward_batch(&plan, LimbBatch::from_poly(&mut y));
+        forked.run(&plan, Op::ForwardBatch(LimbBatch::from_poly(&mut y)));
         let words_after = sim.with_gpu(|g| g.gmem.allocated_words());
         assert_eq!(words_after, words + x.flat().len());
     }
@@ -1426,11 +1469,11 @@ mod tests {
         let x = sample(&ring, 77);
 
         let mut fc = x.clone();
-        CpuBackend::default().forward_batch(&plan, LimbBatch::from_poly(&mut fc));
+        CpuBackend::default().run(&plan, Op::ForwardBatch(LimbBatch::from_poly(&mut fc)));
 
         let mut sim = hier_pinned(n, 256);
         let mut fs = x.clone();
-        sim.forward_batch(&plan, LimbBatch::from_poly(&mut fs));
+        sim.run(&plan, Op::ForwardBatch(LimbBatch::from_poly(&mut fs)));
         assert_eq!(fc.flat(), fs.flat(), "hier-routed forward");
 
         let launches: Vec<String> =
@@ -1443,7 +1486,7 @@ mod tests {
         }
 
         // And the inverse (radix-2) undoes it.
-        sim.inverse_batch(&plan, LimbBatch::from_poly(&mut fs));
+        sim.run(&plan, Op::InverseBatch(LimbBatch::from_poly(&mut fs)));
         assert_eq!(fs.flat(), x.flat(), "roundtrip through hier forward");
     }
 
@@ -1458,11 +1501,11 @@ mod tests {
         let plan = RingPlan::new(&ring);
         let mut sim = hier_pinned(n, 64);
         let mut x = sample(&ring, 5);
-        sim.forward_batch(&plan, LimbBatch::from_poly(&mut x));
+        sim.run(&plan, Op::ForwardBatch(LimbBatch::from_poly(&mut x)));
         let shard = sim.memory_handle();
         let baseline = lock_mem(&shard).readiness_entries();
         for _ in 0..32 {
-            sim.forward_batch(&plan, LimbBatch::from_poly(&mut x));
+            sim.run(&plan, Op::ForwardBatch(LimbBatch::from_poly(&mut x)));
         }
         let after = lock_mem(&shard).readiness_entries();
         assert!(
@@ -1564,10 +1607,10 @@ mod tests {
         let plan = RingPlan::new(&ring);
         let x = sample(&ring, 19);
         let mut fc = x.clone();
-        CpuBackend::default().forward_batch(&plan, LimbBatch::from_poly(&mut fc));
+        CpuBackend::default().run(&plan, Op::ForwardBatch(LimbBatch::from_poly(&mut fc)));
         let mut sim = SimBackend::titan_v();
         let mut fs = x.clone();
-        sim.forward_batch(&plan, LimbBatch::from_poly(&mut fs));
+        sim.run(&plan, Op::ForwardBatch(LimbBatch::from_poly(&mut fs)));
         assert_eq!(fc.flat(), fs.flat(), "auto-routed forward at N=2^13");
     }
 }

@@ -22,7 +22,7 @@
 //! * [`batch`] — device-side layout of polynomial data and twiddle tables.
 //! * [`sharded`] — [`sharded::SimDevices`], the one simulated-GPU
 //!   implementation of `ntt_core::backend::NttBackend`: the same
-//!   plan-based batched trait calls the CPU engine serves, executed
+//!   plan-based batched ops the CPU engine serves, executed
 //!   through the warp kernels (bit-identical outputs, full traffic
 //!   accounting) over `K` simulated devices. It has two constructors:
 //!   [`ShardedBackend`] partitions RNS residue rows across `K` shards and

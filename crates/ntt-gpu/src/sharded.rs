@@ -91,8 +91,8 @@ use gpu_sim::{
     Buf, DeviceTimeline, Event, FaultOp, GpuConfig, OpClass, Stream, WarpCtx, WarpKernel,
 };
 use ntt_core::backend::{
-    handle_namespace, BackendError, DeviceBuf, DeviceMemory, LimbBatch, NttBackend, RingPlan,
-    SharedDeviceMemory, TransferStats,
+    handle_namespace, BackendError, BackendOp, DeviceBuf, DeviceMemory, LimbBatch, NttBackend,
+    RingPlan, SharedDeviceMemory, TransferStats,
 };
 use ntt_math::modops::{mul_mod, neg_mod, sub_mod};
 use std::collections::HashMap;
@@ -928,7 +928,7 @@ struct ShardStaging {
     data: DevData,
     /// Secondary host-batch operand.
     scratch: DevData,
-    /// `dev_multiply`'s second-operand scratch.
+    /// [`BackendOp::Multiply`]'s second-operand scratch.
     mul_scratch: DevData,
     /// Lazily created copy stream for staging prefetches
     /// ([`NttBackend::stage_upload`]): uploads ride here so compute
@@ -990,7 +990,7 @@ impl<F: Flavor> SimDevices<F> {
 
     /// Arm (or with `None`, disarm) a deterministic fault schedule on
     /// every shard. Affects every fork sharing this backend's memory;
-    /// only the fallible `try_*` entry points draw from the plan. See
+    /// only the fallible [`NttBackend::try_run`] draws from the plan. See
     /// [`gpu_sim::FaultPlan`].
     pub fn set_fault_plan(&self, plan: Option<gpu_sim::FaultPlan>) {
         for sh in &self.lock().shards {
@@ -1067,17 +1067,16 @@ impl<F: Flavor> SimDevices<F> {
         choice
     }
 
-    // ---- Fault gates for the fallible surface ---------------------------
+    // ---- The fault gate of the fallible surface -------------------------
     //
-    // Every `try_*` override below is gate-then-delegate: validate the
-    // operand handles and draw the armed fault plan *up front*, then run
-    // the unchanged infallible body. Injected faults therefore fire
-    // between ops — never mid-op — which is what makes a failed call
-    // retry-safe: on `Err`, no operand byte has moved. Each shard draws
-    // one schedule slot per hardware command class the op would issue on
-    // it (a staged host batch is upload + launch + download; a
-    // device-resident op is one launch), so fault *rates* scale with real
-    // command traffic.
+    // `try_run` is gate-then-run: validate the op's handles and draw the
+    // armed fault plan *up front*, then run the unchanged infallible
+    // body. Injected faults therefore fire between ops — never mid-op —
+    // which is what makes a failed call retry-safe: on `Err`, no operand
+    // byte has moved. Each shard draws one schedule slot per hardware
+    // command class the op would issue on it (a staged host batch is
+    // upload + launch + download; a device-resident op is one launch), so
+    // fault *rates* scale with real command traffic.
 
     /// Handle validation plus the fault draws `kinds` on every shard,
     /// in shard order. A freed or foreign handle is a caller bug the
@@ -1235,438 +1234,260 @@ impl<F: Flavor> NttBackend for SimDevices<F> {
         })
     }
 
-    fn forward_batch(&mut self, plan: &RingPlan, batch: LimbBatch<'_>) {
-        let choice = self.forward_choice(batch.n(), batch.rows());
-        self.host_batch(plan, batch, None, |sh, a, _, rp| {
-            run_forward(sh, plan, a, rp, choice)
-        });
-    }
-
-    fn inverse_batch(&mut self, plan: &RingPlan, batch: LimbBatch<'_>) {
-        let choice = self.inverse_choice(batch.n(), batch.rows());
-        self.host_batch(plan, batch, None, |sh, a, _, rp| {
-            run_inverse(sh, plan, a, rp, choice)
-        });
-    }
-
-    fn pointwise_batch(&mut self, plan: &RingPlan, acc: LimbBatch<'_>, rhs: &[u64]) {
-        assert_eq!(acc.as_slice().len(), rhs.len(), "operand shape mismatch");
-        let n = acc.n();
-        self.host_batch(plan, acc, Some(rhs), |sh, a, b, rp| {
-            launch_elemwise(sh, ElemOp::Mul, a, b, None, n, rp)
-        });
-    }
-
-    fn multiply_batch(&mut self, plan: &RingPlan, a: &[u64], b: &[u64], mut out: LimbBatch<'_>) {
-        assert_eq!(a.len(), out.as_slice().len(), "operand shape mismatch");
-        assert_eq!(b.len(), out.as_slice().len(), "operand shape mismatch");
-        let n = out.n();
-        let (choice, inverse) = (
-            self.forward_choice(n, out.rows()),
-            self.inverse_choice(n, out.rows()),
-        );
-        out.data().copy_from_slice(a);
-        // The classic device pipeline: NTT(a), NTT(b), pointwise, iNTT —
-        // four launch groups over one resident batch.
-        self.host_batch(plan, out, Some(b), |sh, a, b, rp| {
-            let b = b.expect("multiply stages both operands");
-            run_forward(sh, plan, a, rp, choice);
-            run_forward(sh, plan, b, rp, choice);
-            launch_elemwise(sh, ElemOp::Mul, a, Some(b), None, n, rp);
-            run_inverse(sh, plan, a, rp, inverse);
-        });
-    }
-
-    // ---- Device-resident execution (zero host↔device traffic) ----------
-
-    fn dev_forward(&mut self, plan: &RingPlan, buf: DeviceBuf, level: usize) {
-        let choice = self.forward_choice(plan.degree(), buf.len() / plan.degree());
-        self.on_shards(|h, _| {
-            h.each_piece(plan, buf, [], |sh, p| {
-                run_forward(sh, plan, p.dst, &p.rows.primes(level), choice)
-            })
-        });
-    }
-
-    fn dev_inverse(&mut self, plan: &RingPlan, buf: DeviceBuf, level: usize) {
-        let choice = self.inverse_choice(plan.degree(), buf.len() / plan.degree());
-        self.on_shards(|h, _| {
-            h.each_piece(plan, buf, [], |sh, p| {
-                run_inverse(sh, plan, p.dst, &p.rows.primes(level), choice)
-            })
-        });
-    }
-
-    fn dev_multiply(
-        &mut self,
-        plan: &RingPlan,
-        a: DeviceBuf,
-        b: DeviceBuf,
-        out: DeviceBuf,
-        level: usize,
-    ) {
+    fn run(&mut self, plan: &RingPlan, op: BackendOp<'_>) {
         let n = plan.degree();
-        let (choice, inverse) = (
-            self.forward_choice(n, out.len() / n),
-            self.inverse_choice(n, out.len() / n),
-        );
-        self.on_shards(|h, staging| {
-            h.each_piece(plan, out, [(a, None), (b, None)], |sh, p| {
-                let words = p.rows.count * n;
-                let scratch = staging[p.shard].mul_scratch.ensure(sh.gpu_mut(), words);
-                let scratch = scratch.sub(0, words);
-                sh.wait_ready(&[scratch.base()]);
-                // Stage both operands on the owning shard (inputs intact).
-                let [ga, gb] = p.src;
-                sh.gpu_mut().gmem.copy(ga, p.dst);
-                sh.gpu_mut().gmem.copy(gb, scratch);
-                let row_prime = p.rows.primes(level);
-                run_forward(sh, plan, p.dst, &row_prime, choice);
-                run_forward(sh, plan, scratch, &row_prime, choice);
-                launch_elemwise(sh, ElemOp::Mul, p.dst, Some(scratch), None, n, &row_prime);
-                run_inverse(sh, plan, p.dst, &row_prime, inverse);
-                sh.mark_written(&[scratch.base()]);
-            })
-        });
+        match op {
+            BackendOp::ForwardBatch(batch) => {
+                let choice = self.forward_choice(batch.n(), batch.rows());
+                self.host_batch(plan, batch, None, |sh, a, _, rp| {
+                    run_forward(sh, plan, a, rp, choice)
+                });
+            }
+            BackendOp::InverseBatch(batch) => {
+                let choice = self.inverse_choice(batch.n(), batch.rows());
+                self.host_batch(plan, batch, None, |sh, a, _, rp| {
+                    run_inverse(sh, plan, a, rp, choice)
+                });
+            }
+            BackendOp::PointwiseBatch { acc, rhs } => {
+                assert_eq!(acc.as_slice().len(), rhs.len(), "operand shape mismatch");
+                let n = acc.n();
+                self.host_batch(plan, acc, Some(rhs), |sh, a, b, rp| {
+                    launch_elemwise(sh, ElemOp::Mul, a, b, None, n, rp)
+                });
+            }
+            BackendOp::MultiplyBatch { a, b, mut out } => {
+                assert_eq!(a.len(), out.as_slice().len(), "operand shape mismatch");
+                assert_eq!(b.len(), out.as_slice().len(), "operand shape mismatch");
+                let n = out.n();
+                let (choice, inverse) = (
+                    self.forward_choice(n, out.rows()),
+                    self.inverse_choice(n, out.rows()),
+                );
+                out.data().copy_from_slice(a);
+                // The classic device pipeline: NTT(a), NTT(b), pointwise,
+                // iNTT — four launch groups over one resident batch.
+                self.host_batch(plan, out, Some(b), |sh, a, b, rp| {
+                    let b = b.expect("multiply stages both operands");
+                    run_forward(sh, plan, a, rp, choice);
+                    run_forward(sh, plan, b, rp, choice);
+                    launch_elemwise(sh, ElemOp::Mul, a, Some(b), None, n, rp);
+                    run_inverse(sh, plan, a, rp, inverse);
+                });
+            }
+
+            // ---- Device-resident execution (zero host↔device traffic) ----
+            BackendOp::Forward { buf, level } => {
+                let choice = self.forward_choice(n, buf.len() / n);
+                self.on_shards(|h, _| {
+                    h.each_piece(plan, buf, [], |sh, p| {
+                        run_forward(sh, plan, p.dst, &p.rows.primes(level), choice)
+                    })
+                });
+            }
+            BackendOp::Inverse { buf, level } => {
+                let choice = self.inverse_choice(n, buf.len() / n);
+                self.on_shards(|h, _| {
+                    h.each_piece(plan, buf, [], |sh, p| {
+                        run_inverse(sh, plan, p.dst, &p.rows.primes(level), choice)
+                    })
+                });
+            }
+            BackendOp::Multiply { a, b, out, level } => {
+                let (choice, inverse) = (
+                    self.forward_choice(n, out.len() / n),
+                    self.inverse_choice(n, out.len() / n),
+                );
+                self.on_shards(|h, staging| {
+                    h.each_piece(plan, out, [(a, None), (b, None)], |sh, p| {
+                        let words = p.rows.count * n;
+                        let scratch = staging[p.shard].mul_scratch.ensure(sh.gpu_mut(), words);
+                        let scratch = scratch.sub(0, words);
+                        sh.wait_ready(&[scratch.base()]);
+                        // Stage both operands on the owning shard (inputs
+                        // intact).
+                        let [ga, gb] = p.src;
+                        sh.gpu_mut().gmem.copy(ga, p.dst);
+                        sh.gpu_mut().gmem.copy(gb, scratch);
+                        let row_prime = p.rows.primes(level);
+                        run_forward(sh, plan, p.dst, &row_prime, choice);
+                        run_forward(sh, plan, scratch, &row_prime, choice);
+                        launch_elemwise(sh, ElemOp::Mul, p.dst, Some(scratch), None, n, &row_prime);
+                        run_inverse(sh, plan, p.dst, &row_prime, inverse);
+                        sh.mark_written(&[scratch.base()]);
+                    })
+                });
+            }
+            BackendOp::Pointwise { acc, rhs, level } => {
+                self.on_shards(|h, _| {
+                    h.each_piece(plan, acc, [(rhs, None)], |sh, p| {
+                        let rp = p.rows.primes(level);
+                        launch_elemwise(sh, ElemOp::Mul, p.dst, Some(p.src[0]), None, n, &rp)
+                    })
+                });
+            }
+            BackendOp::Fma { acc, x, y, level } => {
+                // The key-switch inner product lands here: `x` is a digit
+                // sub-view of the decompose scratch at row offset
+                // `d * level`. The cyclic partition makes that view land
+                // on the accumulator's shards whenever `level % K == 0` —
+                // the zero-copy fast path of the gather — and any
+                // genuinely misaligned view (e.g. `K = 3` with
+                // `level = 8`) arrives over the link, correct either way.
+                self.on_shards(|h, _| {
+                    h.each_piece(plan, acc, [(x, None), (y, None)], |sh, p| {
+                        let rp = p.rows.primes(level);
+                        let [x, y] = p.src;
+                        launch_elemwise(sh, ElemOp::Fma, p.dst, Some(x), Some(y), n, &rp)
+                    })
+                });
+            }
+            BackendOp::AddSub {
+                acc,
+                rhs,
+                level,
+                subtract,
+            } => {
+                let op = if subtract { ElemOp::Sub } else { ElemOp::Add };
+                self.on_shards(|h, _| {
+                    h.each_piece(plan, acc, [(rhs, None)], |sh, p| {
+                        launch_elemwise(
+                            sh,
+                            op,
+                            p.dst,
+                            Some(p.src[0]),
+                            None,
+                            n,
+                            &p.rows.primes(level),
+                        )
+                    })
+                });
+            }
+            BackendOp::Negate { buf, level } => {
+                self.on_shards(|h, _| {
+                    h.each_piece(plan, buf, [], |sh, p| {
+                        launch_elemwise(
+                            sh,
+                            ElemOp::Neg,
+                            p.dst,
+                            None,
+                            None,
+                            n,
+                            &p.rows.primes(level),
+                        )
+                    })
+                });
+            }
+            BackendOp::Rescale { buf, level } => {
+                assert!(level > 1, "cannot rescale past the last prime");
+                let primes = plan.ring().basis().primes();
+                let p_last = primes[level - 1];
+                let inv_p: Vec<(u64, u64)> = primes[..level - 1]
+                    .iter()
+                    .map(|&p| {
+                        (
+                            ntt_math::inv_mod(p_last % p, p).expect("distinct primes are coprime"),
+                            p,
+                        )
+                    })
+                    .collect();
+                // Rows 0..level-1 rescale in place; every owning shard
+                // needs the dropped last row — a broadcast of N words per
+                // remote shard over the link.
+                let last = Rows::run(level - 1, 1);
+                self.on_shards(|h, _| {
+                    h.each_piece(
+                        plan,
+                        buf.sub(0, (level - 1) * n),
+                        [(buf, Some(last))],
+                        |sh, p| {
+                            let kernel = RescaleKernel {
+                                data: p.dst,
+                                last: p.src[0],
+                                n,
+                                rows: p.rows,
+                                inv_p: &inv_p,
+                            };
+                            launch_rows(sh.gpu_mut(), "sim-rescale", p.rows.count * n, &kernel);
+                        },
+                    )
+                });
+            }
+            BackendOp::Decompose {
+                src,
+                dst,
+                level,
+                digits,
+                gadget_bits,
+            } => {
+                assert_eq!(src.len(), level * n, "source must be level x N");
+                assert_eq!(
+                    dst.len(),
+                    level * digits * level * n,
+                    "digit buffer shape mismatch"
+                );
+                // Every digit reads every residue row of the source: the
+                // sharded base conversion is an all-gather of the remote
+                // rows (≈ (K-1)/K · level · N words across the link per
+                // shard).
+                let all = Rows::run(0, level);
+                self.on_shards(|h, _| {
+                    h.each_piece(plan, dst, [(src, Some(all))], |sh, p| {
+                        let kernel = DecomposeKernel {
+                            src: p.src[0],
+                            dst: p.dst,
+                            n,
+                            level,
+                            digits,
+                            gadget_bits,
+                            rows: p.rows,
+                        };
+                        launch_rows(sh.gpu_mut(), "sim-decompose", p.rows.count * n, &kernel);
+                    })
+                });
+            }
+            BackendOp::Automorphism { src, dst, level, g } => {
+                assert_eq!(src.len(), dst.len(), "operand shape mismatch");
+                let g = g % (2 * n as u64);
+                assert_eq!(g % 2, 1, "Galois element must be odd");
+                // The permutation is row-local, so each dst row needs
+                // exactly its own src row — aligned allocations stay
+                // link-free.
+                self.on_shards(|h, _| {
+                    h.each_piece(plan, dst, [(src, None)], |sh, p| {
+                        launch_automorphism(sh, p.src[0], p.dst, n, g, &p.rows.primes(level))
+                    })
+                });
+            }
+            BackendOp::ModRaise { src, dst, to_level } => {
+                assert_eq!(src.len(), n, "mod-raise source must be one level-1 row");
+                assert_eq!(dst.len(), to_level * n, "mod-raise destination shape");
+                let moduli = plan.ring().basis().primes();
+                // Broadcast the single source row to every shard owning
+                // destination rows.
+                self.on_shards(|h, _| {
+                    h.each_piece(plan, dst, [(src, Some(Rows::run(0, 1)))], |sh, p| {
+                        let kernel = ModRaiseKernel {
+                            src: p.src[0],
+                            dst: p.dst,
+                            n,
+                            rows: p.rows,
+                            p0: moduli[0],
+                            moduli,
+                        };
+                        launch_rows(sh.gpu_mut(), "sim-modraise", p.rows.count * n, &kernel);
+                    })
+                });
+            }
+        }
     }
 
-    fn dev_pointwise(&mut self, plan: &RingPlan, acc: DeviceBuf, rhs: DeviceBuf, level: usize) {
-        let n = plan.degree();
-        self.on_shards(|h, _| {
-            h.each_piece(plan, acc, [(rhs, None)], |sh, p| {
-                let rp = p.rows.primes(level);
-                launch_elemwise(sh, ElemOp::Mul, p.dst, Some(p.src[0]), None, n, &rp)
-            })
-        });
-    }
-
-    fn dev_fma(
-        &mut self,
-        plan: &RingPlan,
-        acc: DeviceBuf,
-        x: DeviceBuf,
-        y: DeviceBuf,
-        level: usize,
-    ) {
-        let n = plan.degree();
-        // The key-switch inner product lands here: `x` is a digit
-        // sub-view of the decompose scratch at row offset `d * level`.
-        // The cyclic partition makes that view land on the
-        // accumulator's shards whenever `level % K == 0` — the
-        // zero-copy fast path of the gather — and any genuinely
-        // misaligned view (e.g. `K = 3` with `level = 8`) arrives over
-        // the link, correct either way.
-        self.on_shards(|h, _| {
-            h.each_piece(plan, acc, [(x, None), (y, None)], |sh, p| {
-                let rp = p.rows.primes(level);
-                let [x, y] = p.src;
-                launch_elemwise(sh, ElemOp::Fma, p.dst, Some(x), Some(y), n, &rp)
-            })
-        });
-    }
-
-    fn dev_addsub(
-        &mut self,
-        plan: &RingPlan,
-        acc: DeviceBuf,
-        rhs: DeviceBuf,
-        level: usize,
-        subtract: bool,
-    ) {
-        let n = plan.degree();
-        let op = if subtract { ElemOp::Sub } else { ElemOp::Add };
-        self.on_shards(|h, _| {
-            h.each_piece(plan, acc, [(rhs, None)], |sh, p| {
-                launch_elemwise(
-                    sh,
-                    op,
-                    p.dst,
-                    Some(p.src[0]),
-                    None,
-                    n,
-                    &p.rows.primes(level),
-                )
-            })
-        });
-    }
-
-    fn dev_negate(&mut self, plan: &RingPlan, buf: DeviceBuf, level: usize) {
-        let n = plan.degree();
-        self.on_shards(|h, _| {
-            h.each_piece(plan, buf, [], |sh, p| {
-                launch_elemwise(sh, ElemOp::Neg, p.dst, None, None, n, &p.rows.primes(level))
-            })
-        });
-    }
-
-    fn dev_rescale(&mut self, plan: &RingPlan, buf: DeviceBuf, level: usize) {
-        assert!(level > 1, "cannot rescale past the last prime");
-        let n = plan.degree();
-        let primes = plan.ring().basis().primes();
-        let p_last = primes[level - 1];
-        let inv_p: Vec<(u64, u64)> = primes[..level - 1]
-            .iter()
-            .map(|&p| {
-                (
-                    ntt_math::inv_mod(p_last % p, p).expect("distinct primes are coprime"),
-                    p,
-                )
-            })
-            .collect();
-        // Rows 0..level-1 rescale in place; every owning shard needs the
-        // dropped last row — a broadcast of N words per remote shard over
-        // the link.
-        let last = Rows::run(level - 1, 1);
-        self.on_shards(|h, _| {
-            h.each_piece(
-                plan,
-                buf.sub(0, (level - 1) * n),
-                [(buf, Some(last))],
-                |sh, p| {
-                    let kernel = RescaleKernel {
-                        data: p.dst,
-                        last: p.src[0],
-                        n,
-                        rows: p.rows,
-                        inv_p: &inv_p,
-                    };
-                    launch_rows(sh.gpu_mut(), "sim-rescale", p.rows.count * n, &kernel);
-                },
-            )
-        });
-    }
-
-    fn dev_decompose(
-        &mut self,
-        plan: &RingPlan,
-        src: DeviceBuf,
-        dst: DeviceBuf,
-        level: usize,
-        digits: usize,
-        gadget_bits: u32,
-    ) {
-        let n = plan.degree();
-        assert_eq!(src.len(), level * n, "source must be level x N");
-        assert_eq!(
-            dst.len(),
-            level * digits * level * n,
-            "digit buffer shape mismatch"
-        );
-        // Every digit reads every residue row of the source: the sharded
-        // base conversion is an all-gather of the remote rows
-        // (≈ (K-1)/K · level · N words across the link per shard).
-        let all = Rows::run(0, level);
-        self.on_shards(|h, _| {
-            h.each_piece(plan, dst, [(src, Some(all))], |sh, p| {
-                let kernel = DecomposeKernel {
-                    src: p.src[0],
-                    dst: p.dst,
-                    n,
-                    level,
-                    digits,
-                    gadget_bits,
-                    rows: p.rows,
-                };
-                launch_rows(sh.gpu_mut(), "sim-decompose", p.rows.count * n, &kernel);
-            })
-        });
-    }
-
-    fn dev_automorphism(
-        &mut self,
-        plan: &RingPlan,
-        src: DeviceBuf,
-        dst: DeviceBuf,
-        level: usize,
-        g: u64,
-    ) {
-        let n = plan.degree();
-        assert_eq!(src.len(), dst.len(), "operand shape mismatch");
-        let g = g % (2 * n as u64);
-        assert_eq!(g % 2, 1, "Galois element must be odd");
-        // The permutation is row-local, so each dst row needs exactly its
-        // own src row — aligned allocations stay link-free.
-        self.on_shards(|h, _| {
-            h.each_piece(plan, dst, [(src, None)], |sh, p| {
-                launch_automorphism(sh, p.src[0], p.dst, n, g, &p.rows.primes(level))
-            })
-        });
-    }
-
-    fn dev_modraise(&mut self, plan: &RingPlan, src: DeviceBuf, dst: DeviceBuf, to_level: usize) {
-        let n = plan.degree();
-        assert_eq!(src.len(), n, "mod-raise source must be one level-1 row");
-        assert_eq!(dst.len(), to_level * n, "mod-raise destination shape");
-        let moduli = plan.ring().basis().primes();
-        // Broadcast the single source row to every shard owning
-        // destination rows.
-        self.on_shards(|h, _| {
-            h.each_piece(plan, dst, [(src, Some(Rows::run(0, 1)))], |sh, p| {
-                let kernel = ModRaiseKernel {
-                    src: p.src[0],
-                    dst: p.dst,
-                    n,
-                    rows: p.rows,
-                    p0: moduli[0],
-                    moduli,
-                };
-                launch_rows(sh.gpu_mut(), "sim-modraise", p.rows.count * n, &kernel);
-            })
-        });
-    }
-
-    // ---- Fallible surface: gate-then-delegate (see `gate`) ------------
-
-    fn try_forward_batch(
-        &mut self,
-        plan: &RingPlan,
-        batch: LimbBatch<'_>,
-    ) -> Result<(), BackendError> {
-        self.gate("forward_batch", &[], STAGED)?;
-        self.forward_batch(plan, batch);
-        Ok(())
-    }
-
-    fn try_inverse_batch(
-        &mut self,
-        plan: &RingPlan,
-        batch: LimbBatch<'_>,
-    ) -> Result<(), BackendError> {
-        self.gate("inverse_batch", &[], STAGED)?;
-        self.inverse_batch(plan, batch);
-        Ok(())
-    }
-
-    fn try_pointwise_batch(
-        &mut self,
-        plan: &RingPlan,
-        acc: LimbBatch<'_>,
-        rhs: &[u64],
-    ) -> Result<(), BackendError> {
-        self.gate("pointwise_batch", &[], STAGED)?;
-        self.pointwise_batch(plan, acc, rhs);
-        Ok(())
-    }
-
-    fn try_multiply_batch(
-        &mut self,
-        plan: &RingPlan,
-        a: &[u64],
-        b: &[u64],
-        out: LimbBatch<'_>,
-    ) -> Result<(), BackendError> {
-        self.gate("multiply_batch", &[], STAGED)?;
-        self.multiply_batch(plan, a, b, out);
-        Ok(())
-    }
-
-    fn try_dev_forward(
-        &mut self,
-        plan: &RingPlan,
-        buf: DeviceBuf,
-        level: usize,
-    ) -> Result<(), BackendError> {
-        self.gate("dev_forward", &[buf], LAUNCH)?;
-        self.dev_forward(plan, buf, level);
-        Ok(())
-    }
-
-    fn try_dev_inverse(
-        &mut self,
-        plan: &RingPlan,
-        buf: DeviceBuf,
-        level: usize,
-    ) -> Result<(), BackendError> {
-        self.gate("dev_inverse", &[buf], LAUNCH)?;
-        self.dev_inverse(plan, buf, level);
-        Ok(())
-    }
-
-    fn try_dev_multiply(
-        &mut self,
-        plan: &RingPlan,
-        a: DeviceBuf,
-        b: DeviceBuf,
-        out: DeviceBuf,
-        level: usize,
-    ) -> Result<(), BackendError> {
-        self.gate("dev_multiply", &[a, b, out], LAUNCH)?;
-        self.dev_multiply(plan, a, b, out, level);
-        Ok(())
-    }
-
-    fn try_dev_pointwise(
-        &mut self,
-        plan: &RingPlan,
-        acc: DeviceBuf,
-        rhs: DeviceBuf,
-        level: usize,
-    ) -> Result<(), BackendError> {
-        self.gate("dev_pointwise", &[acc, rhs], LAUNCH)?;
-        self.dev_pointwise(plan, acc, rhs, level);
-        Ok(())
-    }
-
-    fn try_dev_fma(
-        &mut self,
-        plan: &RingPlan,
-        acc: DeviceBuf,
-        x: DeviceBuf,
-        y: DeviceBuf,
-        level: usize,
-    ) -> Result<(), BackendError> {
-        self.gate("dev_fma", &[acc, x, y], LAUNCH)?;
-        self.dev_fma(plan, acc, x, y, level);
-        Ok(())
-    }
-
-    fn try_dev_rescale(
-        &mut self,
-        plan: &RingPlan,
-        buf: DeviceBuf,
-        level: usize,
-    ) -> Result<(), BackendError> {
-        self.gate("dev_rescale", &[buf], LAUNCH)?;
-        self.dev_rescale(plan, buf, level);
-        Ok(())
-    }
-
-    fn try_dev_decompose(
-        &mut self,
-        plan: &RingPlan,
-        src: DeviceBuf,
-        dst: DeviceBuf,
-        level: usize,
-        digits: usize,
-        gadget_bits: u32,
-    ) -> Result<(), BackendError> {
-        self.gate("dev_decompose", &[src, dst], LAUNCH)?;
-        self.dev_decompose(plan, src, dst, level, digits, gadget_bits);
-        Ok(())
-    }
-
-    fn try_dev_automorphism(
-        &mut self,
-        plan: &RingPlan,
-        src: DeviceBuf,
-        dst: DeviceBuf,
-        level: usize,
-        g: u64,
-    ) -> Result<(), BackendError> {
-        self.gate("dev_automorphism", &[src, dst], LAUNCH)?;
-        self.dev_automorphism(plan, src, dst, level, g);
-        Ok(())
-    }
-
-    fn try_dev_modraise(
-        &mut self,
-        plan: &RingPlan,
-        src: DeviceBuf,
-        dst: DeviceBuf,
-        to_level: usize,
-    ) -> Result<(), BackendError> {
-        self.gate("dev_modraise", &[src, dst], LAUNCH)?;
-        self.dev_modraise(plan, src, dst, to_level);
+    /// The one fault gate (`gate`: handle check, then the op's draws on
+    /// every shard), then the unchanged infallible run.
+    fn try_run(&mut self, plan: &RingPlan, op: BackendOp<'_>) -> Result<(), BackendError> {
+        let kinds = if op.is_host_batch() { STAGED } else { LAUNCH };
+        self.gate(op.label(), &op.handles(), kinds)?;
+        self.run(plan, op);
         Ok(())
     }
 }
@@ -1680,11 +1501,10 @@ impl<F: Flavor> NttBackend for SimDevices<F> {
 // At `K = 1` the piece is the whole operand and the gather is a direct
 // reference, so these are the single-device kernels too.
 
-/// CKKS rescale step (contract per
-/// `ntt_core::backend::NttBackend::dev_rescale`) on a piece of data
-/// rows, the dropped last row arriving as a separate buffer: one thread
-/// per element, reading its own word and the last row's word of the
-/// same column.
+/// CKKS rescale step (contract per [`BackendOp::Rescale`]) on a piece
+/// of data rows, the dropped last row arriving as a separate buffer: one
+/// thread per element, reading its own word and the last row's word of
+/// the same column.
 struct RescaleKernel<'a> {
     data: Buf,
     last: Buf,
@@ -1736,11 +1556,10 @@ impl WarpKernel for RescaleKernel<'_> {
     }
 }
 
-/// Gadget digit decomposition (layout per
-/// `ntt_core::backend::NttBackend::dev_decompose`) writing a piece of
-/// the digit-poly rows from the full `level × N` source: one thread per
-/// output element, each reading its source word and extracting one
-/// base-`2^w` digit.
+/// Gadget digit decomposition (layout per [`BackendOp::Decompose`])
+/// writing a piece of the digit-poly rows from the full `level × N`
+/// source: one thread per output element, each reading its source word
+/// and extracting one base-`2^w` digit.
 struct DecomposeKernel {
     src: Buf,
     dst: Buf,
@@ -1793,12 +1612,11 @@ impl WarpKernel for DecomposeKernel {
     }
 }
 
-/// Mod-raise (centered lift per
-/// `ntt_core::backend::NttBackend::dev_modraise`) writing a piece of the
-/// raised rows from the single source row: one thread per *output*
-/// element; every row re-reads the same `N` source words, so the read
-/// goes through the cached path like the decompose kernel's replicated
-/// rows.
+/// Mod-raise (centered lift per [`BackendOp::ModRaise`]) writing a
+/// piece of the raised rows from the single source row: one thread per
+/// *output* element; every row re-reads the same `N` source words, so
+/// the read goes through the cached path like the decompose kernel's
+/// replicated rows.
 struct ModRaiseKernel<'a> {
     src: Buf,
     dst: Buf,
@@ -1855,7 +1673,7 @@ impl WarpKernel for ModRaiseKernel<'_> {
 mod tests {
     use super::*;
     use crate::SimBackend;
-    use ntt_core::backend::Evaluator;
+    use ntt_core::backend::{BackendOp as Op, CpuBackend, Evaluator};
     use ntt_core::{RnsPoly, RnsRing};
 
     fn ring(n: usize, np: usize) -> RnsRing {
@@ -1916,22 +1734,48 @@ mod tests {
             let mut sharded = ShardedBackend::titan_v(k, 32);
 
             let (mut fs, mut fk) = (a.clone(), a.clone());
-            sim.forward_batch(&plan, LimbBatch::from_poly(&mut fs));
-            sharded.forward_batch(&plan, LimbBatch::from_poly(&mut fk));
+            sim.run(&plan, Op::ForwardBatch(LimbBatch::from_poly(&mut fs)));
+            sharded.run(&plan, Op::ForwardBatch(LimbBatch::from_poly(&mut fk)));
             assert_eq!(fs.flat(), fk.flat(), "forward k={k}");
 
             let (mut ps, mut pk) = (fs.clone(), fk.clone());
-            sim.pointwise_batch(&plan, LimbBatch::from_poly(&mut ps), fs.flat());
-            sharded.pointwise_batch(&plan, LimbBatch::from_poly(&mut pk), fk.flat());
+            sim.run(
+                &plan,
+                Op::PointwiseBatch {
+                    acc: LimbBatch::from_poly(&mut ps),
+                    rhs: fs.flat(),
+                },
+            );
+            sharded.run(
+                &plan,
+                Op::PointwiseBatch {
+                    acc: LimbBatch::from_poly(&mut pk),
+                    rhs: fk.flat(),
+                },
+            );
             assert_eq!(ps.flat(), pk.flat(), "pointwise k={k}");
 
-            sim.inverse_batch(&plan, LimbBatch::from_poly(&mut ps));
-            sharded.inverse_batch(&plan, LimbBatch::from_poly(&mut pk));
+            sim.run(&plan, Op::InverseBatch(LimbBatch::from_poly(&mut ps)));
+            sharded.run(&plan, Op::InverseBatch(LimbBatch::from_poly(&mut pk)));
             assert_eq!(ps.flat(), pk.flat(), "inverse k={k}");
 
             let (mut ms, mut mk) = (RnsPoly::zero(&ring), RnsPoly::zero(&ring));
-            sim.multiply_batch(&plan, a.flat(), b.flat(), LimbBatch::from_poly(&mut ms));
-            sharded.multiply_batch(&plan, a.flat(), b.flat(), LimbBatch::from_poly(&mut mk));
+            sim.run(
+                &plan,
+                Op::MultiplyBatch {
+                    a: a.flat(),
+                    b: b.flat(),
+                    out: LimbBatch::from_poly(&mut ms),
+                },
+            );
+            sharded.run(
+                &plan,
+                Op::MultiplyBatch {
+                    a: a.flat(),
+                    b: b.flat(),
+                    out: LimbBatch::from_poly(&mut mk),
+                },
+            );
             assert_eq!(ms.flat(), mk.flat(), "multiply k={k}");
         }
     }
@@ -2025,7 +1869,16 @@ mod tests {
             let dst = mem.alloc(digit_rows * n);
             mem.upload(src, &src_host);
             drop(mem);
-            backend.dev_decompose(&plan, src, dst, level, digits, gadget_bits);
+            backend.run(
+                &plan,
+                Op::Decompose {
+                    src,
+                    dst,
+                    level,
+                    digits,
+                    gadget_bits,
+                },
+            );
             let mut out = vec![0u64; digit_rows * n];
             let mem = backend.memory();
             let mut mem = mem.lock().unwrap();
@@ -2076,7 +1929,15 @@ mod tests {
             drop(mem);
             // Second digit poly: rows level..2*level of the scratch.
             let xview = x.sub(level * n, level * n);
-            backend.dev_fma(&plan, acc, xview, y, level);
+            backend.run(
+                &plan,
+                Op::Fma {
+                    acc,
+                    x: xview,
+                    y,
+                    level,
+                },
+            );
             let mut out = vec![0u64; level * n];
             let mem = backend.memory();
             let mut mem = mem.lock().unwrap();
@@ -2104,12 +1965,218 @@ mod tests {
         let mut other = ShardedMemory::new(GpuConfig::titan_v(), 2, 16);
         let foreign = other.alloc(32);
         let err = sharded
-            .try_dev_forward(&plan, foreign, 2)
+            .try_run(
+                &plan,
+                Op::Forward {
+                    buf: foreign,
+                    level: 2,
+                },
+            )
             .expect_err("foreign handle must not resolve");
         assert!(
             matches!(err, BackendError::Fatal { op: "dev_forward" }),
             "got {err:?}"
         );
+
+        // The same contract for every op, on Cpu, Sim and Sharded at
+        // K = 2: a freed operand is Fatal under the op's label and moves
+        // no byte; with no plan armed `try_run` computes what `run` does;
+        // under a zero-rate plan one call draws upload, launch and
+        // download (host batch) or one launch (device op) on each shard.
+        //
+        // Device op `i` runs over level-2 polys `a`, `b`, `c`, a level-1
+        // `row` and the 8-row digit buffer of a 2-digit decomposition;
+        // `USES[i]` lists the operands it touches, in field order.
+        const ROWS: [usize; 5] = [2, 2, 2, 1, 8];
+        const USES: [&[usize]; 11] = [
+            &[0],
+            &[0],
+            &[0, 1, 2],
+            &[0, 1],
+            &[0, 1, 2],
+            &[0, 1],
+            &[0],
+            &[0],
+            &[0, 4],
+            &[3, 0],
+            &[0, 1],
+        ];
+        fn device_op(i: usize, [a, b, c, row, digits]: [DeviceBuf; 5]) -> Op<'static> {
+            let level = 2;
+            match i {
+                0 => Op::Forward { buf: a, level },
+                1 => Op::Inverse { buf: a, level },
+                2 => Op::Multiply {
+                    a,
+                    b,
+                    out: c,
+                    level,
+                },
+                3 => Op::Pointwise {
+                    acc: a,
+                    rhs: b,
+                    level,
+                },
+                4 => Op::Fma {
+                    acc: a,
+                    x: b,
+                    y: c,
+                    level,
+                },
+                5 => Op::AddSub {
+                    acc: a,
+                    rhs: b,
+                    level,
+                    subtract: true,
+                },
+                6 => Op::Negate { buf: a, level },
+                7 => Op::Rescale { buf: a, level },
+                8 => Op::Decompose {
+                    src: a,
+                    dst: digits,
+                    level,
+                    digits: 2,
+                    gadget_bits: 20,
+                },
+                9 => Op::ModRaise {
+                    src: row,
+                    dst: a,
+                    to_level: level,
+                },
+                _ => Op::Automorphism {
+                    src: a,
+                    dst: b,
+                    level,
+                    g: 3,
+                },
+            }
+        }
+        // Host batch `i` over two stacked level-2 polys.
+        fn host_op<'a>(i: usize, io: &'a mut [u64], rhs: &'a [u64]) -> Op<'a> {
+            let io = LimbBatch::new(io, 16, 2);
+            match i {
+                0 => Op::ForwardBatch(io),
+                1 => Op::InverseBatch(io),
+                2 => Op::PointwiseBatch { acc: io, rhs },
+                _ => Op::MultiplyBatch {
+                    a: rhs,
+                    b: rhs,
+                    out: io,
+                },
+            }
+        }
+        let none = [DeviceBuf::root(0, 0); 5];
+        let labels: Vec<&str> = (0..4)
+            .map(|i| host_op(i, &mut [], &[]).label())
+            .chain((0..11).map(|i| device_op(i, none).label()))
+            .collect();
+        assert_eq!(
+            labels.join(" "),
+            "forward_batch inverse_batch pointwise_batch multiply_batch dev_forward \
+             dev_inverse dev_multiply dev_pointwise dev_fma dev_addsub dev_negate \
+             dev_rescale dev_decompose dev_modraise dev_automorphism"
+        );
+
+        // Residues below every test prime, one seed per operand.
+        let residues = |words: usize, seed: usize| -> Vec<u64> {
+            let mix = |i: usize| ((i + 64 * seed) as u64).wrapping_mul(0x9e37_79b9);
+            (0..words).map(|i| mix(i) % (1 << 40)).collect()
+        };
+        let fresh = |be: &dyn NttBackend| -> [DeviceBuf; 5] {
+            let mem = be.memory();
+            let mut mem = mem.lock().unwrap();
+            let mut seed = 0;
+            ROWS.map(|rows| {
+                let buf = mem.alloc(rows * 16);
+                seed += 1;
+                mem.upload(buf, &residues(buf.len(), seed));
+                buf
+            })
+        };
+        let read = |be: &dyn NttBackend, bufs: &[DeviceBuf]| -> Vec<Vec<u64>> {
+            let mem = be.memory();
+            let mut mem = mem.lock().unwrap();
+            let mut out: Vec<Vec<u64>> = bufs.iter().map(|b| vec![0; b.len()]).collect();
+            for (&b, v) in bufs.iter().zip(&mut out) {
+                mem.download(b, v);
+            }
+            out
+        };
+        // Arm a plan on every shard; read each shard's draw count.
+        let arm = |mem: &Arc<Mutex<ShardedMemory>>, plan: Option<gpu_sim::FaultPlan>| {
+            for sh in &lock_sharded(mem).shards {
+                lock_mem(sh).gpu_mut().set_fault_plan(plan.clone());
+            }
+        };
+        let draws = |mem: &Arc<Mutex<ShardedMemory>>| -> Vec<u64> {
+            let m = lock_sharded(mem);
+            let seen = |sh| lock_mem(sh).gpu().fault_plan().map(|p| p.ops_seen());
+            m.shards.iter().map(|sh| seen(sh).unwrap_or(0)).collect()
+        };
+
+        let sim = SimBackend::titan_v();
+        let sharded = ShardedBackend::titan_v(2, 16);
+        let (sim_mem, sharded_mem) = (Arc::clone(&sim.mem), Arc::clone(&sharded.mem));
+        type Shards = Option<Arc<Mutex<ShardedMemory>>>;
+        let subjects: [(Box<dyn NttBackend>, Shards); 3] = [
+            (Box::new(CpuBackend::default()), None),
+            (Box::new(sim), Some(sim_mem)),
+            (Box::new(sharded), Some(sharded_mem)),
+        ];
+        for (mut be, shards) in subjects {
+            for (i, uses) in USES.iter().enumerate() {
+                let ctx = format!("{} on {}", device_op(i, none).label(), be.name());
+                assert!(!device_op(i, none).is_host_batch(), "{ctx}");
+                // Free each operand in turn.
+                for &freed in *uses {
+                    let bufs = fresh(&*be);
+                    let op = device_op(i, bufs);
+                    let touched: Vec<DeviceBuf> = uses.iter().map(|&j| bufs[j]).collect();
+                    assert_eq!(op.handles(), touched, "{ctx}: handles");
+                    be.memory().lock().unwrap().free(bufs[freed]);
+                    let live: Vec<DeviceBuf> =
+                        touched.into_iter().filter(|&b| b != bufs[freed]).collect();
+                    let before = read(&*be, &live);
+                    let want = BackendError::Fatal { op: op.label() };
+                    assert_eq!(be.try_run(&plan, op).expect_err(&ctx), want, "{ctx}");
+                    assert_eq!(read(&*be, &live), before, "{ctx}: operands moved");
+                }
+                let (x, y) = (fresh(&*be), fresh(&*be));
+                be.run(&plan, device_op(i, x));
+                be.try_run(&plan, device_op(i, y)).expect(&ctx);
+                assert_eq!(read(&*be, &x), read(&*be, &y), "{ctx}: try_run bits");
+                if let Some(mem) = &shards {
+                    arm(mem, Some(gpu_sim::FaultPlan::seeded(7)));
+                    be.try_run(&plan, device_op(i, x)).expect(&ctx);
+                    assert!(
+                        draws(mem).iter().all(|&d| d == 1),
+                        "{ctx}: {:?}",
+                        draws(mem)
+                    );
+                    arm(mem, None);
+                }
+            }
+            for i in 0..4 {
+                let ctx = format!("{} on {}", host_op(i, &mut [], &[]).label(), be.name());
+                assert!(host_op(i, &mut [], &[]).is_host_batch(), "{ctx}");
+                assert!(host_op(i, &mut [], &[]).handles().is_empty(), "{ctx}");
+                let rhs = residues(4 * 16, 1);
+                let (mut x, mut y) = (residues(4 * 16, 0), residues(4 * 16, 0));
+                be.run(&plan, host_op(i, &mut x, &rhs));
+                be.try_run(&plan, host_op(i, &mut y, &rhs)).expect(&ctx);
+                assert_eq!(x, y, "{ctx}: try_run bits");
+                if let Some(mem) = &shards {
+                    arm(mem, Some(gpu_sim::FaultPlan::seeded(7)));
+                    be.try_run(&plan, host_op(i, &mut y, &rhs)).expect(&ctx);
+                    assert!(
+                        draws(mem).iter().all(|&d| d == 3),
+                        "{ctx}: {:?}",
+                        draws(mem)
+                    );
+                    arm(mem, None);
+                }
+            }
+        }
     }
 
     #[test]
@@ -2181,8 +2248,8 @@ mod tests {
         let mut fork = root.fork();
         let a = sample(&ring, 5);
         let (mut x, mut y) = (a.clone(), a.clone());
-        root.forward_batch(&plan, LimbBatch::from_poly(&mut x));
-        fork.forward_batch(&plan, LimbBatch::from_poly(&mut y));
+        root.run(&plan, Op::ForwardBatch(LimbBatch::from_poly(&mut x)));
+        fork.run(&plan, Op::ForwardBatch(LimbBatch::from_poly(&mut y)));
         assert_eq!(x.flat(), y.flat());
     }
 

@@ -22,7 +22,9 @@
 //! Interleaved host/device schedules are property-tested separately in
 //! `tests/residency.rs`.
 
-use ntt_warp::core::backend::{CpuBackend, Evaluator, LimbBatch, NttBackend, RingPlan};
+use ntt_warp::core::backend::{
+    BackendOp as Op, CpuBackend, Evaluator, LimbBatch, NttBackend, RingPlan,
+};
 use ntt_warp::core::engine::ThreadPolicy;
 use ntt_warp::core::{ct, RnsPoly, RnsRing};
 use ntt_warp::gpu::SimBackend;
@@ -91,7 +93,11 @@ proptest! {
         let strict = strict_multiply(&ring, &a, &b);
         for mut be in registry() {
             let mut out = RnsPoly::zero(&ring);
-            be.multiply_batch(&plan, a.flat(), b.flat(), LimbBatch::from_poly(&mut out));
+            be.run(&plan, Op::MultiplyBatch {
+                a: a.flat(),
+                b: b.flat(),
+                out: LimbBatch::from_poly(&mut out),
+            });
             prop_assert_eq!(out.flat(), strict.flat(), "backend {}", be.name());
         }
     }
@@ -112,9 +118,9 @@ proptest! {
         }
         for mut be in registry() {
             let mut f = x.clone();
-            be.forward_batch(&plan, LimbBatch::from_poly(&mut f));
+            be.run(&plan, Op::ForwardBatch(LimbBatch::from_poly(&mut f)));
             prop_assert_eq!(f.flat(), reference.flat(), "forward, backend {}", be.name());
-            be.inverse_batch(&plan, LimbBatch::from_poly(&mut f));
+            be.run(&plan, Op::InverseBatch(LimbBatch::from_poly(&mut f)));
             prop_assert_eq!(f.flat(), x.flat(), "roundtrip, backend {}", be.name());
         }
     }
@@ -138,14 +144,14 @@ fn every_backend_agrees_at_bootstrap_scale() {
         ct::ntt(reference.row_mut(0), ring.ring(0).table());
         for be in &mut backends {
             let mut f = x.clone();
-            be.forward_batch(&plan, LimbBatch::from_poly(&mut f));
+            be.run(&plan, Op::ForwardBatch(LimbBatch::from_poly(&mut f)));
             assert_eq!(
                 f.flat(),
                 reference.flat(),
                 "forward, N=2^{log_n}, backend {}",
                 be.name()
             );
-            be.inverse_batch(&plan, LimbBatch::from_poly(&mut f));
+            be.run(&plan, Op::InverseBatch(LimbBatch::from_poly(&mut f)));
             assert_eq!(
                 f.flat(),
                 x.flat(),
@@ -199,7 +205,14 @@ fn every_backend_survives_all_p_minus_one_at_lazy_bound() {
     let strict = strict_multiply(&ring, &a, &a);
     for mut be in registry() {
         let mut out = RnsPoly::zero(&ring);
-        be.multiply_batch(&plan, a.flat(), a.flat(), LimbBatch::from_poly(&mut out));
+        be.run(
+            &plan,
+            Op::MultiplyBatch {
+                a: a.flat(),
+                b: a.flat(),
+                out: LimbBatch::from_poly(&mut out),
+            },
+        );
         assert_eq!(out.flat(), strict.flat(), "backend {}", be.name());
     }
 }
@@ -213,21 +226,31 @@ fn cpu_backend_thread_policies_are_bit_identical() {
     let a = pseudo_random_rows(&ring, 0xAB);
     let b = pseudo_random_rows(&ring, 0xCD);
     let mut reference = RnsPoly::zero(&ring);
-    CpuBackend::new(ThreadPolicy::Single).multiply_batch(
+    CpuBackend::new(ThreadPolicy::Single).run(
         &plan,
-        a.flat(),
-        b.flat(),
-        LimbBatch::from_poly(&mut reference),
+        Op::MultiplyBatch {
+            a: a.flat(),
+            b: b.flat(),
+            out: LimbBatch::from_poly(&mut reference),
+        },
     );
     for threads in [2usize, 3, 8] {
         let mut be = CpuBackend::new(ThreadPolicy::Fixed(threads));
         let mut out = RnsPoly::zero(&ring);
-        be.multiply_batch(&plan, a.flat(), b.flat(), LimbBatch::from_poly(&mut out));
+        be.run(
+            &plan,
+            Op::MultiplyBatch {
+                a: a.flat(),
+                b: b.flat(),
+                out: LimbBatch::from_poly(&mut out),
+            },
+        );
         assert_eq!(out, reference, "{threads} threads");
         let mut f = a.clone();
-        be.forward_batch(&plan, LimbBatch::from_poly(&mut f));
+        be.run(&plan, Op::ForwardBatch(LimbBatch::from_poly(&mut f)));
         let mut fs = a.clone();
-        CpuBackend::new(ThreadPolicy::Single).forward_batch(&plan, LimbBatch::from_poly(&mut fs));
+        CpuBackend::new(ThreadPolicy::Single)
+            .run(&plan, Op::ForwardBatch(LimbBatch::from_poly(&mut fs)));
         assert_eq!(f, fs, "forward batch, {threads} threads");
     }
 }
@@ -246,18 +269,30 @@ fn cpu_and_sim_agree_on_stacked_digit_batches() {
     let mut cpu = CpuBackend::default();
     let mut sim = SimBackend::titan_v();
     let (mut hc, mut hs) = (stacked.clone(), stacked.clone());
-    cpu.forward_batch(&plan, LimbBatch::new(&mut hc, 32, 3));
-    sim.forward_batch(&plan, LimbBatch::new(&mut hs, 32, 3));
+    cpu.run(&plan, Op::ForwardBatch(LimbBatch::new(&mut hc, 32, 3)));
+    sim.run(&plan, Op::ForwardBatch(LimbBatch::new(&mut hs, 32, 3)));
     assert_eq!(hc, hs, "stacked forward");
 
     // Pointwise on the transformed stack (rhs = the stack itself).
     let rhs = hc.clone();
-    cpu.pointwise_batch(&plan, LimbBatch::new(&mut hc, 32, 3), &rhs);
-    sim.pointwise_batch(&plan, LimbBatch::new(&mut hs, 32, 3), &rhs);
+    cpu.run(
+        &plan,
+        Op::PointwiseBatch {
+            acc: LimbBatch::new(&mut hc, 32, 3),
+            rhs: &rhs,
+        },
+    );
+    sim.run(
+        &plan,
+        Op::PointwiseBatch {
+            acc: LimbBatch::new(&mut hs, 32, 3),
+            rhs: &rhs,
+        },
+    );
     assert_eq!(hc, hs, "stacked pointwise");
 
-    cpu.inverse_batch(&plan, LimbBatch::new(&mut hc, 32, 3));
-    sim.inverse_batch(&plan, LimbBatch::new(&mut hs, 32, 3));
+    cpu.run(&plan, Op::InverseBatch(LimbBatch::new(&mut hc, 32, 3)));
+    sim.run(&plan, Op::InverseBatch(LimbBatch::new(&mut hs, 32, 3)));
     assert_eq!(hc, hs, "stacked inverse");
 }
 

@@ -24,7 +24,7 @@
 //!   bit-identical to the CPU for K ∈ {1, 2, 3}.
 
 use he_serve::{loadgen, ArrivalMode, HeServer, LoadConfig, ServeConfig};
-use ntt_warp::core::backend::{LimbBatch, NttBackend, RingPlan};
+use ntt_warp::core::backend::{BackendOp as Op, LimbBatch, NttBackend, RingPlan};
 use ntt_warp::core::{CpuBackend, RnsRing};
 use ntt_warp::gpu::{ShardedBackend, SimBackend};
 use ntt_warp::he::{sampling, HeContext, HeLiteParams};
@@ -211,17 +211,33 @@ fn smem_sized_stacked_and_resident_transforms_match_cpu_on_every_shard_count() {
 
     let mut cpu = CpuBackend::default();
     let mut inv_cpu = stack.clone();
-    cpu.inverse_batch(&plan, LimbBatch::new(&mut inv_cpu, n, level));
+    cpu.run(
+        &plan,
+        Op::InverseBatch(LimbBatch::new(&mut inv_cpu, n, level)),
+    );
     let mut fwd_cpu = stack.clone();
-    cpu.forward_batch(&plan, LimbBatch::new(&mut fwd_cpu, n, level));
+    cpu.run(
+        &plan,
+        Op::ForwardBatch(LimbBatch::new(&mut fwd_cpu, n, level)),
+    );
     let mut mul_cpu = vec![0u64; half];
     let (x, y) = stack.split_at(half);
-    cpu.multiply_batch(&plan, x, y, LimbBatch::new(&mut mul_cpu, n, level));
+    cpu.run(
+        &plan,
+        Op::MultiplyBatch {
+            a: x,
+            b: y,
+            out: LimbBatch::new(&mut mul_cpu, n, level),
+        },
+    );
 
     for k in [1usize, 2, 3] {
         let mut sim = ShardedBackend::titan_v(k, n);
         let mut inv_sim = stack.clone();
-        sim.inverse_batch(&plan, LimbBatch::new(&mut inv_sim, n, level));
+        sim.run(
+            &plan,
+            Op::InverseBatch(LimbBatch::new(&mut inv_sim, n, level)),
+        );
         assert_eq!(inv_sim, inv_cpu, "stacked inverse_batch, k={k}");
 
         let mem = sim.memory();
@@ -236,9 +252,9 @@ fn smem_sized_stacked_and_resident_transforms_match_cpu_on_every_shard_count() {
             mem.lock().unwrap().download(buf, &mut got);
             got
         };
-        sim.dev_forward(&plan, st, level);
+        sim.run(&plan, Op::Forward { buf: st, level });
         assert_eq!(download(st, words), fwd_cpu, "resident forward, k={k}");
-        sim.dev_inverse(&plan, st, level);
+        sim.run(&plan, Op::Inverse { buf: st, level });
         assert_eq!(
             download(st, words),
             stack,
@@ -246,7 +262,15 @@ fn smem_sized_stacked_and_resident_transforms_match_cpu_on_every_shard_count() {
         );
         let link = sim.memory_handle();
         let before = link.lock().unwrap().link_stats();
-        sim.dev_multiply(&plan, st.sub(0, half), st.sub(half, half), out, level);
+        sim.run(
+            &plan,
+            Op::Multiply {
+                a: st.sub(0, half),
+                b: st.sub(half, half),
+                out,
+                level,
+            },
+        );
         assert_eq!(download(out, half), mul_cpu, "resident multiply, k={k}");
         let words_moved = link.lock().unwrap().link_stats().since(&before).words;
         assert_eq!(words_moved > 0, k == 3, "k={k}: {words_moved} link words");
