@@ -1127,15 +1127,19 @@ pub enum BackendOp<'a> {
         /// Active primes.
         level: usize,
     },
-    /// Device-resident fused multiply-accumulate `acc[i] += x[i] * y[i]`
-    /// per row (the key-switch inner product).
+    /// Device-resident multi-term multiply-accumulate
+    /// `acc[i] += Σ_k x_k[i] · y[k][i]` per row, where `x_k` is
+    /// `x.sub(k·acc.len(), acc.len())` — the whole key-switch inner
+    /// product over one accumulator in one op: `x` is the stacked digit
+    /// buffer, `y` the matching key halves.
     Fma {
         /// The accumulator.
         acc: DeviceBuf,
-        /// First factor.
+        /// The stacked first factors, `y.len()` accumulator-shaped terms
+        /// back to back.
         x: DeviceBuf,
-        /// Second factor.
-        y: DeviceBuf,
+        /// The second factor of each term, accumulator-shaped.
+        y: &'a [DeviceBuf],
         /// Active primes.
         level: usize,
     },
@@ -1263,7 +1267,9 @@ impl BackendOp<'_> {
                 vec![acc, rhs]
             }
             BackendOp::Multiply { a, b, out, .. } => vec![a, b, out],
-            BackendOp::Fma { acc, x, y, .. } => vec![acc, x, y],
+            BackendOp::Fma { acc, x, y, .. } => {
+                [acc, x].into_iter().chain(y.iter().copied()).collect()
+            }
             BackendOp::Decompose { src, dst, .. }
             | BackendOp::ModRaise { src, dst, .. }
             | BackendOp::Automorphism { src, dst, .. } => vec![src, dst],
@@ -1562,11 +1568,15 @@ impl NttBackend for CpuBackend {
                 self.stage_out(0, acc);
             }
             BackendOp::Fma { acc, x, y, level } => {
+                let len = acc.len();
+                assert_eq!(x.len(), y.len() * len, "fma term shape mismatch");
                 self.stage_in(0, acc);
-                self.stage_in(1, x);
-                self.stage_in(2, y);
                 let mut a = std::mem::take(&mut self.stage[0]);
-                host_fma_rows(plan, level, &mut a, &self.stage[1], &self.stage[2]);
+                for (k, &yk) in y.iter().enumerate() {
+                    self.stage_in(1, x.sub(k * len, len));
+                    self.stage_in(2, yk);
+                    host_fma_rows(plan, level, &mut a, &self.stage[1], &self.stage[2]);
+                }
                 self.stage[0] = a;
                 self.stage_out(0, acc);
             }
@@ -2209,28 +2219,36 @@ impl Evaluator {
         }
     }
 
-    /// Key-switch accumulate `acc += x · y` where `x` is a raw device view
-    /// (e.g. one digit polynomial of a decomposed buffer) and `y` is a
+    /// Key-switch inner product `acc += Σ_k x_k · ys[k]` as one
+    /// [`BackendOp::Fma`], where `x` is a raw device view of `ys.len()`
+    /// stacked accumulator-shaped terms (e.g. the whole digit buffer of
+    /// [`Evaluator::decompose_resident`]; term `k` is
+    /// `x.sub(k·acc_words, acc_words)`) and each `ys[k]` is a
     /// device-resident polynomial (e.g. a relinearization key half). All
-    /// three operands must live in this backend's memory; this is a
-    /// device-only fast path — host chains use
-    /// [`Evaluator::mul_pointwise`] + [`Evaluator::add_assign`].
+    /// operands must live in this backend's memory; this is a device-only
+    /// fast path — host chains use [`Evaluator::mul_pointwise`] +
+    /// [`Evaluator::add_assign`].
     ///
     /// # Panics
     ///
-    /// Panics if `acc` or `y` is not device-fresh in this backend's
-    /// memory, or on shape mismatch.
-    pub fn fma_resident(&mut self, acc: &mut RnsPoly, x: DeviceBuf, y: &RnsPoly) {
-        assert_eq!(acc.level(), y.level(), "level mismatch");
-        let ybuf = self.dev_buf(y).expect("fma rhs must be device-resident");
+    /// Panics if `acc` or any `ys[k]` is not device-fresh in this
+    /// backend's memory, or on shape mismatch.
+    pub fn fma_resident(&mut self, acc: &mut RnsPoly, x: DeviceBuf, ys: &[&RnsPoly]) {
+        let y: Vec<DeviceBuf> = ys
+            .iter()
+            .map(|key| {
+                assert_eq!(acc.level(), key.level(), "level mismatch");
+                self.dev_buf(key).expect("fma rhs must be device-resident")
+            })
+            .collect();
         let abuf = self
             .device_target(acc)
             .expect("fma accumulator must be device-resident");
-        assert_eq!(x.len(), abuf.len(), "digit view shape mismatch");
+        assert_eq!(x.len(), y.len() * abuf.len(), "digit view shape mismatch");
         let op = BackendOp::Fma {
             acc: abuf,
             x,
-            y: ybuf,
+            y: &y,
             level: acc.level(),
         };
         self.backend.run(&self.plan, op);

@@ -29,9 +29,10 @@
 //! * **SlotToCoeff** applies `σ` to move the cleaned values back into
 //!   coefficients.
 //!
-//! The op mix is exactly the paper's: rotations are key switches (gadget
-//! digit NTTs + FMAs) and every stage is NTT-dominated, which is what
-//! `figures bootstrap` measures and `bench_smoke.sh` gates.
+//! The op mix is exactly the paper's: rotations are key switches (one
+//! batched launch group of gadget digit NTTs, then one multi-term FMA
+//! launch per accumulator) and every stage is NTT-dominated, which is
+//! what `figures bootstrap` measures and `bench_smoke.sh` gates.
 //!
 //! **Scale discipline.** Every ciphertext×ciphertext product drifts the
 //! scale off the working point `T` (the squaring recursion

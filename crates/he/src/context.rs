@@ -1082,12 +1082,20 @@ impl HeContext {
     /// returns the pair to add to `(c0, c1)`.
     ///
     /// Digit decomposition uses a contiguous **buffer-of-digits** layout:
-    /// every non-zero digit polynomial (its `level` replicated rows) is
-    /// packed back to back and all `level × digits` digit NTTs are
-    /// submitted as **one** batched [`Evaluator::forward_flat`] call — the
+    /// the digit polynomials (each `level` replicated rows) sit back to
+    /// back and all their NTTs are submitted as **one** batched call — the
     /// backend sees a single `rows × N` batch instead of one polynomial at
     /// a time, which is exactly the `np`-amortization the paper applies to
-    /// kernel launches.
+    /// kernel launches. The inner product is amortized the same way:
+    ///
+    /// * on a device-resident context the digits are decomposed and
+    ///   transformed on the device ([`Evaluator::decompose_resident`]),
+    ///   and each accumulator's whole `Σ_k digit_k · key_k` is **one**
+    ///   multi-term [`Evaluator::fma_resident`] — two launches per key
+    ///   switch, not one per digit;
+    /// * on the host path only the non-zero digits are packed, transformed
+    ///   by one [`Evaluator::forward_flat`], and accumulated digit by
+    ///   digit.
     fn key_switch(
         &self,
         st: &mut EvalState,
@@ -1131,21 +1139,19 @@ impl HeContext {
 
         // Device-resident fast path: decompose on the device, forward-NTT
         // all `level × digits` digit polynomials in one batched call, and
-        // accumulate with fused multiply-adds — nothing crosses the bus.
+        // run each accumulator's whole inner product as one multi-term
+        // fused multiply-add over the digit buffer (digit
+        // `k = j·digits + d` is its term `k`) — nothing crosses the bus.
         // Unlike the packed host path below, zero digits are processed
         // too (they transform to zero and accumulate nothing), so the
         // results stay bit-identical.
         if let Some(digit_buf) = ev.decompose_resident(&e2c, digits, w) {
+            let keys = entries[..level].iter().flat_map(|row| &row[..digits]);
+            let (b, a): (Vec<&RnsPoly>, Vec<&RnsPoly>) = keys.map(|e| (&e.b, &e.a)).unzip();
             let mut acc0 = ev.zero_resident(level, Representation::Evaluation);
             let mut acc1 = ev.zero_resident(level, Representation::Evaluation);
-            for (j, row) in entries.iter().enumerate().take(level) {
-                for (d, entry) in row.iter().enumerate().take(digits) {
-                    let k = j * digits + d;
-                    let digit = digit_buf.sub(k * level * n, level * n);
-                    ev.fma_resident(&mut acc0, digit, &entry.b);
-                    ev.fma_resident(&mut acc1, digit, &entry.a);
-                }
-            }
+            ev.fma_resident(&mut acc0, digit_buf, &b);
+            ev.fma_resident(&mut acc1, digit_buf, &a);
             return (acc0, acc1);
         }
 

@@ -476,8 +476,6 @@ pub(crate) fn forward_mode() -> ForwardMode {
 pub(crate) enum ElemOp {
     /// `a[i] <- a[i] * b[i]` (the paper's pointwise stage).
     Mul,
-    /// `a[i] <- a[i] + b[i] * c[i]` (key-switch accumulate).
-    Fma,
     /// `a[i] <- a[i] + b[i]`.
     Add,
     /// `a[i] <- a[i] - b[i]`.
@@ -490,7 +488,6 @@ impl ElemOp {
     fn label(&self) -> &'static str {
         match self {
             ElemOp::Mul => "sim-pointwise",
-            ElemOp::Fma => "sim-fma",
             ElemOp::Add => "sim-add",
             ElemOp::Sub => "sim-sub",
             ElemOp::Neg => "sim-neg",
@@ -502,7 +499,6 @@ struct ElemwiseKernel<'a> {
     op: ElemOp,
     a: Buf,
     b: Option<Buf>,
-    c: Option<Buf>,
     n: usize,
     rows: usize,
     row_prime: &'a [usize],
@@ -519,7 +515,6 @@ impl WarpKernel for ElemwiseKernel<'_> {
         let lanes = ctx.lanes();
         let mut addr_a = vec![None; lanes];
         let mut addr_b = vec![None; lanes];
-        let mut addr_c = vec![None; lanes];
         let mut prime = vec![0usize; lanes];
         let mut active = 0u64;
         for l in 0..lanes {
@@ -533,9 +528,6 @@ impl WarpKernel for ElemwiseKernel<'_> {
             if let Some(b) = self.b {
                 addr_b[l] = Some(b.word(gt));
             }
-            if let Some(c) = self.c {
-                addr_c[l] = Some(c.word(gt));
-            }
         }
         if active == 0 {
             return;
@@ -545,22 +537,12 @@ impl WarpKernel for ElemwiseKernel<'_> {
         } else {
             (ctx.gmem_load(&addr_a), vec![None; lanes])
         };
-        let c = if self.c.is_some() {
-            ctx.gmem_load(&addr_c)
-        } else {
-            vec![None; lanes]
-        };
         let writes: Vec<Option<(usize, u64)>> = (0..lanes)
             .map(|l| {
                 let av = a[l]?;
                 let p = self.moduli[prime[l]];
                 let v = match self.op {
                     ElemOp::Mul => mul_mod(av, b[l].expect("rhs loaded"), p),
-                    ElemOp::Fma => add_mod(
-                        av,
-                        mul_mod(b[l].expect("x loaded"), c[l].expect("y loaded"), p),
-                        p,
-                    ),
                     ElemOp::Add => add_mod(av, b[l].expect("rhs loaded"), p),
                     ElemOp::Sub => sub_mod(av, b[l].expect("rhs loaded"), p),
                     ElemOp::Neg => neg_mod(av, p),
@@ -570,12 +552,72 @@ impl WarpKernel for ElemwiseKernel<'_> {
             .collect();
         match self.op {
             ElemOp::Mul => ctx.count_op(OpClass::NativeModMul, active),
-            ElemOp::Fma => {
-                ctx.count_op(OpClass::NativeModMul, active);
-                ctx.count_op(OpClass::ModAddSub, active);
-            }
             ElemOp::Add | ElemOp::Sub | ElemOp::Neg => ctx.count_op(OpClass::ModAddSub, active),
         }
+        ctx.gmem_store(&writes);
+    }
+}
+
+/// Multi-term key-switch accumulate (contract per [`BackendOp::Fma`]):
+/// one thread per accumulator element keeps the running sum in a
+/// register, so `acc` is read once and written once while every term
+/// streams in its two factors — one modular product and one modular add
+/// per element and term.
+struct FmaKernel<'a> {
+    acc: Buf,
+    /// The factor pairs, `[x_0, y_0, x_1, y_1, …]`.
+    terms: &'a [Buf],
+    n: usize,
+    rows: usize,
+    row_prime: &'a [usize],
+    moduli: &'a [u64],
+}
+
+impl WarpKernel for FmaKernel<'_> {
+    fn phases(&self) -> usize {
+        1
+    }
+
+    fn run_warp(&self, ctx: &mut WarpCtx<'_>) {
+        let total = self.rows * self.n;
+        let lanes = ctx.lanes();
+        let mut elem = vec![None; lanes];
+        let mut prime = vec![0u64; lanes];
+        let mut active = 0u64;
+        for l in 0..lanes {
+            let gt = ctx.global_thread(l);
+            if gt >= total {
+                continue;
+            }
+            active += 1;
+            elem[l] = Some(gt);
+            prime[l] = self.moduli[self.row_prime[gt / self.n]];
+        }
+        if active == 0 {
+            return;
+        }
+        let addrs = |buf: Buf| -> Vec<Option<usize>> {
+            elem.iter().map(|gt| gt.map(|g| buf.word(g))).collect()
+        };
+        let addr_acc = addrs(self.acc);
+        let mut sum = ctx.gmem_load(&addr_acc);
+        for pair in self.terms.chunks_exact(2) {
+            let (x, y) = ctx.gmem_load2(&addrs(pair[0]), &addrs(pair[1]));
+            for (l, s) in sum.iter_mut().enumerate() {
+                if let Some(s) = s {
+                    let p = prime[l];
+                    let xy = mul_mod(x[l].expect("x loaded"), y[l].expect("y loaded"), p);
+                    *s = add_mod(*s, xy, p);
+                }
+            }
+            ctx.count_op(OpClass::NativeModMul, active);
+            ctx.count_op(OpClass::ModAddSub, active);
+        }
+        let writes: Vec<Option<(usize, u64)>> = addr_acc
+            .iter()
+            .zip(&sum)
+            .map(|(&a, &s)| Some((a?, s?)))
+            .collect();
         ctx.gmem_store(&writes);
     }
 }
@@ -855,7 +897,6 @@ pub(crate) fn launch_elemwise(
     op: ElemOp,
     a: Buf,
     b: Option<Buf>,
-    c: Option<Buf>,
     n: usize,
     row_prime: &[usize],
 ) {
@@ -863,7 +904,6 @@ pub(crate) fn launch_elemwise(
     let kernel = ElemwiseKernel {
         a,
         b,
-        c,
         n,
         rows: row_prime.len(),
         row_prime,
@@ -871,6 +911,27 @@ pub(crate) fn launch_elemwise(
         op,
     };
     launch_rows(&mut m.gpu, op.label(), row_prime.len() * n, &kernel);
+}
+
+/// Launch one multi-term FMA kernel over `row_prime.len()` local rows of
+/// `acc`, `terms` holding each term's `[x_k, y_k]` pair back to back.
+pub(crate) fn launch_fma(
+    m: &mut SimMemory,
+    acc: Buf,
+    terms: &[Buf],
+    n: usize,
+    row_prime: &[usize],
+) {
+    let t = m.tables.as_ref().expect("tables uploaded");
+    let kernel = FmaKernel {
+        acc,
+        terms,
+        n,
+        rows: row_prime.len(),
+        row_prime,
+        moduli: &t.primes,
+    };
+    launch_rows(&mut m.gpu, "sim-fma", row_prime.len() * n, &kernel);
 }
 
 /// Launch the Galois automorphism kernel over `row_prime.len()` local

@@ -16,12 +16,13 @@
 //! NTTs and every element-wise ring op, so row `r` can live on shard
 //! `r % K` (cyclic, at local row `r / K`) for its whole life and never
 //! move. The partition is cyclic rather than block-contiguous because
-//! of how the key-switch inner loop slices its operands: digit
-//! sub-views sit at row offsets `d * level` of the decompose scratch,
-//! and under a cyclic partition those views land on the same shards as
-//! the `level`-row accumulators whenever `level % K == 0` — the digit
-//! FMAs stay link-free instead of re-gathering near-full operands for
-//! every digit. What does move is the key-switch base-conversion
+//! of how the key-switch inner product slices its operands: its one
+//! multi-term FMA per accumulator reads term `k` from the digit
+//! sub-view at row offset `k * level` of the decompose scratch, and
+//! under a cyclic partition those views land on the same shards as the
+//! `level`-row accumulators whenever `level % K == 0` — every term's
+//! gather stays link-free instead of re-gathering a near-full operand
+//! per digit. What does move is the key-switch base-conversion
 //! itself: gadget digit decomposition reads **every** residue row of
 //! the source polynomial to build each digit, so a `K`-way sharded
 //! decompose pays an explicit all-gather of the remote rows over the
@@ -72,9 +73,9 @@
 //! # Operand misalignment
 //!
 //! Device ops receive *views*, and two operands of one op can slice
-//! allocations with different row counts — the key-switch inner loop
-//! passes digit sub-views of a `level·digits·level`-row scratch
-//! against `level`-row accumulators, so their partitions need not line
+//! allocations with different row counts — the key-switch FMA reads
+//! its terms as digit sub-views of a `level·digits·level`-row scratch
+//! against a `level`-row accumulator, so their partitions need not line
 //! up. The *written* operand's partition decides placement: each of
 //! its shard-local pieces runs where it lives, and any secondary
 //! operand piece resident elsewhere is gathered into shard-local
@@ -84,8 +85,8 @@
 
 use crate::backend::{
     calibrate_forward_choice, classify, ensure_tables, launch_automorphism, launch_elemwise,
-    launch_rows, lock_mem, run_forward, run_inverse, DevData, ElemOp, ForwardImpl, ForwardMode,
-    ShapeChoice, SimMemory, SMEM_MIN_N,
+    launch_fma, launch_rows, lock_mem, run_forward, run_inverse, DevData, ElemOp, ForwardImpl,
+    ForwardMode, ShapeChoice, SimMemory, SMEM_MIN_N,
 };
 use gpu_sim::{
     Buf, DeviceTimeline, Event, FaultOp, GpuConfig, OpClass, Stream, WarpCtx, WarpKernel,
@@ -225,14 +226,15 @@ struct Gathered {
 }
 
 /// One shard piece of a row-wise device op, as its kernel sees it.
-struct Piece<const R: usize> {
+struct Piece {
     shard: usize,
     /// View-relative rows of the written operand in this piece.
     rows: Rows,
     /// The written operand's piece.
     dst: Buf,
-    /// The read operands, materialized on this shard.
-    src: [Buf; R],
+    /// The read operands, materialized on this shard, in the order the
+    /// op listed them.
+    src: Vec<Buf>,
 }
 
 /// The modeled inter-device link: one copy-engine stream per shard
@@ -767,24 +769,26 @@ impl Held<'_> {
     /// rows = the piece's own rows; `Some` = fixed rows every piece
     /// needs, e.g. a broadcast), fence on `dst`, run `kernel`, record
     /// the write, release the gathers.
-    fn each_piece<const R: usize>(
+    fn each_piece(
         &mut self,
         plan: &RingPlan,
         dst: DeviceBuf,
-        reads: [(DeviceBuf, Option<Rows>); R],
-        mut kernel: impl FnMut(&mut SimMemory, Piece<R>),
+        reads: &[(DeviceBuf, Option<Rows>)],
+        mut kernel: impl FnMut(&mut SimMemory, Piece),
     ) {
         let n = plan.degree();
         for seg in self.row_segments(dst, n) {
             let s = seg.shard;
             ensure_tables(&mut self.sh[s], plan);
-            let gathered =
-                reads.map(|(view, rows)| self.gather_rows(view, rows.unwrap_or(seg.rows), n, s));
+            let gathered: Vec<Gathered> = reads
+                .iter()
+                .map(|&(view, rows)| self.gather_rows(view, rows.unwrap_or(seg.rows), n, s))
+                .collect();
             let sh = &mut self.sh[s];
             let root = sh.root_base(seg.local);
             let data = sh.raw_buf(seg.local);
             sh.wait_ready(&[root]);
-            let src = gathered.each_ref().map(|g| g.buf);
+            let src = gathered.iter().map(|g| g.buf).collect();
             kernel(
                 sh,
                 Piece {
@@ -1253,7 +1257,7 @@ impl<F: Flavor> NttBackend for SimDevices<F> {
                 assert_eq!(acc.as_slice().len(), rhs.len(), "operand shape mismatch");
                 let n = acc.n();
                 self.host_batch(plan, acc, Some(rhs), |sh, a, b, rp| {
-                    launch_elemwise(sh, ElemOp::Mul, a, b, None, n, rp)
+                    launch_elemwise(sh, ElemOp::Mul, a, b, n, rp)
                 });
             }
             BackendOp::MultiplyBatch { a, b, mut out } => {
@@ -1271,7 +1275,7 @@ impl<F: Flavor> NttBackend for SimDevices<F> {
                     let b = b.expect("multiply stages both operands");
                     run_forward(sh, plan, a, rp, choice);
                     run_forward(sh, plan, b, rp, choice);
-                    launch_elemwise(sh, ElemOp::Mul, a, Some(b), None, n, rp);
+                    launch_elemwise(sh, ElemOp::Mul, a, Some(b), n, rp);
                     run_inverse(sh, plan, a, rp, inverse);
                 });
             }
@@ -1280,7 +1284,7 @@ impl<F: Flavor> NttBackend for SimDevices<F> {
             BackendOp::Forward { buf, level } => {
                 let choice = self.forward_choice(n, buf.len() / n);
                 self.on_shards(|h, _| {
-                    h.each_piece(plan, buf, [], |sh, p| {
+                    h.each_piece(plan, buf, &[], |sh, p| {
                         run_forward(sh, plan, p.dst, &p.rows.primes(level), choice)
                     })
                 });
@@ -1288,7 +1292,7 @@ impl<F: Flavor> NttBackend for SimDevices<F> {
             BackendOp::Inverse { buf, level } => {
                 let choice = self.inverse_choice(n, buf.len() / n);
                 self.on_shards(|h, _| {
-                    h.each_piece(plan, buf, [], |sh, p| {
+                    h.each_piece(plan, buf, &[], |sh, p| {
                         run_inverse(sh, plan, p.dst, &p.rows.primes(level), choice)
                     })
                 });
@@ -1299,20 +1303,19 @@ impl<F: Flavor> NttBackend for SimDevices<F> {
                     self.inverse_choice(n, out.len() / n),
                 );
                 self.on_shards(|h, staging| {
-                    h.each_piece(plan, out, [(a, None), (b, None)], |sh, p| {
+                    h.each_piece(plan, out, &[(a, None), (b, None)], |sh, p| {
                         let words = p.rows.count * n;
                         let scratch = staging[p.shard].mul_scratch.ensure(sh.gpu_mut(), words);
                         let scratch = scratch.sub(0, words);
                         sh.wait_ready(&[scratch.base()]);
                         // Stage both operands on the owning shard (inputs
                         // intact).
-                        let [ga, gb] = p.src;
-                        sh.gpu_mut().gmem.copy(ga, p.dst);
-                        sh.gpu_mut().gmem.copy(gb, scratch);
+                        sh.gpu_mut().gmem.copy(p.src[0], p.dst);
+                        sh.gpu_mut().gmem.copy(p.src[1], scratch);
                         let row_prime = p.rows.primes(level);
                         run_forward(sh, plan, p.dst, &row_prime, choice);
                         run_forward(sh, plan, scratch, &row_prime, choice);
-                        launch_elemwise(sh, ElemOp::Mul, p.dst, Some(scratch), None, n, &row_prime);
+                        launch_elemwise(sh, ElemOp::Mul, p.dst, Some(scratch), n, &row_prime);
                         run_inverse(sh, plan, p.dst, &row_prime, inverse);
                         sh.mark_written(&[scratch.base()]);
                     })
@@ -1320,25 +1323,33 @@ impl<F: Flavor> NttBackend for SimDevices<F> {
             }
             BackendOp::Pointwise { acc, rhs, level } => {
                 self.on_shards(|h, _| {
-                    h.each_piece(plan, acc, [(rhs, None)], |sh, p| {
+                    h.each_piece(plan, acc, &[(rhs, None)], |sh, p| {
                         let rp = p.rows.primes(level);
-                        launch_elemwise(sh, ElemOp::Mul, p.dst, Some(p.src[0]), None, n, &rp)
+                        launch_elemwise(sh, ElemOp::Mul, p.dst, Some(p.src[0]), n, &rp)
                     })
                 });
             }
             BackendOp::Fma { acc, x, y, level } => {
-                // The key-switch inner product lands here: `x` is a digit
-                // sub-view of the decompose scratch at row offset
-                // `d * level`. The cyclic partition makes that view land
-                // on the accumulator's shards whenever `level % K == 0` —
-                // the zero-copy fast path of the gather — and any
-                // genuinely misaligned view (e.g. `K = 3` with
-                // `level = 8`) arrives over the link, correct either way.
+                // The key-switch inner product lands here: `x` is the
+                // whole decompose scratch, term `k` its digit sub-view at
+                // row offset `k * level`. Each term gathers `x_k` then
+                // `y[k]` onto the accumulator piece's shard. The cyclic
+                // partition makes every digit view land on the
+                // accumulator's shards whenever `level % K == 0` — the
+                // zero-copy fast path of the gather — and any genuinely
+                // misaligned view (e.g. `K = 3` with `level = 8`) arrives
+                // over the link, correct either way. All terms then run
+                // as one launch per piece.
+                let len = acc.len();
+                assert_eq!(x.len(), y.len() * len, "fma term shape mismatch");
+                let reads: Vec<(DeviceBuf, Option<Rows>)> = y
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(k, &yk)| [(x.sub(k * len, len), None), (yk, None)])
+                    .collect();
                 self.on_shards(|h, _| {
-                    h.each_piece(plan, acc, [(x, None), (y, None)], |sh, p| {
-                        let rp = p.rows.primes(level);
-                        let [x, y] = p.src;
-                        launch_elemwise(sh, ElemOp::Fma, p.dst, Some(x), Some(y), n, &rp)
+                    h.each_piece(plan, acc, &reads, |sh, p| {
+                        launch_fma(sh, p.dst, &p.src, n, &p.rows.primes(level))
                     })
                 });
             }
@@ -1350,31 +1361,15 @@ impl<F: Flavor> NttBackend for SimDevices<F> {
             } => {
                 let op = if subtract { ElemOp::Sub } else { ElemOp::Add };
                 self.on_shards(|h, _| {
-                    h.each_piece(plan, acc, [(rhs, None)], |sh, p| {
-                        launch_elemwise(
-                            sh,
-                            op,
-                            p.dst,
-                            Some(p.src[0]),
-                            None,
-                            n,
-                            &p.rows.primes(level),
-                        )
+                    h.each_piece(plan, acc, &[(rhs, None)], |sh, p| {
+                        launch_elemwise(sh, op, p.dst, Some(p.src[0]), n, &p.rows.primes(level))
                     })
                 });
             }
             BackendOp::Negate { buf, level } => {
                 self.on_shards(|h, _| {
-                    h.each_piece(plan, buf, [], |sh, p| {
-                        launch_elemwise(
-                            sh,
-                            ElemOp::Neg,
-                            p.dst,
-                            None,
-                            None,
-                            n,
-                            &p.rows.primes(level),
-                        )
+                    h.each_piece(plan, buf, &[], |sh, p| {
+                        launch_elemwise(sh, ElemOp::Neg, p.dst, None, n, &p.rows.primes(level))
                     })
                 });
             }
@@ -1399,7 +1394,7 @@ impl<F: Flavor> NttBackend for SimDevices<F> {
                     h.each_piece(
                         plan,
                         buf.sub(0, (level - 1) * n),
-                        [(buf, Some(last))],
+                        &[(buf, Some(last))],
                         |sh, p| {
                             let kernel = RescaleKernel {
                                 data: p.dst,
@@ -1432,7 +1427,7 @@ impl<F: Flavor> NttBackend for SimDevices<F> {
                 // shard).
                 let all = Rows::run(0, level);
                 self.on_shards(|h, _| {
-                    h.each_piece(plan, dst, [(src, Some(all))], |sh, p| {
+                    h.each_piece(plan, dst, &[(src, Some(all))], |sh, p| {
                         let kernel = DecomposeKernel {
                             src: p.src[0],
                             dst: p.dst,
@@ -1454,7 +1449,7 @@ impl<F: Flavor> NttBackend for SimDevices<F> {
                 // exactly its own src row — aligned allocations stay
                 // link-free.
                 self.on_shards(|h, _| {
-                    h.each_piece(plan, dst, [(src, None)], |sh, p| {
+                    h.each_piece(plan, dst, &[(src, None)], |sh, p| {
                         launch_automorphism(sh, p.src[0], p.dst, n, g, &p.rows.primes(level))
                     })
                 });
@@ -1466,7 +1461,7 @@ impl<F: Flavor> NttBackend for SimDevices<F> {
                 // Broadcast the single source row to every shard owning
                 // destination rows.
                 self.on_shards(|h, _| {
-                    h.each_piece(plan, dst, [(src, Some(Rows::run(0, 1)))], |sh, p| {
+                    h.each_piece(plan, dst, &[(src, Some(Rows::run(0, 1)))], |sh, p| {
                         let kernel = ModRaiseKernel {
                             src: p.src[0],
                             dst: p.dst,
@@ -1906,54 +1901,69 @@ mod tests {
 
     #[test]
     fn misaligned_fma_digit_view_matches_sim() {
-        // acc is a level-row poly; x is a digit sub-view of a
-        // digit_rows-row scratch at a row offset — partitions that
-        // cannot line up for K > 1, exercising the gather fallback.
-        let ring = ring(16, 3);
+        // acc is a level-row poly; x is the sub-view of `m` stacked digit
+        // polys one digit into an (m + 1)-digit scratch, with one key per
+        // term. level = 5 is a multiple of neither K = 2 nor K = 3, so
+        // the partitions cannot line up for K > 1 and every sharded run
+        // exercises the gather fallback. Cpu is the reference, for one
+        // term, two, and a whole level·digits key switch.
+        let ring = ring(16, 5);
         let plan = RingPlan::new(&ring);
-        let (n, level) = (16usize, 3usize);
-        let digit_rows = 2 * level; // two stacked digit polys
-        let acc_host: Vec<u64> = (0..(level * n) as u64).map(|i| i % 97).collect();
-        let x_host: Vec<u64> = (0..(digit_rows * n) as u64).map(|i| (i * 7) % 89).collect();
-        let y_host: Vec<u64> = (0..(level * n) as u64).map(|i| (i * 13) % 83).collect();
+        let (n, level, digits) = (16usize, 5usize, 2usize);
+        let poly = level * n;
+        let host = |words: usize, mul: u64, m: u64| -> Vec<u64> {
+            (0..words as u64).map(|i| (i * mul) % m).collect()
+        };
 
-        let run = |backend: &mut dyn NttBackend| -> Vec<u64> {
+        let run = |backend: &mut dyn NttBackend, m: usize| -> Vec<u64> {
             let mem = backend.memory();
             let mut mem = mem.lock().unwrap();
-            let acc = mem.alloc(level * n);
-            let x = mem.alloc(digit_rows * n);
-            let y = mem.alloc(level * n);
-            mem.upload(acc, &acc_host);
-            mem.upload(x, &x_host);
-            mem.upload(y, &y_host);
+            let acc = mem.alloc(poly);
+            let x = mem.alloc((m + 1) * poly);
+            let ys: Vec<DeviceBuf> = (0..m).map(|_| mem.alloc(poly)).collect();
+            mem.upload(acc, &host(poly, 1, 97));
+            mem.upload(x, &host((m + 1) * poly, 7, 89));
+            for (k, &y) in ys.iter().enumerate() {
+                mem.upload(y, &host(poly, 13 + k as u64, 83));
+            }
             drop(mem);
-            // Second digit poly: rows level..2*level of the scratch.
-            let xview = x.sub(level * n, level * n);
-            backend.run(
-                &plan,
-                Op::Fma {
-                    acc,
-                    x: xview,
-                    y,
-                    level,
-                },
-            );
-            let mut out = vec![0u64; level * n];
+            let op = Op::Fma {
+                acc,
+                x: x.sub(poly, m * poly),
+                y: &ys,
+                level,
+            };
+            backend.run(&plan, op);
+            let mut out = vec![0u64; poly];
             let mem = backend.memory();
             let mut mem = mem.lock().unwrap();
             mem.download(acc, &mut out);
-            for b in [acc, x, y] {
+            for b in [acc, x].into_iter().chain(ys) {
                 mem.free(b);
             }
             out
         };
 
-        let mut sim = SimBackend::titan_v();
-        let want = run(&mut sim);
-        for k in [2usize, 3] {
-            let mut sharded = ShardedBackend::titan_v(k, 16);
-            let got = run(&mut sharded);
-            assert_eq!(want, got, "misaligned fma k={k}");
+        for m in [1, 2, level * digits] {
+            let want = run(&mut CpuBackend::default(), m);
+            for k in [1usize, 2, 3] {
+                let (mut be, handle): (Box<dyn NttBackend>, _) = if k == 1 {
+                    let sim = SimBackend::titan_v();
+                    let handle = Arc::clone(&sim.mem);
+                    (Box::new(sim), handle)
+                } else {
+                    let sharded = ShardedBackend::titan_v(k, 16);
+                    let handle = sharded.memory_handle();
+                    (Box::new(sharded), handle)
+                };
+                assert_eq!(want, run(&mut *be, m), "misaligned fma m={m} k={k}");
+                let link = lock_sharded(&handle).link_stats();
+                if k == 1 {
+                    assert_eq!(link.words, 0, "m={m}: k=1 has no link to cross");
+                } else {
+                    assert!(link.words > 0, "m={m} k={k} must gather over the link");
+                }
+            }
         }
     }
 
@@ -1985,15 +1995,18 @@ mod tests {
         // download (host batch) or one launch (device op) on each shard.
         //
         // Device op `i` runs over level-2 polys `a`, `b`, `c`, a level-1
-        // `row` and the 8-row digit buffer of a 2-digit decomposition;
-        // `USES[i]` lists the operands it touches, in field order.
-        const ROWS: [usize; 5] = [2, 2, 2, 1, 8];
+        // `row`, the 8-row digit buffer of a 2-digit decomposition and a
+        // 4-row `pair` of stacked level-2 terms; `USES[i]` lists the
+        // operands it touches, in field order. The FMA is 2-term —
+        // `acc += pair_0 · b + pair_1 · c` — so a freed second key is
+        // one of the rows.
+        const ROWS: [usize; 6] = [2, 2, 2, 1, 8, 4];
         const USES: [&[usize]; 11] = [
             &[0],
             &[0],
             &[0, 1, 2],
             &[0, 1],
-            &[0, 1, 2],
+            &[0, 5, 1, 2],
             &[0, 1],
             &[0],
             &[0],
@@ -2001,7 +2014,8 @@ mod tests {
             &[3, 0],
             &[0, 1],
         ];
-        fn device_op(i: usize, [a, b, c, row, digits]: [DeviceBuf; 5]) -> Op<'static> {
+        fn device_op(i: usize, bufs: &[DeviceBuf; 6]) -> Op<'_> {
+            let [a, b, c, row, digits, pair] = *bufs;
             let level = 2;
             match i {
                 0 => Op::Forward { buf: a, level },
@@ -2019,8 +2033,8 @@ mod tests {
                 },
                 4 => Op::Fma {
                     acc: a,
-                    x: b,
-                    y: c,
+                    x: pair,
+                    y: &bufs[1..3],
                     level,
                 },
                 5 => Op::AddSub {
@@ -2065,10 +2079,10 @@ mod tests {
                 },
             }
         }
-        let none = [DeviceBuf::root(0, 0); 5];
+        let none = [DeviceBuf::root(0, 0); 6];
         let labels: Vec<&str> = (0..4)
             .map(|i| host_op(i, &mut [], &[]).label())
-            .chain((0..11).map(|i| device_op(i, none).label()))
+            .chain((0..11).map(|i| device_op(i, &none).label()))
             .collect();
         assert_eq!(
             labels.join(" "),
@@ -2082,7 +2096,7 @@ mod tests {
             let mix = |i: usize| ((i + 64 * seed) as u64).wrapping_mul(0x9e37_79b9);
             (0..words).map(|i| mix(i) % (1 << 40)).collect()
         };
-        let fresh = |be: &dyn NttBackend| -> [DeviceBuf; 5] {
+        let fresh = |be: &dyn NttBackend| -> [DeviceBuf; 6] {
             let mem = be.memory();
             let mut mem = mem.lock().unwrap();
             let mut seed = 0;
@@ -2125,12 +2139,12 @@ mod tests {
         ];
         for (mut be, shards) in subjects {
             for (i, uses) in USES.iter().enumerate() {
-                let ctx = format!("{} on {}", device_op(i, none).label(), be.name());
-                assert!(!device_op(i, none).is_host_batch(), "{ctx}");
+                let ctx = format!("{} on {}", device_op(i, &none).label(), be.name());
+                assert!(!device_op(i, &none).is_host_batch(), "{ctx}");
                 // Free each operand in turn.
                 for &freed in *uses {
                     let bufs = fresh(&*be);
-                    let op = device_op(i, bufs);
+                    let op = device_op(i, &bufs);
                     let touched: Vec<DeviceBuf> = uses.iter().map(|&j| bufs[j]).collect();
                     assert_eq!(op.handles(), touched, "{ctx}: handles");
                     be.memory().lock().unwrap().free(bufs[freed]);
@@ -2142,12 +2156,12 @@ mod tests {
                     assert_eq!(read(&*be, &live), before, "{ctx}: operands moved");
                 }
                 let (x, y) = (fresh(&*be), fresh(&*be));
-                be.run(&plan, device_op(i, x));
-                be.try_run(&plan, device_op(i, y)).expect(&ctx);
+                be.run(&plan, device_op(i, &x));
+                be.try_run(&plan, device_op(i, &y)).expect(&ctx);
                 assert_eq!(read(&*be, &x), read(&*be, &y), "{ctx}: try_run bits");
                 if let Some(mem) = &shards {
                     arm(mem, Some(gpu_sim::FaultPlan::seeded(7)));
-                    be.try_run(&plan, device_op(i, x)).expect(&ctx);
+                    be.try_run(&plan, device_op(i, &x)).expect(&ctx);
                     assert!(
                         draws(mem).iter().all(|&d| d == 1),
                         "{ctx}: {:?}",

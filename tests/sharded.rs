@@ -11,7 +11,8 @@
 //! * **Link accounting** — key-switch base conversion is the one step
 //!   whose operands cross shard boundaries: relinearize pays inter-device
 //!   words when `K > 1` and exactly zero when `K = 1` (the degenerate
-//!   single-device configuration).
+//!   single-device configuration). Its inner product is 2 FMA launches
+//!   per multiply, with the per-term link traffic pinned per `K`.
 //! * **Serving wiring** — the multi-worker `he-serve` stack (evaluator
 //!   pool, fork-per-worker streams, batching) runs a closed multi-tenant
 //!   load over a sharded context with zero failures or mismatches.
@@ -120,6 +121,70 @@ fn key_switch_pays_link_traffic_only_when_sharded() {
                 "k=1 degenerates to a single device with no link traffic"
             );
         }
+    }
+}
+
+/// The key-switch inner product runs as one multi-term FMA launch per
+/// accumulator: a relinearizing multiply issues exactly 2 `sim-fma`
+/// launches at every level, not one per (prime, digit) term. Fusing the
+/// terms moves no extra link word: each term still gathers what a
+/// one-term launch gathers, so the sharded traffic per multiply is the
+/// table recorded with one launch per term.
+#[test]
+fn relinearize_runs_two_fma_launches_and_keeps_its_link_traffic() {
+    let params = |levels| HeLiteParams {
+        levels,
+        ..chain_params()
+    };
+    let encrypt_pair = |ctx: &HeContext| {
+        let keys = ctx.keygen(&mut sampling::seeded_rng(5));
+        let mut rng = sampling::seeded_rng(6);
+        let a = ctx.encrypt(&ctx.encode(&[1.5, -2.0]), &keys.public, &mut rng);
+        let b = ctx.encrypt(&ctx.encode(&[0.5, 3.0]), &keys.public, &mut rng);
+        (keys, a, b)
+    };
+
+    let sim = SimBackend::titan_v();
+    let dev = sim.memory_handle();
+    let fma_launches = || {
+        let dev = dev.lock().unwrap();
+        let trace = &dev.gpu().trace;
+        trace.iter().filter(|r| r.launch.label == "sim-fma").count()
+    };
+    let ctx = HeContext::with_backend(params(4), Box::new(sim)).unwrap();
+    let (keys, a, b) = encrypt_pair(&ctx);
+    for level in 2..=4 {
+        let (a, b) = (ctx.drop_to_level(&a, level), ctx.drop_to_level(&b, level));
+        let before = fma_launches();
+        let _ = ctx.multiply(&a, &b, &keys.relin);
+        assert_eq!(
+            fma_launches() - before,
+            2,
+            "sim-fma launches at level {level}"
+        );
+    }
+
+    let n = 1usize << chain_params().log_n;
+    for (levels, k, transfers, words) in [
+        (3, 2, 47, 3008),
+        (3, 3, 10, 640),
+        (3, 4, 79, 5056),
+        (4, 2, 6, 384),
+        (4, 3, 116, 7424),
+        (4, 4, 18, 1152),
+    ] {
+        let backend = ShardedBackend::titan_v(k, n);
+        let mem = backend.memory_handle();
+        let ctx = HeContext::with_backend(params(levels), Box::new(backend)).unwrap();
+        let (keys, a, b) = encrypt_pair(&ctx);
+        let before = mem.lock().unwrap().link_stats();
+        let _ = ctx.multiply(&a, &b, &keys.relin);
+        let link = mem.lock().unwrap().link_stats().since(&before);
+        assert_eq!(
+            (link.transfers, link.words),
+            (transfers, words),
+            "levels={levels} k={k}: link transfers / words per multiply"
+        );
     }
 }
 
