@@ -967,8 +967,9 @@ pub struct OpMixRow {
 ///
 /// The paper's thesis is that NTTs (and the key switches they feed)
 /// dominate bootstrappable HE — `figures bootstrap` prints this split
-/// and `bench_smoke.sh` gates the NTT + key-switch share at ≥ 60% of
-/// the modeled device time.
+/// and `bench_smoke.sh` gates the NTT + key-switch share of the deep
+/// pipeline ([`bootstrap_deep`] at `N = 2^8`) at ≥ 60% of the modeled
+/// device time.
 #[derive(Debug, Clone)]
 pub struct BootstrapReport {
     /// Parameter description.
@@ -1024,8 +1025,10 @@ fn launch_class(label: &str) -> usize {
 /// Run one full bootstrap (ModRaise → CoeffToSlot → EvalMod →
 /// SlotToCoeff) on a device-resident context and split the kernel trace
 /// into the op-mix classes. Depth-minimal [`he_boot::BootParams`], so
-/// the quick CI path stays fast; the mix is structural, not
-/// size-dependent.
+/// the quick CI path stays fast. The mix depends on size and depth: a
+/// small ring is launch-bound, and with every NTT below `N = 2^8` one
+/// whole-row launch, its element-wise kernels outweigh NTT + key switch
+/// (about 46% at `N = 2^4`); the op-mix gate reads [`bootstrap_deep`].
 pub fn bootstrap(log_n: u32) -> BootstrapReport {
     bootstrap_with(he_boot::BootParams::shallow(), log_n, None)
 }

@@ -39,15 +39,18 @@
 //! minimum *modeled* time over the Fig. 12(a) candidates plus the
 //! near-square hierarchical column counts, measured once per `N` on a
 //! scratch device and cached (deterministic, so plans are reproducible).
-//! Small shapes keep the radix-2 stage kernels. Inverses take the
-//! forward's verdict without a sweep of their own (`run_inverse`): an
-//! SMEM split runs the mirrored SMEM inverse at the same split, radix-2
-//! stays radix-2, and a hierarchical verdict (there is no hierarchical
-//! inverse) runs the shape's best SMEM split. Set
-//! `NTT_WARP_SIM_FORWARD=radix2` (or `smem`, or `hier`) to pin one
-//! implementation in both directions, and `NTT_WARP_SPLIT=AxB` to pin the
-//! hierarchical split itself; swept hierarchical winners persist in the
-//! per-host calibration file (`ntt_core::calibration`).
+//! Rows below 256 points run whole in one packed SMEM launch per
+//! direction (the degenerate `N × 1` split, no sweep; radix-2 only for
+//! `N < 4`). Inverses take the forward's verdict without a sweep of
+//! their own (`run_inverse`): an SMEM split, whole rows included, runs
+//! the mirrored SMEM inverse at the same split, radix-2 stays radix-2,
+//! and a hierarchical verdict (there is no hierarchical inverse) runs
+//! the shape's best SMEM split. Set `NTT_WARP_SIM_FORWARD=radix2` (or
+//! `smem`, which takes the best two-kernel split at every `N`, or
+//! `hier`) to pin one implementation in both directions, and
+//! `NTT_WARP_SPLIT=AxB` to pin the hierarchical split itself; swept
+//! hierarchical winners persist in the per-host calibration file
+//! (`ntt_core::calibration`).
 //!
 //! # Fallible surface and fault injection
 //!
@@ -119,8 +122,14 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// Threads per block for the element-wise kernels.
 pub(crate) const THREADS: usize = 256;
 
-/// Shapes below this row length keep the radix-2 stage kernels: the
-/// two-kernel split needs enough columns per kernel to fill blocks.
+/// Rows shorter than this (and at least 4 points) run whole, several
+/// per block, in one SMEM launch per direction — the degenerate `N × 1`
+/// split, chosen from `N` alone with no calibration sweep: a two-kernel
+/// split needs enough columns per kernel to fill its blocks, and the
+/// packed row kernel models no slower than radix-2 or any split or
+/// hierarchical candidate at every such `N` (pinned by
+/// the `smem::tests::whole_rows_beat_every_candidate_*` tests).
+/// Longer rows take the calibrated winner.
 pub(crate) const SMEM_MIN_N: usize = 256;
 
 /// Device-resident twiddle tables for one plan (shared by all forks).
@@ -424,7 +433,8 @@ pub(crate) fn lock_mem(mem: &Arc<Mutex<SimMemory>>) -> MutexGuard<'_, SimMemory>
 pub(crate) enum ForwardImpl {
     /// One stage-kernel launch per Cooley–Tukey stage.
     Radix2,
-    /// Two-kernel SMEM implementation with this split (+OT stages).
+    /// Two-kernel SMEM implementation with this split (+OT stages);
+    /// `n1 = N` is the one-launch whole-row kernel (no OT).
     Smem { n1: usize, ot_stages: u32 },
     /// Three-kernel hierarchical (4-step) implementation with this
     /// column count (`n2 = N / n1`).
@@ -782,8 +792,9 @@ fn ensure_twist(m: &mut SimMemory, plan: &RingPlan) -> DeviceTwist {
 }
 
 /// Launch a forward NTT over `row_prime.len()` rows at `data` through the
-/// chosen implementation (radix-2 stage kernels, the SMEM two-kernel
-/// split, or the hierarchical three-kernel plan, per `choice`).
+/// chosen implementation (radix-2 stage kernels, an SMEM split — two
+/// kernels, or one over whole rows — or the hierarchical three-kernel
+/// plan, per `choice`).
 pub(crate) fn run_forward(
     m: &mut SimMemory,
     plan: &RingPlan,
@@ -834,9 +845,10 @@ pub(crate) fn run_forward(
 
 /// Launch an inverse NTT over `row_prime.len()` rows at `data`, routed by
 /// the shape's forward verdict `choice`: radix-2 stages plus the `N⁻¹`
-/// scaling launch for [`ForwardImpl::Radix2`], the mirrored two-kernel
-/// SMEM inverse at the same split (OT included, `N⁻¹` folded into its
-/// last store) for [`ForwardImpl::Smem`]. There is no hierarchical
+/// scaling launch for [`ForwardImpl::Radix2`], the mirrored SMEM inverse
+/// at the same split (OT included, `N⁻¹` folded into its last store) for
+/// [`ForwardImpl::Smem`] — two kernels, or for whole rows (`n1 = N`)
+/// the one `smem-k1-{N}-inv` launch. There is no hierarchical
 /// inverse: the routing maps that verdict to the shape's best SMEM split
 /// before it gets here, and one that does arrive runs the radix-2 stages.
 pub(crate) fn run_inverse(
@@ -860,8 +872,8 @@ pub(crate) fn run_inverse(
     }
 }
 
-/// Launch the two SMEM kernels in `direction` over the plan's table of
-/// that direction, with OT on `ot_stages` stages.
+/// Launch the SMEM kernels of split `n1` in `direction` over the plan's
+/// table of that direction, with OT on `ot_stages` stages.
 fn run_smem(
     m: &mut SimMemory,
     plan: &RingPlan,
@@ -1262,7 +1274,8 @@ mod tests {
         // the plan tables (returning the previous plan's buffers to the
         // free list), results stay bit-exact with the CPU, and the
         // address space stops growing after the first round. N = 16 and
-        // 32 route to radix-2; N = 2^11 and 2^13 to SMEM with OT in both
+        // 32 run whole rows (one `smem-k1-{N}` launch per direction, no
+        // OT); N = 2^11 and 2^13 route to SMEM with OT in both
         // directions, so their ψ and ψ⁻¹ factor tables are freed on every
         // plan change too.
         let rings = [ring(16, 2), ring(32, 3), ring(1 << 11, 2), ring(1 << 13, 2)];
@@ -1315,7 +1328,7 @@ mod tests {
                 let last = &dev.gpu().trace.last().expect("launched").launch.label;
                 let ot = dev.tables.as_ref().expect("tables uploaded").ot.is_some();
                 let smem = last.starts_with("smem-k1-") && last.ends_with("-inv");
-                assert_eq!((smem, ot), (n >= 1 << 11, n >= 1 << 11), "N={n}: {last}");
+                assert_eq!((smem, ot), (true, n >= 1 << 11), "N={n}: {last}");
             }
             let words = sim.with_gpu(|g| g.gmem.allocated_words());
             match after_first {

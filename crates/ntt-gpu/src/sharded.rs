@@ -1022,10 +1022,12 @@ impl<F: Flavor> SimDevices<F> {
     }
 
     /// The forward implementation for an `n`-point batch: the env
-    /// override, the small-shape radix-2 floor, or the memoized
-    /// modeled-time winner over the paper's split candidates (swept on
-    /// a scratch single device — per-shard row counts shrink with `K`,
-    /// but the shape class is decided by `N`).
+    /// override; below [`SMEM_MIN_N`], whole rows packed into one SMEM
+    /// launch (the degenerate `N × 1` split, chosen from `N` alone with
+    /// no sweep; radix-2 for `N < 4`); or the memoized modeled-time
+    /// winner over the paper's split candidates (swept on a scratch
+    /// single device — per-shard row counts shrink with `K`, but the
+    /// shape class is decided by `N`).
     fn forward_choice(&self, n: usize, rows: usize) -> ForwardImpl {
         match crate::backend::forward_mode() {
             ForwardMode::Radix2 => return ForwardImpl::Radix2,
@@ -1037,18 +1039,24 @@ impl<F: Flavor> SimDevices<F> {
             }
             _ => {}
         }
-        if n < SMEM_MIN_N {
-            return ForwardImpl::Radix2;
+        if n >= SMEM_MIN_N {
+            self.cached_or_calibrated(n, rows).auto
+        } else if n >= 4 {
+            ForwardImpl::Smem {
+                n1: n,
+                ot_stages: 0,
+            }
+        } else {
+            ForwardImpl::Radix2
         }
-        self.cached_or_calibrated(n, rows).auto
     }
 
     /// The inverse implementation for an `n`-point batch: the forward's
-    /// verdict, mirrored — radix-2 stays radix-2 and an SMEM split runs
-    /// the SMEM inverse at the same split. There is no hierarchical
-    /// inverse, so a hierarchical verdict takes the shape's best SMEM
-    /// split. No sweep of its own: the mirrored inverse ranks the splits
-    /// like the forward does.
+    /// verdict, mirrored — radix-2 stays radix-2 and an SMEM split
+    /// (whole rows included) runs the SMEM inverse at the same split.
+    /// There is no hierarchical inverse, so a hierarchical verdict takes
+    /// the shape's best SMEM split. No sweep of its own: the mirrored
+    /// inverse ranks the splits like the forward does.
     fn inverse_choice(&self, n: usize, rows: usize) -> ForwardImpl {
         match self.forward_choice(n, rows) {
             ForwardImpl::Hier { .. } => self.cached_or_calibrated(n, rows).best_smem,
@@ -2265,6 +2273,67 @@ mod tests {
         root.run(&plan, Op::ForwardBatch(LimbBatch::from_poly(&mut x)));
         fork.run(&plan, Op::ForwardBatch(LimbBatch::from_poly(&mut y)));
         assert_eq!(x.flat(), y.flat());
+    }
+
+    /// Launches per shard of one resident forward + inverse over `stack`
+    /// (polynomials of `level` rows, stacked), with both results checked
+    /// against the CPU's `forward` and the input.
+    fn resident_roundtrip_launches<F: Flavor>(
+        mut dev: SimDevices<F>,
+        plan: &RingPlan,
+        stack: &[u64],
+        level: usize,
+        forward: &[u64],
+    ) -> Vec<u64> {
+        let mem = dev.memory();
+        let buf = mem.lock().unwrap().alloc(stack.len());
+        mem.lock().unwrap().upload(buf, stack);
+        let launches = |dev: &SimDevices<F>| -> Vec<u64> {
+            dev.lock()
+                .shard_timelines()
+                .iter()
+                .map(|t| t.launches)
+                .collect()
+        };
+        let before = launches(&dev);
+        let mut got = vec![0u64; stack.len()];
+        dev.run(plan, Op::Forward { buf, level });
+        mem.lock().unwrap().download(buf, &mut got);
+        assert_eq!(got, forward, "resident forward");
+        dev.run(plan, Op::Inverse { buf, level });
+        mem.lock().unwrap().download(buf, &mut got);
+        assert_eq!(got, stack, "resident forward -> inverse");
+        launches(&dev)
+            .iter()
+            .zip(before)
+            .map(|(a, b)| a - b)
+            .collect()
+    }
+
+    /// Below `SMEM_MIN_N` every device runs a resident transform as one
+    /// whole-row launch per direction: a forward + inverse over a stacked
+    /// 2-level buffer (two polynomials, row r under prime r % 2) at N = 64
+    /// costs 2 launches on `SimBackend` — radix-2 took 6 + 7 — and 2 on
+    /// every shard of K ∈ {2, 3}, bit-exact with `CpuBackend`.
+    #[test]
+    fn small_ring_resident_roundtrip_is_two_launches_per_shard() {
+        let (n, level) = (64usize, 2usize);
+        let ring = ring(n, level);
+        let plan = RingPlan::new(&ring);
+        let stack = [sample(&ring, 5).flat(), sample(&ring, 9).flat()].concat();
+        let mut forward = stack.clone();
+        CpuBackend::default().run(
+            &plan,
+            Op::ForwardBatch(LimbBatch::new(&mut forward, n, level)),
+        );
+        let sim =
+            resident_roundtrip_launches(SimBackend::titan_v(), &plan, &stack, level, &forward);
+        assert_eq!(sim, [2], "SimBackend launches");
+        for k in [2usize, 3] {
+            let sharded = ShardedBackend::titan_v(k, n);
+            let per_shard = resident_roundtrip_launches(sharded, &plan, &stack, level, &forward);
+            assert_eq!(per_shard, vec![2; k], "launches per shard, K = {k}");
+        }
     }
 
     #[test]

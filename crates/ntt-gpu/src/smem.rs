@@ -27,6 +27,15 @@
 //! kernel's levels and stages run in reverse, and `N⁻¹` is folded into
 //! the strided kernel's final store — two DRAM round trips, no scaling
 //! launch.
+//!
+//! **Whole rows** are the degenerate `N × 1` split (`n1 = N`): the
+//! strided kernel alone runs each row's full `N`-point NTT (`smem-k1-{N}`,
+//! and `smem-k1-{N}-inv` with `N⁻¹` folded into its store) — one DRAM
+//! round trip and one launch per direction. A row needs only `N/T`
+//! threads, so a block packs up to 256 threads' worth of rows, each lane
+//! reading its twiddles and modulus under its own row's prime, and a
+//! partial last block masks its idle lanes. The `SimBackend` routes every
+//! ring with `4 ≤ N < 256` here without a calibration sweep.
 
 // Kernel code models warp lanes with explicit indices into parallel
 // per-lane arrays (live/base/vals/regs), mirroring the CUDA original;
@@ -45,7 +54,10 @@ use ntt_math::shoup::{mul_shoup, precompute};
 /// Configuration of the SMEM implementation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SmemConfig {
-    /// Kernel-1 size `N1` (Kernel-2 size is `N / N1`).
+    /// Kernel-1 size `N1` (Kernel-2 size is `N / N1`). `N1 = N` runs
+    /// whole rows in one kernel, where `coalesced`, `preload` and OT do
+    /// not apply: lanes walk along their own rows and read their own
+    /// rows' twiddles.
     pub n1: usize,
     /// Per-thread NTT size `T` (2, 4 or 8 in the paper's Fig. 11).
     pub per_thread: usize,
@@ -165,6 +177,18 @@ pub(crate) enum Orientation {
     Contiguous,
 }
 
+/// Where one lane works: its data row, that row's RNS prime, its group
+/// (column or row segment) within the row and in the block, and its
+/// thread index within the group.
+#[derive(Clone, Copy)]
+struct Site {
+    row: usize,
+    prime: usize,
+    group: usize,
+    slot: usize,
+    u: usize,
+}
+
 struct TwoStepKernel {
     data: Buf,
     /// Output buffer of the final level (same as `data` for the classic
@@ -192,7 +216,8 @@ struct TwoStepKernel {
     t: usize,
     /// Level sizes (all `t`, except a possibly smaller last level).
     levels: Vec<usize>,
-    /// Groups (columns or rows) per block.
+    /// Groups (columns or rows) per block; whole data rows per block for
+    /// the degenerate `N × 1` split.
     c: usize,
     orientation: Orientation,
     coalesced: bool,
@@ -225,17 +250,62 @@ impl TwoStepKernel {
         self.n / self.r
     }
 
+    /// The degenerate `N × 1` split: each group is a whole data row, and a
+    /// block packs `c` rows that may sit under different primes.
+    fn whole_rows(&self) -> bool {
+        self.r == self.n
+    }
+
     /// (group-in-block, thread-in-group) for a block-local thread id.
     fn split_tid(&self, tid: usize) -> (usize, usize) {
         match self.orientation {
             // Kernel-1: adjacent lanes take adjacent columns (coalescing).
-            Orientation::Strided => (tid % self.c, tid / self.c),
-            // Kernel-2: adjacent lanes walk within a row (contiguous).
-            Orientation::Contiguous => (
+            Orientation::Strided if !self.whole_rows() => (tid % self.c, tid / self.c),
+            // Kernel-2 and whole rows: adjacent lanes walk within a row.
+            _ => (
                 tid / self.threads_per_group(),
                 tid % self.threads_per_group(),
             ),
         }
+    }
+
+    /// (data row, block-in-row) of a block that works inside one row.
+    fn block_row(&self, block: usize) -> (usize, usize) {
+        let blocks_per_row = self.groups_per_prime() / self.c;
+        (block / blocks_per_row, block % blocks_per_row)
+    }
+
+    /// Every lane's [`Site`] in this warp; `None` marks an idle lane of a
+    /// partial last block of whole rows.
+    fn sites(&self, ctx: &WarpCtx<'_>) -> [Option<Site>; 32] {
+        let mut sites = [None; 32];
+        if self.whole_rows() {
+            for (l, site) in sites.iter_mut().enumerate().take(ctx.lanes()) {
+                let (slot, u) = self.split_tid(ctx.thread_in_block(l));
+                let row = ctx.block * self.c + slot;
+                *site = self.row_prime.get(row).map(|&prime| Site {
+                    row,
+                    prime,
+                    group: 0,
+                    slot,
+                    u,
+                });
+            }
+        } else {
+            let (row, block_in_row) = self.block_row(ctx.block);
+            let prime = self.row_prime[row];
+            for (l, site) in sites.iter_mut().enumerate().take(ctx.lanes()) {
+                let (slot, u) = self.split_tid(ctx.thread_in_block(l));
+                *site = Some(Site {
+                    row,
+                    prime,
+                    group: self.global_group(block_in_row, slot),
+                    slot,
+                    u,
+                });
+            }
+        }
+        sites
     }
 
     /// Global word in `buf` for (row, group, local element).
@@ -308,15 +378,14 @@ impl TwoStepKernel {
         (self.c * self.r, self.c * self.r + self.r)
     }
 
-    /// Run one compute level over the warp, registers in `t`-slot frames.
-    fn compute_level(&self, ctx: &mut WarpCtx<'_>, level: usize) {
+    /// Run one compute level over the warp's active lanes, registers in
+    /// `t`-slot frames.
+    fn compute_level(&self, ctx: &mut WarpCtx<'_>, level: usize, sites: &[Option<Site>; 32]) {
         let lanes = ctx.lanes();
+        let active = sites[..lanes].iter().flatten().count() as u64;
         let tpg = self.threads_per_group();
         let size = self.levels[level];
         let subs = self.t / size;
-        let blocks_per_row = self.groups_per_prime() / self.c;
-        let prime = self.row_prime[ctx.block / blocks_per_row];
-        let block_in_prime = ctx.block % blocks_per_row;
         let inverse = self.direction == Direction::Inverse;
 
         for b in 0..subs {
@@ -331,20 +400,24 @@ impl TwoStepKernel {
                 };
                 let t_loc = size / (2 * m_loc);
                 for i_loc in 0..m_loc {
-                    // Per-lane twiddle index (uniform stage, per-lane group).
-                    let mut idxs = vec![0usize; lanes];
-                    for l in 0..lanes {
-                        let tid = ctx.thread_in_block(l);
-                        let (c, u) = self.split_tid(tid);
-                        let group = self.global_group(block_in_prime, c);
-                        let item = u + b * tpg;
-                        idxs[l] = self.twiddle_index(level, item, m_loc, i_loc, group);
-                    }
-                    let use_ot = self
-                        .ot
-                        .as_ref()
-                        .map(|(_, thr)| idxs[0] >= *thr)
-                        .unwrap_or(false);
+                    // Per-lane (prime, twiddle index): uniform stage,
+                    // per-lane group and, for whole rows, per-lane prime.
+                    let idxs: Vec<Option<(usize, usize)>> = sites[..lanes]
+                        .iter()
+                        .map(|s| {
+                            s.map(|s| {
+                                let i =
+                                    self.twiddle_index(level, s.u + b * tpg, m_loc, i_loc, s.group);
+                                (s.prime, i)
+                            })
+                        })
+                        .collect();
+                    let use_ot = self.ot.as_ref().is_some_and(|(_, thr)| {
+                        idxs.iter()
+                            .flatten()
+                            .next()
+                            .is_some_and(|&(_, i)| i >= *thr)
+                    });
 
                     // Fetch twiddles (or OT factors) for all lanes.
                     let (w, wc, hw, hc);
@@ -354,8 +427,9 @@ impl TwoStepKernel {
                         let mut a1 = vec![None; lanes];
                         let mut a2 = vec![None; lanes];
                         let mut a3 = vec![None; lanes];
-                        for l in 0..lanes {
-                            let e = bit_reverse(idxs[l], self.log_n);
+                        for (l, x) in idxs.iter().enumerate() {
+                            let Some((prime, i)) = *x else { continue };
+                            let e = bit_reverse(i, self.log_n);
                             let (w0, c0, w1, c1) = ot.factor_addrs(prime, e);
                             a0[l] = Some(w0);
                             a1[l] = Some(c0);
@@ -368,13 +442,14 @@ impl TwoStepKernel {
                         hc = Some(ctx.gmem_load_cached(&a3));
                     } else if self.preload && self.orientation == Orientation::Strided {
                         let (wr, cr) = self.smem_tw_region();
-                        let a0: Vec<Option<usize>> = idxs.iter().map(|&i| Some(wr + i)).collect();
+                        let a0: Vec<Option<usize>> =
+                            idxs.iter().map(|x| x.map(|(_, i)| wr + i)).collect();
                         w = ctx.smem_load(&a0);
                         wc = if self.native {
                             vec![None; lanes]
                         } else {
                             let a1: Vec<Option<usize>> =
-                                idxs.iter().map(|&i| Some(cr + i)).collect();
+                                idxs.iter().map(|x| x.map(|(_, i)| cr + i)).collect();
                             ctx.smem_load(&a1)
                         };
                         hw = None;
@@ -382,7 +457,7 @@ impl TwoStepKernel {
                     } else {
                         let a0: Vec<Option<usize>> = idxs
                             .iter()
-                            .map(|&i| Some(self.tw.word(prime * self.n + i)))
+                            .map(|x| x.map(|(prime, i)| self.tw.word(prime * self.n + i)))
                             .collect();
                         w = ctx.gmem_load_cached(&a0);
                         wc = if self.native {
@@ -390,7 +465,7 @@ impl TwoStepKernel {
                         } else {
                             let a1: Vec<Option<usize>> = idxs
                                 .iter()
-                                .map(|&i| Some(self.twc.word(prime * self.n + i)))
+                                .map(|x| x.map(|(prime, i)| self.twc.word(prime * self.n + i)))
                                 .collect();
                             ctx.gmem_load_cached(&a1)
                         };
@@ -402,7 +477,8 @@ impl TwoStepKernel {
                     let j1 = 2 * i_loc * t_loc;
                     for j in j1..j1 + t_loc {
                         for l in 0..lanes {
-                            let p = self.moduli[prime];
+                            let Some(site) = sites[l] else { continue };
+                            let p = self.moduli[site.prime];
                             let (s_lo, s_hi) = (b * size + j, b * size + j + t_loc);
                             let regs = ctx.regs(l);
                             let u_val = regs[s_lo];
@@ -434,13 +510,15 @@ impl TwoStepKernel {
                                 regs[s_hi] = sub_mod(u_val, v, p);
                             }
                         }
-                        let n_ops = lanes as u64;
                         if self.native {
-                            ctx.count_op(OpClass::NativeModMul, n_ops);
+                            ctx.count_op(OpClass::NativeModMul, active);
                         } else {
-                            ctx.count_op(OpClass::ShoupMul, if use_ot { 2 * n_ops } else { n_ops });
+                            ctx.count_op(
+                                OpClass::ShoupMul,
+                                if use_ot { 2 * active } else { active },
+                            );
                         }
-                        ctx.count_op(OpClass::ModAddSub, 2 * n_ops);
+                        ctx.count_op(OpClass::ModAddSub, 2 * active);
                     }
                 }
             }
@@ -458,17 +536,16 @@ impl WarpKernel for TwoStepKernel {
         let lanes = ctx.lanes();
         let tpg = self.threads_per_group();
         let threads = self.c * tpg;
-        let blocks_per_row = self.groups_per_prime() / self.c;
-        let row = ctx.block / blocks_per_row;
-        let prime = self.row_prime[row];
-        let block_in_prime = ctx.block % blocks_per_row;
+        let sites = self.sites(ctx);
         let n_levels = self.levels.len();
         let phase = ctx.phase;
 
         if phase == 0 {
-            // Optional twiddle preload (Kernel-1 only): all threads
-            // cooperatively stage Ψ[0..r] and companions into SMEM.
+            // Optional twiddle preload (Kernel-1 of a two-kernel split
+            // only): all threads cooperatively stage Ψ[0..r] and
+            // companions into SMEM.
             if self.preload && self.orientation == Orientation::Strided {
+                let prime = self.row_prime[self.block_row(ctx.block).0];
                 let (wr, cr) = self.smem_tw_region();
                 let mut idx = ctx.warp * 32;
                 while idx < self.r {
@@ -507,13 +584,13 @@ impl WarpKernel for TwoStepKernel {
             for s in 0..size {
                 let subs = self.t / size;
                 for b in 0..subs {
-                    let addrs: Vec<Option<usize>> = (0..lanes)
-                        .map(|l| {
-                            let tid = ctx.thread_in_block(l);
-                            let (c, u) = self.split_tid(tid);
-                            let group = self.global_group(block_in_prime, c);
-                            let e = self.item_elem(first, u + b * tpg, s);
-                            Some(self.elem_addr(self.data, row, group, e))
+                    let addrs: Vec<Option<usize>> = sites[..lanes]
+                        .iter()
+                        .map(|site| {
+                            site.map(|x| {
+                                let e = self.item_elem(first, x.u + b * tpg, s);
+                                self.elem_addr(self.data, x.row, x.group, e)
+                            })
                         })
                         .collect();
                     let vals = if self.coalesced || self.orientation == Orientation::Contiguous {
@@ -522,7 +599,9 @@ impl WarpKernel for TwoStepKernel {
                         ctx.gmem_load_cached(&addrs)
                     };
                     for l in 0..lanes {
-                        ctx.regs(l)[b * size + s] = vals[l].expect("lane active");
+                        if sites[l].is_some() {
+                            ctx.regs(l)[b * size + s] = vals[l].expect("lane active");
+                        }
                     }
                 }
             }
@@ -536,7 +615,8 @@ impl WarpKernel for TwoStepKernel {
             // word `q` maps straight to output word `u0*r + q` and every
             // warp writes adjacent addresses (coalesced despite the
             // strided compute layout).
-            let u0 = block_in_prime * self.c;
+            let (row, block_in_row) = self.block_row(ctx.block);
+            let u0 = block_in_row * self.c;
             let base = self.out.word(row * self.n + u0 * self.r);
             let tile = self.c * self.r;
             let mut q = ctx.warp * 32;
@@ -561,7 +641,7 @@ impl WarpKernel for TwoStepKernel {
             // Compute level and store out.
             let step = (phase - 1) / 2;
             let level = self.level_at(step);
-            self.compute_level(ctx, level);
+            self.compute_level(ctx, level, &sites);
             let size = self.levels[level];
             let subs = self.t / size;
             // With a transposing write-out the last level parks its
@@ -573,20 +653,19 @@ impl WarpKernel for TwoStepKernel {
                     if last {
                         let writes: Vec<Option<(usize, u64)>> = (0..lanes)
                             .map(|l| {
-                                let tid = ctx.thread_in_block(l);
-                                let (c, u) = self.split_tid(tid);
-                                let group = self.global_group(block_in_prime, c);
-                                let e = self.item_elem(level, u + b * tpg, s);
+                                let x = sites[l]?;
+                                let e = self.item_elem(level, x.u + b * tpg, s);
                                 let mut v = ctx.regs(l)[b * size + s];
                                 if let Some(n_inv) = &self.n_inv {
-                                    let (w, wc) = n_inv[prime];
-                                    v = mul_shoup(v, w, wc, self.moduli[prime]);
+                                    let (w, wc) = n_inv[x.prime];
+                                    v = mul_shoup(v, w, wc, self.moduli[x.prime]);
                                 }
-                                Some((self.elem_addr(self.out, row, group, e), v))
+                                Some((self.elem_addr(self.out, x.row, x.group, e), v))
                             })
                             .collect();
                         if self.n_inv.is_some() {
-                            ctx.count_op(OpClass::ShoupMul, lanes as u64);
+                            let active = writes.iter().flatten().count();
+                            ctx.count_op(OpClass::ShoupMul, active as u64);
                         }
                         if self.coalesced || self.orientation == Orientation::Contiguous {
                             ctx.gmem_store(&writes);
@@ -596,11 +675,10 @@ impl WarpKernel for TwoStepKernel {
                     } else {
                         let writes: Vec<Option<(usize, u64)>> = (0..lanes)
                             .map(|l| {
-                                let tid = ctx.thread_in_block(l);
-                                let (c, u) = self.split_tid(tid);
-                                let e = self.item_elem(level, u + b * tpg, s);
+                                let x = sites[l]?;
+                                let e = self.item_elem(level, x.u + b * tpg, s);
                                 let v = ctx.regs(l)[b * size + s];
-                                Some((self.smem_elem(c, e), v))
+                                Some((self.smem_elem(x.slot, e), v))
                             })
                             .collect();
                         ctx.smem_store(&writes);
@@ -614,17 +692,20 @@ impl WarpKernel for TwoStepKernel {
             let subs = self.t / size;
             for b in 0..subs {
                 for s in 0..size {
-                    let addrs: Vec<Option<usize>> = (0..lanes)
-                        .map(|l| {
-                            let tid = ctx.thread_in_block(l);
-                            let (c, u) = self.split_tid(tid);
-                            let e = self.item_elem(level, u + b * tpg, s);
-                            Some(self.smem_elem(c, e))
+                    let addrs: Vec<Option<usize>> = sites[..lanes]
+                        .iter()
+                        .map(|site| {
+                            site.map(|x| {
+                                let e = self.item_elem(level, x.u + b * tpg, s);
+                                self.smem_elem(x.slot, e)
+                            })
                         })
                         .collect();
                     let vals = ctx.smem_load(&addrs);
                     for l in 0..lanes {
-                        ctx.regs(l)[b * size + s] = vals[l].expect("lane active");
+                        if sites[l].is_some() {
+                            ctx.regs(l)[b * size + s] = vals[l].expect("lane active");
+                        }
                     }
                 }
             }
@@ -646,10 +727,11 @@ pub(crate) fn level_sizes(r: usize, t: usize) -> Vec<usize> {
 }
 
 /// Block shape for an `r`-point kernel with `t`-point threads: ~256-thread
-/// blocks built from whole groups (never more groups than exist).
-pub(crate) fn launch_shape(r: usize, t: usize, groups_per_prime: usize) -> (usize, usize) {
+/// blocks built from whole groups (never more than the `groups` one block
+/// may hold: a row's groups for a split, every row for whole rows).
+pub(crate) fn launch_shape(r: usize, t: usize, groups: usize) -> (usize, usize) {
     let tpg = r / t;
-    let c = (256 / tpg).max(1).min(groups_per_prime);
+    let c = (256 / tpg).max(1).min(groups);
     (c, c * tpg)
 }
 
@@ -676,20 +758,25 @@ pub(crate) struct SmemJob<'a> {
 }
 
 /// Whether an `n`-point SMEM run with this config fits the device's
-/// launch limits (threads per block, shared memory per block) for **both**
-/// kernels. Used by the `SimBackend` split selection to skip infeasible
-/// candidates instead of panicking inside the launch asserts.
+/// launch limits (threads per block, shared memory per block) for **every**
+/// kernel it launches: both of a two-kernel split, the one of the
+/// degenerate `N × 1` split. Used by the `SimBackend` split selection to
+/// skip infeasible candidates instead of panicking inside the launch
+/// asserts.
 pub(crate) fn job_feasible(n: usize, cfg: &SmemConfig, config: &gpu_sim::GpuConfig) -> bool {
-    for r in [cfg.n1, n / cfg.n1] {
+    let whole = cfg.n1 == n;
+    let sizes: &[usize] = if whole { &[n] } else { &[cfg.n1, n / cfg.n1] };
+    for &r in sizes {
         if r < 2 {
             return false;
         }
         let t = cfg.per_thread.min(r);
-        let (c, threads) = launch_shape(r, t, n / r);
+        // Whole rows pack as many rows as a block holds and never preload.
+        let (c, threads) = launch_shape(r, t, if whole { usize::MAX } else { n / r });
         if threads > config.max_threads_per_block as usize {
             return false;
         }
-        let smem_words = c * r + 2 * r; // worst case: preload on
+        let smem_words = c * r + if whole { 0 } else { 2 * r }; // worst case: preload on
         if smem_words * 8 > config.max_smem_per_block as usize {
             return false;
         }
@@ -709,12 +796,19 @@ fn make_kernel(
         Orientation::Strided => cfg.n1,
         Orientation::Contiguous => n / cfg.n1,
     };
+    let rows = job.row_prime.len();
+    // The degenerate `N × 1` split: one kernel over whole rows, packing
+    // several rows per block (a partial last block masks its idle lanes).
+    // Rows in one block may sit under different primes, so each lane
+    // reads its own row's twiddles through the read-only path instead of
+    // a block-wide SMEM preload, and its loads are coalesced by layout.
+    let whole = r == n;
     let t = cfg.per_thread.min(r);
-    let (c, threads) = launch_shape(r, t, n / r);
+    let (c, threads) = launch_shape(r, t, if whole { rows } else { n / r });
     let levels = level_sizes(r, t);
-    let preload = cfg.preload && orientation == Orientation::Strided;
+    let preload = cfg.preload && orientation == Orientation::Strided && !whole;
     let smem_words = c * r + if preload { 2 * r } else { 0 };
-    let blocks = job.row_prime.len() * (n / r) / c;
+    let blocks = (rows * (n / r)).div_ceil(c);
     let kind = match orientation {
         Orientation::Strided => "k1",
         Orientation::Contiguous => "k2",
@@ -750,8 +844,8 @@ fn make_kernel(
         levels,
         c,
         orientation,
-        coalesced: cfg.coalesced,
-        preload: cfg.preload,
+        coalesced: cfg.coalesced || whole,
+        preload,
         native: cfg.modmul == ModMul::Native,
         ot,
         direction,
@@ -844,18 +938,22 @@ pub(crate) fn launch_hier_stage(gpu: &mut Gpu, job: &HierStageJob<'_>) {
     gpu.launch(&kernel, &launch);
 }
 
-/// Launch the two SMEM kernels over an arbitrary row-mapped job, in
+/// Launch the SMEM kernels over an arbitrary row-mapped job, in
 /// `direction` (`job.tw`/`job.twc` must hold the matching table: `Ψ`
 /// forward, `Ψ⁻¹` inverse; `ot` the matching factor tables). Returns the
-/// launch count (always 2). Shared by the [`DeviceBatch`] harness entries
-/// (identity mapping) and the `SimBackend` transform paths (stacked /
+/// launch count: 2 for a two-kernel split, 1 for the degenerate
+/// `n1 = N` split, whose one strided kernel runs every row whole
+/// (`smem-k1-{N}`, or `smem-k1-{N}-inv` with `N⁻¹` folded into its
+/// store). Shared by the [`DeviceBatch`] harness entries (identity
+/// mapping) and the `SimBackend` transform paths (stacked /
 /// device-resident batches).
 ///
 /// # Panics
 ///
 /// Panics on invalid splits (`n1` must be a power of two with
-/// `2 ≤ n1 ≤ N/2`), if OT stages are requested without tables, or if OT
-/// or the inverse is asked of the native multiplication.
+/// `2 ≤ n1 ≤ N`), if OT stages are requested without tables or on the
+/// `N × 1` split, or if OT or the inverse is asked of the native
+/// multiplication.
 pub(crate) fn launch_job(
     gpu: &mut Gpu,
     job: &SmemJob<'_>,
@@ -865,7 +963,7 @@ pub(crate) fn launch_job(
 ) -> usize {
     let n = job.n;
     assert!(
-        cfg.n1.is_power_of_two() && cfg.n1 >= 2 && cfg.n1 <= n / 2,
+        cfg.n1.is_power_of_two() && cfg.n1 >= 2 && cfg.n1 <= n,
         "invalid N1 split"
     );
     assert!(
@@ -893,25 +991,28 @@ pub(crate) fn launch_job(
         None
     };
 
-    let order = match direction {
-        Direction::Forward => [Orientation::Strided, Orientation::Contiguous],
-        Direction::Inverse => [Orientation::Contiguous, Orientation::Strided],
+    let order: &[Orientation] = match direction {
+        _ if cfg.n1 == n => &[Orientation::Strided],
+        Direction::Forward => &[Orientation::Strided, Orientation::Contiguous],
+        Direction::Inverse => &[Orientation::Contiguous, Orientation::Strided],
     };
-    for orientation in order {
+    for &orientation in order {
         let ot = ot_pair.filter(|_| orientation == Orientation::Contiguous);
         let (kernel, launch) = make_kernel(job, cfg, orientation, direction, ot);
         gpu.launch(&kernel, &launch);
     }
-    2
+    order.len()
 }
 
-/// Run the two-kernel SMEM NTT with pre-uploaded OT tables (reuse across
-/// sweeps). `ot` is required iff `cfg.ot_stages > 0`.
+/// Run the SMEM NTT (two kernels, or one over whole rows when
+/// `cfg.n1 = N`) with pre-uploaded OT tables (reuse across sweeps). `ot`
+/// is required iff `cfg.ot_stages > 0`.
 ///
 /// # Panics
 ///
 /// Panics on invalid splits (`n1` must be a power of two with
-/// `2 ≤ n1 ≤ N/2`), or if OT stages are requested without tables.
+/// `2 ≤ n1 ≤ N`), or if OT stages are requested without tables or on
+/// whole rows.
 pub fn run_with_ot(
     gpu: &mut Gpu,
     batch: &DeviceBatch,
@@ -924,17 +1025,18 @@ pub fn run_with_ot(
     RunReport::from_trace(format!("smem {}", cfg.label(n)), gpu, launches)
 }
 
-/// Run the two-kernel SMEM NTT, uploading OT tables on demand.
+/// Run the SMEM NTT, uploading OT tables on demand.
 pub fn run(gpu: &mut Gpu, batch: &DeviceBatch, cfg: &SmemConfig) -> RunReport {
     let ot = (cfg.ot_stages > 0).then(|| DeviceOt::upload(gpu, batch, cfg.ot_base));
     run_with_ot(gpu, batch, cfg, ot.as_ref())
 }
 
-/// Run the two-kernel SMEM **inverse** NTT (bit-reversed input,
-/// natural-order output, `N⁻¹` folded into the strided kernel's store).
-/// The inverse tables `Ψ⁻¹` — and the `ψ⁻¹` OT factor tables when
-/// `cfg.ot_stages > 0` — are uploaded on the active stream for this run
-/// and freed after it.
+/// Run the SMEM **inverse** NTT (bit-reversed input, natural-order
+/// output, `N⁻¹` folded into the strided kernel's store): the contiguous
+/// kernel then the strided one, or for whole rows (`cfg.n1 = N`) the one
+/// strided kernel. The inverse tables `Ψ⁻¹` — and the `ψ⁻¹` OT factor
+/// tables when `cfg.ot_stages > 0` — are uploaded on the active stream
+/// for this run and freed after it.
 ///
 /// # Panics
 ///
@@ -1143,6 +1245,159 @@ mod tests {
             &batch,
             &SmemConfig::new(16).modmul(ModMul::Native),
         );
+    }
+
+    /// The rule that lets the backend route every `4 ≤ N < SMEM_MIN_N`
+    /// ring to whole rows without a calibration sweep: at every such `N`
+    /// (split over three tests that run in parallel) and at every row
+    /// count up to a deep bootstrap's stacked digit batches (row `r`
+    /// under prime `r % 21`), the packed one-launch forward is bit-exact
+    /// and models no slower than radix-2, every feasible two-kernel split
+    /// (OT 0, 1 and 2) and every feasible hierarchical split.
+    fn whole_rows_model_no_slower_than_any_candidate(log_ns: std::ops::Range<u32>) {
+        use crate::hier::{self, DeviceTwist, HierJob};
+        use ntt_core::NttTable;
+        let config = GpuConfig::titan_v();
+        for log_n in log_ns {
+            let n = 1usize << log_n;
+            let moduli = ntt_math::ntt_primes(50, 2 * n as u64, 21);
+            let tables: Vec<NttTable> = moduli
+                .iter()
+                .map(|&p| NttTable::new(n, p).unwrap())
+                .collect();
+            let refs: Vec<&NttTable> = tables.iter().collect();
+            let tw: Vec<u64> = tables
+                .iter()
+                .flat_map(|t| t.forward_values().to_vec())
+                .collect();
+            let twc: Vec<u64> = tables
+                .iter()
+                .flat_map(|t| t.forward_companions().to_vec())
+                .collect();
+            for rows in [1usize, 2, 4, 21, 84, 441, 1764] {
+                let row_prime: Vec<usize> = (0..rows).map(|r| r % rows.min(21)).collect();
+                let input: Vec<u64> = (0..rows * n)
+                    .map(|i| {
+                        (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) % moduli[row_prime[i / n]]
+                    })
+                    .collect();
+                // Modeled seconds and output of one forward on a fresh device.
+                let run = |launch: &dyn Fn(&mut Gpu, &SmemJob<'_>)| -> (f64, Vec<u64>) {
+                    let mut gpu = Gpu::new(config.clone());
+                    let job = SmemJob {
+                        data: gpu.gmem.alloc_from(&input),
+                        tw: gpu.gmem.alloc_from(&tw),
+                        twc: gpu.gmem.alloc_from(&twc),
+                        n,
+                        log_n,
+                        moduli: &moduli,
+                        row_prime: &row_prime,
+                    };
+                    launch(&mut gpu, &job);
+                    let time = gpu.trace.iter().map(|l| l.timing.total_s).sum();
+                    (time, gpu.gmem.slice(job.data).to_vec())
+                };
+                let shape = format!("N = {n}, {rows} rows");
+
+                let (packed, out) = run(&|gpu, job| {
+                    let cfg = SmemConfig::new(n);
+                    assert_eq!(launch_job(gpu, job, &cfg, None, Direction::Forward), 1);
+                    // Idle lanes of a partial last block do no work: one
+                    // butterfly per pair per stage, one store per element.
+                    let stats = &gpu.trace[0].stats;
+                    let butterflies = (rows * n / 2) as u64 * u64::from(log_n);
+                    assert_eq!(stats.op(OpClass::ShoupMul), butterflies, "{rows} rows");
+                    assert_eq!(stats.useful_write_bytes, (rows * n * 8) as u64);
+                });
+                for (r, got) in out.chunks(n).enumerate() {
+                    let mut want = input[r * n..(r + 1) * n].to_vec();
+                    ntt_core::ct::ntt(&mut want, &tables[row_prime[r]]);
+                    assert_eq!(got, want, "{shape}: row {r}");
+                }
+
+                let mut rivals = vec![(
+                    "radix-2".to_string(),
+                    run(&|gpu, job| {
+                        let (data, tw, twc) = (job.data, job.tw, job.twc);
+                        let (rp, moduli) = (job.row_prime, job.moduli);
+                        crate::radix2::launch_forward(
+                            gpu,
+                            data,
+                            tw,
+                            twc,
+                            n,
+                            rp,
+                            moduli,
+                            ModMul::Shoup,
+                        );
+                    })
+                    .0,
+                )];
+                for n1 in (1..log_n).map(|k| 1usize << k) {
+                    for ot_stages in 0..=2u32 {
+                        let cfg = SmemConfig::new(n1).ot_stages(ot_stages);
+                        if (1usize << ot_stages) > n / n1 || !job_feasible(n, &cfg, &config) {
+                            continue;
+                        }
+                        let time = run(&|gpu, job| {
+                            let ot = (ot_stages > 0).then(|| {
+                                DeviceOt::upload_tables(
+                                    gpu,
+                                    n,
+                                    &refs,
+                                    cfg.ot_base,
+                                    Direction::Forward,
+                                )
+                            });
+                            launch_job(gpu, job, &cfg, ot.as_ref(), Direction::Forward);
+                        });
+                        rivals.push((format!("smem {}", cfg.label(n)), time.0));
+                    }
+                    if hier::job_feasible(n, n1, hier::PER_THREAD, &config) {
+                        let time = run(&|gpu, job| {
+                            let base = hier::TWIST_BASE.min(2 * n);
+                            let twist = DeviceTwist::upload_tables(gpu, n, &refs, base);
+                            let hier_job = HierJob {
+                                data: job.data,
+                                scratch: gpu.gmem.alloc(rows * n),
+                                tw: job.tw,
+                                twc: job.twc,
+                                n,
+                                log_n,
+                                moduli: job.moduli,
+                                row_prime: job.row_prime,
+                            };
+                            hier::launch_job(gpu, &hier_job, n1, &twist, hier::PER_THREAD);
+                        });
+                        rivals.push((format!("hier {n1}x{}", n / n1), time.0));
+                    }
+                }
+                for (rival, time) in rivals {
+                    assert!(
+                        packed <= time,
+                        "{shape}: whole rows {:.2} µs vs {rival} {:.2} µs",
+                        packed * 1e6,
+                        time * 1e6
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn whole_rows_beat_every_candidate_at_n4_to_n32() {
+        whole_rows_model_no_slower_than_any_candidate(2..6);
+    }
+
+    #[test]
+    fn whole_rows_beat_every_candidate_at_n64() {
+        whole_rows_model_no_slower_than_any_candidate(6..7);
+    }
+
+    #[test]
+    fn whole_rows_beat_every_candidate_at_n128() {
+        let below_floor = crate::backend::SMEM_MIN_N.trailing_zeros();
+        whole_rows_model_no_slower_than_any_candidate(7..below_floor);
     }
 
     #[test]

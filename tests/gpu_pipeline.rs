@@ -35,11 +35,13 @@ proptest! {
         prop_assert!(rep.verify(&gpu, &batch));
     }
 
-    /// Forward and inverse two-kernel SMEM transforms on one random draw:
-    /// the forward matches `ct::ntt`, the inverse undoes it, and the
-    /// inverse on raw input matches `ct::intt` — every row under its
-    /// mapped prime, including the stacked digit layout (2·np rows, row
-    /// `r` under prime `r % np`).
+    /// Forward and inverse SMEM transforms on one random draw: the
+    /// forward matches `ct::ntt`, the inverse undoes it, and the inverse
+    /// on raw input matches `ct::intt` — every row under its mapped
+    /// prime, including the stacked digit layout (2·np rows, row `r`
+    /// under prime `r % np`) — for a two-kernel split and, when
+    /// `whole_rows` is drawn, also for the degenerate `N × 1` split that
+    /// runs every row whole in one packed launch per direction.
     #[test]
     fn smem_bit_exact_random_configs(
         log_n in 5u32..=10,
@@ -49,7 +51,8 @@ proptest! {
         preload in any::<bool>(),
         ot in 0u32..=2,
         np in 1usize..=2,
-        stacked in any::<bool>()
+        stacked in any::<bool>(),
+        whole_rows in any::<bool>()
     ) {
         let (mut gpu, batch) = if stacked {
             // Primes descend, so row r's input (reduced mod prime r) is
@@ -69,12 +72,17 @@ proptest! {
             .coalesced(coalesced)
             .preload(preload)
             .ot_stages(ot);
-        let rep = smem::run(&mut gpu, &batch, &cfg);
-        prop_assert!(rep.verify(&gpu, &batch), "config {:?}", cfg);
-        smem::run_inverse(&mut gpu, &batch, &cfg);
-        prop_assert_eq!(batch.download(&gpu), batch.input().to_vec(), "roundtrip {:?}", cfg);
-        smem::run_inverse(&mut gpu, &batch, &cfg);
-        prop_assert_eq!(batch.download(&gpu), batch.expected_intt(), "inverse {:?}", cfg);
+        let whole = SmemConfig { n1: batch.n(), ot_stages: 0, ..cfg };
+        let cfgs = if whole_rows { vec![cfg, whole] } else { vec![cfg] };
+        for cfg in cfgs {
+            batch.reset_data(&mut gpu);
+            let rep = smem::run(&mut gpu, &batch, &cfg);
+            prop_assert!(rep.verify(&gpu, &batch), "config {:?}", cfg);
+            smem::run_inverse(&mut gpu, &batch, &cfg);
+            prop_assert_eq!(batch.download(&gpu), batch.input().to_vec(), "roundtrip {:?}", cfg);
+            smem::run_inverse(&mut gpu, &batch, &cfg);
+            prop_assert_eq!(batch.download(&gpu), batch.expected_intt(), "inverse {:?}", cfg);
+        }
     }
 
     #[test]

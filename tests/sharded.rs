@@ -20,9 +20,9 @@
 //!   EvalMod, SlotToCoeff: rotation-heavy, key-switch-heavy) is
 //!   bit-identical on a sharded context.
 //! * **SMEM-sized rings** — the checks above run at N = 64, where every
-//!   transform takes the radix-2 stage kernels; at N = 2^10 the two-kernel
-//!   SMEM forward and inverse run on every shard, stacked and resident,
-//!   bit-identical to the CPU for K ∈ {1, 2, 3}.
+//!   transform runs its rows whole in one packed SMEM launch; at
+//!   N = 2^10 the two-kernel SMEM forward and inverse run on every shard,
+//!   stacked and resident, bit-identical to the CPU for K ∈ {1, 2, 3}.
 
 use he_serve::{loadgen, ArrivalMode, HeServer, LoadConfig, ServeConfig};
 use ntt_warp::core::backend::{BackendOp as Op, LimbBatch, NttBackend, RingPlan};
