@@ -985,7 +985,10 @@ pub struct BootstrapReport {
     /// studies: fused SMEM, radix-2, high-radix, DFT).
     pub ntt: OpMixRow,
     /// Key-switch kernels: gadget decompose, fused multiply-add
-    /// accumulation, Galois automorphism.
+    /// accumulation, Galois automorphism. The multi-term `sim-fma` launch
+    /// also carries what is fused into it — a relinearizing multiply's
+    /// tensor terms and the homomorphic DFT's plaintext-product sums — so
+    /// those multiply-accumulates are booked here too.
     pub key_switch: OpMixRow,
     /// Everything else (pointwise multiply/add/sub/neg, rescale,
     /// mod-raise).
@@ -1006,6 +1009,9 @@ impl BootstrapReport {
 }
 
 /// Kernel class of a simulated launch label (see `BootstrapReport`).
+/// Every `sim-fma` launch is key switch, including the multiply's tensor
+/// terms and the DFT's plaintext-product sums that run as multi-term
+/// FMAs.
 fn launch_class(label: &str) -> usize {
     if label.starts_with("smem-k")
         || label.starts_with("radix")
@@ -1026,9 +1032,12 @@ fn launch_class(label: &str) -> usize {
 /// SlotToCoeff) on a device-resident context and split the kernel trace
 /// into the op-mix classes. Depth-minimal [`he_boot::BootParams`], so
 /// the quick CI path stays fast. The mix depends on size and depth: a
-/// small ring is launch-bound, and with every NTT below `N = 2^8` one
-/// whole-row launch, its element-wise kernels outweigh NTT + key switch
-/// (about 46% at `N = 2^4`); the op-mix gate reads [`bootstrap_deep`].
+/// small ring is launch-bound, with every NTT below `N = 2^8` one
+/// whole-row launch, so its shares follow launch counts. NTT + key switch
+/// read about 74% at `N = 2^4` since the multiply-accumulate chains run
+/// as `sim-fma` launches, which book as key switch (46% before, when the
+/// element-wise kernels outweighed them); the op-mix gate reads
+/// [`bootstrap_deep`].
 pub fn bootstrap(log_n: u32) -> BootstrapReport {
     bootstrap_with(he_boot::BootParams::shallow(), log_n, None)
 }

@@ -1128,17 +1128,20 @@ pub enum BackendOp<'a> {
         level: usize,
     },
     /// Device-resident multi-term multiply-accumulate
-    /// `acc[i] += Σ_k x_k[i] · y[k][i]` per row, where `x_k` is
-    /// `x.sub(k·acc.len(), acc.len())` — the whole key-switch inner
-    /// product over one accumulator in one op: `x` is the stacked digit
-    /// buffer, `y` the matching key halves.
+    /// `acc[i] += Σ_k x[k][i] · y[k][i]` per row: a whole
+    /// multiply-accumulate chain over one accumulator in one op. The key
+    /// switch passes its digit sub-views as `x` and the matching key
+    /// halves as `y`, plus any product terms it folds in; a
+    /// baby-step/giant-step inner sum passes ciphertext components and
+    /// diagonal plaintexts.
     Fma {
         /// The accumulator.
         acc: DeviceBuf,
-        /// The stacked first factors, `y.len()` accumulator-shaped terms
-        /// back to back.
-        x: DeviceBuf,
-        /// The second factor of each term, accumulator-shaped.
+        /// The first factor of each term, accumulator-shaped (any views,
+        /// separate allocations or slices of one stacked buffer).
+        x: &'a [DeviceBuf],
+        /// The second factor of each term, accumulator-shaped;
+        /// `y.len() == x.len()`.
         y: &'a [DeviceBuf],
         /// Active primes.
         level: usize,
@@ -1267,9 +1270,10 @@ impl BackendOp<'_> {
                 vec![acc, rhs]
             }
             BackendOp::Multiply { a, b, out, .. } => vec![a, b, out],
-            BackendOp::Fma { acc, x, y, .. } => {
-                [acc, x].into_iter().chain(y.iter().copied()).collect()
-            }
+            BackendOp::Fma { acc, x, y, .. } => std::iter::once(acc)
+                .chain(x.iter().copied())
+                .chain(y.iter().copied())
+                .collect(),
             BackendOp::Decompose { src, dst, .. }
             | BackendOp::ModRaise { src, dst, .. }
             | BackendOp::Automorphism { src, dst, .. } => vec![src, dst],
@@ -1568,12 +1572,13 @@ impl NttBackend for CpuBackend {
                 self.stage_out(0, acc);
             }
             BackendOp::Fma { acc, x, y, level } => {
-                let len = acc.len();
-                assert_eq!(x.len(), y.len() * len, "fma term shape mismatch");
+                assert_eq!(x.len(), y.len(), "fma term count mismatch");
                 self.stage_in(0, acc);
                 let mut a = std::mem::take(&mut self.stage[0]);
-                for (k, &yk) in y.iter().enumerate() {
-                    self.stage_in(1, x.sub(k * len, len));
+                for (&xk, &yk) in x.iter().zip(y) {
+                    assert_eq!(xk.len(), acc.len(), "fma term shape mismatch");
+                    assert_eq!(yk.len(), acc.len(), "fma term shape mismatch");
+                    self.stage_in(1, xk);
                     self.stage_in(2, yk);
                     host_fma_rows(plan, level, &mut a, &self.stage[1], &self.stage[2]);
                 }
@@ -1682,6 +1687,16 @@ thread_local! {
 /// `RefCell`).
 pub fn with_default_backend<R>(f: impl FnOnce(&mut CpuBackend) -> R) -> R {
     DEFAULT_BACKEND.with(|b| f(&mut b.borrow_mut()))
+}
+
+/// The first factor of one [`Evaluator::fma`] term.
+#[derive(Debug, Clone, Copy)]
+pub enum FmaFactor<'a> {
+    /// An evaluation-form polynomial, wherever it lives.
+    Poly(&'a RnsPoly),
+    /// An accumulator-shaped view in the evaluator's device memory, such
+    /// as one digit of [`Evaluator::decompose_resident`]'s buffer.
+    View(DeviceBuf),
 }
 
 /// A backend-generic driver: one [`RingPlan`] plus one boxed
@@ -2219,36 +2234,65 @@ impl Evaluator {
         }
     }
 
-    /// Key-switch inner product `acc += Σ_k x_k · ys[k]` as one
-    /// [`BackendOp::Fma`], where `x` is a raw device view of `ys.len()`
-    /// stacked accumulator-shaped terms (e.g. the whole digit buffer of
-    /// [`Evaluator::decompose_resident`]; term `k` is
-    /// `x.sub(k·acc_words, acc_words)`) and each `ys[k]` is a
-    /// device-resident polynomial (e.g. a relinearization key half). All
-    /// operands must live in this backend's memory; this is a device-only
-    /// fast path — host chains use [`Evaluator::mul_pointwise`] +
-    /// [`Evaluator::add_assign`].
+    /// Multiply-accumulate `acc += Σ_k x_k ⊙ y_k` over evaluation-form
+    /// terms: a key switch's inner product (digit views × key halves,
+    /// plus any product terms it folds in) or a plaintext-product sum.
+    ///
+    /// Every term whose factors are both device-fresh in this backend's
+    /// memory joins **one** [`BackendOp::Fma`]; `acc` is pulled to the
+    /// device for it like [`Evaluator::add_assign`] pulls its
+    /// accumulator. A term with a factor anywhere else takes the two-op
+    /// chain [`Evaluator::mul_pointwise`] + [`Evaluator::add_assign`]
+    /// first, which stages operands and counts transfers exactly as that
+    /// chain always has. Sums mod `p` are exact in any order, so the bits
+    /// are the chain's either way.
     ///
     /// # Panics
     ///
-    /// Panics if `acc` or any `ys[k]` is not device-fresh in this
-    /// backend's memory, or on shape mismatch.
-    pub fn fma_resident(&mut self, acc: &mut RnsPoly, x: DeviceBuf, ys: &[&RnsPoly]) {
-        let y: Vec<DeviceBuf> = ys
-            .iter()
-            .map(|key| {
-                assert_eq!(acc.level(), key.level(), "level mismatch");
-                self.dev_buf(key).expect("fma rhs must be device-resident")
-            })
-            .collect();
-        let abuf = self
-            .device_target(acc)
-            .expect("fma accumulator must be device-resident");
-        assert_eq!(x.len(), y.len() * abuf.len(), "digit view shape mismatch");
+    /// Panics on level or representation mismatch, on a
+    /// [`FmaFactor::View`] whose partner is not device-fresh here, or on
+    /// a view that is not accumulator-shaped.
+    pub fn fma(&mut self, acc: &mut RnsPoly, terms: &[(FmaFactor<'_>, &RnsPoly)]) {
+        assert_eq!(
+            acc.repr(),
+            Representation::Evaluation,
+            "accumulator not in NTT form"
+        );
+        let words = acc.level() * self.plan.degree();
+        let (mut xs, mut ys) = (Vec::new(), Vec::new());
+        for &(x, y) in terms {
+            assert_eq!(acc.level(), y.level(), "level mismatch");
+            assert_eq!(y.repr(), Representation::Evaluation, "rhs not in NTT form");
+            let yb = self.dev_buf(y);
+            match x {
+                FmaFactor::View(view) => {
+                    assert_eq!(view.len(), words, "fma view shape mismatch");
+                    xs.push(view);
+                    ys.push(yb.expect("a device view's partner must be device-resident"));
+                }
+                FmaFactor::Poly(x) => {
+                    assert_eq!(acc.level(), x.level(), "level mismatch");
+                    assert_eq!(x.repr(), Representation::Evaluation, "lhs not in NTT form");
+                    if let Some((xb, yb)) = self.dev_buf(x).zip(yb) {
+                        xs.push(xb);
+                        ys.push(yb);
+                    } else {
+                        let mut prod = x.clone();
+                        self.mul_pointwise(&mut prod, y);
+                        self.add_assign(acc, &prod);
+                    }
+                }
+            }
+        }
+        if xs.is_empty() {
+            return;
+        }
+        let mem = self.backend.memory();
+        acc.make_resident_in(&mem);
         let op = BackendOp::Fma {
-            acc: abuf,
-            x,
-            y: &y,
+            acc: acc.device_buf_in(&mem).expect("just uploaded"),
+            x: &xs,
+            y: &ys,
             level: acc.level(),
         };
         self.backend.run(&self.plan, op);

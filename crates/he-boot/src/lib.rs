@@ -32,7 +32,13 @@
 //! The op mix is exactly the paper's: rotations are key switches (one
 //! batched launch group of gadget digit NTTs, then one multi-term FMA
 //! launch per accumulator) and every stage is NTT-dominated, which is
-//! what `figures bootstrap` measures and `bench_smoke.sh` gates.
+//! what `figures bootstrap` measures and `bench_smoke.sh` gates. The
+//! memory-bound multiply-accumulate chains around them run the same way,
+//! one multi-term FMA launch per accumulator instead of one launch per
+//! product and one per add: a relinearizing multiply's tensor terms and
+//! a rotation's `c0` add join the key switch's two FMAs, and a giant
+//! step's plaintext-product sum ([`HeContext::multiply_plain_sum`]) is an
+//! FMA pair of its own.
 //!
 //! **Scale discipline.** Every ciphertext×ciphertext product drifts the
 //! scale off the working point `T` (the squaring recursion
@@ -442,7 +448,9 @@ impl Bootstrapper {
     /// the giant-step rotations: `Σ_i rot_{i·g1}(Σ_{j0} da[i][j0] ⊙
     /// rots_a[j0] + db[i][j0] ⊙ rots_b[j0])`. All plain products are
     /// raw (same scale), summed, then rescaled **once** — one level per
-    /// stage, and every rotation at one level.
+    /// stage, and every rotation at one level. Each giant step's inner
+    /// sum is one [`HeContext::multiply_plain_sum`]: one multi-term FMA
+    /// launch per component on a device.
     fn bsgs(
         &self,
         rots_a: &[Ciphertext],
@@ -453,19 +461,14 @@ impl Bootstrapper {
     ) -> Result<Ciphertext, BackendError> {
         let mut out: Option<Ciphertext> = None;
         for i in 0..self.g2 {
-            let mut inner: Option<Ciphertext> = None;
-            for j0 in 0..self.g1 {
-                for (rots, diags) in [(rots_a, da), (rots_b, db)] {
-                    if let Some(pt) = &diags[i][j0] {
-                        let term = self.ctx.multiply_plain_raw(&rots[j0], pt);
-                        inner = Some(match inner {
-                            Some(acc) => self.ctx.add(&acc, &term),
-                            None => term,
-                        });
-                    }
-                }
-            }
-            let mut v = inner.expect("empty BSGS giant step");
+            let terms: Vec<(&Ciphertext, &Plaintext)> = (0..self.g1)
+                .flat_map(|j0| {
+                    [(rots_a, da), (rots_b, db)]
+                        .into_iter()
+                        .filter_map(move |(rots, diags)| Some((&rots[j0], diags[i][j0].as_ref()?)))
+                })
+                .collect();
+            let mut v = self.ctx.multiply_plain_sum(&terms);
             if i > 0 {
                 v = self.rot(&v, self.emb.galois_for_rotation(i * self.g1), fallible)?;
             }

@@ -37,10 +37,11 @@ use crate::keys::{KeySet, PublicKey, RelinEntry, RelinKeys, RotationKeys, Secret
 use crate::params::HeLiteParams;
 use crate::sampling;
 use ntt_core::backend::{
-    BackendError, CpuBackend, Evaluator, FaultClass, NttBackend, TransferStats,
+    BackendError, CpuBackend, Evaluator, FaultClass, FmaFactor, NttBackend, TransferStats,
 };
 use ntt_core::poly::{Representation, RingError, RnsPoly, RnsRing};
 use rand::{Rng, RngExt};
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -604,11 +605,12 @@ impl HeContext {
             st.ev.to_coefficient(&mut c1);
             st.ev.automorphism(&mut c0, g);
             st.ev.automorphism(&mut c1, g);
-            // key_switch_with takes its input in coefficient form (its
-            // internal inverse transform is a no-op here).
-            let (r0, r1) = self.key_switch_with(st, &c1, entries, level);
+            // The key switch accumulates straight into the transformed
+            // `c0` (no separate add) and takes `c1` in coefficient form
+            // (its internal inverse transform is a no-op here).
             st.ev.to_evaluation(&mut c0);
-            st.ev.add_assign(&mut c0, &r0);
+            let mut r1 = self.zero_acc(&mut st.ev, level);
+            self.key_switch_with(st, &c1, entries, level, [&mut c0, &mut r1], [&[], &[]]);
             Ciphertext {
                 c0,
                 c1: r1,
@@ -622,6 +624,8 @@ impl HeContext {
     /// variants, errors classify into transient/fatal/OOM, and a
     /// non-transient fault quarantines the pool member (rotation keys are
     /// context-owned, so they survive quarantine + re-fork untouched).
+    /// The key switch, with `c0` folded into its accumulation, runs
+    /// through the infallible ops and draws no fault.
     ///
     /// # Errors
     ///
@@ -644,9 +648,9 @@ impl HeContext {
             st.ev.try_to_coefficient(&mut c1)?;
             st.ev.try_automorphism(&mut c0, g)?;
             st.ev.try_automorphism(&mut c1, g)?;
-            let (r0, r1) = self.key_switch_with(st, &c1, entries, level);
             st.ev.try_to_evaluation(&mut c0)?;
-            st.ev.add_assign(&mut c0, &r0);
+            let mut r1 = self.zero_acc(&mut st.ev, level);
+            self.key_switch_with(st, &c1, entries, level, [&mut c0, &mut r1], [&[], &[]]);
             Ok(Ciphertext {
                 c0,
                 c1: r1,
@@ -735,9 +739,9 @@ impl HeContext {
     /// Truncate a plaintext to `level`, upload it (on residency-preferring
     /// backends) and forward-transform it once — the cached-diagonal form
     /// the homomorphic DFT stages multiply by repeatedly. A prepared
-    /// plaintext passed to [`HeContext::multiply_plain_raw`] or
-    /// [`HeContext::add_plain`] at its level is used as-is: no per-call
-    /// truncation, upload, or NTT.
+    /// plaintext passed to [`HeContext::multiply_plain_raw`],
+    /// [`HeContext::multiply_plain_sum`] or [`HeContext::add_plain`] at its
+    /// level is used as-is: no per-call truncation, upload, or NTT.
     pub fn prepare_plaintext(&self, pt: &Plaintext, level: usize) -> Plaintext {
         let mut m = pt.m.truncated(level);
         self.with_eval(|st| {
@@ -749,35 +753,102 @@ impl HeContext {
         Plaintext { m, scale: pt.scale }
     }
 
+    /// `pt`'s message at `level` in evaluation form: the plaintext's own
+    /// polynomial when it was prepared at that level
+    /// ([`HeContext::prepare_plaintext`]), else a truncated, uploaded (on
+    /// resident contexts) and transformed copy.
+    fn plain_at<'a>(
+        &self,
+        ev: &mut Evaluator,
+        pt: &'a Plaintext,
+        level: usize,
+    ) -> Cow<'a, RnsPoly> {
+        if pt.m.level() == level && pt.m.repr() == Representation::Evaluation {
+            return Cow::Borrowed(&pt.m);
+        }
+        let mut m = pt.m.truncated(level);
+        if self.resident {
+            ev.make_resident(&mut m);
+        }
+        ev.to_evaluation(&mut m);
+        Cow::Owned(m)
+    }
+
+    /// A zero evaluation-form accumulator at `level`: born on the device
+    /// (no transfer) on a resident context, on the host otherwise.
+    fn zero_acc(&self, ev: &mut Evaluator, level: usize) -> RnsPoly {
+        if self.resident {
+            ev.zero_resident(level, Representation::Evaluation)
+        } else {
+            RnsPoly::zero_with_repr(&self.ring, level, Representation::Evaluation)
+        }
+    }
+
     /// Plaintext multiplication **without** the trailing rescale: the
     /// product keeps the ciphertext's level and multiplies the scales.
-    /// The baby-step/giant-step DFT stages sum many of these at one scale
-    /// and rescale once — one level per stage instead of one per term.
+    /// A sum of such products at one scale, rescaled once, is
+    /// [`HeContext::multiply_plain_sum`] — the baby-step/giant-step DFT
+    /// stages' shape, which fuses the whole sum.
     pub fn multiply_plain_raw(&self, ct: &Ciphertext, pt: &Plaintext) -> Ciphertext {
         let level = ct.level();
         self.with_eval(|st| {
             let ev = &mut st.ev;
-            let prepared;
-            let m: &RnsPoly = if pt.m.level() == level && pt.m.repr() == Representation::Evaluation
-            {
-                &pt.m
-            } else {
-                let mut m = pt.m.truncated(level);
-                if self.resident {
-                    ev.make_resident(&mut m);
-                }
-                ev.to_evaluation(&mut m);
-                prepared = m;
-                &prepared
-            };
+            let m = self.plain_at(ev, pt, level);
             let mut c0 = ct.c0.clone();
-            ev.mul_pointwise(&mut c0, m);
+            ev.mul_pointwise(&mut c0, &m);
             let mut c1 = ct.c1.clone();
-            ev.mul_pointwise(&mut c1, m);
+            ev.mul_pointwise(&mut c1, &m);
             Ciphertext {
                 c0,
                 c1,
                 scale: ct.scale * pt.scale,
+            }
+        })
+    }
+
+    /// The plaintext-product sum `Σ_k ct_k ⊙ pt_k` at one level and one
+    /// product scale, **without** a rescale: the inner sum of a
+    /// baby-step/giant-step DFT stage. Each component is one
+    /// [`Evaluator::fma`], so on a device-resident context the whole sum
+    /// is 2 launches, where [`HeContext::multiply_plain_raw`] +
+    /// [`HeContext::add`] per term spend 2 per product and 2 per add.
+    /// The bits are that chain's: sums mod `p` are exact in any order.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty sum, or if the terms' levels or product scales
+    /// differ.
+    pub fn multiply_plain_sum(&self, terms: &[(&Ciphertext, &Plaintext)]) -> Ciphertext {
+        let (ct, pt) = terms.first().expect("empty plain-product sum");
+        let (level, scale) = (ct.level(), ct.scale * pt.scale);
+        for (ct, pt) in terms {
+            assert_eq!(ct.level(), level, "level mismatch");
+            let s = ct.scale * pt.scale;
+            assert!(
+                (s / scale - 1.0).abs() < 1e-9,
+                "scale mismatch: {s} vs {scale}"
+            );
+        }
+        self.with_eval(|st| {
+            let ev = &mut st.ev;
+            let ms: Vec<Cow<'_, RnsPoly>> = terms
+                .iter()
+                .map(|(_, pt)| self.plain_at(ev, pt, level))
+                .collect();
+            let mut sum = |part: fn(&Ciphertext) -> &RnsPoly| {
+                let mut acc = self.zero_acc(ev, level);
+                let products: Vec<_> = terms
+                    .iter()
+                    .zip(&ms)
+                    .map(|((ct, _), m)| (FmaFactor::Poly(part(ct)), &**m))
+                    .collect();
+                ev.fma(&mut acc, &products);
+                acc
+            };
+            Ciphertext {
+                c0: sum(|ct| &ct.c0),
+                c1: sum(|ct| &ct.c1),
+                scale,
             }
         })
     }
@@ -798,21 +869,9 @@ impl HeContext {
         let level = ct.level();
         self.with_eval(|st| {
             let ev = &mut st.ev;
-            let prepared;
-            let m: &RnsPoly = if pt.m.level() == level && pt.m.repr() == Representation::Evaluation
-            {
-                &pt.m
-            } else {
-                let mut m = pt.m.truncated(level);
-                if self.resident {
-                    ev.make_resident(&mut m);
-                }
-                ev.to_evaluation(&mut m);
-                prepared = m;
-                &prepared
-            };
+            let m = self.plain_at(ev, pt, level);
             let mut c0 = ct.c0.clone();
-            ev.add_assign(&mut c0, m);
+            ev.add_assign(&mut c0, &m);
             Ciphertext {
                 c0,
                 c1: ct.c1.clone(),
@@ -1042,7 +1101,12 @@ impl HeContext {
     /// Homomorphic multiplication: tensor, relinearize, rescale. For
     /// device-resident ciphertexts the whole chain — including the gadget
     /// digit decomposition and every digit NTT — runs on the device with
-    /// zero host↔device transfers.
+    /// zero host↔device transfers. Only `a1·b1` is a product of its own:
+    /// the other tensor terms fold into the key switch's two
+    /// multiply-accumulates, `c0 = a0·b0 + Σ digit·key_b` and
+    /// `c1 = a0·b1 + a1·b0 + Σ digit·key_a`, so a device multiply is one
+    /// pointwise and two FMA launches around the digit transforms, with
+    /// no add.
     ///
     /// # Panics
     ///
@@ -1052,25 +1116,22 @@ impl HeContext {
         assert_eq!(level, b.level(), "level mismatch");
         assert!(level >= 2, "no prime left to rescale into");
         self.with_eval(|st| {
-            // Tensor product (evaluation form).
-            let mut e0 = a.c0.clone();
-            st.ev.mul_pointwise(&mut e0, &b.c0);
-            let mut e1a = a.c0.clone();
-            st.ev.mul_pointwise(&mut e1a, &b.c1);
-            let mut e1b = a.c1.clone();
-            st.ev.mul_pointwise(&mut e1b, &b.c0);
-            st.ev.add_assign(&mut e1a, &e1b);
             let mut e2 = a.c1.clone();
             st.ev.mul_pointwise(&mut e2, &b.c1);
-
-            // Relinearize e2 -> (r0, r1) using the hybrid gadget.
-            let (r0, r1) = self.key_switch(st, &e2, rk, level);
-            st.ev.add_assign(&mut e0, &r0);
-            st.ev.add_assign(&mut e1a, &r1);
-
+            let mut c0 = self.zero_acc(&mut st.ev, level);
+            let mut c1 = self.zero_acc(&mut st.ev, level);
+            let (a0, a1) = (FmaFactor::Poly(&a.c0), FmaFactor::Poly(&a.c1));
+            self.key_switch(
+                st,
+                &e2,
+                rk,
+                level,
+                [&mut c0, &mut c1],
+                [&[(a0, &b.c0)], &[(a0, &b.c1), (a1, &b.c0)]],
+            );
             let mut out = Ciphertext {
-                c0: e0,
-                c1: e1a,
+                c0,
+                c1,
                 scale: a.scale * b.scale,
             };
             self.rescale_in_place(&mut st.ev, &mut out);
@@ -1078,8 +1139,9 @@ impl HeContext {
         })
     }
 
-    /// Gadget key switch of `e2` (evaluation form, `level` primes):
-    /// returns the pair to add to `(c0, c1)`.
+    /// Gadget key switch of `e2` (evaluation form, `level` primes) under
+    /// the relinearization keys, accumulated into `acc` together with the
+    /// `extra` product terms (see [`HeContext::key_switch_with`]).
     ///
     /// Digit decomposition uses a contiguous **buffer-of-digits** layout:
     /// the digit polynomials (each `level` replicated rows) sit back to
@@ -1090,34 +1152,45 @@ impl HeContext {
     ///
     /// * on a device-resident context the digits are decomposed and
     ///   transformed on the device ([`Evaluator::decompose_resident`]),
-    ///   and each accumulator's whole `Σ_k digit_k · key_k` is **one**
-    ///   multi-term [`Evaluator::fma_resident`] — two launches per key
-    ///   switch, not one per digit;
+    ///   and each accumulator's whole `Σ_k digit_k · key_k`, together
+    ///   with the caller's product terms, is **one** multi-term
+    ///   [`Evaluator::fma`] — two launches per key switch, not one per
+    ///   digit, product or add;
     /// * on the host path only the non-zero digits are packed, transformed
     ///   by one [`Evaluator::forward_flat`], and accumulated digit by
-    ///   digit.
+    ///   digit after the product terms.
     fn key_switch(
         &self,
         st: &mut EvalState,
         e2: &RnsPoly,
         rk: &RelinKeys,
         level: usize,
-    ) -> (RnsPoly, RnsPoly) {
-        self.key_switch_with(st, e2, &rk.entries[level - 1], level)
+        acc: [&mut RnsPoly; 2],
+        extra: [&[(FmaFactor<'_>, &RnsPoly)]; 2],
+    ) {
+        self.key_switch_with(st, e2, &rk.entries[level - 1], level, acc, extra);
     }
 
     /// The generic gadget key switch: same digit decomposition and
     /// accumulation as relinearization, but over an arbitrary `entries[j][d]`
     /// key set — relinearization passes `B^d·g_j·s²` encryptions, rotation
     /// passes `B^d·g_j·τ_g(s)` encryptions ([`crate::keys::RotationKeys`]).
+    ///
+    /// The switched pair lands in caller-supplied evaluation-form
+    /// accumulators, `acc[0] += Σ_k digit_k·b_k + Σ extra[0]` and
+    /// `acc[1] += Σ_k digit_k·a_k + Σ extra[1]`, where `extra[i]` holds
+    /// product terms to fold into the same multiply-accumulate: rotation
+    /// passes its permuted `c0` as `acc[0]` and no extra terms,
+    /// multiplication zero accumulators and its tensor terms.
     fn key_switch_with(
         &self,
         st: &mut EvalState,
         e2: &RnsPoly,
         entries: &[Vec<RelinEntry>],
         level: usize,
-    ) -> (RnsPoly, RnsPoly) {
-        let ring = &self.ring;
+        [acc0, acc1]: [&mut RnsPoly; 2],
+        extra: [&[(FmaFactor<'_>, &RnsPoly)]; 2],
+    ) {
         let digits = self.params.gadget_digits();
         let w = self.params.gadget_bits;
         let mask = (1u64 << w) - 1;
@@ -1139,21 +1212,30 @@ impl HeContext {
 
         // Device-resident fast path: decompose on the device, forward-NTT
         // all `level × digits` digit polynomials in one batched call, and
-        // run each accumulator's whole inner product as one multi-term
-        // fused multiply-add over the digit buffer (digit
-        // `k = j·digits + d` is its term `k`) — nothing crosses the bus.
-        // Unlike the packed host path below, zero digits are processed
-        // too (they transform to zero and accumulate nothing), so the
-        // results stay bit-identical.
+        // run each accumulator's whole inner product, the caller's product
+        // terms included, as one multi-term fused multiply-add over the
+        // digit buffer (digit `k = j·digits + d` is its view `k`) —
+        // nothing crosses the bus. Unlike the packed host path below, zero
+        // digits are processed too (they transform to zero and accumulate
+        // nothing), so the results stay bit-identical.
         if let Some(digit_buf) = ev.decompose_resident(&e2c, digits, w) {
+            let words = level * n;
             let keys = entries[..level].iter().flat_map(|row| &row[..digits]);
             let (b, a): (Vec<&RnsPoly>, Vec<&RnsPoly>) = keys.map(|e| (&e.b, &e.a)).unzip();
-            let mut acc0 = ev.zero_resident(level, Representation::Evaluation);
-            let mut acc1 = ev.zero_resident(level, Representation::Evaluation);
-            ev.fma_resident(&mut acc0, digit_buf, &b);
-            ev.fma_resident(&mut acc1, digit_buf, &a);
-            return (acc0, acc1);
+            for (acc, extra, keys) in [(acc0, extra[0], b), (acc1, extra[1], a)] {
+                let digit_terms = keys
+                    .into_iter()
+                    .enumerate()
+                    .map(|(k, key)| (FmaFactor::View(digit_buf.sub(k * words, words)), key));
+                let terms: Vec<_> = extra.iter().copied().chain(digit_terms).collect();
+                ev.fma(acc, &terms);
+            }
+            return;
         }
+
+        // The caller's product terms first (a host chain per term).
+        ev.fma(acc0, extra[0]);
+        ev.fma(acc1, extra[1]);
 
         // Pack the digit polynomials into the reusable scratch: for each
         // (prime j, digit d) with a non-zero digit, `level` identical rows
@@ -1178,31 +1260,24 @@ impl HeContext {
                 kept.push((j, d));
             }
         }
-
-        // Accumulators start as zero *in the NTT domain* — zero is zero in
-        // either representation, so no transform is spent on them.
-        let mut acc0 = RnsPoly::zero_with_repr(ring, level, Representation::Evaluation);
-        let mut acc1 = acc0.clone();
         if kept.is_empty() {
-            return (acc0, acc1);
+            return;
         }
 
         // All digit NTTs at this level in one batched backend call.
         ev.forward_flat(level, buf);
 
         // One product buffer reused across every kept digit.
-        let mut prod = RnsPoly::zero_with_repr(ring, level, Representation::Evaluation);
+        let mut prod = RnsPoly::zero_with_repr(&self.ring, level, Representation::Evaluation);
         for (k, &(j, d)) in kept.iter().enumerate() {
             let rows = &buf[k * level * n..(k + 1) * level * n];
             let entry = &entries[j][d];
-            prod.flat_mut().copy_from_slice(rows);
-            ev.mul_pointwise(&mut prod, &entry.b);
-            acc0.add_assign(&prod, ring);
-            prod.flat_mut().copy_from_slice(rows);
-            ev.mul_pointwise(&mut prod, &entry.a);
-            acc1.add_assign(&prod, ring);
+            for (acc, key) in [(&mut *acc0, &entry.b), (&mut *acc1, &entry.a)] {
+                prod.flat_mut().copy_from_slice(rows);
+                ev.mul_pointwise(&mut prod, key);
+                ev.add_assign(acc, &prod);
+            }
         }
-        (acc0, acc1)
     }
 
     /// Exact RNS rescale: divide by the last active prime and drop it.

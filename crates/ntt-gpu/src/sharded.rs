@@ -1338,22 +1338,27 @@ impl<F: Flavor> NttBackend for SimDevices<F> {
                 });
             }
             BackendOp::Fma { acc, x, y, level } => {
-                // The key-switch inner product lands here: `x` is the
-                // whole decompose scratch, term `k` its digit sub-view at
-                // row offset `k * level`. Each term gathers `x_k` then
-                // `y[k]` onto the accumulator piece's shard. The cyclic
-                // partition makes every digit view land on the
-                // accumulator's shards whenever `level % K == 0` — the
-                // zero-copy fast path of the gather — and any genuinely
-                // misaligned view (e.g. `K = 3` with `level = 8`) arrives
-                // over the link, correct either way. All terms then run
-                // as one launch per piece.
-                let len = acc.len();
-                assert_eq!(x.len(), y.len() * len, "fma term shape mismatch");
-                let reads: Vec<(DeviceBuf, Option<Rows>)> = y
+                // Multiply-accumulate chains land here: the key-switch
+                // inner product (term `k` a digit sub-view at row offset
+                // `k * level` of the decompose scratch, plus any folded
+                // product terms) and the plaintext-product sums. Each
+                // term gathers `x[k]` then `y[k]` onto the accumulator
+                // piece's shard. The cyclic partition makes every digit
+                // view land on the accumulator's shards whenever
+                // `level % K == 0`, and a separate level-row allocation
+                // always does — the zero-copy fast path of the gather —
+                // while any genuinely misaligned view (e.g. `K = 3` with
+                // `level = 8`) arrives over the link, correct either way.
+                // All terms then run as one launch per piece.
+                assert_eq!(x.len(), y.len(), "fma term count mismatch");
+                let reads: Vec<(DeviceBuf, Option<Rows>)> = x
                     .iter()
-                    .enumerate()
-                    .flat_map(|(k, &yk)| [(x.sub(k * len, len), None), (yk, None)])
+                    .zip(y)
+                    .flat_map(|(&xk, &yk)| {
+                        assert_eq!(xk.len(), acc.len(), "fma term shape mismatch");
+                        assert_eq!(yk.len(), acc.len(), "fma term shape mismatch");
+                        [(xk, None), (yk, None)]
+                    })
                     .collect();
                 self.on_shards(|h, _| {
                     h.each_piece(plan, acc, &reads, |sh, p| {
@@ -1909,12 +1914,16 @@ mod tests {
 
     #[test]
     fn misaligned_fma_digit_view_matches_sim() {
-        // acc is a level-row poly; x is the sub-view of `m` stacked digit
-        // polys one digit into an (m + 1)-digit scratch, with one key per
-        // term. level = 5 is a multiple of neither K = 2 nor K = 3, so
-        // the partitions cannot line up for K > 1 and every sharded run
-        // exercises the gather fallback. Cpu is the reference, for one
-        // term, two, and a whole level·digits key switch.
+        // acc is a level-row poly and each term pairs an x view with its
+        // own key. The x views come in two layouts: the `m` stacked digit
+        // polys one digit into an (m + 1)-digit scratch, or `m` separate
+        // allocations, the first of them one row into a (level + 1)-row
+        // buffer. level = 5 is a multiple of neither K = 2 nor K = 3, so
+        // the stacked views and the offset view cannot line up with acc
+        // for K > 1 and every sharded run exercises the gather fallback.
+        // Both layouts hold the same words, so they must agree; Cpu is
+        // the reference, for one term, two, and a whole level·digits key
+        // switch.
         let ring = ring(16, 5);
         let plan = RingPlan::new(&ring);
         let (n, level, digits) = (16usize, 5usize, 2usize);
@@ -1923,21 +1932,34 @@ mod tests {
             (0..words as u64).map(|i| (i * mul) % m).collect()
         };
 
-        let run = |backend: &mut dyn NttBackend, m: usize| -> Vec<u64> {
+        let run = |backend: &mut dyn NttBackend, m: usize, stacked: bool| -> Vec<u64> {
             let mem = backend.memory();
             let mut mem = mem.lock().unwrap();
             let acc = mem.alloc(poly);
-            let x = mem.alloc((m + 1) * poly);
+            let (allocs, x): (Vec<DeviceBuf>, Vec<DeviceBuf>) = if stacked {
+                let stack = mem.alloc((m + 1) * poly);
+                let views = (0..m).map(|k| stack.sub((k + 1) * poly, poly)).collect();
+                (vec![stack], views)
+            } else {
+                let offset = mem.alloc(poly + n);
+                let rest: Vec<DeviceBuf> = (1..m).map(|_| mem.alloc(poly)).collect();
+                let views = std::iter::once(offset.sub(n, poly)).chain(rest.iter().copied());
+                let views = views.collect();
+                (std::iter::once(offset).chain(rest).collect(), views)
+            };
             let ys: Vec<DeviceBuf> = (0..m).map(|_| mem.alloc(poly)).collect();
             mem.upload(acc, &host(poly, 1, 97));
-            mem.upload(x, &host((m + 1) * poly, 7, 89));
+            let words = host((m + 1) * poly, 7, 89);
+            for (k, &xk) in x.iter().enumerate() {
+                mem.upload(xk, &words[(k + 1) * poly..(k + 2) * poly]);
+            }
             for (k, &y) in ys.iter().enumerate() {
                 mem.upload(y, &host(poly, 13 + k as u64, 83));
             }
             drop(mem);
             let op = Op::Fma {
                 acc,
-                x: x.sub(poly, m * poly),
+                x: &x,
                 y: &ys,
                 level,
             };
@@ -1946,15 +1968,20 @@ mod tests {
             let mem = backend.memory();
             let mut mem = mem.lock().unwrap();
             mem.download(acc, &mut out);
-            for b in [acc, x].into_iter().chain(ys) {
+            for b in [acc].into_iter().chain(allocs).chain(ys) {
                 mem.free(b);
             }
             out
         };
 
         for m in [1, 2, level * digits] {
-            let want = run(&mut CpuBackend::default(), m);
-            for k in [1usize, 2, 3] {
+            let want = run(&mut CpuBackend::default(), m, true);
+            let separate = run(&mut CpuBackend::default(), m, false);
+            assert_eq!(want, separate, "m={m}: the two layouts hold the same terms");
+            for (k, stacked) in [1usize, 2, 3]
+                .into_iter()
+                .flat_map(|k| [(k, true), (k, false)])
+            {
                 let (mut be, handle): (Box<dyn NttBackend>, _) = if k == 1 {
                     let sim = SimBackend::titan_v();
                     let handle = Arc::clone(&sim.mem);
@@ -1964,12 +1991,13 @@ mod tests {
                     let handle = sharded.memory_handle();
                     (Box::new(sharded), handle)
                 };
-                assert_eq!(want, run(&mut *be, m), "misaligned fma m={m} k={k}");
+                let ctx = format!("misaligned fma m={m} k={k} stacked={stacked}");
+                assert_eq!(want, run(&mut *be, m, stacked), "{ctx}");
                 let link = lock_sharded(&handle).link_stats();
                 if k == 1 {
-                    assert_eq!(link.words, 0, "m={m}: k=1 has no link to cross");
+                    assert_eq!(link.words, 0, "{ctx}: k=1 has no link to cross");
                 } else {
-                    assert!(link.words > 0, "m={m} k={k} must gather over the link");
+                    assert!(link.words > 0, "{ctx}: must gather over the link");
                 }
             }
         }
@@ -2003,18 +2031,18 @@ mod tests {
         // download (host batch) or one launch (device op) on each shard.
         //
         // Device op `i` runs over level-2 polys `a`, `b`, `c`, a level-1
-        // `row`, the 8-row digit buffer of a 2-digit decomposition and a
-        // 4-row `pair` of stacked level-2 terms; `USES[i]` lists the
-        // operands it touches, in field order. The FMA is 2-term —
-        // `acc += pair_0 · b + pair_1 · c` — so a freed second key is
-        // one of the rows.
-        const ROWS: [usize; 6] = [2, 2, 2, 1, 8, 4];
+        // `row`, the 8-row digit buffer of a 2-digit decomposition and
+        // two more level-2 polys `x0`, `x1`; `USES[i]` lists the operands
+        // it touches, in field order. The FMA is 2-term —
+        // `acc += x0 · b + x1 · c`, each first factor its own buffer — so
+        // a freed second first factor and a freed second key are rows.
+        const ROWS: [usize; 7] = [2, 2, 2, 1, 8, 2, 2];
         const USES: [&[usize]; 11] = [
             &[0],
             &[0],
             &[0, 1, 2],
             &[0, 1],
-            &[0, 5, 1, 2],
+            &[0, 5, 6, 1, 2],
             &[0, 1],
             &[0],
             &[0],
@@ -2022,8 +2050,8 @@ mod tests {
             &[3, 0],
             &[0, 1],
         ];
-        fn device_op(i: usize, bufs: &[DeviceBuf; 6]) -> Op<'_> {
-            let [a, b, c, row, digits, pair] = *bufs;
+        fn device_op(i: usize, bufs: &[DeviceBuf; 7]) -> Op<'_> {
+            let [a, b, c, row, digits, ..] = *bufs;
             let level = 2;
             match i {
                 0 => Op::Forward { buf: a, level },
@@ -2041,7 +2069,7 @@ mod tests {
                 },
                 4 => Op::Fma {
                     acc: a,
-                    x: pair,
+                    x: &bufs[5..7],
                     y: &bufs[1..3],
                     level,
                 },
@@ -2087,7 +2115,7 @@ mod tests {
                 },
             }
         }
-        let none = [DeviceBuf::root(0, 0); 6];
+        let none = [DeviceBuf::root(0, 0); 7];
         let labels: Vec<&str> = (0..4)
             .map(|i| host_op(i, &mut [], &[]).label())
             .chain((0..11).map(|i| device_op(i, &none).label()))
@@ -2104,7 +2132,7 @@ mod tests {
             let mix = |i: usize| ((i + 64 * seed) as u64).wrapping_mul(0x9e37_79b9);
             (0..words).map(|i| mix(i) % (1 << 40)).collect()
         };
-        let fresh = |be: &dyn NttBackend| -> [DeviceBuf; 6] {
+        let fresh = |be: &dyn NttBackend| -> [DeviceBuf; 7] {
             let mem = be.memory();
             let mut mem = mem.lock().unwrap();
             let mut seed = 0;

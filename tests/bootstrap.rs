@@ -15,15 +15,20 @@
 //!   decrypts back to the input coefficients (the he-boot unit test
 //!   covers CPU; here the *Sim* output is pinned to the CPU output, so
 //!   correctness transfers).
+//! * **Fused multiply-accumulate chains** — a giant step's plaintext
+//!   product sum, a relinearizing multiply and a rotation each run their
+//!   multiply-accumulates as multi-term FMA launches, bit-identical to
+//!   the unfused product-and-add chain on every backend, with host-fresh
+//!   operands moving exactly the words that chain moves.
 //!
 //! CI runs this file under `NTT_WARP_THREADS=1,2,4`: the thread policy
 //! must not leak into results.
 
 use ntt_warp::boot::{BootParams, Bootstrapper};
 use ntt_warp::core::backend::NttBackend;
-use ntt_warp::core::CpuBackend;
-use ntt_warp::gpu::SimBackend;
-use ntt_warp::he::{sampling, Ciphertext, HeContext, HeLiteParams, KeySet};
+use ntt_warp::core::{CpuBackend, TransferStats};
+use ntt_warp::gpu::{ShardedBackend, SimBackend};
+use ntt_warp::he::{sampling, Ciphertext, HeContext, HeLiteParams, KeySet, Plaintext, PublicKey};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -180,6 +185,150 @@ fn try_bootstrap_matches_infallible_path() {
     let a = bits(boot.bootstrap(&low));
     let b = bits(boot.try_bootstrap(&low).expect("no faults armed"));
     assert_eq!(a, b);
+}
+
+/// The bootstrap's three multiply-accumulate chains run as multi-term
+/// FMA launches, with the unfused chain's bits and transfers:
+///
+/// * a 12-term `multiply_plain_sum` (one BSGS giant step) equals the
+///   `multiply_plain_raw` + `add` chain bit for bit on Cpu, Sim and
+///   Sharded K ∈ {2, 3}, and on Sim is 2 `sim-fma` launches with no
+///   `sim-pointwise` or `sim-add`;
+/// * a relinearizing multiply is 1 `sim-pointwise` and 2 `sim-fma`
+///   launches with no `sim-add` (its rescale adds none);
+/// * a rotation folds `c0` into its key switch: 2 `sim-fma`, no `sim-add`;
+/// * host-fresh operands on Sim — a Cpu-encrypted ciphertext rotated, and
+///   one Cpu-encrypted term in the sum — give Cpu's bits and count the
+///   transfers of the unfused chain (for the rotation, the counts that
+///   chain recorded).
+#[test]
+fn fused_multiply_accumulate_chains_match_the_unfused_chain() {
+    let params = rot_params();
+    let (n, level, g) = (1usize << params.log_n, params.levels, 5u64);
+    let (cpu, keys) = ctx_with(params, Box::<CpuBackend>::default(), 41);
+    let rtk = cpu.keygen_rotation(&keys.secret, &[g], &[level], &mut sampling::seeded_rng(42));
+    let message = |k: usize| -> Vec<f64> { (0..8).map(|i| ((i * k) as f64 * 0.3).sin()).collect() };
+    let encrypt = |ctx: &HeContext, pk: &PublicKey, k: usize| {
+        let pt = ctx.encode(&message(k));
+        ctx.encrypt(&pt, pk, &mut sampling::seeded_rng(100 + k as u64))
+    };
+    let diag = |ctx: &HeContext, k: usize| {
+        let pt = ctx.encode_with_scale(&message(k + 20), ctx.params().scale());
+        ctx.prepare_plaintext(&pt, level)
+    };
+    let unfused = |ctx: &HeContext, terms: &[(&Ciphertext, &Plaintext)]| {
+        terms
+            .iter()
+            .map(|&(ct, pt)| ctx.multiply_plain_raw(ct, pt))
+            .reduce(|acc, t| ctx.add(&acc, &t))
+            .expect("12 terms")
+    };
+    let sum_and_chain = |ctx: &HeContext, cts: &[Ciphertext], pts: &[Plaintext]| {
+        let terms: Vec<(&Ciphertext, &Plaintext)> = cts.iter().zip(pts).collect();
+        (ctx.multiply_plain_sum(&terms), unfused(ctx, &terms))
+    };
+
+    let cpu_cts: Vec<Ciphertext> = (0..12).map(|k| encrypt(&cpu, &keys.public, k)).collect();
+    let cpu_pts: Vec<Plaintext> = (0..12).map(|k| diag(&cpu, k)).collect();
+    let (sum, chain) = sum_and_chain(&cpu, &cpu_cts, &cpu_pts);
+    let want = bits(sum);
+    assert_eq!(want, bits(chain), "Cpu: sum departs from the chain");
+    let want_rot = bits(cpu.rotate(&cpu_cts[0], g, &rtk));
+
+    let devices: [(&str, Box<dyn NttBackend>); 3] = [
+        ("sim", Box::new(SimBackend::titan_v())),
+        ("sharded k=2", Box::new(ShardedBackend::titan_v(2, n))),
+        ("sharded k=3", Box::new(ShardedBackend::titan_v(3, n))),
+    ];
+    for (name, backend) in devices {
+        let ctx = HeContext::with_backend(params, backend).expect("context builds");
+        let dev_keys = ctx.adopt_keys(&keys);
+        let cts: Vec<Ciphertext> = (0..12)
+            .map(|k| encrypt(&ctx, &dev_keys.public, k))
+            .collect();
+        let pts: Vec<Plaintext> = (0..12).map(|k| diag(&ctx, k)).collect();
+        let (sum, chain) = sum_and_chain(&ctx, &cts, &pts);
+        assert_eq!(bits(sum), want, "{name}: sum departs from Cpu");
+        assert_eq!(bits(chain), want, "{name}: chain departs from Cpu");
+    }
+
+    // Launch counts on one device.
+    let sim = SimBackend::titan_v();
+    let dev = sim.memory_handle();
+    let ctx = HeContext::with_backend(params, Box::new(sim)).expect("context builds");
+    let dev_keys = ctx.adopt_keys(&keys);
+    let dev_rtk = ctx.adopt_rotation_keys(&rtk);
+    let cts: Vec<Ciphertext> = (0..12)
+        .map(|k| encrypt(&ctx, &dev_keys.public, k))
+        .collect();
+    let pts: Vec<Plaintext> = (0..12).map(|k| diag(&ctx, k)).collect();
+    let launches = |f: &mut dyn FnMut()| -> [usize; 3] {
+        let from = dev.lock().unwrap().gpu().trace.len();
+        f();
+        let dev = dev.lock().unwrap();
+        let labels: Vec<&str> = dev.gpu().trace[from..]
+            .iter()
+            .map(|r| r.launch.label.as_str())
+            .collect();
+        ["sim-fma", "sim-pointwise", "sim-add"].map(|l| labels.iter().filter(|&&x| x == l).count())
+    };
+    let terms: Vec<(&Ciphertext, &Plaintext)> = cts.iter().zip(&pts).collect();
+    let mut out = None;
+    let step = launches(&mut || out = Some(ctx.multiply_plain_sum(&terms)));
+    assert_eq!(step, [2, 0, 0], "giant step [fma, pointwise, add]");
+    assert_eq!(bits(out.take().expect("ran")), want);
+    let mult = launches(&mut || out = Some(ctx.multiply(&cts[1], &cts[2], &dev_keys.relin)));
+    assert_eq!(
+        mult,
+        [2, 1, 0],
+        "relinearizing multiply [fma, pointwise, add]"
+    );
+    let mult_cpu = cpu.multiply(&cpu_cts[1], &cpu_cts[2], &keys.relin);
+    assert_eq!(bits(out.take().expect("ran")), bits(mult_cpu));
+    let rot = launches(&mut || out = Some(ctx.rotate(&cts[0], g, &dev_rtk)));
+    assert_eq!(rot, [2, 0, 0], "rotation [fma, pointwise, add]");
+    assert_eq!(bits(out.take().expect("ran")), want_rot);
+
+    // Mixed residency: host-fresh operands on the device context.
+    let moved = |f: &mut dyn FnMut()| -> [u64; 4] {
+        let before = ctx.transfer_stats();
+        f();
+        let TransferStats {
+            uploads,
+            upload_words,
+            downloads,
+            download_words,
+            ..
+        } = ctx.transfer_stats().since(&before);
+        [uploads, upload_words, downloads, download_words]
+    };
+    let rot_moved = moved(&mut || out = Some(ctx.rotate(&cpu_cts[0], g, &dev_rtk)));
+    assert_eq!(
+        bits(out.take().expect("ran")),
+        want_rot,
+        "host-fresh rotate"
+    );
+    // What the unfused rotation moved: three staged host transforms of
+    // `c0`/`c1` (up and down each), the key switch's input up, and `c0`
+    // up for its add — now for the FMA it is the accumulator of.
+    let words = (level * n) as u64;
+    assert_eq!(rot_moved, [5, 5 * words, 3, 3 * words], "host-fresh rotate");
+    let mut mixed = cts.clone();
+    mixed[7] = cpu_cts[7].clone();
+    let terms: Vec<(&Ciphertext, &Plaintext)> = mixed.iter().zip(&pts).collect();
+    let sum_moved = moved(&mut || out = Some(ctx.multiply_plain_sum(&terms)));
+    assert_eq!(bits(out.take().expect("ran")), want, "host-fresh term");
+    let chain_moved = moved(&mut || out = Some(unfused(&ctx, &terms)));
+    assert_eq!(bits(out.take().expect("ran")), want, "host-fresh chain");
+    assert_eq!(
+        sum_moved, chain_moved,
+        "host-fresh term: [up, up words, down, down words]"
+    );
+    assert_eq!(
+        sum_moved,
+        [2, 2 * words, 0, 0],
+        "the host term's two components go up"
+    );
 }
 
 proptest! {

@@ -252,27 +252,36 @@ fn bootstrap_on_sharded_matches_single_device() {
     );
 }
 
+/// The SMEM-sized shape: N = 2^10, `level` = 4 primes, and two stacked
+/// polynomials of canonical pseudo-random rows (row r under prime
+/// r % level).
+fn smem_sized_stack() -> (RingPlan, usize, usize, Vec<u64>) {
+    let (n, level) = (1usize << 10, 4usize);
+    let ring = RnsRing::new(n, ntt_warp::math::ntt_primes(59, 2 * n as u64, level)).unwrap();
+    let plan = RingPlan::new(&ring);
+    let primes = ring.basis().primes();
+    let stack: Vec<u64> = (0..(2 * level * n) as u64)
+        .map(|i| {
+            let p = primes[(i as usize / n) % level];
+            i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % p
+        })
+        .collect();
+    (plan, n, level, stack)
+}
+
 /// Transforms at SMEM size over `K` shards: a stacked host-batch inverse
 /// (2·level rows, row r under prime r % level), a resident forward →
 /// inverse over the stacked buffer, and a resident multiply of its two
 /// halves, each bit-identical to `CpuBackend`. The multiply's second
 /// operand starts at row `level` = 4 of the stack: aligned with the
 /// output's rows for K ∈ {1, 2}, misaligned for K = 3, which gathers it
-/// over the inter-device link.
+/// over the inter-device link. Which kernels ran is pinned separately
+/// (`smem_sized_inverses_run_both_smem_kernels_on_every_shard`), so this
+/// test holds under any forced transform family.
 #[test]
 fn smem_sized_stacked_and_resident_transforms_match_cpu_on_every_shard_count() {
-    let (n, level) = (1usize << 10, 4usize);
-    let ring = RnsRing::new(n, ntt_warp::math::ntt_primes(59, 2 * n as u64, level)).unwrap();
-    let plan = RingPlan::new(&ring);
+    let (plan, n, level, stack) = smem_sized_stack();
     let (half, words) = (level * n, 2 * level * n);
-    let primes = ring.basis().primes();
-    // Canonical pseudo-random stacked rows: row r under prime r % level.
-    let stack: Vec<u64> = (0..words as u64)
-        .map(|i| {
-            let p = primes[(i as usize / n) % level];
-            i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % p
-        })
-        .collect();
 
     let mut cpu = CpuBackend::default();
     let mut inv_cpu = stack.clone();
@@ -339,6 +348,27 @@ fn smem_sized_stacked_and_resident_transforms_match_cpu_on_every_shard_count() {
         assert_eq!(download(out, half), mul_cpu, "resident multiply, k={k}");
         let words_moved = link.lock().unwrap().link_stats().since(&before).words;
         assert_eq!(words_moved > 0, k == 3, "k={k}: {words_moved} link words");
+    }
+}
+
+/// The route behind the transforms above: under auto routing, the
+/// stacked inverse and the resident forward → inverse at N = 2^10 run
+/// both two-kernel SMEM inverse kernels on every shard of K ∈ {1, 2, 3}.
+/// A forced radix-2 run overrides exactly this route, so that CI pass
+/// skips this test alone.
+#[test]
+fn smem_sized_inverses_run_both_smem_kernels_on_every_shard() {
+    let (plan, n, level, stack) = smem_sized_stack();
+    for k in [1usize, 2, 3] {
+        let mut sim = ShardedBackend::titan_v(k, n);
+        let mut inv = stack.clone();
+        sim.run(&plan, Op::InverseBatch(LimbBatch::new(&mut inv, n, level)));
+        let mem = sim.memory();
+        let st = mem.lock().unwrap().alloc(stack.len());
+        mem.lock().unwrap().upload(st, &stack);
+        sim.run(&plan, Op::Forward { buf: st, level });
+        sim.run(&plan, Op::Inverse { buf: st, level });
+        let link = sim.memory_handle();
 
         // Every shard ran the SMEM kernels in both directions.
         let shards = link.lock().unwrap();
