@@ -929,8 +929,9 @@ pub(crate) fn host_modraise_rows(plan: &RingPlan, to_level: usize, src: &[u64], 
 /// into a `level·digits`-polynomial buffer-of-digits: digit `(j, d)`
 /// occupies polynomial slot `j·digits + d` as `level` **replicated** rows
 /// of `(src_row_j >> (w·d)) & (2^w − 1)` (small digits are the same
-/// residue mod every active prime). The layout matches what
-/// `he-lite` key switching feeds to `Evaluator::forward_flat`.
+/// residue mod every active prime). This is the host branch of
+/// [`Evaluator::decompose`] and the reference every backend's
+/// [`BackendOp::Decompose`] matches.
 pub(crate) fn host_decompose_rows(
     n: usize,
     level: usize,
@@ -1695,8 +1696,38 @@ pub enum FmaFactor<'a> {
     /// An evaluation-form polynomial, wherever it lives.
     Poly(&'a RnsPoly),
     /// An accumulator-shaped view in the evaluator's device memory, such
-    /// as one digit of [`Evaluator::decompose_resident`]'s buffer.
+    /// as one device digit of [`Evaluator::decompose`].
     View(DeviceBuf),
+}
+
+/// The transformed gadget digits of one [`Evaluator::decompose`], digit
+/// `k = j·digits + d` in evaluation form with the source's level.
+#[derive(Debug)]
+pub enum Digits {
+    /// Consecutive `words`-word views of the evaluator's device scratch,
+    /// valid until its next decompose or automorphism.
+    Device {
+        /// The whole buffer of digits.
+        buf: DeviceBuf,
+        /// Words per digit (`level · N`).
+        words: usize,
+    },
+    /// One host polynomial per digit.
+    Host(Vec<RnsPoly>),
+}
+
+impl Digits {
+    /// Digit `k` as the first factor of an [`Evaluator::fma`] term.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is out of range.
+    pub fn factor(&self, k: usize) -> FmaFactor<'_> {
+        match self {
+            Digits::Device { buf, words } => FmaFactor::View(buf.sub(k * words, *words)),
+            Digits::Host(polys) => FmaFactor::Poly(&polys[k]),
+        }
+    }
 }
 
 /// A backend-generic driver: one [`RingPlan`] plus one boxed
@@ -1894,15 +1925,6 @@ impl Evaluator {
         }
     }
 
-    /// Forward-NTT a raw buffer-of-digits batch: `rows × N` residues, row
-    /// `r` mod prime `r % level` — all `level × digits` key-switch digit
-    /// NTTs in **one** backend call.
-    pub fn forward_flat(&mut self, level: usize, data: &mut [u64]) {
-        let n = self.plan.degree();
-        let op = BackendOp::ForwardBatch(LimbBatch::new(data, n, level));
-        self.backend.run(&self.plan, op);
-    }
-
     // ---- Fallible surface -------------------------------------------------
     //
     // Recoverable counterparts of the hot entry points, for callers that
@@ -1951,7 +1973,8 @@ impl Evaluator {
         Ok(())
     }
 
-    /// Fallible [`Evaluator::forward_flat`].
+    /// Forward-NTT a raw `rows × N` batch (row `r` mod prime
+    /// `r % level`) in **one** fallible backend call.
     pub fn try_forward_flat(&mut self, level: usize, data: &mut [u64]) -> Result<(), BackendError> {
         let n = self.plan.degree();
         let op = BackendOp::ForwardBatch(LimbBatch::new(data, n, level));
@@ -2299,47 +2322,58 @@ impl Evaluator {
         acc.mark_device_dirty();
     }
 
-    /// Gadget-decompose a device-resident coefficient polynomial into the
-    /// evaluator's device scratch and forward-NTT every digit row in one
-    /// batched call. Returns the `level·digits`-polynomial buffer-of-
-    /// digits view (sub-view `k·level·N .. (k+1)·level·N` is digit
-    /// `k = j·digits + d`, already in evaluation form). `None` when `e2c`
-    /// is not device-resident here — the caller falls back to the packed
-    /// host path.
+    /// Gadget-decompose a coefficient polynomial and forward-NTT every
+    /// digit in one batched call: the `level·digits` digits of a key
+    /// switch, zero digits included.
     ///
-    /// Unlike the host path, **all** `level × digits` digits are
-    /// processed (zero digits transform to zero and accumulate nothing),
-    /// so results stay bit-identical while the data never leaves the
-    /// device.
-    pub fn decompose_resident(
-        &mut self,
-        e2c: &RnsPoly,
-        digits: usize,
-        gadget_bits: u32,
-    ) -> Option<DeviceBuf> {
+    /// A source that is device-fresh in this backend's memory is
+    /// decomposed and transformed in the evaluator's device scratch
+    /// ([`BackendOp::Decompose`] + [`BackendOp::Forward`]), so nothing
+    /// crosses the bus; any other source is decomposed on the host and
+    /// transformed by one [`BackendOp::ForwardBatch`] over the whole
+    /// buffer of digits. Both give the same bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `poly` is in evaluation form.
+    pub fn decompose(&mut self, poly: &mut RnsPoly, digits: usize, gadget_bits: u32) -> Digits {
         assert_eq!(
-            e2c.repr(),
+            poly.repr(),
             Representation::Coefficient,
             "decomposition requires coefficient form"
         );
-        let src = self.dev_buf(e2c)?;
-        let level = e2c.level();
-        let words = level * digits * level * self.plan.degree();
-        let scratch = self.ensure_dev_scratch(words);
-        let op = BackendOp::Decompose {
-            src,
-            dst: scratch,
-            level,
-            digits,
-            gadget_bits,
-        };
+        let (n, level) = (self.plan.degree(), poly.level());
+        let words = level * n;
+        if let Some(src) = self.dev_buf(poly) {
+            let buf = self.ensure_dev_scratch(level * digits * words);
+            let op = BackendOp::Decompose {
+                src,
+                dst: buf,
+                level,
+                digits,
+                gadget_bits,
+            };
+            self.backend.run(&self.plan, op);
+            self.backend
+                .run(&self.plan, BackendOp::Forward { buf, level });
+            return Digits::Device { buf, words };
+        }
+        poly.sync();
+        let mut flat = vec![0u64; level * digits * words];
+        host_decompose_rows(n, level, digits, gadget_bits, poly.flat(), &mut flat);
+        let op = BackendOp::ForwardBatch(LimbBatch::new(&mut flat, n, level));
         self.backend.run(&self.plan, op);
-        let op = BackendOp::Forward {
-            buf: scratch,
-            level,
-        };
-        self.backend.run(&self.plan, op);
-        Some(scratch)
+        let ring = self.plan.ring();
+        Digits::Host(
+            flat.chunks_exact(words)
+                .map(|rows| {
+                    let mut digit =
+                        RnsPoly::zero_with_repr(ring, level, Representation::Evaluation);
+                    digit.flat_mut().copy_from_slice(rows);
+                    digit
+                })
+                .collect(),
+        )
     }
 
     /// Grow-only device scratch view of exactly `words` words.
@@ -2709,25 +2743,39 @@ mod tests {
         let ring = ring(8, 2);
         let mut ev = Evaluator::cpu(&ring);
         let (digits, w) = (3usize, 5u32);
-        let mut e2c = RnsPoly::from_i64_coeffs(&ring, &[100, 37, 2, 1 << 10]);
-        let host_src = e2c.flat().to_vec();
-        ev.make_resident(&mut e2c);
-        let buf = ev
-            .decompose_resident(&e2c, digits, w)
-            .expect("resident source decomposes on device");
+        let src = RnsPoly::from_i64_coeffs(&ring, &[100, 37, 2, 1 << 10]);
         // Reference: decompose then forward the whole digit buffer.
         let (n, level) = (8, 2);
         let mut expect = vec![0u64; level * digits * level * n];
-        host_decompose_rows(n, level, digits, w, &host_src, &mut expect);
+        host_decompose_rows(n, level, digits, w, src.flat(), &mut expect);
         let plan = RingPlan::new(&ring);
         let mut cpu = CpuBackend::default();
         cpu.run(
             &plan,
             Op::ForwardBatch(LimbBatch::new(&mut expect, n, level)),
         );
-        let mut got = vec![0u64; buf.len()];
-        lock_memory(&ev.memory()).download(buf, &mut got);
-        assert_eq!(got, expect);
+        // A resident source takes the device branch, a host one the host
+        // branch; both must give the reference digits.
+        for resident in [true, false] {
+            let mut e2c = src.clone();
+            if resident {
+                ev.make_resident(&mut e2c);
+            }
+            let got = match ev.decompose(&mut e2c, digits, w) {
+                Digits::Device { buf, .. } if resident => {
+                    let mut got = vec![0u64; buf.len()];
+                    lock_memory(&ev.memory()).download(buf, &mut got);
+                    got
+                }
+                Digits::Host(polys) if !resident => polys
+                    .iter()
+                    .inspect(|p| assert_eq!(p.repr(), Representation::Evaluation))
+                    .flat_map(|p| p.flat().to_vec())
+                    .collect(),
+                other => panic!("resident = {resident} took the other branch: {other:?}"),
+            };
+            assert_eq!(got, expect, "resident = {resident}");
+        }
     }
 
     #[test]

@@ -42,6 +42,7 @@ use ntt_core::backend::{
 use ntt_core::poly::{Representation, RingError, RnsPoly, RnsRing};
 use rand::{Rng, RngExt};
 use std::borrow::Cow;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -68,18 +69,6 @@ impl From<RingError> for HeError {
     }
 }
 
-/// One pooled execution state: an evaluator plus reusable scratch for the
-/// host key-switch digit packing (each pool member owns its scratch, so
-/// no extra synchronization).
-#[derive(Debug)]
-struct EvalState {
-    ev: Evaluator,
-    /// Grow-only buffer-of-digits scratch — steady-state key switches
-    /// reuse it instead of allocating `level² · digits · N` words per
-    /// call (mirrors the executor workspace discipline).
-    ks_scratch: Vec<u64>,
-}
-
 /// The evaluator pool: idle evaluators plus the prototype backend new
 /// members are forked from. Checkout holds the `idle` lock only for a
 /// pop/push, so concurrent scheme operations overlap; forks share the
@@ -88,7 +77,7 @@ struct EvalPool {
     /// Fork source (also answers identity queries: name, memory). Locked
     /// only briefly, never across an operation.
     proto: Mutex<Box<dyn NttBackend>>,
-    idle: Mutex<Vec<EvalState>>,
+    idle: Mutex<Vec<Evaluator>>,
     /// Evaluators ever created (pool high-water mark).
     created: AtomicUsize,
     /// Pool members dropped after a non-transient fault (each one is
@@ -207,35 +196,28 @@ impl HeContext {
 
     /// Fork a fresh pool member from the prototype backend (shares device
     /// memory and the memoized ring plan).
-    fn new_state(&self) -> EvalState {
+    fn fork_evaluator(&self) -> Evaluator {
         let backend = lock(&self.pool.proto).fork();
         self.pool.created.fetch_add(1, Ordering::Relaxed);
-        EvalState {
-            ev: Evaluator::with_backend(&self.ring, backend),
-            ks_scratch: Vec::new(),
-        }
+        Evaluator::with_backend(&self.ring, backend)
     }
 
-    /// Run `f` on a pooled execution state: pop an idle evaluator (or
-    /// fork a new one), run, push it back. Locks are held only around the
-    /// pop/push, so concurrent operations — and *nested* checkouts from
-    /// the same thread — proceed instead of deadlocking on one evaluator
-    /// mutex. A panic inside `f` drops that pool member (the pool shrinks
-    /// by one; state cannot be corrupted).
-    fn with_eval<R>(&self, f: impl FnOnce(&mut EvalState) -> R) -> R {
-        let mut st = lock(&self.pool.idle)
-            .pop()
-            .unwrap_or_else(|| self.new_state());
-        let r = f(&mut st);
-        lock(&self.pool.idle).push(st);
-        r
+    /// Pop an idle pool member, or fork a new one.
+    fn checkout(&self) -> Evaluator {
+        let idle = lock(&self.pool.idle).pop();
+        idle.unwrap_or_else(|| self.fork_evaluator())
     }
 
-    /// Run `f` with an evaluator checked out of the context's pool — the
-    /// escape hatch for custom polynomial-level operations on the
-    /// context's backend. Reentrant: calling scheme operations (or this
-    /// method) from inside `f` checks out *another* evaluator instead of
-    /// deadlocking.
+    /// Run `f` with an evaluator checked out of the context's pool: pop
+    /// an idle evaluator (or fork a new one), run, push it back. Every
+    /// scheme operation runs this way, and it is the escape hatch for
+    /// custom polynomial-level operations on the context's backend.
+    ///
+    /// Locks are held only around the pop/push, so concurrent operations
+    /// proceed, and the checkout is reentrant: calling scheme operations
+    /// (or this method) from inside `f` checks out *another* evaluator
+    /// instead of deadlocking. A panic inside `f` drops that pool member
+    /// (the pool shrinks by one; state cannot be corrupted).
     ///
     /// ```
     /// use he_lite::{HeContext, HeLiteParams};
@@ -248,7 +230,10 @@ impl HeContext {
     /// # Ok::<(), he_lite::HeError>(())
     /// ```
     pub fn with_pooled_evaluator<R>(&self, f: impl FnOnce(&mut Evaluator) -> R) -> R {
-        self.with_eval(|st| f(&mut st.ev))
+        let mut ev = self.checkout();
+        let r = f(&mut ev);
+        lock(&self.pool.idle).push(ev);
+        r
     }
 
     /// Fallible [`HeContext::with_pooled_evaluator`] with pool health
@@ -267,28 +252,16 @@ impl HeContext {
         &self,
         f: impl FnOnce(&mut Evaluator) -> Result<R, BackendError>,
     ) -> Result<R, BackendError> {
-        self.try_with_state(|st| f(&mut st.ev))
-    }
-
-    /// [`HeContext::try_with_pooled_evaluator`] over the full pool state
-    /// (evaluator + key-switch scratch) — the internal shape fallible
-    /// scheme operations like [`HeContext::try_rotate`] run on.
-    fn try_with_state<R>(
-        &self,
-        f: impl FnOnce(&mut EvalState) -> Result<R, BackendError>,
-    ) -> Result<R, BackendError> {
-        let mut st = lock(&self.pool.idle)
-            .pop()
-            .unwrap_or_else(|| self.new_state());
-        let r = f(&mut st);
+        let mut ev = self.checkout();
+        let r = f(&mut ev);
         match &r {
             Err(e) if !e.is_transient() && e.class() != FaultClass::Deadline => {
-                drop(st);
+                drop(ev);
                 self.pool.quarantined.fetch_add(1, Ordering::Relaxed);
-                let fresh = self.new_state();
+                let fresh = self.fork_evaluator();
                 lock(&self.pool.idle).push(fresh);
             }
-            _ => lock(&self.pool.idle).push(st),
+            _ => lock(&self.pool.idle).push(ev),
         }
         r
     }
@@ -350,7 +323,7 @@ impl HeContext {
     /// streams overlap the key upload instead of waiting behind it — the
     /// modeled window that shrinks a chain's initial-upload cost.
     pub fn keygen<R: Rng + RngExt>(&self, rng: &mut R) -> KeySet {
-        let mut keys = self.with_eval(|st| self.keygen_host(&mut st.ev, rng));
+        let mut keys = self.with_pooled_evaluator(|ev| self.keygen_host(ev, rng));
         self.upload_keys(&mut keys);
         keys
     }
@@ -359,18 +332,23 @@ impl HeContext {
     /// once on residency-preferring backends (no-op elsewhere).
     fn upload_keys(&self, keys: &mut KeySet) {
         if self.resident {
-            self.with_eval(|st| {
-                let ev = &mut st.ev;
+            self.with_pooled_evaluator(|ev| {
                 ev.make_resident(&mut keys.secret.s_eval);
                 ev.make_resident(&mut keys.public.b);
                 ev.make_resident(&mut keys.public.a);
-                for per_level in &mut keys.relin.entries {
-                    for per_j in per_level {
-                        for entry in per_j {
-                            ev.make_resident(&mut entry.b);
-                            ev.make_resident(&mut entry.a);
-                        }
-                    }
+            });
+        }
+        self.upload_entries(keys.relin.entries.iter_mut());
+    }
+
+    /// Upload key-switch entry sets (`[j][d]` each) once on
+    /// residency-preferring backends (no-op elsewhere).
+    fn upload_entries<'a>(&self, sets: impl Iterator<Item = &'a mut Vec<Vec<RelinEntry>>>) {
+        if self.resident {
+            self.with_pooled_evaluator(|ev| {
+                for entry in sets.flatten().flatten() {
+                    ev.make_resident(&mut entry.b);
+                    ev.make_resident(&mut entry.a);
                 }
             });
         }
@@ -398,21 +376,7 @@ impl HeContext {
     /// [`HeContext::keygen_rotation`] output.
     pub fn adopt_rotation_keys(&self, rtk: &RotationKeys) -> RotationKeys {
         let mut rtk = rtk.clone();
-        if self.resident {
-            self.with_eval(|st| {
-                let ev = &mut st.ev;
-                for per_level in rtk.by_g.values_mut() {
-                    for per_j in per_level.values_mut() {
-                        for per_d in per_j {
-                            for entry in per_d {
-                                ev.make_resident(&mut entry.b);
-                                ev.make_resident(&mut entry.a);
-                            }
-                        }
-                    }
-                }
-            });
-        }
+        self.upload_entries(rtk.by_g.values_mut().flat_map(BTreeMap::values_mut));
         rtk
     }
 
@@ -433,49 +397,12 @@ impl HeContext {
         b.negate(ring);
         b.add_assign(&e, ring);
 
-        // s^2 for relinearization.
+        // Relin keys per level switch from s^2.
         let mut s2 = s.clone();
         ev.mul_pointwise(&mut s2, &s);
-
-        // Relin keys per level.
-        let digits = self.params.gadget_digits();
-        let w = self.params.gadget_bits;
-        let mut entries = Vec::with_capacity(self.params.levels);
-        for level in 1..=self.params.levels {
-            let s_l = s.truncated(level);
-            let s2_l = s2.truncated(level);
-            let mut per_j = Vec::with_capacity(level);
-            for j in 0..level {
-                let mut per_d = Vec::with_capacity(digits);
-                for d in 0..digits {
-                    // g_{j,d} = B^d * g_j, as per-prime residues.
-                    let residues: Vec<u64> = self.gadget[level - 1][j]
-                        .iter()
-                        .zip(&ring.basis().primes()[..level])
-                        .map(|(&g, &p)| {
-                            let b_pow = ntt_math::pow_mod(2, u64::from(w) * d as u64, p);
-                            ntt_math::mul_mod(g % p, b_pow, p)
-                        })
-                        .collect();
-                    // `a` drawn directly in evaluation form (uniform is
-                    // uniform in either domain) — halves keygen NTTs.
-                    let a_jd = sampling::uniform_eval_poly(ring, level, rng);
-                    let mut e_jd = sampling::error_poly(ring, eta, rng).truncated(level);
-                    ev.to_evaluation(&mut e_jd);
-                    // b = -(a s) + e + g_{j,d} s^2.
-                    let mut b_jd = a_jd.clone();
-                    ev.mul_pointwise(&mut b_jd, &s_l);
-                    b_jd.negate(ring);
-                    b_jd.add_assign(&e_jd, ring);
-                    let mut gs2 = s2_l.clone();
-                    gs2.mul_scalar_residues(&residues, ring);
-                    b_jd.add_assign(&gs2, ring);
-                    per_d.push(RelinEntry { b: b_jd, a: a_jd });
-                }
-                per_j.push(per_d);
-            }
-            entries.push(per_j);
-        }
+        let entries = (1..=self.params.levels)
+            .map(|level| self.gadget_entries(ev, &s, &s2, level, rng))
+            .collect();
 
         KeySet {
             secret: SecretKey { s_eval: s },
@@ -484,13 +411,62 @@ impl HeContext {
         }
     }
 
+    /// The gadget key-switch entries at `level` that switch a
+    /// `target`-ciphertext back to `s` (both host-only, evaluation form,
+    /// at least `level` primes): `entries[j][d]` encrypts
+    /// `B^d · g_j · target` under `s` as `b = −(a·s) + e + B^d·g_j·target`,
+    /// drawing `a` then `e` per `(j, d)`. Relinearization keys pass
+    /// `target = s²`, rotation keys `target = τ_g(s)`.
+    fn gadget_entries<R: Rng + RngExt>(
+        &self,
+        ev: &mut Evaluator,
+        s: &RnsPoly,
+        target: &RnsPoly,
+        level: usize,
+        rng: &mut R,
+    ) -> Vec<Vec<RelinEntry>> {
+        let ring = &self.ring;
+        let (digits, w) = (self.params.gadget_digits(), self.params.gadget_bits);
+        let s_l = s.truncated(level);
+        let target_l = target.truncated(level);
+        let mut per_j = Vec::with_capacity(level);
+        for j in 0..level {
+            let mut per_d = Vec::with_capacity(digits);
+            for d in 0..digits {
+                // g_{j,d} = B^d * g_j, as per-prime residues.
+                let residues: Vec<u64> = self.gadget[level - 1][j]
+                    .iter()
+                    .zip(&ring.basis().primes()[..level])
+                    .map(|(&g, &p)| {
+                        let b_pow = ntt_math::pow_mod(2, u64::from(w) * d as u64, p);
+                        ntt_math::mul_mod(g % p, b_pow, p)
+                    })
+                    .collect();
+                // `a` drawn directly in evaluation form (uniform is
+                // uniform in either domain) — halves keygen NTTs.
+                let a = sampling::uniform_eval_poly(ring, level, rng);
+                let mut e = sampling::error_poly(ring, self.params.error_eta, rng).truncated(level);
+                ev.to_evaluation(&mut e);
+                let mut b = a.clone();
+                ev.mul_pointwise(&mut b, &s_l);
+                b.negate(ring);
+                b.add_assign(&e, ring);
+                let mut g_target = target_l.clone();
+                g_target.mul_scalar_residues(&residues, ring);
+                b.add_assign(&g_target, ring);
+                per_d.push(RelinEntry { b, a });
+            }
+            per_j.push(per_d);
+        }
+        per_j
+    }
+
     /// Generate rotation (Galois) keys for the elements `gs` at the
     /// requested `levels` — sparse on both axes, since a bootstrap
     /// pipeline only rotates at a couple of known levels. Each entry
     /// encrypts `B^d · g_j · τ_g(s)` under `s` with the same hoisting-
     /// friendly digit layout as relinearization, so
-    /// [`HeContext::rotate`] reuses the key-switch machinery (including
-    /// the device-resident fast path) unchanged.
+    /// [`HeContext::rotate`] runs the same key switch.
     ///
     /// Like [`HeContext::keygen`], key material is computed host-side
     /// (identical bits on every backend) and then uploaded once on
@@ -510,16 +486,11 @@ impl HeContext {
     ) -> RotationKeys {
         let two_n = 2 * self.params.n() as u64;
         let full = self.params.levels;
-        let mut keys = self.with_eval(|st| {
-            let ev = &mut st.ev;
-            let ring = &self.ring;
-            let eta = self.params.error_eta;
-            let digits = self.params.gadget_digits();
-            let w = self.params.gadget_bits;
+        let mut keys = self.with_pooled_evaluator(|ev| {
             // Host-only copy of the secret (the device-resident original
             // stays untouched); all key math below runs host-side.
             let s = sk.s_eval.truncated(full);
-            let mut by_g = std::collections::BTreeMap::new();
+            let mut by_g = BTreeMap::new();
             for &g_raw in gs {
                 let g = g_raw % two_n;
                 assert_eq!(g % 2, 1, "Galois element must be odd");
@@ -527,59 +498,16 @@ impl HeContext {
                 ev.to_coefficient(&mut s_g);
                 ev.automorphism(&mut s_g, g);
                 ev.to_evaluation(&mut s_g);
-                let mut per_level = std::collections::BTreeMap::new();
+                let mut per_level = BTreeMap::new();
                 for &level in levels {
                     assert!(level >= 1 && level <= full, "level out of range");
-                    let s_l = s.truncated(level);
-                    let sg_l = s_g.truncated(level);
-                    let mut per_j = Vec::with_capacity(level);
-                    for j in 0..level {
-                        let mut per_d = Vec::with_capacity(digits);
-                        for d in 0..digits {
-                            let residues: Vec<u64> = self.gadget[level - 1][j]
-                                .iter()
-                                .zip(&ring.basis().primes()[..level])
-                                .map(|(&gc, &p)| {
-                                    let b_pow = ntt_math::pow_mod(2, u64::from(w) * d as u64, p);
-                                    ntt_math::mul_mod(gc % p, b_pow, p)
-                                })
-                                .collect();
-                            let a_jd = sampling::uniform_eval_poly(ring, level, rng);
-                            let mut e_jd = sampling::error_poly(ring, eta, rng).truncated(level);
-                            ev.to_evaluation(&mut e_jd);
-                            // b = -(a s) + e + g_{j,d} τ_g(s).
-                            let mut b_jd = a_jd.clone();
-                            ev.mul_pointwise(&mut b_jd, &s_l);
-                            b_jd.negate(ring);
-                            b_jd.add_assign(&e_jd, ring);
-                            let mut gsg = sg_l.clone();
-                            gsg.mul_scalar_residues(&residues, ring);
-                            b_jd.add_assign(&gsg, ring);
-                            per_d.push(RelinEntry { b: b_jd, a: a_jd });
-                        }
-                        per_j.push(per_d);
-                    }
-                    per_level.insert(level, per_j);
+                    per_level.insert(level, self.gadget_entries(ev, &s, &s_g, level, rng));
                 }
                 by_g.insert(g, per_level);
             }
             RotationKeys { by_g }
         });
-        if self.resident {
-            self.with_eval(|st| {
-                let ev = &mut st.ev;
-                for per_level in keys.by_g.values_mut() {
-                    for per_j in per_level.values_mut() {
-                        for per_d in per_j {
-                            for entry in per_d {
-                                ev.make_resident(&mut entry.b);
-                                ev.make_resident(&mut entry.a);
-                            }
-                        }
-                    }
-                }
-            });
-        }
+        self.upload_entries(keys.by_g.values_mut().flat_map(BTreeMap::values_mut));
         keys
     }
 
@@ -598,19 +526,19 @@ impl HeContext {
         let entries = rtk
             .entries_for(g, level)
             .unwrap_or_else(|| panic!("no rotation key for (g={g}, level={level})"));
-        self.with_eval(|st| {
+        self.with_pooled_evaluator(|ev| {
             let mut c0 = ct.c0.clone();
             let mut c1 = ct.c1.clone();
-            st.ev.to_coefficient(&mut c0);
-            st.ev.to_coefficient(&mut c1);
-            st.ev.automorphism(&mut c0, g);
-            st.ev.automorphism(&mut c1, g);
+            ev.to_coefficient(&mut c0);
+            ev.to_coefficient(&mut c1);
+            ev.automorphism(&mut c0, g);
+            ev.automorphism(&mut c1, g);
             // The key switch accumulates straight into the transformed
             // `c0` (no separate add) and takes `c1` in coefficient form
             // (its internal inverse transform is a no-op here).
-            st.ev.to_evaluation(&mut c0);
-            let mut r1 = self.zero_acc(&mut st.ev, level);
-            self.key_switch_with(st, &c1, entries, level, [&mut c0, &mut r1], [&[], &[]]);
+            ev.to_evaluation(&mut c0);
+            let mut r1 = self.zero_acc(ev, level);
+            self.key_switch(ev, &c1, entries, level, [&mut c0, &mut r1], [&[], &[]]);
             Ciphertext {
                 c0,
                 c1: r1,
@@ -641,16 +569,16 @@ impl HeContext {
         let entries = rtk
             .entries_for(g, level)
             .unwrap_or_else(|| panic!("no rotation key for (g={g}, level={level})"));
-        self.try_with_state(|st| {
+        self.try_with_pooled_evaluator(|ev| {
             let mut c0 = ct.c0.clone();
             let mut c1 = ct.c1.clone();
-            st.ev.try_to_coefficient(&mut c0)?;
-            st.ev.try_to_coefficient(&mut c1)?;
-            st.ev.try_automorphism(&mut c0, g)?;
-            st.ev.try_automorphism(&mut c1, g)?;
-            st.ev.try_to_evaluation(&mut c0)?;
-            let mut r1 = self.zero_acc(&mut st.ev, level);
-            self.key_switch_with(st, &c1, entries, level, [&mut c0, &mut r1], [&[], &[]]);
+            ev.try_to_coefficient(&mut c0)?;
+            ev.try_to_coefficient(&mut c1)?;
+            ev.try_automorphism(&mut c0, g)?;
+            ev.try_automorphism(&mut c1, g)?;
+            ev.try_to_evaluation(&mut c0)?;
+            let mut r1 = self.zero_acc(ev, level);
+            self.key_switch(ev, &c1, entries, level, [&mut c0, &mut r1], [&[], &[]]);
             Ok(Ciphertext {
                 c0,
                 c1: r1,
@@ -665,6 +593,10 @@ impl HeContext {
     /// integer polynomial `I`; the subsequent homomorphic mod-reduction
     /// (`EvalMod`) removes the `q₀·I` term. Scale is unchanged.
     ///
+    /// On a resident context a host-fresh input (say, one encrypted on a
+    /// CPU context) is uploaded first, one level-1 row per component, so
+    /// the raise and every operation on its output run on the device.
+    ///
     /// # Panics
     ///
     /// Panics unless the ciphertext is at level 1 and `to_level` is in
@@ -672,10 +604,13 @@ impl HeContext {
     pub fn mod_raise(&self, ct: &Ciphertext, to_level: usize) -> Ciphertext {
         assert_eq!(ct.level(), 1, "mod_raise input must be at level 1");
         assert!(to_level <= self.params.levels, "level out of range");
-        self.with_eval(|st| {
-            let ev = &mut st.ev;
+        self.with_pooled_evaluator(|ev| {
             let mut c0 = ct.c0.clone();
             let mut c1 = ct.c1.clone();
+            if self.resident {
+                ev.make_resident(&mut c0);
+                ev.make_resident(&mut c1);
+            }
             ev.inverse_polys(&mut [&mut c0, &mut c1]);
             let mut r0 = ev.mod_raise(&mut c0, to_level);
             let mut r1 = ev.mod_raise(&mut c1, to_level);
@@ -695,8 +630,7 @@ impl HeContext {
     ///
     /// Panics if `target` is 0 or above the current level.
     pub fn drop_to_level(&self, ct: &Ciphertext, target: usize) -> Ciphertext {
-        self.with_eval(|st| {
-            let ev = &mut st.ev;
+        self.with_pooled_evaluator(|ev| {
             let mut c0 = ct.c0.clone();
             let mut c1 = ct.c1.clone();
             ev.drop_level(&mut c0, target);
@@ -740,15 +674,16 @@ impl HeContext {
     /// backends) and forward-transform it once — the cached-diagonal form
     /// the homomorphic DFT stages multiply by repeatedly. A prepared
     /// plaintext passed to [`HeContext::multiply_plain_raw`],
-    /// [`HeContext::multiply_plain_sum`] or [`HeContext::add_plain`] at its
-    /// level is used as-is: no per-call truncation, upload, or NTT.
+    /// [`HeContext::multiply_plain`], [`HeContext::multiply_plain_sum`] or
+    /// [`HeContext::add_plain`] at its level is used as-is: no per-call
+    /// truncation, upload, or NTT.
     pub fn prepare_plaintext(&self, pt: &Plaintext, level: usize) -> Plaintext {
         let mut m = pt.m.truncated(level);
-        self.with_eval(|st| {
+        self.with_pooled_evaluator(|ev| {
             if self.resident {
-                st.ev.make_resident(&mut m);
+                ev.make_resident(&mut m);
             }
-            st.ev.to_evaluation(&mut m);
+            ev.to_evaluation(&mut m);
         });
         Plaintext { m, scale: pt.scale }
     }
@@ -791,8 +726,7 @@ impl HeContext {
     /// stages' shape, which fuses the whole sum.
     pub fn multiply_plain_raw(&self, ct: &Ciphertext, pt: &Plaintext) -> Ciphertext {
         let level = ct.level();
-        self.with_eval(|st| {
-            let ev = &mut st.ev;
+        self.with_pooled_evaluator(|ev| {
             let m = self.plain_at(ev, pt, level);
             let mut c0 = ct.c0.clone();
             ev.mul_pointwise(&mut c0, &m);
@@ -829,8 +763,7 @@ impl HeContext {
                 "scale mismatch: {s} vs {scale}"
             );
         }
-        self.with_eval(|st| {
-            let ev = &mut st.ev;
+        self.with_pooled_evaluator(|ev| {
             let ms: Vec<Cow<'_, RnsPoly>> = terms
                 .iter()
                 .map(|(_, pt)| self.plain_at(ev, pt, level))
@@ -867,8 +800,7 @@ impl HeContext {
             pt.scale
         );
         let level = ct.level();
-        self.with_eval(|st| {
-            let ev = &mut st.ev;
+        self.with_pooled_evaluator(|ev| {
             let m = self.plain_at(ev, pt, level);
             let mut c0 = ct.c0.clone();
             ev.add_assign(&mut c0, &m);
@@ -888,8 +820,7 @@ impl HeContext {
 
     /// Homomorphic negation.
     pub fn negate(&self, ct: &Ciphertext) -> Ciphertext {
-        self.with_eval(|st| {
-            let ev = &mut st.ev;
+        self.with_pooled_evaluator(|ev| {
             let mut c0 = ct.c0.clone();
             ev.negate(&mut c0);
             let mut c1 = ct.c1.clone();
@@ -911,34 +842,19 @@ impl HeContext {
     /// Panics at level 1 (no prime left to drop).
     pub fn rescale(&self, ct: &mut Ciphertext) {
         assert!(ct.level() >= 2, "no prime left to rescale into");
-        self.with_eval(|st| self.rescale_in_place(&mut st.ev, ct));
+        self.with_pooled_evaluator(|ev| self.rescale_in_place(ev, ct));
     }
 
-    /// Encode real values as scaled integer coefficients
-    /// (*coefficient* encoding — see the crate docs for semantics).
+    /// Encode real values as scaled integer coefficients at the
+    /// parameter scale (*coefficient* encoding — see the crate docs for
+    /// semantics).
     ///
     /// # Panics
     ///
     /// Panics if more than `N` values are supplied or any scaled value
     /// overflows the 63-bit signed range.
     pub fn encode(&self, values: &[f64]) -> Plaintext {
-        assert!(values.len() <= self.params.n(), "too many values");
-        let scale = self.params.scale();
-        let coeffs: Vec<i64> = values
-            .iter()
-            .map(|&v| {
-                let scaled = (v * scale).round();
-                assert!(
-                    scaled.abs() < (1i64 << 62) as f64,
-                    "encoded value overflows"
-                );
-                scaled as i64
-            })
-            .collect();
-        Plaintext {
-            m: RnsPoly::from_i64_coeffs(&self.ring, &coeffs),
-            scale,
-        }
+        self.encode_with_scale(values, self.params.scale())
     }
 
     /// Decode the first `k` coefficients back to reals (`k` = number of
@@ -947,7 +863,7 @@ impl HeContext {
     /// here.
     pub fn decode(&self, pt: &Plaintext) -> Vec<f64> {
         let mut m = pt.m.clone();
-        self.with_eval(|st| st.ev.to_coefficient(&mut m));
+        self.with_pooled_evaluator(|ev| ev.to_coefficient(&mut m));
         m.sync();
         (0..self.params.n())
             .map(|i| {
@@ -974,8 +890,7 @@ impl HeContext {
         let mut e0 = sampling::error_poly(ring, eta, rng);
         let mut e1 = sampling::error_poly(ring, eta, rng);
         let mut m = pt.m.clone();
-        self.with_eval(|st| {
-            let ev = &mut st.ev;
+        self.with_pooled_evaluator(|ev| {
             if self.resident {
                 ev.make_resident(&mut u);
                 ev.make_resident(&mut e0);
@@ -1004,8 +919,7 @@ impl HeContext {
     /// plaintext is host-fresh regardless of where the ciphertext lived.
     pub fn decrypt(&self, ct: &Ciphertext, sk: &SecretKey) -> Plaintext {
         let level = ct.level();
-        self.with_eval(|st| {
-            let ev = &mut st.ev;
+        self.with_pooled_evaluator(|ev| {
             let mut s = sk.s_eval.truncated(level);
             if self.resident {
                 ev.make_resident(&mut s);
@@ -1032,8 +946,7 @@ impl HeContext {
             a.scale,
             b.scale
         );
-        self.with_eval(|st| {
-            let ev = &mut st.ev;
+        self.with_pooled_evaluator(|ev| {
             let mut c0 = a.c0.clone();
             ev.add_assign(&mut c0, &b.c0);
             let mut c1 = a.c1.clone();
@@ -1054,8 +967,7 @@ impl HeContext {
     pub fn sub(&self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
         assert_eq!(a.level(), b.level(), "level mismatch");
         assert!((a.scale / b.scale - 1.0).abs() < 1e-9, "scale mismatch");
-        self.with_eval(|st| {
-            let ev = &mut st.ev;
+        self.with_pooled_evaluator(|ev| {
             let mut c0 = a.c0.clone();
             ev.sub_assign(&mut c0, &b.c0);
             let mut c1 = a.c1.clone();
@@ -1068,34 +980,18 @@ impl HeContext {
         })
     }
 
-    /// Plaintext multiplication (no relinearization needed); rescales.
+    /// Plaintext multiplication (no relinearization needed), then a
+    /// rescale: [`HeContext::multiply_plain_raw`] followed by
+    /// [`HeContext::rescale`], so a prepared plaintext
+    /// ([`HeContext::prepare_plaintext`]) is used as-is.
     ///
     /// # Panics
     ///
     /// Panics if the ciphertext is at level 1 (nothing left to rescale).
     pub fn multiply_plain(&self, ct: &Ciphertext, pt: &Plaintext) -> Ciphertext {
-        let level = ct.level();
-        assert!(level >= 2, "no prime left to rescale into");
-        self.with_eval(|st| {
-            let ev = &mut st.ev;
-            let mut m = pt.m.truncated(level);
-            if self.resident {
-                ev.make_resident(&mut m);
-            }
-            ev.to_evaluation(&mut m);
-            let mut c0 = ct.c0.clone();
-            ev.mul_pointwise(&mut c0, &m);
-            let mut c1 = ct.c1.clone();
-            ev.mul_pointwise(&mut c1, &m);
-            let mut out = Ciphertext {
-                c0,
-                c1,
-                scale: ct.scale * pt.scale,
-            };
-            self.rescale_in_place(ev, &mut out);
-            debug_assert_eq!(out.level(), level - 1);
-            out
-        })
+        let mut out = self.multiply_plain_raw(ct, pt);
+        self.rescale(&mut out);
+        out
     }
 
     /// Homomorphic multiplication: tensor, relinearize, rescale. For
@@ -1115,16 +1011,16 @@ impl HeContext {
         let level = a.level();
         assert_eq!(level, b.level(), "level mismatch");
         assert!(level >= 2, "no prime left to rescale into");
-        self.with_eval(|st| {
+        self.with_pooled_evaluator(|ev| {
             let mut e2 = a.c1.clone();
-            st.ev.mul_pointwise(&mut e2, &b.c1);
-            let mut c0 = self.zero_acc(&mut st.ev, level);
-            let mut c1 = self.zero_acc(&mut st.ev, level);
+            ev.mul_pointwise(&mut e2, &b.c1);
+            let mut c0 = self.zero_acc(ev, level);
+            let mut c1 = self.zero_acc(ev, level);
             let (a0, a1) = (FmaFactor::Poly(&a.c0), FmaFactor::Poly(&a.c1));
             self.key_switch(
-                st,
+                ev,
                 &e2,
-                rk,
+                &rk.entries[level - 1],
                 level,
                 [&mut c0, &mut c1],
                 [&[(a0, &b.c0)], &[(a0, &b.c1), (a1, &b.c0)]],
@@ -1134,57 +1030,32 @@ impl HeContext {
                 c1,
                 scale: a.scale * b.scale,
             };
-            self.rescale_in_place(&mut st.ev, &mut out);
+            self.rescale_in_place(ev, &mut out);
             out
         })
     }
 
-    /// Gadget key switch of `e2` (evaluation form, `level` primes) under
-    /// the relinearization keys, accumulated into `acc` together with the
-    /// `extra` product terms (see [`HeContext::key_switch_with`]).
-    ///
-    /// Digit decomposition uses a contiguous **buffer-of-digits** layout:
-    /// the digit polynomials (each `level` replicated rows) sit back to
-    /// back and all their NTTs are submitted as **one** batched call — the
-    /// backend sees a single `rows × N` batch instead of one polynomial at
-    /// a time, which is exactly the `np`-amortization the paper applies to
-    /// kernel launches. The inner product is amortized the same way:
-    ///
-    /// * on a device-resident context the digits are decomposed and
-    ///   transformed on the device ([`Evaluator::decompose_resident`]),
-    ///   and each accumulator's whole `Σ_k digit_k · key_k`, together
-    ///   with the caller's product terms, is **one** multi-term
-    ///   [`Evaluator::fma`] — two launches per key switch, not one per
-    ///   digit, product or add;
-    /// * on the host path only the non-zero digits are packed, transformed
-    ///   by one [`Evaluator::forward_flat`], and accumulated digit by
-    ///   digit after the product terms.
-    fn key_switch(
-        &self,
-        st: &mut EvalState,
-        e2: &RnsPoly,
-        rk: &RelinKeys,
-        level: usize,
-        acc: [&mut RnsPoly; 2],
-        extra: [&[(FmaFactor<'_>, &RnsPoly)]; 2],
-    ) {
-        self.key_switch_with(st, e2, &rk.entries[level - 1], level, acc, extra);
-    }
-
-    /// The generic gadget key switch: same digit decomposition and
-    /// accumulation as relinearization, but over an arbitrary `entries[j][d]`
-    /// key set — relinearization passes `B^d·g_j·s²` encryptions, rotation
-    /// passes `B^d·g_j·τ_g(s)` encryptions ([`crate::keys::RotationKeys`]).
+    /// Gadget key switch of `e2` (`level` primes) under an `entries[j][d]`
+    /// key set: relinearization passes `B^d·g_j·s²` encryptions, rotation
+    /// `B^d·g_j·τ_g(s)` encryptions ([`crate::keys::RotationKeys`]).
     ///
     /// The switched pair lands in caller-supplied evaluation-form
-    /// accumulators, `acc[0] += Σ_k digit_k·b_k + Σ extra[0]` and
-    /// `acc[1] += Σ_k digit_k·a_k + Σ extra[1]`, where `extra[i]` holds
+    /// accumulators, `acc[0] += Σ extra[0] + Σ_k digit_k·b_k` and
+    /// `acc[1] += Σ extra[1] + Σ_k digit_k·a_k`, where `extra[i]` holds
     /// product terms to fold into the same multiply-accumulate: rotation
     /// passes its permuted `c0` as `acc[0]` and no extra terms,
     /// multiplication zero accumulators and its tensor terms.
-    fn key_switch_with(
+    ///
+    /// One path on every backend, batched the way the paper batches
+    /// kernel launches: [`Evaluator::decompose`] splits `e2` into its
+    /// `level·digits` gadget digits and forward-transforms all of them in
+    /// one call (on the device when `e2` is resident there, on the host
+    /// otherwise), and each accumulator's whole inner product, the extra
+    /// terms included, is one multi-term [`Evaluator::fma`] — on a device
+    /// two launches per key switch, not one per digit, product or add.
+    fn key_switch(
         &self,
-        st: &mut EvalState,
+        ev: &mut Evaluator,
         e2: &RnsPoly,
         entries: &[Vec<RelinEntry>],
         level: usize,
@@ -1192,91 +1063,25 @@ impl HeContext {
         extra: [&[(FmaFactor<'_>, &RnsPoly)]; 2],
     ) {
         let digits = self.params.gadget_digits();
-        let w = self.params.gadget_bits;
-        let mask = (1u64 << w) - 1;
-        let n = self.params.n();
-        let EvalState {
-            ev,
-            ks_scratch: buf,
-        } = st;
         let mut e2c = e2.clone();
         // On a residency-preferring backend the key entries live on the
-        // device, so a host-submitted operand must be uploaded first: the
-        // packed host path below would otherwise mix a device-side
-        // `mul_pointwise` (the resident key wins the dispatch) with raw
-        // host accumulation on the same polynomial.
+        // device, so a host-submitted operand is uploaded first and its
+        // digits never leave the device.
         if ev.prefers_residency() {
             ev.make_resident(&mut e2c);
         }
         ev.to_coefficient(&mut e2c);
-
-        // Device-resident fast path: decompose on the device, forward-NTT
-        // all `level × digits` digit polynomials in one batched call, and
-        // run each accumulator's whole inner product, the caller's product
-        // terms included, as one multi-term fused multiply-add over the
-        // digit buffer (digit `k = j·digits + d` is its view `k`) —
-        // nothing crosses the bus. Unlike the packed host path below, zero
-        // digits are processed too (they transform to zero and accumulate
-        // nothing), so the results stay bit-identical.
-        if let Some(digit_buf) = ev.decompose_resident(&e2c, digits, w) {
-            let words = level * n;
-            let keys = entries[..level].iter().flat_map(|row| &row[..digits]);
-            let (b, a): (Vec<&RnsPoly>, Vec<&RnsPoly>) = keys.map(|e| (&e.b, &e.a)).unzip();
-            for (acc, extra, keys) in [(acc0, extra[0], b), (acc1, extra[1], a)] {
-                let digit_terms = keys
-                    .into_iter()
-                    .enumerate()
-                    .map(|(k, key)| (FmaFactor::View(digit_buf.sub(k * words, words)), key));
-                let terms: Vec<_> = extra.iter().copied().chain(digit_terms).collect();
-                ev.fma(acc, &terms);
-            }
-            return;
-        }
-
-        // The caller's product terms first (a host chain per term).
-        ev.fma(acc0, extra[0]);
-        ev.fma(acc1, extra[1]);
-
-        // Pack the digit polynomials into the reusable scratch: for each
-        // (prime j, digit d) with a non-zero digit, `level` identical rows
-        // (small coefficients are the same residue mod every active
-        // prime). Grow-only, like the executor workspace — steady-state
-        // key switches allocate nothing here.
-        buf.clear();
-        buf.reserve(level * digits * level * n);
-        let mut kept: Vec<(usize, usize)> = Vec::new();
-        for j in 0..level {
-            for d in 0..digits {
-                let shift = w * d as u32;
-                let start = buf.len();
-                buf.extend(e2c.row(j).iter().map(|&src| (src >> shift) & mask));
-                if buf[start..].iter().all(|&v| v == 0) {
-                    buf.truncate(start);
-                    continue;
-                }
-                for _ in 1..level {
-                    buf.extend_from_within(start..start + n);
-                }
-                kept.push((j, d));
-            }
-        }
-        if kept.is_empty() {
-            return;
-        }
-
-        // All digit NTTs at this level in one batched backend call.
-        ev.forward_flat(level, buf);
-
-        // One product buffer reused across every kept digit.
-        let mut prod = RnsPoly::zero_with_repr(&self.ring, level, Representation::Evaluation);
-        for (k, &(j, d)) in kept.iter().enumerate() {
-            let rows = &buf[k * level * n..(k + 1) * level * n];
-            let entry = &entries[j][d];
-            for (acc, key) in [(&mut *acc0, &entry.b), (&mut *acc1, &entry.a)] {
-                prod.flat_mut().copy_from_slice(rows);
-                ev.mul_pointwise(&mut prod, key);
-                ev.add_assign(acc, &prod);
-            }
+        let decomposed = ev.decompose(&mut e2c, digits, self.params.gadget_bits);
+        // Digit `k = j·digits + d` pairs with key entry `(j, d)`.
+        let keys = entries[..level].iter().flat_map(|row| &row[..digits]);
+        let (b, a): (Vec<&RnsPoly>, Vec<&RnsPoly>) = keys.map(|e| (&e.b, &e.a)).unzip();
+        for (acc, extra, keys) in [(acc0, extra[0], b), (acc1, extra[1], a)] {
+            let digit_terms = keys
+                .into_iter()
+                .enumerate()
+                .map(|(k, key)| (decomposed.factor(k), key));
+            let terms: Vec<_> = extra.iter().copied().chain(digit_terms).collect();
+            ev.fma(acc, &terms);
         }
     }
 

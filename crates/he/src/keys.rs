@@ -87,8 +87,8 @@ impl RelinKeys {
 /// `O(|gs| · |levels| · digits)` instead of `O(|gs| · levels²· digits)`.
 /// Each per-level entry set has the same `entries[j][d]` hoisting-friendly
 /// digit layout as [`RelinKeys`] — an encryption of `B^d · g_j · τ_g(s)`
-/// — so rotations reuse the relinearization key-switch path (including
-/// the device-resident decompose + FMA fast path) unchanged.
+/// — so rotations run the relinearization key switch (decompose, one
+/// batched digit transform, one FMA per accumulator) unchanged.
 #[derive(Debug, Clone, Default)]
 pub struct RotationKeys {
     /// `by_g[g][level][j][d]`; `g` stored reduced mod `2N`.

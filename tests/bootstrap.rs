@@ -1,6 +1,6 @@
 //! The bootstrapping pipeline across execution substrates.
 //!
-//! Three families of checks:
+//! Five families of checks:
 //!
 //! * **Cross-substrate bit-exactness** — rotations (automorphism + key
 //!   switch) and the *entire* `bootstrap()` chain produce bit-identical
@@ -15,6 +15,8 @@
 //!   decrypts back to the input coefficients (the he-boot unit test
 //!   covers CPU; here the *Sim* output is pinned to the CPU output, so
 //!   correctness transfers).
+//! * **One upload per host-fresh input** — a Cpu-encrypted ciphertext
+//!   bootstrapped on Sim crosses the bus once, at the mod-raise.
 //! * **Fused multiply-accumulate chains** — a giant step's plaintext
 //!   product sum, a relinearizing multiply and a rotation each run their
 //!   multiply-accumulates as multi-term FMA launches, bit-identical to
@@ -185,6 +187,62 @@ fn try_bootstrap_matches_infallible_path() {
     let a = bits(boot.bootstrap(&low));
     let b = bits(boot.try_bootstrap(&low).expect("no faults armed"));
     assert_eq!(a, b);
+}
+
+/// A host-fresh bootstrap input on a resident context is uploaded once,
+/// at the mod-raise: after a warm-up with a resident input, `bootstrap`
+/// and `try_bootstrap` of a Cpu-encrypted level-1 ciphertext on Sim each
+/// move exactly its two level-1 components up (2 uploads, 2·N words) and
+/// nothing down, and give the Cpu bootstrap's bits.
+#[test]
+fn host_fresh_bootstrap_input_uploads_once() {
+    let bp = BootParams::shallow();
+    let params = bp.he_params(4, 50);
+    let cpu = Arc::new(
+        HeContext::with_backend(params, Box::<CpuBackend>::default()).expect("context builds"),
+    );
+    let mut rng = sampling::seeded_rng(51);
+    let keys = cpu.keygen(&mut rng);
+    let boot_cpu = Bootstrapper::new(Arc::clone(&cpu), &keys, bp, &mut rng);
+    let pt = cpu.encode_with_scale(&[0.5, -0.25, 0.75], boot_cpu.input_scale());
+    let encrypt = |ctx: &HeContext, pk: &PublicKey| {
+        let ct = ctx.encrypt(&pt, pk, &mut sampling::seeded_rng(52));
+        ctx.drop_to_level(&ct, 1)
+    };
+    let low = encrypt(&cpu, &keys.public);
+    let want = bits(boot_cpu.bootstrap(&low));
+
+    let sim = Arc::new(
+        HeContext::with_backend(params, Box::new(SimBackend::titan_v())).expect("context builds"),
+    );
+    let dev_keys = sim.adopt_keys(&keys);
+    let rot = sim.adopt_rotation_keys(boot_cpu.rotation_keys());
+    let boot =
+        Bootstrapper::with_rotation_keys(Arc::clone(&sim), &dev_keys, bp, params.n() / 2, rot);
+    // Warm-up with a resident input: fills the EvalMod constant cache.
+    boot.bootstrap(&encrypt(&sim, &dev_keys.public));
+    let n = params.n() as u64;
+    for fallible in [false, true] {
+        let before = sim.transfer_stats();
+        let out = if fallible {
+            boot.try_bootstrap(&low).expect("no faults armed")
+        } else {
+            boot.bootstrap(&low)
+        };
+        let TransferStats {
+            uploads,
+            upload_words,
+            downloads,
+            download_words,
+            ..
+        } = sim.transfer_stats().since(&before);
+        assert_eq!(
+            [uploads, upload_words, downloads, download_words],
+            [2, 2 * n, 0, 0],
+            "fallible = {fallible}: [up, up words, down, down words]"
+        );
+        assert_eq!(bits(out), want, "fallible = {fallible}");
+    }
 }
 
 /// The bootstrap's three multiply-accumulate chains run as multi-term

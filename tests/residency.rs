@@ -19,7 +19,7 @@ use ntt_warp::core::backend::{Evaluator, NttBackend};
 use ntt_warp::core::poly::{Representation, Residency};
 use ntt_warp::core::{CpuBackend, RnsPoly, RnsRing};
 use ntt_warp::gpu::SimBackend;
-use ntt_warp::he::{sampling, HeContext, HeLiteParams};
+use ntt_warp::he::{sampling, Ciphertext, HeContext, HeLiteParams, PublicKey};
 use proptest::prelude::*;
 
 fn ring(n: usize, np: usize) -> RnsRing {
@@ -212,7 +212,9 @@ fn ciphertext_sync_exposes_components() {
 }
 
 /// The CPU context stays host-resident (the identity backend prefers no
-/// staging) and behaves exactly as before.
+/// staging) and behaves exactly as before: keygen, encryption, and the
+/// key switches of a relinearizing multiply and a rotation never stage
+/// through the arena.
 #[test]
 fn cpu_context_stays_host_resident() {
     let ctx = HeContext::new(sim_params()).unwrap();
@@ -221,7 +223,43 @@ fn cpu_context_stays_host_resident() {
     let mut rng = sampling::seeded_rng(4);
     let ct = ctx.encrypt(&ctx.encode(&[2.0]), &keys.public, &mut rng);
     assert_eq!(ct.residency(), Residency::HostOnly);
+    let rtk = ctx.keygen_rotation(&keys.secret, &[5], &[ct.level()], &mut rng);
+    let prod = ctx.multiply(&ct, &ct, &keys.relin);
+    let rot = ctx.rotate(&ct, 5, &rtk);
+    assert_eq!(prod.residency(), Residency::HostOnly);
+    assert_eq!(rot.residency(), Residency::HostOnly);
     assert_eq!(ctx.transfer_stats().host_transfers(), 0);
+    let out = ctx.decode(&ctx.decrypt(&prod, &keys.secret));
+    assert!((out[0] - 4.0).abs() < 1e-2, "got {}", out[0]);
+}
+
+/// `multiply_plain` uses a prepared (resident, transformed) plaintext
+/// as-is: on `SimBackend` it gives the bits of the fresh-plaintext call
+/// and of the CPU context.
+#[test]
+fn multiply_plain_takes_a_prepared_plaintext() {
+    let bits = |mut ct: Ciphertext| {
+        ct.sync();
+        let (c0, c1) = ct.components();
+        [c0.flat(), c1.flat()].concat()
+    };
+    let values = [0.5, 3.0];
+    let encrypt = |ctx: &HeContext, pk: &PublicKey| {
+        let pt = ctx.encode(&[1.5, -2.0]);
+        ctx.encrypt(&pt, pk, &mut sampling::seeded_rng(12))
+    };
+    let cpu = HeContext::new(sim_params()).unwrap();
+    let keys = cpu.keygen(&mut sampling::seeded_rng(11));
+    let ct = encrypt(&cpu, &keys.public);
+    let want = bits(cpu.multiply_plain(&ct, &cpu.encode(&values)));
+
+    let sim = HeContext::with_backend(sim_params(), Box::new(SimBackend::titan_v())).unwrap();
+    let dev_keys = sim.adopt_keys(&keys);
+    let ct = encrypt(&sim, &dev_keys.public);
+    let pt = sim.encode(&values);
+    let prepared = sim.prepare_plaintext(&pt, ct.level());
+    assert_eq!(bits(sim.multiply_plain(&ct, &pt)), want, "fresh");
+    assert_eq!(bits(sim.multiply_plain(&ct, &prepared)), want, "prepared");
 }
 
 /// Nested checkouts take a second evaluator instead of deadlocking on a
