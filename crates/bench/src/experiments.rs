@@ -519,12 +519,8 @@ fn streams_chain(
     let mut e2 = c1.clone();
     ev.mul_pointwise(&mut e2, &d1);
     ev.mul_pointwise(&mut c0, &d0);
-    // Rescale every component a level down.
-    for poly in [&mut c0, &mut cross, &mut e2] {
-        ev.to_coefficient(poly);
-        ev.rescale(poly);
-        ev.to_evaluation(poly);
-    }
+    // Rescale every component a level down, in the evaluation domain.
+    ev.rescale_polys(&mut [&mut c0, &mut cross, &mut e2]);
     keep.extend([c0, c1, d0, d1, cross, cross2, e2]);
     keep
 }

@@ -54,6 +54,7 @@ use ntt_math::shoup::MAX_LAZY_MODULUS;
 use ntt_math::Barrett;
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// How the plan reduces pointwise products for one prime.
@@ -901,26 +902,55 @@ pub(crate) fn host_automorphism_rows(
     }
 }
 
-/// CKKS mod-raise: re-embed one coefficient row (residues mod the first
-/// prime `p_0`) into `to_level` rows of the full RNS basis via the
-/// centered lift `v ↦ v` if `v ≤ p_0/2` else `v − p_0`. The lift is
-/// exact — the output decrypts to the same small polynomial plus a
-/// `p_0·I` overflow term, which is what `EvalMod` removes.
-pub(crate) fn host_modraise_rows(plan: &RingPlan, to_level: usize, src: &[u64], dst: &mut [u64]) {
+/// One-source-prime RNS base conversion, the reference every backend's
+/// [`BackendOp::BaseConvert`] matches: lift one coefficient row under
+/// prime `from` exactly into every row of `dst` (row `r` under prime
+/// `dst_primes.start + r % dst_primes.len()`). The plain lift keeps `v`;
+/// the centered one maps `v > q/2` to `v − q` — CKKS mod-raise, whose
+/// output decrypts to the same small polynomial plus a `q·I` overflow
+/// term that `EvalMod` removes.
+pub(crate) fn host_lift_rows(
+    plan: &RingPlan,
+    (src, from): (&[u64], usize),
+    centered: bool,
+    dst: &mut [u64],
+    dst_primes: Range<usize>,
+) {
     let n = plan.degree();
     let primes = plan.ring().basis().primes();
-    let p0 = primes[0];
-    let half = p0 >> 1;
+    let q = primes[from];
+    let half = if centered { q >> 1 } else { q };
     assert_eq!(src.len(), n, "source must be one row");
-    assert_eq!(dst.len(), to_level * n, "destination must be to_level x N");
+    assert_eq!(dst.len() % n, 0, "destination must be whole rows");
     for (r, row) in dst.chunks_exact_mut(n).enumerate() {
-        let p = primes[r % to_level];
+        let p = primes[dst_primes.start + r % dst_primes.len()];
         for (out, &v) in row.iter_mut().zip(src) {
             *out = if v <= half {
                 v % p
             } else {
-                neg_mod((p0 - v) % p, p)
+                neg_mod((q - v) % p, p)
             };
+        }
+    }
+}
+
+/// The rescale's subtract-and-scale per row, the reference of a
+/// [`BackendOp::Forward`] fold: `acc ← (acc − t)·p_dropped⁻¹` with row
+/// `r` under prime `r % level`.
+pub(crate) fn host_sub_scale_rows(
+    plan: &RingPlan,
+    level: usize,
+    dropped: usize,
+    acc: &mut [u64],
+    t: &[u64],
+) {
+    let n = plan.degree();
+    let primes = plan.ring().basis().primes();
+    for (r, (row, t_row)) in acc.chunks_exact_mut(n).zip(t.chunks_exact(n)).enumerate() {
+        let p = primes[r % level];
+        let inv = ntt_math::inv_mod(primes[dropped] % p, p).expect("distinct primes are coprime");
+        for (x, &tv) in row.iter_mut().zip(t_row) {
+            *x = ntt_math::mul_mod(sub_mod(*x, tv, p), inv, p);
         }
     }
 }
@@ -1046,6 +1076,46 @@ impl RingPlan {
     }
 }
 
+/// One polynomial's rows in a device transform or base conversion: a
+/// row-aligned view and the primes its rows sit under, row `r` reduced
+/// mod prime `primes.start + r % primes.len()`. A whole polynomial at
+/// level `l` is `0..l`; its dropped row at a rescale is `l - 1..l`; a
+/// stacked buffer of `level`-row digits is `0..level`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PolyView {
+    /// The rows.
+    pub buf: DeviceBuf,
+    /// The primes the rows cycle through.
+    pub primes: Range<usize>,
+}
+
+impl PolyView {
+    /// `buf` under `primes`.
+    pub fn new(buf: DeviceBuf, primes: Range<usize>) -> Self {
+        Self { buf, primes }
+    }
+
+    /// The RNS prime index of row `r`.
+    #[inline]
+    pub fn prime_of(&self, r: usize) -> usize {
+        self.primes.start + r % self.primes.len()
+    }
+}
+
+/// The subtract-and-scale step of an evaluation-domain rescale, folded
+/// into a [`BackendOp::Forward`]: the transform `t` of each view lands in
+/// the matching accumulator as `acc ← (acc − t)·p_dropped⁻¹` (per row
+/// under its prime), which with `t` the plain lift of the dropped row is
+/// exactly `poly::rescale_rows` in the evaluation domain.
+#[derive(Debug, Clone, Copy)]
+pub struct SubScale<'a> {
+    /// One accumulator per view, shaped like it (rows under the same
+    /// primes).
+    pub acc: &'a [DeviceBuf],
+    /// Index of the prime the rescale drops.
+    pub dropped: usize,
+}
+
 /// One backend operation: the typed vocabulary every [`NttBackend`]
 /// executes, through [`NttBackend::run`] or the fallible
 /// [`NttBackend::try_run`].
@@ -1057,7 +1127,10 @@ impl RingPlan {
 /// * **device ops** work in place on [`DeviceBuf`] views in the backend's
 ///   own memory ([`NttBackend::memory`]) and move nothing across the bus.
 ///   Their `level` is the active prime count: row `r` of every operand is
-///   reduced mod prime `r % level`.
+///   reduced mod prime `r % level`. The transforms and the base
+///   conversion take one [`PolyView`] per polynomial instead, each under
+///   its own primes, so both components of a ciphertext (or one dropped
+///   row of each) go in one op.
 ///
 /// One op is also the unit a backend's fault model gates: [`label`]
 /// names it in a [`BackendError`], and [`handles`] lists the buffers a
@@ -1091,20 +1164,22 @@ pub enum BackendOp<'a> {
         /// The products.
         out: LimbBatch<'a>,
     },
-    /// Forward-NTT a device-resident batch in place (`buf` = rows × N
-    /// words, row `r` mod prime `r % level`).
+    /// Forward-NTT device-resident rows, one view per polynomial, in one
+    /// op (one launch per device on a simulated GPU).
     Forward {
-        /// The rows transformed in place.
-        buf: DeviceBuf,
-        /// Active primes.
-        level: usize,
+        /// The rows transformed, each view under its own primes.
+        views: &'a [PolyView],
+        /// `None` transforms in place. `Some` is the tail of an
+        /// evaluation-domain rescale: the transform of `views[k]` lands
+        /// in `fold.acc[k]` as `(acc − t)·p_dropped⁻¹` instead, and the
+        /// views are left as scratch.
+        fold: Option<SubScale<'a>>,
     },
-    /// Inverse counterpart of [`BackendOp::Forward`].
+    /// Inverse-NTT device-resident rows in place, one view per
+    /// polynomial, in one op.
     Inverse {
-        /// The rows transformed in place.
-        buf: DeviceBuf,
-        /// Active primes.
-        level: usize,
+        /// The rows transformed in place, each view under its own primes.
+        views: &'a [PolyView],
     },
     /// Device-resident fused negacyclic multiply: `out = a ·̄ b` for
     /// coefficient-form resident operands (all three buffers share the
@@ -1166,16 +1241,6 @@ pub enum BackendOp<'a> {
         /// Active primes.
         level: usize,
     },
-    /// Device-resident CKKS rescale step on a `level`-row coefficient
-    /// buffer: rows `0..level-1` become `(row_i − row_last)·p_last^{-1}
-    /// mod p_i`; the last row is left as garbage (the caller drops it from
-    /// the logical view).
-    Rescale {
-        /// The rows rescaled in place.
-        buf: DeviceBuf,
-        /// Active primes before the rescale.
-        level: usize,
-    },
     /// Device-resident gadget digit decomposition: `src` holds `level`
     /// coefficient rows, `dst` receives `level·digits` stacked polynomials
     /// of `level` replicated digit rows each. Digit `(j, d)` occupies
@@ -1193,16 +1258,20 @@ pub enum BackendOp<'a> {
         /// Digit width `w` in bits.
         gadget_bits: u32,
     },
-    /// Device-resident CKKS mod-raise: `src` holds one coefficient row mod
-    /// `p_0`, `dst` receives `to_level` re-embedded rows of the full basis
-    /// by the centered lift (`v ↦ v` if `v ≤ p_0/2`, else `v − p_0`).
-    ModRaise {
-        /// The level-1 row.
-        src: DeviceBuf,
-        /// The raised rows.
-        dst: DeviceBuf,
-        /// Primes to raise into.
-        to_level: usize,
+    /// Device-resident RNS base conversion of coefficient rows from one
+    /// source prime: `src[k]` is one row under one prime `q`, and every
+    /// row of `dst[k]` receives its exact lift mod that row's prime, `v`
+    /// itself (plain) or, when `centered`, `v − q` for `v > q/2` (CKKS
+    /// mod-raise). The rescale lifts its dropped rows with the plain
+    /// lift; the many-prime case of hybrid key switching is not
+    /// implemented.
+    BaseConvert {
+        /// One-row source views, one per polynomial.
+        src: &'a [PolyView],
+        /// The lifted rows, `dst[k]` from `src[k]`.
+        dst: &'a [PolyView],
+        /// Centered instead of plain lift.
+        centered: bool,
     },
     /// Device-resident Galois automorphism `X → X^g` (`g` odd): `src`
     /// holds `level` coefficient rows, `dst` receives the permuted rows,
@@ -1236,9 +1305,8 @@ impl BackendOp<'_> {
             BackendOp::Fma { .. } => "dev_fma",
             BackendOp::AddSub { .. } => "dev_addsub",
             BackendOp::Negate { .. } => "dev_negate",
-            BackendOp::Rescale { .. } => "dev_rescale",
             BackendOp::Decompose { .. } => "dev_decompose",
-            BackendOp::ModRaise { .. } => "dev_modraise",
+            BackendOp::BaseConvert { .. } => "dev_baseconv",
             BackendOp::Automorphism { .. } => "dev_automorphism",
         }
     }
@@ -1263,10 +1331,16 @@ impl BackendOp<'_> {
             | BackendOp::InverseBatch(_)
             | BackendOp::PointwiseBatch { .. }
             | BackendOp::MultiplyBatch { .. } => Vec::new(),
-            BackendOp::Forward { buf, .. }
-            | BackendOp::Inverse { buf, .. }
-            | BackendOp::Negate { buf, .. }
-            | BackendOp::Rescale { buf, .. } => vec![buf],
+            BackendOp::Forward { views, fold } => views
+                .iter()
+                .map(|v| v.buf)
+                .chain(fold.iter().flat_map(|f| f.acc.iter().copied()))
+                .collect(),
+            BackendOp::Inverse { views } => views.iter().map(|v| v.buf).collect(),
+            BackendOp::BaseConvert { src, dst, .. } => {
+                src.iter().chain(dst).map(|v| v.buf).collect()
+            }
+            BackendOp::Negate { buf, .. } => vec![buf],
             BackendOp::Pointwise { acc, rhs, .. } | BackendOp::AddSub { acc, rhs, .. } => {
                 vec![acc, rhs]
             }
@@ -1275,9 +1349,9 @@ impl BackendOp<'_> {
                 .chain(x.iter().copied())
                 .chain(y.iter().copied())
                 .collect(),
-            BackendOp::Decompose { src, dst, .. }
-            | BackendOp::ModRaise { src, dst, .. }
-            | BackendOp::Automorphism { src, dst, .. } => vec![src, dst],
+            BackendOp::Decompose { src, dst, .. } | BackendOp::Automorphism { src, dst, .. } => {
+                vec![src, dst]
+            }
         }
     }
 }
@@ -1531,21 +1605,39 @@ impl NttBackend for CpuBackend {
                     Some(plan.strategies()),
                 );
             }
-            BackendOp::Forward { buf, level } => {
-                self.stage_in(0, buf);
-                let mut tmp = std::mem::take(&mut self.stage[0]);
-                self.exec
-                    .transform_rows_of(plan.ring(), level, &mut tmp, true);
-                self.stage[0] = tmp;
-                self.stage_out(0, buf);
+            BackendOp::Forward { views, fold } => {
+                for (k, view) in views.iter().enumerate() {
+                    self.stage_in(0, view.buf);
+                    let mut t = std::mem::take(&mut self.stage[0]);
+                    self.exec
+                        .transform_rows_under(plan.ring(), view.primes.clone(), &mut t, true);
+                    match fold {
+                        None => {
+                            self.stage[0] = t;
+                            self.stage_out(0, view.buf);
+                        }
+                        Some(SubScale { acc, dropped }) => {
+                            assert_eq!(view.primes.start, 0, "a fold's rows start at prime 0");
+                            assert_eq!(acc[k].len(), view.buf.len(), "fold shape mismatch");
+                            self.stage_in(1, acc[k]);
+                            let mut a = std::mem::take(&mut self.stage[1]);
+                            host_sub_scale_rows(plan, view.primes.len(), dropped, &mut a, &t);
+                            self.stage[1] = a;
+                            self.stage_out(1, acc[k]);
+                            self.stage[0] = t;
+                        }
+                    }
+                }
             }
-            BackendOp::Inverse { buf, level } => {
-                self.stage_in(0, buf);
-                let mut tmp = std::mem::take(&mut self.stage[0]);
-                self.exec
-                    .transform_rows_of(plan.ring(), level, &mut tmp, false);
-                self.stage[0] = tmp;
-                self.stage_out(0, buf);
+            BackendOp::Inverse { views } => {
+                for view in views {
+                    self.stage_in(0, view.buf);
+                    let mut t = std::mem::take(&mut self.stage[0]);
+                    self.exec
+                        .transform_rows_under(plan.ring(), view.primes.clone(), &mut t, false);
+                    self.stage[0] = t;
+                    self.stage_out(0, view.buf);
+                }
             }
             BackendOp::Multiply { a, b, out, level } => {
                 self.stage_in(1, a);
@@ -1606,18 +1698,6 @@ impl NttBackend for CpuBackend {
                 self.stage[0] = a;
                 self.stage_out(0, buf);
             }
-            BackendOp::Rescale { buf, level } => {
-                self.stage_in(0, buf);
-                let mut a = std::mem::take(&mut self.stage[0]);
-                crate::poly::rescale_rows(
-                    plan.ring().basis().primes(),
-                    plan.degree(),
-                    level,
-                    &mut a,
-                );
-                self.stage[0] = a;
-                self.stage_out(0, buf);
-            }
             BackendOp::Decompose {
                 src,
                 dst,
@@ -1649,14 +1729,19 @@ impl NttBackend for CpuBackend {
                 self.stage[0] = d;
                 self.stage_out(0, dst);
             }
-            BackendOp::ModRaise { src, dst, to_level } => {
-                self.stage_in(1, src);
-                let mut d = std::mem::take(&mut self.stage[0]);
-                d.clear();
-                d.resize(dst.len(), 0);
-                host_modraise_rows(plan, to_level, &self.stage[1], &mut d);
-                self.stage[0] = d;
-                self.stage_out(0, dst);
+            BackendOp::BaseConvert { src, dst, centered } => {
+                assert_eq!(src.len(), dst.len(), "one source row per destination");
+                for (s, d) in src.iter().zip(dst) {
+                    assert_eq!(s.primes.len(), 1, "one-source-prime conversion");
+                    self.stage_in(1, s.buf);
+                    let mut out = std::mem::take(&mut self.stage[0]);
+                    out.clear();
+                    out.resize(d.buf.len(), 0);
+                    let from = (self.stage[1].as_slice(), s.primes.start);
+                    host_lift_rows(plan, from, centered, &mut out, d.primes.clone());
+                    self.stage[0] = out;
+                    self.stage_out(0, d.buf);
+                }
             }
         }
     }
@@ -1875,54 +1960,89 @@ impl Evaluator {
     /// form). Device-resident polynomials are transformed on the device;
     /// host polynomials through the batched host path.
     pub fn to_evaluation(&mut self, poly: &mut RnsPoly) {
-        if poly.repr() == Representation::Evaluation {
-            return;
-        }
-        if let Some(buf) = self.device_target(poly) {
-            let level = poly.level();
-            let op = BackendOp::Forward { buf, level };
-            self.backend.run(&self.plan, op);
-            poly.mark_device_dirty();
-        } else {
-            poly.sync();
-            let op = BackendOp::ForwardBatch(LimbBatch::from_poly(poly));
-            self.backend.run(&self.plan, op);
-        }
-        poly.set_repr(Representation::Evaluation);
+        self.forward_polys(&mut [poly]);
     }
 
     /// Inverse-transform a polynomial (no-op if already in coefficient
     /// form).
     pub fn to_coefficient(&mut self, poly: &mut RnsPoly) {
-        if poly.repr() == Representation::Coefficient {
-            return;
-        }
-        if let Some(buf) = self.device_target(poly) {
-            let level = poly.level();
-            let op = BackendOp::Inverse { buf, level };
-            self.backend.run(&self.plan, op);
-            poly.mark_device_dirty();
-        } else {
-            poly.sync();
-            let op = BackendOp::InverseBatch(LimbBatch::from_poly(poly));
-            self.backend.run(&self.plan, op);
-        }
-        poly.set_repr(Representation::Coefficient);
+        self.inverse_polys(&mut [poly]);
     }
 
     /// Forward-transform several polynomials (each already-transformed one
-    /// is skipped).
+    /// is skipped). Every one resident in this backend's memory joins
+    /// **one** [`BackendOp::Forward`], one view per polynomial — on a
+    /// device, one launch for all of them; each host one takes its own
+    /// batched host call.
     pub fn forward_polys(&mut self, polys: &mut [&mut RnsPoly]) {
-        for poly in polys {
-            self.to_evaluation(poly);
-        }
+        let done = self.transform_polys(polys, Representation::Evaluation, false);
+        done.expect("an infallible run cannot fail");
     }
 
-    /// Inverse counterpart of [`Evaluator::forward_polys`].
+    /// Inverse counterpart of [`Evaluator::forward_polys`]: the resident
+    /// polynomials share one [`BackendOp::Inverse`].
     pub fn inverse_polys(&mut self, polys: &mut [&mut RnsPoly]) {
-        for poly in polys {
-            self.to_coefficient(poly);
+        let done = self.transform_polys(polys, Representation::Coefficient, false);
+        done.expect("an infallible run cannot fail");
+    }
+
+    /// The one transform path: every polynomial not already in `to`
+    /// form, the resident ones in one device op, through
+    /// [`NttBackend::try_run`] when `fallible`. A polynomial's
+    /// representation flips only after its op succeeds.
+    fn transform_polys(
+        &mut self,
+        polys: &mut [&mut RnsPoly],
+        to: Representation,
+        fallible: bool,
+    ) -> Result<(), BackendError> {
+        let forward = to == Representation::Evaluation;
+        let mut views = Vec::new();
+        for poly in polys.iter_mut().filter(|p| p.repr() != to) {
+            if let Some(buf) = self.device_target(poly) {
+                views.push(PolyView::new(buf, 0..poly.level()));
+                continue;
+            }
+            if fallible {
+                poly.try_sync()?;
+            } else {
+                poly.sync();
+            }
+            let batch = LimbBatch::from_poly(poly);
+            let op = if forward {
+                BackendOp::ForwardBatch(batch)
+            } else {
+                BackendOp::InverseBatch(batch)
+            };
+            self.dispatch(op, fallible)?;
+            poly.set_repr(to);
         }
+        if views.is_empty() {
+            return Ok(());
+        }
+        let op = if forward {
+            BackendOp::Forward {
+                views: &views,
+                fold: None,
+            }
+        } else {
+            BackendOp::Inverse { views: &views }
+        };
+        self.dispatch(op, fallible)?;
+        for poly in polys.iter_mut().filter(|p| p.repr() != to) {
+            poly.mark_device_dirty();
+            poly.set_repr(to);
+        }
+        Ok(())
+    }
+
+    /// Run `op` through the fault gate when `fallible`, else infallibly.
+    fn dispatch(&mut self, op: BackendOp<'_>, fallible: bool) -> Result<(), BackendError> {
+        if fallible {
+            return self.backend.try_run(&self.plan, op);
+        }
+        self.backend.run(&self.plan, op);
+        Ok(())
     }
 
     // ---- Fallible surface -------------------------------------------------
@@ -1936,41 +2056,13 @@ impl Evaluator {
     /// Fallible [`Evaluator::to_evaluation`]. On `Err` the polynomial
     /// keeps its representation and data.
     pub fn try_to_evaluation(&mut self, poly: &mut RnsPoly) -> Result<(), BackendError> {
-        if poly.repr() == Representation::Evaluation {
-            return Ok(());
-        }
-        if let Some(buf) = self.device_target(poly) {
-            let level = poly.level();
-            let op = BackendOp::Forward { buf, level };
-            self.backend.try_run(&self.plan, op)?;
-            poly.mark_device_dirty();
-        } else {
-            poly.try_sync()?;
-            let op = BackendOp::ForwardBatch(LimbBatch::from_poly(poly));
-            self.backend.try_run(&self.plan, op)?;
-        }
-        poly.set_repr(Representation::Evaluation);
-        Ok(())
+        self.transform_polys(&mut [poly], Representation::Evaluation, true)
     }
 
     /// Fallible [`Evaluator::to_coefficient`]. On `Err` the polynomial
     /// keeps its representation and data.
     pub fn try_to_coefficient(&mut self, poly: &mut RnsPoly) -> Result<(), BackendError> {
-        if poly.repr() == Representation::Coefficient {
-            return Ok(());
-        }
-        if let Some(buf) = self.device_target(poly) {
-            let level = poly.level();
-            let op = BackendOp::Inverse { buf, level };
-            self.backend.try_run(&self.plan, op)?;
-            poly.mark_device_dirty();
-        } else {
-            poly.try_sync()?;
-            let op = BackendOp::InverseBatch(LimbBatch::from_poly(poly));
-            self.backend.try_run(&self.plan, op)?;
-        }
-        poly.set_repr(Representation::Coefficient);
-        Ok(())
+        self.transform_polys(&mut [poly], Representation::Coefficient, true)
     }
 
     /// Forward-NTT a raw `rows × N` batch (row `r` mod prime
@@ -2112,27 +2204,126 @@ impl Evaluator {
         }
     }
 
-    /// CKKS-style exact rescale: divide by the last active prime and drop
-    /// a level (coefficient form required). Device-resident polynomials
-    /// rescale on the device — no transfer.
+    /// CKKS-style exact rescale of one polynomial: divide by the last
+    /// active prime and drop a level, in either representation. It runs
+    /// [`Evaluator::rescale_polys`], so a coefficient-form polynomial
+    /// pays a forward transform before and an inverse one after; the HE
+    /// layer keeps ciphertexts in evaluation form and rescales both
+    /// components through `rescale_polys` directly.
     ///
     /// # Panics
     ///
-    /// Panics if in evaluation form or only one level remains.
+    /// Panics if only one level remains.
     pub fn rescale(&mut self, poly: &mut RnsPoly) {
-        assert_eq!(
-            poly.repr(),
-            Representation::Coefficient,
-            "rescale requires coefficient form"
-        );
-        assert!(poly.level() > 1, "cannot rescale past the last prime");
-        if let Some(buf) = self.device_target(poly) {
-            let level = poly.level();
-            let op = BackendOp::Rescale { buf, level };
-            self.backend.run(&self.plan, op);
+        let repr = poly.repr();
+        self.to_evaluation(poly);
+        self.rescale_polys(&mut [&mut *poly]);
+        if repr == Representation::Coefficient {
+            self.to_coefficient(poly);
+        }
+    }
+
+    /// Exact CKKS rescale of several evaluation-form polynomials at one
+    /// level `l`, in the evaluation domain: each is divided by `p_{l-1}`
+    /// and drops that prime, bit-identical to [`RnsPoly::rescale`] on its
+    /// coefficients.
+    ///
+    /// Only the dropped rows cross domains. One inverse transform covers
+    /// every polynomial's dropped row, one [`BackendOp::BaseConvert`]
+    /// lifts them exactly into the `l − 1` remaining primes, and one
+    /// [`BackendOp::Forward`] transforms the lifted rows with the
+    /// subtract-and-scale `(c_i − t_i)·p_{l-1}⁻¹` folded in — `2l` NTT
+    /// rows per polynomial instead of `4l − 2`, and on a simulated GPU
+    /// below 256 points three launches for a whole ciphertext. The NTT
+    /// is exact and linear mod each `p_i`, so the result is the
+    /// coefficient-domain rescale's. If any polynomial is resident in
+    /// this backend's memory, all are made resident and nothing crosses
+    /// the bus; otherwise the same steps run on the host, the lifted rows
+    /// of every polynomial transformed by one [`BackendOp::ForwardBatch`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on a coefficient-form polynomial, on mixed levels, or if
+    /// only one level remains.
+    pub fn rescale_polys(&mut self, polys: &mut [&mut RnsPoly]) {
+        let Some(level) = polys.first().map(|p| p.level()) else {
+            return;
+        };
+        assert!(level > 1, "cannot rescale past the last prime");
+        for poly in polys.iter() {
+            assert_eq!(poly.level(), level, "level mismatch");
+            assert_eq!(
+                poly.repr(),
+                Representation::Evaluation,
+                "rescale_polys requires evaluation form"
+            );
+        }
+        let (n, last) = (self.plan.degree(), level - 1);
+        let mem = self.backend.memory();
+        if !polys.iter().any(|p| p.has_mirror_in(&mem)) {
+            return self.host_rescale(polys);
+        }
+        let bufs: Vec<DeviceBuf> = polys
+            .iter_mut()
+            .map(|p| {
+                p.make_resident_in(&mem);
+                p.device_buf_in(&mem).expect("just made resident")
+            })
+            .collect();
+        let dropped: Vec<PolyView> = bufs
+            .iter()
+            .map(|b| PolyView::new(b.sub(last * n, n), last..level))
+            .collect();
+        self.backend
+            .run(&self.plan, BackendOp::Inverse { views: &dropped });
+        // Separate allocations start at row 0 like the accumulators, so
+        // on a sharded device every lifted row lands where its
+        // accumulator row lives.
+        let lifted: Vec<PolyView> = bufs
+            .iter()
+            .map(|_| PolyView::new(lock_memory(&mem).alloc(last * n), 0..last))
+            .collect();
+        let op = BackendOp::BaseConvert {
+            src: &dropped,
+            dst: &lifted,
+            centered: false,
+        };
+        self.backend.run(&self.plan, op);
+        let acc: Vec<DeviceBuf> = bufs.iter().map(|b| b.sub(0, last * n)).collect();
+        let fold = SubScale {
+            acc: &acc,
+            dropped: last,
+        };
+        let op = BackendOp::Forward {
+            views: &lifted,
+            fold: Some(fold),
+        };
+        self.backend.run(&self.plan, op);
+        for view in lifted {
+            lock_memory(&mem).free(view.buf);
+        }
+        for poly in polys.iter_mut() {
             poly.device_truncate_level();
-        } else {
-            poly.rescale(self.plan.ring());
+        }
+    }
+
+    /// The host path of [`Evaluator::rescale_polys`]: the same steps, with
+    /// the lifted rows of every polynomial in one batched forward call.
+    fn host_rescale(&mut self, polys: &mut [&mut RnsPoly]) {
+        let (n, level) = (self.plan.degree(), polys[0].level());
+        let last = level - 1;
+        let mut lifted = vec![0u64; polys.len() * last * n];
+        for (poly, t) in polys.iter_mut().zip(lifted.chunks_exact_mut(last * n)) {
+            poly.sync();
+            let mut dropped = poly.row(last).to_vec();
+            self.plan.ring().ring(last).inverse(&mut dropped);
+            host_lift_rows(&self.plan, (&dropped, last), false, t, 0..last);
+        }
+        let op = BackendOp::ForwardBatch(LimbBatch::new(&mut lifted, n, last));
+        self.backend.run(&self.plan, op);
+        for (poly, t) in polys.iter_mut().zip(lifted.chunks_exact(last * n)) {
+            poly.drop_last_level();
+            host_sub_scale_rows(&self.plan, last, last, poly.flat_mut(), t);
         }
     }
 
@@ -2198,36 +2389,64 @@ impl Evaluator {
         Ok(())
     }
 
-    /// Mod-raise: re-embed a last-level (single-prime) coefficient
-    /// polynomial into the first `to_level` primes of the RNS basis by a
-    /// centered lift mod `p₀` — the bootstrapping entry point. The source
-    /// is unchanged; device-resident sources produce a device-resident
-    /// result with no host transfer.
+    /// Mod-raise: re-embed last-level (single-prime) coefficient
+    /// polynomials into the first `to_level` primes of the RNS basis by a
+    /// centered lift mod `p₀` — the bootstrapping entry point. The
+    /// sources are unchanged. Resident sources are raised together by one
+    /// centered [`BackendOp::BaseConvert`] into resident results with no
+    /// host transfer; host sources are raised on the host.
     ///
     /// # Panics
     ///
-    /// Panics unless `poly` is at level 1 and in coefficient form.
-    pub fn mod_raise(&mut self, poly: &mut RnsPoly, to_level: usize) -> RnsPoly {
-        assert_eq!(poly.level(), 1, "mod_raise input must be at level 1");
-        assert_eq!(
-            poly.repr(),
-            Representation::Coefficient,
-            "mod_raise requires coefficient form"
-        );
-        if let Some(src) = self.device_target(poly) {
-            let mut out = self.zero_resident(to_level, Representation::Coefficient);
-            let dst = self.dev_buf(&out).expect("zero_resident is mirrored");
-            let op = BackendOp::ModRaise { src, dst, to_level };
-            self.backend.run(&self.plan, op);
-            out.mark_device_dirty();
-            out
-        } else {
-            poly.sync();
-            let mut out =
-                RnsPoly::zero_with_repr(self.plan.ring(), to_level, Representation::Coefficient);
-            host_modraise_rows(&self.plan, to_level, poly.flat(), out.flat_mut());
-            out
+    /// Panics unless every polynomial is at level 1 and in coefficient
+    /// form.
+    pub fn mod_raise(&mut self, polys: &mut [&mut RnsPoly], to_level: usize) -> Vec<RnsPoly> {
+        for poly in polys.iter() {
+            assert_eq!(poly.level(), 1, "mod_raise input must be at level 1");
+            assert_eq!(
+                poly.repr(),
+                Representation::Coefficient,
+                "mod_raise requires coefficient form"
+            );
         }
+        let mut src = Vec::new();
+        let mut outs = Vec::new();
+        for poly in polys.iter_mut() {
+            if let Some(buf) = self.device_target(poly) {
+                src.push(PolyView::new(buf, 0..1));
+                outs.push(self.zero_resident(to_level, Representation::Coefficient));
+            } else {
+                poly.sync();
+                let ring = self.plan.ring();
+                let mut out = RnsPoly::zero_with_repr(ring, to_level, Representation::Coefficient);
+                host_lift_rows(
+                    &self.plan,
+                    (poly.flat(), 0),
+                    true,
+                    out.flat_mut(),
+                    0..to_level,
+                );
+                outs.push(out);
+            }
+        }
+        if !src.is_empty() {
+            let mem = self.backend.memory();
+            let dst: Vec<PolyView> = outs
+                .iter()
+                .filter_map(|out| out.device_buf_in(&mem))
+                .map(|buf| PolyView::new(buf, 0..to_level))
+                .collect();
+            let op = BackendOp::BaseConvert {
+                src: &src,
+                dst: &dst,
+                centered: true,
+            };
+            self.backend.run(&self.plan, op);
+            for out in outs.iter_mut().filter(|o| o.has_mirror_in(&mem)) {
+                out.mark_device_dirty();
+            }
+        }
+        outs
     }
 
     /// Drop RNS moduli down to `target` level with no scale change — exact
@@ -2354,8 +2573,12 @@ impl Evaluator {
                 gadget_bits,
             };
             self.backend.run(&self.plan, op);
-            self.backend
-                .run(&self.plan, BackendOp::Forward { buf, level });
+            let views = [PolyView::new(buf, 0..level)];
+            let op = BackendOp::Forward {
+                views: &views,
+                fold: None,
+            };
+            self.backend.run(&self.plan, op);
             return Digits::Device { buf, words };
         }
         poly.sync();

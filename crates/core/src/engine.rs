@@ -526,14 +526,34 @@ impl NttExecutor {
         data: &mut [u64],
         forward: bool,
     ) {
+        assert!(level >= 1, "invalid level");
+        self.transform_rows_under(ring, 0..level, data, forward);
+    }
+
+    /// [`NttExecutor::transform_rows_of`] for rows under any run of
+    /// primes: row `i` under prime `primes.start + i % primes.len()`
+    /// (e.g. one dropped row under the last prime of a level).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the buffer is not whole rows, the prime range is empty
+    /// or past the basis, or the rows do not fill whole cycles of it.
+    pub fn transform_rows_under(
+        &mut self,
+        ring: &RnsRing,
+        primes: std::ops::Range<usize>,
+        data: &mut [u64],
+        forward: bool,
+    ) {
         let n = ring.degree();
         assert_eq!(data.len() % n, 0, "flat buffer must be rows × N");
-        assert!(level >= 1 && level <= ring.np(), "invalid level");
+        let level = primes.len();
+        assert!(level >= 1 && primes.end <= ring.np(), "invalid level");
         let rows = data.len() / n;
         assert_eq!(rows % level, 0, "rows must be whole polynomials");
         let threads = effective_threads(self.policy, rows, data.len());
         run_rows(threads, n, data, |i, row| {
-            let limb_ring = ring.ring(i % level);
+            let limb_ring = ring.ring(primes.start + i % level);
             if forward {
                 forward_ring_row(limb_ring, row);
             } else {

@@ -517,6 +517,11 @@ impl HeContext {
     /// level are unchanged; on the canonical embedding this rotates the
     /// slot vector (and `g = 2N − 1` conjugates it).
     ///
+    /// Both components leave the evaluation domain in one batched inverse
+    /// transform. On a resident context a host-fresh input (say, one
+    /// encrypted on a CPU context) is uploaded first, one upload per
+    /// component, so every step runs on the device.
+    ///
     /// # Panics
     ///
     /// Panics if no rotation key was generated for `(g, level)`.
@@ -527,10 +532,8 @@ impl HeContext {
             .entries_for(g, level)
             .unwrap_or_else(|| panic!("no rotation key for (g={g}, level={level})"));
         self.with_pooled_evaluator(|ev| {
-            let mut c0 = ct.c0.clone();
-            let mut c1 = ct.c1.clone();
-            ev.to_coefficient(&mut c0);
-            ev.to_coefficient(&mut c1);
+            let (mut c0, mut c1) = self.components(ev, ct);
+            ev.inverse_polys(&mut [&mut c0, &mut c1]);
             ev.automorphism(&mut c0, g);
             ev.automorphism(&mut c1, g);
             // The key switch accumulates straight into the transformed
@@ -570,8 +573,7 @@ impl HeContext {
             .entries_for(g, level)
             .unwrap_or_else(|| panic!("no rotation key for (g={g}, level={level})"));
         self.try_with_pooled_evaluator(|ev| {
-            let mut c0 = ct.c0.clone();
-            let mut c1 = ct.c1.clone();
+            let (mut c0, mut c1) = self.components(ev, ct);
             ev.try_to_coefficient(&mut c0)?;
             ev.try_to_coefficient(&mut c1)?;
             ev.try_automorphism(&mut c0, g)?;
@@ -595,7 +597,9 @@ impl HeContext {
     ///
     /// On a resident context a host-fresh input (say, one encrypted on a
     /// CPU context) is uploaded first, one level-1 row per component, so
-    /// the raise and every operation on its output run on the device.
+    /// the raise and every operation on its output run on the device:
+    /// one inverse transform, one centered base conversion and one
+    /// forward transform, each over both components.
     ///
     /// # Panics
     ///
@@ -605,15 +609,10 @@ impl HeContext {
         assert_eq!(ct.level(), 1, "mod_raise input must be at level 1");
         assert!(to_level <= self.params.levels, "level out of range");
         self.with_pooled_evaluator(|ev| {
-            let mut c0 = ct.c0.clone();
-            let mut c1 = ct.c1.clone();
-            if self.resident {
-                ev.make_resident(&mut c0);
-                ev.make_resident(&mut c1);
-            }
+            let (mut c0, mut c1) = self.components(ev, ct);
             ev.inverse_polys(&mut [&mut c0, &mut c1]);
-            let mut r0 = ev.mod_raise(&mut c0, to_level);
-            let mut r1 = ev.mod_raise(&mut c1, to_level);
+            let mut raised = ev.mod_raise(&mut [&mut c0, &mut c1], to_level);
+            let (mut r0, mut r1) = (raised.remove(0), raised.remove(0));
             ev.forward_polys(&mut [&mut r0, &mut r1]);
             Ciphertext {
                 c0: r0,
@@ -621,6 +620,18 @@ impl HeContext {
                 scale: ct.scale,
             }
         })
+    }
+
+    /// Copies of `ct`'s components for an op to work on, made resident
+    /// first on a resident context, so a host-fresh input crosses the bus
+    /// once per component instead of being staged through host batches.
+    fn components(&self, ev: &mut Evaluator, ct: &Ciphertext) -> (RnsPoly, RnsPoly) {
+        let (mut c0, mut c1) = (ct.c0.clone(), ct.c1.clone());
+        if self.resident {
+            ev.make_resident(&mut c0);
+            ev.make_resident(&mut c1);
+        }
+        (c0, c1)
     }
 
     /// Drop RNS moduli down to `target` level with no scale change (exact
@@ -836,6 +847,9 @@ impl HeContext {
     /// Rescale in place: divide by the last active prime and drop it —
     /// the public form of the rescale every `multiply` already performs,
     /// for pipelines that defer it across a sum of raw plain-products.
+    /// Both components rescale together in the evaluation domain
+    /// ([`Evaluator::rescale_polys`]): on a device, three launches below
+    /// 256 points.
     ///
     /// # Panics
     ///
@@ -1086,15 +1100,13 @@ impl HeContext {
     }
 
     /// Exact RNS rescale: divide by the last active prime and drop it.
-    /// Both components cross domains together, batching the transforms;
-    /// resident ciphertexts rescale on the device.
+    /// Both components rescale together in the evaluation domain — only
+    /// their dropped rows cross domains ([`Evaluator::rescale_polys`]) —
+    /// and resident ciphertexts rescale on the device.
     fn rescale_in_place(&self, ev: &mut Evaluator, ct: &mut Ciphertext) {
         let level = ct.level();
         let dropped = self.ring.basis().primes()[level - 1] as f64;
-        ev.inverse_polys(&mut [&mut ct.c0, &mut ct.c1]);
-        ev.rescale(&mut ct.c0);
-        ev.rescale(&mut ct.c1);
-        ev.forward_polys(&mut [&mut ct.c0, &mut ct.c1]);
+        ev.rescale_polys(&mut [&mut ct.c0, &mut ct.c1]);
         ct.scale /= dropped;
     }
 

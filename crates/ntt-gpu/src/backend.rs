@@ -28,9 +28,13 @@
 //!   exists to remove.
 //! * **Device-resident execution** (the device [`BackendOp`]s over
 //!   [`DeviceBuf`] handles) runs whole pipelines on buffers that live in
-//!   simulated GMEM: forward/inverse NTTs, element-wise ring ops,
-//!   rescaling and gadget digit decomposition, with **zero** host↔device
-//!   transfers.
+//!   simulated GMEM: forward/inverse NTTs over several polynomials per
+//!   launch, element-wise ring ops, RNS base conversion, the
+//!   evaluation-domain rescale (its subtract-and-scale folded into the
+//!   SMEM forward's store) and gadget digit decomposition, with **zero**
+//!   host↔device transfers. Every row-mapped kernel reads its rows
+//!   through a per-row address table (`crate::rows`), so one launch can
+//!   cover rows of separate allocations.
 //!
 //! Transforms are routed per shape: large forward batches go through the
 //! two-kernel SMEM implementation (+OT) the paper's Table II favors or
@@ -78,8 +82,6 @@
 //! * "tables uploaded" — every trait op calls `ensure_tables` before the
 //!   kernel helpers run, so an absent table is an internal sequencing
 //!   bug, unreachable through the trait.
-//! * "distinct primes are coprime" (`Rescale`) — an RNS basis with a
-//!   repeated prime can't be constructed (`RnsRing::new` rejects it).
 //! * Shape `assert!`s on op entry (`Decompose`, `PointwiseBatch`) —
 //!   caller-contract violations, mirrored from the documented panics of
 //!   the `ntt-core` trait.
@@ -109,6 +111,7 @@ use crate::batch::upload_table;
 use crate::hier::{self, DeviceTwist};
 use crate::ot::DeviceOt;
 use crate::radix2::{launch_forward, launch_inverse, ModMul};
+use crate::rows::{FoldRows, RowTable};
 use crate::sharded::{ShardedMemory, SimDevices, Single};
 use crate::smem::{self, Direction, SmemConfig, SmemJob};
 use gpu_sim::{Buf, Event, Gpu, GpuConfig, LaunchConfig, OpClass, Stream, WarpCtx, WarpKernel};
@@ -116,6 +119,7 @@ use ntt_core::backend::{BackendError, DeviceBuf, DeviceMemory, RingPlan, Transfe
 #[cfg(doc)]
 use ntt_core::backend::{BackendOp, NttBackend};
 use ntt_math::modops::{add_mod, mul_mod, neg_mod, sub_mod};
+use ntt_math::shoup::mul_shoup;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -791,60 +795,57 @@ fn ensure_twist(m: &mut SimMemory, plan: &RingPlan) -> DeviceTwist {
     twist
 }
 
-/// Launch a forward NTT over `row_prime.len()` rows at `data` through the
-/// chosen implementation (radix-2 stage kernels, an SMEM split — two
-/// kernels, or one over whole rows — or the hierarchical three-kernel
-/// plan, per `choice`).
+/// Launch a forward NTT over `rows` through the chosen implementation
+/// (radix-2 stage kernels, an SMEM split — two kernels, or one over whole
+/// rows — or the hierarchical three-kernel plan, per `choice`). With a
+/// `fold`, the transformed rows land in the fold's accumulators: the
+/// SMEM kernels fold the subtract-and-scale into their final store, the
+/// radix-2 and hierarchical routes transform in place and then run one
+/// `sim-subscale` launch.
 pub(crate) fn run_forward(
     m: &mut SimMemory,
     plan: &RingPlan,
-    data: Buf,
-    row_prime: &[usize],
+    rows: &RowTable,
     choice: ForwardImpl,
+    fold: Option<&FoldRows>,
 ) {
     match choice {
         ForwardImpl::Radix2 => {
-            let SimMemory { gpu, tables, .. } = m;
+            let SimMemory { gpu, tables, .. } = &mut *m;
             let t = tables.as_ref().expect("tables uploaded");
-            launch_forward(
-                gpu,
-                data,
-                t.tw,
-                t.twc,
-                t.n,
-                row_prime,
-                &t.primes,
-                ModMul::Shoup,
-            );
+            launch_forward(gpu, rows, (t.tw, t.twc), t.n, &t.primes, ModMul::Shoup);
         }
         ForwardImpl::Smem { n1, ot_stages } => {
-            run_smem(m, plan, data, row_prime, n1, ot_stages, Direction::Forward);
+            run_smem(m, plan, rows, (n1, ot_stages), Direction::Forward, fold);
+            return;
         }
         ForwardImpl::Hier { n1 } => {
             let twist = ensure_twist(m, plan);
-            let scratch = m.acquire_scratch(row_prime.len() * plan.degree());
+            let scratch = m.acquire_scratch(rows.len() * plan.degree());
             {
                 let SimMemory { gpu, tables, .. } = &mut *m;
                 let t = tables.as_ref().expect("tables uploaded");
                 let job = hier::HierJob {
-                    data,
+                    rows,
                     scratch,
                     tw: t.tw,
                     twc: t.twc,
                     n: t.n,
                     log_n: t.n.trailing_zeros(),
                     moduli: &t.primes,
-                    row_prime,
                 };
                 hier::launch_job(gpu, &job, n1, &twist, hier::PER_THREAD);
             }
             m.release_scratch(scratch);
         }
     }
+    if let Some(fold) = fold {
+        launch_sub_scale(m, fold, rows, plan.degree());
+    }
 }
 
-/// Launch an inverse NTT over `row_prime.len()` rows at `data`, routed by
-/// the shape's forward verdict `choice`: radix-2 stages plus the `N⁻¹`
+/// Launch an inverse NTT over `rows`, routed by the shape's forward
+/// verdict `choice`: radix-2 stages plus the `N⁻¹`
 /// scaling launch for [`ForwardImpl::Radix2`], the mirrored SMEM inverse
 /// at the same split (OT included, `N⁻¹` folded into its last store) for
 /// [`ForwardImpl::Smem`] — two kernels, or for whole rows (`n1 = N`)
@@ -854,34 +855,32 @@ pub(crate) fn run_forward(
 pub(crate) fn run_inverse(
     m: &mut SimMemory,
     plan: &RingPlan,
-    data: Buf,
-    row_prime: &[usize],
+    rows: &RowTable,
     choice: ForwardImpl,
 ) {
     match choice {
         ForwardImpl::Smem { n1, ot_stages } => {
-            run_smem(m, plan, data, row_prime, n1, ot_stages, Direction::Inverse);
+            run_smem(m, plan, rows, (n1, ot_stages), Direction::Inverse, None);
         }
         ForwardImpl::Radix2 | ForwardImpl::Hier { .. } => {
             let SimMemory { gpu, tables, .. } = m;
             let t = tables.as_ref().expect("tables uploaded");
-            launch_inverse(
-                gpu, data, t.itw, t.itwc, t.n, row_prime, &t.primes, &t.n_inv,
-            );
+            let tw = (t.itw, t.itwc);
+            launch_inverse(gpu, rows, tw, t.n, &t.primes, &t.n_inv);
         }
     }
 }
 
 /// Launch the SMEM kernels of split `n1` in `direction` over the plan's
-/// table of that direction, with OT on `ot_stages` stages.
+/// table of that direction, with OT on `ot_stages` stages and `fold` in
+/// the forward's final store.
 fn run_smem(
     m: &mut SimMemory,
     plan: &RingPlan,
-    data: Buf,
-    row_prime: &[usize],
-    n1: usize,
-    ot_stages: u32,
+    rows: &RowTable,
+    (n1, ot_stages): (usize, u32),
     direction: Direction,
+    fold: Option<&FoldRows>,
 ) {
     let cfg = SmemConfig::new(n1).ot_stages(ot_stages);
     let ot = (ot_stages > 0).then(|| ensure_ot(m, plan, cfg.ot_base, direction));
@@ -892,13 +891,13 @@ fn run_smem(
         Direction::Inverse => (t.itw, t.itwc),
     };
     let job = SmemJob {
-        data,
+        rows,
         tw,
         twc,
         n: t.n,
         log_n: t.n.trailing_zeros(),
         moduli: &t.primes,
-        row_prime,
+        fold,
     };
     smem::launch_job(gpu, &job, &cfg, ot.as_ref(), direction);
 }
@@ -969,6 +968,70 @@ pub(crate) fn launch_automorphism(
         moduli: &t.primes,
     };
     launch_rows(&mut m.gpu, "sim-automorphism", row_prime.len() * n, &kernel);
+}
+
+/// A rescale's subtract-and-scale as a launch of its own (the radix-2 and
+/// hierarchical forward routes, whose kernels carry no fold): one thread
+/// per element, `acc ← (acc − t)·p_d⁻¹` with `t` the transformed row.
+struct SubScaleKernel<'a> {
+    fold: &'a FoldRows,
+    t: &'a RowTable,
+    n: usize,
+    moduli: &'a [u64],
+}
+
+impl WarpKernel for SubScaleKernel<'_> {
+    fn phases(&self) -> usize {
+        1
+    }
+
+    fn run_warp(&self, ctx: &mut WarpCtx<'_>) {
+        let total = self.t.len() * self.n;
+        let lanes = ctx.lanes();
+        let mut addr_a = vec![None; lanes];
+        let mut addr_t = vec![None; lanes];
+        let mut prime = vec![0usize; lanes];
+        let mut active = 0u64;
+        for l in 0..lanes {
+            let gt = ctx.global_thread(l);
+            if gt >= total {
+                continue;
+            }
+            active += 1;
+            prime[l] = self.fold.acc.prime(gt / self.n);
+            addr_a[l] = Some(self.fold.acc.flat_word(self.n, gt));
+            addr_t[l] = Some(self.t.flat_word(self.n, gt));
+        }
+        if active == 0 {
+            return;
+        }
+        let (a, t) = ctx.gmem_load2(&addr_a, &addr_t);
+        let writes: Vec<Option<(usize, u64)>> = (0..lanes)
+            .map(|l| {
+                let av = a[l]?;
+                let p = self.moduli[prime[l]];
+                let (w, wc) = self.fold.inv[prime[l]];
+                let diff = sub_mod(av, t[l].expect("row loaded"), p);
+                Some((addr_a[l]?, mul_shoup(diff, w, wc, p)))
+            })
+            .collect();
+        ctx.count_op(OpClass::ModAddSub, active);
+        ctx.count_op(OpClass::ShoupMul, active);
+        ctx.gmem_store(&writes);
+    }
+}
+
+/// Launch the stand-alone subtract-and-scale of `fold` over the
+/// transformed rows `t`.
+fn launch_sub_scale(m: &mut SimMemory, fold: &FoldRows, t: &RowTable, n: usize) {
+    let tables = m.tables.as_ref().expect("tables uploaded");
+    let kernel = SubScaleKernel {
+        fold,
+        t,
+        n,
+        moduli: &tables.primes,
+    };
+    launch_rows(&mut m.gpu, "sim-subscale", t.len() * n, &kernel);
 }
 
 /// Launch a one-thread-per-element kernel over `threads` elements.
@@ -1143,7 +1206,9 @@ pub(crate) fn calibrate_forward_choice(config: &GpuConfig, n: usize, rows: usize
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ntt_core::backend::{BackendOp as Op, CpuBackend, Evaluator, LimbBatch, NttBackend};
+    use ntt_core::backend::{
+        BackendOp as Op, CpuBackend, Evaluator, LimbBatch, NttBackend, PolyView,
+    };
     use ntt_core::{RnsPoly, RnsRing};
 
     fn ring(n: usize, np: usize) -> RnsRing {
@@ -1313,11 +1378,18 @@ mod tests {
                 let (mem, level) = (sim.memory(), plan.np());
                 let buf = mem.lock().unwrap().alloc(a.flat().len());
                 mem.lock().unwrap().upload(buf, a.flat());
-                sim.run(plan, Op::Forward { buf, level });
+                let views = [PolyView::new(buf, 0..level)];
+                sim.run(
+                    plan,
+                    Op::Forward {
+                        views: &views,
+                        fold: None,
+                    },
+                );
                 let mut got = vec![0u64; a.flat().len()];
                 mem.lock().unwrap().download(buf, &mut got);
                 assert_eq!(got, fc.flat(), "resident forward N={n} round {round}");
-                sim.run(plan, Op::Inverse { buf, level });
+                sim.run(plan, Op::Inverse { views: &views });
                 mem.lock().unwrap().download(buf, &mut got);
                 mem.lock().unwrap().free(buf);
                 assert_eq!(got, a.flat(), "resident inverse N={n} round {round}");
@@ -1479,7 +1551,7 @@ mod tests {
         let mut low = x.clone();
         cpu_ev.drop_level(&mut low, 1);
         let mut host_low = low.clone();
-        let host = cpu_ev.mod_raise(&mut host_low, 4);
+        let host = cpu_ev.mod_raise(&mut [&mut host_low], 4).remove(0);
 
         let mut ev = Evaluator::with_backend(&ring, Box::new(SimBackend::titan_v()));
         let mut dev_low = low.clone();
@@ -1487,7 +1559,7 @@ mod tests {
         // Warm-up launch uploads the plan tables before the window opens.
         ev.automorphism(&mut dev_low, 1);
         let before = ev.transfer_stats();
-        let mut dev = ev.mod_raise(&mut dev_low, 4);
+        let mut dev = ev.mod_raise(&mut [&mut dev_low], 4).remove(0);
         assert_eq!(
             ev.transfer_stats().since(&before).host_transfers(),
             0,

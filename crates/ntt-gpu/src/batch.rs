@@ -18,6 +18,7 @@
 //!   device timeline as everything else.
 
 use crate::backend::SimMemory;
+use crate::rows::RowTable;
 use gpu_sim::{Buf, Gpu};
 use ntt_core::backend::{DeviceBuf, DeviceMemory};
 use ntt_core::poly::RingError;
@@ -277,6 +278,11 @@ impl DeviceBatch {
     #[inline]
     pub fn row_prime(&self) -> &[usize] {
         &self.row_prime
+    }
+
+    /// The data rows back to back, as the kernels address them.
+    pub(crate) fn rows(&self) -> RowTable {
+        RowTable::contiguous(self.data, self.n(), &self.row_prime)
     }
 
     /// The pristine input rows.

@@ -27,6 +27,7 @@
 
 use crate::batch::{upload_table, DeviceBatch};
 use crate::report::RunReport;
+use crate::rows::RowTable;
 use crate::smem::{self, HierStageJob};
 use gpu_sim::{Buf, Gpu, GpuConfig, LaunchConfig, OpClass, WarpCtx, WarpKernel};
 use ntt_core::bitrev::bit_reverse;
@@ -173,12 +174,11 @@ pub(crate) fn twist_exponents(n: usize, n1: usize) -> Vec<u64> {
 /// grid), and multiplies by `ψ^(e_u·s)` via two Shoup modmuls against the
 /// [`DeviceTwist`] factor tables.
 struct TwistKernel<'a> {
-    src: Buf,
+    src: &'a RowTable,
+    /// The transposed intermediate, the source's rows back to back.
     dst: Buf,
     n: usize,
     n1: usize,
-    rows: usize,
-    row_prime: &'a [usize],
     moduli: &'a [u64],
     /// Per-column twist exponents (length `N1`).
     exps: &'a [u64],
@@ -191,7 +191,7 @@ impl WarpKernel for TwistKernel<'_> {
     }
 
     fn run_warp(&self, ctx: &mut WarpCtx<'_>) {
-        let total = self.rows * self.n;
+        let total = self.src.len() * self.n;
         let n2 = self.n / self.n1;
         let two_n = 2 * self.n as u64;
         let lanes = ctx.lanes();
@@ -215,8 +215,8 @@ impl WarpKernel for TwistKernel<'_> {
             let u = idx % self.n1;
             let s = idx / self.n1;
             let e = (self.exps[u] * s as u64 % two_n) as usize;
-            prime[l] = self.row_prime[row];
-            src_addr[l] = Some(self.src.word(row * self.n + u * n2 + s));
+            prime[l] = self.src.prime(row);
+            src_addr[l] = Some(self.src.word(row, u * n2 + s));
             let (a0, a1, a2, a3) = self.twist.factor_addrs(prime[l], e);
             lo_w[l] = Some(a0);
             lo_c[l] = Some(a1);
@@ -249,8 +249,8 @@ impl WarpKernel for TwistKernel<'_> {
 /// A device-side hierarchical NTT problem decoupled from [`DeviceBatch`]
 /// (the `SimBackend` routes stacked, device-resident batches through it).
 pub(crate) struct HierJob<'a> {
-    /// `rows × N` data words, transformed in place.
-    pub data: Buf,
+    /// The rows transformed in place and their RNS primes.
+    pub rows: &'a RowTable,
     /// `rows × N` scratch words for the transposed intermediate.
     pub scratch: Buf,
     /// `np × N` forward twiddle values (bit-reversed global tables).
@@ -263,8 +263,6 @@ pub(crate) struct HierJob<'a> {
     pub log_n: u32,
     /// Per-prime moduli (indexed by prime id).
     pub moduli: &'a [u64],
-    /// RNS prime index of each data row.
-    pub row_prime: &'a [usize],
 }
 
 /// Whether an `N = n1 × n2` hierarchical run fits the device's launch
@@ -312,8 +310,8 @@ pub(crate) fn launch_job(
     smem::launch_hier_stage(
         gpu,
         &HierStageJob {
-            data: job.data,
-            out: job.data,
+            data: job.rows,
+            out: job.rows,
             contiguous_out: false,
             tw: job.tw,
             twc: job.twc,
@@ -322,21 +320,18 @@ pub(crate) fn launch_job(
             r: n1,
             per_thread,
             moduli: job.moduli,
-            row_prime: job.row_prime,
             name: format!("hier-col-{n1}"),
         },
     );
 
     // Kernel 2: transpose + inter-block twist into the scratch buffer.
     let exps = twist_exponents(n, n1);
-    let rows = job.row_prime.len();
+    let rows = job.rows.len();
     let kernel = TwistKernel {
-        src: job.data,
+        src: job.rows,
         dst: job.scratch,
         n,
         n1,
-        rows,
-        row_prime: job.row_prime,
         moduli: job.moduli,
         exps: &exps,
         twist: *twist,
@@ -347,11 +342,12 @@ pub(crate) fn launch_job(
 
     // Kernel 3: compact N2-point row NTTs, strided over the intermediate,
     // stored contiguously back into the original array.
+    let scratch = RowTable::contiguous(job.scratch, n, job.rows.primes());
     smem::launch_hier_stage(
         gpu,
         &HierStageJob {
-            data: job.scratch,
-            out: job.data,
+            data: &scratch,
+            out: job.rows,
             contiguous_out: true,
             tw: job.tw,
             twc: job.twc,
@@ -360,7 +356,6 @@ pub(crate) fn launch_job(
             r: n2,
             per_thread,
             moduli: job.moduli,
-            row_prime: job.row_prime,
             name: format!("hier-row-{n2}"),
         },
     );
@@ -393,17 +388,16 @@ pub fn run_with_twist(
     twist: &DeviceTwist,
 ) -> RunReport {
     let n = batch.n();
-    let rows = batch.row_prime().len();
-    let scratch = gpu.gmem.alloc(rows * n);
+    let rows = batch.rows();
+    let scratch = gpu.gmem.alloc(rows.len() * n);
     let job = HierJob {
-        data: batch.data,
+        rows: &rows,
         scratch,
         tw: batch.twiddles,
         twc: batch.companions,
         n,
         log_n: batch.log_n(),
         moduli: batch.moduli(),
-        row_prime: batch.row_prime(),
     };
     let launches = launch_job(gpu, &job, n1, twist, PER_THREAD);
     gpu.gmem.free(scratch);

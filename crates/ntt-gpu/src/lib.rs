@@ -64,6 +64,7 @@ pub mod high_radix;
 pub mod ot;
 pub mod radix2;
 pub mod report;
+mod rows;
 pub mod sharded;
 pub mod smem;
 

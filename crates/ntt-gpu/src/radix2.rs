@@ -13,6 +13,7 @@
 
 use crate::batch::DeviceBatch;
 use crate::report::RunReport;
+use crate::rows::RowTable;
 use gpu_sim::{Buf, Gpu, LaunchConfig, OpClass, WarpCtx, WarpKernel};
 use ntt_math::modops::{add_mod, mul_mod, sub_mod};
 use ntt_math::shoup::mul_shoup;
@@ -35,21 +36,19 @@ const REGS: u32 = 48;
 
 /// One forward Cooley–Tukey stage over a batch of limb rows.
 ///
-/// Rows are mapped to primes through `row_prime` (identity for a plain
-/// `np`-prime batch; `r % level` for a buffer-of-digits batch with stacked
-/// polynomials), so the same kernel serves [`run`] and the `SimBackend`
-/// trait calls. Twiddles are consumed as the per-stage
+/// Rows come from a [`RowTable`] (a plain `np`-prime batch back to back;
+/// a buffer-of-digits batch with stacked polynomials; or the rows of
+/// several separate views), so the same kernel serves [`run`] and the
+/// `SimBackend` trait calls. Twiddles are consumed as the per-stage
 /// `(value, companion)` **slice-pair** `Ψ[m..2m]` — the hoisted stage
 /// iteration of `ntt_core::ct` — fetched through one paired read-only load
 /// per warp ([`gpu_sim::WarpCtx::gmem_load_cached2`]).
 pub(crate) struct StageKernel<'a> {
-    pub(crate) data: Buf,
+    /// The data rows and their primes (twiddle/modulus selector).
+    pub(crate) rows: &'a RowTable,
     pub(crate) tw: Buf,
     pub(crate) twc: Buf,
     pub(crate) n: usize,
-    pub(crate) rows: usize,
-    /// RNS prime index of each data row (twiddle/modulus selector).
-    pub(crate) row_prime: &'a [usize],
     pub(crate) moduli: &'a [u64],
     /// Stage value `m` (1, 2, 4, … N/2).
     pub(crate) m: usize,
@@ -63,7 +62,7 @@ impl WarpKernel for StageKernel<'_> {
 
     fn run_warp(&self, ctx: &mut WarpCtx<'_>) {
         let half_n = self.n / 2;
-        let total = self.rows * half_n;
+        let total = self.rows.len() * half_n;
         let t = self.n / (2 * self.m);
         let lanes = ctx.lanes();
 
@@ -82,14 +81,14 @@ impl WarpKernel for StageKernel<'_> {
             }
             active += 1;
             let row = gt / half_n;
-            let pr = self.row_prime[row];
+            let pr = self.rows.prime(row);
             let b = gt % half_n;
             let i = b / t;
             let k = b % t;
             let x = i * 2 * t + k;
             prime[l] = pr;
-            addr_a[l] = Some(self.data.word(row * self.n + x));
-            addr_b[l] = Some(self.data.word(row * self.n + x + t));
+            addr_a[l] = Some(self.rows.word(row, x));
+            addr_b[l] = Some(self.rows.word(row, x + t));
             addr_w[l] = Some(pr * self.n + self.m + i);
         }
         if active == 0 {
@@ -138,17 +137,15 @@ impl WarpKernel for StageKernel<'_> {
 }
 
 /// Gentleman-Sande inverse stage: butterflies `(u, v) -> (u+v, w*(u-v))`
-/// with inverse twiddles; a final launch folds in `N^{-1}`. Rows map to
-/// primes through `row_prime` and the stage's `(value, companion)`
+/// with inverse twiddles; a final launch folds in `N^{-1}`. Rows come
+/// from a [`RowTable`] and the stage's `(value, companion)`
 /// slice-pair `Ψ⁻¹[h..2h]` is fetched as one paired cached load, exactly
 /// like [`StageKernel`].
 pub(crate) struct InverseStageKernel<'a> {
-    pub(crate) data: Buf,
+    pub(crate) rows: &'a RowTable,
     pub(crate) itw: Buf,
     pub(crate) itwc: Buf,
     pub(crate) n: usize,
-    pub(crate) rows: usize,
-    pub(crate) row_prime: &'a [usize],
     pub(crate) moduli: &'a [u64],
     /// Half-group count `h` (N/2, N/4, ... 1).
     pub(crate) h: usize,
@@ -161,7 +158,7 @@ impl WarpKernel for InverseStageKernel<'_> {
 
     fn run_warp(&self, ctx: &mut WarpCtx<'_>) {
         let half_n = self.n / 2;
-        let total = self.rows * half_n;
+        let total = self.rows.len() * half_n;
         let t = half_n / self.h;
         let lanes = ctx.lanes();
         let mut addr_a = vec![None; lanes];
@@ -176,14 +173,14 @@ impl WarpKernel for InverseStageKernel<'_> {
             }
             active += 1;
             let row = gt / half_n;
-            let pr = self.row_prime[row];
+            let pr = self.rows.prime(row);
             let b = gt % half_n;
             let i = b / t;
             let k = b % t;
             let x = i * 2 * t + k;
             prime[l] = pr;
-            addr_a[l] = Some(self.data.word(row * self.n + x));
-            addr_b[l] = Some(self.data.word(row * self.n + x + t));
+            addr_a[l] = Some(self.rows.word(row, x));
+            addr_b[l] = Some(self.rows.word(row, x + t));
             addr_w[l] = Some(pr * self.n + self.h + i);
         }
         if active == 0 {
@@ -219,10 +216,8 @@ impl WarpKernel for InverseStageKernel<'_> {
 
 /// Final `x <- N^{-1} * x` scaling pass of the inverse transform.
 pub(crate) struct ScaleKernel<'a> {
-    pub(crate) data: Buf,
+    pub(crate) rows: &'a RowTable,
     pub(crate) n: usize,
-    pub(crate) rows: usize,
-    pub(crate) row_prime: &'a [usize],
     /// Per-prime `(N^{-1}, companion, p)`.
     pub(crate) n_inv: &'a [(u64, u64, u64)],
 }
@@ -233,7 +228,7 @@ impl WarpKernel for ScaleKernel<'_> {
     }
 
     fn run_warp(&self, ctx: &mut WarpCtx<'_>) {
-        let total = self.rows * self.n;
+        let total = self.rows.len() * self.n;
         let lanes = ctx.lanes();
         let mut addrs = vec![None; lanes];
         let mut prime = vec![0usize; lanes];
@@ -244,8 +239,8 @@ impl WarpKernel for ScaleKernel<'_> {
                 continue;
             }
             active += 1;
-            prime[l] = self.row_prime[gt / self.n];
-            addrs[l] = Some(self.data.word(gt));
+            prime[l] = self.rows.prime(gt / self.n);
+            addrs[l] = Some(self.rows.flat_word(self.n, gt));
         }
         if active == 0 {
             return;
@@ -264,35 +259,27 @@ impl WarpKernel for ScaleKernel<'_> {
     }
 }
 
-/// Launch the `log2 N` forward stage kernels over `rows` limb rows held at
-/// `data`, row `r` under prime `row_prime[r]`. Returns the launch count.
-/// Shared by [`run`] (identity mapping over a [`DeviceBatch`]) and the
-/// `SimBackend` trait calls (stacked-polynomial mappings).
-// Mirrors the CUDA-style launch signature (device pointers + shape); a
-// params struct would only rename the same eight fields.
-#[allow(clippy::too_many_arguments)]
+/// Launch the `log2 N` forward stage kernels over the rows of `rows`.
+/// Returns the launch count. Shared by [`run`] (a [`DeviceBatch`]'s rows
+/// back to back) and the `SimBackend` trait calls (stacked polynomials or
+/// several views).
 pub(crate) fn launch_forward(
     gpu: &mut Gpu,
-    data: Buf,
-    tw: Buf,
-    twc: Buf,
+    rows: &RowTable,
+    (tw, twc): (Buf, Buf),
     n: usize,
-    row_prime: &[usize],
     moduli: &[u64],
     mode: ModMul,
 ) -> usize {
-    let rows = row_prime.len();
-    let blocks = (rows * n / 2).div_ceil(THREADS);
+    let blocks = (rows.len() * n / 2).div_ceil(THREADS);
     let mut m = 1;
     let mut launches = 0;
     while m < n {
         let kernel = StageKernel {
-            data,
+            rows,
             tw,
             twc,
             n,
-            rows,
-            row_prime,
             moduli,
             m,
             mode,
@@ -306,31 +293,25 @@ pub(crate) fn launch_forward(
 }
 
 /// Launch the inverse stage kernels plus the `N^{-1}` scaling pass
-/// (see [`launch_forward`] for the row mapping). `n_inv` holds one
+/// (see [`launch_forward`] for the rows). `n_inv` holds one
 /// `(N^{-1}, companion, p)` triple per prime. Returns the launch count.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn launch_inverse(
     gpu: &mut Gpu,
-    data: Buf,
-    itw: Buf,
-    itwc: Buf,
+    rows: &RowTable,
+    (itw, itwc): (Buf, Buf),
     n: usize,
-    row_prime: &[usize],
     moduli: &[u64],
     n_inv: &[(u64, u64, u64)],
 ) -> usize {
-    let rows = row_prime.len();
-    let blocks = (rows * n / 2).div_ceil(THREADS);
+    let blocks = (rows.len() * n / 2).div_ceil(THREADS);
     let mut h = n / 2;
     let mut launches = 0;
     while h >= 1 {
         let kernel = InverseStageKernel {
-            data,
+            rows,
             itw,
             itwc,
             n,
-            rows,
-            row_prime,
             moduli,
             h,
         };
@@ -339,14 +320,8 @@ pub(crate) fn launch_inverse(
         launches += 1;
         h /= 2;
     }
-    let scale = ScaleKernel {
-        data,
-        n,
-        rows,
-        row_prime,
-        n_inv,
-    };
-    let cfg = LaunchConfig::new("intt-scale", (rows * n).div_ceil(THREADS), THREADS)
+    let scale = ScaleKernel { rows, n, n_inv };
+    let cfg = LaunchConfig::new("intt-scale", (rows.len() * n).div_ceil(THREADS), THREADS)
         .regs_per_thread(REGS);
     gpu.launch(&scale, &cfg);
     launches + 1
@@ -366,11 +341,9 @@ pub fn run_inverse(gpu: &mut Gpu, batch: &DeviceBatch) -> RunReport {
     let (itw, itwc) = batch.upload_inverse_tables(gpu);
     let launches = launch_inverse(
         gpu,
-        batch.data,
-        itw,
-        itwc,
+        &batch.rows(),
+        (itw, itwc),
         batch.n(),
-        batch.row_prime(),
         batch.moduli(),
         &n_inv,
     );
@@ -387,11 +360,9 @@ pub fn run_inverse(gpu: &mut Gpu, batch: &DeviceBatch) -> RunReport {
 pub fn run(gpu: &mut Gpu, batch: &DeviceBatch, mode: ModMul) -> RunReport {
     let launches = launch_forward(
         gpu,
-        batch.data,
-        batch.twiddles,
-        batch.companions,
+        &batch.rows(),
+        (batch.twiddles, batch.companions),
         batch.n(),
-        batch.row_prime(),
         batch.moduli(),
         mode,
     );

@@ -27,9 +27,17 @@
 //! the source polynomial to build each digit, so a `K`-way sharded
 //! decompose pays an explicit all-gather of the remote rows over the
 //! inter-device link — the same traffic pattern multi-GPU HE systems
-//! report as their scaling ceiling. Rescale (broadcast of the dropped
-//! last row) and mod-raise (broadcast of the level-1 row) pay the same
-//! way, just `N` words instead of `level * N`.
+//! report as their scaling ceiling. The one-source-prime base
+//! conversion of a rescale (broadcast of each component's dropped row)
+//! and of a mod-raise (broadcast of the level-1 row) pays the same way,
+//! just `N` words per component instead of `level * N`; the rest of an
+//! evaluation-domain rescale stays on the shards that own the rows.
+//!
+//! The transforms and the base conversion take one view per polynomial
+//! and run **one launch per shard** across all of them
+//! (`Held::each_shard`): each shard lists the rows it owns of every
+//! written view in one row-address table, so both components of a
+//! ciphertext, or one dropped row of each, share a launch.
 //!
 //! Every shard is a full simulated device ([`SimMemory`] over its own
 //! [`gpu_sim::Gpu`]): its own GMEM, its own stream scheduler, its own
@@ -88,14 +96,15 @@ use crate::backend::{
     launch_fma, launch_rows, lock_mem, run_forward, run_inverse, DevData, ElemOp, ForwardImpl,
     ForwardMode, ShapeChoice, SimMemory, SMEM_MIN_N,
 };
+use crate::rows::{FoldRows, RowTable};
 use gpu_sim::{
     Buf, DeviceTimeline, Event, FaultOp, GpuConfig, OpClass, Stream, WarpCtx, WarpKernel,
 };
 use ntt_core::backend::{
     handle_namespace, BackendError, BackendOp, DeviceBuf, DeviceMemory, LimbBatch, NttBackend,
-    RingPlan, SharedDeviceMemory, TransferStats,
+    PolyView, RingPlan, SharedDeviceMemory, SubScale, TransferStats,
 };
-use ntt_math::modops::{mul_mod, neg_mod, sub_mod};
+use ntt_math::modops::neg_mod;
 use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::ops::Range;
@@ -804,6 +813,61 @@ impl Held<'_> {
             }
         }
     }
+
+    /// Run one multi-view device op with **one launch per shard**: every
+    /// shard that owns rows of any `written` view gathers what those rows
+    /// read, fences on every written allocation, and hands `kernel` two
+    /// row tables — its written rows across all views, under each view's
+    /// primes, and per written row the row it reads. `read[k]` is read
+    /// for `written[k]`: the same rows, or with `broadcast` its one row
+    /// for every written row (an empty `read` reads nothing).
+    fn each_shard(
+        &mut self,
+        plan: &RingPlan,
+        written: &[PolyView],
+        (read, broadcast): (&[PolyView], bool),
+        mut kernel: impl FnMut(&mut SimMemory, &RowTable, &RowTable),
+    ) {
+        let n = plan.degree();
+        let mut by_shard: Vec<Vec<(usize, RowSeg)>> = self.sh.iter().map(|_| Vec::new()).collect();
+        for (k, view) in written.iter().enumerate() {
+            for seg in self.row_segments(view.buf, n) {
+                by_shard[seg.shard].push((k, seg));
+            }
+        }
+        for (s, segs) in by_shard.into_iter().enumerate() {
+            if segs.is_empty() {
+                continue;
+            }
+            ensure_tables(&mut self.sh[s], plan);
+            let (mut rows, mut reads) = (RowTable::default(), RowTable::default());
+            let (mut roots, mut gathered) = (Vec::new(), Vec::new());
+            for (k, seg) in &segs {
+                let source = read.get(*k).map(|r| {
+                    let want = if broadcast { Rows::run(0, 1) } else { seg.rows };
+                    (r, self.gather_rows(r.buf, want, n, s))
+                });
+                let local = self.sh[s].raw_buf(seg.local);
+                roots.push(self.sh[s].root_base(seg.local));
+                for i in 0..seg.rows.count {
+                    let r = seg.rows.get(i);
+                    rows.push(local.sub(i * n, n), written[*k].prime_of(r));
+                    if let Some((view, g)) = &source {
+                        let (j, r) = if broadcast { (0, 0) } else { (i, r) };
+                        reads.push(g.buf.sub(j * n, n), view.prime_of(r));
+                    }
+                }
+                gathered.extend(source.map(|(_, g)| g));
+            }
+            let sh = &mut self.sh[s];
+            sh.wait_ready(&roots);
+            kernel(sh, &rows, &reads);
+            sh.mark_written(&roots);
+            for g in gathered {
+                self.release_gather(s, g);
+            }
+        }
+    }
 }
 
 impl DeviceMemory for ShardedMemory {
@@ -1250,15 +1314,15 @@ impl<F: Flavor> NttBackend for SimDevices<F> {
         let n = plan.degree();
         match op {
             BackendOp::ForwardBatch(batch) => {
-                let choice = self.forward_choice(batch.n(), batch.rows());
+                let (n, choice) = (batch.n(), self.forward_choice(batch.n(), batch.rows()));
                 self.host_batch(plan, batch, None, |sh, a, _, rp| {
-                    run_forward(sh, plan, a, rp, choice)
+                    run_forward(sh, plan, &RowTable::contiguous(a, n, rp), choice, None)
                 });
             }
             BackendOp::InverseBatch(batch) => {
-                let choice = self.inverse_choice(batch.n(), batch.rows());
+                let (n, choice) = (batch.n(), self.inverse_choice(batch.n(), batch.rows()));
                 self.host_batch(plan, batch, None, |sh, a, _, rp| {
-                    run_inverse(sh, plan, a, rp, choice)
+                    run_inverse(sh, plan, &RowTable::contiguous(a, n, rp), choice)
                 });
             }
             BackendOp::PointwiseBatch { acc, rhs } => {
@@ -1281,27 +1345,54 @@ impl<F: Flavor> NttBackend for SimDevices<F> {
                 // iNTT — four launch groups over one resident batch.
                 self.host_batch(plan, out, Some(b), |sh, a, b, rp| {
                     let b = b.expect("multiply stages both operands");
-                    run_forward(sh, plan, a, rp, choice);
-                    run_forward(sh, plan, b, rp, choice);
+                    let (ta, tb) = (
+                        RowTable::contiguous(a, n, rp),
+                        RowTable::contiguous(b, n, rp),
+                    );
+                    run_forward(sh, plan, &ta, choice, None);
+                    run_forward(sh, plan, &tb, choice, None);
                     launch_elemwise(sh, ElemOp::Mul, a, Some(b), n, rp);
-                    run_inverse(sh, plan, a, rp, inverse);
+                    run_inverse(sh, plan, &ta, inverse);
                 });
             }
 
             // ---- Device-resident execution (zero host↔device traffic) ----
-            BackendOp::Forward { buf, level } => {
-                let choice = self.forward_choice(n, buf.len() / n);
-                self.on_shards(|h, _| {
-                    h.each_piece(plan, buf, &[], |sh, p| {
-                        run_forward(sh, plan, p.dst, &p.rows.primes(level), choice)
-                    })
+            BackendOp::Forward { views, fold } => {
+                let rows = views.iter().map(|v| v.buf.len() / n).sum();
+                let choice = self.forward_choice(n, rows);
+                self.on_shards(|h, _| match fold {
+                    None => h.each_shard(plan, views, (&[], false), |sh, rows, _| {
+                        run_forward(sh, plan, rows, choice, None)
+                    }),
+                    // The rescale tail: the accumulators are the written
+                    // views, each lifted view is read row for row (its
+                    // separate allocation aligns with its accumulator, so
+                    // the gather is the zero-copy direct reference), and
+                    // the transform stores into the accumulators.
+                    Some(SubScale { acc, dropped }) => {
+                        assert_eq!(acc.len(), views.len(), "one accumulator per view");
+                        let written: Vec<PolyView> = views
+                            .iter()
+                            .zip(acc)
+                            .map(|(v, &a)| {
+                                assert_eq!(a.len(), v.buf.len(), "fold shape mismatch");
+                                PolyView::new(a, v.primes.clone())
+                            })
+                            .collect();
+                        let moduli = plan.ring().basis().primes();
+                        h.each_shard(plan, &written, (views, false), |sh, acc, lifted| {
+                            let fold = FoldRows::new(acc.clone(), moduli, dropped);
+                            run_forward(sh, plan, lifted, choice, Some(&fold))
+                        })
+                    }
                 });
             }
-            BackendOp::Inverse { buf, level } => {
-                let choice = self.inverse_choice(n, buf.len() / n);
+            BackendOp::Inverse { views } => {
+                let rows = views.iter().map(|v| v.buf.len() / n).sum();
+                let choice = self.inverse_choice(n, rows);
                 self.on_shards(|h, _| {
-                    h.each_piece(plan, buf, &[], |sh, p| {
-                        run_inverse(sh, plan, p.dst, &p.rows.primes(level), choice)
+                    h.each_shard(plan, views, (&[], false), |sh, rows, _| {
+                        run_inverse(sh, plan, rows, choice)
                     })
                 });
             }
@@ -1321,10 +1412,12 @@ impl<F: Flavor> NttBackend for SimDevices<F> {
                         sh.gpu_mut().gmem.copy(p.src[0], p.dst);
                         sh.gpu_mut().gmem.copy(p.src[1], scratch);
                         let row_prime = p.rows.primes(level);
-                        run_forward(sh, plan, p.dst, &row_prime, choice);
-                        run_forward(sh, plan, scratch, &row_prime, choice);
+                        let dst = RowTable::contiguous(p.dst, n, &row_prime);
+                        run_forward(sh, plan, &dst, choice, None);
+                        let rhs = RowTable::contiguous(scratch, n, &row_prime);
+                        run_forward(sh, plan, &rhs, choice, None);
                         launch_elemwise(sh, ElemOp::Mul, p.dst, Some(scratch), n, &row_prime);
-                        run_inverse(sh, plan, p.dst, &row_prime, inverse);
+                        run_inverse(sh, plan, &dst, inverse);
                         sh.mark_written(&[scratch.base()]);
                     })
                 });
@@ -1386,41 +1479,6 @@ impl<F: Flavor> NttBackend for SimDevices<F> {
                     })
                 });
             }
-            BackendOp::Rescale { buf, level } => {
-                assert!(level > 1, "cannot rescale past the last prime");
-                let primes = plan.ring().basis().primes();
-                let p_last = primes[level - 1];
-                let inv_p: Vec<(u64, u64)> = primes[..level - 1]
-                    .iter()
-                    .map(|&p| {
-                        (
-                            ntt_math::inv_mod(p_last % p, p).expect("distinct primes are coprime"),
-                            p,
-                        )
-                    })
-                    .collect();
-                // Rows 0..level-1 rescale in place; every owning shard
-                // needs the dropped last row — a broadcast of N words per
-                // remote shard over the link.
-                let last = Rows::run(level - 1, 1);
-                self.on_shards(|h, _| {
-                    h.each_piece(
-                        plan,
-                        buf.sub(0, (level - 1) * n),
-                        &[(buf, Some(last))],
-                        |sh, p| {
-                            let kernel = RescaleKernel {
-                                data: p.dst,
-                                last: p.src[0],
-                                n,
-                                rows: p.rows,
-                                inv_p: &inv_p,
-                            };
-                            launch_rows(sh.gpu_mut(), "sim-rescale", p.rows.count * n, &kernel);
-                        },
-                    )
-                });
-            }
             BackendOp::Decompose {
                 src,
                 dst,
@@ -1467,23 +1525,26 @@ impl<F: Flavor> NttBackend for SimDevices<F> {
                     })
                 });
             }
-            BackendOp::ModRaise { src, dst, to_level } => {
-                assert_eq!(src.len(), n, "mod-raise source must be one level-1 row");
-                assert_eq!(dst.len(), to_level * n, "mod-raise destination shape");
+            BackendOp::BaseConvert { src, dst, centered } => {
+                assert_eq!(src.len(), dst.len(), "one source row per destination");
+                for v in src {
+                    assert_eq!(v.buf.len(), n, "one-source-prime conversion reads one row");
+                }
                 let moduli = plan.ring().basis().primes();
-                // Broadcast the single source row to every shard owning
-                // destination rows.
+                // Every shard owning destination rows needs the source
+                // row: a broadcast of N words per remote shard over the
+                // link (the rescale's dropped row, the mod-raise's
+                // level-1 row).
                 self.on_shards(|h, _| {
-                    h.each_piece(plan, dst, &[(src, Some(Rows::run(0, 1)))], |sh, p| {
-                        let kernel = ModRaiseKernel {
-                            src: p.src[0],
-                            dst: p.dst,
+                    h.each_shard(plan, dst, (src, true), |sh, dst, src| {
+                        let kernel = LiftKernel {
+                            dst,
+                            src,
                             n,
-                            rows: p.rows,
-                            p0: moduli[0],
+                            centered,
                             moduli,
                         };
-                        launch_rows(sh.gpu_mut(), "sim-modraise", p.rows.count * n, &kernel);
+                        launch_rows(sh.gpu_mut(), "sim-baseconv", dst.len() * n, &kernel);
                     })
                 });
             }
@@ -1502,67 +1563,12 @@ impl<F: Flavor> NttBackend for SimDevices<F> {
 
 // ---- Cross-row kernels ---------------------------------------------
 //
-// Rescale, decompose and mod-raise read rows other than the one they
-// write. Each runs on one shard piece — a row slice of the written
-// operand plus a gathered copy of the rows it reads — with the piece's
-// row progression restoring the global row index the math depends on.
-// At `K = 1` the piece is the whole operand and the gather is a direct
+// Decompose and base conversion read rows other than the one they
+// write. Each runs on one shard's rows — a row slice of the written
+// operand plus a gathered copy of the rows it reads — with the global
+// row index or the row table restoring what the math depends on. At
+// `K = 1` the slice is the whole operand and the gather is a direct
 // reference, so these are the single-device kernels too.
-
-/// CKKS rescale step (contract per [`BackendOp::Rescale`]) on a piece
-/// of data rows, the dropped last row arriving as a separate buffer: one
-/// thread per element, reading its own word and the last row's word of
-/// the same column.
-struct RescaleKernel<'a> {
-    data: Buf,
-    last: Buf,
-    n: usize,
-    /// Global row index per local row.
-    rows: Rows,
-    /// `(p_last^{-1} mod p_i, p_i)` per global row `i < level - 1`.
-    inv_p: &'a [(u64, u64)],
-}
-
-impl WarpKernel for RescaleKernel<'_> {
-    fn phases(&self) -> usize {
-        1
-    }
-
-    fn run_warp(&self, ctx: &mut WarpCtx<'_>) {
-        let total = self.rows.count * self.n;
-        let lanes = ctx.lanes();
-        let mut addr_x = vec![None; lanes];
-        let mut addr_l = vec![None; lanes];
-        let mut row = vec![0usize; lanes];
-        let mut active = 0u64;
-        for l in 0..lanes {
-            let gt = ctx.global_thread(l);
-            if gt >= total {
-                continue;
-            }
-            active += 1;
-            row[l] = self.rows.get(gt / self.n);
-            addr_x[l] = Some(self.data.word(gt));
-            addr_l[l] = Some(self.last.word(gt % self.n));
-        }
-        if active == 0 {
-            return;
-        }
-        let (x, last) = ctx.gmem_load2(&addr_x, &addr_l);
-        let writes: Vec<Option<(usize, u64)>> = (0..lanes)
-            .map(|l| {
-                let xv = x[l]?;
-                let lv = last[l].expect("last row loaded");
-                let (inv, p) = self.inv_p[row[l]];
-                let diff = sub_mod(xv, lv % p, p);
-                Some((addr_x[l].expect("lane active"), mul_mod(diff, inv, p)))
-            })
-            .collect();
-        ctx.count_op(OpClass::NativeModMul, active);
-        ctx.count_op(OpClass::ModAddSub, active);
-        ctx.gmem_store(&writes);
-    }
-}
 
 /// Gadget digit decomposition (layout per [`BackendOp::Decompose`])
 /// writing a piece of the digit-poly rows from the full `level × N`
@@ -1620,32 +1626,32 @@ impl WarpKernel for DecomposeKernel {
     }
 }
 
-/// Mod-raise (centered lift per [`BackendOp::ModRaise`]) writing a
-/// piece of the raised rows from the single source row: one thread per
-/// *output* element; every row re-reads the same `N` source words, so
-/// the read goes through the cached path like the decompose kernel's
-/// replicated rows.
-struct ModRaiseKernel<'a> {
-    src: Buf,
-    dst: Buf,
+/// One-source-prime base conversion (contract per
+/// [`BackendOp::BaseConvert`]) over one shard's destination rows of every
+/// view: one thread per *output* element, writing the exact lift of its
+/// row's source word under the row's prime. Every destination row of one
+/// source re-reads the same `N` words, so the read goes through the
+/// cached path like the decompose kernel's replicated rows.
+struct LiftKernel<'a> {
+    dst: &'a RowTable,
+    /// Per destination row, its source row under the source prime.
+    src: &'a RowTable,
     n: usize,
-    /// Global row index (= prime index) per local destination row.
-    rows: Rows,
-    p0: u64,
+    /// Centered instead of plain lift.
+    centered: bool,
     moduli: &'a [u64],
 }
 
-impl WarpKernel for ModRaiseKernel<'_> {
+impl WarpKernel for LiftKernel<'_> {
     fn phases(&self) -> usize {
         1
     }
 
     fn run_warp(&self, ctx: &mut WarpCtx<'_>) {
-        let total = self.rows.count * self.n;
-        let half = self.p0 >> 1;
+        let total = self.dst.len() * self.n;
         let lanes = ctx.lanes();
         let mut addr_s = vec![None; lanes];
-        let mut prime = vec![0usize; lanes];
+        let mut row = vec![0usize; lanes];
         let mut active = 0u64;
         for l in 0..lanes {
             let gt = ctx.global_thread(l);
@@ -1653,8 +1659,8 @@ impl WarpKernel for ModRaiseKernel<'_> {
                 continue;
             }
             active += 1;
-            prime[l] = self.rows.get(gt / self.n);
-            addr_s[l] = Some(self.src.word(gt % self.n));
+            row[l] = gt / self.n;
+            addr_s[l] = Some(self.src.flat_word(self.n, gt));
         }
         if active == 0 {
             return;
@@ -1663,13 +1669,17 @@ impl WarpKernel for ModRaiseKernel<'_> {
         let writes: Vec<Option<(usize, u64)>> = (0..lanes)
             .map(|l| {
                 let v = vals[l]?;
-                let p = self.moduli[prime[l]];
+                let (p, q) = (
+                    self.moduli[self.dst.prime(row[l])],
+                    self.moduli[self.src.prime(row[l])],
+                );
+                let half = if self.centered { q >> 1 } else { q };
                 let lifted = if v <= half {
                     v % p
                 } else {
-                    neg_mod((self.p0 - v) % p, p)
+                    neg_mod((q - v) % p, p)
                 };
-                Some((self.dst.word(ctx.global_thread(l)), lifted))
+                Some((self.dst.flat_word(self.n, ctx.global_thread(l)), lifted))
             })
             .collect();
         ctx.count_op(OpClass::Generic, active);
@@ -2010,12 +2020,13 @@ mod tests {
         let mut sharded = ShardedBackend::titan_v(2, 16);
         let mut other = ShardedMemory::new(GpuConfig::titan_v(), 2, 16);
         let foreign = other.alloc(32);
+        let views = [PolyView::new(foreign, 0..2)];
         let err = sharded
             .try_run(
                 &plan,
                 Op::Forward {
-                    buf: foreign,
-                    level: 2,
+                    views: &views,
+                    fold: None,
                 },
             )
             .expect_err("foreign handle must not resolve");
@@ -2030,14 +2041,18 @@ mod tests {
         // under a zero-rate plan one call draws upload, launch and
         // download (host batch) or one launch (device op) on each shard.
         //
-        // Device op `i` runs over level-2 polys `a`, `b`, `c`, a level-1
-        // `row`, the 8-row digit buffer of a 2-digit decomposition and
-        // two more level-2 polys `x0`, `x1`; `USES[i]` lists the operands
-        // it touches, in field order. The FMA is 2-term —
-        // `acc += x0 · b + x1 · c`, each first factor its own buffer — so
-        // a freed second first factor and a freed second key are rows.
-        const ROWS: [usize; 7] = [2, 2, 2, 1, 8, 2, 2];
-        const USES: [&[usize]; 11] = [
+        // Device op `i` runs over level-2 polys `a`, `b`, `c`, a one-row
+        // `row`, the 8-row digit buffer of a 2-digit decomposition, two
+        // more level-2 polys `x0`, `x1` and a second one-row `acc`;
+        // `USES[i]` lists the operands it touches, in field order. The
+        // FMA is 2-term — `acc += x0 · b + x1 · c`, each first factor its
+        // own buffer — so a freed second first factor and a freed second
+        // key are rows. The base conversions lift `row` into `a`, plainly
+        // from prime 1 (a rescale's dropped row) and centered from prime
+        // 0 (a mod-raise); the last op is a rescale-folded forward of
+        // `row` into `acc`.
+        const ROWS: [usize; 8] = [2, 2, 2, 1, 8, 2, 2, 1];
+        const USES: [&[usize]; 12] = [
             &[0],
             &[0],
             &[0, 1, 2],
@@ -2045,17 +2060,31 @@ mod tests {
             &[0, 5, 6, 1, 2],
             &[0, 1],
             &[0],
-            &[0],
+            &[3, 0],
             &[0, 4],
             &[3, 0],
             &[0, 1],
+            &[3, 7],
         ];
-        fn device_op(i: usize, bufs: &[DeviceBuf; 7]) -> Op<'_> {
-            let [a, b, c, row, digits, ..] = *bufs;
+        // The views the transforms and base conversions take: `a` whole,
+        // `row` under prime 1 and under prime 0.
+        fn views_of(bufs: &[DeviceBuf; 8]) -> [PolyView; 3] {
+            let [a, _, _, row, ..] = *bufs;
+            [
+                PolyView::new(a, 0..2),
+                PolyView::new(row, 1..2),
+                PolyView::new(row, 0..1),
+            ]
+        }
+        fn device_op<'a>(i: usize, bufs: &'a [DeviceBuf; 8], views: &'a [PolyView; 3]) -> Op<'a> {
+            let [a, b, c, _, digits, ..] = *bufs;
             let level = 2;
             match i {
-                0 => Op::Forward { buf: a, level },
-                1 => Op::Inverse { buf: a, level },
+                0 => Op::Forward {
+                    views: &views[..1],
+                    fold: None,
+                },
+                1 => Op::Inverse { views: &views[..1] },
                 2 => Op::Multiply {
                     a,
                     b,
@@ -2080,7 +2109,11 @@ mod tests {
                     subtract: true,
                 },
                 6 => Op::Negate { buf: a, level },
-                7 => Op::Rescale { buf: a, level },
+                7 => Op::BaseConvert {
+                    src: &views[1..2],
+                    dst: &views[..1],
+                    centered: false,
+                },
                 8 => Op::Decompose {
                     src: a,
                     dst: digits,
@@ -2088,16 +2121,23 @@ mod tests {
                     digits: 2,
                     gadget_bits: 20,
                 },
-                9 => Op::ModRaise {
-                    src: row,
-                    dst: a,
-                    to_level: level,
+                9 => Op::BaseConvert {
+                    src: &views[2..],
+                    dst: &views[..1],
+                    centered: true,
                 },
-                _ => Op::Automorphism {
+                10 => Op::Automorphism {
                     src: a,
                     dst: b,
                     level,
                     g: 3,
+                },
+                _ => Op::Forward {
+                    views: &views[2..],
+                    fold: Some(SubScale {
+                        acc: &bufs[7..],
+                        dropped: 1,
+                    }),
                 },
             }
         }
@@ -2115,16 +2155,17 @@ mod tests {
                 },
             }
         }
-        let none = [DeviceBuf::root(0, 0); 7];
+        let none = [DeviceBuf::root(0, 0); 8];
+        let none_views = views_of(&none);
         let labels: Vec<&str> = (0..4)
             .map(|i| host_op(i, &mut [], &[]).label())
-            .chain((0..11).map(|i| device_op(i, &none).label()))
+            .chain((0..12).map(|i| device_op(i, &none, &none_views).label()))
             .collect();
         assert_eq!(
             labels.join(" "),
             "forward_batch inverse_batch pointwise_batch multiply_batch dev_forward \
              dev_inverse dev_multiply dev_pointwise dev_fma dev_addsub dev_negate \
-             dev_rescale dev_decompose dev_modraise dev_automorphism"
+             dev_baseconv dev_decompose dev_baseconv dev_automorphism dev_forward"
         );
 
         // Residues below every test prime, one seed per operand.
@@ -2132,7 +2173,7 @@ mod tests {
             let mix = |i: usize| ((i + 64 * seed) as u64).wrapping_mul(0x9e37_79b9);
             (0..words).map(|i| mix(i) % (1 << 40)).collect()
         };
-        let fresh = |be: &dyn NttBackend| -> [DeviceBuf; 7] {
+        let fresh = |be: &dyn NttBackend| -> [DeviceBuf; 8] {
             let mem = be.memory();
             let mut mem = mem.lock().unwrap();
             let mut seed = 0;
@@ -2175,12 +2216,17 @@ mod tests {
         ];
         for (mut be, shards) in subjects {
             for (i, uses) in USES.iter().enumerate() {
-                let ctx = format!("{} on {}", device_op(i, &none).label(), be.name());
-                assert!(!device_op(i, &none).is_host_batch(), "{ctx}");
+                let ctx = format!(
+                    "{} #{i} on {}",
+                    device_op(i, &none, &none_views).label(),
+                    be.name()
+                );
+                assert!(!device_op(i, &none, &none_views).is_host_batch(), "{ctx}");
                 // Free each operand in turn.
                 for &freed in *uses {
                     let bufs = fresh(&*be);
-                    let op = device_op(i, &bufs);
+                    let views = views_of(&bufs);
+                    let op = device_op(i, &bufs, &views);
                     let touched: Vec<DeviceBuf> = uses.iter().map(|&j| bufs[j]).collect();
                     assert_eq!(op.handles(), touched, "{ctx}: handles");
                     be.memory().lock().unwrap().free(bufs[freed]);
@@ -2192,12 +2238,13 @@ mod tests {
                     assert_eq!(read(&*be, &live), before, "{ctx}: operands moved");
                 }
                 let (x, y) = (fresh(&*be), fresh(&*be));
-                be.run(&plan, device_op(i, &x));
-                be.try_run(&plan, device_op(i, &y)).expect(&ctx);
+                let (vx, vy) = (views_of(&x), views_of(&y));
+                be.run(&plan, device_op(i, &x, &vx));
+                be.try_run(&plan, device_op(i, &y, &vy)).expect(&ctx);
                 assert_eq!(read(&*be, &x), read(&*be, &y), "{ctx}: try_run bits");
                 if let Some(mem) = &shards {
                     arm(mem, Some(gpu_sim::FaultPlan::seeded(7)));
-                    be.try_run(&plan, device_op(i, &x)).expect(&ctx);
+                    be.try_run(&plan, device_op(i, &x, &vx)).expect(&ctx);
                     assert!(
                         draws(mem).iter().all(|&d| d == 1),
                         "{ctx}: {:?}",
@@ -2325,10 +2372,17 @@ mod tests {
         };
         let before = launches(&dev);
         let mut got = vec![0u64; stack.len()];
-        dev.run(plan, Op::Forward { buf, level });
+        let views = [PolyView::new(buf, 0..level)];
+        dev.run(
+            plan,
+            Op::Forward {
+                views: &views,
+                fold: None,
+            },
+        );
         mem.lock().unwrap().download(buf, &mut got);
         assert_eq!(got, forward, "resident forward");
-        dev.run(plan, Op::Inverse { buf, level });
+        dev.run(plan, Op::Inverse { views: &views });
         mem.lock().unwrap().download(buf, &mut got);
         assert_eq!(got, stack, "resident forward -> inverse");
         launches(&dev)

@@ -46,6 +46,7 @@ use crate::batch::DeviceBatch;
 use crate::ot::DeviceOt;
 use crate::radix2::ModMul;
 use crate::report::RunReport;
+use crate::rows::{FoldRows, RowTable};
 use gpu_sim::{Buf, Gpu, LaunchConfig, OpClass, WarpCtx, WarpKernel};
 use ntt_core::bitrev::bit_reverse;
 use ntt_math::modops::{add_mod, inv_mod, mul_mod, sub_mod};
@@ -190,11 +191,16 @@ struct Site {
 }
 
 struct TwoStepKernel {
-    data: Buf,
-    /// Output buffer of the final level (same as `data` for the classic
-    /// two-kernel split; the hierarchical row kernel stores into the
-    /// original array while reading the transposed intermediate).
-    out: Buf,
+    /// The rows read, and each row's RNS prime (identity for a plain
+    /// `np`-prime batch; `r % level` for stacked buffer-of-digits
+    /// batches; any mix for a multi-view op). Data addressing uses the
+    /// row table, twiddle/modulus selection the prime.
+    data: RowTable,
+    /// Output rows of the final level (the same rows as `data` for the
+    /// classic two-kernel split; the hierarchical row kernel stores into
+    /// the original array while reading the transposed intermediate, and
+    /// a folded rescale into its accumulators).
+    out: RowTable,
     /// Final stores go through SMEM and a cooperative coalesced write-out
     /// that *transposes* the block's tile: group `g`'s `r` points land
     /// contiguously at `out[g*r ..]` even though the kernel reads them
@@ -206,10 +212,6 @@ struct TwoStepKernel {
     n: usize,
     log_n: u32,
     moduli: Vec<u64>,
-    /// RNS prime index of each data row (identity for a plain `np`-prime
-    /// batch; `r % level` for stacked buffer-of-digits batches). Data
-    /// addressing uses the row index, twiddle/modulus selection the prime.
-    row_prime: Vec<usize>,
     /// This kernel's transform size (N1 or N2).
     r: usize,
     /// Per-thread NTT size.
@@ -231,6 +233,10 @@ struct TwoStepKernel {
     /// Per-prime `(N⁻¹, companion)` multiplied into the final GMEM store
     /// (the inverse's last kernel only).
     n_inv: Option<Vec<(u64, u64)>>,
+    /// Per-prime `(p_d⁻¹, companion)` of a rescale folded into the final
+    /// store (the forward's last kernel only): the store loads the output
+    /// word `acc` and writes `(acc − v)·p_d⁻¹` instead of `v`.
+    sub_scale: Option<Vec<(u64, u64)>>,
 }
 
 impl TwoStepKernel {
@@ -283,9 +289,9 @@ impl TwoStepKernel {
             for (l, site) in sites.iter_mut().enumerate().take(ctx.lanes()) {
                 let (slot, u) = self.split_tid(ctx.thread_in_block(l));
                 let row = ctx.block * self.c + slot;
-                *site = self.row_prime.get(row).map(|&prime| Site {
+                *site = (row < self.data.len()).then(|| Site {
                     row,
-                    prime,
+                    prime: self.data.prime(row),
                     group: 0,
                     slot,
                     u,
@@ -293,7 +299,7 @@ impl TwoStepKernel {
             }
         } else {
             let (row, block_in_row) = self.block_row(ctx.block);
-            let prime = self.row_prime[row];
+            let prime = self.data.prime(row);
             for (l, site) in sites.iter_mut().enumerate().take(ctx.lanes()) {
                 let (slot, u) = self.split_tid(ctx.thread_in_block(l));
                 *site = Some(Site {
@@ -308,13 +314,13 @@ impl TwoStepKernel {
         sites
     }
 
-    /// Global word in `buf` for (row, group, local element).
-    fn elem_addr(&self, buf: Buf, row: usize, group: usize, e: usize) -> usize {
+    /// Global word in `rows` for (row, group, local element).
+    fn elem_addr(&self, rows: &RowTable, row: usize, group: usize, e: usize) -> usize {
         let off = match self.orientation {
             Orientation::Strided => group + e * self.groups_per_prime(),
             Orientation::Contiguous => group * self.r + e,
         };
-        buf.word(row * self.n + off)
+        rows.word(row, off)
     }
 
     /// Global group index for (block-in-prime, group-in-block).
@@ -545,7 +551,7 @@ impl WarpKernel for TwoStepKernel {
             // only): all threads cooperatively stage Ψ[0..r] and
             // companions into SMEM.
             if self.preload && self.orientation == Orientation::Strided {
-                let prime = self.row_prime[self.block_row(ctx.block).0];
+                let prime = self.data.prime(self.block_row(ctx.block).0);
                 let (wr, cr) = self.smem_tw_region();
                 let mut idx = ctx.warp * 32;
                 while idx < self.r {
@@ -589,7 +595,7 @@ impl WarpKernel for TwoStepKernel {
                         .map(|site| {
                             site.map(|x| {
                                 let e = self.item_elem(first, x.u + b * tpg, s);
-                                self.elem_addr(self.data, x.row, x.group, e)
+                                self.elem_addr(&self.data, x.row, x.group, e)
                             })
                         })
                         .collect();
@@ -609,15 +615,18 @@ impl WarpKernel for TwoStepKernel {
         }
 
         if phase == 2 * n_levels {
-            // Transposing write-out (hierarchical row kernel): the block's
-            // finished tile sits in SMEM as `c` groups × `r` points; group
-            // `g`'s points go contiguously to `out[(u0+g)*r ..]`, so SMEM
-            // word `q` maps straight to output word `u0*r + q` and every
-            // warp writes adjacent addresses (coalesced despite the
-            // strided compute layout).
+            // Transposing write-out (the hierarchical row kernel, and the
+            // second kernel of a forward with a folded rescale): the
+            // block's finished tile sits in SMEM as `c` groups × `r`
+            // points; group `g`'s points go contiguously to
+            // `out[(u0+g)*r ..]`, so SMEM word `q` maps straight to output
+            // word `u0*r + q` and every warp writes adjacent addresses
+            // (coalesced despite the strided compute layout). A folded
+            // rescale reads its accumulator words the same coalesced way.
             let (row, block_in_row) = self.block_row(ctx.block);
             let u0 = block_in_row * self.c;
-            let base = self.out.word(row * self.n + u0 * self.r);
+            let base = self.out.word(row, u0 * self.r);
+            let prime = self.data.prime(row);
             let tile = self.c * self.r;
             let mut q = ctx.warp * 32;
             while q < tile {
@@ -628,9 +637,23 @@ impl WarpKernel for TwoStepKernel {
                     })
                     .collect();
                 let vals = ctx.smem_load(&addrs);
-                let writes: Vec<Option<(usize, u64)>> = (0..lanes)
+                let mut writes: Vec<Option<(usize, u64)>> = (0..lanes)
                     .map(|l| vals[l].map(|v| (base + q + l, v)))
                     .collect();
+                if let Some(inv) = &self.sub_scale {
+                    let out: Vec<Option<usize>> =
+                        writes.iter().map(|w| w.map(|(a, _)| a)).collect();
+                    let acc = ctx.gmem_load(&out);
+                    let (p, (w, wc)) = (self.moduli[prime], inv[prime]);
+                    for (slot, a) in writes.iter_mut().zip(acc) {
+                        if let (Some((_, v)), Some(a)) = (slot.as_mut(), a) {
+                            *v = mul_shoup(sub_mod(a, *v, p), w, wc, p);
+                        }
+                    }
+                    let active = writes.iter().flatten().count() as u64;
+                    ctx.count_op(OpClass::ModAddSub, active);
+                    ctx.count_op(OpClass::ShoupMul, active);
+                }
                 ctx.gmem_store(&writes);
                 q += threads; // all warps advance together
             }
@@ -651,21 +674,43 @@ impl WarpKernel for TwoStepKernel {
             for b in 0..subs {
                 for s in 0..size {
                     if last {
-                        let writes: Vec<Option<(usize, u64)>> = (0..lanes)
+                        let addrs: Vec<Option<usize>> = (0..lanes)
                             .map(|l| {
                                 let x = sites[l]?;
                                 let e = self.item_elem(level, x.u + b * tpg, s);
+                                Some(self.elem_addr(&self.out, x.row, x.group, e))
+                            })
+                            .collect();
+                        // A folded rescale reads the accumulator word it
+                        // overwrites (coalesced like the store itself).
+                        let acc = match self.sub_scale {
+                            Some(_) => ctx.gmem_load(&addrs),
+                            None => vec![None; lanes],
+                        };
+                        let writes: Vec<Option<(usize, u64)>> = (0..lanes)
+                            .map(|l| {
+                                let x = sites[l]?;
+                                let p = self.moduli[x.prime];
                                 let mut v = ctx.regs(l)[b * size + s];
                                 if let Some(n_inv) = &self.n_inv {
                                     let (w, wc) = n_inv[x.prime];
-                                    v = mul_shoup(v, w, wc, self.moduli[x.prime]);
+                                    v = mul_shoup(v, w, wc, p);
                                 }
-                                Some((self.elem_addr(self.out, x.row, x.group, e), v))
+                                if let Some(inv) = &self.sub_scale {
+                                    let (w, wc) = inv[x.prime];
+                                    let a = acc[l].expect("accumulator loaded");
+                                    v = mul_shoup(sub_mod(a, v, p), w, wc, p);
+                                }
+                                Some((addrs[l]?, v))
                             })
                             .collect();
+                        let active = writes.iter().flatten().count() as u64;
                         if self.n_inv.is_some() {
-                            let active = writes.iter().flatten().count();
-                            ctx.count_op(OpClass::ShoupMul, active as u64);
+                            ctx.count_op(OpClass::ShoupMul, active);
+                        }
+                        if self.sub_scale.is_some() {
+                            ctx.count_op(OpClass::ModAddSub, active);
+                            ctx.count_op(OpClass::ShoupMul, active);
                         }
                         if self.coalesced || self.orientation == Orientation::Contiguous {
                             ctx.gmem_store(&writes);
@@ -740,8 +785,9 @@ pub(crate) fn launch_shape(r: usize, t: usize, groups: usize) -> (usize, usize) 
 /// `SimBackend` route arbitrary (stacked, device-resident) batches through
 /// the two-kernel implementation.
 pub(crate) struct SmemJob<'a> {
-    /// `rows × N` data words, transformed in place.
-    pub data: Buf,
+    /// The rows transformed (in place unless `fold` is set) and their
+    /// RNS primes.
+    pub rows: &'a RowTable,
     /// `np × N` twiddle values (bit-reversed) of the transform's
     /// direction: `Ψ` forward, `Ψ⁻¹` inverse.
     pub tw: Buf,
@@ -753,8 +799,10 @@ pub(crate) struct SmemJob<'a> {
     pub log_n: u32,
     /// Per-prime moduli (indexed by prime id).
     pub moduli: &'a [u64],
-    /// RNS prime index of each data row.
-    pub row_prime: &'a [usize],
+    /// A rescale folded into the forward's final store: row `r` of the
+    /// transform lands in row `r` of the fold's accumulators instead of
+    /// in place (`rows` keeps whatever the earlier kernel left there).
+    pub fold: Option<&'a FoldRows>,
 }
 
 /// Whether an `n`-point SMEM run with this config fits the device's
@@ -790,13 +838,14 @@ fn make_kernel(
     orientation: Orientation,
     direction: Direction,
     ot: Option<(DeviceOt, usize)>,
+    fold: Option<&FoldRows>,
 ) -> (TwoStepKernel, LaunchConfig) {
     let n = job.n;
     let r = match orientation {
         Orientation::Strided => cfg.n1,
         Orientation::Contiguous => n / cfg.n1,
     };
-    let rows = job.row_prime.len();
+    let rows = job.rows.len();
     // The degenerate `N × 1` split: one kernel over whole rows, packing
     // several rows per block (a partial last block masks its idle lanes).
     // Rows in one block may sit under different primes, so each lane
@@ -830,15 +879,17 @@ fn make_kernel(
                 .collect()
         });
     let kernel = TwoStepKernel {
-        data: job.data,
-        out: job.data,
-        transposed_out: false,
+        data: job.rows.clone(),
+        out: fold.map_or(job.rows, |f| &f.acc).clone(),
+        // A fold in a split's second kernel stores through the coalescing
+        // SMEM write-out, so it reads its accumulators coalesced too;
+        // whole rows fold in their final store.
+        transposed_out: fold.is_some() && !whole,
         tw: job.tw,
         twc: job.twc,
         n,
         log_n: job.log_n,
         moduli: job.moduli.to_vec(),
-        row_prime: job.row_prime.to_vec(),
         r,
         t,
         levels,
@@ -850,6 +901,7 @@ fn make_kernel(
         ot,
         direction,
         n_inv,
+        sub_scale: fold.map(|f| f.inv.clone()),
     };
     let launch = LaunchConfig::new(name, blocks, threads)
         .regs_per_thread(regs_per_thread(t))
@@ -865,13 +917,13 @@ fn make_kernel(
 /// so the stage needs no twiddle uploads of its own and preloads them into
 /// SMEM like Kernel-1.
 pub(crate) struct HierStageJob<'a> {
-    /// Input buffer (`rows × N`), read strided: element `e` of group `g`
-    /// lives at `g + e·(N/r)`.
-    pub data: Buf,
-    /// Output buffer (`rows × N`). Equal to `data` for the in-place column
-    /// stage; the row stage writes the transposed intermediate back to the
-    /// original array.
-    pub out: Buf,
+    /// Input rows, read strided: element `e` of group `g` lives at
+    /// `g + e·(N/r)`.
+    pub data: &'a RowTable,
+    /// Output rows. The same as `data` for the in-place column stage; the
+    /// row stage writes the transposed intermediate back to the original
+    /// array.
+    pub out: &'a RowTable,
     /// Store group `g` contiguously at `out[g·r ..]` via the SMEM-staged
     /// transposing write-out (row stage) instead of in place (column
     /// stage).
@@ -890,8 +942,6 @@ pub(crate) struct HierStageJob<'a> {
     pub per_thread: usize,
     /// Per-prime moduli (indexed by prime id).
     pub moduli: &'a [u64],
-    /// RNS prime index of each data row.
-    pub row_prime: &'a [usize],
     /// Kernel label, e.g. `hier-col-256`.
     pub name: String,
 }
@@ -908,17 +958,16 @@ pub(crate) fn launch_hier_stage(gpu: &mut Gpu, job: &HierStageJob<'_>) {
     let levels = level_sizes(job.r, t);
     // Data tile + preloaded twiddle values and companions.
     let smem_words = c * job.r + 2 * job.r;
-    let blocks = job.row_prime.len() * groups / c;
+    let blocks = job.data.len() * groups / c;
     let kernel = TwoStepKernel {
-        data: job.data,
-        out: job.out,
+        data: job.data.clone(),
+        out: job.out.clone(),
         transposed_out: job.contiguous_out,
         tw: job.tw,
         twc: job.twc,
         n: job.n,
         log_n: job.log_n,
         moduli: job.moduli.to_vec(),
-        row_prime: job.row_prime.to_vec(),
         r: job.r,
         t,
         levels,
@@ -930,6 +979,7 @@ pub(crate) fn launch_hier_stage(gpu: &mut Gpu, job: &HierStageJob<'_>) {
         ot: None,
         direction: Direction::Forward,
         n_inv: None,
+        sub_scale: None,
     };
     let launch = LaunchConfig::new(job.name.clone(), blocks, threads)
         .regs_per_thread(regs_per_thread(t))
@@ -946,14 +996,15 @@ pub(crate) fn launch_hier_stage(gpu: &mut Gpu, job: &HierStageJob<'_>) {
 /// (`smem-k1-{N}`, or `smem-k1-{N}-inv` with `N⁻¹` folded into its
 /// store). Shared by the [`DeviceBatch`] harness entries (identity
 /// mapping) and the `SimBackend` transform paths (stacked /
-/// device-resident batches).
+/// device-resident batches). A forward job's fold rides the last
+/// kernel's store.
 ///
 /// # Panics
 ///
 /// Panics on invalid splits (`n1` must be a power of two with
 /// `2 ≤ n1 ≤ N`), if OT stages are requested without tables or on the
-/// `N × 1` split, or if OT or the inverse is asked of the native
-/// multiplication.
+/// `N × 1` split, if OT or the inverse is asked of the native
+/// multiplication, or on an inverse job with a fold.
 pub(crate) fn launch_job(
     gpu: &mut Gpu,
     job: &SmemJob<'_>,
@@ -979,6 +1030,10 @@ pub(crate) fn launch_job(
         !(direction == Direction::Inverse && cfg.modmul == ModMul::Native),
         "the inverse requires Shoup multiplication"
     );
+    assert!(
+        !(direction == Direction::Inverse && job.fold.is_some()),
+        "a rescale folds into the forward only"
+    );
     let ot_pair = if cfg.ot_stages > 0 {
         let tables = *ot.expect("OT stages requested but no tables supplied");
         let threshold = n >> cfg.ot_stages;
@@ -996,9 +1051,10 @@ pub(crate) fn launch_job(
         Direction::Forward => &[Orientation::Strided, Orientation::Contiguous],
         Direction::Inverse => &[Orientation::Contiguous, Orientation::Strided],
     };
-    for &orientation in order {
+    for (i, &orientation) in order.iter().enumerate() {
         let ot = ot_pair.filter(|_| orientation == Orientation::Contiguous);
-        let (kernel, launch) = make_kernel(job, cfg, orientation, direction, ot);
+        let fold = job.fold.filter(|_| i + 1 == order.len());
+        let (kernel, launch) = make_kernel(job, cfg, orientation, direction, ot, fold);
         gpu.launch(&kernel, &launch);
     }
     order.len()
@@ -1020,7 +1076,8 @@ pub fn run_with_ot(
     ot: Option<&DeviceOt>,
 ) -> RunReport {
     let n = batch.n();
-    let job = batch_job(batch, batch.twiddles, batch.companions);
+    let rows = batch.rows();
+    let job = batch_job(batch, &rows, batch.twiddles, batch.companions);
     let launches = launch_job(gpu, &job, cfg, ot, Direction::Forward);
     RunReport::from_trace(format!("smem {}", cfg.label(n)), gpu, launches)
 }
@@ -1049,7 +1106,8 @@ pub fn run_inverse(gpu: &mut Gpu, batch: &DeviceBatch, cfg: &SmemConfig) -> RunR
         let tables: Vec<&ntt_core::NttTable> = (0..batch.np()).map(|i| batch.table(i)).collect();
         DeviceOt::upload_tables(gpu, n, &tables, cfg.ot_base, Direction::Inverse)
     });
-    let job = batch_job(batch, itw, itwc);
+    let rows = batch.rows();
+    let job = batch_job(batch, &rows, itw, itwc);
     let launches = launch_job(gpu, &job, cfg, ot.as_ref(), Direction::Inverse);
     let report = RunReport::from_trace(format!("smem inverse {}", cfg.label(n)), gpu, launches);
     for buf in [itw, itwc] {
@@ -1061,16 +1119,17 @@ pub fn run_inverse(gpu: &mut Gpu, batch: &DeviceBatch, cfg: &SmemConfig) -> RunR
     report
 }
 
-/// The [`SmemJob`] of a harness batch over the twiddle table `(tw, twc)`.
-fn batch_job(batch: &DeviceBatch, tw: Buf, twc: Buf) -> SmemJob<'_> {
+/// The [`SmemJob`] of a harness batch's `rows` over the twiddle table
+/// `(tw, twc)`.
+fn batch_job<'a>(batch: &'a DeviceBatch, rows: &'a RowTable, tw: Buf, twc: Buf) -> SmemJob<'a> {
     SmemJob {
-        data: batch.data,
+        rows,
         tw,
         twc,
         n: batch.n(),
         log_n: batch.log_n(),
         moduli: batch.moduli(),
-        row_prime: batch.row_prime(),
+        fold: None,
     }
 }
 
@@ -1284,18 +1343,20 @@ mod tests {
                 // Modeled seconds and output of one forward on a fresh device.
                 let run = |launch: &dyn Fn(&mut Gpu, &SmemJob<'_>)| -> (f64, Vec<u64>) {
                     let mut gpu = Gpu::new(config.clone());
+                    let data = gpu.gmem.alloc_from(&input);
+                    let rows = RowTable::contiguous(data, n, &row_prime);
                     let job = SmemJob {
-                        data: gpu.gmem.alloc_from(&input),
+                        rows: &rows,
                         tw: gpu.gmem.alloc_from(&tw),
                         twc: gpu.gmem.alloc_from(&twc),
                         n,
                         log_n,
                         moduli: &moduli,
-                        row_prime: &row_prime,
+                        fold: None,
                     };
                     launch(&mut gpu, &job);
                     let time = gpu.trace.iter().map(|l| l.timing.total_s).sum();
-                    (time, gpu.gmem.slice(job.data).to_vec())
+                    (time, gpu.gmem.slice(data).to_vec())
                 };
                 let shape = format!("N = {n}, {rows} rows");
 
@@ -1318,16 +1379,13 @@ mod tests {
                 let mut rivals = vec![(
                     "radix-2".to_string(),
                     run(&|gpu, job| {
-                        let (data, tw, twc) = (job.data, job.tw, job.twc);
-                        let (rp, moduli) = (job.row_prime, job.moduli);
+                        let tables = (job.tw, job.twc);
                         crate::radix2::launch_forward(
                             gpu,
-                            data,
-                            tw,
-                            twc,
+                            job.rows,
+                            tables,
                             n,
-                            rp,
-                            moduli,
+                            job.moduli,
                             ModMul::Shoup,
                         );
                     })
@@ -1358,14 +1416,13 @@ mod tests {
                             let base = hier::TWIST_BASE.min(2 * n);
                             let twist = DeviceTwist::upload_tables(gpu, n, &refs, base);
                             let hier_job = HierJob {
-                                data: job.data,
+                                rows: job.rows,
                                 scratch: gpu.gmem.alloc(rows * n),
                                 tw: job.tw,
                                 twc: job.twc,
                                 n,
                                 log_n,
                                 moduli: job.moduli,
-                                row_prime: job.row_prime,
                             };
                             hier::launch_job(gpu, &hier_job, n1, &twist, hier::PER_THREAD);
                         });

@@ -411,3 +411,146 @@ fn concurrent_pool_chains_are_bit_identical_across_backends() {
         assert_eq!(c, s, "chain {i} diverged between Cpu and Sim pools");
     }
 }
+
+/// The multi-view device ops against `CpuBackend`, on Sim and on Sharded
+/// K ∈ {1, 2, 3}, at N ∈ {4, 64, 256, 1024}: one `Forward`/`Inverse`
+/// over four views at once, the one-source-prime `BaseConvert` (plain
+/// and centered) over two, and a `Forward` with a rescale fold.
+///
+/// The views cover the shapes the rescale and mod-raise produce and
+/// more: separate allocations, offset sub-views of one 7-row allocation
+/// (whose rows start on another shard than the view's row 0 for K > 1),
+/// 1-row views under a non-zero prime, and a fold accumulator whose
+/// partition is misaligned with its lifted rows at K = 3 (gathered over
+/// the link). Every allocation the ops write is compared after every op,
+/// except a fold's lifted views, which it leaves as scratch. A freed
+/// view is `Fatal` on every backend and moves no byte.
+#[test]
+fn multi_view_transforms_and_base_conversion_match_cpu() {
+    use ntt_warp::core::backend::{BackendError, DeviceBuf, PolyView, SubScale};
+    use ntt_warp::gpu::ShardedBackend;
+    for log_n in [2u32, 6, 8, 10] {
+        let n = 1usize << log_n;
+        let ring = ring_with(n, 59, 5);
+        let plan = RingPlan::new(&ring);
+        let p_min = *ring.basis().primes().iter().min().unwrap();
+        // Every op, in order, on one backend; a snapshot of the compared
+        // allocations after each.
+        let run = |be: &mut dyn NttBackend| -> Vec<Vec<u64>> {
+            let mem = be.memory();
+            let alloc = |rows: usize, seed: u64| -> DeviceBuf {
+                // Below every prime, so a row is canonical under any of
+                // them and straddles every q/2 the centered lift tests.
+                let data: Vec<u64> = (0..rows * n)
+                    .map(|i| (seed << 32 | i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) % p_min)
+                    .collect();
+                let mut m = mem.lock().unwrap();
+                let buf = m.alloc(rows * n);
+                m.upload(buf, &data);
+                buf
+            };
+            let (a, big, b, c) = (alloc(3, 1), alloc(7, 2), alloc(1, 3), alloc(2, 4));
+            let (t0, t1) = (alloc(2, 5), alloc(2, 6));
+            let snapshot = || -> Vec<u64> {
+                let mut m = mem.lock().unwrap();
+                let mut out = Vec::new();
+                for buf in [a, big, b, c] {
+                    let mut rows = vec![0u64; buf.len()];
+                    m.download(buf, &mut rows);
+                    out.extend(rows);
+                }
+                out
+            };
+            let rows = |buf: DeviceBuf, first: usize, count: usize| buf.sub(first * n, count * n);
+            let mut snaps = vec![snapshot()];
+            let views = [
+                PolyView::new(a, 0..3),
+                PolyView::new(rows(big, 2, 3), 0..3),
+                PolyView::new(rows(big, 6, 1), 4..5),
+                PolyView::new(b, 2..3),
+            ];
+            be.run(
+                &plan,
+                Op::Forward {
+                    views: &views,
+                    fold: None,
+                },
+            );
+            snaps.push(snapshot());
+            be.run(&plan, Op::Inverse { views: &views });
+            snaps.push(snapshot());
+            let op = Op::BaseConvert {
+                src: &[PolyView::new(b, 2..3), PolyView::new(rows(big, 6, 1), 4..5)],
+                dst: &[PolyView::new(c, 0..2), PolyView::new(rows(big, 0, 2), 1..3)],
+                centered: false,
+            };
+            be.run(&plan, op);
+            snaps.push(snapshot());
+            let op = Op::BaseConvert {
+                src: &[PolyView::new(rows(a, 2, 1), 2..3), PolyView::new(b, 2..3)],
+                dst: &[
+                    PolyView::new(t0, 0..2),
+                    PolyView::new(rows(big, 3, 3), 0..3),
+                ],
+                centered: true,
+            };
+            be.run(&plan, op);
+            snaps.push(snapshot());
+            let fold = SubScale {
+                acc: &[rows(a, 0, 2), rows(big, 4, 2)],
+                dropped: 4,
+            };
+            let lifted = [PolyView::new(t0, 0..2), PolyView::new(t1, 0..2)];
+            let op = Op::Forward {
+                views: &lifted,
+                fold: Some(fold),
+            };
+            be.run(&plan, op);
+            snaps.push(snapshot());
+            mem.lock().unwrap().free(t1);
+            let op = Op::Forward {
+                views: &lifted,
+                fold: None,
+            };
+            let err = be.try_run(&plan, op).expect_err("freed view");
+            assert_eq!(
+                err,
+                BackendError::Fatal { op: "dev_forward" },
+                "{}",
+                be.name()
+            );
+            assert_eq!(
+                snapshot(),
+                snaps[snaps.len() - 1],
+                "{}: freed view moved data",
+                be.name()
+            );
+            snaps
+        };
+        let want = run(&mut CpuBackend::default());
+        assert_eq!(want[2], want[0], "N={n}: forward -> inverse round trip");
+        let devices: Vec<(String, Box<dyn NttBackend>)> = std::iter::once((
+            "sim".to_string(),
+            Box::new(SimBackend::titan_v()) as Box<dyn NttBackend>,
+        ))
+        .chain([1, 2, 3].map(|k| {
+            let be: Box<dyn NttBackend> = Box::new(ShardedBackend::titan_v(k, n));
+            (format!("sharded k={k}"), be)
+        }))
+        .collect();
+        for (name, mut be) in devices {
+            let got = run(&mut *be);
+            let steps = [
+                "upload",
+                "forward",
+                "inverse",
+                "plain lift",
+                "centered lift",
+                "fold",
+            ];
+            for ((step, g), w) in steps.iter().zip(&got).zip(&want) {
+                assert!(g == w, "N={n}, {name}: {step} departs from Cpu");
+            }
+        }
+    }
+}

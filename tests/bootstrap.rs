@@ -1,6 +1,6 @@
 //! The bootstrapping pipeline across execution substrates.
 //!
-//! Five families of checks:
+//! Six families of checks:
 //!
 //! * **Cross-substrate bit-exactness** — rotations (automorphism + key
 //!   switch) and the *entire* `bootstrap()` chain produce bit-identical
@@ -22,6 +22,9 @@
 //!   multiply-accumulates as multi-term FMA launches, bit-identical to
 //!   the unfused product-and-add chain on every backend, with host-fresh
 //!   operands moving exactly the words that chain moves.
+//! * **Launches per step at the `boot` shape** — a rescale, a mod-raise
+//!   and a rotation issue a pinned number of launches on every shard
+//!   and give Cpu's bits.
 //!
 //! CI runs this file under `NTT_WARP_THREADS=1,2,4`: the thread policy
 //! must not leak into results.
@@ -256,9 +259,9 @@ fn host_fresh_bootstrap_input_uploads_once() {
 ///   launches with no `sim-add` (its rescale adds none);
 /// * a rotation folds `c0` into its key switch: 2 `sim-fma`, no `sim-add`;
 /// * host-fresh operands on Sim — a Cpu-encrypted ciphertext rotated, and
-///   one Cpu-encrypted term in the sum — give Cpu's bits and count the
-///   transfers of the unfused chain (for the rotation, the counts that
-///   chain recorded).
+///   one Cpu-encrypted term in the sum — give Cpu's bits; the sum counts
+///   the transfers of the unfused chain, and the rotation uploads each
+///   component once and downloads nothing.
 #[test]
 fn fused_multiply_accumulate_chains_match_the_unfused_chain() {
     let params = rot_params();
@@ -366,11 +369,10 @@ fn fused_multiply_accumulate_chains_match_the_unfused_chain() {
         want_rot,
         "host-fresh rotate"
     );
-    // What the unfused rotation moved: three staged host transforms of
-    // `c0`/`c1` (up and down each), the key switch's input up, and `c0`
-    // up for its add — now for the FMA it is the accumulator of.
+    // A host-fresh input on a resident context is uploaded once per
+    // component before its transforms, and nothing comes back down.
     let words = (level * n) as u64;
-    assert_eq!(rot_moved, [5, 5 * words, 3, 3 * words], "host-fresh rotate");
+    assert_eq!(rot_moved, [2, 2 * words, 0, 0], "host-fresh rotate");
     let mut mixed = cts.clone();
     mixed[7] = cpu_cts[7].clone();
     let terms: Vec<(&Ciphertext, &Plaintext)> = mixed.iter().zip(&pts).collect();
@@ -387,6 +389,94 @@ fn fused_multiply_accumulate_chains_match_the_unfused_chain() {
         [2, 2 * words, 0, 0],
         "the host term's two components go up"
     );
+}
+
+/// The device launches of the steps a `boot` bootstrap repeats, at its
+/// shape (deep parameters, N = 2^6, 21 levels), on Sim and on every shard
+/// of Sharded K ∈ {2, 3}, with outputs equal to Cpu's:
+///
+/// * a rescale is one inverse transform of both components' dropped rows
+///   (on the shard that owns the dropped row), one base conversion and
+///   one forward transform with the subtract-and-scale folded into its
+///   store: 3 launches, 2 on a shard without the dropped row;
+/// * a mod-raise is one inverse transform, one centered base conversion
+///   and one forward transform, each over both components: 3 launches,
+///   2 on a shard without the level-1 row;
+/// * a rotation is one inverse transform of both components, two
+///   automorphisms, the forward of `c0`, a decompose, the digit forward
+///   and two FMAs: 8 launches on every shard.
+///
+/// The counts pin the auto route (whole-row SMEM kernels below 256
+/// points), so the CI passes that force another transform family skip
+/// this test.
+#[test]
+fn boot_shape_rescale_mod_raise_and_rotation_launches_per_shard() {
+    let params = BootParams::deep().he_params(6, 50);
+    let (n, top, g) = (params.n(), params.levels, 5u64);
+    let (cpu, keys) = ctx_with(params, Box::<CpuBackend>::default(), 51);
+    let rtk = cpu.keygen_rotation(&keys.secret, &[g], &[top], &mut sampling::seeded_rng(52));
+    let values: Vec<f64> = (0..16).map(|i| ((i as f64) * 0.3).cos() * 0.5).collect();
+    let encrypt = |ctx: &HeContext, pk: &PublicKey| {
+        ctx.encrypt(&ctx.encode(&values), pk, &mut sampling::seeded_rng(53))
+    };
+    let ct = encrypt(&cpu, &keys.public);
+    let mut rescaled = ct.clone();
+    cpu.rescale(&mut rescaled);
+    let want = [
+        bits(rescaled),
+        bits(cpu.mod_raise(&cpu.drop_to_level(&ct, 1), top)),
+        bits(cpu.rotate(&ct, g, &rtk)),
+    ];
+
+    // Per device: the backend, its launches per shard so far, and the
+    // pinned launches per shard of a rescale, a mod-raise and a rotation.
+    type Launches = Box<dyn Fn() -> Vec<u64>>;
+    type Device = (Box<dyn NttBackend>, Launches, [Vec<u64>; 3]);
+    let sim = SimBackend::titan_v();
+    let sim_mem = sim.memory_handle();
+    let sim_launches: Launches =
+        Box::new(move || vec![sim_mem.lock().unwrap().gpu().timeline().launches]);
+    let mut devices: Vec<Device> = vec![(Box::new(sim), sim_launches, [vec![3], vec![3], vec![8]])];
+    // The dropped row 20 lives on shard 20 % K; the level-1 row on 0.
+    for (k, rescale) in [(2, vec![3, 2]), (3, vec![2, 2, 3])] {
+        let sharded = ShardedBackend::titan_v(k, n);
+        let mem = sharded.memory_handle();
+        let launches: Launches = Box::new(move || {
+            let timelines = mem.lock().unwrap().shard_timelines();
+            timelines.iter().map(|t| t.launches).collect()
+        });
+        let mut raise = vec![2; k];
+        raise[0] = 3;
+        devices.push((Box::new(sharded), launches, [rescale, raise, vec![8; k]]));
+    }
+    for (backend, launches, pinned) in devices {
+        let ctx = HeContext::with_backend(params, backend).expect("context builds");
+        let name = ctx.backend_name();
+        let dev_keys = ctx.adopt_keys(&keys);
+        let dev_rtk = ctx.adopt_rotation_keys(&rtk);
+        let ct = encrypt(&ctx, &dev_keys.public);
+        let low = ctx.drop_to_level(&ct, 1);
+        let count = |f: &mut dyn FnMut() -> Ciphertext| -> (Vec<u64>, Ciphertext) {
+            let before = launches();
+            let out = f();
+            let after = launches();
+            (after.iter().zip(before).map(|(a, b)| a - b).collect(), out)
+        };
+        let runs = [
+            count(&mut || {
+                let mut out = ct.clone();
+                ctx.rescale(&mut out);
+                out
+            }),
+            count(&mut || ctx.mod_raise(&low, top)),
+            count(&mut || ctx.rotate(&ct, g, &dev_rtk)),
+        ];
+        let steps = ["rescale", "mod-raise", "rotation"];
+        for (((step, (got, out)), pin), want) in steps.iter().zip(runs).zip(&pinned).zip(&want) {
+            assert_eq!(&got, pin, "{name}: {step} launches per shard");
+            assert_eq!(&bits(out), want, "{name}: {step} departs from Cpu");
+        }
+    }
 }
 
 proptest! {

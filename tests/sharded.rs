@@ -25,7 +25,7 @@
 //!   stacked and resident, bit-identical to the CPU for K ∈ {1, 2, 3}.
 
 use he_serve::{loadgen, ArrivalMode, HeServer, LoadConfig, ServeConfig};
-use ntt_warp::core::backend::{BackendOp as Op, LimbBatch, NttBackend, RingPlan};
+use ntt_warp::core::backend::{BackendOp as Op, LimbBatch, NttBackend, PolyView, RingPlan};
 use ntt_warp::core::{CpuBackend, RnsRing};
 use ntt_warp::gpu::{ShardedBackend, SimBackend};
 use ntt_warp::he::{sampling, HeContext, HeLiteParams};
@@ -326,9 +326,16 @@ fn smem_sized_stacked_and_resident_transforms_match_cpu_on_every_shard_count() {
             mem.lock().unwrap().download(buf, &mut got);
             got
         };
-        sim.run(&plan, Op::Forward { buf: st, level });
+        let views = [PolyView::new(st, 0..level)];
+        sim.run(
+            &plan,
+            Op::Forward {
+                views: &views,
+                fold: None,
+            },
+        );
         assert_eq!(download(st, words), fwd_cpu, "resident forward, k={k}");
-        sim.run(&plan, Op::Inverse { buf: st, level });
+        sim.run(&plan, Op::Inverse { views: &views });
         assert_eq!(
             download(st, words),
             stack,
@@ -366,8 +373,15 @@ fn smem_sized_inverses_run_both_smem_kernels_on_every_shard() {
         let mem = sim.memory();
         let st = mem.lock().unwrap().alloc(stack.len());
         mem.lock().unwrap().upload(st, &stack);
-        sim.run(&plan, Op::Forward { buf: st, level });
-        sim.run(&plan, Op::Inverse { buf: st, level });
+        let views = [PolyView::new(st, 0..level)];
+        sim.run(
+            &plan,
+            Op::Forward {
+                views: &views,
+                fold: None,
+            },
+        );
+        sim.run(&plan, Op::Inverse { views: &views });
         let link = sim.memory_handle();
 
         // Every shard ran the SMEM kernels in both directions.
