@@ -164,8 +164,8 @@ fn bench_serve_batching(_c: &mut Criterion) {
 }
 
 /// The fault plane's zero-fault overhead gate inputs: the same jobs
-/// through the fallible serve pipelines with the plane disarmed vs
-/// armed with all-zero rates. The armed modeled device time must stay
+/// through the serve pipelines on an armed checkout, with the plane
+/// disarmed vs armed with all-zero rates. The armed modeled device time must stay
 /// within 5% of off (`fault_plane_armed_zero_device_time <= 1.05 *
 /// fault_plane_off_device_time` in `bench_smoke.sh`) — the fault checks
 /// are bookkeeping only and must never reach the modeled timeline when

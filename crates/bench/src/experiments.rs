@@ -829,7 +829,7 @@ pub fn serve_batching(log_n: u32, jobs: usize) -> ServeBatchingReport {
             values: vec![1.0 + j as f64, -0.5 * j as f64],
         })
         .collect();
-    let chain = |group: &[EncryptJob]| -> Vec<Vec<f64>> {
+    let chain = |group: &[EncryptJob]| -> Vec<he_lite::Plaintext> {
         ctx.with_pooled_evaluator(|ev| {
             let cts = batcher.encrypt_batch(&ctx, ev, group);
             let evald = batcher.eval_batch(
@@ -848,7 +848,7 @@ pub fn serve_batching(log_n: u32, jobs: usize) -> ServeBatchingReport {
     let batched = device_timeline(&dev).since(&t0);
 
     let t1 = device_timeline(&dev);
-    let unbatched_out: Vec<Vec<f64>> = encrypt_jobs.chunks(1).flat_map(&chain).collect();
+    let unbatched_out: Vec<_> = encrypt_jobs.chunks(1).flat_map(&chain).collect();
     drain_device(&dev);
     let unbatched = device_timeline(&dev).since(&t1);
 
@@ -863,18 +863,18 @@ pub fn serve_batching(log_n: u32, jobs: usize) -> ServeBatchingReport {
     }
 }
 
-/// Modeled device time for the serve-path fallible pipelines with the
-/// fault plane disarmed vs armed with all-zero rates — the input to the
-/// `bench_smoke` fault-plane overhead gate (armed must stay within 5%
-/// of off).
+/// Modeled device time for the serve-path pipelines on an armed
+/// checkout with the fault plane disarmed vs armed with all-zero rates —
+/// the input to the `bench_smoke` fault-plane overhead gate (armed must
+/// stay within 5% of off).
 #[derive(Debug, Clone, Copy)]
 pub struct ServeFaultOverheadReport {
     /// Jobs in the set.
     pub jobs: usize,
     /// Modeled device window with no [`gpu_sim::FaultPlan`] armed.
     pub off: gpu_sim::DeviceTimeline,
-    /// Modeled device window with a zero-rate plan armed: every `try_*`
-    /// dispatch consults the plane, no fault ever fires.
+    /// Modeled device window with a zero-rate plan armed: every op of
+    /// the armed checkout consults the plane, no fault ever fires.
     pub armed: gpu_sim::DeviceTimeline,
 }
 
@@ -887,12 +887,14 @@ impl ServeFaultOverheadReport {
 }
 
 /// Run `jobs` encrypt → eval → decrypt chains through the he-serve
-/// batcher's *fallible* pipelines twice — fault plane disarmed, then
-/// armed with a zero-rate [`gpu_sim::FaultPlan`] — and measure each
-/// window's modeled device time. A zero-rate plan draws the same gate
-/// checks a chaotic one would but never injects, so the difference is
-/// exactly the fault plane's bookkeeping. Asserts both runs produce
-/// identical results before returning.
+/// batcher on an armed checkout
+/// ([`he_lite::HeContext::try_with_pooled_evaluator`]), as the server
+/// does, twice — fault plane disarmed, then armed with a zero-rate
+/// [`gpu_sim::FaultPlan`] — and measure each window's modeled device
+/// time. A zero-rate plan draws the same gate checks a chaotic one would
+/// but never injects, so the difference is exactly the fault plane's
+/// bookkeeping. Asserts both runs produce identical results before
+/// returning.
 pub fn serve_fault_overhead(log_n: u32, jobs: usize) -> ServeFaultOverheadReport {
     use he_serve::{job_seed, Batcher, EncryptJob, TenantId};
 
@@ -908,15 +910,15 @@ pub fn serve_fault_overhead(log_n: u32, jobs: usize) -> ServeFaultOverheadReport
             values: vec![1.0 + j as f64, -0.5 * j as f64],
         })
         .collect();
-    let chain = |group: &[EncryptJob]| -> Vec<Vec<f64>> {
+    let chain = |group: &[EncryptJob]| -> Vec<he_lite::Plaintext> {
         ctx.try_with_pooled_evaluator(|ev| {
-            let cts = batcher.try_encrypt_batch(&ctx, ev, group)?;
-            let evald = batcher.try_eval_batch(
+            let cts = batcher.encrypt_batch(&ctx, ev, group);
+            let evald = batcher.eval_batch(
                 &ctx,
                 ev,
                 cts.into_iter().map(|ct| (ct, vec![2.0])).collect(),
-            )?;
-            batcher.try_decrypt_batch(&ctx, ev, evald)
+            );
+            batcher.decrypt_batch(&ctx, ev, evald)
         })
         .expect("a zero-rate fault plan never faults")
     };

@@ -25,6 +25,8 @@
 //! * [`Evaluator`] — a backend-generic driver pairing a plan with a boxed
 //!   backend; `he-lite` routes every context operation through one, so
 //!   swapping the execution substrate is a one-line constructor change.
+//!   Every op it issues runs through `run`, or through the fault gate
+//!   `try_run` while the evaluator is armed ([`Evaluator::gated`]).
 //!   (The simulated-GPU backend lives in the `ntt-gpu` crate as
 //!   `SimBackend`, since the warp kernels live there.)
 //!
@@ -629,32 +631,13 @@ pub trait DeviceMemory: Send {
     /// Zero the transfer ledger.
     fn reset_stats(&mut self);
 
-    // ---- Fallible surface -------------------------------------------------
-    //
-    // Backends with a fault model (the simulated GPU under an armed
-    // `FaultPlan`) override these; the defaults delegate to the
-    // infallible methods, so host-memory backends stay zero-cost and
-    // never fail.
-
-    /// Fallible [`DeviceMemory::alloc`]: fails with
-    /// [`BackendError::Oom`] when the device cannot serve the request,
-    /// or a classified fault under an armed fault model.
+    /// Fallible [`DeviceMemory::alloc`], the injected-OOM hook: fails
+    /// with [`BackendError::Oom`] when the device cannot serve the
+    /// request, or a classified fault under an armed fault model. The
+    /// default never fails; the simulated GPU overrides it. Transfers
+    /// have no fallible twin: a host↔device copy never draws a fault.
     fn try_alloc(&mut self, words: usize) -> Result<DeviceBuf, BackendError> {
         Ok(self.alloc(words))
-    }
-
-    /// Fallible [`DeviceMemory::upload`]. On `Err` the destination
-    /// buffer is unchanged.
-    fn try_upload(&mut self, dst: DeviceBuf, src: &[u64]) -> Result<(), BackendError> {
-        self.upload(dst, src);
-        Ok(())
-    }
-
-    /// Fallible [`DeviceMemory::download`]. On `Err` the host slice is
-    /// unchanged.
-    fn try_download(&mut self, src: DeviceBuf, dst: &mut [u64]) -> Result<(), BackendError> {
-        self.download(src, dst);
-        Ok(())
     }
 }
 
@@ -784,26 +767,6 @@ impl DeviceMemory for HostArena {
 
     fn reset_stats(&mut self) {
         self.stats = TransferStats::default();
-    }
-
-    // The arena has no fault model, but a freed/foreign handle is still a
-    // recoverable condition on the typed surface: pre-validate instead of
-    // letting the infallible body panic.
-
-    fn try_upload(&mut self, dst: DeviceBuf, src: &[u64]) -> Result<(), BackendError> {
-        if !self.is_live(dst) {
-            return Err(BackendError::Fatal { op: "upload" });
-        }
-        self.upload(dst, src);
-        Ok(())
-    }
-
-    fn try_download(&mut self, src: DeviceBuf, dst: &mut [u64]) -> Result<(), BackendError> {
-        if !self.is_live(src) {
-            return Err(BackendError::Fatal { op: "download" });
-        }
-        self.download(src, dst);
-        Ok(())
     }
 }
 
@@ -1747,9 +1710,8 @@ impl NttBackend for CpuBackend {
     }
 
     /// No fault model, but a freed or foreign handle is still a
-    /// recoverable condition on the typed surface: validated up front,
-    /// like [`HostArena`]'s `try_upload`, instead of letting the arena's
-    /// invariant check panic mid-op.
+    /// recoverable condition on the typed surface: validated up front
+    /// instead of letting the arena's invariant check panic mid-op.
     fn try_run(&mut self, plan: &RingPlan, op: BackendOp<'_>) -> Result<(), BackendError> {
         if !op.handles().iter().all(|&b| self.arena().is_live(b)) {
             return Err(BackendError::Fatal { op: op.label() });
@@ -1842,6 +1804,10 @@ pub struct Evaluator {
     /// Grow-only device scratch for the key-switch buffer-of-digits
     /// (allocated in the backend's memory; freed on drop).
     dev_scratch: Option<DeviceBuf>,
+    /// The fault gate: `None` unarmed, `Some(Ok(()))` armed and healthy,
+    /// `Some(Err(_))` the first fault since arming (see
+    /// [`Evaluator::gated`]).
+    gate: Option<Result<(), BackendError>>,
 }
 
 impl Drop for Evaluator {
@@ -1869,6 +1835,7 @@ impl Evaluator {
             plan,
             backend,
             dev_scratch: None,
+            gate: None,
         }
     }
 
@@ -1975,27 +1942,18 @@ impl Evaluator {
     /// device, one launch for all of them; each host one takes its own
     /// batched host call.
     pub fn forward_polys(&mut self, polys: &mut [&mut RnsPoly]) {
-        let done = self.transform_polys(polys, Representation::Evaluation, false);
-        done.expect("an infallible run cannot fail");
+        self.transform_polys(polys, Representation::Evaluation);
     }
 
     /// Inverse counterpart of [`Evaluator::forward_polys`]: the resident
     /// polynomials share one [`BackendOp::Inverse`].
     pub fn inverse_polys(&mut self, polys: &mut [&mut RnsPoly]) {
-        let done = self.transform_polys(polys, Representation::Coefficient, false);
-        done.expect("an infallible run cannot fail");
+        self.transform_polys(polys, Representation::Coefficient);
     }
 
     /// The one transform path: every polynomial not already in `to`
-    /// form, the resident ones in one device op, through
-    /// [`NttBackend::try_run`] when `fallible`. A polynomial's
-    /// representation flips only after its op succeeds.
-    fn transform_polys(
-        &mut self,
-        polys: &mut [&mut RnsPoly],
-        to: Representation,
-        fallible: bool,
-    ) -> Result<(), BackendError> {
+    /// form, the resident ones in one device op.
+    fn transform_polys(&mut self, polys: &mut [&mut RnsPoly], to: Representation) {
         let forward = to == Representation::Evaluation;
         let mut views = Vec::new();
         for poly in polys.iter_mut().filter(|p| p.repr() != to) {
@@ -2003,84 +1961,103 @@ impl Evaluator {
                 views.push(PolyView::new(buf, 0..poly.level()));
                 continue;
             }
-            if fallible {
-                poly.try_sync()?;
-            } else {
-                poly.sync();
-            }
+            poly.sync();
             let batch = LimbBatch::from_poly(poly);
-            let op = if forward {
+            self.dispatch(if forward {
                 BackendOp::ForwardBatch(batch)
             } else {
                 BackendOp::InverseBatch(batch)
-            };
-            self.dispatch(op, fallible)?;
+            });
             poly.set_repr(to);
         }
         if views.is_empty() {
-            return Ok(());
+            return;
         }
-        let op = if forward {
+        self.dispatch(if forward {
             BackendOp::Forward {
                 views: &views,
                 fold: None,
             }
         } else {
             BackendOp::Inverse { views: &views }
-        };
-        self.dispatch(op, fallible)?;
+        });
         for poly in polys.iter_mut().filter(|p| p.repr() != to) {
             poly.mark_device_dirty();
             poly.set_repr(to);
         }
-        Ok(())
     }
 
-    /// Run `op` through the fault gate when `fallible`, else infallibly.
-    fn dispatch(&mut self, op: BackendOp<'_>, fallible: bool) -> Result<(), BackendError> {
-        if fallible {
-            return self.backend.try_run(&self.plan, op);
+    /// Run `f` with this evaluator **armed**, and return `f`'s result, or
+    /// the first fault any of its ops hit.
+    ///
+    /// Every [`BackendOp`] the evaluator issues goes through one private
+    /// dispatch: unarmed it calls [`NttBackend::run`], which never draws
+    /// a fault; armed it calls [`NttBackend::try_run`], the fault gate.
+    /// The first `Err` is latched, and from then on the evaluator issues
+    /// nothing — no further draw, no launch — while `f` runs to its end
+    /// over stale data, like a GPU stream that reports a failed launch at
+    /// the next synchronization. So on `Err` nothing `f` computed may be
+    /// used (or decoded) afterwards; its inputs are untouched, because
+    /// the gate fires before any operand moves, and the identical work
+    /// can be retried. Host↔device staging through [`DeviceMemory`] never
+    /// draws, armed or not.
+    ///
+    /// A nested call shares the outer latch. The evaluator is unarmed
+    /// again when the outermost call returns.
+    ///
+    /// ```
+    /// use ntt_core::backend::Evaluator;
+    /// use ntt_core::{RnsPoly, RnsRing};
+    ///
+    /// let ring = RnsRing::new(16, ntt_math::ntt_primes(59, 32, 2))?;
+    /// let mut ev = Evaluator::cpu(&ring);
+    /// let mut x = RnsPoly::from_i64_coeffs(&ring, &[2, 0, 1]);
+    /// // The CPU engine has no fault model: an armed run cannot fail.
+    /// ev.gated(|ev| ev.to_evaluation(&mut x)).expect("no fault model");
+    /// ev.to_coefficient(&mut x);
+    /// assert_eq!(x.coefficient_centered(&ring, 2), Some(1));
+    /// # Ok::<(), ntt_core::RingError>(())
+    /// ```
+    pub fn gated<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> Result<R, BackendError> {
+        let outer = self.gate.is_some();
+        self.gate.get_or_insert(Ok(()));
+        let r = f(self);
+        let latch = if outer {
+            self.gate.clone()
+        } else {
+            self.gate.take()
+        };
+        latch.expect("armed for the call").map(|()| r)
+    }
+
+    /// Issue `op`: [`NttBackend::run`] unarmed, [`NttBackend::try_run`]
+    /// armed, nothing once a fault is latched.
+    fn dispatch(&mut self, op: BackendOp<'_>) {
+        match self.gate {
+            None => self.backend.run(&self.plan, op),
+            Some(Ok(())) => {
+                if let Err(e) = self.backend.try_run(&self.plan, op) {
+                    self.gate = Some(Err(e));
+                }
+            }
+            Some(Err(_)) => {}
         }
-        self.backend.run(&self.plan, op);
-        Ok(())
-    }
-
-    // ---- Fallible surface -------------------------------------------------
-    //
-    // Recoverable counterparts of the hot entry points, for callers that
-    // retry, re-fork, or degrade on a classified [`BackendError`] (the
-    // serving stack). On `Err` the polynomial / buffer is unchanged —
-    // representation flags are only flipped after the backend call
-    // succeeds — so an identical retry is always safe.
-
-    /// Fallible [`Evaluator::to_evaluation`]. On `Err` the polynomial
-    /// keeps its representation and data.
-    pub fn try_to_evaluation(&mut self, poly: &mut RnsPoly) -> Result<(), BackendError> {
-        self.transform_polys(&mut [poly], Representation::Evaluation, true)
-    }
-
-    /// Fallible [`Evaluator::to_coefficient`]. On `Err` the polynomial
-    /// keeps its representation and data.
-    pub fn try_to_coefficient(&mut self, poly: &mut RnsPoly) -> Result<(), BackendError> {
-        self.transform_polys(&mut [poly], Representation::Coefficient, true)
     }
 
     /// Forward-NTT a raw `rows × N` batch (row `r` mod prime
-    /// `r % level`) in **one** fallible backend call.
-    pub fn try_forward_flat(&mut self, level: usize, data: &mut [u64]) -> Result<(), BackendError> {
+    /// `r % level`) in **one** backend call.
+    pub fn forward_flat(&mut self, level: usize, data: &mut [u64]) {
         let n = self.plan.degree();
-        let op = BackendOp::ForwardBatch(LimbBatch::new(data, n, level));
-        self.backend.try_run(&self.plan, op)
+        self.dispatch(BackendOp::ForwardBatch(LimbBatch::new(data, n, level)));
     }
 
-    /// Inverse counterpart of [`Evaluator::try_forward_flat`]: inverse-NTT
-    /// a raw `rows × N` batch (row `r` mod prime `r % level`) in **one**
+    /// Inverse counterpart of [`Evaluator::forward_flat`]: inverse-NTT a
+    /// raw `rows × N` batch (row `r` mod prime `r % level`) in **one**
     /// backend call — the dispatch shape request batchers use to pack
     /// many small ciphertext ops into a single kernel schedule.
-    pub fn try_inverse_flat(&mut self, level: usize, data: &mut [u64]) -> Result<(), BackendError> {
+    pub fn inverse_flat(&mut self, level: usize, data: &mut [u64]) {
         let n = self.plan.degree();
-        let op = BackendOp::InverseBatch(LimbBatch::new(data, n, level));
-        self.backend.try_run(&self.plan, op)
+        self.dispatch(BackendOp::InverseBatch(LimbBatch::new(data, n, level)));
     }
 
     /// Element-wise product over packed rows, `acc[r] *= rhs[r]` with row
@@ -2090,19 +2067,12 @@ impl Evaluator {
     ///
     /// # Panics
     ///
-    /// Panics if `rhs` does not match `acc`'s shape (a caller bug, not a
-    /// device condition).
-    pub fn try_pointwise_flat(
-        &mut self,
-        level: usize,
-        acc: &mut [u64],
-        rhs: &[u64],
-    ) -> Result<(), BackendError> {
+    /// Panics if `rhs` does not match `acc`'s shape.
+    pub fn pointwise_flat(&mut self, level: usize, acc: &mut [u64], rhs: &[u64]) {
         assert_eq!(acc.len(), rhs.len(), "operand shape mismatch");
         let n = self.plan.degree();
         let acc = LimbBatch::new(acc, n, level);
-        let op = BackendOp::PointwiseBatch { acc, rhs };
-        self.backend.try_run(&self.plan, op)
+        self.dispatch(BackendOp::PointwiseBatch { acc, rhs });
     }
 
     /// Dispatch guard for binary ops: device path iff `rhs` is
@@ -2142,7 +2112,7 @@ impl Evaluator {
                 rhs: rbuf,
                 level: acc.level(),
             };
-            self.backend.run(&self.plan, op);
+            self.dispatch(op);
             acc.mark_device_dirty();
         } else {
             acc.sync();
@@ -2150,7 +2120,7 @@ impl Evaluator {
                 acc: LimbBatch::from_poly(acc),
                 rhs: rhs.flat(),
             };
-            self.backend.run(&self.plan, op);
+            self.dispatch(op);
         }
     }
 
@@ -2183,7 +2153,7 @@ impl Evaluator {
                 level: acc.level(),
                 subtract,
             };
-            self.backend.run(&self.plan, op);
+            self.dispatch(op);
             acc.mark_device_dirty();
         } else if subtract {
             acc.sub_assign(rhs, self.plan.ring());
@@ -2197,7 +2167,7 @@ impl Evaluator {
         if let Some(buf) = self.device_target(poly) {
             let level = poly.level();
             let op = BackendOp::Negate { buf, level };
-            self.backend.run(&self.plan, op);
+            self.dispatch(op);
             poly.mark_device_dirty();
         } else {
             poly.negate(self.plan.ring());
@@ -2274,8 +2244,7 @@ impl Evaluator {
             .iter()
             .map(|b| PolyView::new(b.sub(last * n, n), last..level))
             .collect();
-        self.backend
-            .run(&self.plan, BackendOp::Inverse { views: &dropped });
+        self.dispatch(BackendOp::Inverse { views: &dropped });
         // Separate allocations start at row 0 like the accumulators, so
         // on a sharded device every lifted row lands where its
         // accumulator row lives.
@@ -2288,7 +2257,7 @@ impl Evaluator {
             dst: &lifted,
             centered: false,
         };
-        self.backend.run(&self.plan, op);
+        self.dispatch(op);
         let acc: Vec<DeviceBuf> = bufs.iter().map(|b| b.sub(0, last * n)).collect();
         let fold = SubScale {
             acc: &acc,
@@ -2298,7 +2267,7 @@ impl Evaluator {
             views: &lifted,
             fold: Some(fold),
         };
-        self.backend.run(&self.plan, op);
+        self.dispatch(op);
         for view in lifted {
             lock_memory(&mem).free(view.buf);
         }
@@ -2320,7 +2289,7 @@ impl Evaluator {
             host_lift_rows(&self.plan, (&dropped, last), false, t, 0..last);
         }
         let op = BackendOp::ForwardBatch(LimbBatch::new(&mut lifted, n, last));
-        self.backend.run(&self.plan, op);
+        self.dispatch(op);
         for (poly, t) in polys.iter_mut().zip(lifted.chunks_exact(last * n)) {
             poly.drop_last_level();
             host_sub_scale_rows(&self.plan, last, last, poly.flat_mut(), t);
@@ -2349,7 +2318,7 @@ impl Evaluator {
                 level: poly.level(),
                 g,
             };
-            self.backend.run(&self.plan, op);
+            self.dispatch(op);
             lock_memory(&self.backend.memory()).copy(tmp, src);
             poly.mark_device_dirty();
         } else {
@@ -2358,35 +2327,6 @@ impl Evaluator {
             host_automorphism_rows(&self.plan, poly.level(), g, poly.flat(), &mut out);
             poly.flat_mut().copy_from_slice(&out);
         }
-    }
-
-    /// Fallible [`Evaluator::automorphism`]. On `Err` the polynomial is
-    /// unchanged (the scratch write-back only runs after the kernel
-    /// succeeds).
-    pub fn try_automorphism(&mut self, poly: &mut RnsPoly, g: u64) -> Result<(), BackendError> {
-        assert_eq!(
-            poly.repr(),
-            Representation::Coefficient,
-            "automorphism requires coefficient form"
-        );
-        if let Some(src) = self.device_target(poly) {
-            let tmp = self.ensure_dev_scratch(src.len());
-            let op = BackendOp::Automorphism {
-                src,
-                dst: tmp,
-                level: poly.level(),
-                g,
-            };
-            self.backend.try_run(&self.plan, op)?;
-            lock_memory(&self.backend.memory()).copy(tmp, src);
-            poly.mark_device_dirty();
-        } else {
-            poly.try_sync()?;
-            let mut out = vec![0u64; poly.flat().len()];
-            host_automorphism_rows(&self.plan, poly.level(), g, poly.flat(), &mut out);
-            poly.flat_mut().copy_from_slice(&out);
-        }
-        Ok(())
     }
 
     /// Mod-raise: re-embed last-level (single-prime) coefficient
@@ -2441,7 +2381,7 @@ impl Evaluator {
                 dst: &dst,
                 centered: true,
             };
-            self.backend.run(&self.plan, op);
+            self.dispatch(op);
             for out in outs.iter_mut().filter(|o| o.has_mirror_in(&mem)) {
                 out.mark_device_dirty();
             }
@@ -2537,7 +2477,7 @@ impl Evaluator {
             y: &ys,
             level: acc.level(),
         };
-        self.backend.run(&self.plan, op);
+        self.dispatch(op);
         acc.mark_device_dirty();
     }
 
@@ -2572,20 +2512,20 @@ impl Evaluator {
                 digits,
                 gadget_bits,
             };
-            self.backend.run(&self.plan, op);
+            self.dispatch(op);
             let views = [PolyView::new(buf, 0..level)];
             let op = BackendOp::Forward {
                 views: &views,
                 fold: None,
             };
-            self.backend.run(&self.plan, op);
+            self.dispatch(op);
             return Digits::Device { buf, words };
         }
         poly.sync();
         let mut flat = vec![0u64; level * digits * words];
         host_decompose_rows(n, level, digits, gadget_bits, poly.flat(), &mut flat);
         let op = BackendOp::ForwardBatch(LimbBatch::new(&mut flat, n, level));
-        self.backend.run(&self.plan, op);
+        self.dispatch(op);
         let ring = self.plan.ring();
         Digits::Host(
             flat.chunks_exact(words)
@@ -2667,30 +2607,31 @@ impl Evaluator {
                 out: obuf,
                 level: a.level(),
             };
-            self.backend.run(&self.plan, op);
+            self.dispatch(op);
             for tmp in [atmp, btmp].into_iter().flatten() {
                 lock_memory(&mem).free(tmp);
             }
             out.mark_device_dirty();
             return out;
         }
-        multiply_with(&mut *self.backend, &self.plan, a, b)
+        let ring = self.plan.ring().clone();
+        multiply_with(&ring, a, b, |op| self.dispatch(op))
     }
 }
 
 /// The one fused-multiply entry: precondition checks plus the batched
-/// backend call. Shared by [`Evaluator::multiply`] and the ring-level
-/// convenience API ([`RnsRing::multiply`]) so the operand contract lives
-/// in exactly one place.
+/// backend op, handed to `run`. Shared by [`Evaluator::multiply`] and the
+/// ring-level convenience API ([`RnsRing::multiply`]) so the operand
+/// contract lives in exactly one place.
 ///
 /// # Panics
 ///
 /// Panics on level mismatch or non-coefficient operands.
 pub(crate) fn multiply_with(
-    backend: &mut dyn NttBackend,
-    plan: &RingPlan,
+    ring: &RnsRing,
     a: &RnsPoly,
     b: &RnsPoly,
+    run: impl FnOnce(BackendOp<'_>),
 ) -> RnsPoly {
     assert_eq!(a.level(), b.level(), "level mismatch");
     assert_eq!(
@@ -2703,13 +2644,12 @@ pub(crate) fn multiply_with(
         Representation::Coefficient,
         "rhs must be coefficients"
     );
-    let mut out = RnsPoly::zero_at_level(plan.ring(), a.level());
-    let op = BackendOp::MultiplyBatch {
+    let mut out = RnsPoly::zero_at_level(ring, a.level());
+    run(BackendOp::MultiplyBatch {
         a: a.flat(),
         b: b.flat(),
         out: LimbBatch::from_poly(&mut out),
-    };
-    backend.run(plan, op);
+    });
     out
 }
 

@@ -5,7 +5,7 @@
 //! RNS prime, and multiplied via `np` independent N-point negacyclic NTTs
 //! — exactly the batched workload the paper accelerates.
 
-use crate::backend::{lock_memory, same_memory, BackendError, DeviceBuf, SharedDeviceMemory};
+use crate::backend::{lock_memory, same_memory, DeviceBuf, SharedDeviceMemory};
 use crate::ct;
 use crate::hier::HierPlan;
 use crate::rns::{RnsBasis, RnsError};
@@ -365,8 +365,9 @@ impl RnsRing {
     /// Panics if the operands disagree in level or are not in
     /// coefficient form.
     pub fn multiply(&self, a: &RnsPoly, b: &RnsPoly) -> RnsPoly {
+        use crate::backend::{multiply_with, with_default_backend, NttBackend};
         let plan = self.plan();
-        crate::backend::with_default_backend(|be| crate::backend::multiply_with(be, &plan, a, b))
+        with_default_backend(|be| multiply_with(self, a, b, |op| be.run(&plan, op)))
     }
 }
 
@@ -630,21 +631,6 @@ impl RnsPoly {
                 m.dev_dirty = false;
             }
         }
-    }
-
-    /// Fallible [`RnsPoly::sync`]: the download can report a classified
-    /// fault instead of panicking. On `Err` the host rows are unchanged
-    /// and the device copy stays marked fresh, so the sync can be
-    /// retried.
-    pub fn try_sync(&mut self) -> Result<(), BackendError> {
-        let (n, level) = (self.n, self.level);
-        if let Some(m) = &mut self.mirror {
-            if m.dev_dirty {
-                lock_memory(&m.mem).try_download(m.buf.sub(0, level * n), &mut self.data)?;
-                m.dev_dirty = false;
-            }
-        }
-        Ok(())
     }
 
     /// Drop the device mirror (downloading first if it was fresh) and

@@ -11,10 +11,11 @@
 //!
 //! The plan is armed on a [`Gpu`](crate::Gpu) via
 //! [`Gpu::set_fault_plan`](crate::Gpu::set_fault_plan) and consulted by the
-//! *fallible* backend entry points in `ntt-gpu` (`NttBackend::try_run`
-//! and the device memory's `try_*` calls); the infallible paths never
-//! draw from it, so calibration runs and figure-harness sweeps stay
-//! fault-free by construction. When a fault
+//! *fallible* backend entry points in `ntt-gpu` (`NttBackend::try_run`,
+//! which an armed evaluator checkout calls for every op, and the device
+//! memory's `try_alloc`); the infallible paths — unarmed evaluators and
+//! host↔device staging included — never draw from it, so calibration
+//! runs and figure-harness sweeps stay fault-free by construction. When a fault
 //! fires, the `Gpu` charges a zero-word transfer (one PCIe latency) to the
 //! active stream so the aborted command still occupies the modeled
 //! timeline, like a real failed command occupies the hardware queue.

@@ -111,10 +111,12 @@ impl Gpu {
 
     /// Arm (or with `None`, disarm) a deterministic fault schedule. The
     /// plan is consulted only by the fallible entry points of the
-    /// execution backend in `ntt-gpu` (`NttBackend::try_run` and the
-    /// device memory's `try_*` calls) via [`Gpu::fault_check`]; infallible
-    /// paths — calibration, the figure harness — never draw from it.
-    /// Disarming also "resets" a sticky-wedged device.
+    /// execution backend in `ntt-gpu` (`NttBackend::try_run`, which an
+    /// armed evaluator checkout calls for every op, and the device
+    /// memory's `try_alloc`) via [`Gpu::fault_check`]; infallible paths
+    /// — unarmed evaluators, host↔device staging, calibration, the
+    /// figure harness — never draw from it. Disarming also "resets" a
+    /// sticky-wedged device.
     pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
         self.fault = plan;
     }

@@ -1,12 +1,17 @@
 //! Packs many small ciphertext operations into single flat backend calls.
 //!
 //! Every dispatch group the server drains lands here, where `k` jobs of
-//! one kind (and level) execute through **one** `try_forward_flat` /
-//! `try_pointwise_flat` / `try_inverse_flat` call per pipeline stage
-//! instead of `k`. On a staging backend that amortizes the per-call upload/download
+//! one kind (and level) execute through **one** `forward_flat` /
+//! `pointwise_flat` / `inverse_flat` call per pipeline stage instead of
+//! `k`. On a staging backend that amortizes the per-call upload/download
 //! round trip and per-kernel launch overhead across the whole group —
 //! the request-level analogue of the residue-parallel batching the NTT
 //! kernels already do within one polynomial.
+//!
+//! Each request kind has one pipeline, which runs on whatever evaluator
+//! it is handed: the server arms its checkout
+//! ([`HeContext::try_with_pooled_evaluator`]) so device faults come back
+//! as a classified error, tests and benchmarks may run it unarmed.
 //!
 //! Results are bit-identical to per-job dispatch by construction: NTT
 //! and pointwise rows are independent (row `r` is reduced mod prime
@@ -16,8 +21,8 @@
 //! does not depend on who else happened to share the batch.
 
 use crate::request::TenantId;
-use he_lite::{sampling, Ciphertext, HeContext, KeySet};
-use ntt_core::backend::{BackendError, Evaluator};
+use he_lite::{sampling, Ciphertext, HeContext, KeySet, Plaintext};
+use ntt_core::backend::Evaluator;
 use ntt_core::poly::{Representation, RnsPoly, RnsRing};
 
 /// One encryption job: explicit randomness seed plus the values to
@@ -82,34 +87,20 @@ impl Batcher {
     }
 
     /// Encrypt `jobs.len()` value vectors in two backend calls total:
-    /// one `try_forward_flat` over all `4k` sampled/encoded polynomials
-    /// (`u, e0, e1, m` per job) and one `try_pointwise_flat` over all `2k`
+    /// one `forward_flat` over all `4k` sampled/encoded polynomials
+    /// (`u, e0, e1, m` per job) and one `pointwise_flat` over all `2k`
     /// public-key products (`u·b`, `u·a` per job). The additions are
-    /// exact host arithmetic.
+    /// exact host arithmetic. The job inputs are borrowed immutably and
+    /// per-job randomness comes from [`EncryptJob::seed`], so a retry
+    /// after a fault yields bit-identical results.
     pub fn encrypt_batch(
         &self,
         ctx: &HeContext,
         ev: &mut Evaluator,
         jobs: &[EncryptJob],
     ) -> Vec<Ciphertext> {
-        self.try_encrypt_batch(ctx, ev, jobs)
-            .expect("backend without a fault surface never fails")
-    }
-
-    /// Fallible [`Batcher::encrypt_batch`]: a classified device fault
-    /// comes back as `Err` instead of panicking. The job inputs are
-    /// borrowed immutably, so the caller can simply call again (with a
-    /// healthy or fallback evaluator) and get bit-identical results —
-    /// per-job randomness comes from [`EncryptJob::seed`], never from
-    /// attempt count.
-    pub fn try_encrypt_batch(
-        &self,
-        ctx: &HeContext,
-        ev: &mut Evaluator,
-        jobs: &[EncryptJob],
-    ) -> Result<Vec<Ciphertext>, BackendError> {
         if jobs.is_empty() {
-            return Ok(Vec::new());
+            return Vec::new();
         }
         let ring = ctx.ring();
         let level = ctx.params().levels;
@@ -131,7 +122,7 @@ impl Batcher {
                 fwd.extend_from_slice(p.flat());
             }
         }
-        ev.try_forward_flat(level, &mut fwd)?;
+        ev.forward_flat(level, &mut fwd);
 
         // One pointwise call for every key product: acc packs [u, u] per
         // job against rhs [b, a].
@@ -144,11 +135,11 @@ impl Batcher {
             rhs.extend_from_slice(self.pk_b.flat());
             rhs.extend_from_slice(self.pk_a.flat());
         }
-        ev.try_pointwise_flat(level, &mut acc, &rhs)?;
+        ev.pointwise_flat(level, &mut acc, &rhs);
 
         // c0 = u·b + e0 + m, c1 = u·a + e1 — evaluation form throughout.
         let eval = Representation::Evaluation;
-        Ok((0..k)
+        (0..k)
             .map(|j| {
                 let base = 4 * j * stride;
                 let e0 = poly_from_rows(ring, level, eval, &fwd[base + stride..][..stride]);
@@ -162,14 +153,17 @@ impl Batcher {
                 c1.add_assign(&e1, ring);
                 Ciphertext::from_parts(c0, c1, scales[j])
             })
-            .collect())
+            .collect()
     }
 
     /// Weighted plaintext multiply + rescale for a group of ciphertexts
-    /// sharing one level, in four backend calls total: `try_forward_flat`
-    /// over the `k` encoded weight polynomials, `try_pointwise_flat` +
-    /// `try_inverse_flat` over the `2k` ciphertext halves, and a final
-    /// `try_forward_flat` over the `2k` rescaled halves at the new level.
+    /// sharing one level, in four backend calls total: `forward_flat`
+    /// over the `k` encoded weight polynomials, `pointwise_flat` +
+    /// `inverse_flat` over the `2k` ciphertext halves, and a final
+    /// `forward_flat` over the `2k` rescaled halves at the new level.
+    /// Only this call's staging buffers and its own ciphertexts are
+    /// written, so re-running the identical batch after a fault yields
+    /// bit-identical results.
     ///
     /// # Panics
     ///
@@ -180,24 +174,10 @@ impl Batcher {
         &self,
         ctx: &HeContext,
         ev: &mut Evaluator,
-        jobs: Vec<(Ciphertext, Vec<f64>)>,
-    ) -> Vec<Ciphertext> {
-        self.try_eval_batch(ctx, ev, jobs)
-            .expect("backend without a fault surface never fails")
-    }
-
-    /// Fallible [`Batcher::eval_batch`]. On `Err` only this call's local
-    /// staging buffers were touched — the caller's ciphertexts are its
-    /// own clones — so re-running the identical batch on another
-    /// evaluator yields bit-identical results.
-    pub fn try_eval_batch(
-        &self,
-        ctx: &HeContext,
-        ev: &mut Evaluator,
         mut jobs: Vec<(Ciphertext, Vec<f64>)>,
-    ) -> Result<Vec<Ciphertext>, BackendError> {
+    ) -> Vec<Ciphertext> {
         if jobs.is_empty() {
-            return Ok(Vec::new());
+            return Vec::new();
         }
         let ring = ctx.ring();
         let level = jobs[0].0.level();
@@ -214,14 +194,14 @@ impl Batcher {
             scales.push(ct.scale() * pt.scale());
             weights.extend_from_slice(pt.poly().truncated(level).flat());
         }
-        ev.try_forward_flat(level, &mut weights)?;
+        ev.forward_flat(level, &mut weights);
 
         // Multiply both halves of every ciphertext by its weight poly,
         // then inverse-transform the lot for the rescale.
         let mut acc = Vec::with_capacity(2 * k * stride);
         let mut rhs = Vec::with_capacity(2 * k * stride);
         for (j, (ct, _)) in jobs.iter_mut().enumerate() {
-            ct.try_sync()?;
+            ct.sync();
             let (c0, c1) = ct.components();
             acc.extend_from_slice(c0.flat());
             acc.extend_from_slice(c1.flat());
@@ -229,8 +209,8 @@ impl Batcher {
             rhs.extend_from_slice(w);
             rhs.extend_from_slice(w);
         }
-        ev.try_pointwise_flat(level, &mut acc, &rhs)?;
-        ev.try_inverse_flat(level, &mut acc)?;
+        ev.pointwise_flat(level, &mut acc, &rhs);
+        ev.inverse_flat(level, &mut acc);
 
         // Exact host rescale per half, then one forward call at the new
         // level to return to evaluation form.
@@ -248,11 +228,11 @@ impl Batcher {
         for p in &rescaled {
             fwd.extend_from_slice(p.flat());
         }
-        ev.try_forward_flat(new_level, &mut fwd)?;
+        ev.forward_flat(new_level, &mut fwd);
 
         let p_last = ring.basis().primes()[level - 1] as f64;
         let eval = Representation::Evaluation;
-        Ok((0..k)
+        (0..k)
             .map(|j| {
                 let c0 = poly_from_rows(
                     ring,
@@ -268,14 +248,16 @@ impl Batcher {
                 );
                 Ciphertext::from_parts(c0, c1, scales[j] / p_last)
             })
-            .collect())
+            .collect()
     }
 
-    /// Decrypt + decode a group of ciphertexts sharing one level, in two
-    /// backend calls total: `try_pointwise_flat` over the `k` products
-    /// `c1·s` and `try_inverse_flat` over the `k` sums `c0 + c1·s`. Returns
-    /// all `N` decoded coefficients per job, like
-    /// [`he_lite::HeContext::decode`].
+    /// Decrypt a group of ciphertexts sharing one level, in two backend
+    /// calls total: `pointwise_flat` over the `k` products `c1·s` and
+    /// `inverse_flat` over the `k` sums `c0 + c1·s`. Returns one
+    /// coefficient-form plaintext per job, to decode with
+    /// [`HeContext::decode`] once the checkout that ran this returned
+    /// `Ok`: after a latched fault the rows are stale, and stale residues
+    /// need not even fit the decoder's centered range.
     ///
     /// # Panics
     ///
@@ -284,27 +266,14 @@ impl Batcher {
         &self,
         ctx: &HeContext,
         ev: &mut Evaluator,
-        cts: Vec<Ciphertext>,
-    ) -> Vec<Vec<f64>> {
-        self.try_decrypt_batch(ctx, ev, cts)
-            .expect("backend without a fault surface never fails")
-    }
-
-    /// Fallible [`Batcher::decrypt_batch`] (see
-    /// [`Batcher::try_eval_batch`] for the retry contract).
-    pub fn try_decrypt_batch(
-        &self,
-        ctx: &HeContext,
-        ev: &mut Evaluator,
         mut cts: Vec<Ciphertext>,
-    ) -> Result<Vec<Vec<f64>>, BackendError> {
+    ) -> Vec<Plaintext> {
         if cts.is_empty() {
-            return Ok(Vec::new());
+            return Vec::new();
         }
         let ring = ctx.ring();
-        let n = ring.degree();
         let level = cts[0].level();
-        let stride = n * level;
+        let stride = ring.degree() * level;
         let k = cts.len();
         let s = self.sk_eval.truncated(level);
 
@@ -312,11 +281,11 @@ impl Batcher {
         let mut rhs = Vec::with_capacity(k * stride);
         for ct in &mut cts {
             assert_eq!(ct.level(), level, "decrypt group mixes levels");
-            ct.try_sync()?;
+            ct.sync();
             acc.extend_from_slice(ct.components().1.flat());
             rhs.extend_from_slice(s.flat());
         }
-        ev.try_pointwise_flat(level, &mut acc, &rhs)?;
+        ev.pointwise_flat(level, &mut acc, &rhs);
 
         // Host add of c0, then one inverse call over every sum.
         let eval = Representation::Evaluation;
@@ -325,24 +294,16 @@ impl Batcher {
             m.add_assign(ct.components().0, ring);
             acc[j * stride..(j + 1) * stride].copy_from_slice(m.flat());
         }
-        ev.try_inverse_flat(level, &mut acc)?;
+        ev.inverse_flat(level, &mut acc);
 
         let coef = Representation::Coefficient;
-        Ok(cts
-            .iter()
+        cts.iter()
             .enumerate()
             .map(|(j, ct)| {
                 let m = poly_from_rows(ring, level, coef, &acc[j * stride..][..stride]);
-                (0..n)
-                    .map(|i| {
-                        let v = m
-                            .coefficient_centered(ring, i)
-                            .expect("plaintext coefficients fit i128");
-                        v as f64 / ct.scale()
-                    })
-                    .collect()
+                Plaintext::from_parts(m, ct.scale())
             })
-            .collect())
+            .collect()
     }
 }
 
@@ -400,7 +361,7 @@ mod tests {
         assert_eq!(cts[0].level(), ctx.params().levels - 1, "eval rescaled");
         for (j, out) in outs.iter().enumerate() {
             let want = [(1.5 + j as f64) * 2.0, -4.0];
-            for (got, want) in out.iter().zip(want) {
+            for (got, want) in ctx.decode(out).iter().zip(want) {
                 assert!((got - want).abs() < 1e-2, "decrypted {got}, wanted {want}");
             }
         }

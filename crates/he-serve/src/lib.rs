@@ -13,14 +13,16 @@
 //!   backpressure instead of unbounded memory, and a quiet tenant's jobs
 //!   never starve behind the flood.
 //! * **[`batcher`]** — packs every job in a dispatch group into *single*
-//!   flat backend calls (`try_forward_flat` / `try_pointwise_flat` /
-//!   `try_inverse_flat`), so `k` small ciphertext ops cost one kernel
-//!   schedule and one staging round-trip instead of `k`. Results are
-//!   bit-identical to per-job dispatch by construction: NTT and
-//!   pointwise rows are independent, and everything else is exact host
-//!   arithmetic.
+//!   flat backend calls (`forward_flat` / `pointwise_flat` /
+//!   `inverse_flat` of [`ntt_core::backend::Evaluator`]), so `k` small
+//!   ciphertext ops cost one kernel schedule and one staging round-trip
+//!   instead of `k`. One pipeline per request kind, armed or not by the
+//!   checkout that runs it. Results are bit-identical to per-job
+//!   dispatch by construction: NTT and pointwise rows are independent,
+//!   and everything else is exact host arithmetic.
 //! * **[`HeServer`]** — worker threads draining the queue into the
-//!   batcher through [`he_lite::HeContext::with_pooled_evaluator`], with
+//!   batcher through armed checkouts
+//!   ([`he_lite::HeContext::try_with_pooled_evaluator`]), with
 //!   per-tenant latency histograms and cost-weighted transfer
 //!   attribution ([`metrics`]).
 //! * **[`loadgen`]** — a closed/open-loop load generator with
@@ -31,9 +33,13 @@
 //!
 //! # Self-healing dispatch
 //!
-//! The serving loop is written against the fallible backend surface
-//! ([`ntt_core::backend::BackendError`]) and survives an unreliable
-//! device:
+//! Every group runs on an armed evaluator checkout: each backend op of
+//! the group passes the device's fault gate, the first fault is latched
+//! and skips the rest of the group, and the checkout returns it as a
+//! classified [`ntt_core::backend::BackendError`]. Bootstrap groups take
+//! no checkout of their own; each rotation of
+//! [`Bootstrapper::try_bootstrap`] arms its own. The serving loop
+//! survives an unreliable device:
 //!
 //! * **Bounded retry** — transient faults are retried under
 //!   [`RetryPolicy`] (exponential backoff, deterministic jitter, capped

@@ -37,20 +37,11 @@ pub struct RetryPolicy {
 }
 
 impl Default for RetryPolicy {
-    /// Reads `NTT_WARP_RETRY_MAX` (default 3) and `NTT_WARP_BACKOFF_US`
-    /// (default 50); the cap is fixed at 100× the base backoff.
+    /// 3 retries from a 50 µs base pause, capped at 100× the base.
     fn default() -> Self {
-        let max_retries = std::env::var("NTT_WARP_RETRY_MAX")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(3);
-        let backoff_us = std::env::var("NTT_WARP_BACKOFF_US")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(50);
-        let backoff = Duration::from_micros(backoff_us);
+        let backoff = Duration::from_micros(50);
         RetryPolicy {
-            max_retries,
+            max_retries: 3,
             backoff,
             backoff_cap: backoff * 100,
         }
@@ -93,9 +84,7 @@ pub struct ServeConfig {
 }
 
 impl Default for ServeConfig {
-    /// The deadline also honors `NTT_WARP_DEADLINE_MS` (unset = no
-    /// deadline); the retry policy reads its own env knobs
-    /// ([`RetryPolicy::default`]).
+    /// No deadline, and [`RetryPolicy::default`].
     fn default() -> Self {
         ServeConfig {
             queue_capacity: 64,
@@ -104,10 +93,7 @@ impl Default for ServeConfig {
             workers: 2,
             batching: true,
             key_seed: 7,
-            deadline: std::env::var("NTT_WARP_DEADLINE_MS")
-                .ok()
-                .and_then(|v| v.parse::<u64>().ok())
-                .map(Duration::from_millis),
+            deadline: None,
             retry: RetryPolicy::default(),
             boot: None,
         }
@@ -517,12 +503,7 @@ impl ServerInner {
                 return outcomes;
             }
 
-            let result = if degraded {
-                self.run_fallback(&live)
-            } else {
-                self.ctx
-                    .try_with_pooled_evaluator(|ev| self.run_batch(ev, &live))
-            };
+            let result = self.run_group(&live, degraded);
 
             match result {
                 Ok(responses) => {
@@ -573,11 +554,31 @@ impl ServerInner {
         }
     }
 
-    /// Dispatch one homogeneous group on `ev` through the batcher's
-    /// fallible pipelines. Inputs are cloned per attempt, so a retry (or
-    /// the fallback) re-runs the identical batch.
-    fn run_batch(&self, ev: &mut Evaluator, jobs: &[Job]) -> Result<Vec<Response>, BackendError> {
+    /// Check out an evaluator for one group's pipeline: an armed pooled
+    /// (device) one, or, once `degraded`, a host/CPU one from the
+    /// fallback pool. Results are bit-identical either way (backend
+    /// conformance), so degradation never changes an answer — and
+    /// concurrent degraded groups do not serialize on one evaluator.
+    fn checkout<R>(
+        &self,
+        degraded: bool,
+        f: impl FnOnce(&mut Evaluator) -> R,
+    ) -> Result<R, BackendError> {
+        if degraded {
+            Ok(self.fallback.run(self.ctx.ring(), f))
+        } else {
+            self.ctx.try_with_pooled_evaluator(f)
+        }
+    }
+
+    /// Run one homogeneous group through the batcher's pipeline for its
+    /// kind. Inputs are cloned per attempt, so a retry (or the fallback)
+    /// re-runs the identical batch, and nothing computed in a faulted
+    /// checkout is kept: decrypted plaintexts are decoded only after
+    /// their checkout returned `Ok`.
+    fn run_group(&self, jobs: &[Job], degraded: bool) -> Result<Vec<Response>, BackendError> {
         let domain = self.config.key_seed;
+        let (ctx, batcher) = (&*self.ctx, &self.batcher);
         match jobs[0].request {
             Request::Encrypt { .. } => {
                 let batch: Vec<EncryptJob> = jobs
@@ -592,12 +593,8 @@ impl ServerInner {
                         }
                     })
                     .collect();
-                Ok(self
-                    .batcher
-                    .try_encrypt_batch(&self.ctx, ev, &batch)?
-                    .into_iter()
-                    .map(Response::Encrypted)
-                    .collect())
+                let cts = self.checkout(degraded, |ev| batcher.encrypt_batch(ctx, ev, &batch))?;
+                Ok(cts.into_iter().map(Response::Encrypted).collect())
             }
             Request::Eval { .. } => {
                 let batch: Vec<(Ciphertext, Vec<f64>)> = jobs
@@ -609,12 +606,8 @@ impl ServerInner {
                         (ct.clone(), weights.clone())
                     })
                     .collect();
-                Ok(self
-                    .batcher
-                    .try_eval_batch(&self.ctx, ev, batch)?
-                    .into_iter()
-                    .map(Response::Evaluated)
-                    .collect())
+                let cts = self.checkout(degraded, |ev| batcher.eval_batch(ctx, ev, batch))?;
+                Ok(cts.into_iter().map(Response::Evaluated).collect())
             }
             Request::Decrypt { .. } => {
                 let batch: Vec<Ciphertext> = jobs
@@ -626,19 +619,17 @@ impl ServerInner {
                         ct.clone()
                     })
                     .collect();
-                Ok(self
-                    .batcher
-                    .try_decrypt_batch(&self.ctx, ev, batch)?
-                    .into_iter()
-                    .map(Response::Decrypted)
+                let pts = self.checkout(degraded, |ev| batcher.decrypt_batch(ctx, ev, batch))?;
+                Ok(pts
+                    .iter()
+                    .map(|pt| Response::Decrypted(ctx.decode(pt)))
                     .collect())
             }
             Request::Boot { .. } => {
-                // Bootstrap drives the context's own evaluator pool (its
-                // rotations each check out an evaluator via the fallible
-                // path), not the group's `ev` — the engine's keys and
-                // diagonals live in shared device memory, so any pool
-                // member can execute against them.
+                // No checkout here: every rotation of the bootstrap checks
+                // out its own armed pool member. The engine's keys and
+                // diagonals live in shared device memory, so any member
+                // can execute against them.
                 let boot = self.boot.as_ref().expect("Boot jobs validated at submit");
                 jobs.iter()
                     .map(|job| {
@@ -650,16 +641,6 @@ impl ServerInner {
                     .collect()
             }
         }
-    }
-
-    /// Run the group on a checked-out host/CPU evaluator from the
-    /// fallback pool. Results are bit-identical to the device path
-    /// (backend conformance), so degradation never changes an answer —
-    /// and concurrent degraded groups no longer serialize on a single
-    /// evaluator mutex.
-    fn run_fallback(&self, jobs: &[Job]) -> Result<Vec<Response>, BackendError> {
-        self.fallback
-            .run(self.ctx.ring(), |ev| self.run_batch(ev, jobs))
     }
 
     /// Sleep before retry `attempt` (1-based): exponential backoff with

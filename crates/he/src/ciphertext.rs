@@ -7,18 +7,27 @@
 //! those sync points for direct component access — decrypt/decode sync
 //! implicitly.
 
-use ntt_core::backend::BackendError;
 use ntt_core::poly::{Residency, RnsPoly};
 
 /// An encoded (but not encrypted) message: scaled integer coefficients in
 /// RNS coefficient form, tagged with the fixed-point scale.
-#[derive(Debug, Clone)]
+///
+/// Equality compares the polynomials' host rows and the scale; sync
+/// device-resident plaintexts first.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Plaintext {
     pub(crate) m: RnsPoly,
     pub(crate) scale: f64,
 }
 
 impl Plaintext {
+    /// Assemble a plaintext from a polynomial and its fixed-point scale —
+    /// the constructor layers above the scheme (request batchers) use
+    /// after decrypting through their own batched dispatch.
+    pub fn from_parts(m: RnsPoly, scale: f64) -> Self {
+        Plaintext { m, scale }
+    }
+
     /// The fixed-point scale this plaintext was encoded with.
     pub fn scale(&self) -> f64 {
         self.scale
@@ -93,15 +102,6 @@ impl Ciphertext {
     pub fn sync(&mut self) {
         self.c0.sync();
         self.c1.sync();
-    }
-
-    /// Fallible [`Ciphertext::sync`]: a download fault on either
-    /// component comes back as a classified [`BackendError`] instead of
-    /// panicking. On `Err` the components keep their device-fresh state,
-    /// so the call can simply be retried.
-    pub fn try_sync(&mut self) -> Result<(), BackendError> {
-        self.c0.try_sync()?;
-        self.c1.try_sync()
     }
 
     /// Where the ciphertext currently lives (the components always move

@@ -236,8 +236,12 @@ impl HeContext {
         r
     }
 
-    /// Fallible [`HeContext::with_pooled_evaluator`] with pool health
-    /// tracking: run `f` on a pooled evaluator and return its result.
+    /// [`HeContext::with_pooled_evaluator`] on an **armed** checkout,
+    /// with pool health tracking: run `f` under [`Evaluator::gated`] and
+    /// return its result, or the first fault one of its backend ops hit.
+    /// Every op after that fault is skipped, so on `Err` nothing `f`
+    /// computed may be used or decoded; its inputs are untouched, and
+    /// the identical call can be retried.
     ///
     /// A healthy outcome — `Ok`, or an `Err` whose class leaves the
     /// executor usable ([transient](BackendError::is_transient) faults
@@ -250,10 +254,10 @@ impl HeContext {
     /// [`HeContext::quarantined_count`].
     pub fn try_with_pooled_evaluator<R>(
         &self,
-        f: impl FnOnce(&mut Evaluator) -> Result<R, BackendError>,
+        f: impl FnOnce(&mut Evaluator) -> R,
     ) -> Result<R, BackendError> {
         let mut ev = self.checkout();
-        let r = f(&mut ev);
+        let r = ev.gated(f);
         match &r {
             Err(e) if !e.is_transient() && e.class() != FaultClass::Deadline => {
                 drop(ev);
@@ -526,12 +530,47 @@ impl HeContext {
     ///
     /// Panics if no rotation key was generated for `(g, level)`.
     pub fn rotate(&self, ct: &Ciphertext, g: u64, rtk: &RotationKeys) -> Ciphertext {
+        self.with_pooled_evaluator(self.rotation(ct, g, rtk))
+    }
+
+    /// [`HeContext::rotate`] on an armed checkout
+    /// ([`HeContext::try_with_pooled_evaluator`]): every backend op of
+    /// the rotation, key switch included, passes the fault gate, errors
+    /// classify into transient/fatal/OOM, and a non-transient fault
+    /// quarantines the pool member (rotation keys are context-owned, so
+    /// they survive quarantine + re-fork untouched). On a simulated GPU
+    /// below 256 points that is 8 gated launches per device.
+    ///
+    /// # Errors
+    ///
+    /// The first [`BackendError`] of the rotation's backend ops.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no rotation key was generated for `(g, level)`.
+    pub fn try_rotate(
+        &self,
+        ct: &Ciphertext,
+        g: u64,
+        rtk: &RotationKeys,
+    ) -> Result<Ciphertext, BackendError> {
+        self.try_with_pooled_evaluator(self.rotation(ct, g, rtk))
+    }
+
+    /// The body of [`HeContext::rotate`] for one checkout; the key lookup
+    /// runs (and panics) before any evaluator is checked out.
+    fn rotation<'a>(
+        &'a self,
+        ct: &'a Ciphertext,
+        g: u64,
+        rtk: &'a RotationKeys,
+    ) -> impl FnOnce(&mut Evaluator) -> Ciphertext + 'a {
         let level = ct.level();
         let g = g % (2 * self.params.n() as u64);
         let entries = rtk
             .entries_for(g, level)
             .unwrap_or_else(|| panic!("no rotation key for (g={g}, level={level})"));
-        self.with_pooled_evaluator(|ev| {
+        move |ev| {
             let (mut c0, mut c1) = self.components(ev, ct);
             ev.inverse_polys(&mut [&mut c0, &mut c1]);
             ev.automorphism(&mut c0, g);
@@ -547,46 +586,7 @@ impl HeContext {
                 c1: r1,
                 scale: ct.scale,
             }
-        })
-    }
-
-    /// Fallible [`HeContext::rotate`] with PR 7's typed-error contract:
-    /// the fault-gated transform/automorphism steps run through `try_*`
-    /// variants, errors classify into transient/fatal/OOM, and a
-    /// non-transient fault quarantines the pool member (rotation keys are
-    /// context-owned, so they survive quarantine + re-fork untouched).
-    /// The key switch, with `c0` folded into its accumulation, runs
-    /// through the infallible ops and draws no fault.
-    ///
-    /// # Errors
-    ///
-    /// Any [`BackendError`] from the underlying evaluator ops.
-    pub fn try_rotate(
-        &self,
-        ct: &Ciphertext,
-        g: u64,
-        rtk: &RotationKeys,
-    ) -> Result<Ciphertext, BackendError> {
-        let level = ct.level();
-        let g = g % (2 * self.params.n() as u64);
-        let entries = rtk
-            .entries_for(g, level)
-            .unwrap_or_else(|| panic!("no rotation key for (g={g}, level={level})"));
-        self.try_with_pooled_evaluator(|ev| {
-            let (mut c0, mut c1) = self.components(ev, ct);
-            ev.try_to_coefficient(&mut c0)?;
-            ev.try_to_coefficient(&mut c1)?;
-            ev.try_automorphism(&mut c0, g)?;
-            ev.try_automorphism(&mut c1, g)?;
-            ev.try_to_evaluation(&mut c0)?;
-            let mut r1 = self.zero_acc(ev, level);
-            self.key_switch(ev, &c1, entries, level, [&mut c0, &mut r1], [&[], &[]]);
-            Ok(Ciphertext {
-                c0,
-                c1: r1,
-                scale: ct.scale,
-            })
-        })
+        }
     }
 
     /// Mod-raise: re-embed a level-1 ciphertext into the first `to_level`

@@ -58,15 +58,17 @@
 //!
 //! # Fallible surface and fault injection
 //!
-//! [`NttBackend::try_run`] and the `try_*` methods of [`DeviceMemory`]
-//! return a classified [`BackendError`] instead of panicking. They are
-//! **gate-then-run**: each validates operand handles and draws the
-//! armed [`gpu_sim::FaultPlan`] of every shard *before* any data moves,
-//! then runs the unchanged infallible body — so an `Err` always leaves
-//! host and device state untouched and the identical call can be retried.
-//! The infallible entry points never consult the plan, which keeps
-//! calibration sweeps and the figure harness fault-free even when
-//! `NTT_WARP_FAULTS` is set (the env plan is armed when a backend is
+//! [`NttBackend::try_run`] returns a classified [`BackendError`]
+//! instead of panicking. It is **gate-then-run**: it validates operand
+//! handles and draws the armed [`gpu_sim::FaultPlan`] of every shard
+//! *before* any data moves, then runs the unchanged infallible body — so
+//! an `Err` always leaves host and device state untouched and the
+//! identical call can be retried. An armed `Evaluator` checkout calls it
+//! for every op (`ntt_core::backend::Evaluator::gated`).
+//! [`DeviceMemory::try_alloc`] is the injected-OOM hook. The infallible
+//! entry points, host↔device staging included, never consult the plan,
+//! which keeps calibration sweeps and the figure harness fault-free even
+//! when `NTT_WARP_FAULTS` is set (the env plan is armed when a backend is
 //! constructed, not in [`SimMemory::new`], for the same reason).
 //!
 //! # Panic audit

@@ -566,22 +566,6 @@ impl Held<'_> {
         out
     }
 
-    /// Draw `kind` from the fault plane of every shard `view` touches.
-    fn gate_view(
-        &mut self,
-        view: DeviceBuf,
-        op: &'static str,
-        kind: FaultOp,
-    ) -> Result<(), BackendError> {
-        let segs = self.segments(view);
-        for s in 0..self.sh.len() {
-            if segs.iter().any(|g| g.shard == s) {
-                self.sh[s].fault_gate(op, kind)?;
-            }
-        }
-        Ok(())
-    }
-
     /// Front-of-view fill, fanned out: each shard charges its own PCIe
     /// link on its bound stream (one transfer per shard, the cyclic rows
     /// packed into local order host-side), so a `K`-way upload overlaps
@@ -913,10 +897,9 @@ impl DeviceMemory for ShardedMemory {
         }
     }
 
-    // The fallible surface: each op draws the armed fault plan of every
-    // shard it touches *before* any data moves, so an `Err` leaves host
-    // and device state exactly as they were and the identical call can
-    // be retried.
+    // The injected-OOM hook: every shard the allocation touches checks
+    // its projected footprint against the armed plan before anything is
+    // allocated.
 
     fn try_alloc(&mut self, words: usize) -> Result<DeviceBuf, BackendError> {
         let mut h = self.hold();
@@ -931,26 +914,6 @@ impl DeviceMemory for ShardedMemory {
             }
         }
         Ok(h.alloc(words))
-    }
-
-    fn try_upload(&mut self, dst: DeviceBuf, src: &[u64]) -> Result<(), BackendError> {
-        if !self.is_live(dst) || src.len() > dst.len() {
-            return Err(BackendError::Fatal { op: "upload" });
-        }
-        let mut h = self.hold();
-        h.gate_view(dst.sub(0, src.len()), "upload", FaultOp::Upload)?;
-        h.upload(dst, src);
-        Ok(())
-    }
-
-    fn try_download(&mut self, src: DeviceBuf, dst: &mut [u64]) -> Result<(), BackendError> {
-        if !self.is_live(src) || dst.len() > src.len() {
-            return Err(BackendError::Fatal { op: "download" });
-        }
-        let mut h = self.hold();
-        h.gate_view(src.sub(0, dst.len()), "download", FaultOp::Download)?;
-        h.download(src, dst);
-        Ok(())
     }
 }
 

@@ -1,0 +1,350 @@
+//! The fault gate is a property of the evaluator checkout.
+//!
+//! An unarmed evaluator runs every backend op through `NttBackend::run`
+//! and never draws from a fault plan, whatever its rates. An armed one
+//! (`Evaluator::gated`, or `HeContext::try_with_pooled_evaluator`) sends
+//! every op through `try_run`, latches the first fault and issues
+//! nothing after it. These tests count draws with `FaultPlan::ops_seen`
+//! on the simulated device: what each served group and each rotation
+//! draws, that a sticky fault stops the draws at the failing op, how the
+//! pool treats the member that saw a fault, and that a decrypt whose
+//! checkout faulted is never decoded.
+
+use he_serve::{
+    job_seed, Batcher, BootParams, EncryptJob, HeServer, Request, Response, ServeConfig,
+    ServeError, TenantId,
+};
+use ntt_warp::core::{NttBackend, RnsPoly};
+use ntt_warp::gpu::{ShardedBackend, SimBackend};
+use ntt_warp::he::{
+    sampling, Ciphertext, HeContext, HeLiteParams, KeySet, Plaintext, RotationKeys,
+};
+use ntt_warp::sim::{FaultOp, FaultPlan};
+
+/// Three 50-bit primes: the top-level modulus exceeds 2^127, so the
+/// centered CRT of arbitrary residues does not fit an `i128`.
+fn params() -> HeLiteParams {
+    HeLiteParams {
+        log_n: 5,
+        prime_bits: 50,
+        levels: 3,
+        scale_bits: 40,
+        gadget_bits: 10,
+        error_eta: 4,
+    }
+}
+
+/// Galois element of the rotation under test.
+const G: u64 = 5;
+
+/// Draws on a plan whose every draw fails.
+fn always_faulting() -> FaultPlan {
+    [
+        FaultOp::Upload,
+        FaultOp::Download,
+        FaultOp::Launch,
+        FaultOp::Alloc,
+    ]
+    .into_iter()
+    .fold(FaultPlan::seeded(1), |plan, op| plan.rate(op, 1000))
+    .sticky_after(0)
+}
+
+struct Setup {
+    sim: SimBackend,
+    ctx: HeContext,
+    keys: KeySet,
+    rtk: RotationKeys,
+    batcher: Batcher,
+    ct: Ciphertext,
+}
+
+/// A Sim context with keys, a rotation key at the top level and one
+/// host-resident top-level ciphertext; no fault plan armed yet.
+fn setup() -> Setup {
+    let sim = SimBackend::titan_v();
+    let ctx = HeContext::with_backend(params(), sim.fork()).expect("sim context builds");
+    let keys = ctx.keygen(&mut sampling::seeded_rng(3));
+    let top = ctx.params().levels;
+    let rtk = ctx.keygen_rotation(&keys.secret, &[G], &[top], &mut sampling::seeded_rng(4));
+    let batcher = Batcher::new(&keys);
+    let ct = encrypt_group(&ctx, &batcher, &jobs(1)).remove(0);
+    Setup {
+        sim,
+        ctx,
+        keys,
+        rtk,
+        batcher,
+        ct,
+    }
+}
+
+/// Host-resident ciphertexts from one unarmed encrypt group.
+fn encrypt_group(ctx: &HeContext, batcher: &Batcher, jobs: &[EncryptJob]) -> Vec<Ciphertext> {
+    ctx.with_pooled_evaluator(|ev| batcher.encrypt_batch(ctx, ev, jobs))
+}
+
+fn jobs(k: u32) -> Vec<EncryptJob> {
+    (0..k)
+        .map(|j| EncryptJob {
+            seed: job_seed(1, TenantId(j), 0),
+            values: vec![1.0 + f64::from(j), -2.0],
+        })
+        .collect()
+}
+
+/// Arm `plan` fresh (its draw counter at zero).
+fn arm(sim: &SimBackend, plan: FaultPlan) {
+    sim.set_fault_plan(Some(plan));
+}
+
+fn draws(sim: &SimBackend) -> u64 {
+    sim.with_gpu(|gpu| gpu.fault_plan().map_or(0, FaultPlan::ops_seen))
+}
+
+/// Host-synced components, for bit comparisons.
+fn bits(ct: &Ciphertext) -> (RnsPoly, RnsPoly) {
+    let mut ct = ct.clone();
+    ct.sync();
+    let (c0, c1) = ct.components();
+    (c0.clone(), c1.clone())
+}
+
+/// Unarmed paths never draw: HE ops and Batcher groups on a plan where
+/// every draw would fail still compute, and the plan sees nothing.
+#[test]
+fn unarmed_ops_and_groups_draw_nothing() {
+    let s = setup();
+    let ctx = &s.ctx;
+    arm(&s.sim, always_faulting());
+
+    let pt = ctx.encode(&[0.5, 1.5]);
+    let ct = ctx.encrypt(&pt, &s.keys.public, &mut sampling::seeded_rng(9));
+    let _ = ctx.multiply(&ct, &s.ct, &s.keys.relin);
+    let rot = ctx.rotate(&s.ct, G, &s.rtk);
+    let _ = ctx.multiply_plain(&ctx.add(&rot, &ct), &ctx.encode(&[1.0]));
+    let _ = ctx.mod_raise(&ctx.drop_to_level(&s.ct, 1), 3);
+    let decoded = ctx.decode(&ctx.decrypt(&ct, &s.keys.secret));
+    assert!((decoded[0] - 0.5).abs() < 1e-3, "decrypted {}", decoded[0]);
+
+    let outs = ctx.with_pooled_evaluator(|ev| {
+        let cts = s.batcher.encrypt_batch(ctx, ev, &jobs(3));
+        let weighted = cts.into_iter().map(|ct| (ct, vec![2.0])).collect();
+        let evald = s.batcher.eval_batch(ctx, ev, weighted);
+        s.batcher.decrypt_batch(ctx, ev, evald)
+    });
+    for (j, pt) in outs.iter().enumerate() {
+        let got = ctx.decode(pt)[0];
+        assert!(
+            (got - 2.0 * (1.0 + j as f64)).abs() < 1e-2,
+            "job {j}: {got}"
+        );
+    }
+    assert_eq!(draws(&s.sim), 0, "an unarmed path drew from the fault plan");
+}
+
+/// An armed checkout draws once per command of every op: a served
+/// encrypt, eval and decrypt group draw what they drew as separate
+/// fallible pipelines (each flat op is one staged upload, launch and
+/// download on one device), and a rotation draws its 8 launches — the
+/// inverse of both components, two automorphisms, the forward of `c0`,
+/// the decompose, the digit forward and two multiply-accumulates.
+#[test]
+fn armed_groups_and_rotation_draw_per_op() {
+    let s = setup();
+    let ctx = &s.ctx;
+    let unarmed = ctx.rotate(&s.ct, G, &s.rtk);
+
+    arm(&s.sim, FaultPlan::seeded(1));
+    let cts = ctx
+        .try_with_pooled_evaluator(|ev| s.batcher.encrypt_batch(ctx, ev, &jobs(3)))
+        .expect("a zero-rate plan never faults");
+    assert_eq!(draws(&s.sim), 6, "encrypt group draws");
+
+    arm(&s.sim, FaultPlan::seeded(1));
+    let weighted: Vec<_> = cts.into_iter().map(|ct| (ct, vec![2.0])).collect();
+    let evald = ctx
+        .try_with_pooled_evaluator(|ev| s.batcher.eval_batch(ctx, ev, weighted))
+        .expect("a zero-rate plan never faults");
+    assert_eq!(draws(&s.sim), 12, "eval group draws");
+
+    arm(&s.sim, FaultPlan::seeded(1));
+    ctx.try_with_pooled_evaluator(|ev| s.batcher.decrypt_batch(ctx, ev, evald))
+        .expect("a zero-rate plan never faults");
+    assert_eq!(draws(&s.sim), 6, "decrypt group draws");
+
+    arm(&s.sim, FaultPlan::seeded(1));
+    let armed = ctx.try_rotate(&s.ct, G, &s.rtk).expect("zero-rate plan");
+    assert_eq!(draws(&s.sim), 8, "rotation draws");
+    assert_eq!(bits(&armed), bits(&unarmed), "arming changed the bits");
+}
+
+/// A sticky fault at draw `k` fails the rotation, and the latch stops
+/// every draw after the failing one; with the wedge past the rotation's
+/// 8 draws it computes exactly what the unarmed rotation does.
+#[test]
+fn sticky_rotation_stops_at_the_failing_draw() {
+    let s = setup();
+    let want = bits(&s.ctx.rotate(&s.ct, G, &s.rtk));
+    for k in 0..8 {
+        arm(&s.sim, FaultPlan::seeded(1).sticky_after(k));
+        let err = s
+            .ctx
+            .try_rotate(&s.ct, G, &s.rtk)
+            .expect_err("a wedge inside the rotation fails it");
+        assert!(!err.is_transient(), "k = {k}: {err:?}");
+        assert_eq!(draws(&s.sim), k + 1, "k = {k}: drew after the fault");
+    }
+    for k in 8..11 {
+        arm(&s.sim, FaultPlan::seeded(1).sticky_after(k));
+        let got = s
+            .ctx
+            .try_rotate(&s.ct, G, &s.rtk)
+            .expect("wedge after the rotation");
+        assert_eq!(bits(&got), want, "k = {k}: armed rotation bits");
+        assert_eq!(draws(&s.sim), 8, "k = {k}");
+    }
+}
+
+/// A transient fault returns the checked-out member to the pool; a
+/// sticky one quarantines it and re-forks a replacement.
+#[test]
+fn transient_fault_keeps_the_member_sticky_one_quarantines_it() {
+    let s = setup();
+    let ctx = &s.ctx;
+    let created = ctx.evaluator_count();
+
+    arm(&s.sim, FaultPlan::seeded(1).rate(FaultOp::Launch, 1000));
+    let err = ctx
+        .try_rotate(&s.ct, G, &s.rtk)
+        .expect_err("every launch faults");
+    assert!(err.is_transient(), "{err:?}");
+    assert_eq!(draws(&s.sim), 1, "nothing drawn after the transient fault");
+    assert_eq!(ctx.quarantined_count(), 0, "a transient fault quarantined");
+    assert_eq!(ctx.evaluator_count(), created, "the member was replaced");
+
+    arm(&s.sim, FaultPlan::seeded(1).sticky_after(3));
+    let err = ctx
+        .try_rotate(&s.ct, G, &s.rtk)
+        .expect_err("wedged mid-rotation");
+    assert!(!err.is_transient(), "{err:?}");
+    assert_eq!(
+        ctx.quarantined_count(),
+        1,
+        "the wedged member stayed pooled"
+    );
+    assert_eq!(ctx.evaluator_count(), created + 1, "no replacement forked");
+
+    // The replacement and the returned member are unarmed again.
+    arm(&s.sim, always_faulting());
+    let _ = ctx.rotate(&s.ct, G, &s.rtk);
+    assert_eq!(draws(&s.sim), 0, "a pooled member stayed armed");
+}
+
+/// Host code after a latched fault reads stale rows. At a level whose
+/// modulus exceeds 2^127 a stale decrypt's centered CRT no longer fits
+/// an `i128`, so decoding it inside the checkout would panic: the
+/// checkout returns `Err` for a wedge at every one of the decrypt's 6
+/// draws, and the plaintexts are never decoded.
+#[test]
+fn faulted_decrypt_is_err_and_never_decoded() {
+    let s = setup();
+    let ctx = &s.ctx;
+    let cts = encrypt_group(ctx, &s.batcher, &jobs(2));
+    assert_eq!(cts[0].level(), 3, "three 50-bit primes");
+    let fits_i128 = |pt: &Plaintext| {
+        (0..ctx.params().n()).all(|i| pt.poly().coefficient_centered(ctx.ring(), i).is_some())
+    };
+    let mut stale_overflows = 0;
+    for k in 0..6 {
+        arm(&s.sim, FaultPlan::seeded(1).sticky_after(k));
+        let out = ctx.try_with_pooled_evaluator(|ev| {
+            let pts = s.batcher.decrypt_batch(ctx, ev, cts.clone());
+            stale_overflows += usize::from(!pts.iter().all(fits_i128));
+            pts
+        });
+        assert!(out.is_err(), "k = {k}: a wedged decrypt returned Ok");
+        assert_eq!(draws(&s.sim), k + 1, "k = {k}: drew after the fault");
+    }
+    assert_eq!(stale_overflows, 6, "stale rows decoded in range");
+
+    arm(&s.sim, FaultPlan::seeded(1).sticky_after(6));
+    let pts = ctx
+        .try_with_pooled_evaluator(|ev| s.batcher.decrypt_batch(ctx, ev, cts.clone()))
+        .expect("the wedge comes after the decrypt");
+    assert!((ctx.decode(&pts[1])[0] - 2.0).abs() < 1e-3);
+}
+
+/// An armed rotation computes the unarmed CPU rotation's bits on Sim and
+/// on Sharded at K = 1, 2, 3.
+#[test]
+fn armed_rotation_is_bit_identical_across_backends() {
+    let n = params().n();
+    let cpu = HeContext::new(params()).expect("cpu context builds");
+    let keys = cpu.keygen(&mut sampling::seeded_rng(3));
+    let rtk = cpu.keygen_rotation(&keys.secret, &[G], &[3], &mut sampling::seeded_rng(4));
+    let ct = cpu.encrypt(
+        &cpu.encode(&[0.25, -1.0]),
+        &keys.public,
+        &mut sampling::seeded_rng(5),
+    );
+    let want = bits(&cpu.rotate(&ct, G, &rtk));
+    assert_eq!(
+        bits(&cpu.try_rotate(&ct, G, &rtk).expect("no fault model")),
+        want
+    );
+
+    let mut backends: Vec<Box<dyn NttBackend>> = vec![Box::new(SimBackend::titan_v())];
+    backends
+        .extend((1..=3).map(|k| Box::new(ShardedBackend::titan_v(k, n)) as Box<dyn NttBackend>));
+    for backend in backends {
+        let name = backend.name();
+        let ctx = HeContext::with_backend(params(), backend).expect("device context builds");
+        let rtk = ctx.adopt_rotation_keys(&rtk);
+        let got = ctx.try_rotate(&ct, G, &rtk).expect("no plan armed");
+        assert_eq!(bits(&got), want, "{name}: armed rotation bits");
+    }
+}
+
+/// A bootstrap group takes no checkout of its own; each of its rotations
+/// arms one. A wedge mid-bootstrap quarantines the member whose rotation
+/// saw it, and the degraded re-run (a bootstrap has no host fallback)
+/// the member its first rotation checked out: two in all, where an outer
+/// checkout around the group would quarantine an idle member per
+/// attempt as well.
+#[test]
+fn wedged_boot_group_quarantines_only_rotation_members() {
+    let bp = BootParams::shallow();
+    let params = bp.he_params(4, 50);
+    let key_seed = 7;
+    let sim = SimBackend::titan_v();
+    let ctx = HeContext::with_backend(params, sim.fork()).expect("sim context builds");
+    let config = ServeConfig {
+        workers: 1,
+        batching: false,
+        key_seed,
+        boot: Some(bp),
+        ..ServeConfig::default()
+    };
+    let server = HeServer::start(ctx, config);
+
+    // The server's keys, replayed on a host context from its key seed.
+    let cpu = HeContext::new(params).expect("cpu context builds");
+    let keys = cpu.keygen(&mut sampling::seeded_rng(key_seed));
+    let scale = server.bootstrapper().expect("boot enabled").input_scale();
+    let pt = cpu.encode_with_scale(&[0.5, -0.25], scale);
+    let ct = cpu.encrypt(&pt, &keys.public, &mut sampling::seeded_rng(100));
+    let input = cpu.drop_to_level(&ct, 1);
+
+    arm(&sim, FaultPlan::seeded(1).sticky_after(20));
+    let ticket = server
+        .submit(TenantId(0), Request::Boot { ct: input })
+        .expect("boot job admitted");
+    let answer = ticket.wait().expect("answered").response;
+    assert!(
+        matches!(answer, Response::Failed(ServeError::Fault { .. })),
+        "a wedged device failed to fail the bootstrap: {answer:?}"
+    );
+    assert_eq!(server.context().quarantined_count(), 2);
+    server.shutdown();
+}
