@@ -226,6 +226,32 @@ fn bench_bootstrap(_c: &mut Criterion) {
     );
 }
 
+/// The bootstrap's fault-plane overhead gate inputs: one steady shallow
+/// bootstrap at N = 2⁴ unarmed, and through `try_bootstrap` — every op
+/// of the pipeline gated on one armed checkout — under a zero-rate
+/// `FaultPlan` (the experiment asserts both outputs are bit-identical).
+/// Gating the whole bootstrap must stay free when no fault fires:
+/// `armed_zero_device_time <= 1.05 * unarmed_device_time` in
+/// `bench_smoke.sh`. Both sides are modeled time from one deterministic
+/// run, so the gate holds on any host.
+fn bench_boot_fault_overhead(_c: &mut Criterion) {
+    let r = ntt_bench::experiments::boot_fault_overhead(4);
+    record_value(
+        "he_boot_sim/unarmed_device_time",
+        r.unarmed.serialized_s * 1e9,
+    );
+    record_value(
+        "he_boot_sim/armed_zero_device_time",
+        r.armed_zero.serialized_s * 1e9,
+    );
+    println!(
+        "bench: he_boot_sim armed/unarmed = {:.4}x; {} gate draws over {} launches",
+        r.armed_zero.serialized_s / r.unarmed.serialized_s.max(f64::MIN_POSITIVE),
+        r.draws,
+        r.launches
+    );
+}
+
 /// The hierarchical 4-step NTT's gate inputs: modeled device time at the
 /// bootstrapping-scale ring vs the single-kernel family. Two gates in
 /// `bench_smoke.sh`:
@@ -313,6 +339,7 @@ criterion_group!(
     bench_serve_batching,
     bench_serve_fault_overhead,
     bench_bootstrap,
+    bench_boot_fault_overhead,
     bench_ntt_hier,
     bench_sharding
 );

@@ -419,13 +419,21 @@ fn main() {
         let log_n = if quick { 6 } else { 9 };
         let (tenants, chains) = if quick { (3, 2) } else { (6, 4) };
         println!(
-            "{:<9} {:>9} {:>9} {:>8} {:>10} {:>10} {:>10} {:>12}",
-            "workers", "jobs", "rejected", "batches", "p50 us", "p99 us", "jobs/s", "dev-ser us"
+            "{:<9} {:>9} {:>9} {:>8} {:>10} {:>10} {:>10} {:>12} {:>10}",
+            "workers",
+            "jobs",
+            "rejected",
+            "batches",
+            "p50 us",
+            "p99 us",
+            "jobs/s",
+            "dev-ser us",
+            "op-retries"
         );
         for workers in [1usize, 2, 4] {
             let r = ex::serve(log_n, workers, tenants, chains);
             println!(
-                "{:<9} {:>9} {:>9} {:>8} {:>10.1} {:>10.1} {:>10.0} {:>12.1}",
+                "{:<9} {:>9} {:>9} {:>8} {:>10.1} {:>10.1} {:>10.0} {:>12.1} {:>10}",
                 r.workers,
                 r.completed,
                 r.rejected,
@@ -433,7 +441,8 @@ fn main() {
                 r.p50_us,
                 r.p99_us,
                 r.throughput,
-                r.timeline.serialized_s * 1e6
+                r.timeline.serialized_s * 1e6,
+                r.op_retries
             );
             assert_eq!(r.mismatches, 0, "served chain results drifted");
         }

@@ -716,6 +716,9 @@ pub struct ServeReport {
     pub throughput: f64,
     /// Modeled device time over the serving window.
     pub timeline: gpu_sim::DeviceTimeline,
+    /// Transient gate failures re-drawn in place (0 unless a fault plan
+    /// is armed, e.g. through `NTT_WARP_FAULTS`).
+    pub op_retries: u64,
 }
 
 fn serve_params(log_n: u32) -> he_lite::HeLiteParams {
@@ -783,6 +786,7 @@ pub fn serve(log_n: u32, workers: usize, tenants: u32, chains_per_tenant: usize)
         p99_us: lat.p99() as f64 / 1e3,
         throughput: load.throughput(),
         timeline,
+        op_retries: snap.op_retries,
     }
 }
 
@@ -950,6 +954,68 @@ pub fn serve_fault_overhead(log_n: u32, jobs: usize) -> ServeFaultOverheadReport
     ServeFaultOverheadReport { jobs, off, armed }
 }
 
+/// Modeled device windows of one steady shallow bootstrap, unarmed and
+/// armed — the inputs of the bootstrap's fault-plane overhead gate.
+#[derive(Debug, Clone, Copy)]
+pub struct BootFaultOverheadReport {
+    /// [`he_boot::Bootstrapper::bootstrap`] with no fault plan armed.
+    pub unarmed: gpu_sim::DeviceTimeline,
+    /// [`he_boot::Bootstrapper::try_bootstrap`] under a zero-rate plan.
+    pub armed_zero: gpu_sim::DeviceTimeline,
+    /// Gate draws of the armed bootstrap.
+    pub draws: u64,
+    /// Launches of the unarmed bootstrap.
+    pub launches: u64,
+}
+
+/// One steady shallow bootstrap at `N = 2^log_n` on a simulated device,
+/// twice: unarmed, then through `try_bootstrap` (the whole pipeline on
+/// one armed checkout) under a zero-rate [`gpu_sim::FaultPlan`], which
+/// draws every gate a chaotic plan would and never injects. Asserts the
+/// two outputs are bit-identical before returning.
+pub fn boot_fault_overhead(log_n: u32) -> BootFaultOverheadReport {
+    let (dev, _ctx, boot, low) = warm_bootstrapper(he_boot::BootParams::shallow(), log_n, None);
+    let synced = |mut ct: he_lite::Ciphertext| {
+        ct.sync();
+        let (c0, c1) = ct.components();
+        (c0.clone(), c1.clone())
+    };
+    let lock = || {
+        dev.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    };
+
+    let (t0, trace0) = (device_timeline(&dev), lock().gpu().trace.len());
+    let unarmed_out = boot.bootstrap(&low);
+    drain_device(&dev);
+    let unarmed = device_timeline(&dev).since(&t0);
+    let launches = (lock().gpu().trace.len() - trace0) as u64;
+
+    lock()
+        .gpu_mut()
+        .set_fault_plan(Some(gpu_sim::FaultPlan::seeded(1)));
+    let t1 = device_timeline(&dev);
+    let armed_out = boot
+        .try_bootstrap(&low)
+        .expect("a zero-rate fault plan never faults");
+    drain_device(&dev);
+    let armed_zero = device_timeline(&dev).since(&t1);
+    let draws = lock().gpu().fault_plan().map_or(0, |p| p.ops_seen());
+    lock().gpu_mut().set_fault_plan(None);
+
+    assert_eq!(
+        synced(unarmed_out),
+        synced(armed_out),
+        "arming changed the bits"
+    );
+    BootFaultOverheadReport {
+        unarmed,
+        armed_zero,
+        draws,
+        launches,
+    }
+}
+
 /// One kernel-class row of the bootstrap op-mix: launches and modeled
 /// device seconds attributed to the class.
 #[derive(Debug, Clone, Copy, Default)]
@@ -1051,20 +1117,32 @@ pub fn bootstrap_deep(log_n: u32, mat_slots: usize) -> BootstrapReport {
     bootstrap_with(he_boot::BootParams::deep(), log_n, Some(mat_slots))
 }
 
-fn bootstrap_with(
+/// A bootstrap engine for `bp` at `N = 2^log_n` (50-bit primes, seeded
+/// keys) on a fresh simulated device, and a level-1 input, after one
+/// warm-up bootstrap: the twiddle tables are uploaded and the EvalMod
+/// constant cache is full, so the next bootstrap is the steady state a
+/// serving loop lives in. `mat_slots` caps the DFT matrix
+/// ([`he_boot::Bootstrapper::with_matrix_slots`]).
+fn warm_bootstrapper(
     bp: he_boot::BootParams,
     log_n: u32,
     mat_slots: Option<usize>,
-) -> BootstrapReport {
+) -> (
+    std::sync::Arc<std::sync::Mutex<SimMemory>>,
+    std::sync::Arc<he_lite::HeContext>,
+    he_boot::Bootstrapper,
+    he_lite::Ciphertext,
+) {
     use he_boot::Bootstrapper;
     use he_lite::{sampling, HeContext};
     use std::sync::Arc;
 
-    let params = bp.he_params(log_n, 50);
     let backend = ntt_gpu::SimBackend::titan_v();
     let dev = backend.memory_handle();
-    let ctx =
-        Arc::new(HeContext::with_backend(params, Box::new(backend)).expect("sim context builds"));
+    let ctx = Arc::new(
+        HeContext::with_backend(bp.he_params(log_n, 50), Box::new(backend))
+            .expect("sim context builds"),
+    );
     let mut rng = sampling::seeded_rng(42);
     let keys = ctx.keygen(&mut rng);
     let boot = match mat_slots {
@@ -1074,12 +1152,18 @@ fn bootstrap_with(
     let pt = ctx.encode_with_scale(&[0.4, -0.2, 0.1], boot.input_scale());
     let ct = ctx.encrypt(&pt, &keys.public, &mut sampling::seeded_rng(7));
     let low = ctx.drop_to_level(&ct, 1);
-
-    // Warm-up: uploads the twiddle tables and fills the EvalMod constant
-    // cache, so the measured window is the steady state a serving loop
-    // lives in.
     let _ = boot.bootstrap(&low);
     drain_device(&dev);
+    (dev, ctx, boot, low)
+}
+
+fn bootstrap_with(
+    bp: he_boot::BootParams,
+    log_n: u32,
+    mat_slots: Option<usize>,
+) -> BootstrapReport {
+    let params = bp.he_params(log_n, 50);
+    let (dev, ctx, boot, low) = warm_bootstrapper(bp, log_n, mat_slots);
 
     let initial = ctx.transfer_stats();
     let trace_from = dev

@@ -6,12 +6,14 @@
 //! boundary that makes the substrate swappable:
 //!
 //! * [`NttBackend`] — the trait every execution substrate implements. Its
-//!   vocabulary is one typed op, [`BackendOp`], run through
-//!   [`NttBackend::run`] or the fallible [`NttBackend::try_run`]: *batched
-//!   RNS operations* over host [`LimbBatch`] views (forward, inverse,
-//!   pointwise and the fused multiply) and over device-resident
-//!   [`DeviceBuf`] views. Backends never see individual polynomials —
-//!   only flat buffers of limbs, the layout both the CPU engine and the
+//!   vocabulary is one typed op, [`BackendOp`]: *batched RNS operations*
+//!   over host [`LimbBatch`] views (forward, inverse, pointwise and the
+//!   fused multiply) and over device-resident [`DeviceBuf`] views. A
+//!   backend implements two steps per op: [`NttBackend::gate`], its
+//!   handle check and fault draws, and [`NttBackend::run`], which moves
+//!   the data; [`NttBackend::try_run`] is the one provided composition,
+//!   gate then run. Backends never see individual polynomials — only
+//!   flat buffers of limbs, the layout both the CPU engine and the
 //!   simulated GPU kernels natively consume.
 //! * [`RingPlan`] — an FFTW-style precomputed plan handle: the ring's
 //!   twiddle tables (per-stage `(value, companion)` slice-pairs in
@@ -25,8 +27,9 @@
 //! * [`Evaluator`] — a backend-generic driver pairing a plan with a boxed
 //!   backend; `he-lite` routes every context operation through one, so
 //!   swapping the execution substrate is a one-line constructor change.
-//!   Every op it issues runs through `run`, or through the fault gate
-//!   `try_run` while the evaluator is armed ([`Evaluator::gated`]).
+//!   Every op it issues runs through `run`; while the evaluator is
+//!   armed ([`Evaluator::gated`]) it passes `gate` first, a transient
+//!   failure re-drawn in place up to three times before it latches.
 //!   (The simulated-GPU backend lives in the `ntt-gpu` crate as
 //!   `SimBackend`, since the warp kernels live there.)
 //!
@@ -633,7 +636,8 @@ pub trait DeviceMemory: Send {
 
     /// Fallible [`DeviceMemory::alloc`], the injected-OOM hook: fails
     /// with [`BackendError::Oom`] when the device cannot serve the
-    /// request, or a classified fault under an armed fault model. The
+    /// request, or a classified fault under an armed fault model. An
+    /// armed [`Evaluator`] makes its own allocations through it. The
     /// default never fails; the simulated GPU overrides it. Transfers
     /// have no fallible twin: a host↔device copy never draws a fault.
     fn try_alloc(&mut self, words: usize) -> Result<DeviceBuf, BackendError> {
@@ -1080,8 +1084,7 @@ pub struct SubScale<'a> {
 }
 
 /// One backend operation: the typed vocabulary every [`NttBackend`]
-/// executes, through [`NttBackend::run`] or the fallible
-/// [`NttBackend::try_run`].
+/// gates ([`NttBackend::gate`]) and executes ([`NttBackend::run`]).
 ///
 /// Two families share the enum:
 ///
@@ -1096,8 +1099,8 @@ pub struct SubScale<'a> {
 ///   row of each) go in one op.
 ///
 /// One op is also the unit a backend's fault model gates: [`label`]
-/// names it in a [`BackendError`], and [`handles`] lists the buffers a
-/// fallible run validates before any data moves.
+/// names it in a [`BackendError`], and [`handles`] lists the buffers
+/// the gate validates before any data moves.
 ///
 /// [`label`]: BackendOp::label
 /// [`handles`]: BackendOp::handles
@@ -1286,8 +1289,8 @@ impl BackendOp<'_> {
         )
     }
 
-    /// The device buffers the op touches (none for a host batch): what a
-    /// fallible run checks are live before it draws a fault or moves data.
+    /// The device buffers the op touches (none for a host batch): what
+    /// [`NttBackend::gate`] checks are live before it draws a fault.
     pub fn handles(&self) -> Vec<DeviceBuf> {
         match *self {
             BackendOp::ForwardBatch(_)
@@ -1401,9 +1404,9 @@ pub trait NttBackend: Send {
         buf
     }
 
-    /// Execute one op. Never draws from a fault model: an infallible run
-    /// cannot fail, so calibration, the figure harness and every
-    /// non-serving caller stay deterministic even with faults armed.
+    /// Execute one op. Never draws from a fault model: `run` alone
+    /// cannot fail, so calibration, the figure harness and every unarmed
+    /// caller stay deterministic even with faults armed.
     ///
     /// # Panics
     ///
@@ -1411,14 +1414,19 @@ pub trait NttBackend: Send {
     /// bugs).
     fn run(&mut self, plan: &RingPlan, op: BackendOp<'_>);
 
-    /// Fallible [`NttBackend::run`], the one fault gate: a classified
-    /// [`BackendError`] instead of a panic, for callers that retry,
-    /// re-fork or degrade (the serving stack). Backends validate the
-    /// op's [`handles`](BackendOp::handles) and draw their fault model
-    /// *before* any data moves, so on `Err` every operand is unchanged
-    /// and the identical call can be retried. The default runs the op and
-    /// never fails.
+    /// The fault gate of one op: check that its
+    /// [`handles`](BackendOp::handles) are live (a freed or foreign one
+    /// is [`BackendError::Fatal`]), then draw the backend's fault model
+    /// for the commands the op would issue. Nothing moves: on `Err`
+    /// every operand is unchanged, so a transient failure can be drawn
+    /// again and the op run after it.
+    fn gate(&mut self, op: &BackendOp<'_>) -> Result<(), BackendError>;
+
+    /// [`NttBackend::gate`], then [`NttBackend::run`]: a classified
+    /// [`BackendError`] instead of a panic, with every operand unchanged
+    /// on `Err`.
     fn try_run(&mut self, plan: &RingPlan, op: BackendOp<'_>) -> Result<(), BackendError> {
+        self.gate(&op)?;
         self.run(plan, op);
         Ok(())
     }
@@ -1712,12 +1720,12 @@ impl NttBackend for CpuBackend {
     /// No fault model, but a freed or foreign handle is still a
     /// recoverable condition on the typed surface: validated up front
     /// instead of letting the arena's invariant check panic mid-op.
-    fn try_run(&mut self, plan: &RingPlan, op: BackendOp<'_>) -> Result<(), BackendError> {
-        if !op.handles().iter().all(|&b| self.arena().is_live(b)) {
-            return Err(BackendError::Fatal { op: op.label() });
+    fn gate(&mut self, op: &BackendOp<'_>) -> Result<(), BackendError> {
+        if op.handles().iter().all(|&b| self.arena().is_live(b)) {
+            Ok(())
+        } else {
+            Err(BackendError::Fatal { op: op.label() })
         }
-        self.run(plan, op);
-        Ok(())
     }
 }
 
@@ -1801,19 +1809,42 @@ impl Digits {
 pub struct Evaluator {
     plan: RingPlan,
     backend: Box<dyn NttBackend>,
-    /// Grow-only device scratch for the key-switch buffer-of-digits
-    /// (allocated in the backend's memory; freed on drop).
-    dev_scratch: Option<DeviceBuf>,
+    /// Grow-only device scratch in the backend's memory, one allocation
+    /// per slot (freed on drop): slot 0 holds the key switch's
+    /// buffer-of-digits or the automorphism's output, slot `1 + k` the
+    /// rescale's lifted rows of its `k`-th polynomial, each viewed from
+    /// row 0 like that polynomial's accumulator.
+    scratch: Vec<Option<DeviceBuf>>,
     /// The fault gate: `None` unarmed, `Some(Ok(()))` armed and healthy,
     /// `Some(Err(_))` the first fault since arming (see
     /// [`Evaluator::gated`]).
     gate: Option<Result<(), BackendError>>,
+    /// Transient gate failures re-drawn in place since the evaluator was
+    /// last armed.
+    retries: u64,
+}
+
+/// In-place re-draws an armed evaluator gives one transient gate failure
+/// before it latches.
+const OP_RETRIES: u64 = 3;
+
+/// Draw `gate`, re-drawing a transient failure in place up to
+/// [`OP_RETRIES`] times: the outcome and the re-draws it took.
+fn retried<T>(mut gate: impl FnMut() -> Result<T, BackendError>) -> (Result<T, BackendError>, u64) {
+    let mut retries = 0;
+    loop {
+        match gate() {
+            Err(e) if e.is_transient() && retries < OP_RETRIES => retries += 1,
+            outcome => return (outcome, retries),
+        }
+    }
 }
 
 impl Drop for Evaluator {
     fn drop(&mut self) {
-        if let Some(buf) = self.dev_scratch.take() {
-            lock_memory(&self.backend.memory()).free(buf);
+        let mem = self.backend.memory();
+        for buf in self.scratch.drain(..).flatten() {
+            lock_memory(&mem).free(buf);
         }
     }
 }
@@ -1834,8 +1865,9 @@ impl Evaluator {
         Self {
             plan,
             backend,
-            dev_scratch: None,
+            scratch: Vec::new(),
             gate: None,
+            retries: 0,
         }
     }
 
@@ -1898,10 +1930,27 @@ impl Evaluator {
     pub fn zero_resident(&mut self, level: usize, repr: Representation) -> RnsPoly {
         self.backend.bind_stream();
         let mut poly = RnsPoly::zero_with_repr(self.plan.ring(), level, repr);
-        let mem = self.backend.memory();
-        let buf = lock_memory(&mem).alloc(level * self.plan.degree());
-        poly.adopt_mirror(&mem, buf);
+        let buf = self.device_alloc(level * self.plan.degree());
+        poly.adopt_mirror(&self.backend.memory(), buf);
         poly
+    }
+
+    /// Allocate `words` zeroed device words. Armed and healthy, the
+    /// evaluator allocates through [`DeviceMemory::try_alloc`], so an
+    /// injected OOM latches like a launch fault; the infallible
+    /// [`DeviceMemory::alloc`] then serves the request, so every buffer
+    /// the rest of the checkout touches stays valid while nothing is
+    /// issued on it.
+    fn device_alloc(&mut self, words: usize) -> DeviceBuf {
+        let mem = self.backend.memory();
+        if matches!(self.gate, Some(Ok(()))) {
+            let drawn = retried(|| lock_memory(&mem).try_alloc(words));
+            if let Some(buf) = self.settle(drawn) {
+                return buf;
+            }
+        }
+        let buf = lock_memory(&mem).alloc(words);
+        buf
     }
 
     /// `poly`'s active device view if it is resident **in this backend's
@@ -1992,18 +2041,25 @@ impl Evaluator {
     ///
     /// Every [`BackendOp`] the evaluator issues goes through one private
     /// dispatch: unarmed it calls [`NttBackend::run`], which never draws
-    /// a fault; armed it calls [`NttBackend::try_run`], the fault gate.
-    /// The first `Err` is latched, and from then on the evaluator issues
-    /// nothing — no further draw, no launch — while `f` runs to its end
-    /// over stale data, like a GPU stream that reports a failed launch at
-    /// the next synchronization. So on `Err` nothing `f` computed may be
-    /// used (or decoded) afterwards; its inputs are untouched, because
-    /// the gate fires before any operand moves, and the identical work
-    /// can be retried. Host↔device staging through [`DeviceMemory`] never
-    /// draws, armed or not.
+    /// a fault; armed it passes [`NttBackend::gate`] first. A transient
+    /// gate failure is drawn again in place, up to three times, before
+    /// it counts; the gate fires before any operand moves, so the op then
+    /// runs on unchanged data ([`Evaluator::op_retries`] counts these
+    /// re-draws). The first failure that counts is latched, and from then
+    /// on the evaluator issues nothing — no further draw, no launch —
+    /// while `f` runs to its end over stale data, like a GPU stream that
+    /// reports a failed launch at the next synchronization. So on `Err`
+    /// nothing `f` computed may be used (or decoded) afterwards; its
+    /// inputs are untouched and the identical work can be retried. The
+    /// evaluator's own device allocations (zero accumulators and
+    /// scratch) go through [`DeviceMemory::try_alloc`] and latch an
+    /// injected OOM the same way; host↔device staging never draws, armed
+    /// or not.
     ///
     /// A nested call shares the outer latch. The evaluator is unarmed
-    /// again when the outermost call returns.
+    /// again when the outermost call returns. [`Evaluator::arm`] and
+    /// [`Evaluator::disarm`] are the same two steps for an armed span
+    /// that is not one closure.
     ///
     /// ```
     /// use ntt_core::backend::Evaluator;
@@ -2020,28 +2076,63 @@ impl Evaluator {
     /// ```
     pub fn gated<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> Result<R, BackendError> {
         let outer = self.gate.is_some();
-        self.gate.get_or_insert(Ok(()));
+        self.arm();
         let r = f(self);
         let latch = if outer {
-            self.gate.clone()
+            self.gate.clone().expect("armed for the call")
         } else {
-            self.gate.take()
+            self.disarm()
         };
-        latch.expect("armed for the call").map(|()| r)
+        latch.map(|()| r)
     }
 
-    /// Issue `op`: [`NttBackend::run`] unarmed, [`NttBackend::try_run`]
-    /// armed, nothing once a fault is latched.
+    /// Arm the evaluator until [`Evaluator::disarm`] (see
+    /// [`Evaluator::gated`]) and zero its [`Evaluator::op_retries`]. A
+    /// no-op on an armed evaluator.
+    pub fn arm(&mut self) {
+        if self.gate.is_none() {
+            self.gate = Some(Ok(()));
+            self.retries = 0;
+        }
+    }
+
+    /// Unarm the evaluator and return its latch: the first fault since
+    /// [`Evaluator::arm`], or `Ok` (also when it was not armed).
+    ///
+    /// # Errors
+    ///
+    /// The latched [`BackendError`].
+    pub fn disarm(&mut self) -> Result<(), BackendError> {
+        self.gate.take().unwrap_or(Ok(()))
+    }
+
+    /// Transient gate failures the evaluator re-drew in place since it
+    /// was last armed.
+    pub fn op_retries(&self) -> u64 {
+        self.retries
+    }
+
+    /// Book an armed draw (after its in-place re-draws): its value if it
+    /// passed, else `None` with the failure latched.
+    fn settle<T>(&mut self, (outcome, retries): (Result<T, BackendError>, u64)) -> Option<T> {
+        self.retries += retries;
+        outcome.map_err(|e| self.gate = Some(Err(e))).ok()
+    }
+
+    /// Issue `op`: [`NttBackend::run`] unarmed, [`NttBackend::gate`] and
+    /// then `run` armed, nothing once a fault is latched.
     fn dispatch(&mut self, op: BackendOp<'_>) {
         match self.gate {
-            None => self.backend.run(&self.plan, op),
+            None => {}
             Some(Ok(())) => {
-                if let Err(e) = self.backend.try_run(&self.plan, op) {
-                    self.gate = Some(Err(e));
+                let drawn = retried(|| self.backend.gate(&op));
+                if self.settle(drawn).is_none() {
+                    return;
                 }
             }
-            Some(Err(_)) => {}
+            Some(Err(_)) => return,
         }
+        self.backend.run(&self.plan, op);
     }
 
     /// Forward-NTT a raw `rows × N` batch (row `r` mod prime
@@ -2245,12 +2336,11 @@ impl Evaluator {
             .map(|b| PolyView::new(b.sub(last * n, n), last..level))
             .collect();
         self.dispatch(BackendOp::Inverse { views: &dropped });
-        // Separate allocations start at row 0 like the accumulators, so
-        // on a sharded device every lifted row lands where its
-        // accumulator row lives.
-        let lifted: Vec<PolyView> = bufs
-            .iter()
-            .map(|_| PolyView::new(lock_memory(&mem).alloc(last * n), 0..last))
+        // One scratch allocation per polynomial, each viewed from row 0
+        // like the accumulators, so on a sharded device every lifted row
+        // lands where its accumulator row lives.
+        let lifted: Vec<PolyView> = (0..bufs.len())
+            .map(|k| PolyView::new(self.scratch(1 + k, last * n), 0..last))
             .collect();
         let op = BackendOp::BaseConvert {
             src: &dropped,
@@ -2268,9 +2358,6 @@ impl Evaluator {
             fold: Some(fold),
         };
         self.dispatch(op);
-        for view in lifted {
-            lock_memory(&mem).free(view.buf);
-        }
         for poly in polys.iter_mut() {
             poly.device_truncate_level();
         }
@@ -2311,7 +2398,7 @@ impl Evaluator {
             "automorphism requires coefficient form"
         );
         if let Some(src) = self.device_target(poly) {
-            let tmp = self.ensure_dev_scratch(src.len());
+            let tmp = self.scratch(0, src.len());
             let op = BackendOp::Automorphism {
                 src,
                 dst: tmp,
@@ -2504,7 +2591,7 @@ impl Evaluator {
         let (n, level) = (self.plan.degree(), poly.level());
         let words = level * n;
         if let Some(src) = self.dev_buf(poly) {
-            let buf = self.ensure_dev_scratch(level * digits * words);
+            let buf = self.scratch(0, level * digits * words);
             let op = BackendOp::Decompose {
                 src,
                 dst: buf,
@@ -2539,20 +2626,20 @@ impl Evaluator {
         )
     }
 
-    /// Grow-only device scratch view of exactly `words` words.
-    fn ensure_dev_scratch(&mut self, words: usize) -> DeviceBuf {
-        let mem = self.backend.memory();
-        match self.dev_scratch {
-            Some(buf) if buf.len() >= words => buf.sub(0, words),
-            old => {
-                if let Some(buf) = old {
-                    lock_memory(&mem).free(buf);
-                }
-                let buf = lock_memory(&mem).alloc(words);
-                self.dev_scratch = Some(buf);
-                buf.sub(0, words)
-            }
+    /// Scratch slot `slot`, grown to at least `words` words and viewed
+    /// as exactly that.
+    fn scratch(&mut self, slot: usize, words: usize) -> DeviceBuf {
+        if self.scratch.len() <= slot {
+            self.scratch.resize(slot + 1, None);
         }
+        match self.scratch[slot] {
+            Some(buf) if buf.len() >= words => return buf.sub(0, words),
+            Some(old) => lock_memory(&self.backend.memory()).free(old),
+            None => {}
+        }
+        let buf = self.device_alloc(words);
+        self.scratch[slot] = Some(buf);
+        buf
     }
 
     /// Fused negacyclic product of two coefficient-form polynomials. When

@@ -160,12 +160,6 @@ impl Workspace {
     pub fn reallocs(&self) -> usize {
         self.reallocs
     }
-
-    /// Current scratch capacity in 64-bit words (both buffers).
-    #[inline]
-    pub fn capacity_words(&self) -> usize {
-        self.a.len() + self.b.len()
-    }
 }
 
 /// Run `work(row_index, row)` over every `n`-word row of `data`, split

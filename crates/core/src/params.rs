@@ -59,11 +59,6 @@ impl HeParams {
         Self::new(17, 60, 45)
     }
 
-    /// A batching sweep point (Fig. 3 / Fig. 13): `N = 2^17`, variable `np`.
-    pub fn with_np(np: usize) -> Self {
-        Self::new(17, 60, np)
-    }
-
     /// Word-size ablation (§IV): `Q ≈ 2^1200` from 30-bit primes (np = 40).
     pub fn wordsize_30bit() -> Self {
         Self::new(17, 30, 40)

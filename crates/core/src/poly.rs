@@ -103,11 +103,6 @@ impl Polynomial {
     pub fn coeffs_mut(&mut self) -> &mut [u64] {
         &mut self.coeffs
     }
-
-    /// Consume into the coefficient vector.
-    pub fn into_coeffs(self) -> Vec<u64> {
-        self.coeffs
-    }
 }
 
 impl From<Polynomial> for Vec<u64> {
@@ -296,18 +291,6 @@ impl RnsRing {
                 strategies: std::sync::OnceLock::new(),
             }),
         })
-    }
-
-    /// Build from an [`crate::params::HeParams`] preset.
-    ///
-    /// # Errors
-    ///
-    /// Propagates construction failures.
-    pub fn from_params(params: &crate::params::HeParams) -> Result<Self, RingError> {
-        Self::new(
-            params.n(),
-            ntt_math::ntt_primes(params.prime_bits(), 2 * params.n() as u64, params.np()),
-        )
     }
 
     /// Ring degree `N`.
@@ -806,26 +789,6 @@ impl RnsPoly {
     #[inline]
     pub fn set_repr(&mut self, repr: Representation) {
         self.repr = repr;
-    }
-
-    /// Overwrite `self` with `other`'s residues and representation,
-    /// reusing the existing buffer (no allocation).
-    ///
-    /// # Panics
-    ///
-    /// Panics on degree or level mismatch.
-    pub fn copy_from(&mut self, other: &RnsPoly) {
-        assert_eq!(self.n, other.n, "degree mismatch");
-        assert_eq!(self.level, other.level, "level mismatch");
-        other.assert_host_fresh();
-        // Every host word is overwritten: no download needed, just mark
-        // any device copy stale.
-        if let Some(m) = &mut self.mirror {
-            m.dev_dirty = false;
-            m.host_dirty = true;
-        }
-        self.data.copy_from_slice(&other.data);
-        self.repr = other.repr;
     }
 
     /// Forward-NTT every active row (no-op if already in evaluation form).

@@ -11,10 +11,11 @@
 //!
 //! The plan is armed on a [`Gpu`](crate::Gpu) via
 //! [`Gpu::set_fault_plan`](crate::Gpu::set_fault_plan) and consulted by the
-//! *fallible* backend entry points in `ntt-gpu` (`NttBackend::try_run`,
-//! which an armed evaluator checkout calls for every op, and the device
-//! memory's `try_alloc`); the infallible paths — unarmed evaluators and
-//! host↔device staging included — never draw from it, so calibration
+//! *fallible* backend entry points in `ntt-gpu` (`NttBackend::gate`,
+//! which an armed evaluator checkout passes for every op, and the device
+//! memory's `try_alloc`, through which it allocates); the infallible
+//! paths — unarmed evaluators and host↔device staging included — never
+//! draw from it, so calibration
 //! runs and figure-harness sweeps stay fault-free by construction. When a fault
 //! fires, the `Gpu` charges a zero-word transfer (one PCIe latency) to the
 //! active stream so the aborted command still occupies the modeled
@@ -36,6 +37,11 @@
 //!   wedges: every later draw fails sticky (unset = never).
 //! * `oom_words` — device capacity in words; an allocation that would
 //!   push the address space past it fails with an OOM fault.
+//!
+//! An allocation is not a device command: it draws the schedule (and
+//! counts toward `sticky_after`) only when `alloc` has a rate or it
+//! breaks the `oom_words` cap, so a plan without either sees exactly the
+//! transfers and launches it gates.
 
 /// The operation classes a [`FaultPlan`] can fail.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -227,12 +233,17 @@ impl FaultPlan {
 
     /// Draw the schedule for an allocation that would bring the device
     /// address space to `projected_words`. Checks the OOM cap first,
-    /// then the regular [`FaultOp::Alloc`] schedule.
+    /// then, when allocations have a fault rate, the regular
+    /// [`FaultOp::Alloc`] schedule; an allocation that passes the cap
+    /// under a zero alloc rate is not a draw.
     pub fn check_alloc(&mut self, projected_words: usize) -> Result<(), FaultKind> {
         if self.oom_words.is_some_and(|cap| projected_words > cap) {
             self.ops_seen += 1;
             self.injected[2] += 1;
             return Err(FaultKind::Oom);
+        }
+        if self.rates[FaultOp::Alloc.index()] == 0 {
+            return Ok(());
         }
         self.check(FaultOp::Alloc)
     }
@@ -316,6 +327,18 @@ mod tests {
         assert_eq!(plan.check_alloc(1000), Ok(()));
         assert_eq!(plan.check_alloc(1001), Err(FaultKind::Oom));
         assert_eq!(plan.check_alloc(500), Ok(()));
+        // Only the capacity failure was a draw.
+        assert_eq!(plan.ops_seen(), 1);
+    }
+
+    #[test]
+    fn allocations_draw_only_under_an_alloc_rate() {
+        let mut plan = FaultPlan::seeded(1).sticky_after(0);
+        assert_eq!(plan.check_alloc(64), Ok(()));
+        assert_eq!(plan.ops_seen(), 0, "a zero alloc rate drew");
+        let mut plan = plan.rate(FaultOp::Alloc, 1000);
+        assert_eq!(plan.check_alloc(64), Err(FaultKind::Sticky));
+        assert_eq!(plan.ops_seen(), 1);
     }
 
     #[test]

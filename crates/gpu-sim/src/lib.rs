@@ -111,8 +111,8 @@ impl Gpu {
 
     /// Arm (or with `None`, disarm) a deterministic fault schedule. The
     /// plan is consulted only by the fallible entry points of the
-    /// execution backend in `ntt-gpu` (`NttBackend::try_run`, which an
-    /// armed evaluator checkout calls for every op, and the device
+    /// execution backend in `ntt-gpu` (`NttBackend::gate`, which an
+    /// armed evaluator checkout passes for every op, and the device
     /// memory's `try_alloc`) via [`Gpu::fault_check`]; infallible paths
     /// — unarmed evaluators, host↔device staging, calibration, the
     /// figure harness — never draw from it. Disarming also "resets" a
@@ -141,8 +141,9 @@ impl Gpu {
     }
 
     /// Draw the armed fault schedule for an allocation that would bring
-    /// the device address space to `projected_words` (OOM cap plus the
-    /// regular [`FaultOp::Alloc`] schedule). Timeline charging as in
+    /// the device address space to `projected_words` (OOM cap plus, under
+    /// a non-zero alloc rate, the regular [`FaultOp::Alloc`] schedule;
+    /// see [`FaultPlan::check_alloc`]). Timeline charging as in
     /// [`Gpu::fault_check`].
     pub fn fault_check_alloc(&mut self, projected_words: usize) -> Result<(), FaultKind> {
         let Some(plan) = self.fault.as_mut() else {
@@ -272,11 +273,6 @@ impl Gpu {
             return 0.0;
         }
         self.total_dram_bytes() as f64 / t / self.config.peak_dram_bw
-    }
-
-    /// Clear the launch trace (keeps memory contents).
-    pub fn reset_trace(&mut self) {
-        self.trace.clear();
     }
 }
 

@@ -53,6 +53,14 @@
 //! [`Bootstrapper::new`] and cached device-resident: repeated
 //! [`Bootstrapper::bootstrap`] calls perform **zero** steady-state
 //! host↔device transfers (gated in `tests/residency.rs`).
+//!
+//! **Fault gating.** There is one pipeline.
+//! [`Bootstrapper::try_bootstrap`] runs it in one [`HeContext::gated`]
+//! scope, so every op of the bootstrap passes the device's fault gate on
+//! one armed pool member: a transient gate failure is re-drawn in place
+//! up to three times, and the first fault that latches ends the
+//! bootstrap with a classified error. Unarmed, [`Bootstrapper::bootstrap`]
+//! issues exactly the same ops and never draws.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -384,29 +392,6 @@ impl Bootstrapper {
     /// Panics unless `ct` is at level 1 with scale
     /// [`Bootstrapper::input_scale`].
     pub fn bootstrap(&self, ct: &Ciphertext) -> Ciphertext {
-        match self.run(ct, false) {
-            Ok(out) => out,
-            Err(_) => unreachable!("infallible path returned an error"),
-        }
-    }
-
-    /// Fallible [`Bootstrapper::bootstrap`]: every rotation (the
-    /// fault-gated op class — each is a transform + automorphism + key
-    /// switch) runs through [`HeContext::try_rotate`], so injected
-    /// faults surface as classified [`BackendError`]s with the
-    /// ciphertext argument unchanged, and the serving layer can apply
-    /// its retry/degrade policy. Rotation keys are owned by the
-    /// bootstrapper (not any pool member), so they survive evaluator
-    /// quarantine + re-fork.
-    ///
-    /// # Errors
-    ///
-    /// Any [`BackendError`] from the underlying evaluator ops.
-    pub fn try_bootstrap(&self, ct: &Ciphertext) -> Result<Ciphertext, BackendError> {
-        self.run(ct, true)
-    }
-
-    fn run(&self, ct: &Ciphertext, fallible: bool) -> Result<Ciphertext, BackendError> {
         assert_eq!(ct.level(), 1, "bootstrap input must be at level 1");
         assert!(
             (ct.scale() / self.input_scale - 1.0).abs() < 1e-9,
@@ -415,33 +400,42 @@ impl Bootstrapper {
             ct.scale()
         );
         let raised = self.ctx.mod_raise(ct, self.ctx.params().levels);
-        let (m1, m2) = self.coeff_to_slot(&raised, fallible)?;
+        let (m1, m2) = self.coeff_to_slot(&raised);
         let s1 = self.eval_mod(&m1);
         let s2 = self.eval_mod(&m2);
-        self.slot_to_coeff(&s1, &s2, fallible)
+        self.slot_to_coeff(&s1, &s2)
+    }
+
+    /// [`Bootstrapper::bootstrap`] in one [`HeContext::gated`] scope: the
+    /// whole pipeline — mod-raise, rotations, plaintext products,
+    /// EvalMod's multiplies and every rescale — runs on one armed pool
+    /// member, so every backend op passes the fault gate, a transient
+    /// failure is re-drawn in place, and the first fault that latches
+    /// comes back as a classified [`BackendError`] with the ciphertext
+    /// argument unchanged; the serving layer then applies its
+    /// retry/degrade policy. Rotation keys and diagonals are owned by
+    /// the bootstrapper (not any pool member), so they survive evaluator
+    /// quarantine + re-fork.
+    ///
+    /// # Errors
+    ///
+    /// The first [`BackendError`] of the pipeline's backend ops.
+    pub fn try_bootstrap(&self, ct: &Ciphertext) -> Result<Ciphertext, BackendError> {
+        self.ctx.gated(|| self.bootstrap(ct))
     }
 
     // ---- CoeffToSlot / SlotToCoeff (homomorphic DFT) -----------------
 
-    /// Rotate by Galois element `g`, through the fallible path when
-    /// requested.
-    fn rot(&self, ct: &Ciphertext, g: u64, fallible: bool) -> Result<Ciphertext, BackendError> {
-        if fallible {
-            self.ctx.try_rotate(ct, g, &self.rot)
-        } else {
-            Ok(self.ctx.rotate(ct, g, &self.rot))
-        }
-    }
-
     /// Baby-step rotations `rot_{j0}(ct)` for `j0 ∈ 0..g1` (index 0 is
     /// the ciphertext itself).
-    fn baby_steps(&self, ct: &Ciphertext, fallible: bool) -> Result<Vec<Ciphertext>, BackendError> {
+    fn baby_steps(&self, ct: &Ciphertext) -> Vec<Ciphertext> {
         let mut rots = Vec::with_capacity(self.g1);
         rots.push(ct.clone());
         for j0 in 1..self.g1 {
-            rots.push(self.rot(ct, self.emb.galois_for_rotation(j0), fallible)?);
+            let g = self.emb.galois_for_rotation(j0);
+            rots.push(self.ctx.rotate(ct, g, &self.rot));
         }
-        Ok(rots)
+        rots
     }
 
     /// One BSGS matrix–vector product over a *pair* of operands sharing
@@ -457,8 +451,7 @@ impl Bootstrapper {
         rots_b: &[Ciphertext],
         da: &Diags,
         db: &Diags,
-        fallible: bool,
-    ) -> Result<Ciphertext, BackendError> {
+    ) -> Ciphertext {
         let mut out: Option<Ciphertext> = None;
         for i in 0..self.g2 {
             let terms: Vec<(&Ciphertext, &Plaintext)> = (0..self.g1)
@@ -470,7 +463,8 @@ impl Bootstrapper {
                 .collect();
             let mut v = self.ctx.multiply_plain_sum(&terms);
             if i > 0 {
-                v = self.rot(&v, self.emb.galois_for_rotation(i * self.g1), fallible)?;
+                let g = self.emb.galois_for_rotation(i * self.g1);
+                v = self.ctx.rotate(&v, g, &self.rot);
             }
             out = Some(match out {
                 Some(acc) => self.ctx.add(&acc, &v),
@@ -479,38 +473,29 @@ impl Bootstrapper {
         }
         let mut out = out.expect("empty BSGS");
         self.ctx.rescale(&mut out);
-        Ok(out)
+        out
     }
 
     /// Homomorphic `σ⁻¹`: two ciphertexts whose slots are the first and
     /// second halves of the input's coefficients (times the folded
     /// EvalMod input scaling).
-    fn coeff_to_slot(
-        &self,
-        ct: &Ciphertext,
-        fallible: bool,
-    ) -> Result<(Ciphertext, Ciphertext), BackendError> {
-        let conj = self.rot(ct, self.emb.galois_conjugate(), fallible)?;
-        let rots_u = self.baby_steps(ct, fallible)?;
-        let rots_c = self.baby_steps(&conj, fallible)?;
-        let out1 = self.bsgs(&rots_u, &rots_c, &self.cts_f, &self.cts_fc, fallible)?;
-        let out2 = self.bsgs(&rots_u, &rots_c, &self.cts_g, &self.cts_gc, fallible)?;
-        Ok((out1, out2))
+    fn coeff_to_slot(&self, ct: &Ciphertext) -> (Ciphertext, Ciphertext) {
+        let conj = self.ctx.rotate(ct, self.emb.galois_conjugate(), &self.rot);
+        let rots_u = self.baby_steps(ct);
+        let rots_c = self.baby_steps(&conj);
+        let out1 = self.bsgs(&rots_u, &rots_c, &self.cts_f, &self.cts_fc);
+        let out2 = self.bsgs(&rots_u, &rots_c, &self.cts_g, &self.cts_gc);
+        (out1, out2)
     }
 
     /// Homomorphic `σ`: recombine the two slot ciphertexts into one
     /// coefficient-domain ciphertext.
-    fn slot_to_coeff(
-        &self,
-        m1: &Ciphertext,
-        m2: &Ciphertext,
-        fallible: bool,
-    ) -> Result<Ciphertext, BackendError> {
+    fn slot_to_coeff(&self, m1: &Ciphertext, m2: &Ciphertext) -> Ciphertext {
         assert_eq!(m1.level(), self.level_stc, "EvalMod level drift");
         assert_eq!(m2.level(), self.level_stc, "EvalMod level drift");
-        let rots_1 = self.baby_steps(m1, fallible)?;
-        let rots_2 = self.baby_steps(m2, fallible)?;
-        self.bsgs(&rots_1, &rots_2, &self.stc_c, &self.stc_d, fallible)
+        let rots_1 = self.baby_steps(m1);
+        let rots_2 = self.baby_steps(m2);
+        self.bsgs(&rots_1, &rots_2, &self.stc_c, &self.stc_d)
     }
 
     /// Precompute the pre-rotated BSGS diagonals of one slot matrix as
@@ -557,6 +542,9 @@ impl Bootstrapper {
     /// A cached prepared constant plaintext: `v` encoded at `scale`,
     /// truncated/resident/NTT at `level`. First use per key uploads
     /// once; the schedule is static, so steady-state bootstraps only hit.
+    /// Inside an armed scope whose latch has fired the preparation's
+    /// transform was skipped, so such a constant is used (by a bootstrap
+    /// that fails anyway) but not cached.
     fn cached_const(&self, v: f64, scale: f64, level: usize) -> Arc<Plaintext> {
         let key = (v.to_bits(), scale.to_bits(), level);
         if let Some(pt) = self
@@ -571,6 +559,9 @@ impl Bootstrapper {
             self.ctx
                 .prepare_plaintext(&self.ctx.encode_with_scale(&[v], scale), level),
         );
+        if self.ctx.gated(|| ()).is_err() {
+            return pt;
+        }
         self.consts
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)

@@ -22,7 +22,8 @@
 //!   and everything else is exact host arithmetic.
 //! * **[`HeServer`]** — worker threads draining the queue into the
 //!   batcher through armed checkouts
-//!   ([`he_lite::HeContext::try_with_pooled_evaluator`]), with
+//!   ([`he_lite::HeContext::try_with_pooled_evaluator`], a checkout in a
+//!   [`he_lite::HeContext::gated`] scope), with
 //!   per-tenant latency histograms and cost-weighted transfer
 //!   attribution ([`metrics`]).
 //! * **[`loadgen`]** — a closed/open-loop load generator with
@@ -33,21 +34,27 @@
 //!
 //! # Self-healing dispatch
 //!
-//! Every group runs on an armed evaluator checkout: each backend op of
-//! the group passes the device's fault gate, the first fault is latched
-//! and skips the rest of the group, and the checkout returns it as a
-//! classified [`ntt_core::backend::BackendError`]. Bootstrap groups take
-//! no checkout of their own; each rotation of
-//! [`Bootstrapper::try_bootstrap`] arms its own. The serving loop
-//! survives an unreliable device:
+//! Every group runs in an armed scope ([`he_lite::HeContext::gated`]):
+//! each backend op of the group passes the device's fault gate, a
+//! transient gate failure is re-drawn in place up to three times, the
+//! first fault that outlasts that is latched and skips the rest of the
+//! group, and the scope returns it as a classified
+//! [`ntt_core::backend::BackendError`]. A bootstrap group runs each
+//! [`Bootstrapper::try_bootstrap`] in a scope of its own, so every op of
+//! the bootstrap, EvalMod included, is gated on one pool member. The
+//! serving loop survives an unreliable device:
 //!
-//! * **Bounded retry** — transient faults are retried under
-//!   [`RetryPolicy`] (exponential backoff, deterministic jitter, capped
-//!   by the tightest live deadline).
+//! * **Per-op retry** — a transient fault costs one more draw of the
+//!   failing op, not a re-run of its group
+//!   ([`MetricsSnapshot::op_retries`]).
+//! * **Bounded retry** — a transient fault that outlasts the in-place
+//!   re-draws re-runs the group under [`RetryPolicy`] (exponential
+//!   backoff, deterministic jitter, capped by the tightest live
+//!   deadline).
 //! * **Quarantine** — a fatal/OOM fault drops the pooled evaluator that
-//!   observed it and re-forks a replacement
-//!   ([`he_lite::HeContext::try_with_pooled_evaluator`]), so no later
-//!   dispatch inherits a wedged executor.
+//!   observed it and re-forks a replacement when its scope closes
+//!   ([`he_lite::HeContext::gated`]), so no later dispatch inherits a
+//!   wedged executor.
 //! * **Degradation** — a group whose device budget is exhausted re-runs
 //!   on a host/CPU evaluator with bit-identical results; a fatal fault
 //!   marks the device down so later groups skip it entirely.

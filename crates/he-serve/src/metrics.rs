@@ -194,8 +194,13 @@ pub struct MetricsSnapshot {
     /// Jobs executed across all groups (`batched_jobs / batches` is the
     /// achieved batching factor).
     pub batched_jobs: u64,
-    /// Retry attempts made after transient device faults.
+    /// Group re-runs after a transient device fault (the fault that
+    /// latched after its op's in-place re-draws).
     pub retries: u64,
+    /// Transient gate failures re-drawn in place, one op at a time,
+    /// inside armed checkouts (see `HeContext::op_retry_count`); only a
+    /// fault that outlasts these reaches [`MetricsSnapshot::retries`].
+    pub op_retries: u64,
     /// Device faults observed, by class (including faults later absorbed
     /// by a retry or the CPU fallback).
     pub faults: FaultCounts,

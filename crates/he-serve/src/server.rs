@@ -626,8 +626,8 @@ impl ServerInner {
                     .collect())
             }
             Request::Boot { .. } => {
-                // No checkout here: every rotation of the bootstrap checks
-                // out its own armed pool member. The engine's keys and
+                // No checkout here: each bootstrap runs in its own armed
+                // scope on one pool member. The engine's keys and
                 // diagonals live in shared device memory, so any member
                 // can execute against them.
                 let boot = self.boot.as_ref().expect("Boot jobs validated at submit");
@@ -733,6 +733,7 @@ impl ServerInner {
             deadline_misses: m.deadline_misses,
             cancelled: m.cancelled,
             quarantined: self.ctx.quarantined_count() as u64,
+            op_retries: self.ctx.op_retry_count(),
             fallback_evaluators: self.fallback.built(),
             worker_panics: m.worker_panics,
             ..Default::default()

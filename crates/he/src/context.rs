@@ -42,9 +42,11 @@ use ntt_core::backend::{
 use ntt_core::poly::{Representation, RingError, RnsPoly, RnsRing};
 use rand::{Rng, RngExt};
 use std::borrow::Cow;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
+use std::thread::ThreadId;
 
 /// Errors from context construction.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,11 +80,37 @@ struct EvalPool {
     /// only briefly, never across an operation.
     proto: Mutex<Box<dyn NttBackend>>,
     idle: Mutex<Vec<Evaluator>>,
+    /// The open [`HeContext::gated`] scopes, one per thread at most.
+    scopes: Mutex<HashMap<ThreadId, Parked>>,
     /// Evaluators ever created (pool high-water mark).
     created: AtomicUsize,
     /// Pool members dropped after a non-transient fault (each one is
     /// replaced by a fresh fork, so capacity survives the fault).
     quarantined: AtomicUsize,
+    /// Transient gate failures the members of closed scopes re-drew in
+    /// place.
+    op_retries: AtomicU64,
+}
+
+/// One thread's open [`HeContext::gated`] scope.
+enum Parked {
+    /// No checkout yet: the scope's first one arms a member.
+    Vacant,
+    /// The armed member, between checkouts.
+    Idle(Evaluator),
+    /// The armed member, checked out by a running operation.
+    InUse,
+}
+
+/// Closes a thread's scope on every exit path: a panic inside it drops
+/// the armed member, like a panic inside a checkout does.
+struct ScopeGuard<'a>(&'a EvalPool);
+
+impl Drop for ScopeGuard<'_> {
+    fn drop(&mut self) {
+        let parked = lock(&self.0.scopes).remove(&std::thread::current().id());
+        drop(parked);
+    }
 }
 
 impl std::fmt::Debug for EvalPool {
@@ -182,8 +210,10 @@ impl HeContext {
         let pool = EvalPool {
             proto: Mutex::new(backend),
             idle: Mutex::new(Vec::new()),
+            scopes: Mutex::new(HashMap::new()),
             created: AtomicUsize::new(0),
             quarantined: AtomicUsize::new(0),
+            op_retries: AtomicU64::new(0),
         };
         Ok(Self {
             params,
@@ -203,9 +233,39 @@ impl HeContext {
     }
 
     /// Pop an idle pool member, or fork a new one.
-    fn checkout(&self) -> Evaluator {
+    fn pop_or_fork(&self) -> Evaluator {
         let idle = lock(&self.pool.idle).pop();
         idle.unwrap_or_else(|| self.fork_evaluator())
+    }
+
+    /// Check out an evaluator: inside an open [`HeContext::gated`] scope
+    /// of the calling thread its armed member (`true`), armed on the
+    /// scope's first checkout; otherwise a pool member (`false`). A
+    /// checkout nested in a running one takes a pool member.
+    fn checkout(&self) -> (Evaluator, bool) {
+        let parked = lock(&self.pool.scopes)
+            .get_mut(&std::thread::current().id())
+            .map(|slot| std::mem::replace(slot, Parked::InUse));
+        match parked {
+            Some(Parked::Idle(ev)) => (ev, true),
+            Some(Parked::Vacant) => {
+                let mut ev = self.pop_or_fork();
+                ev.arm();
+                (ev, true)
+            }
+            Some(Parked::InUse) | None => (self.pop_or_fork(), false),
+        }
+    }
+
+    /// Return a checked-out evaluator to its scope or to the pool.
+    fn checkin(&self, ev: Evaluator, scoped: bool) {
+        if scoped {
+            let mut scopes = lock(&self.pool.scopes);
+            let slot = scopes.get_mut(&std::thread::current().id());
+            *slot.expect("the scope outlives its checkouts") = Parked::Idle(ev);
+        } else {
+            lock(&self.pool.idle).push(ev);
+        }
     }
 
     /// Run `f` with an evaluator checked out of the context's pool: pop
@@ -230,35 +290,75 @@ impl HeContext {
     /// # Ok::<(), he_lite::HeError>(())
     /// ```
     pub fn with_pooled_evaluator<R>(&self, f: impl FnOnce(&mut Evaluator) -> R) -> R {
-        let mut ev = self.checkout();
+        let (mut ev, scoped) = self.checkout();
         let r = f(&mut ev);
-        lock(&self.pool.idle).push(ev);
+        self.checkin(ev, scoped);
         r
     }
 
-    /// [`HeContext::with_pooled_evaluator`] on an **armed** checkout,
-    /// with pool health tracking: run `f` under [`Evaluator::gated`] and
-    /// return its result, or the first fault one of its backend ops hit.
-    /// Every op after that fault is skipped, so on `Err` nothing `f`
-    /// computed may be used or decoded; its inputs are untouched, and
-    /// the identical call can be retried.
+    /// Run `f` **armed**: every checkout `f` takes from this context on
+    /// the calling thread gets one pool member, armed
+    /// ([`Evaluator::arm`]) for the whole scope. Return `f`'s result, or
+    /// the first fault one of the member's backend ops or allocations
+    /// hit. A transient gate failure is re-drawn in place up to three
+    /// times before it counts; after a fault that counts every further op
+    /// is skipped, so on `Err` nothing `f` computed may be used or
+    /// decoded. Its inputs are untouched, and the identical call can be
+    /// retried.
     ///
-    /// A healthy outcome — `Ok`, or an `Err` whose class leaves the
-    /// executor usable ([transient](BackendError::is_transient) faults
-    /// and deadline expiries) — returns the member to the pool. A
-    /// fatal/OOM fault **quarantines** the member: it is dropped (its
-    /// stream and device scratch are released) and a fresh fork of the
-    /// prototype takes its place in the idle set, so pool capacity is
-    /// unchanged and no later checkout inherits a wedged executor. The
-    /// quarantine count is visible via
-    /// [`HeContext::quarantined_count`].
-    pub fn try_with_pooled_evaluator<R>(
-        &self,
-        f: impl FnOnce(&mut Evaluator) -> R,
-    ) -> Result<R, BackendError> {
-        let mut ev = self.checkout();
-        let r = ev.gated(f);
-        match &r {
+    /// The scope is the armed form of every scheme operation:
+    /// `ctx.gated(|| ctx.rotate(ct, g, rtk))` is an armed rotation, and
+    /// a whole bootstrap runs on one armed member the same way. The
+    /// member is checked out at the scope's first checkout (an `f` that
+    /// panics before it loses none). A checkout nested inside a running
+    /// one, and any other thread, takes an ordinary pool member. A nested
+    /// scope on the same thread shares the open one and returns its latch
+    /// as it stands (`Ok` while an enclosing operation holds the member;
+    /// the open scope reports that operation's fault).
+    ///
+    /// When the scope closes, a healthy outcome — `Ok`, or an `Err`
+    /// whose class leaves the executor usable
+    /// ([transient](BackendError::is_transient) faults and deadline
+    /// expiries) — returns the member to the pool. A fatal/OOM fault
+    /// **quarantines** the member: it is dropped (its stream and device
+    /// scratch are released) and a fresh fork of the prototype takes its
+    /// place in the idle set, so pool capacity is unchanged and no later
+    /// checkout inherits a wedged executor. The member's in-place
+    /// re-draws and the quarantines are tallied
+    /// ([`HeContext::op_retry_count`], [`HeContext::quarantined_count`]).
+    ///
+    /// # Errors
+    ///
+    /// The first [`BackendError`] that latched.
+    pub fn gated<R>(&self, f: impl FnOnce() -> R) -> Result<R, BackendError> {
+        let thread = std::thread::current().id();
+        let opened = match lock(&self.pool.scopes).entry(thread) {
+            Entry::Vacant(slot) => {
+                slot.insert(Parked::Vacant);
+                true
+            }
+            Entry::Occupied(_) => false,
+        };
+        if !opened {
+            let r = f();
+            let latch = match lock(&self.pool.scopes).get_mut(&thread) {
+                Some(Parked::Idle(ev)) => ev.gated(|_| ()),
+                _ => Ok(()),
+            };
+            return latch.map(|()| r);
+        }
+        let guard = ScopeGuard(&self.pool);
+        let r = f();
+        let parked = lock(&self.pool.scopes).remove(&thread);
+        drop(guard);
+        let Some(Parked::Idle(mut ev)) = parked else {
+            return Ok(r);
+        };
+        let latch = ev.disarm();
+        self.pool
+            .op_retries
+            .fetch_add(ev.op_retries(), Ordering::Relaxed);
+        match &latch {
             Err(e) if !e.is_transient() && e.class() != FaultClass::Deadline => {
                 drop(ev);
                 self.pool.quarantined.fetch_add(1, Ordering::Relaxed);
@@ -267,7 +367,20 @@ impl HeContext {
             }
             _ => lock(&self.pool.idle).push(ev),
         }
-        r
+        latch.map(|()| r)
+    }
+
+    /// [`HeContext::with_pooled_evaluator`] on an **armed** checkout: `f`
+    /// inside a [`HeContext::gated`] scope, under its quarantine rules.
+    ///
+    /// # Errors
+    ///
+    /// The first [`BackendError`] of `f`'s backend ops.
+    pub fn try_with_pooled_evaluator<R>(
+        &self,
+        f: impl FnOnce(&mut Evaluator) -> R,
+    ) -> Result<R, BackendError> {
+        self.gated(|| self.with_pooled_evaluator(f))
     }
 
     /// Evaluators created so far (the pool's high-water mark — grows with
@@ -278,10 +391,15 @@ impl HeContext {
     }
 
     /// Pool members quarantined (dropped and re-forked) after a
-    /// non-transient fault — see
-    /// [`HeContext::try_with_pooled_evaluator`].
+    /// non-transient fault — see [`HeContext::gated`].
     pub fn quarantined_count(&self) -> usize {
         self.pool.quarantined.load(Ordering::Relaxed)
+    }
+
+    /// Transient gate failures re-drawn in place by the members of
+    /// closed [`HeContext::gated`] scopes.
+    pub fn op_retry_count(&self) -> u64 {
+        self.pool.op_retries.load(Ordering::Relaxed)
     }
 
     /// Whether this context keeps polynomials device-resident.
@@ -530,47 +648,12 @@ impl HeContext {
     ///
     /// Panics if no rotation key was generated for `(g, level)`.
     pub fn rotate(&self, ct: &Ciphertext, g: u64, rtk: &RotationKeys) -> Ciphertext {
-        self.with_pooled_evaluator(self.rotation(ct, g, rtk))
-    }
-
-    /// [`HeContext::rotate`] on an armed checkout
-    /// ([`HeContext::try_with_pooled_evaluator`]): every backend op of
-    /// the rotation, key switch included, passes the fault gate, errors
-    /// classify into transient/fatal/OOM, and a non-transient fault
-    /// quarantines the pool member (rotation keys are context-owned, so
-    /// they survive quarantine + re-fork untouched). On a simulated GPU
-    /// below 256 points that is 8 gated launches per device.
-    ///
-    /// # Errors
-    ///
-    /// The first [`BackendError`] of the rotation's backend ops.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no rotation key was generated for `(g, level)`.
-    pub fn try_rotate(
-        &self,
-        ct: &Ciphertext,
-        g: u64,
-        rtk: &RotationKeys,
-    ) -> Result<Ciphertext, BackendError> {
-        self.try_with_pooled_evaluator(self.rotation(ct, g, rtk))
-    }
-
-    /// The body of [`HeContext::rotate`] for one checkout; the key lookup
-    /// runs (and panics) before any evaluator is checked out.
-    fn rotation<'a>(
-        &'a self,
-        ct: &'a Ciphertext,
-        g: u64,
-        rtk: &'a RotationKeys,
-    ) -> impl FnOnce(&mut Evaluator) -> Ciphertext + 'a {
         let level = ct.level();
         let g = g % (2 * self.params.n() as u64);
         let entries = rtk
             .entries_for(g, level)
             .unwrap_or_else(|| panic!("no rotation key for (g={g}, level={level})"));
-        move |ev| {
+        self.with_pooled_evaluator(|ev| {
             let (mut c0, mut c1) = self.components(ev, ct);
             ev.inverse_polys(&mut [&mut c0, &mut c1]);
             ev.automorphism(&mut c0, g);
@@ -586,7 +669,31 @@ impl HeContext {
                 c1: r1,
                 scale: ct.scale,
             }
-        }
+        })
+    }
+
+    /// [`HeContext::rotate`] in a [`HeContext::gated`] scope: every
+    /// backend op of the rotation, key switch included, passes the fault
+    /// gate, errors classify into transient/fatal/OOM, and a
+    /// non-transient fault quarantines the pool member (rotation keys
+    /// are context-owned, so they survive quarantine + re-fork
+    /// untouched). On a simulated GPU below 256 points that is 8 gated
+    /// launches per device.
+    ///
+    /// # Errors
+    ///
+    /// The first [`BackendError`] of the rotation's backend ops.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no rotation key was generated for `(g, level)`.
+    pub fn try_rotate(
+        &self,
+        ct: &Ciphertext,
+        g: u64,
+        rtk: &RotationKeys,
+    ) -> Result<Ciphertext, BackendError> {
+        self.gated(|| self.rotate(ct, g, rtk))
     }
 
     /// Mod-raise: re-embed a level-1 ciphertext into the first `to_level`

@@ -58,18 +58,21 @@
 //!
 //! # Fallible surface and fault injection
 //!
-//! [`NttBackend::try_run`] returns a classified [`BackendError`]
-//! instead of panicking. It is **gate-then-run**: it validates operand
+//! [`NttBackend::gate`] is the one fault gate: it validates operand
 //! handles and draws the armed [`gpu_sim::FaultPlan`] of every shard
-//! *before* any data moves, then runs the unchanged infallible body — so
-//! an `Err` always leaves host and device state untouched and the
-//! identical call can be retried. An armed `Evaluator` checkout calls it
-//! for every op (`ntt_core::backend::Evaluator::gated`).
-//! [`DeviceMemory::try_alloc`] is the injected-OOM hook. The infallible
-//! entry points, host↔device staging included, never consult the plan,
-//! which keeps calibration sweeps and the figure harness fault-free even
-//! when `NTT_WARP_FAULTS` is set (the env plan is armed when a backend is
-//! constructed, not in [`SimMemory::new`], for the same reason).
+//! *before* any data moves, returning a classified [`BackendError`]
+//! instead of panicking. [`NttBackend::run`] is the unchanged body and
+//! never draws; the provided [`NttBackend::try_run`] is gate then run.
+//! Because an `Err` always leaves host and device state untouched, the
+//! gate can simply be drawn again: an armed `Evaluator` checkout passes
+//! it for every op and re-draws a transient failure in place up to three
+//! times before it latches (`ntt_core::backend::Evaluator::gated`).
+//! [`DeviceMemory::try_alloc`] is the injected-OOM hook, through which an
+//! armed evaluator makes its own allocations. Everything else, host↔device
+//! staging included, never consults the plan, which keeps calibration
+//! sweeps and the figure harness fault-free even when `NTT_WARP_FAULTS`
+//! is set (the env plan is armed when a backend is constructed, not in
+//! [`SimMemory::new`], for the same reason).
 //!
 //! # Panic audit
 //!
@@ -201,6 +204,9 @@ pub struct SimMemory {
     /// life's event — which is precisely the fence a new owner on another
     /// stream must wait on before reusing the storage.
     buf_ready: HashMap<usize, Event>,
+    /// Scratch released by [`SimMemory::release_scratch`], kept allocated
+    /// for the next acquisition of its exact size.
+    spare: Vec<Buf>,
     /// Fence for the one-time plan-table upload (every kernel reads the
     /// tables, so every op waits on it).
     tables_ready: Event,
@@ -219,6 +225,7 @@ impl SimMemory {
             next_id: ntt_core::backend::handle_namespace(),
             tables: None,
             buf_ready: HashMap::new(),
+            spare: Vec::new(),
             tables_ready: Event::DONE,
         }
     }
@@ -314,16 +321,21 @@ impl SimMemory {
         }
     }
 
-    /// Borrow a scratch allocation from the GMEM free list for one
-    /// multi-kernel launch plan (e.g. the hierarchical NTT's transposed
-    /// intermediate). The stale readiness event a recycled base may carry
-    /// is *consumed* — the active stream fences on it and then owns the
-    /// storage — so repeated acquire/release cycles keep at most one
-    /// `buf_ready` entry per recycled base
+    /// Borrow a scratch buffer for one multi-kernel launch plan (e.g.
+    /// the hierarchical NTT's transposed intermediate) or one gathered
+    /// operand: a released one of the same size, else a fresh GMEM
+    /// allocation, so steady-state ops allocate nothing. Its contents
+    /// are stale; callers overwrite what they read. The readiness event
+    /// a recycled base carries is *consumed* — the active stream fences
+    /// on it and then owns the storage — so repeated acquire/release
+    /// cycles keep at most one `buf_ready` entry per recycled base
     /// instead of leaking one per cycle. Pair every call with
     /// [`release_scratch`](SimMemory::release_scratch).
     pub fn acquire_scratch(&mut self, words: usize) -> Buf {
-        let buf = self.gpu.gmem.alloc(words);
+        let buf = match self.spare.iter().position(|b| b.len() == words) {
+            Some(i) => self.spare.swap_remove(i),
+            None => self.gpu.gmem.alloc(words),
+        };
         if let Some(e) = self.buf_ready.remove(&buf.base()) {
             let s = self.gpu.active_stream();
             self.gpu.wait_event(s, e);
@@ -331,15 +343,14 @@ impl SimMemory {
         buf
     }
 
-    /// Return a scratch allocation to the free list, recording the active
-    /// stream's completion event as the base's readiness fence (the next
-    /// owner of the recycled storage waits on it before touching the
-    /// bytes).
+    /// Return a scratch buffer for reuse, recording the active stream's
+    /// completion event as the base's readiness fence (the next owner of
+    /// the recycled storage waits on it before touching the bytes).
     pub fn release_scratch(&mut self, buf: Buf) {
         let s = self.gpu.active_stream();
         let e = self.gpu.record_event(s);
         self.buf_ready.insert(buf.base(), e);
-        self.gpu.gmem.free(buf);
+        self.spare.push(buf);
     }
 
     /// Number of live per-allocation readiness entries (test hook for the

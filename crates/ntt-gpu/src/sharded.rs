@@ -749,7 +749,7 @@ impl Held<'_> {
         }
     }
 
-    /// Return gathered scratch to shard `s`'s free list (no-op for the
+    /// Return gathered scratch to shard `s` for reuse (no-op for the
     /// zero-copy direct case).
     fn release_gather(&mut self, s: usize, g: Gathered) {
         if g.scratch {
@@ -1021,8 +1021,8 @@ impl<F: Flavor> SimDevices<F> {
 
     /// Arm (or with `None`, disarm) a deterministic fault schedule on
     /// every shard. Affects every fork sharing this backend's memory;
-    /// only the fallible [`NttBackend::try_run`] draws from the plan. See
-    /// [`gpu_sim::FaultPlan`].
+    /// only [`NttBackend::gate`] and [`DeviceMemory::try_alloc`] draw
+    /// from the plan. See [`gpu_sim::FaultPlan`].
     pub fn set_fault_plan(&self, plan: Option<gpu_sim::FaultPlan>) {
         for sh in &self.lock().shards {
             lock_mem(sh).gpu_mut().set_fault_plan(plan.clone());
@@ -1104,41 +1104,6 @@ impl<F: Flavor> SimDevices<F> {
         let choice = calibrate_forward_choice(&config, n, rows);
         cache().insert(n, choice);
         choice
-    }
-
-    // ---- The fault gate of the fallible surface -------------------------
-    //
-    // `try_run` is gate-then-run: validate the op's handles and draw the
-    // armed fault plan *up front*, then run the unchanged infallible
-    // body. Injected faults therefore fire between ops — never mid-op —
-    // which is what makes a failed call retry-safe: on `Err`, no operand
-    // byte has moved. Each shard draws one schedule slot per hardware
-    // command class the op would issue on it (a staged host batch is
-    // upload + launch + download; a device-resident op is one launch), so
-    // fault *rates* scale with real command traffic.
-
-    /// Handle validation plus the fault draws `kinds` on every shard,
-    /// in shard order. A freed or foreign handle is a caller bug the
-    /// infallible path treats as an invariant violation (a panic); on
-    /// the typed surface it comes back as a fatal error instead.
-    fn gate(
-        &self,
-        op: &'static str,
-        handles: &[DeviceBuf],
-        kinds: &[FaultOp],
-    ) -> Result<(), BackendError> {
-        let mut m = self.lock();
-        if !handles.iter().all(|&b| m.is_live(b)) {
-            return Err(BackendError::Fatal { op });
-        }
-        let mut h = m.hold();
-        h.bind(&self.streams);
-        for sh in h.sh.iter_mut() {
-            for &kind in kinds {
-                sh.fault_gate(op, kind)?;
-            }
-        }
-        Ok(())
     }
 
     /// One staged host-batch op: shard `s` takes the contiguous row
@@ -1514,12 +1479,29 @@ impl<F: Flavor> NttBackend for SimDevices<F> {
         }
     }
 
-    /// The one fault gate (`gate`: handle check, then the op's draws on
-    /// every shard), then the unchanged infallible run.
-    fn try_run(&mut self, plan: &RingPlan, op: BackendOp<'_>) -> Result<(), BackendError> {
+    /// Validate the op's handles, then draw the armed fault plan on
+    /// every shard, in shard order, before any data moves: injected
+    /// faults fire between ops, never mid-op, so on `Err` no operand
+    /// byte has moved. Each shard draws one schedule slot per hardware
+    /// command class the op would issue on it (a staged host batch is
+    /// upload + launch + download; a device-resident op is one launch),
+    /// so fault *rates* scale with real command traffic. A freed or
+    /// foreign handle, which `run` treats as an invariant violation (a
+    /// panic), comes back as a fatal error here.
+    fn gate(&mut self, op: &BackendOp<'_>) -> Result<(), BackendError> {
+        let label = op.label();
+        let mut m = self.lock();
+        if !op.handles().iter().all(|&b| m.is_live(b)) {
+            return Err(BackendError::Fatal { op: label });
+        }
+        let mut h = m.hold();
+        h.bind(&self.streams);
         let kinds = if op.is_host_batch() { STAGED } else { LAUNCH };
-        self.gate(op.label(), &op.handles(), kinds)?;
-        self.run(plan, op);
+        for sh in h.sh.iter_mut() {
+            for &kind in kinds {
+                sh.fault_gate(label, kind)?;
+            }
+        }
         Ok(())
     }
 }

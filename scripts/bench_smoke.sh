@@ -28,6 +28,11 @@
 #     jobs through the fallible serve pipelines with a zero-rate
 #     FaultPlan armed stay within 5% modeled device time of the
 #     disarmed run (armed_zero <= 1.05 * off);
+#   * gating the whole bootstrap is free when no fault fires: one steady
+#     shallow bootstrap through try_bootstrap (every op on one armed
+#     checkout) under a zero-rate FaultPlan stays within 5% modeled
+#     device time of the unarmed bootstrap, bit-identical
+#     (armed_zero <= 1.05 * unarmed);
 #   * the title workload holds its shape: in one steady-state CKKS-style
 #     bootstrap on SimBackend, NTT + key-switch kernels carry >= 60% of
 #     the modeled device time (total <= 1.6667 * ntt_keyswitch), and the
@@ -81,6 +86,7 @@ cargo run --release --quiet -p ntt-bench --bin bench_guard -- "$NOW" \
         --gate "he_serve_sim/fault_plane_armed_zero_device_time<=1.05*he_serve_sim/fault_plane_off_device_time" \
         --gate "he_boot_sim/total_device_time<=1.6667*he_boot_sim/ntt_keyswitch_device_time" \
         --gate "he_boot_sim/steady_transfers_plus_one<=1.0*he_boot_sim/unit" \
+        --gate "he_boot_sim/armed_zero_device_time<=1.05*he_boot_sim/unarmed_device_time" \
         --gate "ntt_hier_n65536/four_step_device_time<=1.0*ntt_hier_n65536/single_kernel_extrapolated_device_time" \
         --gate "ntt_hier_n8192/auto_device_time<=1.05*ntt_hier_n8192/best_single_kernel_device_time" \
         --gate "ntt_sharded/k4_device_time<=0.45*ntt_sharded/k1_device_time"

@@ -173,23 +173,34 @@ fn deep_bootstrap_at_bootstrap_ring_is_bit_exact_across_backends() {
 }
 
 /// The fallible bootstrap with no fault plan armed takes the identical
-/// path: `try_bootstrap` ≡ `bootstrap`, bit for bit, on the device.
+/// path: `try_bootstrap` ≡ `bootstrap`, bit for bit, on Cpu, Sim and
+/// Sharded K ∈ {1, 2, 3} — and every backend gives Cpu's bits.
 #[test]
 fn try_bootstrap_matches_infallible_path() {
     let bp = BootParams::shallow();
-    let ctx = Arc::new(
-        HeContext::with_backend(bp.he_params(4, 50), Box::new(SimBackend::titan_v()))
-            .expect("context builds"),
-    );
-    let mut rng = sampling::seeded_rng(31);
-    let keys = ctx.keygen(&mut rng);
-    let boot = Bootstrapper::new(Arc::clone(&ctx), &keys, bp, &mut rng);
-    let pt = ctx.encode_with_scale(&[0.25, -0.5, 0.125], boot.input_scale());
-    let ct = ctx.encrypt(&pt, &keys.public, &mut sampling::seeded_rng(32));
-    let low = ctx.drop_to_level(&ct, 1);
-    let a = bits(boot.bootstrap(&low));
-    let b = bits(boot.try_bootstrap(&low).expect("no faults armed"));
-    assert_eq!(a, b);
+    let params = bp.he_params(4, 50);
+    let backends: [Box<dyn NttBackend>; 5] = [
+        Box::<CpuBackend>::default(),
+        Box::new(SimBackend::titan_v()),
+        Box::new(ShardedBackend::titan_v(1, params.n())),
+        Box::new(ShardedBackend::titan_v(2, params.n())),
+        Box::new(ShardedBackend::titan_v(3, params.n())),
+    ];
+    let mut cpu_bits = None;
+    for backend in backends {
+        let name = backend.name();
+        let ctx = Arc::new(HeContext::with_backend(params, backend).expect("context builds"));
+        let mut rng = sampling::seeded_rng(31);
+        let keys = ctx.keygen(&mut rng);
+        let boot = Bootstrapper::new(Arc::clone(&ctx), &keys, bp, &mut rng);
+        let pt = ctx.encode_with_scale(&[0.25, -0.5, 0.125], boot.input_scale());
+        let ct = ctx.encrypt(&pt, &keys.public, &mut sampling::seeded_rng(32));
+        let low = ctx.drop_to_level(&ct, 1);
+        let a = bits(boot.bootstrap(&low));
+        let b = bits(boot.try_bootstrap(&low).expect("no faults armed"));
+        assert_eq!(a, b, "{name}");
+        assert_eq!(&a, cpu_bits.get_or_insert_with(|| a.clone()), "{name}");
+    }
 }
 
 /// A host-fresh bootstrap input on a resident context is uploaded once,

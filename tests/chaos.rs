@@ -422,6 +422,74 @@ fn boot_jobs_under_faults_bit_correct_or_classified() {
     assert_eq!(snap.failed(), u64::from(classified));
 }
 
+/// Launch faults at 10‰ across whole served bootstraps: each bootstrap
+/// runs on one armed pool member, so every launch of it — mod-raise,
+/// rotations, plaintext products, EvalMod's multiplies and every
+/// rescale — passes the fault gate. A transient fault is re-drawn in
+/// place (visible as `op_retries`); one that outlasts the re-draws
+/// re-runs the job. Every answer is bit-correct or classified, and the
+/// draw ledger balances: each draw is a launch, an in-place re-draw or
+/// the draw of a fault that latched.
+#[test]
+fn whole_bootstraps_under_launch_faults_bit_correct_or_classified() {
+    let bp = he_serve::BootParams::shallow();
+    let params = bp.he_params(4, 50);
+    let key_seed = 7u64;
+    let (_ref_ctx, ref_boot, input) = boot_reference(bp, params, key_seed);
+    let reference = ct_bits(ref_boot.bootstrap(&input));
+
+    let sim = SimBackend::titan_v();
+    let ctx = HeContext::with_backend(params, sim.fork()).expect("sim context builds");
+    let server = HeServer::start(
+        ctx,
+        ServeConfig {
+            workers: 1,
+            batching: false,
+            key_seed,
+            boot: Some(bp),
+            ..ServeConfig::default()
+        },
+    );
+    let launched = || sim.with_gpu(|gpu| gpu.trace.len() as u64);
+    let before = launched();
+    sim.set_fault_plan(Some(
+        FaultPlan::seeded(chaos_seed()).rate(FaultOp::Launch, 10),
+    ));
+
+    let tickets: Vec<_> = (0..4)
+        .map(|_| {
+            server
+                .submit(TenantId(0), Request::Boot { ct: input.clone() })
+                .expect("boot job admitted")
+        })
+        .collect();
+    let mut classified = 0u64;
+    for t in tickets {
+        match t.wait().expect("answered, not dropped").response {
+            Response::Bootstrapped(ct) => {
+                assert_eq!(ct_bits(ct), reference, "served bootstrap bits drifted");
+            }
+            Response::Failed(ServeError::Fault { .. }) => classified += 1,
+            other => panic!("unexpected answer {other:?}"),
+        }
+    }
+    let snap = server.shutdown();
+    let launches = launched() - before;
+    let (drawn, (transient, sticky, oom)) = sim
+        .with_gpu(|gpu| gpu.fault_plan().map(|p| (p.ops_seen(), p.injected())))
+        .expect("plan is armed");
+    assert_eq!((sticky, oom), (0, 0), "a launch-only plan");
+    assert!(transient >= 1, "no transient fault fired");
+    assert!(snap.op_retries >= 1, "no fault was re-drawn in place");
+    assert_eq!(
+        drawn,
+        launches + snap.op_retries + snap.faults.transient,
+        "a launch of a bootstrap drew nothing"
+    );
+    assert_eq!(snap.worker_panics, 0, "chaos must not panic a worker");
+    assert_eq!(snap.failed(), classified);
+}
+
 /// Rotation keys and DFT diagonals live in shared device memory, not in
 /// any pool member: after a sticky fault wedges the serving evaluator
 /// (quarantine + re-fork), a post-recovery Boot job still completes

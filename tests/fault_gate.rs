@@ -2,19 +2,23 @@
 //!
 //! An unarmed evaluator runs every backend op through `NttBackend::run`
 //! and never draws from a fault plan, whatever its rates. An armed one
-//! (`Evaluator::gated`, or `HeContext::try_with_pooled_evaluator`) sends
-//! every op through `try_run`, latches the first fault and issues
-//! nothing after it. These tests count draws with `FaultPlan::ops_seen`
-//! on the simulated device: what each served group and each rotation
-//! draws, that a sticky fault stops the draws at the failing op, how the
+//! (`Evaluator::gated`, or a `HeContext::gated` scope such as
+//! `try_with_pooled_evaluator`, `try_rotate` and `try_bootstrap`) passes
+//! every op through `NttBackend::gate` first, re-draws a transient
+//! failure in place up to three times, latches the first fault that
+//! outlasts that and issues nothing after it. These tests count draws
+//! with `FaultPlan::ops_seen` on the simulated device: what each served
+//! group, each rotation and a whole bootstrap draws, that a sticky fault
+//! stops the draws at the failing op, that transient faults are re-drawn
+//! in place, that an injected OOM latches like a launch fault, how the
 //! pool treats the member that saw a fault, and that a decrypt whose
 //! checkout faulted is never decoded.
 
 use he_serve::{
-    job_seed, Batcher, BootParams, EncryptJob, HeServer, Request, Response, ServeConfig,
-    ServeError, TenantId,
+    job_seed, Batcher, BootParams, Bootstrapper, EncryptJob, HeServer, Request, Response,
+    ServeConfig, ServeError, TenantId,
 };
-use ntt_warp::core::{NttBackend, RnsPoly};
+use ntt_warp::core::{BackendError, NttBackend, RnsPoly};
 use ntt_warp::gpu::{ShardedBackend, SimBackend};
 use ntt_warp::he::{
     sampling, Ciphertext, HeContext, HeLiteParams, KeySet, Plaintext, RotationKeys,
@@ -219,7 +223,11 @@ fn transient_fault_keeps_the_member_sticky_one_quarantines_it() {
         .try_rotate(&s.ct, G, &s.rtk)
         .expect_err("every launch faults");
     assert!(err.is_transient(), "{err:?}");
-    assert_eq!(draws(&s.sim), 1, "nothing drawn after the transient fault");
+    assert_eq!(
+        draws(&s.sim),
+        1 + 3,
+        "three in-place re-draws, nothing drawn after the latch"
+    );
     assert_eq!(ctx.quarantined_count(), 0, "a transient fault quarantined");
     assert_eq!(ctx.evaluator_count(), created, "the member was replaced");
 
@@ -306,10 +314,10 @@ fn armed_rotation_is_bit_identical_across_backends() {
     }
 }
 
-/// A bootstrap group takes no checkout of its own; each of its rotations
-/// arms one. A wedge mid-bootstrap quarantines the member whose rotation
-/// saw it, and the degraded re-run (a bootstrap has no host fallback)
-/// the member its first rotation checked out: two in all, where an outer
+/// A bootstrap group takes no checkout of its own; each bootstrap arms
+/// one pool member for its whole pipeline. A wedge mid-bootstrap
+/// quarantines that member, and the degraded re-run (a bootstrap has no
+/// host fallback) the member it armed: two in all, where an outer
 /// checkout around the group would quarantine an idle member per
 /// attempt as well.
 #[test]
@@ -347,4 +355,147 @@ fn wedged_boot_group_quarantines_only_rotation_members() {
     );
     assert_eq!(server.context().quarantined_count(), 2);
     server.shutdown();
+}
+
+/// Under a transient-only plan an armed rotation re-draws each failing
+/// gate in place: it computes the unarmed bits, draws more than its 8
+/// launches, and the context tallies exactly the extra draws.
+#[test]
+fn transient_faults_are_redrawn_in_place() {
+    let s = setup();
+    let ctx = &s.ctx;
+    let want = bits(&ctx.rotate(&s.ct, G, &s.rtk));
+    let before = ctx.op_retry_count();
+    arm(&s.sim, FaultPlan::seeded(5).rate(FaultOp::Launch, 300));
+    let got = ctx
+        .try_rotate(&s.ct, G, &s.rtk)
+        .expect("in-place re-draws absorb the transient faults");
+    assert_eq!(bits(&got), want, "re-drawn rotation bits");
+    let seen = draws(&s.sim);
+    assert!(seen > 8, "no transient fault fired: {seen} draws");
+    assert_eq!(ctx.op_retry_count() - before, seen - 8, "retry tally");
+    assert_eq!(ctx.quarantined_count(), 0);
+}
+
+/// An armed evaluator allocates its accumulators and scratch through
+/// `try_alloc`: with the device capped at what it already holds, an
+/// armed rotation latches `Oom` instead of panicking and its member is
+/// quarantined, while an unarmed rotation under the same plan (which
+/// never consults it) still computes.
+#[test]
+fn injected_oom_latches_and_quarantines() {
+    let s = setup();
+    let ctx = &s.ctx;
+    let want = bits(&ctx.rotate(&s.ct, G, &s.rtk));
+    let held = s.sim.with_gpu(|gpu| gpu.gmem.allocated_words());
+    arm(&s.sim, FaultPlan::seeded(1).oom_words(held));
+    let err = ctx
+        .try_rotate(&s.ct, G, &s.rtk)
+        .expect_err("no room for the rotation's accumulator");
+    assert!(matches!(err, BackendError::Oom { .. }), "{err:?}");
+    assert_eq!(ctx.quarantined_count(), 1, "the OOM member stayed pooled");
+    let unarmed = ctx.rotate(&s.ct, G, &s.rtk);
+    assert_eq!(bits(&unarmed), want, "unarmed rotation under the cap");
+}
+
+/// A shallow N = 2^4 Sim bootstrap context with a level-1 input; its
+/// first bootstrap fills the EvalMod constant cache.
+fn boot_setup() -> (SimBackend, Bootstrapper, Ciphertext) {
+    let bp = BootParams::shallow();
+    let sim = SimBackend::titan_v();
+    let ctx = std::sync::Arc::new(
+        HeContext::with_backend(bp.he_params(4, 50), sim.fork()).expect("sim context builds"),
+    );
+    let mut rng = sampling::seeded_rng(21);
+    let keys = ctx.keygen(&mut rng);
+    let boot = Bootstrapper::new(std::sync::Arc::clone(&ctx), &keys, bp, &mut rng);
+    let pt = ctx.encode_with_scale(&[0.25, -0.5], boot.input_scale());
+    let ct = ctx.encrypt(&pt, &keys.public, &mut sampling::seeded_rng(22));
+    let low = ctx.drop_to_level(&ct, 1);
+    (sim, boot, low)
+}
+
+/// The labels of the launches `f` issues on `sim`.
+fn launches_of(sim: &SimBackend, f: impl FnOnce()) -> Vec<String> {
+    let from = sim.with_gpu(|gpu| gpu.trace.len());
+    f();
+    sim.with_gpu(|gpu| {
+        let trace = &gpu.trace[from..];
+        trace.iter().map(|r| r.launch.label.to_string()).collect()
+    })
+}
+
+/// `try_bootstrap` arms one pool member for the whole pipeline: under a
+/// zero-rate plan it draws exactly once per launch of the unarmed
+/// bootstrap (mod-raise, rotations, plaintext products, EvalMod's
+/// multiplies and every rescale), with the unarmed bits.
+#[test]
+fn armed_bootstrap_draws_once_per_launch() {
+    let (sim, boot, low) = boot_setup();
+    let _ = boot.bootstrap(&low);
+    let mut want = None;
+    let launches = launches_of(&sim, || want = Some(boot.bootstrap(&low)));
+    arm(&sim, FaultPlan::seeded(1));
+    let got = boot
+        .try_bootstrap(&low)
+        .expect("a zero-rate plan never faults");
+    assert_eq!(draws(&sim) as usize, launches.len(), "draws per launch");
+    assert_eq!(
+        bits(&got),
+        bits(&want.expect("ran")),
+        "arming changed the bits"
+    );
+}
+
+/// A sticky wedge inside EvalMod — a few draws past the first
+/// element-wise product, which only EvalMod's ciphertext multiplies
+/// issue (rotations, plaintext sums, rescales and the mod-raise launch
+/// none) — fails the bootstrap with a non-transient error, and nothing
+/// is drawn after the failing op.
+#[test]
+fn sticky_wedge_inside_eval_mod_stops_the_bootstrap() {
+    let (sim, boot, low) = boot_setup();
+    let _ = boot.bootstrap(&low);
+    let launches = launches_of(&sim, || drop(boot.bootstrap(&low)));
+    let eval_mod = launches
+        .iter()
+        .position(|label| label == "sim-pointwise")
+        .expect("EvalMod multiplies");
+    let k = eval_mod as u64 + 2;
+    assert!(
+        (k as usize) + 1 < launches.len(),
+        "wedge inside the bootstrap"
+    );
+    arm(&sim, FaultPlan::seeded(1).sticky_after(k));
+    let err = boot
+        .try_bootstrap(&low)
+        .expect_err("a wedge inside EvalMod fails the bootstrap");
+    assert!(!err.is_transient(), "{err:?}");
+    assert_eq!(draws(&sim), k + 1, "drew after the fault");
+}
+
+/// EvalMod prepares its constants on first use, inside the armed scope.
+/// A first bootstrap wedged at EvalMod's first op prepares them all
+/// after the latch (their transforms skipped): none may be cached, so
+/// once the device heals the next bootstrap gives the bits of an
+/// identical engine that never faulted.
+#[test]
+fn faulted_first_bootstrap_caches_no_stale_constant() {
+    let (sim, boot, low) = boot_setup();
+    let (ref_sim, reference, ref_low) = boot_setup();
+    let launches = launches_of(&ref_sim, || drop(reference.bootstrap(&ref_low)));
+    let want = bits(&reference.bootstrap(&ref_low));
+    let eval_mod = launches
+        .iter()
+        .position(|label| label == "sim-pointwise")
+        .expect("EvalMod multiplies");
+    arm(&sim, FaultPlan::seeded(1).sticky_after(eval_mod as u64));
+    boot.try_bootstrap(&low)
+        .expect_err("wedged at EvalMod's first op");
+    sim.set_fault_plan(None);
+    assert_eq!(
+        bits(&boot.bootstrap(&low)),
+        want,
+        "a stale constant was cached"
+    );
 }

@@ -11,14 +11,15 @@
 //!   route through the SMEM two-kernel forward path.
 //! * **Zero steady-state transfers** — a resident `he-lite`
 //!   encrypt → multiply → relinearize → rescale chain on `SimBackend`
-//!   performs no host↔device transfers after the initial upload, and the
-//!   evaluator pool lets concurrent (and nested) scheme operations
-//!   proceed without serializing on one evaluator lock.
+//!   performs no host↔device transfers after the initial upload, a
+//!   steady rescale allocates nothing, and the evaluator pool lets
+//!   concurrent (and nested) scheme operations proceed without
+//!   serializing on one evaluator lock.
 
 use ntt_warp::core::backend::{Evaluator, NttBackend};
 use ntt_warp::core::poly::{Representation, Residency};
 use ntt_warp::core::{CpuBackend, RnsPoly, RnsRing};
-use ntt_warp::gpu::SimBackend;
+use ntt_warp::gpu::{ShardedBackend, SimBackend};
 use ntt_warp::he::{sampling, Ciphertext, HeContext, HeLiteParams, PublicKey};
 use proptest::prelude::*;
 
@@ -194,6 +195,42 @@ fn resident_he_chain_has_zero_steady_state_transfers() {
     assert!((out[0] - 7.5).abs() < 1e-2, "got {}", out[0]);
     let out2 = ctx.decode(&ctx.decrypt(&prod2, &keys.secret));
     assert!((out2[0] - 7.5).abs() < 1e-2, "got {}", out2[0]);
+}
+
+/// A steady rescale allocates nothing: each component's lifted rows go
+/// to a grow-only buffer of the evaluator, its own allocation from row 0
+/// (so at K > 1 each lifted row stays on its accumulator row's shard).
+/// Checked on Sim and on Sharded K = 2, 3, with the warm-up's bits.
+#[test]
+fn steady_rescale_allocates_nothing() {
+    let params = sim_params();
+    let backends: [Box<dyn NttBackend>; 3] = [
+        Box::new(SimBackend::titan_v()),
+        Box::new(ShardedBackend::titan_v(2, params.n())),
+        Box::new(ShardedBackend::titan_v(3, params.n())),
+    ];
+    let synced = |mut ct: Ciphertext| {
+        ct.sync();
+        let (c0, c1) = ct.components();
+        (c0.clone(), c1.clone())
+    };
+    for backend in backends {
+        let name = backend.name();
+        let ctx = HeContext::with_backend(params, backend).unwrap();
+        let keys = ctx.keygen(&mut sampling::seeded_rng(42));
+        let ct = ctx.encrypt(
+            &ctx.encode(&[2.5, -1.0]),
+            &keys.public,
+            &mut sampling::seeded_rng(7),
+        );
+        let (mut warm, mut steady) = (ct.clone(), ct.clone());
+        ctx.rescale(&mut warm);
+        let before = ctx.transfer_stats();
+        ctx.rescale(&mut steady);
+        let allocs = ctx.transfer_stats().since(&before).allocs;
+        assert_eq!(allocs, 0, "{name}: a steady rescale allocated");
+        assert_eq!(synced(steady), synced(warm), "{name}: rescale bits");
+    }
 }
 
 /// Ciphertext::sync is the explicit sync point for component access.
