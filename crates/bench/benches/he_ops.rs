@@ -260,11 +260,11 @@ fn bench_boot_fault_overhead(_c: &mut Criterion) {
 ///   single fused-SMEM kernel's cost extrapolated from N = 2¹³ by its
 ///   `c · N log N` scaling law (`four_step_device_time <= 1.0 *
 ///   single_kernel_extrapolated_device_time`);
-/// * at N = 2¹³ the backend's auto-routed forward (calibrated over
-///   radix-2, fused-SMEM and hierarchical candidates) stays within 5%
-///   of the best single fused kernel (`auto_device_time <= 1.05 *
-///   best_single_kernel_device_time`) — the 4-step rollout cannot
-///   regress mid-size rings.
+/// * at N = 2¹³ the backend's auto-routed forward (the swept best
+///   fused-SMEM split, OT included) stays within 5% of the best single
+///   fused kernel (`auto_device_time <= 1.05 *
+///   best_single_kernel_device_time`) — the backend's split choice
+///   cannot lose to one fixed kernel at mid-size rings.
 ///
 /// All values are modeled time from one deterministic run, so the gates
 /// hold on any host.

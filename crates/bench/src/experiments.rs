@@ -933,7 +933,7 @@ pub fn serve_fault_overhead(log_n: u32, jobs: usize) -> ServeFaultOverheadReport
             .set_fault_plan(plan);
     };
 
-    // Warm-up pass: tables, calibration and pool setup happen once, so
+    // Warm-up pass: tables, split sweep and pool setup happen once, so
     // the two measured windows see the same steady state.
     let _ = chain(&encrypt_jobs);
 
@@ -1111,8 +1111,7 @@ pub fn bootstrap(log_n: u32) -> BootstrapReport {
 /// sparsely packed slot matrix (`mat_slots` ≪ N/2), which keeps DFT
 /// diagonal and key material tractable at N = 2¹⁶ while preserving the
 /// op sequence — and therefore the kernel-class mix — of a dense run.
-/// The Sim forwards route through the size-calibrated plan, which at
-/// this ring weighs the hierarchical 4-step kernels (`hier-*` labels).
+/// The Sim forwards run the ring's swept best fused-SMEM split.
 pub fn bootstrap_deep(log_n: u32, mat_slots: usize) -> BootstrapReport {
     bootstrap_with(he_boot::BootParams::deep(), log_n, Some(mat_slots))
 }
@@ -1216,8 +1215,8 @@ pub struct HierBenchReport {
     /// Best single fused-SMEM kernel at `2^log_small`, extrapolated to
     /// `2^log_big` by its `c · N log N` scaling law, µs.
     pub single_extrapolated_big_us: f64,
-    /// The backend's auto-routed forward at `2^log_small` (calibrated
-    /// over radix-2, fused-SMEM and hierarchical candidates), µs.
+    /// The backend's auto-routed forward at `2^log_small` (the swept
+    /// best fused-SMEM split, OT included), µs.
     pub auto_small_us: f64,
     /// Best single fused-SMEM kernel at `2^log_small`, measured, µs.
     pub best_single_small_us: f64,
@@ -1230,8 +1229,8 @@ pub struct HierBenchReport {
 ///   the hierarchy's reduced table traffic has to pay for its extra
 ///   global-memory pass;
 /// * at `2^log_small` the auto-routed choice must stay within 5% of the
-///   best single fused kernel — rolling out the 4-step path cannot
-///   regress the rings it should lose on.
+///   best single fused kernel — the backend's split choice cannot lose
+///   to one fixed kernel at mid-size rings.
 pub fn hier_bench(log_small: u32, log_big: u32, np: usize) -> HierBenchReport {
     use ntt_core::backend::{Evaluator, RingPlan};
 
@@ -1253,7 +1252,7 @@ pub fn hier_bench(log_small: u32, log_big: u32, np: usize) -> HierBenchReport {
     let single_extrapolated_big_us = small_best.time_us * scale;
 
     // The auto-routed forward at the mid-size ring, end to end through
-    // the backend: warm once (calibration sweep + table upload), then
+    // the backend: warm once (split sweep + table upload), then
     // sum the launch timings of one steady-state forward.
     let backend = ntt_gpu::SimBackend::titan_v();
     let dev = backend.memory_handle();
@@ -1469,7 +1468,7 @@ pub fn sharding(log_n: u32, levels: usize, jobs: usize, shard_counts: &[usize]) 
             .expect("sharded context builds");
         let keys = ctx.adopt_keys(&keys);
 
-        // Warm-up: twiddle tables, forward-path calibration and pool
+        // Warm-up: twiddle tables, the split sweep and pool
         // setup happen once, outside the measured window.
         let _ = sharding_run(&ctx, &keys, 1);
         drain_shards(&dev);

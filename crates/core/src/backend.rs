@@ -19,7 +19,7 @@
 //!   twiddle tables (per-stage `(value, companion)` slice-pairs in
 //!   bit-reversed order), workspace sizing, and a per-prime pointwise
 //!   reduction strategy ([`PointwiseStrategy`], Montgomery vs. Barrett)
-//!   chosen **once at plan time** from a micro-benchmark. Plans are cheap
+//!   chosen **once at plan time** from the prime alone. Plans are cheap
 //!   handles (`Arc` internals) and are memoized on the ring
 //!   ([`crate::poly::RnsRing::plan`]).
 //! * [`CpuBackend`] — the reference backend wrapping the fused
@@ -60,139 +60,23 @@ use ntt_math::Barrett;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// How the plan reduces pointwise products for one prime.
 ///
 /// Both strategies return the exact canonical product `a·b mod p`, so the
 /// choice never changes results — only throughput. Barrett costs five wide
 /// multiplies per product; Montgomery (double-REDC on ordinary-form
-/// operands, [`Montgomery::mul_plain`]) costs four but with a longer
-/// dependency chain. Which one wins is host-specific, which is why the
-/// plan decides from a measurement (see [`PointwiseStrategy::choose`]).
+/// operands, [`Montgomery::mul_plain`]) costs four, with a longer
+/// dependency chain. The plan takes Montgomery wherever its preconditions
+/// hold and Barrett for every other prime ([`PointwiseStrategy::choose`]):
+/// a rule of the prime alone, so every run plans a ring alike.
 #[derive(Debug, Clone, Copy)]
 pub enum PointwiseStrategy {
     /// Barrett reduction with a precomputed 128-bit reciprocal.
     Barrett(Barrett),
     /// Montgomery double-REDC on ordinary-form operands.
     Montgomery(Montgomery),
-}
-
-/// Strategy selection mode (the parsed `NTT_WARP_POINTWISE` value).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StrategyMode {
-    /// Decide from the process-wide micro-benchmark (the default).
-    #[default]
-    Auto,
-    /// Force Barrett everywhere.
-    Barrett,
-    /// Force Montgomery wherever its preconditions hold.
-    Montgomery,
-}
-
-impl StrategyMode {
-    /// Parse the `NTT_WARP_POINTWISE` syntax: `barrett`, `montgomery` /
-    /// `mont`, anything else (or unset) → `Auto`.
-    pub fn parse(s: &str) -> Self {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "barrett" => StrategyMode::Barrett,
-            "montgomery" | "mont" => StrategyMode::Montgomery,
-            _ => StrategyMode::Auto,
-        }
-    }
-
-    /// Mode from the `NTT_WARP_POINTWISE` environment variable. An
-    /// unrecognized value falls back to `Auto` with a one-line warning on
-    /// stderr (a typo must not silently turn a forced strategy into the
-    /// calibrated one).
-    pub fn from_env() -> Self {
-        let Ok(s) = std::env::var("NTT_WARP_POINTWISE") else {
-            return StrategyMode::Auto;
-        };
-        let mode = Self::parse(&s);
-        let t = s.trim();
-        if mode == StrategyMode::Auto && !t.is_empty() && !t.eq_ignore_ascii_case("auto") {
-            eprintln!(
-                "ntt-warp: unrecognized NTT_WARP_POINTWISE={t:?} \
-                 (expected auto|barrett|montgomery), using auto"
-            );
-        }
-        mode
-    }
-}
-
-/// Time one pointwise pass (ns per element) for both strategies on a
-/// scratch buffer mod `p`. Used by the plan-time auto selection; exposed
-/// so benches and tests can inspect the measurement.
-pub fn calibrate_pointwise(p: u64) -> (f64, f64) {
-    const LEN: usize = 2048;
-    const REPS: usize = 4;
-    let a: Vec<u64> = (0..LEN as u64)
-        .map(|i| i.wrapping_mul(0x9E37) % p)
-        .collect();
-    let b: Vec<u64> = (0..LEN as u64).map(|i| (i * i + 7) % p).collect();
-    let time = |f: &dyn Fn() -> u64| {
-        let mut best = f64::INFINITY;
-        for _ in 0..REPS {
-            let t0 = std::time::Instant::now();
-            // The sink must be consumed *before* the clock is read, or the
-            // optimizer may move the pure loop past the measurement.
-            std::hint::black_box(f());
-            let dt = t0.elapsed().as_nanos() as f64 / LEN as f64;
-            best = best.min(dt);
-        }
-        best
-    };
-    let br = Barrett::new(p);
-    let barrett_ns = time(&|| {
-        let mut acc = 0u64;
-        for (&x, &y) in a.iter().zip(&b) {
-            acc = acc.wrapping_add(br.mul(x, y));
-        }
-        acc
-    });
-    let m = Montgomery::new(p);
-    let mont_ns = time(&|| {
-        let mut acc = 0u64;
-        for (&x, &y) in a.iter().zip(&b) {
-            acc = acc.wrapping_add(m.mul_plain(x, y));
-        }
-        acc
-    });
-    (barrett_ns, mont_ns)
-}
-
-/// Process-wide calibration verdict per prime-size class (index 0: below
-/// 40 bits, index 1: 40 bits and up). Resolved in order: the per-host
-/// calibration file ([`crate::calibration`], reproducible across runs),
-/// else measured once on a representative prime of that class and written
-/// back to the file (best effort).
-fn montgomery_wins(bits: u32) -> bool {
-    static WINS: [OnceLock<bool>; 2] = [OnceLock::new(), OnceLock::new()];
-    let class = usize::from(bits >= 40);
-    *WINS[class].get_or_init(|| {
-        let path = crate::calibration::calibration_path();
-        // Largest NTT-friendly primes of each class (2N = 2^12 keeps the
-        // probe representative of real parameter sets).
-        let probe_bits = if class == 0 { 31 } else { 61 };
-        // Persisted verdicts are keyed by the probe parameters: change
-        // the probe (prime class, order) and old entries stop matching,
-        // forcing a fresh measurement instead of a stale verdict.
-        let fp = crate::calibration::measurement_fingerprint(&[probe_bits as u64, 1 << 12]);
-        if let Some(v) = path
-            .as_deref()
-            .and_then(|p| crate::calibration::load_pointwise_verdict(p, class, fp))
-        {
-            return v;
-        }
-        let probe = ntt_math::ntt_prime(probe_bits, 1 << 12).expect("probe prime exists");
-        let (barrett_ns, mont_ns) = calibrate_pointwise(probe);
-        let verdict = mont_ns < barrett_ns;
-        if let Some(p) = path.as_deref() {
-            crate::calibration::store_pointwise_verdict(p, class, fp, verdict);
-        }
-        verdict
-    })
 }
 
 impl PointwiseStrategy {
@@ -222,34 +106,20 @@ impl PointwiseStrategy {
         }
     }
 
-    /// Plan-time selection for one prime under an explicit mode.
-    ///
-    /// Montgomery requires an odd modulus and, for the fused lazy pipeline,
-    /// `p < 2^62`; primes outside those bounds always get Barrett.
-    pub fn choose_with(mode: StrategyMode, p: u64) -> Self {
-        let mont_ok = p % 2 == 1 && p < MAX_LAZY_MODULUS;
-        let montgomery = match mode {
-            StrategyMode::Barrett => false,
-            StrategyMode::Montgomery => mont_ok,
-            StrategyMode::Auto => mont_ok && montgomery_wins(64 - p.leading_zeros()),
-        };
-        if montgomery {
+    /// Plan-time selection for one prime: Montgomery where its
+    /// preconditions hold — an odd modulus and, for the fused lazy
+    /// pipeline, `p < 2^62` — and Barrett otherwise.
+    pub fn choose(p: u64) -> Self {
+        if p % 2 == 1 && p < MAX_LAZY_MODULUS {
             PointwiseStrategy::Montgomery(Montgomery::new(p))
         } else {
             PointwiseStrategy::Barrett(Barrett::new(p))
         }
     }
 
-    /// Plan-time selection for one prime (`NTT_WARP_POINTWISE` override,
-    /// else the benchmark-derived per-size verdict).
-    pub fn choose(p: u64) -> Self {
-        Self::choose_with(StrategyMode::from_env(), p)
-    }
-
     /// Selection for a whole prime basis (one strategy per prime).
     pub fn choose_all(primes: &[u64]) -> Arc<[PointwiseStrategy]> {
-        let mode = StrategyMode::from_env();
-        primes.iter().map(|&p| Self::choose_with(mode, p)).collect()
+        primes.iter().map(|&p| Self::choose(p)).collect()
     }
 }
 
@@ -1405,7 +1275,7 @@ pub trait NttBackend: Send {
     }
 
     /// Execute one op. Never draws from a fault model: `run` alone
-    /// cannot fail, so calibration, the figure harness and every unarmed
+    /// cannot fail, so split sweeps, the figure harness and every unarmed
     /// caller stay deterministic even with faults armed.
     ///
     /// # Panics
@@ -2757,9 +2627,8 @@ mod tests {
             ntt_math::ntt_prime(59, 64).unwrap(),
             ntt_math::ntt_prime(61, 64).unwrap(),
         ] {
-            let br = PointwiseStrategy::choose_with(StrategyMode::Barrett, p);
-            let mo = PointwiseStrategy::choose_with(StrategyMode::Montgomery, p);
-            assert!(matches!(br, PointwiseStrategy::Barrett(_)));
+            let br = PointwiseStrategy::Barrett(Barrett::new(p));
+            let mo = PointwiseStrategy::choose(p);
             assert!(matches!(mo, PointwiseStrategy::Montgomery(_)));
             for (a, b) in [(0, 1), (p - 1, p - 1), (p / 2, p / 3), (12345, p - 7)] {
                 assert_eq!(br.mul(a, b), mo.mul(a, b), "a={a} b={b} p={p}");
@@ -2771,28 +2640,11 @@ mod tests {
     #[test]
     fn oversized_modulus_falls_back_to_barrett() {
         // A 63-bit prime is above the 2^62 lazy bound: Montgomery must not
-        // be selected even when forced.
+        // be selected.
         let p = 0x7FFF_FFFF_FFFF_FD21u64;
         assert!(ntt_math::is_prime(p));
-        let s = PointwiseStrategy::choose_with(StrategyMode::Montgomery, p);
+        let s = PointwiseStrategy::choose(p);
         assert!(matches!(s, PointwiseStrategy::Barrett(_)));
-    }
-
-    #[test]
-    fn mode_parsing() {
-        assert_eq!(StrategyMode::parse("barrett"), StrategyMode::Barrett);
-        assert_eq!(StrategyMode::parse(" MONT "), StrategyMode::Montgomery);
-        assert_eq!(StrategyMode::parse("montgomery"), StrategyMode::Montgomery);
-        assert_eq!(StrategyMode::parse(""), StrategyMode::Auto);
-        assert_eq!(StrategyMode::parse("bogus"), StrategyMode::Auto);
-    }
-
-    #[test]
-    fn calibration_returns_finite_timings() {
-        let p = ntt_math::ntt_prime(59, 1 << 12).unwrap();
-        let (b, m) = calibrate_pointwise(p);
-        assert!(b.is_finite() && b > 0.0);
-        assert!(m.is_finite() && m > 0.0);
     }
 
     #[test]

@@ -35,8 +35,8 @@
 //! [`crate::poly::NegacyclicRing`] builds a plan lazily for rings with
 //! `N ≥ `[`HIER_MIN_N`] and the engine ([`crate::engine`]) dispatches every
 //! forward/inverse row through it, so `RingPlan`-driven backends use the
-//! hierarchy transparently. The `NTT_WARP_SPLIT=AxB` environment variable
-//! overrides the split for the matching size (see [`parse_split`]).
+//! hierarchy transparently, at the balanced split. [`HierConfig::split`]
+//! sets another split explicitly.
 
 use std::cell::RefCell;
 
@@ -72,8 +72,8 @@ const TILE: usize = 32;
 /// Tuning knobs for [`HierPlan`] construction (builder-style).
 #[derive(Debug, Clone)]
 pub struct HierConfig {
-    /// Forced `(N1, N2)` split; `None` consults `NTT_WARP_SPLIT` and then
-    /// falls back to the balanced split `N1 = 2^(log N / 2)`.
+    /// Forced `(N1, N2)` split; `None` is the balanced split
+    /// `N1 = 2^(log N / 2)`.
     pub split: Option<(usize, usize)>,
     /// Inner sizes at or below this run the flat kernel; larger ones
     /// recurse.
@@ -116,40 +116,13 @@ impl HierConfig {
     }
 }
 
-/// Parse an `AxB` split string (`256x256`, `512X128`, `256*256`).
-///
-/// Returns `None` unless both factors parse as powers of two ≥ 2.
-pub fn parse_split(s: &str) -> Option<(usize, usize)> {
-    let s = s.trim();
-    let (a, b) = s
-        .split_once(['x', 'X', '*'])
-        .map(|(a, b)| (a.trim(), b.trim()))?;
-    let (a, b) = (a.parse::<usize>().ok()?, b.parse::<usize>().ok()?);
-    (a.is_power_of_two() && a >= 2 && b.is_power_of_two() && b >= 2).then_some((a, b))
-}
-
-/// The `NTT_WARP_SPLIT` override, if set and well-formed. Read fresh on
-/// every call (plan construction is once-per-ring, so this is off the hot
-/// path) so tests and calibration can toggle it.
-pub fn env_split() -> Option<(usize, usize)> {
-    std::env::var("NTT_WARP_SPLIT")
-        .ok()
-        .and_then(|s| parse_split(&s))
-}
-
-/// Pick the `(N1, N2)` factorization for an `n`-point plan: forced config
-/// split, else a matching `NTT_WARP_SPLIT`, else the balanced
-/// `N1 = 2^(log n / 2)`.
+/// Pick the `(N1, N2)` factorization for an `n`-point plan: the forced
+/// config split, else the balanced `N1 = 2^(log n / 2)`.
 fn choose_split(n: usize, cfg: &HierConfig) -> (usize, usize) {
     if let Some((a, b)) = cfg.split {
         assert_eq!(a * b, n, "configured split {a}x{b} does not factor {n}");
         assert!(a >= 2 && b >= 2, "split factors must be >= 2");
         return (a, b);
-    }
-    if let Some((a, b)) = env_split() {
-        if a * b == n {
-            return (a, b);
-        }
     }
     let n1 = 1usize << (n.trailing_zeros() / 2);
     (n1, n / n1)
@@ -170,7 +143,7 @@ impl InnerNtt {
             InnerNtt::Direct(NttTable::with_root(r, p, psi_r))
         } else {
             // A forced top-level split does not factor the inner size;
-            // nested levels fall back to env/balanced selection.
+            // nested levels take the balanced split.
             let sub_cfg = HierConfig {
                 split: None,
                 ..cfg.clone()
@@ -568,18 +541,6 @@ mod tests {
         assert_eq!(plan.split(), (128, 256));
         // 2^15 is at the precompute ceiling; its twist table is resident.
         assert!(plan.precomputed_twist());
-    }
-
-    #[test]
-    fn split_parsing() {
-        assert_eq!(parse_split("256x256"), Some((256, 256)));
-        assert_eq!(parse_split(" 512X128 "), Some((512, 128)));
-        assert_eq!(parse_split("64*32"), Some((64, 32)));
-        assert_eq!(parse_split("256"), None);
-        assert_eq!(parse_split("0x256"), None);
-        assert_eq!(parse_split("3x256"), None);
-        assert_eq!(parse_split("x"), None);
-        assert_eq!(parse_split(""), None);
     }
 
     #[test]

@@ -25,8 +25,6 @@
 //!   selection, the [`CpuBackend`] reference implementation (identity
 //!   device memory), and the backend-generic, residency-aware
 //!   [`Evaluator`].
-//! * [`calibration`] — the persisted per-host calibration file that makes
-//!   plan-time strategy choices reproducible across runs.
 //! * [`stockham`] — out-of-place self-sorting Stockham NTT (paper
 //!   Algorithm 3).
 //! * [`radix`] — register-style small-block NTTs (radix 2..2048) used by
@@ -62,7 +60,6 @@
 
 pub mod backend;
 pub mod bitrev;
-pub mod calibration;
 pub mod ct;
 pub mod dft;
 pub mod engine;

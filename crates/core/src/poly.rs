@@ -319,9 +319,9 @@ impl RnsRing {
 
     /// The cached execution plan for this ring (see
     /// [`crate::backend::RingPlan`]): per-prime pointwise reduction
-    /// strategies are chosen on the first call (benchmark-derived, with an
-    /// `NTT_WARP_POINTWISE` override) and memoized in the ring, so repeated
-    /// calls cost two reference-count bumps.
+    /// strategies are chosen on the first call
+    /// ([`crate::backend::PointwiseStrategy::choose_all`]) and memoized in
+    /// the ring, so repeated calls cost two reference-count bumps.
     pub fn plan(&self) -> crate::backend::RingPlan {
         let strategies = self
             .inner

@@ -103,50 +103,6 @@ impl GpuConfig {
     pub fn words_per_transaction(&self) -> usize {
         (self.transaction_bytes / 8) as usize
     }
-
-    /// Stable 64-bit digest of every performance-relevant field (FNV-1a).
-    ///
-    /// Persisted calibration entries (hier A×B splits, pointwise verdicts)
-    /// embed this so a result measured under one device model is never
-    /// silently adopted after the config changes — a mismatch simply falls
-    /// back to re-measurement. The marketing `name` is excluded: renaming
-    /// a device does not change its performance.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x1000_0000_01b3);
-            }
-        };
-        for v in [
-            self.sm_count,
-            self.cores_per_sm,
-            self.warp_size,
-            self.max_threads_per_sm,
-            self.max_threads_per_block,
-            self.max_blocks_per_sm,
-            self.regfile_words_per_sm,
-            self.max_regs_per_thread,
-            self.smem_bytes_per_sm,
-            self.max_smem_per_block,
-            self.transaction_bytes,
-            self.smem_bytes_per_cycle_per_sm,
-        ] {
-            mix(&v.to_le_bytes());
-        }
-        for v in [
-            self.peak_dram_bw,
-            self.l2_bw,
-            self.clock_hz,
-            self.pcie_bw,
-            self.link_bw,
-            self.link_latency_s,
-        ] {
-            mix(&v.to_bits().to_le_bytes());
-        }
-        h
-    }
 }
 
 impl Default for GpuConfig {
@@ -193,21 +149,5 @@ mod tests {
     #[test]
     fn display_mentions_device() {
         assert!(GpuConfig::titan_v().to_string().contains("Titan V"));
-    }
-
-    #[test]
-    fn fingerprint_tracks_perf_fields_not_name() {
-        let base = GpuConfig::titan_v();
-        let mut renamed = base.clone();
-        renamed.name = "Titan V (relabeled)".to_string();
-        assert_eq!(base.fingerprint(), renamed.fingerprint());
-
-        let mut fewer_sms = base.clone();
-        fewer_sms.sm_count = 40;
-        assert_ne!(base.fingerprint(), fewer_sms.fingerprint());
-
-        let mut slower_link = base.clone();
-        slower_link.link_bw /= 2.0;
-        assert_ne!(base.fingerprint(), slower_link.fingerprint());
     }
 }

@@ -15,8 +15,8 @@
 //! which an armed evaluator checkout passes for every op, and the device
 //! memory's `try_alloc`, through which it allocates); the infallible
 //! paths — unarmed evaluators and host↔device staging included — never
-//! draw from it, so calibration
-//! runs and figure-harness sweeps stay fault-free by construction. When a fault
+//! draw from it, so split sweeps
+//! and figure-harness sweeps stay fault-free by construction. When a fault
 //! fires, the `Gpu` charges a zero-word transfer (one PCIe latency) to the
 //! active stream so the aborted command still occupies the modeled
 //! timeline, like a real failed command occupies the hardware queue.

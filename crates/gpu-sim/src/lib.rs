@@ -114,7 +114,7 @@ impl Gpu {
     /// execution backend in `ntt-gpu` (`NttBackend::gate`, which an
     /// armed evaluator checkout passes for every op, and the device
     /// memory's `try_alloc`) via [`Gpu::fault_check`]; infallible paths
-    /// — unarmed evaluators, host↔device staging, calibration, the
+    /// — unarmed evaluators, host↔device staging, split sweeps, the
     /// figure harness — never draw from it. Disarming also "resets" a
     /// sticky-wedged device.
     pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {

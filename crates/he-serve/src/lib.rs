@@ -57,7 +57,10 @@
 //!   wedged executor.
 //! * **Degradation** — a group whose device budget is exhausted re-runs
 //!   on a host/CPU evaluator with bit-identical results; a fatal fault
-//!   marks the device down so later groups skip it entirely.
+//!   marks the device down so later groups skip it entirely. A bootstrap
+//!   has no host fallback: its group answers the classified fault once
+//!   its device attempt is out of budget, and on a device already marked
+//!   down it gets one attempt and no retry.
 //! * **Deadlines & cancellation** — [`ServeConfig::deadline`] bounds
 //!   queue-to-answer time; [`Ticket::cancel`] drops a queued job. Both
 //!   answer [`ServeError`] variants, never silence.

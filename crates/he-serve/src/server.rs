@@ -483,6 +483,11 @@ impl ServerInner {
         let mut live = jobs;
         let mut retries_used: u32 = 0;
         let mut degraded = self.device_down.load(Ordering::Acquire);
+        // A bootstrap has no host fallback: its device attempt is its only
+        // one, and it never runs degraded.
+        let boot = live
+            .first()
+            .is_some_and(|job| matches!(job.request, Request::Boot { .. }));
 
         loop {
             // Shed jobs that were cancelled or expired while queued or
@@ -510,7 +515,7 @@ impl ServerInner {
                     let mut m = lock(&self.metrics);
                     m.batches += 1;
                     m.batched_jobs += live.len() as u64;
-                    if degraded {
+                    if degraded && !boot {
                         m.degraded_jobs += live.len() as u64;
                     }
                     drop(m);
@@ -537,10 +542,13 @@ impl ServerInner {
                             self.device_down.store(true, Ordering::Release);
                         }
                         degraded = true;
-                        continue;
+                        if !boot {
+                            continue;
+                        }
                     }
-                    // Even the host evaluator failed: answer a classified
-                    // error rather than retrying forever.
+                    // The host evaluator failed too, or the group has no
+                    // host fallback: answer a classified error rather than
+                    // retrying forever.
                     for job in live {
                         let err = ServeError::Fault {
                             error: e.clone(),
@@ -629,7 +637,9 @@ impl ServerInner {
                 // No checkout here: each bootstrap runs in its own armed
                 // scope on one pool member. The engine's keys and
                 // diagonals live in shared device memory, so any member
-                // can execute against them.
+                // can execute against them. There is no host fallback, so
+                // `degraded` changes nothing here: `execute_group` answers
+                // a failed bootstrap group instead of re-running it.
                 let boot = self.boot.as_ref().expect("Boot jobs validated at submit");
                 jobs.iter()
                     .map(|job| {

@@ -7,8 +7,8 @@
 //! `K`-device instance of — two constructors, one body (see
 //! [`crate::sharded`]). This module holds what a single device owns: the
 //! [`SimMemory`] shard (GMEM, launch trace, stream scheduler, handle map,
-//! plan tables, readiness events), the forward-route calibration, and
-//! the row-local kernels (element-wise ops, automorphism).
+//! plan tables, readiness events), the transform's split sweep, and the
+//! row-local kernels (element-wise ops, automorphism).
 //!
 //! Every trait call executes through the warp kernels on the `gpu-sim`
 //! substrate — data really moves through simulated GMEM, twiddles stream
@@ -36,25 +36,22 @@
 //!   through a per-row address table (`crate::rows`), so one launch can
 //!   cover rows of separate allocations.
 //!
-//! Transforms are routed per shape: large forward batches go through the
-//! two-kernel SMEM implementation (+OT) the paper's Table II favors or
-//! the three-kernel hierarchical 4-step plan ([`crate::hier`]) at
-//! bootstrapping scale, with the winner chosen like `best_split` — by the
-//! minimum *modeled* time over the Fig. 12(a) candidates plus the
-//! near-square hierarchical column counts, measured once per `N` on a
-//! scratch device and cached (deterministic, so plans are reproducible).
-//! Rows below 256 points run whole in one packed SMEM launch per
-//! direction (the degenerate `N × 1` split, no sweep; radix-2 only for
-//! `N < 4`). Inverses take the forward's verdict without a sweep of
-//! their own (`run_inverse`): an SMEM split, whole rows included, runs
-//! the mirrored SMEM inverse at the same split, radix-2 stays radix-2,
-//! and a hierarchical verdict (there is no hierarchical inverse) runs
-//! the shape's best SMEM split. Set `NTT_WARP_SIM_FORWARD=radix2` (or
-//! `smem`, which takes the best two-kernel split at every `N`, or
-//! `hier`) to pin one implementation in both directions, and
-//! `NTT_WARP_SPLIT=AxB` to pin the hierarchical split itself; swept
-//! hierarchical winners persist in the per-host calibration file
-//! (`ntt_core::calibration`).
+//! Every transform runs the SMEM family the paper's Table II favors, at
+//! one split per ring degree `N` that depends on `N` and the device model
+//! alone:
+//!
+//! * rows below 256 points run whole, several per block, in one packed
+//!   launch per direction (the degenerate `N × 1` split, no sweep);
+//! * longer rows take the two-kernel split (OT on 0 or 2 stages) with the
+//!   minimum *modeled* time over the Fig. 12(a) candidates, swept once
+//!   per `N` on one row of a scratch device and cached, so the verdict is
+//!   deterministic and does not depend on which call came first.
+//!
+//! An inverse runs the mirrored SMEM kernels at its forward's split, with
+//! no sweep of its own: the mirrored inverse ranks the splits as the
+//! forward does. The radix-2 and hierarchical kernels ([`crate::radix2`],
+//! [`crate::hier`]) stay as the Table II and figure harnesses; no
+//! backend op routes to them.
 //!
 //! # Fallible surface and fault injection
 //!
@@ -69,8 +66,8 @@
 //! times before it latches (`ntt_core::backend::Evaluator::gated`).
 //! [`DeviceMemory::try_alloc`] is the injected-OOM hook, through which an
 //! armed evaluator makes its own allocations. Everything else, host↔device
-//! staging included, never consults the plan, which keeps calibration
-//! sweeps and the figure harness fault-free even when `NTT_WARP_FAULTS`
+//! staging included, never consults the plan, which keeps split sweeps
+//! and the figure harness fault-free even when `NTT_WARP_FAULTS`
 //! is set (the env plan is armed when a backend is constructed, not in
 //! [`SimMemory::new`], for the same reason).
 //!
@@ -113,9 +110,7 @@
 //! ```
 
 use crate::batch::upload_table;
-use crate::hier::{self, DeviceTwist};
 use crate::ot::DeviceOt;
-use crate::radix2::{launch_forward, launch_inverse, ModMul};
 use crate::rows::{FoldRows, RowTable};
 use crate::sharded::{ShardedMemory, SimDevices, Single};
 use crate::smem::{self, Direction, SmemConfig, SmemJob};
@@ -124,21 +119,20 @@ use ntt_core::backend::{BackendError, DeviceBuf, DeviceMemory, RingPlan, Transfe
 #[cfg(doc)]
 use ntt_core::backend::{BackendOp, NttBackend};
 use ntt_math::modops::{add_mod, mul_mod, neg_mod, sub_mod};
-use ntt_math::shoup::mul_shoup;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Threads per block for the element-wise kernels.
 pub(crate) const THREADS: usize = 256;
 
-/// Rows shorter than this (and at least 4 points) run whole, several
-/// per block, in one SMEM launch per direction — the degenerate `N × 1`
-/// split, chosen from `N` alone with no calibration sweep: a two-kernel
-/// split needs enough columns per kernel to fill its blocks, and the
-/// packed row kernel models no slower than radix-2 or any split or
-/// hierarchical candidate at every such `N` (pinned by
-/// the `smem::tests::whole_rows_beat_every_candidate_*` tests).
-/// Longer rows take the calibrated winner.
+/// Rows shorter than this run whole, several per block, in one SMEM
+/// launch per direction — the degenerate `N × 1` split, chosen from `N`
+/// alone with no sweep: a two-kernel split needs enough columns per
+/// kernel to fill its blocks, and the packed row kernel models no slower
+/// than radix-2 or any split or hierarchical candidate at every
+/// `4 ≤ N < 256` (pinned by the
+/// `smem::tests::whole_rows_beat_every_candidate_*` tests; at `N = 2`
+/// there is nothing to split). Longer rows take the swept [`best_split`].
 pub(crate) const SMEM_MIN_N: usize = 256;
 
 /// Device-resident twiddle tables for one plan (shared by all forks).
@@ -149,15 +143,10 @@ struct DevTables {
     twc: Buf,
     itw: Buf,
     itwc: Buf,
-    /// Per-prime `(N^{-1}, companion, p)` for the inverse scaling pass.
-    n_inv: Vec<(u64, u64, u64)>,
     /// Cached OT factor tables over `ψ` and `ψ⁻¹`, built together on the
     /// first OT-routed transform, so the first inverse after a warm-up
     /// forward uploads nothing.
     ot: Option<[DeviceOt; 2]>,
-    /// Cached hierarchical twist-factor tables (built on first
-    /// hier-routed forward).
-    twist: Option<DeviceTwist>,
 }
 
 /// A reusable device data buffer (outgrown buffers are returned to the
@@ -321,9 +310,8 @@ impl SimMemory {
         }
     }
 
-    /// Borrow a scratch buffer for one multi-kernel launch plan (e.g.
-    /// the hierarchical NTT's transposed intermediate) or one gathered
-    /// operand: a released one of the same size, else a fresh GMEM
+    /// Borrow a scratch buffer for one operand gathered across shards:
+    /// a released one of the same size, else a fresh GMEM
     /// allocation, so steady-state ops allocate nothing. Its contents
     /// are stale; callers overwrite what they read. The readiness event
     /// a recycled base carries is *consumed* — the active stream fences
@@ -443,58 +431,6 @@ impl DeviceMemory for SimMemory {
 pub(crate) fn lock_mem(mem: &Arc<Mutex<SimMemory>>) -> MutexGuard<'_, SimMemory> {
     mem.lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Which implementation a forward batch of a given shape routes to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ForwardImpl {
-    /// One stage-kernel launch per Cooley–Tukey stage.
-    Radix2,
-    /// Two-kernel SMEM implementation with this split (+OT stages);
-    /// `n1 = N` is the one-launch whole-row kernel (no OT).
-    Smem { n1: usize, ot_stages: u32 },
-    /// Three-kernel hierarchical (4-step) implementation with this
-    /// column count (`n2 = N / n1`).
-    Hier { n1: usize },
-}
-
-/// The memoized calibration verdict for one shape: the overall
-/// modeled-time winner, plus the best SMEM split for the forced-`smem`
-/// mode and the best hierarchical split for the forced-`hier` mode
-/// (radix-2 when no candidate is feasible at all).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct ShapeChoice {
-    pub(crate) auto: ForwardImpl,
-    pub(crate) best_smem: ForwardImpl,
-    pub(crate) best_hier: ForwardImpl,
-}
-
-/// Forced routing mode from `NTT_WARP_SIM_FORWARD`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ForwardMode {
-    Auto,
-    Radix2,
-    Smem,
-    Hier,
-}
-
-/// The routing mode, resolved from `NTT_WARP_SIM_FORWARD` once per
-/// process (this sits on every launch's hot path).
-pub(crate) fn forward_mode() -> ForwardMode {
-    static MODE: std::sync::OnceLock<ForwardMode> = std::sync::OnceLock::new();
-    *MODE.get_or_init(|| {
-        match std::env::var("NTT_WARP_SIM_FORWARD")
-            .unwrap_or_default()
-            .trim()
-            .to_ascii_lowercase()
-            .as_str()
-        {
-            "radix2" => ForwardMode::Radix2,
-            "smem" => ForwardMode::Smem,
-            "hier" => ForwardMode::Hier,
-            _ => ForwardMode::Auto,
-        }
-    })
 }
 
 /// Element-wise warp kernels over batches of limb rows: one thread per
@@ -724,10 +660,9 @@ pub(crate) fn ensure_tables(m: &mut SimMemory, plan: &RingPlan) {
             return;
         }
     }
-    // Plan change: return the previous plan's table (OT, twist) buffers
-    // to the free list before uploading the new ones, so alternating
-    // between rings does not grow the simulated address space without
-    // bound.
+    // Plan change: return the previous plan's table (and OT) buffers to
+    // the free list before uploading the new ones, so alternating between
+    // rings does not grow the simulated address space without bound.
     if let Some(old) = m.tables.take() {
         for buf in [old.tw, old.twc, old.itw, old.itwc] {
             m.gpu.gmem.free(buf);
@@ -735,23 +670,18 @@ pub(crate) fn ensure_tables(m: &mut SimMemory, plan: &RingPlan) {
         for ot in old.ot.into_iter().flatten() {
             ot.free(&mut m.gpu);
         }
-        if let Some(twist) = old.twist {
-            twist.free(&mut m.gpu);
-        }
     }
     let np = plan.np();
     let mut tw = Vec::with_capacity(np * n);
     let mut twc = Vec::with_capacity(np * n);
     let mut itw = Vec::with_capacity(np * n);
     let mut itwc = Vec::with_capacity(np * n);
-    let mut n_inv = Vec::with_capacity(np);
     for i in 0..np {
         let t = plan.table(i);
         tw.extend_from_slice(t.forward_values());
         twc.extend_from_slice(t.forward_companions());
         itw.extend_from_slice(t.inverse_values());
         itwc.extend_from_slice(t.inverse_companions());
-        n_inv.push((t.n_inv().value(), t.n_inv().companion(), t.modulus()));
     }
     // Table uploads are charged to whichever stream first needs the plan
     // (typically the keygen/setup stream); every later op on any stream
@@ -766,9 +696,7 @@ pub(crate) fn ensure_tables(m: &mut SimMemory, plan: &RingPlan) {
         twc,
         itw,
         itwc,
-        n_inv,
         ot: None,
-        twist: None,
     });
     let s = m.gpu.active_stream();
     m.tables_ready = m.gpu.record_event(s);
@@ -794,109 +722,38 @@ fn ensure_ot(m: &mut SimMemory, plan: &RingPlan, base: usize, direction: Directi
     }
 }
 
-/// The cached hierarchical twist-factor tables for the current plan
-/// tables, built on the first hier-routed forward.
-fn ensure_twist(m: &mut SimMemory, plan: &RingPlan) -> DeviceTwist {
-    let tables = m.tables.as_ref().expect("tables uploaded");
-    if let Some(twist) = tables.twist {
-        return twist;
-    }
-    let host_tables: Vec<&ntt_core::NttTable> = (0..plan.np()).map(|i| plan.table(i)).collect();
-    let base = hier::TWIST_BASE.min(2 * plan.degree());
-    let twist = DeviceTwist::upload_tables(&mut m.gpu, plan.degree(), &host_tables, base);
-    m.tables.as_mut().expect("tables uploaded").twist = Some(twist);
-    twist
-}
-
-/// Launch a forward NTT over `rows` through the chosen implementation
-/// (radix-2 stage kernels, an SMEM split — two kernels, or one over whole
-/// rows — or the hierarchical three-kernel plan, per `choice`). With a
-/// `fold`, the transformed rows land in the fold's accumulators: the
-/// SMEM kernels fold the subtract-and-scale into their final store, the
-/// radix-2 and hierarchical routes transform in place and then run one
-/// `sim-subscale` launch.
+/// Launch a forward NTT over `rows` at `split` ([`best_split`]): two SMEM
+/// kernels, or one over whole rows. With a `fold`, the transformed rows
+/// land in the fold's accumulators through the subtract-and-scale in the
+/// last kernel's store.
 pub(crate) fn run_forward(
     m: &mut SimMemory,
     plan: &RingPlan,
     rows: &RowTable,
-    choice: ForwardImpl,
+    split: SmemConfig,
     fold: Option<&FoldRows>,
 ) {
-    match choice {
-        ForwardImpl::Radix2 => {
-            let SimMemory { gpu, tables, .. } = &mut *m;
-            let t = tables.as_ref().expect("tables uploaded");
-            launch_forward(gpu, rows, (t.tw, t.twc), t.n, &t.primes, ModMul::Shoup);
-        }
-        ForwardImpl::Smem { n1, ot_stages } => {
-            run_smem(m, plan, rows, (n1, ot_stages), Direction::Forward, fold);
-            return;
-        }
-        ForwardImpl::Hier { n1 } => {
-            let twist = ensure_twist(m, plan);
-            let scratch = m.acquire_scratch(rows.len() * plan.degree());
-            {
-                let SimMemory { gpu, tables, .. } = &mut *m;
-                let t = tables.as_ref().expect("tables uploaded");
-                let job = hier::HierJob {
-                    rows,
-                    scratch,
-                    tw: t.tw,
-                    twc: t.twc,
-                    n: t.n,
-                    log_n: t.n.trailing_zeros(),
-                    moduli: &t.primes,
-                };
-                hier::launch_job(gpu, &job, n1, &twist, hier::PER_THREAD);
-            }
-            m.release_scratch(scratch);
-        }
-    }
-    if let Some(fold) = fold {
-        launch_sub_scale(m, fold, rows, plan.degree());
-    }
+    run_smem(m, plan, rows, split, Direction::Forward, fold);
 }
 
-/// Launch an inverse NTT over `rows`, routed by the shape's forward
-/// verdict `choice`: radix-2 stages plus the `N⁻¹`
-/// scaling launch for [`ForwardImpl::Radix2`], the mirrored SMEM inverse
-/// at the same split (OT included, `N⁻¹` folded into its last store) for
-/// [`ForwardImpl::Smem`] — two kernels, or for whole rows (`n1 = N`)
-/// the one `smem-k1-{N}-inv` launch. There is no hierarchical
-/// inverse: the routing maps that verdict to the shape's best SMEM split
-/// before it gets here, and one that does arrive runs the radix-2 stages.
-pub(crate) fn run_inverse(
-    m: &mut SimMemory,
-    plan: &RingPlan,
-    rows: &RowTable,
-    choice: ForwardImpl,
-) {
-    match choice {
-        ForwardImpl::Smem { n1, ot_stages } => {
-            run_smem(m, plan, rows, (n1, ot_stages), Direction::Inverse, None);
-        }
-        ForwardImpl::Radix2 | ForwardImpl::Hier { .. } => {
-            let SimMemory { gpu, tables, .. } = m;
-            let t = tables.as_ref().expect("tables uploaded");
-            let tw = (t.itw, t.itwc);
-            launch_inverse(gpu, rows, tw, t.n, &t.primes, &t.n_inv);
-        }
-    }
+/// Launch an inverse NTT over `rows`: the forward's `split` mirrored, OT
+/// included and `N⁻¹` folded into the last store — two kernels, or for
+/// whole rows (`n1 = N`) the one `smem-k1-{N}-inv` launch.
+pub(crate) fn run_inverse(m: &mut SimMemory, plan: &RingPlan, rows: &RowTable, split: SmemConfig) {
+    run_smem(m, plan, rows, split, Direction::Inverse, None);
 }
 
-/// Launch the SMEM kernels of split `n1` in `direction` over the plan's
-/// table of that direction, with OT on `ot_stages` stages and `fold` in
-/// the forward's final store.
+/// Launch the SMEM kernels of `cfg` in `direction` over the plan's table
+/// of that direction, with `fold` in the forward's final store.
 fn run_smem(
     m: &mut SimMemory,
     plan: &RingPlan,
     rows: &RowTable,
-    (n1, ot_stages): (usize, u32),
+    cfg: SmemConfig,
     direction: Direction,
     fold: Option<&FoldRows>,
 ) {
-    let cfg = SmemConfig::new(n1).ot_stages(ot_stages);
-    let ot = (ot_stages > 0).then(|| ensure_ot(m, plan, cfg.ot_base, direction));
+    let ot = (cfg.ot_stages > 0).then(|| ensure_ot(m, plan, cfg.ot_base, direction));
     let SimMemory { gpu, tables, .. } = m;
     let t = tables.as_ref().expect("tables uploaded");
     let (tw, twc) = match direction {
@@ -983,70 +840,6 @@ pub(crate) fn launch_automorphism(
     launch_rows(&mut m.gpu, "sim-automorphism", row_prime.len() * n, &kernel);
 }
 
-/// A rescale's subtract-and-scale as a launch of its own (the radix-2 and
-/// hierarchical forward routes, whose kernels carry no fold): one thread
-/// per element, `acc ← (acc − t)·p_d⁻¹` with `t` the transformed row.
-struct SubScaleKernel<'a> {
-    fold: &'a FoldRows,
-    t: &'a RowTable,
-    n: usize,
-    moduli: &'a [u64],
-}
-
-impl WarpKernel for SubScaleKernel<'_> {
-    fn phases(&self) -> usize {
-        1
-    }
-
-    fn run_warp(&self, ctx: &mut WarpCtx<'_>) {
-        let total = self.t.len() * self.n;
-        let lanes = ctx.lanes();
-        let mut addr_a = vec![None; lanes];
-        let mut addr_t = vec![None; lanes];
-        let mut prime = vec![0usize; lanes];
-        let mut active = 0u64;
-        for l in 0..lanes {
-            let gt = ctx.global_thread(l);
-            if gt >= total {
-                continue;
-            }
-            active += 1;
-            prime[l] = self.fold.acc.prime(gt / self.n);
-            addr_a[l] = Some(self.fold.acc.flat_word(self.n, gt));
-            addr_t[l] = Some(self.t.flat_word(self.n, gt));
-        }
-        if active == 0 {
-            return;
-        }
-        let (a, t) = ctx.gmem_load2(&addr_a, &addr_t);
-        let writes: Vec<Option<(usize, u64)>> = (0..lanes)
-            .map(|l| {
-                let av = a[l]?;
-                let p = self.moduli[prime[l]];
-                let (w, wc) = self.fold.inv[prime[l]];
-                let diff = sub_mod(av, t[l].expect("row loaded"), p);
-                Some((addr_a[l]?, mul_shoup(diff, w, wc, p)))
-            })
-            .collect();
-        ctx.count_op(OpClass::ModAddSub, active);
-        ctx.count_op(OpClass::ShoupMul, active);
-        ctx.gmem_store(&writes);
-    }
-}
-
-/// Launch the stand-alone subtract-and-scale of `fold` over the
-/// transformed rows `t`.
-fn launch_sub_scale(m: &mut SimMemory, fold: &FoldRows, t: &RowTable, n: usize) {
-    let tables = m.tables.as_ref().expect("tables uploaded");
-    let kernel = SubScaleKernel {
-        fold,
-        t,
-        n,
-        moduli: &tables.primes,
-    };
-    launch_rows(&mut m.gpu, "sim-subscale", t.len() * n, &kernel);
-}
-
 /// Launch a one-thread-per-element kernel over `threads` elements.
 pub(crate) fn launch_rows<K: WarpKernel>(
     gpu: &mut Gpu,
@@ -1093,47 +886,24 @@ impl SimDevices<Single> {
     }
 }
 
-/// A forward-implementation candidate in the calibration sweep.
-enum Cand {
-    Radix2,
-    Smem(SmemConfig),
-    Hier(usize),
-}
-
-/// Pick the forward implementation for `n`-point rows the way
-/// `best_split` does: run every feasible Fig. 12(a) split (with and
-/// without OT), every hierarchical 4-step column count, and the radix-2
-/// baseline on a **scratch** device of the same model, and keep the
-/// minimum modeled time. Purely simulated, so the verdict is
-/// deterministic and reproducible across runs. The overall winner
-/// (`auto`, which may be radix-2), the best SMEM split (forced-`smem`
-/// mode) and the best hierarchical split (forced-`hier` mode) are all
-/// returned and cached — a radix-2 verdict must not re-trigger the
-/// sweep on every launch.
+/// The SMEM configuration of every `n`-point transform, `n ≥ 2`, in both
+/// directions: whole rows (`n1 = N`) below [`SMEM_MIN_N`]; above it, the
+/// two-kernel split with the minimum *modeled* time over every feasible
+/// Fig. 12(a) candidate, with OT on 0 or 2 stages, run forward on one row
+/// of a **scratch** device of the same model. Purely simulated and a
+/// function of `n` and the model alone, so the verdict is deterministic
+/// and reproducible across runs.
 ///
-/// Hierarchical candidates follow a precedence chain: an
-/// `NTT_WARP_SPLIT=AxB` override (with `A*B == n`) is authoritative; a
-/// split persisted in the per-host calibration file is reused next; only
-/// when neither applies does the sweep try the near-square column counts,
-/// persisting the winner for future processes.
-pub(crate) fn calibrate_forward_choice(config: &GpuConfig, n: usize, rows: usize) -> ShapeChoice {
+/// # Panics
+///
+/// Panics if no candidate fits the device's block limits (from
+/// `N = 2^25` on the Titan-V model).
+pub(crate) fn best_split(config: &GpuConfig, n: usize) -> SmemConfig {
+    if n < SMEM_MIN_N {
+        return SmemConfig::new(n);
+    }
     let log_n = n.trailing_zeros();
-    let np = rows.clamp(1, 4);
-    let bench = |cand: &Cand| -> Option<f64> {
-        // Scratch device through the handle layer, so even calibration
-        // sweeps exercise the same allocator as resident execution.
-        let mut mem = SimMemory::new(config.clone());
-        let batch = crate::batch::DeviceBatch::sequential_on(&mut mem, log_n, np, 60).ok()?;
-        let rep = match cand {
-            Cand::Radix2 => crate::radix2::run(mem.gpu_mut(), &batch, ModMul::Shoup),
-            Cand::Smem(c) => smem::run(mem.gpu_mut(), &batch, c),
-            Cand::Hier(n1) => hier::run(mem.gpu_mut(), &batch, *n1),
-        };
-        Some(rep.total_s())
-    };
-    let mut auto: Option<(ForwardImpl, f64)> =
-        bench(&Cand::Radix2).map(|t| (ForwardImpl::Radix2, t));
-    let mut best_smem: Option<(ForwardImpl, f64)> = None;
+    let mut best: Option<(SmemConfig, f64)> = None;
     for n1 in SmemConfig::paper_splits(log_n) {
         if !(n1.is_power_of_two() && n1 >= 2 && n1 <= n / 2) {
             continue;
@@ -1146,74 +916,19 @@ pub(crate) fn calibrate_forward_choice(config: &GpuConfig, n: usize, rows: usize
             if !smem::job_feasible(n, &cfg, config) {
                 continue;
             }
-            if let Some(t) = bench(&Cand::Smem(cfg)) {
-                let choice = ForwardImpl::Smem { n1, ot_stages };
-                if best_smem.as_ref().is_none_or(|(_, b)| t < *b) {
-                    best_smem = Some((choice, t));
-                }
-                if auto.as_ref().is_none_or(|(_, b)| t < *b) {
-                    auto = Some((choice, t));
-                }
+            // Scratch device through the handle layer, so even the sweep
+            // exercises the same allocator as resident execution.
+            let mut mem = SimMemory::new(config.clone());
+            let Ok(batch) = crate::batch::DeviceBatch::sequential_on(&mut mem, log_n, 1, 60) else {
+                continue;
+            };
+            let t = smem::run(mem.gpu_mut(), &batch, &cfg).total_s();
+            if best.as_ref().is_none_or(|(_, b)| t < *b) {
+                best = Some((cfg, t));
             }
         }
     }
-    let forced = ntt_core::hier::env_split().filter(|&(a, b)| a * b == n);
-    let calib_path = ntt_core::calibration::calibration_path();
-    // Persisted splits are keyed by the device-model fingerprint: a split
-    // swept under one config is never adopted under another (it would be
-    // stale the moment SM count, bandwidths, or link parameters change).
-    let fp = config.fingerprint();
-    let persisted = if forced.is_none() {
-        calib_path
-            .as_deref()
-            .and_then(|p| ntt_core::calibration::load_hier_split(p, n, fp))
-    } else {
-        None
-    };
-    let hier_splits: Vec<usize> = match forced.or(persisted) {
-        Some((a, _)) => vec![a],
-        None => {
-            let l = log_n as usize;
-            let mut v = vec![
-                1usize << (l / 2),
-                1usize << l.div_ceil(2),
-                1usize << (l / 2 + 1),
-            ];
-            if l / 2 >= 1 {
-                v.push(1usize << (l / 2 - 1));
-            }
-            v.sort_unstable();
-            v.dedup();
-            v
-        }
-    };
-    let mut best_hier: Option<(ForwardImpl, f64)> = None;
-    for n1 in hier_splits {
-        if !hier::job_feasible(n, n1, hier::PER_THREAD, config) {
-            continue;
-        }
-        if let Some(t) = bench(&Cand::Hier(n1)) {
-            let choice = ForwardImpl::Hier { n1 };
-            if best_hier.as_ref().is_none_or(|(_, b)| t < *b) {
-                best_hier = Some((choice, t));
-            }
-            if auto.as_ref().is_none_or(|(_, b)| t < *b) {
-                auto = Some((choice, t));
-            }
-        }
-    }
-    if forced.is_none() && persisted.is_none() {
-        if let (Some(path), Some((ForwardImpl::Hier { n1 }, _))) =
-            (calib_path.as_deref(), best_hier.as_ref())
-        {
-            ntt_core::calibration::store_hier_split(path, n, fp, (*n1, n / n1));
-        }
-    }
-    ShapeChoice {
-        auto: auto.map_or(ForwardImpl::Radix2, |(c, _)| c),
-        best_smem: best_smem.map_or(ForwardImpl::Radix2, |(c, _)| c),
-        best_hier: best_hier.map_or(ForwardImpl::Radix2, |(c, _)| c),
-    }
+    best.expect("an SMEM split of N fits the device").0
 }
 
 #[cfg(test)]
@@ -1443,7 +1158,7 @@ mod tests {
     fn smem_routing_matches_radix2_and_cpu() {
         // Above the SMEM floor the forward path routes through the
         // two-kernel implementation; results must stay bit-exact with the
-        // radix-2 route and the CPU reference.
+        // CPU reference.
         let ring = ring(512, 2);
         let plan = RingPlan::new(&ring);
         let x = sample(&ring, 21);
@@ -1596,114 +1311,30 @@ mod tests {
         assert_eq!(dev, host);
     }
 
-    /// A backend with the forward route pinned to the hierarchical
-    /// implementation for one shape (bypasses the process-global
-    /// `NTT_WARP_SIM_FORWARD` OnceLock so tests stay independent).
-    fn hier_pinned(n: usize, n1: usize) -> SimBackend {
-        let sim = SimBackend::titan_v();
-        let choice = ForwardImpl::Hier { n1 };
-        sim.split_cache
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .insert(
-                n,
-                ShapeChoice {
-                    auto: choice,
-                    best_smem: choice,
-                    best_hier: choice,
-                },
-            );
-        sim
-    }
-
-    #[test]
-    fn hier_routing_matches_cpu_at_bootstrap_scale() {
-        // The full trait path through the 3-kernel hierarchical plan at
-        // N = 2^16 — twist upload, scratch acquire/release, forward —
-        // must stay bit-exact with the CPU reference, and the trace must
-        // actually contain the hier kernels.
-        let n = 1 << 16;
-        let ring = ring(n, 2);
-        let plan = RingPlan::new(&ring);
-        let x = sample(&ring, 77);
-
-        let mut fc = x.clone();
-        CpuBackend::default().run(&plan, Op::ForwardBatch(LimbBatch::from_poly(&mut fc)));
-
-        let mut sim = hier_pinned(n, 256);
-        let mut fs = x.clone();
-        sim.run(&plan, Op::ForwardBatch(LimbBatch::from_poly(&mut fs)));
-        assert_eq!(fc.flat(), fs.flat(), "hier-routed forward");
-
-        let launches: Vec<String> =
-            sim.with_gpu(|g| g.trace.iter().map(|l| l.launch.label.clone()).collect());
-        for k in ["hier-col-256", "hier-twt", "hier-row-256"] {
-            assert!(
-                launches.iter().any(|l| l == k),
-                "missing {k} in {launches:?}"
-            );
-        }
-
-        // And the inverse (radix-2) undoes it.
-        sim.run(&plan, Op::InverseBatch(LimbBatch::from_poly(&mut fs)));
-        assert_eq!(fs.flat(), x.flat(), "roundtrip through hier forward");
-    }
-
-    #[test]
-    fn hier_scratch_recycling_keeps_readiness_map_bounded() {
-        // Satellite (f): repeated hier forwards acquire and release the
-        // transpose scratch every call. The consumed-on-acquire protocol
-        // must keep the per-base readiness map bounded instead of leaking
-        // one event per launch.
-        let n = 1 << 12;
-        let ring = ring(n, 1);
-        let plan = RingPlan::new(&ring);
-        let mut sim = hier_pinned(n, 64);
-        let mut x = sample(&ring, 5);
-        sim.run(&plan, Op::ForwardBatch(LimbBatch::from_poly(&mut x)));
-        let shard = sim.memory_handle();
-        let baseline = lock_mem(&shard).readiness_entries();
-        for _ in 0..32 {
-            sim.run(&plan, Op::ForwardBatch(LimbBatch::from_poly(&mut x)));
-        }
-        let after = lock_mem(&shard).readiness_entries();
-        assert!(
-            after <= baseline + 1,
-            "readiness map grew {baseline} -> {after} across 32 hier forwards"
-        );
-    }
-
     #[test]
     fn smem_inverse_ranks_splits_like_the_forward() {
-        // The inverse takes the forward's verdict instead of a sweep of
-        // its own. That is sound because the mirrored inverse costs what
-        // its forward costs, plus the `N⁻¹` fold, at every split: each
+        // The inverse takes the forward's split instead of a sweep of its
+        // own. That is sound because the mirrored inverse costs what its
+        // forward costs, plus the `N⁻¹` fold, at every split: each
         // candidate's inverse is within 5% of its forward, the inverses
         // rank in the forwards' order, and the routed inverse is the
-        // fastest inverse among the calibration's candidates.
+        // fastest inverse among the sweep's candidates.
         let config = GpuConfig::titan_v();
-        let (log_n, rows) = (13u32, 2usize);
+        let log_n = 13u32;
         let n = 1usize << log_n;
-        // Modeled seconds of one transform: SMEM at `cfg`, or radix-2.
-        let time = |direction: Direction, cfg: Option<&SmemConfig>| -> f64 {
+        // Modeled seconds of one transform of one row at `cfg`.
+        let time = |direction: Direction, cfg: &SmemConfig| -> f64 {
             let mut mem = SimMemory::new(config.clone());
-            let batch =
-                crate::batch::DeviceBatch::sequential_on(&mut mem, log_n, rows, 60).unwrap();
+            let batch = crate::batch::DeviceBatch::sequential_on(&mut mem, log_n, 1, 60).unwrap();
             let gpu = mem.gpu_mut();
-            let rep = match (direction, cfg) {
-                (Direction::Forward, None) => crate::radix2::run(gpu, &batch, ModMul::Shoup),
-                (Direction::Inverse, None) => crate::radix2::run_inverse(gpu, &batch),
-                (Direction::Forward, Some(c)) => smem::run(gpu, &batch, c),
-                (Direction::Inverse, Some(c)) => smem::run_inverse(gpu, &batch, c),
+            let rep = match direction {
+                Direction::Forward => smem::run(gpu, &batch, cfg),
+                Direction::Inverse => smem::run_inverse(gpu, &batch, cfg),
             };
             rep.total_s()
         };
-        // (route, forward s, inverse s) for radix-2 and every feasible split.
-        let mut cands = vec![(
-            ForwardImpl::Radix2,
-            time(Direction::Forward, None),
-            time(Direction::Inverse, None),
-        )];
+        // (split, forward s, inverse s) for every feasible split.
+        let mut cands = Vec::new();
         for n1 in (1..log_n).map(|k| 1usize << k) {
             for ot_stages in [0u32, 2] {
                 let cfg = SmemConfig::new(n1).ot_stages(ot_stages);
@@ -1711,65 +1342,54 @@ mod tests {
                     continue;
                 }
                 let (fwd, inv) = (
-                    time(Direction::Forward, Some(&cfg)),
-                    time(Direction::Inverse, Some(&cfg)),
+                    time(Direction::Forward, &cfg),
+                    time(Direction::Inverse, &cfg),
                 );
                 assert!(
                     inv <= 1.05 * fwd,
                     "{}: {inv:e} s vs {fwd:e} s",
                     cfg.label(n)
                 );
-                cands.push((ForwardImpl::Smem { n1, ot_stages }, fwd, inv));
+                cands.push((cfg, fwd, inv));
             }
         }
         assert!(cands.len() > 20, "sweep covers the splits: {cands:?}");
-        let order = |key: fn(&(ForwardImpl, f64, f64)) -> f64| -> Vec<ForwardImpl> {
+        let order = |key: fn(&(SmemConfig, f64, f64)) -> f64| -> Vec<SmemConfig> {
             let mut sorted = cands.clone();
             sorted.sort_by(|a, b| key(a).total_cmp(&key(b)));
             sorted.into_iter().map(|c| c.0).collect()
         };
         assert_eq!(order(|c| c.1), order(|c| c.2), "rank order differs");
 
-        let choice = calibrate_forward_choice(&config, n, rows);
-        let routed = match choice.auto {
-            ForwardImpl::Hier { .. } => choice.best_smem,
-            other => other,
-        };
+        let routed = best_split(&config, n);
         let fastest = cands
             .iter()
-            .filter(|c| match c.0 {
-                ForwardImpl::Smem { n1, .. } => SmemConfig::paper_splits(log_n).contains(&n1),
-                _ => true,
-            })
+            .filter(|c| SmemConfig::paper_splits(log_n).contains(&c.0.n1))
             .min_by(|a, b| a.2.total_cmp(&b.2))
             .map(|c| c.0);
-        assert_eq!(Some(routed), fastest, "verdict {choice:?}");
+        assert_eq!(Some(routed), fastest, "verdict {routed:?}");
     }
 
     #[test]
-    fn auto_calibration_includes_hier_candidates() {
-        // The sweep itself (no pin, no env): calibrating a large shape
-        // must produce a feasible hierarchical winner in `best_hier` and
-        // leave `auto` pointing at *some* modeled-time winner that stays
-        // bit-exact (checked via the normal forward path).
+    fn split_verdicts_depend_on_n_alone() {
+        // The sweep runs one row whatever the caller's batch, so the split
+        // a process takes for `N` does not depend on which call came
+        // first. Whole rows below `SMEM_MIN_N`; above it, the swept
+        // `(n1, OT stages)` verdicts of the Titan-V model.
         let config = GpuConfig::titan_v();
-        let n = 1 << 13;
-        let choice = calibrate_forward_choice(&config, n, 2);
-        match choice.best_hier {
-            ForwardImpl::Hier { n1 } => {
-                assert!(n1.is_power_of_two() && n1 >= 2 && n1 <= n / 2);
-            }
-            other => panic!("expected a hier split for N=2^13, got {other:?}"),
+        for n in [2, 4, 64, 128] {
+            assert_eq!(best_split(&config, n), SmemConfig::new(n), "N = {n}");
         }
-
-        let ring = ring(n, 2);
-        let plan = RingPlan::new(&ring);
-        let x = sample(&ring, 19);
-        let mut fc = x.clone();
-        CpuBackend::default().run(&plan, Op::ForwardBatch(LimbBatch::from_poly(&mut fc)));
-        let mut sim = SimBackend::titan_v();
-        let mut fs = x.clone();
-        sim.run(&plan, Op::ForwardBatch(LimbBatch::from_poly(&mut fs)));
-        assert_eq!(fc.flat(), fs.flat(), "auto-routed forward at N=2^13");
+        for (log_n, n1, ot_stages) in [
+            (8, 16, 0),
+            (9, 16, 0),
+            (10, 32, 0),
+            (11, 32, 2),
+            (12, 64, 2),
+        ] {
+            let got = best_split(&config, 1 << log_n);
+            let want = SmemConfig::new(n1).ot_stages(ot_stages);
+            assert_eq!(got, want, "N = 2^{log_n}");
+        }
     }
 }

@@ -38,8 +38,7 @@ const REGS: u32 = 48;
 ///
 /// Rows come from a [`RowTable`] (a plain `np`-prime batch back to back;
 /// a buffer-of-digits batch with stacked polynomials; or the rows of
-/// several separate views), so the same kernel serves [`run`] and the
-/// `SimBackend` trait calls. Twiddles are consumed as the per-stage
+/// several separate views). Twiddles are consumed as the per-stage
 /// `(value, companion)` **slice-pair** `Ψ[m..2m]` — the hoisted stage
 /// iteration of `ntt_core::ct` — fetched through one paired read-only load
 /// per warp ([`gpu_sim::WarpCtx::gmem_load_cached2`]).
@@ -260,9 +259,7 @@ impl WarpKernel for ScaleKernel<'_> {
 }
 
 /// Launch the `log2 N` forward stage kernels over the rows of `rows`.
-/// Returns the launch count. Shared by [`run`] (a [`DeviceBatch`]'s rows
-/// back to back) and the `SimBackend` trait calls (stacked polynomials or
-/// several views).
+/// Returns the launch count.
 pub(crate) fn launch_forward(
     gpu: &mut Gpu,
     rows: &RowTable,

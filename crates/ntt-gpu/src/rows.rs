@@ -66,8 +66,7 @@ impl RowTable {
 /// A rescale's subtract-and-scale, folded into a forward transform: row
 /// `r` of the transform lands in row `r` of `acc` as
 /// `(acc − v)·p_d⁻¹ mod p` instead of in place. The SMEM kernels apply it
-/// in their final store; the radix-2 and hierarchical routes run it as
-/// one `sim-subscale` launch after the transform.
+/// in their final store.
 #[derive(Debug, Clone)]
 pub(crate) struct FoldRows {
     /// The accumulator rows, one per transformed row, under its prime.

@@ -92,11 +92,11 @@
 //! reference; misaligned ones pay honest link traffic.
 
 use crate::backend::{
-    calibrate_forward_choice, classify, ensure_tables, launch_automorphism, launch_elemwise,
-    launch_fma, launch_rows, lock_mem, run_forward, run_inverse, DevData, ElemOp, ForwardImpl,
-    ForwardMode, ShapeChoice, SimMemory, SMEM_MIN_N,
+    best_split, classify, ensure_tables, launch_automorphism, launch_elemwise, launch_fma,
+    launch_rows, lock_mem, run_forward, run_inverse, DevData, ElemOp, SimMemory,
 };
 use crate::rows::{FoldRows, RowTable};
+use crate::smem::SmemConfig;
 use gpu_sim::{
     Buf, DeviceTimeline, Event, FaultOp, GpuConfig, OpClass, Stream, WarpCtx, WarpKernel,
 };
@@ -971,7 +971,7 @@ struct ShardStaging {
 /// The simulated-GPU backend over `K` devices: shared sharded memory
 /// (GMEM + handle maps + plan tables per shard), this executor's
 /// compute stream and staging buffers on each shard, and the memoized
-/// forward routing table. Use it through its two faces,
+/// transform split per ring degree. Use it through its two faces,
 /// [`crate::SimBackend`] and [`ShardedBackend`].
 ///
 /// The root backend runs on each shard's [`Stream::DEFAULT`]; every
@@ -984,9 +984,9 @@ pub struct SimDevices<F: Flavor> {
     streams: Vec<Stream>,
     /// This executor's staging state on each shard.
     staging: Vec<ShardStaging>,
-    /// Memoized per-`N` forward implementation choice (shared by forks
-    /// so the calibration runs once per shape per backend family).
-    pub(crate) split_cache: Arc<Mutex<HashMap<usize, ShapeChoice>>>,
+    /// Memoized per-`N` transform split (shared by forks so the sweep
+    /// runs once per ring degree per backend family).
+    split_cache: Arc<Mutex<HashMap<usize, SmemConfig>>>,
     flavor: PhantomData<F>,
 }
 
@@ -1002,8 +1002,8 @@ impl<F: Flavor> SimDevices<F> {
     /// is armed on **every** shard — each device draws its own
     /// schedule, so fault rates scale with the device count the way a
     /// real multi-GPU node's do. Arming happens here, not in
-    /// [`SimMemory::new`], so the scratch devices the forward-choice
-    /// calibration sweeps build stay fault-free by construction.
+    /// [`SimMemory::new`], so the scratch devices the split sweep
+    /// builds stay fault-free by construction.
     pub(crate) fn over(mem: ShardedMemory) -> Self {
         let k = mem.shard_count();
         let backend = Self {
@@ -1048,62 +1048,23 @@ impl<F: Flavor> SimDevices<F> {
         op(&mut h, &mut self.staging)
     }
 
-    /// The forward implementation for an `n`-point batch: the env
-    /// override; below [`SMEM_MIN_N`], whole rows packed into one SMEM
-    /// launch (the degenerate `N × 1` split, chosen from `N` alone with
-    /// no sweep; radix-2 for `N < 4`); or the memoized modeled-time
-    /// winner over the paper's split candidates (swept on a scratch
-    /// single device — per-shard row counts shrink with `K`, but the
-    /// shape class is decided by `N`).
-    fn forward_choice(&self, n: usize, rows: usize) -> ForwardImpl {
-        match crate::backend::forward_mode() {
-            ForwardMode::Radix2 => return ForwardImpl::Radix2,
-            ForwardMode::Smem if n >= 4 => {
-                return self.cached_or_calibrated(n, rows).best_smem;
-            }
-            ForwardMode::Hier if n >= 4 => {
-                return self.cached_or_calibrated(n, rows).best_hier;
-            }
-            _ => {}
-        }
-        if n >= SMEM_MIN_N {
-            self.cached_or_calibrated(n, rows).auto
-        } else if n >= 4 {
-            ForwardImpl::Smem {
-                n1: n,
-                ot_stages: 0,
-            }
-        } else {
-            ForwardImpl::Radix2
-        }
-    }
-
-    /// The inverse implementation for an `n`-point batch: the forward's
-    /// verdict, mirrored — radix-2 stays radix-2 and an SMEM split
-    /// (whole rows included) runs the SMEM inverse at the same split.
-    /// There is no hierarchical inverse, so a hierarchical verdict takes
-    /// the shape's best SMEM split. No sweep of its own: the mirrored
-    /// inverse ranks the splits like the forward does.
-    fn inverse_choice(&self, n: usize, rows: usize) -> ForwardImpl {
-        match self.forward_choice(n, rows) {
-            ForwardImpl::Hier { .. } => self.cached_or_calibrated(n, rows).best_smem,
-            choice => choice,
-        }
-    }
-
-    fn cached_or_calibrated(&self, n: usize, rows: usize) -> ShapeChoice {
+    /// The split of every `n`-point transform in both directions
+    /// ([`best_split`]), swept on a scratch single device the first time
+    /// a transform of `n` points runs and cached by `n`: per-shard row
+    /// counts shrink with `K`, but the split is decided by `N`.
+    fn split(&self, n: usize) -> SmemConfig {
         let cache = || {
             self.split_cache
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner)
         };
-        if let Some(&c) = cache().get(&n) {
-            return c;
+        if let Some(&split) = cache().get(&n) {
+            return split;
         }
         let config = lock_mem(&self.lock().shards[0]).gpu().config.clone();
-        let choice = calibrate_forward_choice(&config, n, rows);
-        cache().insert(n, choice);
-        choice
+        let split = best_split(&config, n);
+        cache().insert(n, split);
+        split
     }
 
     /// One staged host-batch op: shard `s` takes the contiguous row
@@ -1242,15 +1203,15 @@ impl<F: Flavor> NttBackend for SimDevices<F> {
         let n = plan.degree();
         match op {
             BackendOp::ForwardBatch(batch) => {
-                let (n, choice) = (batch.n(), self.forward_choice(batch.n(), batch.rows()));
+                let (n, split) = (batch.n(), self.split(batch.n()));
                 self.host_batch(plan, batch, None, |sh, a, _, rp| {
-                    run_forward(sh, plan, &RowTable::contiguous(a, n, rp), choice, None)
+                    run_forward(sh, plan, &RowTable::contiguous(a, n, rp), split, None)
                 });
             }
             BackendOp::InverseBatch(batch) => {
-                let (n, choice) = (batch.n(), self.inverse_choice(batch.n(), batch.rows()));
+                let (n, split) = (batch.n(), self.split(batch.n()));
                 self.host_batch(plan, batch, None, |sh, a, _, rp| {
-                    run_inverse(sh, plan, &RowTable::contiguous(a, n, rp), choice)
+                    run_inverse(sh, plan, &RowTable::contiguous(a, n, rp), split)
                 });
             }
             BackendOp::PointwiseBatch { acc, rhs } => {
@@ -1264,10 +1225,7 @@ impl<F: Flavor> NttBackend for SimDevices<F> {
                 assert_eq!(a.len(), out.as_slice().len(), "operand shape mismatch");
                 assert_eq!(b.len(), out.as_slice().len(), "operand shape mismatch");
                 let n = out.n();
-                let (choice, inverse) = (
-                    self.forward_choice(n, out.rows()),
-                    self.inverse_choice(n, out.rows()),
-                );
+                let split = self.split(n);
                 out.data().copy_from_slice(a);
                 // The classic device pipeline: NTT(a), NTT(b), pointwise,
                 // iNTT — four launch groups over one resident batch.
@@ -1277,20 +1235,19 @@ impl<F: Flavor> NttBackend for SimDevices<F> {
                         RowTable::contiguous(a, n, rp),
                         RowTable::contiguous(b, n, rp),
                     );
-                    run_forward(sh, plan, &ta, choice, None);
-                    run_forward(sh, plan, &tb, choice, None);
+                    run_forward(sh, plan, &ta, split, None);
+                    run_forward(sh, plan, &tb, split, None);
                     launch_elemwise(sh, ElemOp::Mul, a, Some(b), n, rp);
-                    run_inverse(sh, plan, &ta, inverse);
+                    run_inverse(sh, plan, &ta, split);
                 });
             }
 
             // ---- Device-resident execution (zero host↔device traffic) ----
             BackendOp::Forward { views, fold } => {
-                let rows = views.iter().map(|v| v.buf.len() / n).sum();
-                let choice = self.forward_choice(n, rows);
+                let split = self.split(n);
                 self.on_shards(|h, _| match fold {
                     None => h.each_shard(plan, views, (&[], false), |sh, rows, _| {
-                        run_forward(sh, plan, rows, choice, None)
+                        run_forward(sh, plan, rows, split, None)
                     }),
                     // The rescale tail: the accumulators are the written
                     // views, each lifted view is read row for row (its
@@ -1310,25 +1267,21 @@ impl<F: Flavor> NttBackend for SimDevices<F> {
                         let moduli = plan.ring().basis().primes();
                         h.each_shard(plan, &written, (views, false), |sh, acc, lifted| {
                             let fold = FoldRows::new(acc.clone(), moduli, dropped);
-                            run_forward(sh, plan, lifted, choice, Some(&fold))
+                            run_forward(sh, plan, lifted, split, Some(&fold))
                         })
                     }
                 });
             }
             BackendOp::Inverse { views } => {
-                let rows = views.iter().map(|v| v.buf.len() / n).sum();
-                let choice = self.inverse_choice(n, rows);
+                let split = self.split(n);
                 self.on_shards(|h, _| {
                     h.each_shard(plan, views, (&[], false), |sh, rows, _| {
-                        run_inverse(sh, plan, rows, choice)
+                        run_inverse(sh, plan, rows, split)
                     })
                 });
             }
             BackendOp::Multiply { a, b, out, level } => {
-                let (choice, inverse) = (
-                    self.forward_choice(n, out.len() / n),
-                    self.inverse_choice(n, out.len() / n),
-                );
+                let split = self.split(n);
                 self.on_shards(|h, staging| {
                     h.each_piece(plan, out, &[(a, None), (b, None)], |sh, p| {
                         let words = p.rows.count * n;
@@ -1341,11 +1294,11 @@ impl<F: Flavor> NttBackend for SimDevices<F> {
                         sh.gpu_mut().gmem.copy(p.src[1], scratch);
                         let row_prime = p.rows.primes(level);
                         let dst = RowTable::contiguous(p.dst, n, &row_prime);
-                        run_forward(sh, plan, &dst, choice, None);
+                        run_forward(sh, plan, &dst, split, None);
                         let rhs = RowTable::contiguous(scratch, n, &row_prime);
-                        run_forward(sh, plan, &rhs, choice, None);
+                        run_forward(sh, plan, &rhs, split, None);
                         launch_elemwise(sh, ElemOp::Mul, p.dst, Some(scratch), n, &row_prime);
-                        run_inverse(sh, plan, &dst, inverse);
+                        run_inverse(sh, plan, &dst, split);
                         sh.mark_written(&[scratch.base()]);
                     })
                 });
@@ -2360,6 +2313,154 @@ mod tests {
             let sharded = ShardedBackend::titan_v(k, n);
             let per_shard = resident_roundtrip_launches(sharded, &plan, &stack, level, &forward);
             assert_eq!(per_shard, vec![2; k], "launches per shard, K = {k}");
+        }
+    }
+
+    /// Every op of a tiny ring on `be`, in order: a host-batch forward
+    /// and inverse of `poly`, a resident forward and inverse of it, and a
+    /// forward of `lifted` with the rescale dropping the last prime folded
+    /// into `acc`. Returns the outputs after each op and the launches per
+    /// shard that `launches` counts each op issue.
+    fn tiny_ring_ops(
+        be: &mut dyn NttBackend,
+        launches: impl Fn() -> Vec<u64>,
+        plan: &RingPlan,
+        poly: &[u64],
+        (acc, lifted): (&[u64], &[u64]),
+    ) -> (Vec<Vec<u64>>, Vec<Vec<u64>>) {
+        let (n, level) = (plan.degree(), plan.np());
+        let mem = be.memory();
+        let upload = |data: &[u64]| {
+            let mut m = mem.lock().unwrap();
+            let buf = m.alloc(data.len());
+            m.upload(buf, data);
+            buf
+        };
+        let download = |buf: DeviceBuf| {
+            let mut out = vec![0u64; buf.len()];
+            mem.lock().unwrap().download(buf, &mut out);
+            out
+        };
+        let mut marks = vec![launches()];
+        let mut outs = Vec::new();
+        let mut x = poly.to_vec();
+        be.run(plan, Op::ForwardBatch(LimbBatch::new(&mut x, n, level)));
+        outs.push(x.clone());
+        marks.push(launches());
+        be.run(plan, Op::InverseBatch(LimbBatch::new(&mut x, n, level)));
+        outs.push(x);
+        marks.push(launches());
+        let buf = upload(poly);
+        let views = [PolyView::new(buf, 0..level)];
+        be.run(
+            plan,
+            Op::Forward {
+                views: &views,
+                fold: None,
+            },
+        );
+        outs.push(download(buf));
+        marks.push(launches());
+        be.run(plan, Op::Inverse { views: &views });
+        outs.push(download(buf));
+        marks.push(launches());
+        let (acc, lifted) = (upload(acc), upload(lifted));
+        let fold = Some(SubScale {
+            acc: &[acc],
+            dropped: level - 1,
+        });
+        let views = [PolyView::new(lifted, 0..level - 1)];
+        be.run(
+            plan,
+            Op::Forward {
+                views: &views,
+                fold,
+            },
+        );
+        outs.push(download(acc));
+        marks.push(launches());
+        let per_op = marks
+            .windows(2)
+            .map(|w| w[1].iter().zip(&w[0]).map(|(a, b)| a - b).collect())
+            .collect();
+        (outs, per_op)
+    }
+
+    /// N = 2 and 4 run whole rows, as every ring below `SMEM_MIN_N` does
+    /// (N = 2 took a radix-2 stage plus an `intt-scale` launch before):
+    /// host-batch and resident forwards and inverses, and a forward with
+    /// a folded rescale, are bit-exact with `CpuBackend` at one launch per
+    /// op on `SimBackend` and on each shard of K = 2.
+    #[test]
+    fn two_and_four_point_rings_run_one_launch_per_direction_per_shard() {
+        for n in [2usize, 4] {
+            let ring = ring(n, 3);
+            let plan = RingPlan::new(&ring);
+            let poly = sample(&ring, 5).flat().to_vec();
+            let (acc, lifted) = (sample(&ring, 9), sample(&ring, 13));
+            let fold = (&acc.flat()[..2 * n], &lifted.flat()[..2 * n]);
+            let (want, _) = tiny_ring_ops(&mut CpuBackend::default(), Vec::new, &plan, &poly, fold);
+            assert_eq!((&want[1], &want[3]), (&poly, &poly), "N = {n}: round trips");
+            for k in [1usize, 2] {
+                let (mut be, handle): (Box<dyn NttBackend>, _) = if k == 1 {
+                    let sim = SimBackend::titan_v();
+                    let handle = Arc::clone(&sim.mem);
+                    (Box::new(sim), handle)
+                } else {
+                    let sharded = ShardedBackend::titan_v(k, n);
+                    let handle = sharded.memory_handle();
+                    (Box::new(sharded), handle)
+                };
+                let launches = || -> Vec<u64> {
+                    let m = lock_sharded(&handle);
+                    m.shard_timelines().iter().map(|t| t.launches).collect()
+                };
+                let (got, per_op) = tiny_ring_ops(&mut *be, launches, &plan, &poly, fold);
+                assert_eq!(got, want, "N = {n}, K = {k}: outputs");
+                assert_eq!(per_op, vec![vec![1; k]; 5], "N = {n}, K = {k}: launches");
+            }
+        }
+    }
+
+    /// A misaligned operand is gathered into shard-local scratch on every
+    /// op. Scratch is recycled, and the readiness event a recycled base
+    /// carries is consumed on acquisition, so 32 repeats of a misaligned
+    /// K = 3 product leave each shard's per-base readiness map at most one
+    /// entry above its size after the first, instead of one more per
+    /// gather.
+    #[test]
+    fn gather_scratch_recycling_keeps_readiness_map_bounded() {
+        let (n, level) = (16usize, 5usize);
+        let ring = ring(n, level);
+        let plan = RingPlan::new(&ring);
+        let mut sharded = ShardedBackend::titan_v(3, n);
+        let handle = sharded.memory_handle();
+        let (acc, rhs) = {
+            let mem = sharded.memory();
+            let mut m = mem.lock().unwrap();
+            let (acc, rhs) = (m.alloc(level * n), m.alloc((level + 1) * n));
+            m.upload(acc, &vec![3; level * n]);
+            m.upload(rhs, &vec![5; (level + 1) * n]);
+            (acc, rhs)
+        };
+        // Row r of the product reads row r + 1 of `rhs`, on another shard.
+        let rhs = rhs.sub(n, level * n);
+        let op = || Op::Pointwise { acc, rhs, level };
+        let entries = || -> Vec<usize> {
+            let m = lock_sharded(&handle);
+            m.shards
+                .iter()
+                .map(|sh| lock_mem(sh).readiness_entries())
+                .collect()
+        };
+        sharded.run(&plan, op());
+        let baseline = entries();
+        for _ in 0..32 {
+            sharded.run(&plan, op());
+        }
+        assert!(lock_sharded(&handle).link_stats().words > 0, "no gather");
+        for (s, (b, a)) in baseline.iter().zip(entries()).enumerate() {
+            assert!(a <= b + 1, "shard {s}: readiness map grew {b} -> {a}");
         }
     }
 

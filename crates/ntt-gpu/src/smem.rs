@@ -35,7 +35,7 @@
 //! threads, so a block packs up to 256 threads' worth of rows, each lane
 //! reading its twiddles and modulus under its own row's prime, and a
 //! partial last block masks its idle lanes. The `SimBackend` routes every
-//! ring with `4 ≤ N < 256` here without a calibration sweep.
+//! ring with `N < 256` here without a sweep.
 
 // Kernel code models warp lanes with explicit indices into parallel
 // per-lane arrays (live/base/vals/regs), mirroring the CUDA original;
@@ -1307,7 +1307,7 @@ mod tests {
     }
 
     /// The rule that lets the backend route every `4 ≤ N < SMEM_MIN_N`
-    /// ring to whole rows without a calibration sweep: at every such `N`
+    /// ring to whole rows without a sweep: at every such `N`
     /// (split over three tests that run in parallel) and at every row
     /// count up to a deep bootstrap's stacked digit batches (row `r`
     /// under prime `r % 21`), the packed one-launch forward is bit-exact

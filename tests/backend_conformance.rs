@@ -128,10 +128,10 @@ proptest! {
 
 /// Bootstrapping-scale conformance: forward ≡ strict CT reference and
 /// `inverse ∘ forward` = id on **every** backend for N ∈ {2^12..2^17} —
-/// the sizes where the Sim auto-router weighs the hierarchical 4-step
-/// plan against the two-kernel SMEM split. One backend instance per
-/// substrate is reused across sizes so the Sim calibrates each shape
-/// once (the verdict cache is per backend family).
+/// the CPU engine runs the hierarchical 4-step plan from 2^15, and the
+/// Sim sweeps the paper's two-kernel SMEM splits at each size. One
+/// backend instance per substrate is reused across sizes so the Sim
+/// sweeps each ring degree once (the split cache is per backend family).
 #[test]
 fn every_backend_agrees_at_bootstrap_scale() {
     let mut backends = registry();

@@ -115,13 +115,12 @@ fn bootstrap_is_bit_exact_across_backends() {
 /// `BootParams::deep()` end-to-end at the bootstrapping-scale ring: the
 /// full 21-level pipeline, sparsely packed (`with_matrix_slots` ≪ N/2)
 /// so key and diagonal material stays tractable, bit-exact Cpu≡Sim.
-/// The Sim side routes its forwards through the size-calibrated winner,
-/// which at this scale weighs the hierarchical 4-step plan. Debug
-/// builds run the identical pipeline (including the key-adoption path)
-/// at N=2^8 to keep `cargo test -q` fast; release builds
+/// The Sim side runs its transforms at the ring's swept best SMEM split.
+/// Debug builds run the identical pipeline (including the key-adoption
+/// path) at N=2^8 to keep `cargo test -q` fast; release builds
 /// (`cargo test --release`) run the full N=2^16 ring, where the CPU
-/// side crosses the hierarchical threshold and the Sim side launches
-/// the three-kernel plan.
+/// side crosses the hierarchical threshold and the Sim side runs the
+/// two-kernel SMEM split with OT.
 #[test]
 fn deep_bootstrap_at_bootstrap_ring_is_bit_exact_across_backends() {
     let bp = BootParams::deep();

@@ -316,9 +316,9 @@ fn armed_rotation_is_bit_identical_across_backends() {
 
 /// A bootstrap group takes no checkout of its own; each bootstrap arms
 /// one pool member for its whole pipeline. A wedge mid-bootstrap
-/// quarantines that member, and the degraded re-run (a bootstrap has no
-/// host fallback) the member it armed: two in all, where an outer
-/// checkout around the group would quarantine an idle member per
+/// quarantines that member, and the group answers the fault without a
+/// re-run (a bootstrap has no host fallback): one member in all, where an
+/// outer checkout around the group would quarantine an idle member per
 /// attempt as well.
 #[test]
 fn wedged_boot_group_quarantines_only_rotation_members() {
@@ -353,7 +353,7 @@ fn wedged_boot_group_quarantines_only_rotation_members() {
         matches!(answer, Response::Failed(ServeError::Fault { .. })),
         "a wedged device failed to fail the bootstrap: {answer:?}"
     );
-    assert_eq!(server.context().quarantined_count(), 2);
+    assert_eq!(server.context().quarantined_count(), 1);
     server.shutdown();
 }
 
