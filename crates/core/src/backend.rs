@@ -650,9 +650,18 @@ impl DeviceMemory for HostArena {
 pub(crate) fn host_pointwise_rows(plan: &RingPlan, level: usize, acc: &mut [u64], rhs: &[u64]) {
     let n = plan.degree();
     for (r, (row, rhs_row)) in acc.chunks_exact_mut(n).zip(rhs.chunks_exact(n)).enumerate() {
-        let s = plan.strategy(r % level);
-        for (x, &y) in row.iter_mut().zip(rhs_row) {
-            *x = s.mul(*x, y);
+        // One strategy match per row keeps the element loops branch-free.
+        match plan.strategy(r % level) {
+            PointwiseStrategy::Barrett(br) => {
+                for (x, &y) in row.iter_mut().zip(rhs_row) {
+                    *x = br.mul(*x, y);
+                }
+            }
+            PointwiseStrategy::Montgomery(m) => {
+                for (x, &y) in row.iter_mut().zip(rhs_row) {
+                    *x = m.mul_plain(*x, y);
+                }
+            }
         }
     }
 }
@@ -1413,27 +1422,9 @@ impl NttBackend for CpuBackend {
                     .transform_rows_of(plan.ring(), level, batch.data(), false);
             }
             BackendOp::PointwiseBatch { mut acc, rhs } => {
-                let (n, level) = (acc.n(), acc.level());
                 assert_eq!(acc.as_slice().len(), rhs.len(), "operand shape mismatch");
-                for (r, (row, rhs_row)) in acc
-                    .data()
-                    .chunks_exact_mut(n)
-                    .zip(rhs.chunks_exact(n))
-                    .enumerate()
-                {
-                    match plan.strategy(r % level) {
-                        PointwiseStrategy::Barrett(br) => {
-                            for (x, &y) in row.iter_mut().zip(rhs_row) {
-                                *x = br.mul(*x, y);
-                            }
-                        }
-                        PointwiseStrategy::Montgomery(m) => {
-                            for (x, &y) in row.iter_mut().zip(rhs_row) {
-                                *x = m.mul_plain(*x, y);
-                            }
-                        }
-                    }
-                }
+                let level = acc.level();
+                host_pointwise_rows(plan, level, acc.data(), rhs);
             }
             BackendOp::MultiplyBatch { a, b, mut out } => {
                 let level = out.level();
@@ -2911,6 +2902,25 @@ mod tests {
         let forked = be.fork();
         assert!(same_memory(&be.memory(), &forked.memory()));
         assert!(!same_memory(&be.memory(), &CpuBackend::default().memory()));
+    }
+
+    #[test]
+    fn forward_polys_transforms_many_and_skips_eval() {
+        // A polynomial already in evaluation form is left as it is; the
+        // others are transformed in the same call, and the inverse undoes
+        // both.
+        let ring = ring(16, 2);
+        let a = RnsPoly::from_i64_coeffs(&ring, &[1, -2, 3]);
+        let b = RnsPoly::from_i64_coeffs(&ring, &[-4, 5]);
+        let (mut ea, mut eb) = (a.clone(), b.clone());
+        ea.to_evaluation(&ring);
+        eb.to_evaluation(&ring);
+        let mut ev = Evaluator::cpu(&ring);
+        let (mut ma, mut mb) = (ea.clone(), b.clone());
+        ev.forward_polys(&mut [&mut ma, &mut mb]);
+        assert_eq!((&ma, &mb), (&ea, &eb));
+        ev.inverse_polys(&mut [&mut ma, &mut mb]);
+        assert_eq!((ma.flat(), mb.flat()), (a.flat(), b.flat()));
     }
 
     #[test]

@@ -12,10 +12,10 @@
 //! * [`Workspace`] — grow-only scratch buffers, so the steady-state
 //!   multiply path performs **zero heap allocation** (verified by the
 //!   [`Workspace::reallocs`] counter).
-//! * Batched entry points ([`NttExecutor::forward_rows`],
-//!   [`NttExecutor::forward_polys`], …) that transform all RNS limbs of
-//!   one or several polynomials in a single call, amortizing dispatch the
-//!   way the paper amortizes kernel launches over the `np` batch.
+//! * Batched entry points ([`NttExecutor::forward_rows`], …) that
+//!   transform all RNS limbs of a batch in a single call, amortizing
+//!   dispatch the way the paper amortizes kernel launches over the `np`
+//!   batch.
 //! * [`ThreadPolicy`] — residue-parallel execution across RNS limbs with
 //!   `std::thread::scope`, tunable via the `NTT_WARP_THREADS` environment
 //!   variable. Limbs are arithmetically independent (each is reduced mod
@@ -296,8 +296,9 @@ fn inverse_ring_row(ring: &NegacyclicRing, row: &mut [u64]) {
 /// [`Workspace`].
 ///
 /// One executor per thread is the intended shape (they are cheap — scratch
-/// grows on first use); module-level helpers route the ring APIs through a
-/// thread-local default instance (see [`with_default_executor`]).
+/// grows on first use); module-level helpers route the ring APIs through
+/// the one inside the thread-local default backend (see
+/// [`crate::backend::with_default_backend`]).
 #[derive(Debug, Default)]
 pub struct NttExecutor {
     policy: ThreadPolicy,
@@ -555,87 +556,6 @@ impl NttExecutor {
             }
         });
     }
-
-    /// Transform **several polynomials** to evaluation form in one batched,
-    /// residue-parallel call (polynomials already in evaluation form are
-    /// left untouched). This is the multi-polynomial entry point: all limbs
-    /// of all polynomials form a single job pool.
-    pub fn forward_polys(&mut self, ring: &RnsRing, polys: &mut [&mut RnsPoly]) {
-        self.transform_polys(ring, polys, true);
-    }
-
-    /// Inverse counterpart of [`NttExecutor::forward_polys`] (to
-    /// coefficient form).
-    pub fn inverse_polys(&mut self, ring: &RnsRing, polys: &mut [&mut RnsPoly]) {
-        self.transform_polys(ring, polys, false);
-    }
-
-    fn transform_polys(&mut self, ring: &RnsRing, polys: &mut [&mut RnsPoly], forward: bool) {
-        let n = ring.degree();
-        let skip = if forward {
-            Representation::Evaluation
-        } else {
-            Representation::Coefficient
-        };
-        // Rows span several polynomials, so this batcher materializes one
-        // (index, row-reference) entry per limb — a pointer-sized list,
-        // the only allocation in the call.
-        let mut rows: Vec<(usize, &mut [u64])> = Vec::new();
-        for poly in polys.iter_mut() {
-            if poly.repr() == skip {
-                continue;
-            }
-            rows.extend(poly.flat_mut().chunks_mut(n).enumerate());
-        }
-        let threads = effective_threads(self.policy, rows.len(), rows.len() * n);
-        let work = |i: usize, row: &mut [u64]| {
-            let limb_ring = ring.ring(i);
-            if forward {
-                forward_ring_row(limb_ring, row);
-            } else {
-                inverse_ring_row(limb_ring, row);
-            }
-        };
-        if threads <= 1 {
-            for (i, row) in rows {
-                work(i, row);
-            }
-        } else {
-            let per = rows.len().div_ceil(threads);
-            std::thread::scope(|s| {
-                for chunk in rows.chunks_mut(per) {
-                    let work = &work;
-                    s.spawn(move || {
-                        for (i, row) in chunk.iter_mut() {
-                            work(*i, row);
-                        }
-                    });
-                }
-            });
-        }
-        let done = if forward {
-            Representation::Evaluation
-        } else {
-            Representation::Coefficient
-        };
-        for poly in polys.iter_mut() {
-            poly.set_repr(done);
-        }
-    }
-}
-
-/// Run `f` with this thread's default executor (policy from
-/// `NTT_WARP_THREADS`, workspace persisted across calls). The executor is
-/// the one inside the thread-local default [`crate::backend::CpuBackend`]
-/// (see [`crate::backend::with_default_backend`]), so ring-level APIs and
-/// backend calls share a single workspace per thread.
-///
-/// `f` must not itself call `with_default_executor` or
-/// [`crate::backend::with_default_backend`] (the backend is held in a
-/// `RefCell`); engine internals only call the stateless kernels in
-/// [`crate::ct`], so routing ring APIs through here is re-entrancy-safe.
-pub fn with_default_executor<R>(f: impl FnOnce(&mut NttExecutor) -> R) -> R {
-    crate::backend::with_default_backend(|be| f(be.executor_mut()))
 }
 
 #[cfg(test)]
@@ -745,26 +665,6 @@ mod tests {
         assert_eq!(batched.flat(), per_row.flat());
         ex.inverse_rows(&ring, batched.flat_mut());
         assert_eq!(batched.flat(), a.flat());
-    }
-
-    #[test]
-    fn forward_polys_transforms_many_and_skips_eval() {
-        let ring = rns_ring(16, 59, 2);
-        let a = random_poly(&ring, 11);
-        let b = random_poly(&ring, 13);
-        let mut ea = a.clone();
-        let mut eb = b.clone();
-        ea.to_evaluation(&ring);
-        let mut ex = NttExecutor::new(ThreadPolicy::Single);
-        let mut ma = ea.clone(); // already evaluation: must be skipped
-        let mut mb = b.clone();
-        ex.forward_polys(&ring, &mut [&mut ma, &mut mb]);
-        eb.to_evaluation(&ring);
-        assert_eq!(ma, ea);
-        assert_eq!(mb, eb);
-        ex.inverse_polys(&ring, &mut [&mut ma, &mut mb]);
-        assert_eq!(ma.flat(), a.flat());
-        assert_eq!(mb.flat(), b.flat());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! [`crate::sharded`]). This module holds what a single device owns: the
 //! [`SimMemory`] shard (GMEM, launch trace, stream scheduler, handle map,
 //! plan tables, readiness events), the transform's split sweep, and the
-//! row-local kernels (element-wise ops, automorphism).
+//! row-local kernels (element-wise ops, FMA, automorphism).
 //!
 //! Every trait call executes through the warp kernels on the `gpu-sim`
 //! substrate — data really moves through simulated GMEM, twiddles stream
@@ -32,9 +32,11 @@
 //!   launch, element-wise ring ops, RNS base conversion, the
 //!   evaluation-domain rescale (its subtract-and-scale folded into the
 //!   SMEM forward's store) and gadget digit decomposition, with **zero**
-//!   host↔device transfers. Every row-mapped kernel reads its rows
-//!   through a per-row address table (`crate::rows`), so one launch can
-//!   cover rows of separate allocations.
+//!   host↔device transfers. Every kernel a backend op launches takes one
+//!   shape of operand, a per-row address table (`crate::rows`): one table
+//!   of the rows it writes and one per read operand, filled by one
+//!   per-shard dispatcher for every device op (see [`crate::sharded`]).
+//!   So one launch can cover rows of separate allocations.
 //!
 //! Every transform runs the SMEM family the paper's Table II favors, at
 //! one split per ring degree `N` that depends on `N` and the device model
@@ -433,8 +435,8 @@ pub(crate) fn lock_mem(mem: &Arc<Mutex<SimMemory>>) -> MutexGuard<'_, SimMemory>
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Element-wise warp kernels over batches of limb rows: one thread per
-/// element, row `r` reduced mod `moduli[row_prime[r]]`.
+/// Element-wise warp kernels over row tables: one thread per element, each
+/// row reduced mod its prime.
 #[derive(Clone, Copy)]
 pub(crate) enum ElemOp {
     /// `a[i] <- a[i] * b[i]` (the paper's pointwise stage).
@@ -460,11 +462,11 @@ impl ElemOp {
 
 struct ElemwiseKernel<'a> {
     op: ElemOp,
-    a: Buf,
-    b: Option<Buf>,
+    /// The rows updated in place.
+    a: &'a RowTable,
+    /// Per row of `a`, the right-hand row (`None` for a negation).
+    b: Option<&'a RowTable>,
     n: usize,
-    rows: usize,
-    row_prime: &'a [usize],
     moduli: &'a [u64],
 }
 
@@ -474,7 +476,7 @@ impl WarpKernel for ElemwiseKernel<'_> {
     }
 
     fn run_warp(&self, ctx: &mut WarpCtx<'_>) {
-        let total = self.rows * self.n;
+        let total = self.a.len() * self.n;
         let lanes = ctx.lanes();
         let mut addr_a = vec![None; lanes];
         let mut addr_b = vec![None; lanes];
@@ -486,10 +488,10 @@ impl WarpKernel for ElemwiseKernel<'_> {
                 continue;
             }
             active += 1;
-            prime[l] = self.row_prime[gt / self.n];
-            addr_a[l] = Some(self.a.word(gt));
+            prime[l] = self.a.prime(gt / self.n);
+            addr_a[l] = Some(self.a.flat_word(self.n, gt));
             if let Some(b) = self.b {
-                addr_b[l] = Some(b.word(gt));
+                addr_b[l] = Some(b.flat_word(self.n, gt));
             }
         }
         if active == 0 {
@@ -527,12 +529,11 @@ impl WarpKernel for ElemwiseKernel<'_> {
 /// streams in its two factors — one modular product and one modular add
 /// per element and term.
 struct FmaKernel<'a> {
-    acc: Buf,
-    /// The factor pairs, `[x_0, y_0, x_1, y_1, …]`.
-    terms: &'a [Buf],
+    acc: &'a RowTable,
+    /// The factor pairs, `[x_0, y_0, x_1, y_1, …]`, each holding per
+    /// accumulator row the row it reads.
+    terms: &'a [RowTable],
     n: usize,
-    rows: usize,
-    row_prime: &'a [usize],
     moduli: &'a [u64],
 }
 
@@ -542,7 +543,7 @@ impl WarpKernel for FmaKernel<'_> {
     }
 
     fn run_warp(&self, ctx: &mut WarpCtx<'_>) {
-        let total = self.rows * self.n;
+        let total = self.acc.len() * self.n;
         let lanes = ctx.lanes();
         let mut elem = vec![None; lanes];
         let mut prime = vec![0u64; lanes];
@@ -554,18 +555,20 @@ impl WarpKernel for FmaKernel<'_> {
             }
             active += 1;
             elem[l] = Some(gt);
-            prime[l] = self.moduli[self.row_prime[gt / self.n]];
+            prime[l] = self.moduli[self.acc.prime(gt / self.n)];
         }
         if active == 0 {
             return;
         }
-        let addrs = |buf: Buf| -> Vec<Option<usize>> {
-            elem.iter().map(|gt| gt.map(|g| buf.word(g))).collect()
+        let addrs = |rows: &RowTable| -> Vec<Option<usize>> {
+            elem.iter()
+                .map(|gt| gt.map(|g| rows.flat_word(self.n, g)))
+                .collect()
         };
         let addr_acc = addrs(self.acc);
         let mut sum = ctx.gmem_load(&addr_acc);
         for pair in self.terms.chunks_exact(2) {
-            let (x, y) = ctx.gmem_load2(&addrs(pair[0]), &addrs(pair[1]));
+            let (x, y) = ctx.gmem_load2(&addrs(&pair[0]), &addrs(&pair[1]));
             for (l, s) in sum.iter_mut().enumerate() {
                 if let Some(s) = s {
                     let p = prime[l];
@@ -590,13 +593,12 @@ impl WarpKernel for FmaKernel<'_> {
 /// coalesced read, a scattered sign-wrapped write — the same shape a
 /// real permutation kernel takes.
 struct AutomorphismKernel<'a> {
-    src: Buf,
-    dst: Buf,
+    /// Per destination row, its source row.
+    src: &'a RowTable,
+    dst: &'a RowTable,
     n: usize,
-    rows: usize,
     /// Galois element already reduced mod `2N`.
     g: u64,
-    row_prime: &'a [usize],
     moduli: &'a [u64],
 }
 
@@ -606,7 +608,7 @@ impl WarpKernel for AutomorphismKernel<'_> {
     }
 
     fn run_warp(&self, ctx: &mut WarpCtx<'_>) {
-        let total = self.rows * self.n;
+        let total = self.dst.len() * self.n;
         let two_n = 2 * self.n as u64;
         let lanes = ctx.lanes();
         let mut addr_s = vec![None; lanes];
@@ -621,7 +623,7 @@ impl WarpKernel for AutomorphismKernel<'_> {
             }
             active += 1;
             let (r, i) = (gt / self.n, gt % self.n);
-            prime[l] = self.row_prime[r];
+            prime[l] = self.dst.prime(r);
             let idx = (i as u64 * self.g) % two_n;
             wrap[l] = idx >= self.n as u64;
             let t = if wrap[l] {
@@ -629,8 +631,8 @@ impl WarpKernel for AutomorphismKernel<'_> {
             } else {
                 idx as usize
             };
-            addr_s[l] = Some(self.src.word(gt));
-            addr_d[l] = self.dst.word(r * self.n + t);
+            addr_s[l] = Some(self.src.flat_word(self.n, gt));
+            addr_d[l] = self.dst.word(r, t);
         }
         if active == 0 {
             return;
@@ -772,72 +774,47 @@ fn run_smem(
     smem::launch_job(gpu, &job, &cfg, ot.as_ref(), direction);
 }
 
-/// Launch one element-wise kernel.
-pub(crate) fn launch_elemwise(
-    m: &mut SimMemory,
-    op: ElemOp,
-    a: Buf,
-    b: Option<Buf>,
-    n: usize,
-    row_prime: &[usize],
-) {
+/// Launch one element-wise kernel over the rows of `a`, each paired
+/// with its row of `b`.
+pub(crate) fn launch_elemwise(m: &mut SimMemory, op: ElemOp, a: &RowTable, b: Option<&RowTable>) {
     let t = m.tables.as_ref().expect("tables uploaded");
     let kernel = ElemwiseKernel {
+        op,
         a,
         b,
-        n,
-        rows: row_prime.len(),
-        row_prime,
+        n: t.n,
         moduli: &t.primes,
-        op,
     };
-    launch_rows(&mut m.gpu, op.label(), row_prime.len() * n, &kernel);
+    launch_rows(&mut m.gpu, op.label(), a.len() * t.n, &kernel);
 }
 
-/// Launch one multi-term FMA kernel over `row_prime.len()` local rows of
-/// `acc`, `terms` holding each term's `[x_k, y_k]` pair back to back.
-pub(crate) fn launch_fma(
-    m: &mut SimMemory,
-    acc: Buf,
-    terms: &[Buf],
-    n: usize,
-    row_prime: &[usize],
-) {
+/// Launch one multi-term FMA kernel over the rows of `acc`, `terms`
+/// holding each term's `[x_k, y_k]` pair back to back.
+pub(crate) fn launch_fma(m: &mut SimMemory, acc: &RowTable, terms: &[RowTable]) {
     let t = m.tables.as_ref().expect("tables uploaded");
     let kernel = FmaKernel {
         acc,
         terms,
-        n,
-        rows: row_prime.len(),
-        row_prime,
+        n: t.n,
         moduli: &t.primes,
     };
-    launch_rows(&mut m.gpu, "sim-fma", row_prime.len() * n, &kernel);
+    launch_rows(&mut m.gpu, "sim-fma", acc.len() * t.n, &kernel);
 }
 
-/// Launch the Galois automorphism kernel over `row_prime.len()` local
-/// rows (`X → X^g`, `g` already reduced mod `2N`). The permutation is
-/// row-local — row `r` of `dst` depends only on row `r` of `src` — which
-/// is what lets the sharded backend run it shard-parallel on row slices.
-pub(crate) fn launch_automorphism(
-    m: &mut SimMemory,
-    src: Buf,
-    dst: Buf,
-    n: usize,
-    g: u64,
-    row_prime: &[usize],
-) {
+/// Launch the Galois automorphism kernel from `src` into the rows of
+/// `dst` (`X → X^g`, `g` already reduced mod `2N`). The permutation is
+/// row-local — each row of `dst` depends only on its row of `src` —
+/// which is what lets the sharded backend run it shard-parallel.
+pub(crate) fn launch_automorphism(m: &mut SimMemory, src: &RowTable, dst: &RowTable, g: u64) {
     let t = m.tables.as_ref().expect("tables uploaded");
     let kernel = AutomorphismKernel {
         src,
         dst,
-        n,
-        rows: row_prime.len(),
+        n: t.n,
         g,
-        row_prime,
         moduli: &t.primes,
     };
-    launch_rows(&mut m.gpu, "sim-automorphism", row_prime.len() * n, &kernel);
+    launch_rows(&mut m.gpu, "sim-automorphism", dst.len() * t.n, &kernel);
 }
 
 /// Launch a one-thread-per-element kernel over `threads` elements.

@@ -5,10 +5,12 @@
 //! address and RNS prime. A plain buffer is the table of its rows back to
 //! back ([`RowTable::contiguous`]); a multi-view device op (both
 //! components of a ciphertext, or one dropped row per component) lists
-//! every view's rows in one table, so one launch covers them all. Like
-//! the moduli, the table is a kernel parameter: reading it costs no
-//! modeled memory traffic, and a contiguous table issues exactly the
-//! addresses the old `data.word(row · N + i)` did.
+//! every view's rows in one table, so one launch covers them all. Every
+//! backend kernel takes one table per operand: the rows it writes, and
+//! per read operand the row each written row reads. Like the moduli, the
+//! table is a kernel parameter: reading it costs no modeled memory
+//! traffic, and a contiguous table issues exactly the addresses the old
+//! `data.word(row · N + i)` did.
 
 use gpu_sim::Buf;
 
@@ -17,22 +19,45 @@ use gpu_sim::Buf;
 pub(crate) struct RowTable {
     rows: Vec<Buf>,
     primes: Vec<usize>,
+    /// The buffers the rows were appended from, in order.
+    parts: Vec<Buf>,
 }
 
 impl RowTable {
     /// Rows back to back from `data`, row `r` under `row_prime[r]`.
     pub(crate) fn contiguous(data: Buf, n: usize, row_prime: &[usize]) -> Self {
         let mut table = Self::default();
-        for (r, &p) in row_prime.iter().enumerate() {
-            table.push(data.sub(r * n, n), p);
-        }
+        table.extend(data, n, row_prime.iter().copied());
         table
+    }
+
+    /// Append the rows of `data` back to back, one per prime of `primes`.
+    pub(crate) fn extend(&mut self, data: Buf, n: usize, primes: impl IntoIterator<Item = usize>) {
+        let first = self.rows.len();
+        for (r, p) in primes.into_iter().enumerate() {
+            self.rows.push(data.sub(r * n, n));
+            self.primes.push(p);
+        }
+        self.parts.push(data.sub(0, (self.rows.len() - first) * n));
     }
 
     /// Append one row under prime `prime`.
     pub(crate) fn push(&mut self, row: Buf, prime: usize) {
         self.rows.push(row);
         self.primes.push(prime);
+        self.parts.push(row);
+    }
+
+    /// The rows as the one buffer they were appended from.
+    ///
+    /// # Panics
+    ///
+    /// Panics if they came from several.
+    pub(crate) fn span(&self) -> Buf {
+        match self.parts[..] {
+            [whole] => whole,
+            _ => panic!("rows appended from {} buffers", self.parts.len()),
+        }
     }
 
     /// Number of rows.

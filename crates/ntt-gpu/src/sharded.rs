@@ -33,11 +33,15 @@
 //! just `N` words per component instead of `level * N`; the rest of an
 //! evaluation-domain rescale stays on the shards that own the rows.
 //!
-//! The transforms and the base conversion take one view per polynomial
-//! and run **one launch per shard** across all of them
-//! (`Held::each_shard`): each shard lists the rows it owns of every
-//! written view in one row-address table, so both components of a
-//! ciphertext, or one dropped row of each, share a launch.
+//! Every device op runs through one dispatcher, `Held::each_shard`, at
+//! **one launch per shard**: each shard lists the rows it owns of every
+//! written view in one row-address table, gathers what those rows read,
+//! and hands its kernels one read table per operand — the same rows, one
+//! broadcast row, or every row (the decompose all-gather), as the
+//! operand's `RowMap` says. So both components of a ciphertext, or one
+//! dropped row of each, share a launch, and every kernel takes the same
+//! operand shape. The host batches run the same kernel closures over
+//! contiguous staged tables (`SimDevices::host_batch`).
 //!
 //! Every shard is a full simulated device ([`SimMemory`] over its own
 //! [`gpu_sim::Gpu`]): its own GMEM, its own stream scheduler, its own
@@ -84,12 +88,12 @@
 //! allocations with different row counts — the key-switch FMA reads
 //! its terms as digit sub-views of a `level·digits·level`-row scratch
 //! against a `level`-row accumulator, so their partitions need not line
-//! up. The *written* operand's partition decides placement: each of
-//! its shard-local pieces runs where it lives, and any secondary
-//! operand piece resident elsewhere is gathered into shard-local
-//! scratch over the link first (`Held::gather_rows`). Aligned
-//! operands (the common case) gather into a zero-copy direct
-//! reference; misaligned ones pay honest link traffic.
+//! up. The *written* operand's partition decides placement: each shard
+//! runs the written rows it owns, and any read row resident elsewhere is
+//! gathered into shard-local scratch over the link first
+//! (`Held::gather_rows`). Aligned operands (the common case) gather into
+//! a zero-copy direct reference; misaligned ones pay honest link
+//! traffic.
 
 use crate::backend::{
     best_split, classify, ensure_tables, launch_automorphism, launch_elemwise, launch_fma,
@@ -132,10 +136,12 @@ impl LinkStats {
 }
 
 /// Row range of a `rows`-row *host batch* handled by shard `s` of `k`
-/// (contiguous block split; early shards take the larger halves when
-/// `rows % k != 0`). Host-batch operands are transient — uploaded,
-/// transformed, downloaded in one call — so their split is free to
-/// differ from the cyclic partition device-resident allocations use.
+/// (contiguous block split; late shards take the larger blocks when
+/// `rows % k != 0`, and early ones none when `rows < k`, so a one-row
+/// batch runs on the last shard). Host-batch operands are transient —
+/// uploaded, transformed, downloaded in one call — so their split is
+/// free to differ from the cyclic partition device-resident allocations
+/// use.
 fn shard_rows(rows: usize, k: usize, s: usize) -> Range<usize> {
     (s * rows / k)..((s + 1) * rows / k)
 }
@@ -172,11 +178,38 @@ impl Rows {
         self.first + i * self.step
     }
 
-    /// Each row's prime index (`r % level`), the row map the row-wise
-    /// kernels take.
-    fn primes(&self, level: usize) -> Vec<usize> {
-        (0..self.count).map(|i| self.get(i) % level).collect()
+    /// The rows in order.
+    fn iter(self) -> impl Iterator<Item = usize> {
+        (0..self.count).map(move |i| self.get(i))
     }
+}
+
+/// How a read operand's rows line up with the rows a device op writes.
+#[derive(Debug, Clone, Copy)]
+enum RowMap {
+    /// Written row `r` reads row `r` of its read view.
+    Same,
+    /// Every row of the read view is gathered, and written row `r` of a
+    /// `W`-row view reads row `r / (W / R)` of its `R`-row read view: one
+    /// row for all (a broadcast), or one source row per block of digit
+    /// rows (the decompose all-gather).
+    All,
+}
+
+/// One read operand of a device op: per written view, the view it reads.
+type Read<'v> = (&'v [PolyView], RowMap);
+
+/// One shard's part of an op, as its kernels see it.
+struct Launch {
+    /// The shard.
+    shard: usize,
+    /// The rows written, of every view in view order, each under its
+    /// view's prime.
+    dst: RowTable,
+    /// Per read operand, the row each written row reads.
+    src: Vec<RowTable>,
+    /// Per written row, its row index in its view.
+    index: Vec<usize>,
 }
 
 /// One logical allocation spread over the shard set.
@@ -232,18 +265,6 @@ struct RowSeg {
 struct Gathered {
     buf: Buf,
     scratch: bool,
-}
-
-/// One shard piece of a row-wise device op, as its kernel sees it.
-struct Piece {
-    shard: usize,
-    /// View-relative rows of the written operand in this piece.
-    rows: Rows,
-    /// The written operand's piece.
-    dst: Buf,
-    /// The read operands, materialized on this shard, in the order the
-    /// op listed them.
-    src: Vec<Buf>,
 }
 
 /// The modeled inter-device link: one copy-engine stream per shard
@@ -757,95 +778,94 @@ impl Held<'_> {
         }
     }
 
-    /// Run one row-wise device op on every shard piece of the written
-    /// view `dst`: gather each of `reads` onto the piece's shard (`None`
-    /// rows = the piece's own rows; `Some` = fixed rows every piece
-    /// needs, e.g. a broadcast), fence on `dst`, run `kernel`, record
-    /// the write, release the gathers.
-    fn each_piece(
-        &mut self,
-        plan: &RingPlan,
-        dst: DeviceBuf,
-        reads: &[(DeviceBuf, Option<Rows>)],
-        mut kernel: impl FnMut(&mut SimMemory, Piece),
-    ) {
-        let n = plan.degree();
-        for seg in self.row_segments(dst, n) {
-            let s = seg.shard;
-            ensure_tables(&mut self.sh[s], plan);
-            let gathered: Vec<Gathered> = reads
-                .iter()
-                .map(|&(view, rows)| self.gather_rows(view, rows.unwrap_or(seg.rows), n, s))
-                .collect();
-            let sh = &mut self.sh[s];
-            let root = sh.root_base(seg.local);
-            let data = sh.raw_buf(seg.local);
-            sh.wait_ready(&[root]);
-            let src = gathered.iter().map(|g| g.buf).collect();
-            kernel(
-                sh,
-                Piece {
-                    shard: s,
-                    rows: seg.rows,
-                    dst: data,
-                    src,
-                },
-            );
-            sh.mark_written(&[root]);
-            for g in gathered {
-                self.release_gather(s, g);
-            }
-        }
-    }
-
-    /// Run one multi-view device op with **one launch per shard**: every
-    /// shard that owns rows of any `written` view gathers what those rows
-    /// read, fences on every written allocation, and hands `kernel` two
-    /// row tables — its written rows across all views, under each view's
-    /// primes, and per written row the row it reads. `read[k]` is read
-    /// for `written[k]`: the same rows, or with `broadcast` its one row
-    /// for every written row (an empty `read` reads nothing).
-    fn each_shard(
-        &mut self,
-        plan: &RingPlan,
-        written: &[PolyView],
-        (read, broadcast): (&[PolyView], bool),
-        mut kernel: impl FnMut(&mut SimMemory, &RowTable, &RowTable),
-    ) {
-        let n = plan.degree();
+    /// Each shard's pieces of the `written` views, tagged with the view
+    /// they belong to: the rows a device op's dispatch walks.
+    fn by_shard(&self, written: &[PolyView], n: usize) -> Vec<Vec<(usize, RowSeg)>> {
         let mut by_shard: Vec<Vec<(usize, RowSeg)>> = self.sh.iter().map(|_| Vec::new()).collect();
         for (k, view) in written.iter().enumerate() {
             for seg in self.row_segments(view.buf, n) {
                 by_shard[seg.shard].push((k, seg));
             }
         }
-        for (s, segs) in by_shard.into_iter().enumerate() {
+        by_shard
+    }
+
+    /// Which shards `op` issues commands on: those holding a row block
+    /// of a host batch ([`shard_rows`]), or owning a row of a device op's
+    /// written views, as its dispatch walks them.
+    fn issuing(&self, op: &BackendOp<'_>) -> Vec<bool> {
+        let k = self.sh.len();
+        match op {
+            BackendOp::ForwardBatch(b)
+            | BackendOp::InverseBatch(b)
+            | BackendOp::PointwiseBatch { acc: b, .. }
+            | BackendOp::MultiplyBatch { out: b, .. } => (0..k)
+                .map(|s| !shard_rows(b.rows(), k, s).is_empty())
+                .collect(),
+            _ => {
+                let by_shard = self.by_shard(&written_views(op), self.n);
+                by_shard.iter().map(|segs| !segs.is_empty()).collect()
+            }
+        }
+    }
+
+    /// Run one device op with **one launch per shard**: every shard that
+    /// owns rows of any `written` view gathers what those rows read,
+    /// fences on every written allocation, and hands `kernel` its
+    /// [`Launch`]: its written rows across all views, and per read
+    /// operand the row each of them reads, as the operand's [`RowMap`]
+    /// lines it up.
+    fn each_shard(
+        &mut self,
+        plan: &RingPlan,
+        written: &[PolyView],
+        reads: &[Read<'_>],
+        mut kernel: impl FnMut(&mut SimMemory, &Launch),
+    ) {
+        let n = plan.degree();
+        for (s, segs) in self.by_shard(written, n).into_iter().enumerate() {
             if segs.is_empty() {
                 continue;
             }
             ensure_tables(&mut self.sh[s], plan);
-            let (mut rows, mut reads) = (RowTable::default(), RowTable::default());
+            let mut l = Launch {
+                shard: s,
+                dst: RowTable::default(),
+                src: vec![RowTable::default(); reads.len()],
+                index: Vec::new(),
+            };
             let (mut roots, mut gathered) = (Vec::new(), Vec::new());
             for (k, seg) in &segs {
-                let source = read.get(*k).map(|r| {
-                    let want = if broadcast { Rows::run(0, 1) } else { seg.rows };
-                    (r, self.gather_rows(r.buf, want, n, s))
-                });
+                for (&(views, map), table) in reads.iter().zip(&mut l.src) {
+                    let view = &views[*k];
+                    let want = match map {
+                        RowMap::Same => seg.rows,
+                        RowMap::All => Rows::run(0, view.buf.len() / n),
+                    };
+                    let g = self.gather_rows(view.buf, want, n, s);
+                    match map {
+                        RowMap::Same => {
+                            table.extend(g.buf, n, want.iter().map(|r| view.prime_of(r)))
+                        }
+                        RowMap::All => {
+                            let per = written[*k].buf.len() / view.buf.len();
+                            for r in seg.rows.iter() {
+                                table.push(g.buf.sub(r / per * n, n), view.prime_of(r / per));
+                            }
+                        }
+                    }
+                    gathered.push(g);
+                }
                 let local = self.sh[s].raw_buf(seg.local);
                 roots.push(self.sh[s].root_base(seg.local));
-                for i in 0..seg.rows.count {
-                    let r = seg.rows.get(i);
-                    rows.push(local.sub(i * n, n), written[*k].prime_of(r));
-                    if let Some((view, g)) = &source {
-                        let (j, r) = if broadcast { (0, 0) } else { (i, r) };
-                        reads.push(g.buf.sub(j * n, n), view.prime_of(r));
-                    }
-                }
-                gathered.extend(source.map(|(_, g)| g));
+                let view = &written[*k];
+                l.dst
+                    .extend(local, n, seg.rows.iter().map(|r| view.prime_of(r)));
+                l.index.extend(seg.rows.iter());
             }
             let sh = &mut self.sh[s];
             sh.wait_ready(&roots);
-            kernel(sh, &rows, &reads);
+            kernel(sh, &l);
             sh.mark_written(&roots);
             for g in gathered {
                 self.release_gather(s, g);
@@ -1069,17 +1089,18 @@ impl<F: Flavor> SimDevices<F> {
 
     /// One staged host-batch op: shard `s` takes the contiguous row
     /// block `shard_rows(rows, K, s)` of `io`, uploads its slice of `io`
-    /// (and of `rhs`) into its staging buffers, runs `kernels` on them,
-    /// and downloads the primary operand back into `io` — one upload per
-    /// operand and one download per call on each shard, charged to the
-    /// [`gpu_sim::Gmem`] transfer ledger: exactly the per-call round
-    /// trip the residency layer exists to remove.
+    /// (and of `rhs`) into its staging buffers, runs `kernel` on them as
+    /// contiguous row tables, and downloads the primary operand back into
+    /// `io` — one upload per operand and one download per call on each
+    /// shard with rows, charged to the [`gpu_sim::Gmem`] transfer ledger:
+    /// exactly the per-call round trip the residency layer exists to
+    /// remove.
     fn host_batch(
         &mut self,
         plan: &RingPlan,
         mut io: LimbBatch<'_>,
         rhs: Option<&[u64]>,
-        kernels: impl Fn(&mut SimMemory, Buf, Option<Buf>, &[usize]),
+        kernel: impl Fn(&mut SimMemory, &Launch),
     ) {
         let (n, level, rows) = (io.n(), io.level(), io.rows());
         let io = io.data();
@@ -1103,12 +1124,84 @@ impl<F: Flavor> SimDevices<F> {
                 if let (Some(b), Some(rhs)) = (b, rhs) {
                     sh.gpu_mut().stream_upload(b, 0, &rhs[words.clone()]);
                 }
-                kernels(sh, a, b, &row_prime);
+                let launch = Launch {
+                    shard: s,
+                    dst: RowTable::contiguous(a, n, &row_prime),
+                    src: b
+                        .map(|b| RowTable::contiguous(b, n, &row_prime))
+                        .into_iter()
+                        .collect(),
+                    index: r.collect(),
+                };
+                kernel(sh, &launch);
                 sh.gpu_mut().stream_download(a, &mut io[words]);
                 sh.mark_written(&bases);
             }
         });
     }
+
+    /// One device op over resident views ([`Held::each_shard`]), with
+    /// every shard locked and bound to this executor's streams.
+    fn each_shard(
+        &mut self,
+        plan: &RingPlan,
+        written: &[PolyView],
+        reads: &[Read<'_>],
+        kernel: impl FnMut(&mut SimMemory, &Launch),
+    ) {
+        self.on_shards(|h, _| h.each_shard(plan, written, reads, kernel));
+    }
+}
+
+/// The views a device op writes, each under its primes: the rows its
+/// dispatch walks, and so the shards it launches on. Empty for a host
+/// batch, which splits its rows by [`shard_rows`] instead.
+fn written_views(op: &BackendOp<'_>) -> Vec<PolyView> {
+    let (buf, level) = match *op {
+        BackendOp::Forward { views, fold: None }
+        | BackendOp::Inverse { views }
+        | BackendOp::BaseConvert { dst: views, .. } => return views.to_vec(),
+        BackendOp::Forward {
+            views,
+            fold: Some(SubScale { acc, .. }),
+        } => {
+            let acc = views.iter().zip(acc);
+            return acc
+                .map(|(v, &a)| PolyView::new(a, v.primes.clone()))
+                .collect();
+        }
+        BackendOp::Multiply { out, level, .. } => (out, level),
+        BackendOp::Pointwise { acc, level, .. }
+        | BackendOp::Fma { acc, level, .. }
+        | BackendOp::AddSub { acc, level, .. } => (acc, level),
+        BackendOp::Negate { buf, level } => (buf, level),
+        BackendOp::Decompose { dst, level, .. } | BackendOp::Automorphism { dst, level, .. } => {
+            (dst, level)
+        }
+        _ => return Vec::new(),
+    };
+    level_view(buf, level).to_vec()
+}
+
+/// The rows of `buf` under the first `level` primes, as one view.
+fn level_view(buf: DeviceBuf, level: usize) -> [PolyView; 1] {
+    [PolyView::new(buf, 0..level)]
+}
+
+/// The fused negacyclic product `out ← out ·̄ rhs` of coefficient rows:
+/// NTT both, multiply pointwise, iNTT `out` — the classic device
+/// pipeline, four launch groups over resident rows.
+fn multiply(
+    sh: &mut SimMemory,
+    plan: &RingPlan,
+    split: SmemConfig,
+    out: &RowTable,
+    rhs: &RowTable,
+) {
+    run_forward(sh, plan, out, split, None);
+    run_forward(sh, plan, rhs, split, None);
+    launch_elemwise(sh, ElemOp::Mul, out, Some(rhs));
+    run_inverse(sh, plan, out, split);
 }
 
 impl SimDevices<Sharded> {
@@ -1201,53 +1294,42 @@ impl<F: Flavor> NttBackend for SimDevices<F> {
 
     fn run(&mut self, plan: &RingPlan, op: BackendOp<'_>) {
         let n = plan.degree();
+        let written = written_views(&op);
         match op {
             BackendOp::ForwardBatch(batch) => {
-                let (n, split) = (batch.n(), self.split(batch.n()));
-                self.host_batch(plan, batch, None, |sh, a, _, rp| {
-                    run_forward(sh, plan, &RowTable::contiguous(a, n, rp), split, None)
+                let split = self.split(n);
+                self.host_batch(plan, batch, None, |sh, l| {
+                    run_forward(sh, plan, &l.dst, split, None)
                 });
             }
             BackendOp::InverseBatch(batch) => {
-                let (n, split) = (batch.n(), self.split(batch.n()));
-                self.host_batch(plan, batch, None, |sh, a, _, rp| {
-                    run_inverse(sh, plan, &RowTable::contiguous(a, n, rp), split)
+                let split = self.split(n);
+                self.host_batch(plan, batch, None, |sh, l| {
+                    run_inverse(sh, plan, &l.dst, split)
                 });
             }
             BackendOp::PointwiseBatch { acc, rhs } => {
                 assert_eq!(acc.as_slice().len(), rhs.len(), "operand shape mismatch");
-                let n = acc.n();
-                self.host_batch(plan, acc, Some(rhs), |sh, a, b, rp| {
-                    launch_elemwise(sh, ElemOp::Mul, a, b, n, rp)
+                self.host_batch(plan, acc, Some(rhs), |sh, l| {
+                    launch_elemwise(sh, ElemOp::Mul, &l.dst, Some(&l.src[0]))
                 });
             }
             BackendOp::MultiplyBatch { a, b, mut out } => {
                 assert_eq!(a.len(), out.as_slice().len(), "operand shape mismatch");
                 assert_eq!(b.len(), out.as_slice().len(), "operand shape mismatch");
-                let n = out.n();
                 let split = self.split(n);
                 out.data().copy_from_slice(a);
-                // The classic device pipeline: NTT(a), NTT(b), pointwise,
-                // iNTT — four launch groups over one resident batch.
-                self.host_batch(plan, out, Some(b), |sh, a, b, rp| {
-                    let b = b.expect("multiply stages both operands");
-                    let (ta, tb) = (
-                        RowTable::contiguous(a, n, rp),
-                        RowTable::contiguous(b, n, rp),
-                    );
-                    run_forward(sh, plan, &ta, split, None);
-                    run_forward(sh, plan, &tb, split, None);
-                    launch_elemwise(sh, ElemOp::Mul, a, Some(b), n, rp);
-                    run_inverse(sh, plan, &ta, split);
+                self.host_batch(plan, out, Some(b), |sh, l| {
+                    multiply(sh, plan, split, &l.dst, &l.src[0])
                 });
             }
 
             // ---- Device-resident execution (zero host↔device traffic) ----
             BackendOp::Forward { views, fold } => {
                 let split = self.split(n);
-                self.on_shards(|h, _| match fold {
-                    None => h.each_shard(plan, views, (&[], false), |sh, rows, _| {
-                        run_forward(sh, plan, rows, split, None)
+                match fold {
+                    None => self.each_shard(plan, &written, &[], |sh, l| {
+                        run_forward(sh, plan, &l.dst, split, None)
                     }),
                     // The rescale tail: the accumulators are the written
                     // views, each lifted view is read row for row (its
@@ -1256,59 +1338,48 @@ impl<F: Flavor> NttBackend for SimDevices<F> {
                     // the transform stores into the accumulators.
                     Some(SubScale { acc, dropped }) => {
                         assert_eq!(acc.len(), views.len(), "one accumulator per view");
-                        let written: Vec<PolyView> = views
-                            .iter()
-                            .zip(acc)
-                            .map(|(v, &a)| {
-                                assert_eq!(a.len(), v.buf.len(), "fold shape mismatch");
-                                PolyView::new(a, v.primes.clone())
-                            })
-                            .collect();
+                        for (v, a) in views.iter().zip(acc) {
+                            assert_eq!(a.len(), v.buf.len(), "fold shape mismatch");
+                        }
                         let moduli = plan.ring().basis().primes();
-                        h.each_shard(plan, &written, (views, false), |sh, acc, lifted| {
-                            let fold = FoldRows::new(acc.clone(), moduli, dropped);
-                            run_forward(sh, plan, lifted, split, Some(&fold))
+                        let lifted = [(views, RowMap::Same)];
+                        self.each_shard(plan, &written, &lifted, |sh, l| {
+                            let fold = FoldRows::new(l.dst.clone(), moduli, dropped);
+                            run_forward(sh, plan, &l.src[0], split, Some(&fold))
                         })
                     }
+                }
+            }
+            BackendOp::Inverse { .. } => {
+                let split = self.split(n);
+                self.each_shard(plan, &written, &[], |sh, l| {
+                    run_inverse(sh, plan, &l.dst, split)
                 });
             }
-            BackendOp::Inverse { views } => {
+            BackendOp::Multiply { a, b, level, .. } => {
                 let split = self.split(n);
-                self.on_shards(|h, _| {
-                    h.each_shard(plan, views, (&[], false), |sh, rows, _| {
-                        run_inverse(sh, plan, rows, split)
-                    })
-                });
-            }
-            BackendOp::Multiply { a, b, out, level } => {
-                let split = self.split(n);
+                let (a, b) = (level_view(a, level), level_view(b, level));
+                let reads = [(&a[..], RowMap::Same), (&b[..], RowMap::Same)];
                 self.on_shards(|h, staging| {
-                    h.each_piece(plan, out, &[(a, None), (b, None)], |sh, p| {
-                        let words = p.rows.count * n;
-                        let scratch = staging[p.shard].mul_scratch.ensure(sh.gpu_mut(), words);
+                    h.each_shard(plan, &written, &reads, |sh, l| {
+                        let words = l.dst.len() * n;
+                        let scratch = staging[l.shard].mul_scratch.ensure(sh.gpu_mut(), words);
                         let scratch = scratch.sub(0, words);
                         sh.wait_ready(&[scratch.base()]);
                         // Stage both operands on the owning shard (inputs
                         // intact).
-                        sh.gpu_mut().gmem.copy(p.src[0], p.dst);
-                        sh.gpu_mut().gmem.copy(p.src[1], scratch);
-                        let row_prime = p.rows.primes(level);
-                        let dst = RowTable::contiguous(p.dst, n, &row_prime);
-                        run_forward(sh, plan, &dst, split, None);
-                        let rhs = RowTable::contiguous(scratch, n, &row_prime);
-                        run_forward(sh, plan, &rhs, split, None);
-                        launch_elemwise(sh, ElemOp::Mul, p.dst, Some(scratch), n, &row_prime);
-                        run_inverse(sh, plan, &dst, split);
+                        sh.gpu_mut().gmem.copy(l.src[0].span(), l.dst.span());
+                        sh.gpu_mut().gmem.copy(l.src[1].span(), scratch);
+                        let rhs = RowTable::contiguous(scratch, n, l.dst.primes());
+                        multiply(sh, plan, split, &l.dst, &rhs);
                         sh.mark_written(&[scratch.base()]);
                     })
                 });
             }
-            BackendOp::Pointwise { acc, rhs, level } => {
-                self.on_shards(|h, _| {
-                    h.each_piece(plan, acc, &[(rhs, None)], |sh, p| {
-                        let rp = p.rows.primes(level);
-                        launch_elemwise(sh, ElemOp::Mul, p.dst, Some(p.src[0]), n, &rp)
-                    })
+            BackendOp::Pointwise { rhs, level, .. } => {
+                let rhs = level_view(rhs, level);
+                self.each_shard(plan, &written, &[(&rhs, RowMap::Same)], |sh, l| {
+                    launch_elemwise(sh, ElemOp::Mul, &l.dst, Some(&l.src[0]))
                 });
             }
             BackendOp::Fma { acc, x, y, level } => {
@@ -1316,48 +1387,47 @@ impl<F: Flavor> NttBackend for SimDevices<F> {
                 // inner product (term `k` a digit sub-view at row offset
                 // `k * level` of the decompose scratch, plus any folded
                 // product terms) and the plaintext-product sums. Each
-                // term gathers `x[k]` then `y[k]` onto the accumulator
-                // piece's shard. The cyclic partition makes every digit
-                // view land on the accumulator's shards whenever
+                // term gathers `x[k]` then `y[k]` onto the accumulator's
+                // shard. The cyclic partition makes every digit view
+                // land on the accumulator's shards whenever
                 // `level % K == 0`, and a separate level-row allocation
                 // always does — the zero-copy fast path of the gather —
                 // while any genuinely misaligned view (e.g. `K = 3` with
                 // `level = 8`) arrives over the link, correct either way.
-                // All terms then run as one launch per piece.
+                // All terms then run as one launch per shard.
                 assert_eq!(x.len(), y.len(), "fma term count mismatch");
-                let reads: Vec<(DeviceBuf, Option<Rows>)> = x
+                let terms: Vec<PolyView> = x
                     .iter()
                     .zip(y)
                     .flat_map(|(&xk, &yk)| {
                         assert_eq!(xk.len(), acc.len(), "fma term shape mismatch");
                         assert_eq!(yk.len(), acc.len(), "fma term shape mismatch");
-                        [(xk, None), (yk, None)]
+                        [PolyView::new(xk, 0..level), PolyView::new(yk, 0..level)]
                     })
                     .collect();
-                self.on_shards(|h, _| {
-                    h.each_piece(plan, acc, &reads, |sh, p| {
-                        launch_fma(sh, p.dst, &p.src, n, &p.rows.primes(level))
-                    })
+                let reads: Vec<Read<'_>> = terms
+                    .iter()
+                    .map(|t| (std::slice::from_ref(t), RowMap::Same))
+                    .collect();
+                self.each_shard(plan, &written, &reads, |sh, l| {
+                    launch_fma(sh, &l.dst, &l.src)
                 });
             }
             BackendOp::AddSub {
-                acc,
                 rhs,
                 level,
                 subtract,
+                ..
             } => {
                 let op = if subtract { ElemOp::Sub } else { ElemOp::Add };
-                self.on_shards(|h, _| {
-                    h.each_piece(plan, acc, &[(rhs, None)], |sh, p| {
-                        launch_elemwise(sh, op, p.dst, Some(p.src[0]), n, &p.rows.primes(level))
-                    })
+                let rhs = level_view(rhs, level);
+                self.each_shard(plan, &written, &[(&rhs, RowMap::Same)], |sh, l| {
+                    launch_elemwise(sh, op, &l.dst, Some(&l.src[0]))
                 });
             }
-            BackendOp::Negate { buf, level } => {
-                self.on_shards(|h, _| {
-                    h.each_piece(plan, buf, &[], |sh, p| {
-                        launch_elemwise(sh, ElemOp::Neg, p.dst, None, n, &p.rows.primes(level))
-                    })
+            BackendOp::Negate { .. } => {
+                self.each_shard(plan, &written, &[], |sh, l| {
+                    launch_elemwise(sh, ElemOp::Neg, &l.dst, None)
                 });
             }
             BackendOp::Decompose {
@@ -1377,20 +1447,21 @@ impl<F: Flavor> NttBackend for SimDevices<F> {
                 // sharded base conversion is an all-gather of the remote
                 // rows (≈ (K-1)/K · level · N words across the link per
                 // shard).
-                let all = Rows::run(0, level);
-                self.on_shards(|h, _| {
-                    h.each_piece(plan, dst, &[(src, Some(all))], |sh, p| {
-                        let kernel = DecomposeKernel {
-                            src: p.src[0],
-                            dst: p.dst,
-                            n,
-                            level,
-                            digits,
-                            gadget_bits,
-                            rows: p.rows,
-                        };
-                        launch_rows(sh.gpu_mut(), "sim-decompose", p.rows.count * n, &kernel);
-                    })
+                let src = level_view(src, level);
+                self.each_shard(plan, &written, &[(&src, RowMap::All)], |sh, l| {
+                    let kernel = DecomposeKernel {
+                        dst: &l.dst,
+                        src: &l.src[0],
+                        // Row `r` holds digit `(r / level) % digits`.
+                        shift: l
+                            .index
+                            .iter()
+                            .map(|&r| gadget_bits * ((r / level) % digits) as u32)
+                            .collect(),
+                        mask: (1u64 << gadget_bits) - 1,
+                        n,
+                    };
+                    launch_rows(sh.gpu_mut(), "sim-decompose", l.dst.len() * n, &kernel);
                 });
             }
             BackendOp::Automorphism { src, dst, level, g } => {
@@ -1400,14 +1471,13 @@ impl<F: Flavor> NttBackend for SimDevices<F> {
                 // The permutation is row-local, so each dst row needs
                 // exactly its own src row — aligned allocations stay
                 // link-free.
-                self.on_shards(|h, _| {
-                    h.each_piece(plan, dst, &[(src, None)], |sh, p| {
-                        launch_automorphism(sh, p.src[0], p.dst, n, g, &p.rows.primes(level))
-                    })
+                let src = level_view(src, level);
+                self.each_shard(plan, &written, &[(&src, RowMap::Same)], |sh, l| {
+                    launch_automorphism(sh, &l.src[0], &l.dst, g)
                 });
             }
-            BackendOp::BaseConvert { src, dst, centered } => {
-                assert_eq!(src.len(), dst.len(), "one source row per destination");
+            BackendOp::BaseConvert { src, centered, .. } => {
+                assert_eq!(src.len(), written.len(), "one source row per destination");
                 for v in src {
                     assert_eq!(v.buf.len(), n, "one-source-prime conversion reads one row");
                 }
@@ -1416,31 +1486,30 @@ impl<F: Flavor> NttBackend for SimDevices<F> {
                 // row: a broadcast of N words per remote shard over the
                 // link (the rescale's dropped row, the mod-raise's
                 // level-1 row).
-                self.on_shards(|h, _| {
-                    h.each_shard(plan, dst, (src, true), |sh, dst, src| {
-                        let kernel = LiftKernel {
-                            dst,
-                            src,
-                            n,
-                            centered,
-                            moduli,
-                        };
-                        launch_rows(sh.gpu_mut(), "sim-baseconv", dst.len() * n, &kernel);
-                    })
+                self.each_shard(plan, &written, &[(src, RowMap::All)], |sh, l| {
+                    let kernel = LiftKernel {
+                        dst: &l.dst,
+                        src: &l.src[0],
+                        n,
+                        centered,
+                        moduli,
+                    };
+                    launch_rows(sh.gpu_mut(), "sim-baseconv", l.dst.len() * n, &kernel);
                 });
             }
         }
     }
 
-    /// Validate the op's handles, then draw the armed fault plan on
-    /// every shard, in shard order, before any data moves: injected
-    /// faults fire between ops, never mid-op, so on `Err` no operand
-    /// byte has moved. Each shard draws one schedule slot per hardware
-    /// command class the op would issue on it (a staged host batch is
-    /// upload + launch + download; a device-resident op is one launch),
-    /// so fault *rates* scale with real command traffic. A freed or
-    /// foreign handle, which `run` treats as an invariant violation (a
-    /// panic), comes back as a fatal error here.
+    /// Validate the op's handles, then draw the armed fault plan, in
+    /// shard order, on each shard the op issues commands on
+    /// (`Held::issuing`), before any data moves: injected faults fire
+    /// between ops, never mid-op, so on `Err` no operand byte has moved.
+    /// Each such shard draws one schedule slot per hardware command class
+    /// the op issues on it (a staged host batch is upload + launch +
+    /// download; a device-resident op is one launch), and a shard the op
+    /// leaves idle draws nothing, so fault *rates* scale with real
+    /// command traffic. A freed or foreign handle, which `run` treats as
+    /// an invariant violation (a panic), comes back as a fatal error here.
     fn gate(&mut self, op: &BackendOp<'_>) -> Result<(), BackendError> {
         let label = op.label();
         let mut m = self.lock();
@@ -1450,7 +1519,8 @@ impl<F: Flavor> NttBackend for SimDevices<F> {
         let mut h = m.hold();
         h.bind(&self.streams);
         let kinds = if op.is_host_batch() { STAGED } else { LAUNCH };
-        for sh in h.sh.iter_mut() {
+        let issuing = h.issuing(op);
+        for (sh, _) in h.sh.iter_mut().zip(issuing).filter(|(_, i)| *i) {
             for &kind in kinds {
                 sh.fault_gate(label, kind)?;
             }
@@ -1462,35 +1532,35 @@ impl<F: Flavor> NttBackend for SimDevices<F> {
 // ---- Cross-row kernels ---------------------------------------------
 //
 // Decompose and base conversion read rows other than the one they
-// write. Each runs on one shard's rows — a row slice of the written
-// operand plus a gathered copy of the rows it reads — with the global
-// row index or the row table restoring what the math depends on. At
-// `K = 1` the slice is the whole operand and the gather is a direct
+// write: their read table maps each written row to a row of the
+// all-gathered source (`RowMap::All`), and the decompose takes each
+// row's digit from its index in the written view. At `K = 1` the
+// written rows are the whole operand and the gather is a direct
 // reference, so these are the single-device kernels too.
 
 /// Gadget digit decomposition (layout per [`BackendOp::Decompose`])
-/// writing a piece of the digit-poly rows from the full `level × N`
-/// source: one thread per output element, each reading its source word
-/// and extracting one base-`2^w` digit.
-struct DecomposeKernel {
-    src: Buf,
-    dst: Buf,
+/// writing one shard's digit rows from the gathered source rows: one
+/// thread per output element, each reading its source word and extracting
+/// one base-`2^w` digit.
+struct DecomposeKernel<'a> {
+    /// The digit rows written.
+    dst: &'a RowTable,
+    /// Per digit row, the source row it splits.
+    src: &'a RowTable,
+    /// Per digit row, the bit offset of its digit.
+    shift: Vec<u32>,
+    /// `2^w − 1`.
+    mask: u64,
     n: usize,
-    level: usize,
-    digits: usize,
-    gadget_bits: u32,
-    /// Global row index per local destination row.
-    rows: Rows,
 }
 
-impl WarpKernel for DecomposeKernel {
+impl WarpKernel for DecomposeKernel<'_> {
     fn phases(&self) -> usize {
         1
     }
 
     fn run_warp(&self, ctx: &mut WarpCtx<'_>) {
-        let total = self.rows.count * self.n;
-        let mask = (1u64 << self.gadget_bits) - 1;
+        let total = self.dst.len() * self.n;
         let lanes = ctx.lanes();
         let mut addr_s = vec![None; lanes];
         let mut shift = vec![0u32; lanes];
@@ -1501,11 +1571,8 @@ impl WarpKernel for DecomposeKernel {
                 continue;
             }
             active += 1;
-            let poly = self.rows.get(gt / self.n) / self.level;
-            let (j, d) = (poly / self.digits, poly % self.digits);
-            let t = gt % self.n;
-            shift[l] = self.gadget_bits * d as u32;
-            addr_s[l] = Some(self.src.word(j * self.n + t));
+            shift[l] = self.shift[gt / self.n];
+            addr_s[l] = Some(self.src.flat_word(self.n, gt));
         }
         if active == 0 {
             return;
@@ -1516,7 +1583,8 @@ impl WarpKernel for DecomposeKernel {
         let writes: Vec<Option<(usize, u64)>> = (0..lanes)
             .map(|l| {
                 let v = vals[l]?;
-                Some((self.dst.word(ctx.global_thread(l)), (v >> shift[l]) & mask))
+                let word = self.dst.flat_word(self.n, ctx.global_thread(l));
+                Some((word, (v >> shift[l]) & self.mask))
             })
             .collect();
         ctx.count_op(OpClass::Generic, active);
@@ -1911,12 +1979,202 @@ mod tests {
         }
     }
 
+    /// Ring degree of the op table below.
+    const N: usize = 16;
+
+    /// The op table's operands, one allocation each: level-2 polys `a`,
+    /// `b`, `c`, a one-row `row`, the 8-row digit buffer of a 2-digit
+    /// decomposition, two more level-2 polys `x0`, `x1` and a second
+    /// one-row `acc`.
+    const ROWS: [usize; 8] = [2, 2, 2, 1, 8, 2, 2, 1];
+
+    /// Per device op of the table ([`device_op`]), the operands it
+    /// touches, in field order.
+    const USES: [&[usize]; 12] = [
+        &[0],
+        &[0],
+        &[0, 1, 2],
+        &[0, 1],
+        &[0, 5, 6, 1, 2],
+        &[0, 1],
+        &[0],
+        &[3, 0],
+        &[0, 4],
+        &[3, 0],
+        &[0, 1],
+        &[3, 7],
+    ];
+
+    /// The views the transforms and base conversions take: `a` whole,
+    /// `row` under prime 1 and under prime 0.
+    fn views_of(bufs: &[DeviceBuf; 8]) -> [PolyView; 3] {
+        let [a, _, _, row, ..] = *bufs;
+        [
+            PolyView::new(a, 0..2),
+            PolyView::new(row, 1..2),
+            PolyView::new(row, 0..1),
+        ]
+    }
+
+    /// Device op `i` of the table, over the operands of [`ROWS`]: every
+    /// device op once, the base conversion twice and the forward twice.
+    /// The FMA is 2-term — `acc += x0 · b + x1 · c`, each first factor
+    /// its own buffer. The base conversions lift `row` into `a`, plainly
+    /// from prime 1 (a rescale's dropped row) and centered from prime 0
+    /// (a mod-raise); the last op is a rescale-folded forward of `row`
+    /// into `acc`.
+    fn device_op<'a>(i: usize, bufs: &'a [DeviceBuf; 8], views: &'a [PolyView; 3]) -> Op<'a> {
+        let [a, b, c, _, digits, ..] = *bufs;
+        let level = 2;
+        match i {
+            0 => Op::Forward {
+                views: &views[..1],
+                fold: None,
+            },
+            1 => Op::Inverse { views: &views[..1] },
+            2 => Op::Multiply {
+                a,
+                b,
+                out: c,
+                level,
+            },
+            3 => Op::Pointwise {
+                acc: a,
+                rhs: b,
+                level,
+            },
+            4 => Op::Fma {
+                acc: a,
+                x: &bufs[5..7],
+                y: &bufs[1..3],
+                level,
+            },
+            5 => Op::AddSub {
+                acc: a,
+                rhs: b,
+                level,
+                subtract: true,
+            },
+            6 => Op::Negate { buf: a, level },
+            7 => Op::BaseConvert {
+                src: &views[1..2],
+                dst: &views[..1],
+                centered: false,
+            },
+            8 => Op::Decompose {
+                src: a,
+                dst: digits,
+                level,
+                digits: 2,
+                gadget_bits: 20,
+            },
+            9 => Op::BaseConvert {
+                src: &views[2..],
+                dst: &views[..1],
+                centered: true,
+            },
+            10 => Op::Automorphism {
+                src: a,
+                dst: b,
+                level,
+                g: 3,
+            },
+            _ => Op::Forward {
+                views: &views[2..],
+                fold: Some(SubScale {
+                    acc: &bufs[7..],
+                    dropped: 1,
+                }),
+            },
+        }
+    }
+
+    /// Host batch `i` over two stacked level-2 polys.
+    fn host_op<'a>(i: usize, io: &'a mut [u64], rhs: &'a [u64]) -> Op<'a> {
+        let io = LimbBatch::new(io, N, 2);
+        match i {
+            0 => Op::ForwardBatch(io),
+            1 => Op::InverseBatch(io),
+            2 => Op::PointwiseBatch { acc: io, rhs },
+            _ => Op::MultiplyBatch {
+                a: rhs,
+                b: rhs,
+                out: io,
+            },
+        }
+    }
+
+    /// `words` residues below every test prime, one stream per `seed`.
+    fn residues(words: usize, seed: usize) -> Vec<u64> {
+        let mix = |i: usize| ((i + 64 * seed) as u64).wrapping_mul(0x9e37_79b9);
+        (0..words).map(|i| mix(i) % (1 << 40)).collect()
+    }
+
+    /// The operands of [`ROWS`], allocated on `be` and filled, one seed
+    /// per operand.
+    fn fresh(be: &dyn NttBackend) -> [DeviceBuf; 8] {
+        let mem = be.memory();
+        let mut mem = mem.lock().unwrap();
+        let mut seed = 0;
+        ROWS.map(|rows| {
+            let buf = mem.alloc(rows * N);
+            seed += 1;
+            mem.upload(buf, &residues(buf.len(), seed));
+            buf
+        })
+    }
+
+    /// The words of each of `bufs`.
+    fn read(be: &dyn NttBackend, bufs: &[DeviceBuf]) -> Vec<Vec<u64>> {
+        let mem = be.memory();
+        let mut mem = mem.lock().unwrap();
+        let mut out: Vec<Vec<u64>> = bufs.iter().map(|b| vec![0; b.len()]).collect();
+        for (&b, v) in bufs.iter().zip(&mut out) {
+            mem.download(b, v);
+        }
+        out
+    }
+
+    /// Arm `plan` on every shard of `mem` (`None` disarms).
+    fn arm(mem: &Arc<Mutex<ShardedMemory>>, plan: Option<gpu_sim::FaultPlan>) {
+        for sh in &lock_sharded(mem).shards {
+            lock_mem(sh).gpu_mut().set_fault_plan(plan.clone());
+        }
+    }
+
+    /// Each shard's draws since its plan was armed.
+    fn draws(mem: &Arc<Mutex<ShardedMemory>>) -> Vec<u64> {
+        let m = lock_sharded(mem);
+        let seen = |sh| lock_mem(sh).gpu().fault_plan().map(|p| p.ops_seen());
+        m.shards.iter().map(|sh| seen(sh).unwrap_or(0)).collect()
+    }
+
+    /// Each shard's launches so far.
+    fn launches(mem: &Arc<Mutex<ShardedMemory>>) -> Vec<u64> {
+        let m = lock_sharded(mem);
+        m.shard_timelines().iter().map(|t| t.launches).collect()
+    }
+
+    /// `SimBackend` at `k = 0`, else `ShardedBackend` over `k` devices of
+    /// `n`-point rings, with its shared memory.
+    fn subject(k: usize, n: usize) -> (Box<dyn NttBackend>, Arc<Mutex<ShardedMemory>>) {
+        if k == 0 {
+            let sim = SimBackend::titan_v();
+            let mem = Arc::clone(&sim.mem);
+            (Box::new(sim), mem)
+        } else {
+            let sharded = ShardedBackend::titan_v(k, n);
+            let mem = sharded.memory_handle();
+            (Box::new(sharded), mem)
+        }
+    }
+
     #[test]
     fn foreign_handle_is_fatal_on_the_fallible_surface() {
-        let ring = ring(16, 2);
+        let ring = ring(N, 2);
         let plan = RingPlan::new(&ring);
-        let mut sharded = ShardedBackend::titan_v(2, 16);
-        let mut other = ShardedMemory::new(GpuConfig::titan_v(), 2, 16);
+        let mut sharded = ShardedBackend::titan_v(2, N);
+        let mut other = ShardedMemory::new(GpuConfig::titan_v(), 2, N);
         let foreign = other.alloc(32);
         let views = [PolyView::new(foreign, 0..2)];
         let err = sharded
@@ -1933,126 +2191,13 @@ mod tests {
             "got {err:?}"
         );
 
-        // The same contract for every op, on Cpu, Sim and Sharded at
-        // K = 2: a freed operand is Fatal under the op's label and moves
-        // no byte; with no plan armed `try_run` computes what `run` does;
-        // under a zero-rate plan one call draws upload, launch and
-        // download (host batch) or one launch (device op) on each shard.
-        //
-        // Device op `i` runs over level-2 polys `a`, `b`, `c`, a one-row
-        // `row`, the 8-row digit buffer of a 2-digit decomposition, two
-        // more level-2 polys `x0`, `x1` and a second one-row `acc`;
-        // `USES[i]` lists the operands it touches, in field order. The
-        // FMA is 2-term — `acc += x0 · b + x1 · c`, each first factor its
-        // own buffer — so a freed second first factor and a freed second
-        // key are rows. The base conversions lift `row` into `a`, plainly
-        // from prime 1 (a rescale's dropped row) and centered from prime
-        // 0 (a mod-raise); the last op is a rescale-folded forward of
-        // `row` into `acc`.
-        const ROWS: [usize; 8] = [2, 2, 2, 1, 8, 2, 2, 1];
-        const USES: [&[usize]; 12] = [
-            &[0],
-            &[0],
-            &[0, 1, 2],
-            &[0, 1],
-            &[0, 5, 6, 1, 2],
-            &[0, 1],
-            &[0],
-            &[3, 0],
-            &[0, 4],
-            &[3, 0],
-            &[0, 1],
-            &[3, 7],
-        ];
-        // The views the transforms and base conversions take: `a` whole,
-        // `row` under prime 1 and under prime 0.
-        fn views_of(bufs: &[DeviceBuf; 8]) -> [PolyView; 3] {
-            let [a, _, _, row, ..] = *bufs;
-            [
-                PolyView::new(a, 0..2),
-                PolyView::new(row, 1..2),
-                PolyView::new(row, 0..1),
-            ]
-        }
-        fn device_op<'a>(i: usize, bufs: &'a [DeviceBuf; 8], views: &'a [PolyView; 3]) -> Op<'a> {
-            let [a, b, c, _, digits, ..] = *bufs;
-            let level = 2;
-            match i {
-                0 => Op::Forward {
-                    views: &views[..1],
-                    fold: None,
-                },
-                1 => Op::Inverse { views: &views[..1] },
-                2 => Op::Multiply {
-                    a,
-                    b,
-                    out: c,
-                    level,
-                },
-                3 => Op::Pointwise {
-                    acc: a,
-                    rhs: b,
-                    level,
-                },
-                4 => Op::Fma {
-                    acc: a,
-                    x: &bufs[5..7],
-                    y: &bufs[1..3],
-                    level,
-                },
-                5 => Op::AddSub {
-                    acc: a,
-                    rhs: b,
-                    level,
-                    subtract: true,
-                },
-                6 => Op::Negate { buf: a, level },
-                7 => Op::BaseConvert {
-                    src: &views[1..2],
-                    dst: &views[..1],
-                    centered: false,
-                },
-                8 => Op::Decompose {
-                    src: a,
-                    dst: digits,
-                    level,
-                    digits: 2,
-                    gadget_bits: 20,
-                },
-                9 => Op::BaseConvert {
-                    src: &views[2..],
-                    dst: &views[..1],
-                    centered: true,
-                },
-                10 => Op::Automorphism {
-                    src: a,
-                    dst: b,
-                    level,
-                    g: 3,
-                },
-                _ => Op::Forward {
-                    views: &views[2..],
-                    fold: Some(SubScale {
-                        acc: &bufs[7..],
-                        dropped: 1,
-                    }),
-                },
-            }
-        }
-        // Host batch `i` over two stacked level-2 polys.
-        fn host_op<'a>(i: usize, io: &'a mut [u64], rhs: &'a [u64]) -> Op<'a> {
-            let io = LimbBatch::new(io, 16, 2);
-            match i {
-                0 => Op::ForwardBatch(io),
-                1 => Op::InverseBatch(io),
-                2 => Op::PointwiseBatch { acc: io, rhs },
-                _ => Op::MultiplyBatch {
-                    a: rhs,
-                    b: rhs,
-                    out: io,
-                },
-            }
-        }
+        // The same contract for every op of the table, on Cpu, Sim and
+        // Sharded at K = 2: a freed operand is Fatal under the op's label
+        // and moves no byte; with no plan armed `try_run` computes what
+        // `run` does; under a zero-rate plan one call draws upload, launch
+        // and download (host batch, two rows per shard) or one launch
+        // (device op) on each shard it issues commands on — the folded
+        // forward into the one-row `acc` launches on shard 0 only.
         let none = [DeviceBuf::root(0, 0); 8];
         let none_views = views_of(&none);
         let labels: Vec<&str> = (0..4)
@@ -2066,45 +2211,8 @@ mod tests {
              dev_baseconv dev_decompose dev_baseconv dev_automorphism dev_forward"
         );
 
-        // Residues below every test prime, one seed per operand.
-        let residues = |words: usize, seed: usize| -> Vec<u64> {
-            let mix = |i: usize| ((i + 64 * seed) as u64).wrapping_mul(0x9e37_79b9);
-            (0..words).map(|i| mix(i) % (1 << 40)).collect()
-        };
-        let fresh = |be: &dyn NttBackend| -> [DeviceBuf; 8] {
-            let mem = be.memory();
-            let mut mem = mem.lock().unwrap();
-            let mut seed = 0;
-            ROWS.map(|rows| {
-                let buf = mem.alloc(rows * 16);
-                seed += 1;
-                mem.upload(buf, &residues(buf.len(), seed));
-                buf
-            })
-        };
-        let read = |be: &dyn NttBackend, bufs: &[DeviceBuf]| -> Vec<Vec<u64>> {
-            let mem = be.memory();
-            let mut mem = mem.lock().unwrap();
-            let mut out: Vec<Vec<u64>> = bufs.iter().map(|b| vec![0; b.len()]).collect();
-            for (&b, v) in bufs.iter().zip(&mut out) {
-                mem.download(b, v);
-            }
-            out
-        };
-        // Arm a plan on every shard; read each shard's draw count.
-        let arm = |mem: &Arc<Mutex<ShardedMemory>>, plan: Option<gpu_sim::FaultPlan>| {
-            for sh in &lock_sharded(mem).shards {
-                lock_mem(sh).gpu_mut().set_fault_plan(plan.clone());
-            }
-        };
-        let draws = |mem: &Arc<Mutex<ShardedMemory>>| -> Vec<u64> {
-            let m = lock_sharded(mem);
-            let seen = |sh| lock_mem(sh).gpu().fault_plan().map(|p| p.ops_seen());
-            m.shards.iter().map(|sh| seen(sh).unwrap_or(0)).collect()
-        };
-
         let sim = SimBackend::titan_v();
-        let sharded = ShardedBackend::titan_v(2, 16);
+        let sharded = ShardedBackend::titan_v(2, N);
         let (sim_mem, sharded_mem) = (Arc::clone(&sim.mem), Arc::clone(&sharded.mem));
         type Shards = Option<Arc<Mutex<ShardedMemory>>>;
         let subjects: [(Box<dyn NttBackend>, Shards); 3] = [
@@ -2142,12 +2250,12 @@ mod tests {
                 assert_eq!(read(&*be, &x), read(&*be, &y), "{ctx}: try_run bits");
                 if let Some(mem) = &shards {
                     arm(mem, Some(gpu_sim::FaultPlan::seeded(7)));
+                    let before = launches(mem);
                     be.try_run(&plan, device_op(i, &x, &vx)).expect(&ctx);
-                    assert!(
-                        draws(mem).iter().all(|&d| d == 1),
-                        "{ctx}: {:?}",
-                        draws(mem)
-                    );
+                    let issued: Vec<u64> = (launches(mem).into_iter().zip(before))
+                        .map(|(a, b)| u64::from(a > b))
+                        .collect();
+                    assert_eq!(draws(mem), issued, "{ctx}: draws");
                     arm(mem, None);
                 }
             }
@@ -2155,8 +2263,8 @@ mod tests {
                 let ctx = format!("{} on {}", host_op(i, &mut [], &[]).label(), be.name());
                 assert!(host_op(i, &mut [], &[]).is_host_batch(), "{ctx}");
                 assert!(host_op(i, &mut [], &[]).handles().is_empty(), "{ctx}");
-                let rhs = residues(4 * 16, 1);
-                let (mut x, mut y) = (residues(4 * 16, 0), residues(4 * 16, 0));
+                let rhs = residues(4 * N, 1);
+                let (mut x, mut y) = (residues(4 * N, 0), residues(4 * N, 0));
                 be.run(&plan, host_op(i, &mut x, &rhs));
                 be.try_run(&plan, host_op(i, &mut y, &rhs)).expect(&ctx);
                 assert_eq!(x, y, "{ctx}: try_run bits");
@@ -2172,6 +2280,122 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Every device op of the table, on Sim and on Sharded K = 1, 2, 3,
+    /// computes `CpuBackend`'s bits with pinned launches per shard and
+    /// link traffic; so does a misaligned product (`rhs` one row into the
+    /// digit buffer, so at K = 2 and 3 each row it reads lives on another
+    /// shard than the row it writes).
+    #[test]
+    fn every_device_op_pins_launches_and_link_traffic_per_shard() {
+        let ring = ring(N, 2);
+        let plan = RingPlan::new(&ring);
+        fn op<'a>(i: usize, bufs: &'a [DeviceBuf; 8], views: &'a [PolyView; 3]) -> Op<'a> {
+            match i {
+                12 => Op::Pointwise {
+                    acc: bufs[0],
+                    rhs: bufs[4].sub(N, 2 * N),
+                    level: 2,
+                },
+                _ => device_op(i, bufs, views),
+            }
+        }
+        // Per op: launches per shard and link transfers/words on Sim,
+        // then on Sharded K = 1, 2, 3.
+        const WANT: [&str; 13] = [
+            "dev_forward: [1] 0/0 [1] 0/0 [1, 1] 0/0 [1, 1, 0] 0/0",
+            "dev_inverse: [1] 0/0 [1] 0/0 [1, 1] 0/0 [1, 1, 0] 0/0",
+            "dev_multiply: [4] 0/0 [4] 0/0 [4, 4] 0/0 [4, 4, 0] 0/0",
+            "dev_pointwise: [1] 0/0 [1] 0/0 [1, 1] 0/0 [1, 1, 0] 0/0",
+            "dev_fma: [1] 0/0 [1] 0/0 [1, 1] 0/0 [1, 1, 0] 0/0",
+            "dev_addsub: [1] 0/0 [1] 0/0 [1, 1] 0/0 [1, 1, 0] 0/0",
+            "dev_negate: [1] 0/0 [1] 0/0 [1, 1] 0/0 [1, 1, 0] 0/0",
+            "dev_baseconv: [1] 0/0 [1] 0/0 [1, 1] 1/16 [1, 1, 0] 1/16",
+            "dev_decompose: [1] 0/0 [1] 0/0 [1, 1] 2/32 [1, 1, 1] 4/64",
+            "dev_baseconv: [1] 0/0 [1] 0/0 [1, 1] 1/16 [1, 1, 0] 1/16",
+            "dev_automorphism: [1] 0/0 [1] 0/0 [1, 1] 0/0 [1, 1, 0] 0/0",
+            "dev_forward: [1] 0/0 [1] 0/0 [1, 0] 0/0 [1, 0, 0] 0/0",
+            "dev_pointwise: [1] 0/0 [1] 0/0 [1, 1] 2/32 [1, 1, 0] 2/32",
+        ];
+        for (i, want_line) in WANT.iter().enumerate() {
+            let mut cpu = CpuBackend::default();
+            let bufs = fresh(&cpu);
+            cpu.run(&plan, op(i, &bufs, &views_of(&bufs)));
+            let want = read(&cpu, &bufs);
+            let mut line = format!("{}:", op(i, &bufs, &views_of(&bufs)).label());
+            for k in 0..4 {
+                let (mut be, mem) = subject(k, N);
+                let bufs = fresh(&*be);
+                let (l0, t0) = (launches(&mem), lock_sharded(&mem).link_stats());
+                be.run(&plan, op(i, &bufs, &views_of(&bufs)));
+                assert_eq!(
+                    read(&*be, &bufs),
+                    want,
+                    "#{i} on subject {k} (0 = Sim): bits"
+                );
+                let l: Vec<u64> = launches(&mem).iter().zip(l0).map(|(a, b)| a - b).collect();
+                let t = lock_sharded(&mem).link_stats().since(&t0);
+                line += &format!(" {l:?} {}/{}", t.transfers, t.words);
+            }
+            assert_eq!(line, *want_line, "#{i}");
+        }
+    }
+
+    /// Under a zero-rate plan each shard draws one slot per command it
+    /// issues and none where it issues nothing. At K = 3 a deep rescale's
+    /// inverse of the two dropped rows launches on the one shard that
+    /// owns them, and a one-row host batch stages on one shard.
+    #[test]
+    fn fault_draws_match_the_commands_each_shard_issues() {
+        // Deep parameters: 21 primes of 50 bits, here at N = 64.
+        let n = 64;
+        let ring = RnsRing::new(n, ntt_math::ntt_primes(50, 2 * n as u64, 21)).unwrap();
+        let plan = RingPlan::new(&ring);
+        // Launches, uploads and downloads per shard so far.
+        let commands = |mem: &Arc<Mutex<ShardedMemory>>| -> Vec<u64> {
+            let m = lock_sharded(mem);
+            let issued = |sh: &Arc<Mutex<SimMemory>>| {
+                let sh = lock_mem(sh);
+                let t = sh.stats();
+                sh.gpu().timeline().launches + t.uploads + t.downloads
+            };
+            m.shards.iter().map(issued).collect()
+        };
+        let since = |now: Vec<u64>, before: &[u64]| -> Vec<u64> {
+            now.iter().zip(before).map(|(a, b)| a - b).collect()
+        };
+
+        let sharded = ShardedBackend::titan_v(3, n);
+        let mem = sharded.memory_handle();
+        let mut ev = Evaluator::with_backend(&ring, Box::new(sharded));
+        let (mut c0, mut c1) = (sample(&ring, 3), sample(&ring, 5));
+        for c in [&mut c0, &mut c1] {
+            ev.make_resident(c);
+            ev.to_evaluation(c);
+        }
+        // The first rescale uploads the plan tables and grows scratch.
+        ev.rescale_polys(&mut [&mut c0, &mut c1]);
+        arm(&mem, Some(gpu_sim::FaultPlan::seeded(7)));
+        let before = commands(&mem);
+        ev.gated(|ev| ev.rescale_polys(&mut [&mut c0, &mut c1]))
+            .expect("a zero-rate plan never faults");
+        let issued = since(commands(&mem), &before);
+        assert_eq!(issued, [2, 3, 2], "level 20 -> 19 drops row 19, on shard 1");
+        assert_eq!(draws(&mem), issued, "rescale draws");
+        arm(&mem, None);
+
+        let mut be = ShardedBackend::titan_v(3, n);
+        let mem = be.memory_handle();
+        let mut row = sample(&ring, 7).flat()[..n].to_vec();
+        be.run(&plan, Op::ForwardBatch(LimbBatch::new(&mut row, n, 1)));
+        arm(&mem, Some(gpu_sim::FaultPlan::seeded(7)));
+        let before = commands(&mem);
+        be.try_run(&plan, Op::ForwardBatch(LimbBatch::new(&mut row, n, 1)))
+            .expect("a zero-rate plan never faults");
+        let issued = since(commands(&mem), &before);
+        assert_eq!(issued, [0, 0, 3], "one row stages on the last shard");
+        assert_eq!(draws(&mem), issued, "host batch draws");
     }
 
     #[test]

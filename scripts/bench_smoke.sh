@@ -42,9 +42,10 @@
 #     at N = 2^16 the 3-kernel plan stays under the best single
 #     fused-SMEM kernel's c*N*logN extrapolation from N = 2^13
 #     (four_step <= 1.0 * single_kernel_extrapolated), and at N = 2^13
-#     the auto-routed forward stays within 5% of the best single kernel
-#     (auto <= 1.05 * best_single_kernel) -- the 4-step rollout cannot
-#     regress the mid-size rings it should lose on;
+#     the backend's routed forward (its swept SMEM split) stays within
+#     5% of the best single kernel (auto <= 1.05 * best_single_kernel)
+#     -- the split choice cannot regress mid-size rings (no backend op
+#     routes to the hierarchical kernels);
 #   * multi-device sharding scales: the same deep-chain multiply/
 #     relinearize/rescale job on 4 simulated devices (cyclic RNS row
 #     partition, key-switch all-gather over the modeled link) finishes
