@@ -124,38 +124,53 @@ impl PointwiseStrategy {
 }
 
 /// A mutable view over a flat batch of RNS limbs: `rows × N` residues
-/// where row `r` is reduced mod prime `r % level`.
+/// under a run of primes, row `r` reduced mod prime
+/// `primes.start + r % primes.len()`, as a [`PolyView`]'s rows are.
 ///
-/// This covers both shapes backends care about:
+/// This covers every shape backends care about:
 ///
-/// * one polynomial at `level` active primes (`rows == level`), e.g. an
-///   [`RnsPoly`]'s storage;
+/// * one polynomial at `level` active primes (`rows == level`, primes
+///   `0..level`), e.g. an [`RnsPoly`]'s storage;
 /// * several polynomials of `level` limbs stacked back to back
 ///   (`rows == k·level`), e.g. the key-switch **buffer of digits** that
-///   submits all `level × digits` digit NTTs as one batched call.
+///   submits all `level × digits` digit NTTs as one batched call;
+/// * rows under primes that do not start at 0, e.g. the dropped rows of
+///   `k` polynomials at a rescale from level `l` (`k` rows under
+///   `l − 1..l`).
 pub struct LimbBatch<'a> {
     data: &'a mut [u64],
     n: usize,
-    level: usize,
+    primes: Range<usize>,
 }
 
 impl<'a> LimbBatch<'a> {
     /// Wrap a flat buffer of whole `n`-word rows, `level` rows per
-    /// polynomial.
+    /// polynomial under primes `0..level`.
     ///
     /// # Panics
     ///
     /// Panics if the buffer is not a whole number of rows or the row count
     /// is not a multiple of `level`.
     pub fn new(data: &'a mut [u64], n: usize, level: usize) -> Self {
-        assert!(n >= 1 && level >= 1, "degenerate batch shape");
+        Self::under(data, n, 0..level)
+    }
+
+    /// Wrap a flat buffer of whole `n`-word rows under `primes`: row `r`
+    /// under prime `primes.start + r % primes.len()`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the buffer is not a whole number of rows, the range is
+    /// empty, or the row count is not a multiple of its length.
+    pub fn under(data: &'a mut [u64], n: usize, primes: Range<usize>) -> Self {
+        assert!(n >= 1 && !primes.is_empty(), "degenerate batch shape");
         assert_eq!(data.len() % n, 0, "flat buffer must be rows × N");
         assert_eq!(
-            (data.len() / n) % level,
+            (data.len() / n) % primes.len(),
             0,
             "rows must form whole polynomials"
         );
-        Self { data, n, level }
+        Self { data, n, primes }
     }
 
     /// View over one polynomial's limbs.
@@ -177,7 +192,13 @@ impl<'a> LimbBatch<'a> {
     /// Limbs per polynomial.
     #[inline]
     pub fn level(&self) -> usize {
-        self.level
+        self.primes.len()
+    }
+
+    /// The primes the rows cycle through.
+    #[inline]
+    pub fn primes(&self) -> Range<usize> {
+        self.primes.clone()
     }
 
     /// Total rows across all stacked polynomials.
@@ -189,7 +210,7 @@ impl<'a> LimbBatch<'a> {
     /// The RNS prime index of row `r`.
     #[inline]
     pub fn prime_of(&self, r: usize) -> usize {
-        r % self.level
+        self.primes.start + r % self.primes.len()
     }
 
     /// The whole flat buffer.
@@ -645,13 +666,19 @@ impl DeviceMemory for HostArena {
 }
 
 /// Shared host reference semantics for the element-wise device operations
-/// (`acc[i] *= rhs[i]` per row, plan strategies for the products). Every
-/// backend's device kernels must match these bit for bit.
-pub(crate) fn host_pointwise_rows(plan: &RingPlan, level: usize, acc: &mut [u64], rhs: &[u64]) {
+/// (`acc[i] *= rhs[i]` per row under `primes`, as a [`LimbBatch`]'s rows
+/// are, plan strategies for the products). Every backend's device kernels
+/// must match these bit for bit.
+pub(crate) fn host_pointwise_rows(
+    plan: &RingPlan,
+    primes: Range<usize>,
+    acc: &mut [u64],
+    rhs: &[u64],
+) {
     let n = plan.degree();
     for (r, (row, rhs_row)) in acc.chunks_exact_mut(n).zip(rhs.chunks_exact(n)).enumerate() {
         // One strategy match per row keeps the element loops branch-free.
-        match plan.strategy(r % level) {
+        match plan.strategy(primes.start + r % primes.len()) {
             PointwiseStrategy::Barrett(br) => {
                 for (x, &y) in row.iter_mut().zip(rhs_row) {
                     *x = br.mul(*x, y);
@@ -1026,19 +1053,6 @@ pub enum BackendOp<'a> {
         /// The rows transformed in place, each view under its own primes.
         views: &'a [PolyView],
     },
-    /// Device-resident fused negacyclic multiply: `out = a ·̄ b` for
-    /// coefficient-form resident operands (all three buffers share the
-    /// rows × N shape).
-    Multiply {
-        /// Left operand.
-        a: DeviceBuf,
-        /// Right operand.
-        b: DeviceBuf,
-        /// The product.
-        out: DeviceBuf,
-        /// Active primes.
-        level: usize,
-    },
     /// Device-resident pointwise product `acc[i] *= rhs[i]` per row.
     Pointwise {
         /// The rows multiplied in place.
@@ -1145,7 +1159,6 @@ impl BackendOp<'_> {
             BackendOp::MultiplyBatch { .. } => "multiply_batch",
             BackendOp::Forward { .. } => "dev_forward",
             BackendOp::Inverse { .. } => "dev_inverse",
-            BackendOp::Multiply { .. } => "dev_multiply",
             BackendOp::Pointwise { .. } => "dev_pointwise",
             BackendOp::Fma { .. } => "dev_fma",
             BackendOp::AddSub { .. } => "dev_addsub",
@@ -1189,7 +1202,6 @@ impl BackendOp<'_> {
             BackendOp::Pointwise { acc, rhs, .. } | BackendOp::AddSub { acc, rhs, .. } => {
                 vec![acc, rhs]
             }
-            BackendOp::Multiply { a, b, out, .. } => vec![a, b, out],
             BackendOp::Fma { acc, x, y, .. } => std::iter::once(acc)
                 .chain(x.iter().copied())
                 .chain(y.iter().copied())
@@ -1264,24 +1276,6 @@ pub trait NttBackend: Send {
     /// a stream model (e.g. [`CpuBackend`]) ignore it. Purely a
     /// performance-model hint: results never depend on it.
     fn bind_stream(&self) {}
-
-    /// Stage a host slice into a freshly allocated device buffer that a
-    /// device op on this executor is about to read (the mixed-residency
-    /// path of [`Evaluator::multiply`]). The default allocates and
-    /// uploads through [`NttBackend::memory`] on whatever stream is
-    /// bound — correct, but it serializes compute behind the copy.
-    /// Backends with a stream model override this to issue the upload on
-    /// a dedicated copy stream and fence the consuming compute stream on
-    /// its completion event, so queued compute overlaps the transfer.
-    /// Purely a performance-model hint: results never depend on it. The
-    /// caller owns the returned buffer and must free it.
-    fn stage_upload(&mut self, data: &[u64]) -> DeviceBuf {
-        let mem = self.memory();
-        let mut guard = lock_memory(&mem);
-        let buf = guard.alloc(data.len());
-        guard.upload(buf, data);
-        buf
-    }
 
     /// Execute one op. Never draws from a fault model: `run` alone
     /// cannot fail, so split sweeps, the figure harness and every unarmed
@@ -1412,25 +1406,25 @@ impl NttBackend for CpuBackend {
     fn run(&mut self, plan: &RingPlan, op: BackendOp<'_>) {
         match op {
             BackendOp::ForwardBatch(mut batch) => {
-                let level = batch.level();
+                let primes = batch.primes();
                 self.exec
-                    .transform_rows_of(plan.ring(), level, batch.data(), true);
+                    .transform_rows_under(plan.ring(), primes, batch.data(), true);
             }
             BackendOp::InverseBatch(mut batch) => {
-                let level = batch.level();
+                let primes = batch.primes();
                 self.exec
-                    .transform_rows_of(plan.ring(), level, batch.data(), false);
+                    .transform_rows_under(plan.ring(), primes, batch.data(), false);
             }
             BackendOp::PointwiseBatch { mut acc, rhs } => {
                 assert_eq!(acc.as_slice().len(), rhs.len(), "operand shape mismatch");
-                let level = acc.level();
-                host_pointwise_rows(plan, level, acc.data(), rhs);
+                let primes = acc.primes();
+                host_pointwise_rows(plan, primes, acc.data(), rhs);
             }
             BackendOp::MultiplyBatch { a, b, mut out } => {
-                let level = out.level();
-                self.exec.multiply_rows_of(
+                let primes = out.primes();
+                self.exec.multiply_rows_under(
                     plan.ring(),
-                    level,
+                    primes,
                     a,
                     b,
                     out.data(),
@@ -1471,28 +1465,11 @@ impl NttBackend for CpuBackend {
                     self.stage_out(0, view.buf);
                 }
             }
-            BackendOp::Multiply { a, b, out, level } => {
-                self.stage_in(1, a);
-                self.stage_in(2, b);
-                let mut o = std::mem::take(&mut self.stage[0]);
-                o.clear();
-                o.resize(out.len(), 0);
-                self.exec.multiply_rows_of(
-                    plan.ring(),
-                    level,
-                    &self.stage[1],
-                    &self.stage[2],
-                    &mut o,
-                    Some(plan.strategies()),
-                );
-                self.stage[0] = o;
-                self.stage_out(0, out);
-            }
             BackendOp::Pointwise { acc, rhs, level } => {
                 self.stage_in(0, acc);
                 self.stage_in(1, rhs);
                 let mut a = std::mem::take(&mut self.stage[0]);
-                host_pointwise_rows(plan, level, &mut a, &self.stage[1]);
+                host_pointwise_rows(plan, 0..level, &mut a, &self.stage[1]);
                 self.stage[0] = a;
                 self.stage_out(0, acc);
             }
@@ -1849,37 +1826,45 @@ impl Evaluator {
     /// Forward-transform several polynomials (each already-transformed one
     /// is skipped). Every one resident in this backend's memory joins
     /// **one** [`BackendOp::Forward`], one view per polynomial — on a
-    /// device, one launch for all of them; each host one takes its own
-    /// batched host call.
+    /// device, one launch for all of them; the host ones of each level
+    /// share one [`BackendOp::ForwardBatch`].
     pub fn forward_polys(&mut self, polys: &mut [&mut RnsPoly]) {
         self.transform_polys(polys, Representation::Evaluation);
     }
 
     /// Inverse counterpart of [`Evaluator::forward_polys`]: the resident
-    /// polynomials share one [`BackendOp::Inverse`].
+    /// polynomials share one [`BackendOp::Inverse`], the host ones of each
+    /// level one [`BackendOp::InverseBatch`].
     pub fn inverse_polys(&mut self, polys: &mut [&mut RnsPoly]) {
         self.transform_polys(polys, Representation::Coefficient);
     }
 
     /// The one transform path: every polynomial not already in `to`
-    /// form, the resident ones in one device op.
+    /// form, the resident ones in one device op, the host ones in one
+    /// host batch per level.
     fn transform_polys(&mut self, polys: &mut [&mut RnsPoly], to: Representation) {
-        let forward = to == Representation::Evaluation;
-        let mut views = Vec::new();
+        let (mut views, mut resident, mut host) = (Vec::new(), Vec::new(), Vec::new());
         for poly in polys.iter_mut().filter(|p| p.repr() != to) {
-            if let Some(buf) = self.device_target(poly) {
-                views.push(PolyView::new(buf, 0..poly.level()));
-                continue;
+            match self.device_target(poly) {
+                Some(buf) => {
+                    views.push(PolyView::new(buf, 0..poly.level()));
+                    resident.push(&mut **poly);
+                }
+                None => {
+                    poly.set_repr(to);
+                    host.push((&mut **poly, None));
+                }
             }
-            poly.sync();
-            let batch = LimbBatch::from_poly(poly);
-            self.dispatch(if forward {
-                BackendOp::ForwardBatch(batch)
-            } else {
-                BackendOp::InverseBatch(batch)
-            });
-            poly.set_repr(to);
         }
+        let forward = to == Representation::Evaluation;
+        self.host_batches(
+            host,
+            if forward {
+                |rows, _| BackendOp::ForwardBatch(rows)
+            } else {
+                |rows, _| BackendOp::InverseBatch(rows)
+            },
+        );
         if views.is_empty() {
             return;
         }
@@ -1891,9 +1876,43 @@ impl Evaluator {
         } else {
             BackendOp::Inverse { views: &views }
         });
-        for poly in polys.iter_mut().filter(|p| p.repr() != to) {
+        for poly in resident {
             poly.mark_device_dirty();
             poly.set_repr(to);
+        }
+    }
+
+    /// Issue `op` over host polynomials as host batches, one per level
+    /// (a batch's rows share one prime range). A lone polynomial runs in
+    /// place; several are packed back to back into one buffer, so a
+    /// staging backend uploads, launches and downloads once for all of
+    /// them, and unpacked after. An entry's right-hand polynomial, if
+    /// any, is packed alongside as the op's second operand.
+    fn host_batches(&mut self, mut items: Vec<HostRows<'_>>, op: HostOp) {
+        let n = self.plan.degree();
+        while let Some(level) = items.first().map(|(p, _)| p.level()) {
+            let (mut batch, rest): (Vec<_>, Vec<_>) =
+                items.into_iter().partition(|(p, _)| p.level() == level);
+            items = rest;
+            for (poly, _) in &mut batch {
+                poly.sync();
+            }
+            if let [(poly, rhs)] = &mut batch[..] {
+                let rhs = rhs.map_or(&[][..], RnsPoly::flat);
+                self.dispatch(op(LimbBatch::from_poly(poly), rhs));
+                continue;
+            }
+            let mut rows: Vec<u64> = batch.iter().flat_map(|(p, _)| p.flat()).copied().collect();
+            let rhs: Vec<u64> = batch
+                .iter()
+                .filter_map(|(_, r)| r.map(RnsPoly::flat))
+                .flatten()
+                .copied()
+                .collect();
+            self.dispatch(op(LimbBatch::new(&mut rows, n, level), &rhs));
+            for ((poly, _), rows) in batch.iter_mut().zip(rows.chunks_exact(level * n)) {
+                poly.flat_mut().copy_from_slice(rows);
+            }
         }
     }
 
@@ -1996,37 +2015,6 @@ impl Evaluator {
         self.backend.run(&self.plan, op);
     }
 
-    /// Forward-NTT a raw `rows × N` batch (row `r` mod prime
-    /// `r % level`) in **one** backend call.
-    pub fn forward_flat(&mut self, level: usize, data: &mut [u64]) {
-        let n = self.plan.degree();
-        self.dispatch(BackendOp::ForwardBatch(LimbBatch::new(data, n, level)));
-    }
-
-    /// Inverse counterpart of [`Evaluator::forward_flat`]: inverse-NTT a
-    /// raw `rows × N` batch (row `r` mod prime `r % level`) in **one**
-    /// backend call — the dispatch shape request batchers use to pack
-    /// many small ciphertext ops into a single kernel schedule.
-    pub fn inverse_flat(&mut self, level: usize, data: &mut [u64]) {
-        let n = self.plan.degree();
-        self.dispatch(BackendOp::InverseBatch(LimbBatch::new(data, n, level)));
-    }
-
-    /// Element-wise product over packed rows, `acc[r] *= rhs[r]` with row
-    /// `r` reduced mod prime `r % level` — the flat companion of
-    /// [`Evaluator::mul_pointwise`]. One backend call covers every packed
-    /// polynomial, whatever the row count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rhs` does not match `acc`'s shape.
-    pub fn pointwise_flat(&mut self, level: usize, acc: &mut [u64], rhs: &[u64]) {
-        assert_eq!(acc.len(), rhs.len(), "operand shape mismatch");
-        let n = self.plan.degree();
-        let acc = LimbBatch::new(acc, n, level);
-        self.dispatch(BackendOp::PointwiseBatch { acc, rhs });
-    }
-
     /// Dispatch guard for binary ops: device path iff `rhs` is
     /// device-fresh in this backend's memory (then `acc` is pulled to the
     /// device too). Returns the pair of device views, or `None` for the
@@ -2039,41 +2027,55 @@ impl Evaluator {
         Some((abuf, rbuf))
     }
 
-    /// Pointwise product `acc *= rhs` (both in evaluation form). Runs on
-    /// the device when `rhs` is device-resident.
+    /// Pointwise product `acc *= rhs` (both in evaluation form): the
+    /// one-pair case of [`Evaluator::mul_pointwise_polys`]. Runs on the
+    /// device when `rhs` is device-resident.
     ///
     /// # Panics
     ///
     /// Panics on level mismatch or if either operand is in coefficient
     /// form.
     pub fn mul_pointwise(&mut self, acc: &mut RnsPoly, rhs: &RnsPoly) {
-        assert_eq!(acc.level(), rhs.level(), "level mismatch");
-        assert_eq!(
-            acc.repr(),
-            Representation::Evaluation,
-            "lhs not in NTT form"
-        );
-        assert_eq!(
-            rhs.repr(),
-            Representation::Evaluation,
-            "rhs not in NTT form"
-        );
-        if let Some((abuf, rbuf)) = self.device_pair(acc, rhs) {
-            let op = BackendOp::Pointwise {
-                acc: abuf,
-                rhs: rbuf,
-                level: acc.level(),
-            };
-            self.dispatch(op);
-            acc.mark_device_dirty();
-        } else {
-            acc.sync();
-            let op = BackendOp::PointwiseBatch {
-                acc: LimbBatch::from_poly(acc),
-                rhs: rhs.flat(),
-            };
-            self.dispatch(op);
+        self.mul_pointwise_polys(&mut [(acc, rhs)]);
+    }
+
+    /// Pointwise products `acc *= rhs` of evaluation-form pairs. A pair
+    /// whose `rhs` is device-resident in this backend's memory runs on
+    /// the device (its `acc` pulled there too), one
+    /// [`BackendOp::Pointwise`] each; the host pairs of each level share
+    /// one [`BackendOp::PointwiseBatch`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on a level mismatch within a pair or if an operand is in
+    /// coefficient form.
+    pub fn mul_pointwise_polys(&mut self, pairs: &mut [(&mut RnsPoly, &RnsPoly)]) {
+        let mut host = Vec::new();
+        for (acc, rhs) in pairs.iter_mut() {
+            assert_eq!(acc.level(), rhs.level(), "level mismatch");
+            assert_eq!(
+                acc.repr(),
+                Representation::Evaluation,
+                "lhs not in NTT form"
+            );
+            assert_eq!(
+                rhs.repr(),
+                Representation::Evaluation,
+                "rhs not in NTT form"
+            );
+            if let Some((abuf, rbuf)) = self.device_pair(acc, rhs) {
+                let op = BackendOp::Pointwise {
+                    acc: abuf,
+                    rhs: rbuf,
+                    level: acc.level(),
+                };
+                self.dispatch(op);
+                acc.mark_device_dirty();
+            } else {
+                host.push((&mut **acc, Some(*rhs)));
+            }
         }
+        self.host_batches(host, |acc, rhs| BackendOp::PointwiseBatch { acc, rhs });
     }
 
     /// Row-wise sum `acc += rhs` (representations must match; valid in
@@ -2224,17 +2226,26 @@ impl Evaluator {
         }
     }
 
-    /// The host path of [`Evaluator::rescale_polys`]: the same steps, with
-    /// the lifted rows of every polynomial in one batched forward call.
+    /// The host path of [`Evaluator::rescale_polys`]: the same steps as
+    /// host batches, every dropped row in one inverse call under
+    /// `l − 1..l` and the lifted rows of every polynomial in one forward
+    /// call.
     fn host_rescale(&mut self, polys: &mut [&mut RnsPoly]) {
         let (n, level) = (self.plan.degree(), polys[0].level());
         let last = level - 1;
-        let mut lifted = vec![0u64; polys.len() * last * n];
-        for (poly, t) in polys.iter_mut().zip(lifted.chunks_exact_mut(last * n)) {
+        let mut dropped = Vec::with_capacity(polys.len() * n);
+        for poly in polys.iter_mut() {
             poly.sync();
-            let mut dropped = poly.row(last).to_vec();
-            self.plan.ring().ring(last).inverse(&mut dropped);
-            host_lift_rows(&self.plan, (&dropped, last), false, t, 0..last);
+            dropped.extend_from_slice(poly.row(last));
+        }
+        let op = BackendOp::InverseBatch(LimbBatch::under(&mut dropped, n, last..level));
+        self.dispatch(op);
+        let mut lifted = vec![0u64; polys.len() * last * n];
+        for (t, row) in lifted
+            .chunks_exact_mut(last * n)
+            .zip(dropped.chunks_exact(n))
+        {
+            host_lift_rows(&self.plan, (row, last), false, t, 0..last);
         }
         let op = BackendOp::ForwardBatch(LimbBatch::new(&mut lifted, n, last));
         self.dispatch(op);
@@ -2503,68 +2514,57 @@ impl Evaluator {
         buf
     }
 
-    /// Fused negacyclic product of two coefficient-form polynomials. When
-    /// either operand is device-resident the product is computed and left
-    /// on the device (a host-side co-operand is staged through a
-    /// temporary device buffer — one counted upload, the honest cost of a
-    /// mixed-residency multiply).
+    /// Negacyclic product of two coefficient-form polynomials. Two host
+    /// operands take one fused [`BackendOp::MultiplyBatch`]. When either
+    /// is device-resident, the product is computed and left on the
+    /// device: copies of both — a host co-operand made resident first,
+    /// one counted upload — are forward-transformed in one op, multiplied
+    /// pointwise and inverse-transformed, one launch each per device.
     ///
     /// # Panics
     ///
     /// Panics on level mismatch or non-coefficient operands.
     pub fn multiply(&mut self, a: &RnsPoly, b: &RnsPoly) -> RnsPoly {
-        let (da, db) = (self.dev_buf(a), self.dev_buf(b));
-        if da.is_some() || db.is_some() {
-            assert_eq!(a.level(), b.level(), "level mismatch");
-            assert_eq!(
-                a.repr(),
-                Representation::Coefficient,
-                "lhs must be coefficients"
-            );
-            assert_eq!(
-                b.repr(),
-                Representation::Coefficient,
-                "rhs must be coefficients"
-            );
-            self.backend.bind_stream();
-            let mem = self.backend.memory();
-            // Host co-operands are prefetched through the backend's
-            // staging hook: on stream-modeling backends the upload rides
-            // a copy stream fenced by an event, so compute already queued
-            // on this executor's stream overlaps the transfer instead of
-            // waiting behind it (ROADMAP item p).
-            let (abuf, atmp) = match da {
-                Some(buf) => (buf, None),
-                None => {
-                    let t = self.backend.stage_upload(a.flat());
-                    (t, Some(t))
-                }
-            };
-            let (bbuf, btmp) = match db {
-                Some(buf) => (buf, None),
-                None => {
-                    let t = self.backend.stage_upload(b.flat());
-                    (t, Some(t))
-                }
-            };
-            let mut out = self.zero_resident(a.level(), Representation::Coefficient);
-            let obuf = self.dev_buf(&out).expect("freshly resident");
-            let op = BackendOp::Multiply {
-                a: abuf,
-                b: bbuf,
-                out: obuf,
-                level: a.level(),
-            };
-            self.dispatch(op);
-            for tmp in [atmp, btmp].into_iter().flatten() {
-                lock_memory(&mem).free(tmp);
-            }
-            out.mark_device_dirty();
-            return out;
+        if self.dev_buf(a).is_none() && self.dev_buf(b).is_none() {
+            let ring = self.plan.ring().clone();
+            return multiply_with(&ring, a, b, |op| self.dispatch(op));
         }
-        let ring = self.plan.ring().clone();
-        multiply_with(&ring, a, b, |op| self.dispatch(op))
+        check_factors(a, b);
+        let (mut x, mut y) = (a.clone(), b.clone());
+        self.make_resident(&mut x);
+        self.make_resident(&mut y);
+        self.forward_polys(&mut [&mut x, &mut y]);
+        self.mul_pointwise(&mut x, &y);
+        self.to_coefficient(&mut x);
+        x
     }
+}
+
+/// The host batches of [`Evaluator`]'s multi-polynomial ops: one
+/// polynomial's rows plus, for a pointwise product, its right-hand rows.
+type HostRows<'p> = (&'p mut RnsPoly, Option<&'p RnsPoly>);
+
+/// Builds one host batch op from the packed rows and right-hand rows
+/// (empty for a transform).
+type HostOp = for<'b> fn(LimbBatch<'b>, &'b [u64]) -> BackendOp<'b>;
+
+/// The operand contract of a negacyclic product.
+///
+/// # Panics
+///
+/// Panics on level mismatch or non-coefficient operands.
+fn check_factors(a: &RnsPoly, b: &RnsPoly) {
+    assert_eq!(a.level(), b.level(), "level mismatch");
+    assert_eq!(
+        a.repr(),
+        Representation::Coefficient,
+        "lhs must be coefficients"
+    );
+    assert_eq!(
+        b.repr(),
+        Representation::Coefficient,
+        "rhs must be coefficients"
+    );
 }
 
 /// The one fused-multiply entry: precondition checks plus the batched
@@ -2581,17 +2581,7 @@ pub(crate) fn multiply_with(
     b: &RnsPoly,
     run: impl FnOnce(BackendOp<'_>),
 ) -> RnsPoly {
-    assert_eq!(a.level(), b.level(), "level mismatch");
-    assert_eq!(
-        a.repr(),
-        Representation::Coefficient,
-        "lhs must be coefficients"
-    );
-    assert_eq!(
-        b.repr(),
-        Representation::Coefficient,
-        "rhs must be coefficients"
-    );
+    check_factors(a, b);
     let mut out = RnsPoly::zero_at_level(ring, a.level());
     run(BackendOp::MultiplyBatch {
         a: a.flat(),

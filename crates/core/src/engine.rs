@@ -397,14 +397,15 @@ impl NttExecutor {
         );
         assert_eq!(out.degree(), n, "output degree mismatch");
         assert_eq!(out.level(), level, "output level mismatch");
-        self.multiply_rows_of(ring, level, a.flat(), b.flat(), out.flat_mut(), None);
+        self.multiply_rows_under(ring, 0..level, a.flat(), b.flat(), out.flat_mut(), None);
         out.set_repr(Representation::Coefficient);
     }
 
     /// Fused negacyclic products over flat `rows × N` buffers, where row
-    /// `r` is reduced mod prime `r % level` — the batched backend entry
-    /// point: a single [`crate::backend::LimbBatch`]-shaped buffer may hold
-    /// several stacked polynomials (e.g. a key-switch buffer of digits).
+    /// `r` is reduced mod prime `primes.start + r % primes.len()` — the
+    /// batched backend entry point: a single
+    /// [`crate::backend::LimbBatch`]-shaped buffer may hold several
+    /// stacked polynomials (e.g. a key-switch buffer of digits).
     /// Residue-parallel under the thread policy; zero allocation once the
     /// workspace is warm.
     ///
@@ -414,11 +415,11 @@ impl NttExecutor {
     /// # Panics
     ///
     /// Panics if the buffers disagree in length, are not whole rows, or if
-    /// `level` exceeds the ring's prime count.
-    pub fn multiply_rows_of(
+    /// the prime range is empty or past the basis.
+    pub fn multiply_rows_under(
         &mut self,
         ring: &RnsRing,
-        level: usize,
+        primes: std::ops::Range<usize>,
         a: &[u64],
         b: &[u64],
         out: &mut [u64],
@@ -428,9 +429,13 @@ impl NttExecutor {
         assert_eq!(a.len(), out.len(), "operand/output length mismatch");
         assert_eq!(b.len(), out.len(), "operand/output length mismatch");
         assert_eq!(out.len() % n, 0, "flat buffer must be rows × N");
-        assert!(level >= 1 && level <= ring.np(), "invalid level");
+        assert!(
+            !primes.is_empty() && primes.end <= ring.np(),
+            "invalid level"
+        );
         let rows = out.len() / n;
-        let strat = |i: usize| strategies.map(|s| &s[i % level]);
+        let prime_of = |i: usize| primes.start + i % primes.len();
+        let strat = |i: usize| strategies.map(|s| &s[prime_of(i)]);
 
         // Each limb touches ~5N words (two operand copies, two transforms,
         // one output); weigh the spawn cutoff by the scratch volume.
@@ -442,7 +447,7 @@ impl NttExecutor {
                 .zip(wa.chunks_exact_mut(n))
                 .zip(wb.chunks_exact_mut(n));
             for (i, ((o, sa), sb)) in limbs.enumerate() {
-                let limb_ring = ring.ring(i % level);
+                let limb_ring = ring.ring(prime_of(i));
                 let (ar, br) = (&a[i * n..(i + 1) * n], &b[i * n..(i + 1) * n]);
                 fused_limb(limb_ring, strat(i), ar, br, sa, sb, o);
             }
@@ -458,7 +463,7 @@ impl NttExecutor {
                     .zip(wa.chunks_mut(span))
                     .zip(wb.chunks_mut(span));
                 for (c, ((oc, ac), bc)) in spans.enumerate() {
-                    let strat = &strat;
+                    let (strat, prime_of) = (&strat, &prime_of);
                     s.spawn(move || {
                         let limbs = oc
                             .chunks_exact_mut(n)
@@ -466,7 +471,7 @@ impl NttExecutor {
                             .zip(bc.chunks_exact_mut(n));
                         for (k, ((o, sa), sb)) in limbs.enumerate() {
                             let i = c * per + k;
-                            let limb_ring = ring.ring(i % level);
+                            let limb_ring = ring.ring(prime_of(i));
                             let (ar, br) = (&a[i * n..(i + 1) * n], &b[i * n..(i + 1) * n]);
                             fused_limb(limb_ring, strat(i), ar, br, sa, sb, o);
                         }
@@ -495,39 +500,23 @@ impl NttExecutor {
     pub fn forward_rows(&mut self, ring: &RnsRing, data: &mut [u64]) {
         let rows = data.len() / ring.degree();
         assert!(rows <= ring.np(), "more rows than primes");
-        self.transform_rows_of(ring, rows.max(1), data, true);
+        self.transform_rows_under(ring, 0..rows.max(1), data, true);
     }
 
     /// Inverse counterpart of [`NttExecutor::forward_rows`].
     pub fn inverse_rows(&mut self, ring: &RnsRing, data: &mut [u64]) {
         let rows = data.len() / ring.degree();
         assert!(rows <= ring.np(), "more rows than primes");
-        self.transform_rows_of(ring, rows.max(1), data, false);
+        self.transform_rows_under(ring, 0..rows.max(1), data, false);
     }
 
-    /// Transform a flat `rows × N` buffer where row `r` is reduced mod
-    /// prime `r % level` — several polynomials of `level` limbs stacked
-    /// back to back (the key-switch buffer-of-digits layout). Canonical in,
-    /// canonical out; residue-parallel under the thread policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` is not a whole number of rows, the row count is not
-    /// a multiple of `level`, or `level` exceeds the ring's prime count.
-    pub fn transform_rows_of(
-        &mut self,
-        ring: &RnsRing,
-        level: usize,
-        data: &mut [u64],
-        forward: bool,
-    ) {
-        assert!(level >= 1, "invalid level");
-        self.transform_rows_under(ring, 0..level, data, forward);
-    }
-
-    /// [`NttExecutor::transform_rows_of`] for rows under any run of
-    /// primes: row `i` under prime `primes.start + i % primes.len()`
-    /// (e.g. one dropped row under the last prime of a level).
+    /// Transform a flat `rows × N` buffer under a run of primes: row `i`
+    /// under prime `primes.start + i % primes.len()` — several
+    /// polynomials of `primes.len()` limbs stacked back to back (the
+    /// key-switch buffer-of-digits layout, primes `0..level`), or rows
+    /// under primes that do not start at 0 (the dropped rows of a
+    /// rescale). Canonical in, canonical out; residue-parallel under the
+    /// thread policy.
     ///
     /// # Panics
     ///

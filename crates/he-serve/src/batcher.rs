@@ -1,29 +1,34 @@
-//! Packs many small ciphertext operations into single flat backend calls.
+//! Runs each dispatch group of the server as one group of the
+//! [`Evaluator`]'s multi-polynomial ops.
 //!
 //! Every dispatch group the server drains lands here, where `k` jobs of
-//! one kind (and level) execute through **one** `forward_flat` /
-//! `pointwise_flat` / `inverse_flat` call per pipeline stage instead of
-//! `k`. On a staging backend that amortizes the per-call upload/download
-//! round trip and per-kernel launch overhead across the whole group —
-//! the request-level analogue of the residue-parallel batching the NTT
-//! kernels already do within one polynomial.
+//! one kind (and level) go through **one** call per pipeline stage
+//! instead of `k`: [`Evaluator::forward_polys`],
+//! [`Evaluator::mul_pointwise_polys`], [`Evaluator::rescale_polys`] and
+//! [`Evaluator::inverse_polys`] put the host polynomials of a group in
+//! one host batch each. On a staging backend that amortizes the per-call
+//! upload/download round trip and per-kernel launch overhead across the
+//! whole group — the request-level analogue of the residue-parallel
+//! batching the NTT kernels already do within one polynomial. The
+//! formulas are [`HeContext`]'s encrypt, plaintext multiply + rescale
+//! and decrypt, over host copies of the inputs.
 //!
 //! Each request kind has one pipeline, which runs on whatever evaluator
 //! it is handed: the server arms its checkout
 //! ([`HeContext::try_with_pooled_evaluator`]) so device faults come back
 //! as a classified error, tests and benchmarks may run it unarmed.
 //!
-//! Results are bit-identical to per-job dispatch by construction: NTT
-//! and pointwise rows are independent (row `r` is reduced mod prime
-//! `r % level`, whatever the row count), and every other step is exact
-//! host arithmetic. Each job's encryption randomness is seeded from
-//! [`job_seed`], never from batch position, so the answer a tenant gets
-//! does not depend on who else happened to share the batch.
+//! Results are bit-identical to per-job dispatch by construction: NTT,
+//! pointwise and rescale rows are independent (a batch's row `r` is
+//! reduced mod its own prime, whatever the row count), and every other
+//! step is exact host arithmetic. Each job's encryption randomness is
+//! seeded from [`job_seed`], never from batch position, so the answer a
+//! tenant gets does not depend on who else happened to share the batch.
 
 use crate::request::TenantId;
 use he_lite::{sampling, Ciphertext, HeContext, KeySet, Plaintext};
 use ntt_core::backend::Evaluator;
-use ntt_core::poly::{Representation, RnsPoly, RnsRing};
+use ntt_core::poly::RnsPoly;
 
 /// One encryption job: explicit randomness seed plus the values to
 /// encode. The server derives the seed from the submitting tenant and
@@ -48,21 +53,23 @@ pub fn job_seed(domain: u64, tenant: TenantId, seq: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Builds an [`RnsPoly`] from packed flat rows (the inverse of reading
-/// `poly.flat()` into a dispatch buffer).
-fn poly_from_rows(ring: &RnsRing, level: usize, repr: Representation, rows: &[u64]) -> RnsPoly {
-    let mut p = RnsPoly::zero_with_repr(ring, level, repr);
-    p.flat_mut().copy_from_slice(rows);
-    p
+/// A host copy of `p`: synced, with any device mirror dropped, so a
+/// group's polynomials share host batches whatever backend the context
+/// runs.
+fn host_copy(p: &RnsPoly) -> RnsPoly {
+    let mut c = p.clone();
+    c.evict_device();
+    c
 }
 
-/// The batched executor: host-synced key material plus the flat-call
-/// pipelines for each request kind.
-///
-/// Holds its own host copies of the public key halves and the secret
-/// key's evaluation form, synced (and device-evicted) once at
-/// construction, so batch packing never trips over device-dirty key
-/// polynomials whatever backend the context runs.
+/// Mutable references to every polynomial of `polys`, for one
+/// multi-polynomial op over all of them.
+fn refs(polys: &mut [RnsPoly]) -> Vec<&mut RnsPoly> {
+    polys.iter_mut().collect()
+}
+
+/// The batched executor: host copies of the key material plus one
+/// pipeline per request kind.
 pub struct Batcher {
     pk_b: RnsPoly,
     pk_a: RnsPoly,
@@ -70,14 +77,9 @@ pub struct Batcher {
 }
 
 impl Batcher {
-    /// Snapshot the key material needed by the pipelines.
+    /// Snapshot the key material needed by the pipelines: host copies of
+    /// the public key halves and the secret key's evaluation form.
     pub fn new(keys: &KeySet) -> Self {
-        let host_copy = |p: &RnsPoly| {
-            let mut c = p.clone();
-            c.sync();
-            c.evict_device();
-            c
-        };
         let (b, a) = keys.public.halves();
         Batcher {
             pk_b: host_copy(b),
@@ -86,84 +88,69 @@ impl Batcher {
         }
     }
 
-    /// Encrypt `jobs.len()` value vectors in two backend calls total:
-    /// one `forward_flat` over all `4k` sampled/encoded polynomials
-    /// (`u, e0, e1, m` per job) and one `pointwise_flat` over all `2k`
-    /// public-key products (`u·b`, `u·a` per job). The additions are
-    /// exact host arithmetic. The job inputs are borrowed immutably and
-    /// per-job randomness comes from [`EncryptJob::seed`], so a retry
-    /// after a fault yields bit-identical results.
+    /// Encrypt `jobs.len()` value vectors in two backend calls total, as
+    /// [`HeContext::encrypt`] does one: one [`Evaluator::forward_polys`]
+    /// over all `4k` sampled/encoded polynomials (`u, e0, e1, m` per
+    /// job), one [`Evaluator::mul_pointwise_polys`] over all `2k`
+    /// public-key products (`b·u`, `a·u` per job), then host adds. The
+    /// job inputs are borrowed immutably and per-job randomness comes
+    /// from [`EncryptJob::seed`], so a retry after a fault yields
+    /// bit-identical results.
     pub fn encrypt_batch(
         &self,
         ctx: &HeContext,
         ev: &mut Evaluator,
         jobs: &[EncryptJob],
     ) -> Vec<Ciphertext> {
-        if jobs.is_empty() {
-            return Vec::new();
-        }
         let ring = ctx.ring();
-        let level = ctx.params().levels;
         let eta = ctx.params().error_eta;
-        let stride = ring.degree() * level;
-        let k = jobs.len();
-
-        // Sample and encode per job, packing [u, e0, e1, m] rows.
-        let mut fwd = Vec::with_capacity(4 * k * stride);
-        let mut scales = Vec::with_capacity(k);
+        // Per job [u, e0, e1, m], back to back.
+        let mut samples = Vec::with_capacity(4 * jobs.len());
+        let mut scales = Vec::with_capacity(jobs.len());
         for job in jobs {
             let mut rng = sampling::seeded_rng(job.seed);
-            let u = sampling::ternary_poly(ring, &mut rng);
-            let e0 = sampling::error_poly(ring, eta, &mut rng);
-            let e1 = sampling::error_poly(ring, eta, &mut rng);
+            samples.push(sampling::ternary_poly(ring, &mut rng));
+            samples.push(sampling::error_poly(ring, eta, &mut rng));
+            samples.push(sampling::error_poly(ring, eta, &mut rng));
             let pt = ctx.encode(&job.values);
             scales.push(pt.scale());
-            for p in [&u, &e0, &e1, pt.poly()] {
-                fwd.extend_from_slice(p.flat());
-            }
+            samples.push(pt.poly().clone());
         }
-        ev.forward_flat(level, &mut fwd);
+        ev.forward_polys(&mut refs(&mut samples));
 
-        // One pointwise call for every key product: acc packs [u, u] per
-        // job against rhs [b, a].
-        let mut acc = Vec::with_capacity(2 * k * stride);
-        let mut rhs = Vec::with_capacity(2 * k * stride);
-        for j in 0..k {
-            let u = &fwd[4 * j * stride..4 * j * stride + stride];
-            acc.extend_from_slice(u);
-            acc.extend_from_slice(u);
-            rhs.extend_from_slice(self.pk_b.flat());
-            rhs.extend_from_slice(self.pk_a.flat());
-        }
-        ev.pointwise_flat(level, &mut acc, &rhs);
-
-        // c0 = u·b + e0 + m, c1 = u·a + e1 — evaluation form throughout.
-        let eval = Representation::Evaluation;
-        (0..k)
-            .map(|j| {
-                let base = 4 * j * stride;
-                let e0 = poly_from_rows(ring, level, eval, &fwd[base + stride..][..stride]);
-                let e1 = poly_from_rows(ring, level, eval, &fwd[base + 2 * stride..][..stride]);
-                let m = poly_from_rows(ring, level, eval, &fwd[base + 3 * stride..][..stride]);
-                let mut c0 = poly_from_rows(ring, level, eval, &acc[2 * j * stride..][..stride]);
-                c0.add_assign(&e0, ring);
-                c0.add_assign(&m, ring);
-                let mut c1 =
-                    poly_from_rows(ring, level, eval, &acc[(2 * j + 1) * stride..][..stride]);
-                c1.add_assign(&e1, ring);
-                Ciphertext::from_parts(c0, c1, scales[j])
+        // c0 = b·u + e0 + m, c1 = a·u + e1 — evaluation form throughout.
+        let mut cs: Vec<RnsPoly> = jobs
+            .iter()
+            .flat_map(|_| [self.pk_b.clone(), self.pk_a.clone()])
+            .collect();
+        let mut pairs: Vec<(&mut RnsPoly, &RnsPoly)> = cs
+            .iter_mut()
+            .zip(samples.chunks_exact(4).flat_map(|s| [&s[0], &s[0]]))
+            .collect();
+        ev.mul_pointwise_polys(&mut pairs);
+        let mut cs = cs.into_iter();
+        samples
+            .chunks_exact(4)
+            .zip(scales)
+            .map(|(s, scale)| {
+                let (mut c0, mut c1) = (cs.next().unwrap(), cs.next().unwrap());
+                ev.add_assign(&mut c0, &s[1]);
+                ev.add_assign(&mut c0, &s[3]);
+                ev.add_assign(&mut c1, &s[2]);
+                Ciphertext::from_parts(c0, c1, scale)
             })
             .collect()
     }
 
     /// Weighted plaintext multiply + rescale for a group of ciphertexts
-    /// sharing one level, in four backend calls total: `forward_flat`
-    /// over the `k` encoded weight polynomials, `pointwise_flat` +
-    /// `inverse_flat` over the `2k` ciphertext halves, and a final
-    /// `forward_flat` over the `2k` rescaled halves at the new level.
-    /// Only this call's staging buffers and its own ciphertexts are
-    /// written, so re-running the identical batch after a fault yields
-    /// bit-identical results.
+    /// sharing one level, as [`HeContext::multiply_plain`] does one, in
+    /// four backend calls total: [`Evaluator::forward_polys`] over the `k`
+    /// encoded weight polynomials, [`Evaluator::mul_pointwise_polys`]
+    /// over the `2k` ciphertext halves, and the evaluation-domain
+    /// [`Evaluator::rescale_polys`] of all `2k` halves — one inverse of
+    /// their dropped rows, one forward of the lifted rows. Only this
+    /// call's own copies are written, so re-running the identical batch
+    /// after a fault yields bit-identical results.
     ///
     /// # Panics
     ///
@@ -174,135 +161,80 @@ impl Batcher {
         &self,
         ctx: &HeContext,
         ev: &mut Evaluator,
-        mut jobs: Vec<(Ciphertext, Vec<f64>)>,
+        jobs: Vec<(Ciphertext, Vec<f64>)>,
     ) -> Vec<Ciphertext> {
-        if jobs.is_empty() {
+        let Some(level) = jobs.first().map(|(ct, _)| ct.level()) else {
             return Vec::new();
-        }
-        let ring = ctx.ring();
-        let level = jobs[0].0.level();
+        };
         assert!(level >= 2, "no prime left to rescale into");
-        let stride = ring.degree() * level;
-        let k = jobs.len();
-
-        // Encode + truncate every weight vector, one forward call.
-        let mut weights = Vec::with_capacity(k * stride);
-        let mut scales = Vec::with_capacity(k);
+        let mut weights = Vec::with_capacity(jobs.len());
+        let mut halves = Vec::with_capacity(2 * jobs.len());
+        let mut scales = Vec::with_capacity(jobs.len());
         for (ct, w) in &jobs {
             assert_eq!(ct.level(), level, "eval group mixes levels");
             let pt = ctx.encode(w);
             scales.push(ct.scale() * pt.scale());
-            weights.extend_from_slice(pt.poly().truncated(level).flat());
-        }
-        ev.forward_flat(level, &mut weights);
-
-        // Multiply both halves of every ciphertext by its weight poly,
-        // then inverse-transform the lot for the rescale.
-        let mut acc = Vec::with_capacity(2 * k * stride);
-        let mut rhs = Vec::with_capacity(2 * k * stride);
-        for (j, (ct, _)) in jobs.iter_mut().enumerate() {
-            ct.sync();
+            weights.push(pt.poly().truncated(level));
             let (c0, c1) = ct.components();
-            acc.extend_from_slice(c0.flat());
-            acc.extend_from_slice(c1.flat());
-            let w = &weights[j * stride..(j + 1) * stride];
-            rhs.extend_from_slice(w);
-            rhs.extend_from_slice(w);
+            halves.extend([host_copy(c0), host_copy(c1)]);
         }
-        ev.pointwise_flat(level, &mut acc, &rhs);
-        ev.inverse_flat(level, &mut acc);
-
-        // Exact host rescale per half, then one forward call at the new
-        // level to return to evaluation form.
-        let coef = Representation::Coefficient;
-        let rescaled: Vec<RnsPoly> = (0..2 * k)
-            .map(|r| {
-                let mut p = poly_from_rows(ring, level, coef, &acc[r * stride..][..stride]);
-                p.rescale(ring);
-                p
-            })
+        ev.forward_polys(&mut refs(&mut weights));
+        let mut pairs: Vec<(&mut RnsPoly, &RnsPoly)> = halves
+            .iter_mut()
+            .zip(weights.iter().flat_map(|w| [w, w]))
             .collect();
-        let new_level = level - 1;
-        let new_stride = ring.degree() * new_level;
-        let mut fwd = Vec::with_capacity(2 * k * new_stride);
-        for p in &rescaled {
-            fwd.extend_from_slice(p.flat());
-        }
-        ev.forward_flat(new_level, &mut fwd);
+        ev.mul_pointwise_polys(&mut pairs);
+        ev.rescale_polys(&mut refs(&mut halves));
 
-        let p_last = ring.basis().primes()[level - 1] as f64;
-        let eval = Representation::Evaluation;
-        (0..k)
-            .map(|j| {
-                let c0 = poly_from_rows(
-                    ring,
-                    new_level,
-                    eval,
-                    &fwd[2 * j * new_stride..][..new_stride],
-                );
-                let c1 = poly_from_rows(
-                    ring,
-                    new_level,
-                    eval,
-                    &fwd[(2 * j + 1) * new_stride..][..new_stride],
-                );
-                Ciphertext::from_parts(c0, c1, scales[j] / p_last)
+        let p_last = ctx.ring().basis().primes()[level - 1] as f64;
+        let mut halves = halves.into_iter();
+        scales
+            .into_iter()
+            .map(|scale| {
+                let (c0, c1) = (halves.next().unwrap(), halves.next().unwrap());
+                Ciphertext::from_parts(c0, c1, scale / p_last)
             })
             .collect()
     }
 
-    /// Decrypt a group of ciphertexts sharing one level, in two backend
-    /// calls total: `pointwise_flat` over the `k` products `c1·s` and
-    /// `inverse_flat` over the `k` sums `c0 + c1·s`. Returns one
-    /// coefficient-form plaintext per job, to decode with
-    /// [`HeContext::decode`] once the checkout that ran this returned
-    /// `Ok`: after a latched fault the rows are stale, and stale residues
-    /// need not even fit the decoder's centered range.
+    /// Decrypt a group of ciphertexts sharing one level, as
+    /// [`HeContext::decrypt`] does one, in two backend calls total:
+    /// [`Evaluator::mul_pointwise_polys`] over the `k` products `c1·s`,
+    /// a host add of each `c0`, and [`Evaluator::inverse_polys`] over the
+    /// `k` sums. Returns one coefficient-form plaintext per job, to
+    /// decode with [`HeContext::decode`] once the checkout that ran this
+    /// returned `Ok`: after a latched fault the rows are stale, and stale
+    /// residues need not even fit the decoder's centered range.
     ///
     /// # Panics
     ///
     /// Panics if the group mixes levels.
     pub fn decrypt_batch(
         &self,
-        ctx: &HeContext,
+        _ctx: &HeContext,
         ev: &mut Evaluator,
-        mut cts: Vec<Ciphertext>,
+        cts: Vec<Ciphertext>,
     ) -> Vec<Plaintext> {
-        if cts.is_empty() {
+        let Some(level) = cts.first().map(Ciphertext::level) else {
             return Vec::new();
-        }
-        let ring = ctx.ring();
-        let level = cts[0].level();
-        let stride = ring.degree() * level;
-        let k = cts.len();
+        };
         let s = self.sk_eval.truncated(level);
-
-        let mut acc = Vec::with_capacity(k * stride);
-        let mut rhs = Vec::with_capacity(k * stride);
-        for ct in &mut cts {
-            assert_eq!(ct.level(), level, "decrypt group mixes levels");
-            ct.sync();
-            acc.extend_from_slice(ct.components().1.flat());
-            rhs.extend_from_slice(s.flat());
-        }
-        ev.pointwise_flat(level, &mut acc, &rhs);
-
-        // Host add of c0, then one inverse call over every sum.
-        let eval = Representation::Evaluation;
-        for (j, ct) in cts.iter().enumerate() {
-            let mut m = poly_from_rows(ring, level, eval, &acc[j * stride..][..stride]);
-            m.add_assign(ct.components().0, ring);
-            acc[j * stride..(j + 1) * stride].copy_from_slice(m.flat());
-        }
-        ev.inverse_flat(level, &mut acc);
-
-        let coef = Representation::Coefficient;
-        cts.iter()
-            .enumerate()
-            .map(|(j, ct)| {
-                let m = poly_from_rows(ring, level, coef, &acc[j * stride..][..stride]);
-                Plaintext::from_parts(m, ct.scale())
+        let mut ms: Vec<RnsPoly> = cts
+            .iter()
+            .map(|ct| {
+                assert_eq!(ct.level(), level, "decrypt group mixes levels");
+                host_copy(ct.components().1)
             })
+            .collect();
+        let mut pairs: Vec<(&mut RnsPoly, &RnsPoly)> = ms.iter_mut().map(|m| (m, &s)).collect();
+        ev.mul_pointwise_polys(&mut pairs);
+        for (m, ct) in ms.iter_mut().zip(&cts) {
+            ev.add_assign(m, &host_copy(ct.components().0));
+        }
+        ev.inverse_polys(&mut refs(&mut ms));
+        ms.into_iter()
+            .zip(&cts)
+            .map(|(m, ct)| Plaintext::from_parts(m, ct.scale()))
             .collect()
     }
 }

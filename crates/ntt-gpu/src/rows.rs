@@ -19,8 +19,6 @@ use gpu_sim::Buf;
 pub(crate) struct RowTable {
     rows: Vec<Buf>,
     primes: Vec<usize>,
-    /// The buffers the rows were appended from, in order.
-    parts: Vec<Buf>,
 }
 
 impl RowTable {
@@ -33,31 +31,16 @@ impl RowTable {
 
     /// Append the rows of `data` back to back, one per prime of `primes`.
     pub(crate) fn extend(&mut self, data: Buf, n: usize, primes: impl IntoIterator<Item = usize>) {
-        let first = self.rows.len();
         for (r, p) in primes.into_iter().enumerate() {
             self.rows.push(data.sub(r * n, n));
             self.primes.push(p);
         }
-        self.parts.push(data.sub(0, (self.rows.len() - first) * n));
     }
 
     /// Append one row under prime `prime`.
     pub(crate) fn push(&mut self, row: Buf, prime: usize) {
         self.rows.push(row);
         self.primes.push(prime);
-        self.parts.push(row);
-    }
-
-    /// The rows as the one buffer they were appended from.
-    ///
-    /// # Panics
-    ///
-    /// Panics if they came from several.
-    pub(crate) fn span(&self) -> Buf {
-        match self.parts[..] {
-            [whole] => whole,
-            _ => panic!("rows appended from {} buffers", self.parts.len()),
-        }
     }
 
     /// Number of rows.

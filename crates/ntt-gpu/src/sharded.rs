@@ -201,8 +201,6 @@ type Read<'v> = (&'v [PolyView], RowMap);
 
 /// One shard's part of an op, as its kernels see it.
 struct Launch {
-    /// The shard.
-    shard: usize,
     /// The rows written, of every view in view order, each under its
     /// view's prime.
     dst: RowTable,
@@ -829,7 +827,6 @@ impl Held<'_> {
             }
             ensure_tables(&mut self.sh[s], plan);
             let mut l = Launch {
-                shard: s,
                 dst: RowTable::default(),
                 src: vec![RowTable::default(); reads.len()],
                 index: Vec::new(),
@@ -979,13 +976,6 @@ struct ShardStaging {
     data: DevData,
     /// Secondary host-batch operand.
     scratch: DevData,
-    /// [`BackendOp::Multiply`]'s second-operand scratch.
-    mul_scratch: DevData,
-    /// Lazily created copy stream for staging prefetches
-    /// ([`NttBackend::stage_upload`]): uploads ride here so compute
-    /// queued on the compute stream overlaps the transfer, fenced per
-    /// buffer by the readiness events.
-    copy: Option<Stream>,
 }
 
 /// The simulated-GPU backend over `K` devices: shared sharded memory
@@ -1102,7 +1092,8 @@ impl<F: Flavor> SimDevices<F> {
         rhs: Option<&[u64]>,
         kernel: impl Fn(&mut SimMemory, &Launch),
     ) {
-        let (n, level, rows) = (io.n(), io.level(), io.rows());
+        let (n, rows) = (io.n(), io.rows());
+        let prime_of: Vec<usize> = (0..rows).map(|r| io.prime_of(r)).collect();
         let io = io.data();
         self.on_shards(|h, staging| {
             let k = h.sh.len();
@@ -1111,7 +1102,7 @@ impl<F: Flavor> SimDevices<F> {
                 if r.is_empty() {
                     continue;
                 }
-                let row_prime: Vec<usize> = r.clone().map(|r| r % level).collect();
+                let row_prime = &prime_of[r.clone()];
                 let words = r.start * n..r.end * n;
                 ensure_tables(sh, plan);
                 let a = st.data.ensure(sh.gpu_mut(), words.len());
@@ -1125,10 +1116,9 @@ impl<F: Flavor> SimDevices<F> {
                     sh.gpu_mut().stream_upload(b, 0, &rhs[words.clone()]);
                 }
                 let launch = Launch {
-                    shard: s,
-                    dst: RowTable::contiguous(a, n, &row_prime),
+                    dst: RowTable::contiguous(a, n, row_prime),
                     src: b
-                        .map(|b| RowTable::contiguous(b, n, &row_prime))
+                        .map(|b| RowTable::contiguous(b, n, row_prime))
                         .into_iter()
                         .collect(),
                     index: r.collect(),
@@ -1170,7 +1160,6 @@ fn written_views(op: &BackendOp<'_>) -> Vec<PolyView> {
                 .map(|(v, &a)| PolyView::new(a, v.primes.clone()))
                 .collect();
         }
-        BackendOp::Multiply { out, level, .. } => (out, level),
         BackendOp::Pointwise { acc, level, .. }
         | BackendOp::Fma { acc, level, .. }
         | BackendOp::AddSub { acc, level, .. } => (acc, level),
@@ -1190,7 +1179,8 @@ fn level_view(buf: DeviceBuf, level: usize) -> [PolyView; 1] {
 
 /// The fused negacyclic product `out ← out ·̄ rhs` of coefficient rows:
 /// NTT both, multiply pointwise, iNTT `out` — the classic device
-/// pipeline, four launch groups over resident rows.
+/// pipeline, four launch groups over the staged rows of a
+/// [`BackendOp::MultiplyBatch`].
 fn multiply(
     sh: &mut SimMemory,
     plan: &RingPlan,
@@ -1225,13 +1215,9 @@ impl SimDevices<Sharded> {
 impl<F: Flavor> Drop for SimDevices<F> {
     fn drop(&mut self) {
         let m = lock_sharded(&self.mem);
-        for ((sh, &stream), st) in m.shards.iter().zip(&self.streams).zip(&self.staging) {
-            let mut sh = lock_mem(sh);
+        for (sh, &stream) in m.shards.iter().zip(&self.streams) {
             if stream != Stream::DEFAULT {
-                sh.gpu_mut().destroy_stream(stream);
-            }
-            if let Some(copy) = st.copy {
-                sh.gpu_mut().destroy_stream(copy);
+                lock_mem(sh).gpu_mut().destroy_stream(stream);
             }
         }
     }
@@ -1269,27 +1255,6 @@ impl<F: Flavor> NttBackend for SimDevices<F> {
 
     fn bind_stream(&self) {
         self.lock().hold().bind(&self.streams);
-    }
-
-    /// Prefetch a staging upload on this executor's copy stream of each
-    /// shard: the transfer is enqueued off the compute stream and the
-    /// buffer's readiness event is recorded on the copy stream, so
-    /// consuming kernels (which fence per buffer via `wait_ready`) start
-    /// exactly when the copy lands while previously queued compute
-    /// overlaps it.
-    fn stage_upload(&mut self, data: &[u64]) -> DeviceBuf {
-        self.on_shards(|h, staging| {
-            let buf = h.alloc(data.len());
-            for (sh, st) in h.sh.iter_mut().zip(staging) {
-                let copy = *st.copy.get_or_insert_with(|| sh.gpu_mut().create_stream());
-                sh.bind(copy);
-            }
-            // `upload` fences each copy stream on any stale readiness
-            // event a recycled base may carry, then records the new one
-            // there.
-            h.upload(buf, data);
-            buf
-        })
     }
 
     fn run(&mut self, plan: &RingPlan, op: BackendOp<'_>) {
@@ -1354,26 +1319,6 @@ impl<F: Flavor> NttBackend for SimDevices<F> {
                 let split = self.split(n);
                 self.each_shard(plan, &written, &[], |sh, l| {
                     run_inverse(sh, plan, &l.dst, split)
-                });
-            }
-            BackendOp::Multiply { a, b, level, .. } => {
-                let split = self.split(n);
-                let (a, b) = (level_view(a, level), level_view(b, level));
-                let reads = [(&a[..], RowMap::Same), (&b[..], RowMap::Same)];
-                self.on_shards(|h, staging| {
-                    h.each_shard(plan, &written, &reads, |sh, l| {
-                        let words = l.dst.len() * n;
-                        let scratch = staging[l.shard].mul_scratch.ensure(sh.gpu_mut(), words);
-                        let scratch = scratch.sub(0, words);
-                        sh.wait_ready(&[scratch.base()]);
-                        // Stage both operands on the owning shard (inputs
-                        // intact).
-                        sh.gpu_mut().gmem.copy(l.src[0].span(), l.dst.span());
-                        sh.gpu_mut().gmem.copy(l.src[1].span(), scratch);
-                        let rhs = RowTable::contiguous(scratch, n, l.dst.primes());
-                        multiply(sh, plan, split, &l.dst, &rhs);
-                        sh.mark_written(&[scratch.base()]);
-                    })
                 });
             }
             BackendOp::Pointwise { rhs, level, .. } => {
@@ -1990,10 +1935,9 @@ mod tests {
 
     /// Per device op of the table ([`device_op`]), the operands it
     /// touches, in field order.
-    const USES: [&[usize]; 12] = [
+    const USES: [&[usize]; 11] = [
         &[0],
         &[0],
-        &[0, 1, 2],
         &[0, 1],
         &[0, 5, 6, 1, 2],
         &[0, 1],
@@ -2024,7 +1968,7 @@ mod tests {
     /// (a mod-raise); the last op is a rescale-folded forward of `row`
     /// into `acc`.
     fn device_op<'a>(i: usize, bufs: &'a [DeviceBuf; 8], views: &'a [PolyView; 3]) -> Op<'a> {
-        let [a, b, c, _, digits, ..] = *bufs;
+        let [a, b, _, _, digits, ..] = *bufs;
         let level = 2;
         match i {
             0 => Op::Forward {
@@ -2032,48 +1976,42 @@ mod tests {
                 fold: None,
             },
             1 => Op::Inverse { views: &views[..1] },
-            2 => Op::Multiply {
-                a,
-                b,
-                out: c,
-                level,
-            },
-            3 => Op::Pointwise {
+            2 => Op::Pointwise {
                 acc: a,
                 rhs: b,
                 level,
             },
-            4 => Op::Fma {
+            3 => Op::Fma {
                 acc: a,
                 x: &bufs[5..7],
                 y: &bufs[1..3],
                 level,
             },
-            5 => Op::AddSub {
+            4 => Op::AddSub {
                 acc: a,
                 rhs: b,
                 level,
                 subtract: true,
             },
-            6 => Op::Negate { buf: a, level },
-            7 => Op::BaseConvert {
+            5 => Op::Negate { buf: a, level },
+            6 => Op::BaseConvert {
                 src: &views[1..2],
                 dst: &views[..1],
                 centered: false,
             },
-            8 => Op::Decompose {
+            7 => Op::Decompose {
                 src: a,
                 dst: digits,
                 level,
                 digits: 2,
                 gadget_bits: 20,
             },
-            9 => Op::BaseConvert {
+            8 => Op::BaseConvert {
                 src: &views[2..],
                 dst: &views[..1],
                 centered: true,
             },
-            10 => Op::Automorphism {
+            9 => Op::Automorphism {
                 src: a,
                 dst: b,
                 level,
@@ -2202,13 +2140,13 @@ mod tests {
         let none_views = views_of(&none);
         let labels: Vec<&str> = (0..4)
             .map(|i| host_op(i, &mut [], &[]).label())
-            .chain((0..12).map(|i| device_op(i, &none, &none_views).label()))
+            .chain((0..11).map(|i| device_op(i, &none, &none_views).label()))
             .collect();
         assert_eq!(
             labels.join(" "),
             "forward_batch inverse_batch pointwise_batch multiply_batch dev_forward \
-             dev_inverse dev_multiply dev_pointwise dev_fma dev_addsub dev_negate \
-             dev_baseconv dev_decompose dev_baseconv dev_automorphism dev_forward"
+             dev_inverse dev_pointwise dev_fma dev_addsub dev_negate dev_baseconv \
+             dev_decompose dev_baseconv dev_automorphism dev_forward"
         );
 
         let sim = SimBackend::titan_v();
@@ -2293,7 +2231,7 @@ mod tests {
         let plan = RingPlan::new(&ring);
         fn op<'a>(i: usize, bufs: &'a [DeviceBuf; 8], views: &'a [PolyView; 3]) -> Op<'a> {
             match i {
-                12 => Op::Pointwise {
+                11 => Op::Pointwise {
                     acc: bufs[0],
                     rhs: bufs[4].sub(N, 2 * N),
                     level: 2,
@@ -2303,10 +2241,9 @@ mod tests {
         }
         // Per op: launches per shard and link transfers/words on Sim,
         // then on Sharded K = 1, 2, 3.
-        const WANT: [&str; 13] = [
+        const WANT: [&str; 12] = [
             "dev_forward: [1] 0/0 [1] 0/0 [1, 1] 0/0 [1, 1, 0] 0/0",
             "dev_inverse: [1] 0/0 [1] 0/0 [1, 1] 0/0 [1, 1, 0] 0/0",
-            "dev_multiply: [4] 0/0 [4] 0/0 [4, 4] 0/0 [4, 4, 0] 0/0",
             "dev_pointwise: [1] 0/0 [1] 0/0 [1, 1] 0/0 [1, 1, 0] 0/0",
             "dev_fma: [1] 0/0 [1] 0/0 [1, 1] 0/0 [1, 1, 0] 0/0",
             "dev_addsub: [1] 0/0 [1] 0/0 [1, 1] 0/0 [1, 1, 0] 0/0",
@@ -2410,53 +2347,6 @@ mod tests {
         let mut got = ev.multiply(&ra, &ra);
         got.sync();
         assert_eq!(lock_sharded(&handle).link_stats(), LinkStats::default());
-    }
-
-    #[test]
-    fn mixed_residency_multiply_overlaps_staging_upload_on_each_shard() {
-        // The copy-stream prefetch at K = 2: a mixed-residency multiply
-        // stages its host operand on every shard's copy stream, so the
-        // compute already queued on that shard's compute stream overlaps
-        // the upload. Judged on each shard's own timeline, so two shards
-        // merely running at once cannot pass it.
-        let ring = RnsRing::new(64, ntt_math::ntt_primes(50, 128, 3)).unwrap();
-        let sample = |seed: i64| {
-            let coeffs: Vec<i64> = (0..64).map(|i| (seed * (i + 2)) % 31 - 15).collect();
-            RnsPoly::from_i64_coeffs(&ring, &coeffs)
-        };
-        let expected = Evaluator::cpu(&ring).multiply(&sample(7), &sample(9));
-
-        let backend = ShardedBackend::titan_v(2, 64);
-        let handle = backend.memory_handle();
-        let mut ev = Evaluator::with_backend(&ring, Box::new(backend));
-        let mut x = sample(7);
-        ev.make_resident(&mut x);
-        let mut w = sample(3);
-        ev.make_resident(&mut w);
-        ev.to_evaluation(&mut w);
-        lock_sharded(&handle).sync_all();
-        let before = lock_sharded(&handle).shard_timelines();
-
-        for _ in 0..4 {
-            ev.to_coefficient(&mut w);
-            ev.to_evaluation(&mut w);
-        }
-        let mut prod = ev.multiply(&x, &sample(9));
-        let after = lock_sharded(&handle).shard_timelines();
-        for (s, (t0, t1)) in before.iter().zip(&after).enumerate() {
-            let d = t1.since(t0);
-            assert!(
-                d.transfers >= 1,
-                "shard {s}: the host operand crosses: {d:?}"
-            );
-            assert!(d.overlapped_s <= d.serialized_s + 1e-12, "shard {s}: {d}");
-            assert!(
-                d.serialized_s - d.overlapped_s > 5e-6,
-                "shard {s}: staging upload must overlap queued compute ({d})"
-            );
-        }
-        prod.sync();
-        assert_eq!(prod, expected, "copy-stream prefetch changed the bits");
     }
 
     #[test]

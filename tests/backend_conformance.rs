@@ -296,6 +296,57 @@ fn cpu_and_sim_agree_on_stacked_digit_batches() {
     assert_eq!(hc, hs, "stacked inverse");
 }
 
+/// Host batches under any run of primes: a `ForwardBatch` and an
+/// `InverseBatch` of several stacked rows under primes that do not start
+/// at 0 transform row `r` under prime `primes.start + r % primes.len()`,
+/// as per-row `NegacyclicRing` transforms do, on Cpu, Sim and Sharded
+/// K ∈ {2, 3}, below and above the 256-point split.
+#[test]
+fn host_batches_under_any_primes_match_per_row_transforms() {
+    use ntt_warp::gpu::ShardedBackend;
+    for n in [64usize, 1024] {
+        let ring = ring_with(n, 59, 3);
+        let plan = RingPlan::new(&ring);
+        let p_min = *ring.basis().primes().iter().min().unwrap();
+        for primes in [2..3, 1..3] {
+            let rows = 3 * primes.len();
+            let data: Vec<u64> = (0..(rows * n) as u64)
+                .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % p_min)
+                .collect();
+            let per_row = |forward: bool| -> Vec<u64> {
+                let mut out = data.clone();
+                for (r, row) in out.chunks_exact_mut(n).enumerate() {
+                    let limb = ring.ring(primes.start + r % primes.len());
+                    if forward {
+                        limb.forward(row);
+                    } else {
+                        limb.inverse(row);
+                    }
+                }
+                out
+            };
+            let (fwd, inv) = (per_row(true), per_row(false));
+            let backends: Vec<Box<dyn NttBackend>> = vec![
+                Box::new(CpuBackend::default()),
+                Box::new(SimBackend::titan_v()),
+                Box::new(ShardedBackend::titan_v(2, n)),
+                Box::new(ShardedBackend::titan_v(3, n)),
+            ];
+            for mut be in backends {
+                let ctx = format!("N={n}, primes {primes:?} on {}", be.name());
+                let mut got = data.clone();
+                let batch = LimbBatch::under(&mut got, n, primes.clone());
+                be.run(&plan, Op::ForwardBatch(batch));
+                assert!(got == fwd, "{ctx}: forward");
+                let mut got = data.clone();
+                let batch = LimbBatch::under(&mut got, n, primes.clone());
+                be.run(&plan, Op::InverseBatch(batch));
+                assert!(got == inv, "{ctx}: inverse");
+            }
+        }
+    }
+}
+
 /// The full `he-lite` pipeline (keygen, encrypt, multiply/relinearize/
 /// rescale, decrypt) produces the same ciphertexts and plaintexts on both
 /// substrates — the Evaluator swap really is one line. The Sim run is

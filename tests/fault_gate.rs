@@ -499,3 +499,70 @@ fn faulted_first_bootstrap_caches_no_stale_constant() {
         "a stale constant was cached"
     );
 }
+
+/// The evaluator's multi-polynomial ops put their host polynomials in
+/// one staged call each. Under a zero-rate plan on Sim, `forward_polys`
+/// over four host polynomials draws 3 (one upload, launch and download),
+/// `mul_pointwise_polys` over four host pairs 3, and `rescale_polys` over
+/// two host polynomials 6: the inverse of their dropped rows and the
+/// forward of the lifted rows. Each gives the bits of one-at-a-time
+/// calls, and the rescale the bits of the coefficient-domain
+/// `RnsPoly::rescale`.
+#[test]
+fn host_polys_share_one_staged_call_per_op() {
+    use ntt_warp::core::backend::Evaluator;
+    use ntt_warp::core::RnsRing;
+
+    let sim = SimBackend::titan_v();
+    let ring = RnsRing::new(32, ntt_warp::math::ntt_primes(50, 64, 3)).unwrap();
+    let mut ev = Evaluator::with_backend(&ring, sim.fork());
+    let polys: Vec<RnsPoly> = (0..4i64)
+        .map(|s| {
+            let coeffs: Vec<i64> = (0..32)
+                .map(|i| (s + 3) * (i * i + 1) % 1009 - 504)
+                .collect();
+            RnsPoly::from_i64_coeffs(&ring, &coeffs)
+        })
+        .collect();
+    let zero_rate = || FaultPlan::seeded(1);
+
+    let mut one = polys.clone();
+    for p in &mut one {
+        ev.to_evaluation(p);
+    }
+    let mut all = polys.clone();
+    arm(&sim, zero_rate());
+    ev.gated(|ev| ev.forward_polys(&mut all.iter_mut().collect::<Vec<_>>()))
+        .expect("a zero-rate plan never faults");
+    assert_eq!(draws(&sim), 3, "forward_polys draws");
+    assert_eq!(all, one, "forward_polys bits");
+
+    let rhs: Vec<RnsPoly> = one.iter().rev().cloned().collect();
+    for (acc, r) in one.iter_mut().zip(&rhs) {
+        ev.mul_pointwise(acc, r);
+    }
+    arm(&sim, zero_rate());
+    let mut pairs: Vec<(&mut RnsPoly, &RnsPoly)> = all.iter_mut().zip(&rhs).collect();
+    ev.gated(|ev| ev.mul_pointwise_polys(&mut pairs))
+        .expect("a zero-rate plan never faults");
+    assert_eq!(draws(&sim), 3, "mul_pointwise_polys draws");
+    assert_eq!(all, one, "mul_pointwise_polys bits");
+
+    let (mut x, mut y) = (all[0].clone(), all[1].clone());
+    for p in [&mut x, &mut y] {
+        ev.rescale_polys(&mut [p]);
+    }
+    let (mut a, mut b) = (all[0].clone(), all[1].clone());
+    arm(&sim, zero_rate());
+    ev.gated(|ev| ev.rescale_polys(&mut [&mut a, &mut b]))
+        .expect("a zero-rate plan never faults");
+    assert_eq!(draws(&sim), 6, "rescale_polys draws");
+    assert_eq!((&a, &b), (&x, &y), "rescale_polys bits");
+    for (got, src) in [(a, &all[0]), (b, &all[1])] {
+        let (mut got, mut want) = (got, src.clone());
+        got.to_coefficient(&ring);
+        want.to_coefficient(&ring);
+        want.rescale(&ring);
+        assert_eq!(got, want, "the coefficient-domain rescale");
+    }
+}

@@ -7,7 +7,8 @@ use he_serve::{
     job_seed, Batcher, EncryptJob, FairQueue, HeServer, Request, Response, ServeConfig,
     SubmitError, TenantId,
 };
-use ntt_warp::he::{sampling, HeContext, HeLiteParams};
+use ntt_warp::core::RnsPoly;
+use ntt_warp::he::{sampling, Ciphertext, HeContext, HeLiteParams};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -179,6 +180,56 @@ proptest! {
         )
         .expect("sim context builds");
         assert_batched_matches_sequential(&ctx, &identity_jobs(seed_base, &values));
+    }
+}
+
+/// The batcher serves the context's own math: a served encrypt is
+/// `HeContext::encrypt` of the encoded values under the job's seeded
+/// randomness, a served eval is `HeContext::multiply_plain` by the
+/// encoded weights, and a served decrypt is `HeContext::decrypt` —
+/// components and scale bits alike, on Cpu and on Sim.
+#[test]
+fn served_math_equals_the_context_ops() {
+    // Host-fresh components and the scale's bits, for comparison.
+    fn bits(ct: &Ciphertext) -> (RnsPoly, RnsPoly, u64) {
+        let mut ct = ct.clone();
+        ct.sync();
+        let (c0, c1) = ct.components();
+        (c0.clone(), c1.clone(), ct.scale().to_bits())
+    }
+    let contexts = [
+        HeContext::new(serve_params()).expect("cpu context builds"),
+        HeContext::with_backend(
+            serve_params(),
+            Box::new(ntt_warp::gpu::SimBackend::titan_v()),
+        )
+        .expect("sim context builds"),
+    ];
+    let values = [vec![1.5, -2.0], vec![0.25], vec![3.0, 4.0, -5.0, 0.5]];
+    let weights = [vec![2.0], vec![-0.5, 1.0], vec![0.75, 0.0, 0.25]];
+    for ctx in &contexts {
+        let name = ctx.backend_name();
+        let keys = ctx.keygen(&mut sampling::seeded_rng(5));
+        let batcher = Batcher::new(&keys);
+        let jobs = identity_jobs(9, &values);
+        let (cts, evald, pts) = ctx.with_pooled_evaluator(|ev| {
+            let cts = batcher.encrypt_batch(ctx, ev, &jobs);
+            let group = cts.iter().cloned().zip(weights.iter().cloned()).collect();
+            let evald = batcher.eval_batch(ctx, ev, group);
+            let pts = batcher.decrypt_batch(ctx, ev, evald.clone());
+            (cts, evald, pts)
+        });
+        for (j, job) in jobs.iter().enumerate() {
+            let pt = ctx.encode(&job.values);
+            let mut rng = sampling::seeded_rng(job.seed);
+            let want = ctx.encrypt(&pt, &keys.public, &mut rng);
+            assert!(bits(&cts[j]) == bits(&want), "{name} #{j}: encrypt");
+            let want = ctx.multiply_plain(&cts[j], &ctx.encode(&weights[j]));
+            assert!(bits(&evald[j]) == bits(&want), "{name} #{j}: eval");
+            let want = ctx.decrypt(&evald[j], &keys.secret);
+            assert!(pts[j].poly() == want.poly(), "{name} #{j}: decrypt");
+            assert_eq!(pts[j].scale().to_bits(), want.scale().to_bits(), "{name}");
+        }
     }
 }
 

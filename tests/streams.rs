@@ -266,70 +266,6 @@ fn n_pooled_evaluators_on_n_streams_complete_under_contention() {
     assert!(ctx.evaluator_count() >= 1);
 }
 
-/// Regression for ROADMAP item p: a mixed-residency multiply stages its
-/// host co-operand through the backend's copy stream, so compute already
-/// queued on the evaluator's stream overlaps the upload instead of
-/// serializing behind it — and the product stays bit-identical to the
-/// all-host path.
-#[test]
-fn mixed_residency_multiply_overlaps_staging_upload() {
-    use ntt_warp::core::backend::Evaluator;
-    use ntt_warp::core::{RnsPoly, RnsRing};
-
-    let ring = RnsRing::new(64, ntt_warp::math::ntt_primes(50, 128, 3)).unwrap();
-    let sample = |seed: i64| {
-        let coeffs: Vec<i64> = (0..64).map(|i| (seed * (i + 2)) % 31 - 15).collect();
-        RnsPoly::from_i64_coeffs(&ring, &coeffs)
-    };
-
-    // Host-only reference product.
-    let (x_host, y_host) = (sample(7), sample(9));
-    let expected = Evaluator::cpu(&ring).multiply(&x_host, &y_host);
-
-    let backend = SimBackend::titan_v();
-    let handle = backend.memory_handle();
-    let mut ev = Evaluator::with_backend(&ring, Box::new(backend));
-    fn lock(
-        h: &std::sync::Arc<std::sync::Mutex<ntt_warp::gpu::backend::SimMemory>>,
-    ) -> std::sync::MutexGuard<'_, ntt_warp::gpu::backend::SimMemory> {
-        h.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    // Resident lhs plus warm twiddle tables, then drain the device so the
-    // window below measures only the mixed multiply's schedule.
-    let mut x = sample(7);
-    ev.make_resident(&mut x);
-    let mut w = sample(3);
-    ev.make_resident(&mut w);
-    ev.to_evaluation(&mut w);
-    lock(&handle).gpu_mut().sync_all();
-    let t0 = lock(&handle).gpu().timeline();
-
-    // Queue compute on the evaluator's stream, then the mixed multiply:
-    // its staging upload rides the copy stream, overlapping this backlog.
-    for _ in 0..4 {
-        ev.to_coefficient(&mut w);
-        ev.to_evaluation(&mut w);
-    }
-    let mut prod = ev.multiply(&x, &y_host);
-    let d = lock(&handle).gpu().timeline().since(&t0);
-
-    assert!(d.transfers >= 1, "the host operand crosses the bus: {d:?}");
-    assert!(
-        d.overlapped_s <= d.serialized_s + 1e-12,
-        "overlap cannot exceed the serialized schedule: {d}"
-    );
-    // The schedule must beat serialization by (at least) the bulk of the
-    // staging upload's bus time — before the copy-stream prefetch the two
-    // were exactly equal, everything sharing the evaluator's stream.
-    assert!(
-        d.serialized_s - d.overlapped_s > 5e-6,
-        "staging upload must overlap queued compute ({d})"
-    );
-    prod.sync();
-    assert_eq!(prod, expected, "copy-stream prefetch changed the bits");
-}
-
 /// The serialized schedule and a per-fork-stream schedule produce
 /// bit-identical polynomials through the evaluator layer (streams are a
 /// performance model, never a semantic one), and the forked run's
