@@ -59,12 +59,22 @@ fn start_chaotic_server(config: ServeConfig, plan: FaultPlan) -> (HeServer, SimB
 /// after the device wedges the server degrades to the host evaluator
 /// (bit-identical by backend conformance). Nothing may fail, panic or
 /// hang, and the recovery machinery must be visible in the metrics.
+///
+/// The sticky window opens inside every run, however host timing packs
+/// jobs into groups. The closed loop keeps one chain per tenant in
+/// flight, so a group holds at most 4 of a stage's 12 jobs and each stage
+/// takes at least 3 groups. A group issues its staged calls (encrypt 2,
+/// eval 4, decrypt 2), each one upload, launch and download draw, and a
+/// transient only adds draws: its re-draws and retries re-issue the
+/// group's calls, and a group that degrades drew at least 16 first. So a
+/// run draws at least `FEWEST_DRAWS`, and the last of those is sticky.
 #[test]
 fn seeded_chaos_completes_every_chain_bit_correct() {
+    const FEWEST_DRAWS: u64 = 3 * (2 + 4 + 2) * 3;
     let plan = FaultPlan::seeded(chaos_seed())
         .rate(FaultOp::Upload, 40)
         .rate(FaultOp::Launch, 25)
-        .sticky_after(150);
+        .sticky_after(FEWEST_DRAWS - 1);
     let (server, sim) = start_chaotic_server(
         ServeConfig {
             workers: 2,
