@@ -141,7 +141,7 @@ fn bench_sim_streams(_c: &mut Criterion) {
 
 /// The request batcher's gate inputs: the same 8 encrypt → eval →
 /// decrypt serving jobs dispatched through the he-serve batcher once as
-/// three flat group calls and once one job at a time. Batched modeled
+/// three groups and once one job at a time. Batched modeled
 /// device time must undercut the unbatched control by ≥ 1.5×
 /// (`batched <= 0.667 * unbatched` in `bench_smoke.sh`). Both sides are
 /// modeled nanoseconds from one deterministic run, so the gate holds on

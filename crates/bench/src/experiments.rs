@@ -797,7 +797,7 @@ pub fn serve(log_n: u32, workers: usize, tenants: u32, chains_per_tenant: usize)
 pub struct ServeBatchingReport {
     /// Jobs in the set.
     pub jobs: usize,
-    /// Modeled device window for the batched dispatch (one flat call
+    /// Modeled device window for the batched dispatch (one host batch
     /// per pipeline stage for the whole set).
     pub batched: gpu_sim::DeviceTimeline,
     /// Modeled device window for the chunk-of-1 control.

@@ -2162,8 +2162,9 @@ impl Evaluator {
     /// is exact and linear mod each `p_i`, so the result is the
     /// coefficient-domain rescale's. If any polynomial is resident in
     /// this backend's memory, all are made resident and nothing crosses
-    /// the bus; otherwise the same steps run on the host, the lifted rows
-    /// of every polynomial transformed by one [`BackendOp::ForwardBatch`].
+    /// the bus; otherwise the same steps run as two host batches, one
+    /// [`BackendOp::InverseBatch`] of every dropped row and one
+    /// [`BackendOp::ForwardBatch`] of every lifted row.
     ///
     /// # Panics
     ///
@@ -2226,10 +2227,9 @@ impl Evaluator {
         }
     }
 
-    /// The host path of [`Evaluator::rescale_polys`]: the same steps as
-    /// host batches, every dropped row in one inverse call under
-    /// `l − 1..l` and the lifted rows of every polynomial in one forward
-    /// call.
+    /// The host path of [`Evaluator::rescale_polys`]: every dropped row
+    /// in one inverse call under `l − 1..l`, the lift on the host, and the
+    /// lifted rows of every polynomial in one forward call.
     fn host_rescale(&mut self, polys: &mut [&mut RnsPoly]) {
         let (n, level) = (self.plan.degree(), polys[0].level());
         let last = level - 1;

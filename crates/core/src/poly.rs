@@ -1018,9 +1018,10 @@ impl RnsPoly {
 /// The CKKS rescale step on a raw `level × n` coefficient buffer: rows
 /// `0..level-1` become `(row_i − row_last)·p_last^{-1} mod p_i`; the last
 /// row is left untouched (callers drop it from the logical view). This is
-/// the single reference implementation shared by [`RnsPoly::rescale`] and
-/// every backend's device-side rescale, so the step cannot diverge across
-/// substrates.
+/// [`RnsPoly::rescale`], the coefficient-domain reference: every backend
+/// rescales in the evaluation domain instead
+/// ([`crate::backend::Evaluator::rescale_polys`]), and tests compare
+/// those bits against this one.
 pub(crate) fn rescale_rows(primes: &[u64], n: usize, level: usize, data: &mut [u64]) {
     assert!(level > 1, "cannot rescale past the last prime");
     let last = level - 1;

@@ -62,12 +62,6 @@ fn host_copy(p: &RnsPoly) -> RnsPoly {
     c
 }
 
-/// Mutable references to every polynomial of `polys`, for one
-/// multi-polynomial op over all of them.
-fn refs(polys: &mut [RnsPoly]) -> Vec<&mut RnsPoly> {
-    polys.iter_mut().collect()
-}
-
 /// The batched executor: host copies of the key material plus one
 /// pipeline per request kind.
 pub struct Batcher {
@@ -116,24 +110,22 @@ impl Batcher {
             scales.push(pt.scale());
             samples.push(pt.poly().clone());
         }
-        ev.forward_polys(&mut refs(&mut samples));
+        ev.forward_polys(&mut samples.iter_mut().collect::<Vec<_>>());
 
         // c0 = b·u + e0 + m, c1 = a·u + e1 — evaluation form throughout.
-        let mut cs: Vec<RnsPoly> = jobs
-            .iter()
-            .flat_map(|_| [self.pk_b.clone(), self.pk_a.clone()])
-            .collect();
-        let mut pairs: Vec<(&mut RnsPoly, &RnsPoly)> = cs
+        let us: Vec<&RnsPoly> = samples.chunks_exact(4).map(|s| &s[0]).collect();
+        let mut c0s = vec![self.pk_b.clone(); jobs.len()];
+        let mut c1s = vec![self.pk_a.clone(); jobs.len()];
+        let mut pairs: Vec<(&mut RnsPoly, &RnsPoly)> = c0s
             .iter_mut()
-            .zip(samples.chunks_exact(4).flat_map(|s| [&s[0], &s[0]]))
+            .chain(&mut c1s)
+            .zip(us.iter().chain(&us).copied())
             .collect();
         ev.mul_pointwise_polys(&mut pairs);
-        let mut cs = cs.into_iter();
-        samples
-            .chunks_exact(4)
-            .zip(scales)
-            .map(|(s, scale)| {
-                let (mut c0, mut c1) = (cs.next().unwrap(), cs.next().unwrap());
+        c0s.into_iter()
+            .zip(c1s)
+            .zip(samples.chunks_exact(4).zip(scales))
+            .map(|((mut c0, mut c1), (s, scale))| {
                 ev.add_assign(&mut c0, &s[1]);
                 ev.add_assign(&mut c0, &s[3]);
                 ev.add_assign(&mut c1, &s[2]);
@@ -168,7 +160,7 @@ impl Batcher {
         };
         assert!(level >= 2, "no prime left to rescale into");
         let mut weights = Vec::with_capacity(jobs.len());
-        let mut halves = Vec::with_capacity(2 * jobs.len());
+        let (mut c0s, mut c1s) = (Vec::new(), Vec::new());
         let mut scales = Vec::with_capacity(jobs.len());
         for (ct, w) in &jobs {
             assert_eq!(ct.level(), level, "eval group mixes levels");
@@ -176,24 +168,23 @@ impl Batcher {
             scales.push(ct.scale() * pt.scale());
             weights.push(pt.poly().truncated(level));
             let (c0, c1) = ct.components();
-            halves.extend([host_copy(c0), host_copy(c1)]);
+            c0s.push(host_copy(c0));
+            c1s.push(host_copy(c1));
         }
-        ev.forward_polys(&mut refs(&mut weights));
-        let mut pairs: Vec<(&mut RnsPoly, &RnsPoly)> = halves
+        ev.forward_polys(&mut weights.iter_mut().collect::<Vec<_>>());
+        let mut pairs: Vec<(&mut RnsPoly, &RnsPoly)> = c0s
             .iter_mut()
-            .zip(weights.iter().flat_map(|w| [w, w]))
+            .chain(&mut c1s)
+            .zip(weights.iter().chain(&weights))
             .collect();
         ev.mul_pointwise_polys(&mut pairs);
-        ev.rescale_polys(&mut refs(&mut halves));
+        ev.rescale_polys(&mut c0s.iter_mut().chain(&mut c1s).collect::<Vec<_>>());
 
         let p_last = ctx.ring().basis().primes()[level - 1] as f64;
-        let mut halves = halves.into_iter();
-        scales
-            .into_iter()
-            .map(|scale| {
-                let (c0, c1) = (halves.next().unwrap(), halves.next().unwrap());
-                Ciphertext::from_parts(c0, c1, scale / p_last)
-            })
+        c0s.into_iter()
+            .zip(c1s)
+            .zip(scales)
+            .map(|((c0, c1), scale)| Ciphertext::from_parts(c0, c1, scale / p_last))
             .collect()
     }
 
@@ -219,19 +210,20 @@ impl Batcher {
             return Vec::new();
         };
         let s = self.sk_eval.truncated(level);
-        let mut ms: Vec<RnsPoly> = cts
+        let (c0s, mut ms): (Vec<RnsPoly>, Vec<RnsPoly>) = cts
             .iter()
             .map(|ct| {
                 assert_eq!(ct.level(), level, "decrypt group mixes levels");
-                host_copy(ct.components().1)
+                let (c0, c1) = ct.components();
+                (host_copy(c0), host_copy(c1))
             })
-            .collect();
+            .unzip();
         let mut pairs: Vec<(&mut RnsPoly, &RnsPoly)> = ms.iter_mut().map(|m| (m, &s)).collect();
         ev.mul_pointwise_polys(&mut pairs);
-        for (m, ct) in ms.iter_mut().zip(&cts) {
-            ev.add_assign(m, &host_copy(ct.components().0));
+        for (m, c0) in ms.iter_mut().zip(&c0s) {
+            ev.add_assign(m, c0);
         }
-        ev.inverse_polys(&mut refs(&mut ms));
+        ev.inverse_polys(&mut ms.iter_mut().collect::<Vec<_>>());
         ms.into_iter()
             .zip(&cts)
             .map(|(m, ct)| Plaintext::from_parts(m, ct.scale()))

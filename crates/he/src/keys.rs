@@ -19,7 +19,7 @@ pub struct SecretKey {
 impl SecretKey {
     /// `s` in evaluation form at full level. This *is* the secret —
     /// exposed so decrypting layers above the scheme (request batchers)
-    /// can pack `c1·s` products into flat backend calls; anything holding
+    /// can batch the `c1·s` products of many jobs; anything holding
     /// `&SecretKey` can already decrypt, so no capability is added.
     pub fn eval_poly(&self) -> &RnsPoly {
         &self.s_eval
@@ -37,8 +37,8 @@ pub struct PublicKey {
 
 impl PublicKey {
     /// The `(b, a)` halves in evaluation form — public material, exposed
-    /// so encrypting layers above the scheme can pack `b·u` / `a·u`
-    /// products into flat backend calls.
+    /// so encrypting layers above the scheme can batch the `b·u` / `a·u`
+    /// products of many jobs.
     pub fn halves(&self) -> (&RnsPoly, &RnsPoly) {
         (&self.b, &self.a)
     }

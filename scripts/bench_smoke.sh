@@ -20,8 +20,9 @@
 #     device time >= 1.3x vs the serialized schedule
 #     (overlapped <= 0.77 * serialized; both sides are modeled time from
 #     one deterministic run, so the gate holds on any host);
-#   * the he-serve request batcher packs 8 encrypt->eval->decrypt jobs
-#     into flat group dispatches at >= 1.5x less modeled device time
+#   * the he-serve request batcher runs 8 encrypt->eval->decrypt jobs
+#     as group dispatches (one host batch per pipeline stage of each
+#     group) at >= 1.5x less modeled device time
 #     than the one-job-at-a-time control (batched <= 0.667 * unbatched;
 #     modeled time again, host-independent);
 #   * the fault-injection plane is free when no fault fires: the same

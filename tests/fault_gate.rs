@@ -149,7 +149,7 @@ fn unarmed_ops_and_groups_draw_nothing() {
 
 /// An armed checkout draws once per command of every op: a served
 /// encrypt, eval and decrypt group draw what they drew as separate
-/// fallible pipelines (each flat op is one staged upload, launch and
+/// fallible pipelines (each host batch is one staged upload, launch and
 /// download on one device), and a rotation draws its 8 launches — the
 /// inverse of both components, two automorphisms, the forward of `c0`,
 /// the decompose, the digit forward and two multiply-accumulates.
