@@ -2335,6 +2335,35 @@ mod tests {
         assert_eq!(draws(&mem), issued, "host batch draws");
     }
 
+    /// A resident multiply is a forward of both operands' copies in one
+    /// op, a pointwise product and an inverse: 3 launches on every shard
+    /// that owns rows, and a host co-operand crosses the bus once, its
+    /// own words, before any of them.
+    #[test]
+    fn resident_multiply_is_three_launches_per_shard() {
+        let ring = ring(16, 3);
+        let (a, b) = (sample(&ring, 3), sample(&ring, 5));
+        let want = Evaluator::cpu(&ring).multiply(&a, &b);
+        for k in [1, 2, 3] {
+            let backend = ShardedBackend::titan_v(k, 16);
+            let mem = backend.memory_handle();
+            let mut ev = Evaluator::with_backend(&ring, Box::new(backend));
+            let mut ra = a.clone();
+            ev.make_resident(&mut ra);
+            // Upload the plan tables first.
+            ev.to_evaluation(&mut ra);
+            ev.to_coefficient(&mut ra);
+            let (l0, t0) = (launches(&mem), ev.transfer_stats());
+            let mut got = ev.multiply(&ra, &b);
+            let l: Vec<u64> = launches(&mem).iter().zip(l0).map(|(a, b)| a - b).collect();
+            assert_eq!(l, vec![3; k], "k = {k}: launches per shard");
+            let t = ev.transfer_stats().since(&t0);
+            assert_eq!((t.upload_words, t.downloads), (3 * 16, 0), "k = {k}");
+            got.sync();
+            assert_eq!(got, want, "k = {k}: bits");
+        }
+    }
+
     #[test]
     fn k1_degenerates_to_zero_link_traffic() {
         let ring = ring(32, 3);
