@@ -1,22 +1,25 @@
-//! Runs each dispatch group of the server as one group of the
-//! [`Evaluator`]'s multi-polynomial ops.
+//! Runs each dispatch group of the server through [`HeContext`]'s group
+//! forms.
 //!
 //! Every dispatch group the server drains lands here, where `k` jobs of
-//! one kind (and level) go through **one** call per pipeline stage
-//! instead of `k`: [`Evaluator::forward_polys`],
-//! [`Evaluator::mul_pointwise_polys`], [`Evaluator::rescale_polys`] and
-//! [`Evaluator::inverse_polys`] put the host polynomials of a group in
-//! one host batch each. On a staging backend that amortizes the per-call
-//! upload/download round trip and per-kernel launch overhead across the
-//! whole group — the request-level analogue of the residue-parallel
-//! batching the NTT kernels already do within one polynomial. The
-//! formulas are [`HeContext`]'s encrypt, plaintext multiply + rescale
-//! and decrypt, over host copies of the inputs.
+//! one kind (and level) go through **one** call:
+//! [`HeContext::encrypt_group`], [`HeContext::multiply_plain_group`] or
+//! [`HeContext::decrypt_group`]. Each is one multi-polynomial evaluator
+//! op per pipeline stage, and the [`Batcher`] hands them host copies of
+//! the keys and of the incoming ciphertexts, so every stage is one host
+//! batch for the whole group on any backend. On a staging backend that
+//! amortizes the per-call upload/download round trip and per-kernel
+//! launch overhead across the group — the request-level analogue of the
+//! residue-parallel batching the NTT kernels already do within one
+//! polynomial. The math is the context's own: a group of one is
+//! [`HeContext::encrypt`], [`HeContext::multiply_plain`] or
+//! [`HeContext::decrypt`] on host operands.
 //!
 //! Each request kind has one pipeline, which runs on whatever evaluator
 //! it is handed: the server arms its checkout
 //! ([`HeContext::try_with_pooled_evaluator`]) so device faults come back
-//! as a classified error, tests and benchmarks may run it unarmed.
+//! as a classified error, or runs its CPU fallback; tests and benchmarks
+//! may run it unarmed.
 //!
 //! Results are bit-identical to per-job dispatch by construction: NTT,
 //! pointwise and rescale rows are independent (a batch's row `r` is
@@ -26,9 +29,8 @@
 //! tenant gets does not depend on who else happened to share the batch.
 
 use crate::request::TenantId;
-use he_lite::{sampling, Ciphertext, HeContext, KeySet, Plaintext};
+use he_lite::{sampling, Ciphertext, HeContext, KeySet, Plaintext, PublicKey, SecretKey};
 use ntt_core::backend::Evaluator;
-use ntt_core::poly::RnsPoly;
 
 /// One encryption job: explicit randomness seed plus the values to
 /// encode. The server derives the seed from the submitting tenant and
@@ -53,96 +55,48 @@ pub fn job_seed(domain: u64, tenant: TenantId, seq: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A host copy of `p`: synced, with any device mirror dropped, so a
-/// group's polynomials share host batches whatever backend the context
-/// runs.
-fn host_copy(p: &RnsPoly) -> RnsPoly {
-    let mut c = p.clone();
-    c.evict_device();
-    c
-}
-
-/// The batched executor: host copies of the key material plus one
-/// pipeline per request kind.
+/// The batched executor: host copies of the public and secret keys,
+/// plus one pipeline per request kind.
 pub struct Batcher {
-    pk_b: RnsPoly,
-    pk_a: RnsPoly,
-    sk_eval: RnsPoly,
+    public: PublicKey,
+    secret: SecretKey,
 }
 
 impl Batcher {
-    /// Snapshot the key material needed by the pipelines: host copies of
-    /// the public key halves and the secret key's evaluation form.
+    /// Snapshot host copies of the keys the pipelines use.
     pub fn new(keys: &KeySet) -> Self {
-        let (b, a) = keys.public.halves();
-        Batcher {
-            pk_b: host_copy(b),
-            pk_a: host_copy(a),
-            sk_eval: host_copy(keys.secret.eval_poly()),
-        }
+        let (mut public, mut secret) = (keys.public.clone(), keys.secret.clone());
+        public.evict_device();
+        secret.evict_device();
+        Batcher { public, secret }
     }
 
-    /// Encrypt `jobs.len()` value vectors in two backend calls total, as
-    /// [`HeContext::encrypt`] does one: one [`Evaluator::forward_polys`]
-    /// over all `4k` sampled/encoded polynomials (`u, e0, e1, m` per
-    /// job), one [`Evaluator::mul_pointwise_polys`] over all `2k`
-    /// public-key products (`b·u`, `a·u` per job), then host adds. The
-    /// job inputs are borrowed immutably and per-job randomness comes
-    /// from [`EncryptJob::seed`], so a retry after a fault yields
-    /// bit-identical results.
+    /// Encrypt `jobs.len()` value vectors as one
+    /// [`HeContext::encrypt_group`] under the host public key: two host
+    /// batches in all. Per-job randomness comes from
+    /// [`EncryptJob::seed`] and the jobs are borrowed immutably, so a
+    /// retry after a fault yields bit-identical results.
     pub fn encrypt_batch(
         &self,
         ctx: &HeContext,
         ev: &mut Evaluator,
         jobs: &[EncryptJob],
     ) -> Vec<Ciphertext> {
-        let ring = ctx.ring();
-        let eta = ctx.params().error_eta;
-        // Per job [u, e0, e1, m], back to back.
-        let mut samples = Vec::with_capacity(4 * jobs.len());
-        let mut scales = Vec::with_capacity(jobs.len());
-        for job in jobs {
-            let mut rng = sampling::seeded_rng(job.seed);
-            samples.push(sampling::ternary_poly(ring, &mut rng));
-            samples.push(sampling::error_poly(ring, eta, &mut rng));
-            samples.push(sampling::error_poly(ring, eta, &mut rng));
-            let pt = ctx.encode(&job.values);
-            scales.push(pt.scale());
-            samples.push(pt.poly().clone());
-        }
-        ev.forward_polys(&mut samples.iter_mut().collect::<Vec<_>>());
-
-        // c0 = b·u + e0 + m, c1 = a·u + e1 — evaluation form throughout.
-        let us: Vec<&RnsPoly> = samples.chunks_exact(4).map(|s| &s[0]).collect();
-        let mut c0s = vec![self.pk_b.clone(); jobs.len()];
-        let mut c1s = vec![self.pk_a.clone(); jobs.len()];
-        let mut pairs: Vec<(&mut RnsPoly, &RnsPoly)> = c0s
-            .iter_mut()
-            .chain(&mut c1s)
-            .zip(us.iter().chain(&us).copied())
+        let pts: Vec<Plaintext> = jobs.iter().map(|job| ctx.encode(&job.values)).collect();
+        let mut group: Vec<_> = pts
+            .iter()
+            .zip(jobs)
+            .map(|(pt, job)| (pt, sampling::seeded_rng(job.seed)))
             .collect();
-        ev.mul_pointwise_polys(&mut pairs);
-        c0s.into_iter()
-            .zip(c1s)
-            .zip(samples.chunks_exact(4).zip(scales))
-            .map(|((mut c0, mut c1), (s, scale))| {
-                ev.add_assign(&mut c0, &s[1]);
-                ev.add_assign(&mut c0, &s[3]);
-                ev.add_assign(&mut c1, &s[2]);
-                Ciphertext::from_parts(c0, c1, scale)
-            })
-            .collect()
+        ctx.encrypt_group(ev, &self.public, &mut group)
     }
 
-    /// Weighted plaintext multiply + rescale for a group of ciphertexts
-    /// sharing one level, as [`HeContext::multiply_plain`] does one, in
-    /// four backend calls total: [`Evaluator::forward_polys`] over the `k`
-    /// encoded weight polynomials, [`Evaluator::mul_pointwise_polys`]
-    /// over the `2k` ciphertext halves, and the evaluation-domain
-    /// [`Evaluator::rescale_polys`] of all `2k` halves — one inverse of
-    /// their dropped rows, one forward of the lifted rows. Only this
-    /// call's own copies are written, so re-running the identical batch
-    /// after a fault yields bit-identical results.
+    /// Weighted plaintext multiply + rescale of host copies of a group of
+    /// ciphertexts sharing one level, as one
+    /// [`HeContext::multiply_plain_group`] by the encoded weights: four
+    /// host batches in all. Only this call's own copies are written, so
+    /// re-running the identical batch after a fault yields bit-identical
+    /// results.
     ///
     /// # Panics
     ///
@@ -153,81 +107,39 @@ impl Batcher {
         &self,
         ctx: &HeContext,
         ev: &mut Evaluator,
-        jobs: Vec<(Ciphertext, Vec<f64>)>,
+        mut jobs: Vec<(Ciphertext, Vec<f64>)>,
     ) -> Vec<Ciphertext> {
-        let Some(level) = jobs.first().map(|(ct, _)| ct.level()) else {
-            return Vec::new();
-        };
-        assert!(level >= 2, "no prime left to rescale into");
-        let mut weights = Vec::with_capacity(jobs.len());
-        let (mut c0s, mut c1s) = (Vec::new(), Vec::new());
-        let mut scales = Vec::with_capacity(jobs.len());
-        for (ct, w) in &jobs {
-            assert_eq!(ct.level(), level, "eval group mixes levels");
-            let pt = ctx.encode(w);
-            scales.push(ct.scale() * pt.scale());
-            weights.push(pt.poly().truncated(level));
-            let (c0, c1) = ct.components();
-            c0s.push(host_copy(c0));
-            c1s.push(host_copy(c1));
-        }
-        ev.forward_polys(&mut weights.iter_mut().collect::<Vec<_>>());
-        let mut pairs: Vec<(&mut RnsPoly, &RnsPoly)> = c0s
+        let pts: Vec<Plaintext> = jobs
             .iter_mut()
-            .chain(&mut c1s)
-            .zip(weights.iter().chain(&weights))
+            .map(|(ct, weights)| {
+                ct.evict_device();
+                ctx.encode(weights)
+            })
             .collect();
-        ev.mul_pointwise_polys(&mut pairs);
-        ev.rescale_polys(&mut c0s.iter_mut().chain(&mut c1s).collect::<Vec<_>>());
-
-        let p_last = ctx.ring().basis().primes()[level - 1] as f64;
-        c0s.into_iter()
-            .zip(c1s)
-            .zip(scales)
-            .map(|((c0, c1), scale)| Ciphertext::from_parts(c0, c1, scale / p_last))
-            .collect()
+        let group: Vec<(&Ciphertext, &Plaintext)> =
+            jobs.iter().map(|(ct, _)| ct).zip(&pts).collect();
+        ctx.multiply_plain_group(ev, &group)
     }
 
-    /// Decrypt a group of ciphertexts sharing one level, as
-    /// [`HeContext::decrypt`] does one, in two backend calls total:
-    /// [`Evaluator::mul_pointwise_polys`] over the `k` products `c1·s`,
-    /// a host add of each `c0`, and [`Evaluator::inverse_polys`] over the
-    /// `k` sums. Returns one coefficient-form plaintext per job, to
-    /// decode with [`HeContext::decode`] once the checkout that ran this
-    /// returned `Ok`: after a latched fault the rows are stale, and stale
-    /// residues need not even fit the decoder's centered range.
+    /// Decrypt host copies of a group of ciphertexts sharing one level
+    /// under the host secret key, as one [`HeContext::decrypt_group`]:
+    /// two host batches in all. Decode the plaintexts with
+    /// [`HeContext::decode`] only once the checkout that ran this
+    /// returned `Ok`.
     ///
     /// # Panics
     ///
     /// Panics if the group mixes levels.
     pub fn decrypt_batch(
         &self,
-        _ctx: &HeContext,
+        ctx: &HeContext,
         ev: &mut Evaluator,
-        cts: Vec<Ciphertext>,
+        mut cts: Vec<Ciphertext>,
     ) -> Vec<Plaintext> {
-        let Some(level) = cts.first().map(Ciphertext::level) else {
-            return Vec::new();
-        };
-        let s = self.sk_eval.truncated(level);
-        let (c0s, mut ms): (Vec<RnsPoly>, Vec<RnsPoly>) = cts
-            .iter()
-            .map(|ct| {
-                assert_eq!(ct.level(), level, "decrypt group mixes levels");
-                let (c0, c1) = ct.components();
-                (host_copy(c0), host_copy(c1))
-            })
-            .unzip();
-        let mut pairs: Vec<(&mut RnsPoly, &RnsPoly)> = ms.iter_mut().map(|m| (m, &s)).collect();
-        ev.mul_pointwise_polys(&mut pairs);
-        for (m, c0) in ms.iter_mut().zip(&c0s) {
-            ev.add_assign(m, c0);
+        for ct in &mut cts {
+            ct.evict_device();
         }
-        ev.inverse_polys(&mut ms.iter_mut().collect::<Vec<_>>());
-        ms.into_iter()
-            .zip(&cts)
-            .map(|(m, ct)| Plaintext::from_parts(m, ct.scale()))
-            .collect()
+        ctx.decrypt_group(ev, &self.secret, &cts.iter().collect::<Vec<_>>())
     }
 }
 

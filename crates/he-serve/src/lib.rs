@@ -12,17 +12,17 @@
 //!   past a tenant's queue capacity, so a flooding tenant gets
 //!   backpressure instead of unbounded memory, and a quiet tenant's jobs
 //!   never starve behind the flood.
-//! * **[`batcher`]** — runs every job in a dispatch group through the
-//!   *multi-polynomial* ops of [`ntt_core::backend::Evaluator`]
-//!   (`forward_polys` / `mul_pointwise_polys` / `rescale_polys` /
-//!   `inverse_polys`), one host batch per pipeline stage, so `k` small
-//!   ciphertext ops cost one kernel schedule and one staging round-trip
-//!   instead of `k`. The formulas are [`he_lite::HeContext`]'s encrypt,
-//!   plaintext multiply + rescale and decrypt. One pipeline per request
-//!   kind, armed or not by the checkout that runs it. Results are
-//!   bit-identical to per-job dispatch by construction: NTT, pointwise
-//!   and rescale rows are independent, and everything else is exact
-//!   host arithmetic.
+//! * **[`batcher`]** — runs every job in a dispatch group through one
+//!   of [`he_lite::HeContext`]'s group forms (`encrypt_group`,
+//!   `multiply_plain_group`, `decrypt_group`) over host copies of the
+//!   keys and ciphertexts, one host batch per pipeline stage, so `k`
+//!   small ciphertext ops cost one kernel schedule and one staging
+//!   round-trip instead of `k`. A group of one is the context's own
+//!   encrypt, plaintext multiply + rescale or decrypt. One pipeline per
+//!   request kind, armed or not by the checkout that runs it. Results
+//!   are bit-identical to per-job dispatch by construction: NTT,
+//!   pointwise and rescale rows are independent, and everything else is
+//!   exact host arithmetic.
 //! * **[`HeServer`]** — worker threads draining the queue into the
 //!   batcher through armed checkouts
 //!   ([`he_lite::HeContext::try_with_pooled_evaluator`], a checkout in a

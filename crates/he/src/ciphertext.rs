@@ -5,7 +5,8 @@
 //! device memory between operations; the host copies are stale until an
 //! explicit sync point. [`Ciphertext::sync`] / [`Plaintext::sync`] are
 //! those sync points for direct component access — decrypt/decode sync
-//! implicitly.
+//! implicitly. [`Ciphertext::evict_device`] makes a ciphertext host-only,
+//! and the context's ops keep a host-only ciphertext on the host.
 
 use ntt_core::poly::{Residency, RnsPoly};
 
@@ -21,13 +22,6 @@ pub struct Plaintext {
 }
 
 impl Plaintext {
-    /// Assemble a plaintext from a polynomial and its fixed-point scale —
-    /// the constructor layers above the scheme (request batchers) use
-    /// after decrypting through their own batched dispatch.
-    pub fn from_parts(m: RnsPoly, scale: f64) -> Self {
-        Plaintext { m, scale }
-    }
-
     /// The fixed-point scale this plaintext was encoded with.
     pub fn scale(&self) -> f64 {
         self.scale
@@ -60,24 +54,6 @@ pub struct Ciphertext {
 }
 
 impl Ciphertext {
-    /// Assemble a ciphertext from raw components — the constructor layers
-    /// above the scheme (request batchers, serialization) use after
-    /// producing `(c0, c1)` through their own batched dispatch.
-    ///
-    /// Both polynomials must be in evaluation form at the same level, and
-    /// satisfy `c0 + c1·s ≈ scale · message (mod Q_level)`; nothing here
-    /// can check the last invariant, so a bad pair simply decrypts to
-    /// noise.
-    ///
-    /// # Panics
-    ///
-    /// Panics on level or representation mismatch between the halves.
-    pub fn from_parts(c0: RnsPoly, c1: RnsPoly, scale: f64) -> Self {
-        assert_eq!(c0.level(), c1.level(), "component level mismatch");
-        assert_eq!(c0.repr(), c1.repr(), "component representation mismatch");
-        Ciphertext { c0, c1, scale }
-    }
-
     /// Active prime count (decreases by one per rescale).
     pub fn level(&self) -> usize {
         self.c0.level()
@@ -102,6 +78,14 @@ impl Ciphertext {
     pub fn sync(&mut self) {
         self.c0.sync();
         self.c1.sync();
+    }
+
+    /// Drop the components' device copies (downloading them first if
+    /// they were the fresh ones): a host-only ciphertext, which the
+    /// context's ops take through host batches on any backend.
+    pub fn evict_device(&mut self) {
+        self.c0.evict_device();
+        self.c1.evict_device();
     }
 
     /// Where the ciphertext currently lives (the components always move

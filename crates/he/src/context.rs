@@ -30,7 +30,17 @@
 //!   upload, an encrypt → multiply → relinearize → rescale chain performs
 //!   **zero** host↔device transfers (asserted by `tests/residency.rs`
 //!   and gated in CI); data comes back only at explicit sync points
-//!   (decrypt/decode, [`Ciphertext::sync`]).
+//!   (decrypt/decode, [`Ciphertext::sync`]). What an op creates —
+//!   encryption samples, a truncated plaintext, the truncated secret —
+//!   goes where the key or ciphertext it combines with lives, so host
+//!   copies stay on the host and run in host batches.
+//!
+//! Encrypt, plaintext multiply + rescale and decrypt each have a group
+//! form ([`HeContext::encrypt_group`], [`HeContext::multiply_plain_group`],
+//! [`HeContext::decrypt_group`]) that runs `k` jobs on the caller's
+//! evaluator with one multi-polynomial op per stage; the single ops are
+//! their one-job case, and the he-serve batcher serves its dispatch
+//! groups through them.
 
 use crate::ciphertext::{Ciphertext, Plaintext};
 use crate::keys::{KeySet, PublicKey, RelinEntry, RelinKeys, RotationKeys, SecretKey};
@@ -39,7 +49,7 @@ use crate::sampling;
 use ntt_core::backend::{
     BackendError, CpuBackend, Evaluator, FaultClass, FmaFactor, NttBackend, TransferStats,
 };
-use ntt_core::poly::{Representation, RingError, RnsPoly, RnsRing};
+use ntt_core::poly::{Representation, Residency, RingError, RnsPoly, RnsRing};
 use rand::{Rng, RngExt};
 use std::borrow::Cow;
 use std::collections::hash_map::Entry;
@@ -125,6 +135,17 @@ impl std::fmt::Debug for EvalPool {
 /// rather than cascaded.
 fn lock<T: ?Sized>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// Make `fresh` — a sample, truncated plaintext or truncated secret an
+/// op creates — resident on a residency-preferring `ev` when the key or
+/// ciphertext it combines with, `like`, is resident. A resident operand
+/// keeps its whole op on the device; a host-only one keeps it in host
+/// batches, so a group of host copies stages once per stage.
+fn follow(ev: &mut Evaluator, fresh: &mut RnsPoly, like: &RnsPoly) {
+    if ev.prefers_residency() && like.residency() != Residency::HostOnly {
+        ev.make_resident(fresh);
+    }
 }
 
 /// The scheme context: parameters, the RNS ring, the precomputed
@@ -806,25 +827,36 @@ impl HeContext {
         Plaintext { m, scale: pt.scale }
     }
 
-    /// `pt`'s message at `level` in evaluation form: the plaintext's own
-    /// polynomial when it was prepared at that level
-    /// ([`HeContext::prepare_plaintext`]), else a truncated, uploaded (on
-    /// resident contexts) and transformed copy.
-    fn plain_at<'a>(
-        &self,
+    /// Each term's plaintext message at its ciphertext's level, in
+    /// evaluation form: the plaintext's own polynomial when it was
+    /// prepared at that level ([`HeContext::prepare_plaintext`]), else a
+    /// truncated copy that [`follow`]s the ciphertext, all copies
+    /// transformed in one [`Evaluator::forward_polys`].
+    fn plains_at<'a>(
         ev: &mut Evaluator,
-        pt: &'a Plaintext,
-        level: usize,
-    ) -> Cow<'a, RnsPoly> {
-        if pt.m.level() == level && pt.m.repr() == Representation::Evaluation {
-            return Cow::Borrowed(&pt.m);
-        }
-        let mut m = pt.m.truncated(level);
-        if self.resident {
-            ev.make_resident(&mut m);
-        }
-        ev.to_evaluation(&mut m);
-        Cow::Owned(m)
+        terms: &[(&Ciphertext, &'a Plaintext)],
+    ) -> Vec<Cow<'a, RnsPoly>> {
+        let mut ms: Vec<Cow<'a, RnsPoly>> = terms
+            .iter()
+            .map(|&(ct, pt)| {
+                let level = ct.level();
+                if pt.m.level() == level && pt.m.repr() == Representation::Evaluation {
+                    return Cow::Borrowed(&pt.m);
+                }
+                let mut m = pt.m.truncated(level);
+                follow(ev, &mut m, &ct.c0);
+                Cow::Owned(m)
+            })
+            .collect();
+        let mut fresh: Vec<&mut RnsPoly> = ms
+            .iter_mut()
+            .filter_map(|m| match m {
+                Cow::Owned(m) => Some(m),
+                Cow::Borrowed(_) => None,
+            })
+            .collect();
+        ev.forward_polys(&mut fresh);
+        ms
     }
 
     /// A zero evaluation-form accumulator at `level`: born on the device
@@ -843,19 +875,64 @@ impl HeContext {
     /// [`HeContext::multiply_plain_sum`] — the baby-step/giant-step DFT
     /// stages' shape, which fuses the whole sum.
     pub fn multiply_plain_raw(&self, ct: &Ciphertext, pt: &Plaintext) -> Ciphertext {
-        let level = ct.level();
-        self.with_pooled_evaluator(|ev| {
-            let m = self.plain_at(ev, pt, level);
-            let mut c0 = ct.c0.clone();
-            ev.mul_pointwise(&mut c0, &m);
-            let mut c1 = ct.c1.clone();
-            ev.mul_pointwise(&mut c1, &m);
-            Ciphertext {
-                c0,
-                c1,
+        self.with_pooled_evaluator(|ev| self.multiply_plain_raw_group(ev, &[(ct, pt)]))
+            .remove(0)
+    }
+
+    /// [`HeContext::multiply_plain_raw`] of a group of jobs on `ev`: one
+    /// [`Evaluator::forward_polys`] over every plaintext not prepared at
+    /// its ciphertext's level, and one [`Evaluator::mul_pointwise_polys`]
+    /// over the `2k` component products, `c0·m` then `c1·m` per job.
+    ///
+    /// A plaintext the op truncates is made resident only when its
+    /// ciphertext is, so a resident job runs on the device — a resident
+    /// single job issues an unprepared plaintext's transform and two
+    /// pointwise launches, in that order — and a group of host-only
+    /// ciphertexts runs one host batch per stage, whatever the backend.
+    fn multiply_plain_raw_group(
+        &self,
+        ev: &mut Evaluator,
+        jobs: &[(&Ciphertext, &Plaintext)],
+    ) -> Vec<Ciphertext> {
+        let ms = Self::plains_at(ev, jobs);
+        let mut outs: Vec<Ciphertext> = jobs
+            .iter()
+            .map(|&(ct, pt)| Ciphertext {
+                c0: ct.c0.clone(),
+                c1: ct.c1.clone(),
                 scale: ct.scale * pt.scale,
-            }
-        })
+            })
+            .collect();
+        let mut pairs: Vec<(&mut RnsPoly, &RnsPoly)> = outs
+            .iter_mut()
+            .zip(&ms)
+            .flat_map(|(out, m)| [(&mut out.c0, &**m), (&mut out.c1, &**m)])
+            .collect();
+        ev.mul_pointwise_polys(&mut pairs);
+        outs
+    }
+
+    /// [`HeContext::multiply_plain`] of a group of jobs at one level on
+    /// `ev`: one [`Evaluator::forward_polys`] over every plaintext not
+    /// prepared at its ciphertext's level, one
+    /// [`Evaluator::mul_pointwise_polys`] over the `2k` component
+    /// products, then one [`Evaluator::rescale_polys`] over all `2k`
+    /// components. A plaintext the op truncates is made resident only
+    /// when its ciphertext is, so a group of host-only ciphertexts is
+    /// four host batches in all on any backend.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the group mixes levels or is at level 1 (nothing left
+    /// to rescale into).
+    pub fn multiply_plain_group(
+        &self,
+        ev: &mut Evaluator,
+        jobs: &[(&Ciphertext, &Plaintext)],
+    ) -> Vec<Ciphertext> {
+        let mut outs = self.multiply_plain_raw_group(ev, jobs);
+        self.rescale_in_place(ev, &mut outs);
+        outs
     }
 
     /// The plaintext-product sum `Σ_k ct_k ⊙ pt_k` at one level and one
@@ -882,10 +959,7 @@ impl HeContext {
             );
         }
         self.with_pooled_evaluator(|ev| {
-            let ms: Vec<Cow<'_, RnsPoly>> = terms
-                .iter()
-                .map(|(_, pt)| self.plain_at(ev, pt, level))
-                .collect();
+            let ms = Self::plains_at(ev, terms);
             let mut sum = |part: fn(&Ciphertext) -> &RnsPoly| {
                 let mut acc = self.zero_acc(ev, level);
                 let products: Vec<_> = terms
@@ -917,9 +991,8 @@ impl HeContext {
             ct.scale,
             pt.scale
         );
-        let level = ct.level();
         self.with_pooled_evaluator(|ev| {
-            let m = self.plain_at(ev, pt, level);
+            let m = Self::plains_at(ev, &[(ct, pt)]).remove(0);
             let mut c0 = ct.c0.clone();
             ev.add_assign(&mut c0, &m);
             Ciphertext {
@@ -962,8 +1035,7 @@ impl HeContext {
     ///
     /// Panics at level 1 (no prime left to drop).
     pub fn rescale(&self, ct: &mut Ciphertext) {
-        assert!(ct.level() >= 2, "no prime left to rescale into");
-        self.with_pooled_evaluator(|ev| self.rescale_in_place(ev, ct));
+        self.with_pooled_evaluator(|ev| self.rescale_in_place(ev, std::slice::from_mut(ct)));
     }
 
     /// Encode real values as scaled integer coefficients at the
@@ -996,62 +1068,125 @@ impl HeContext {
             .collect()
     }
 
-    /// Encrypt under the public key. On a residency-preferring backend
-    /// the fresh samples are uploaded (the chain's initial upload) and
-    /// the resulting ciphertext lives on the device.
+    /// Encrypt under the public key: the one-job case of
+    /// [`HeContext::encrypt_group`]. Under a resident key (one
+    /// [`HeContext::keygen`] uploaded) the fresh samples are uploaded —
+    /// the chain's initial upload — and the ciphertext lives on the
+    /// device.
     pub fn encrypt<R: Rng + RngExt>(
         &self,
         pt: &Plaintext,
         pk: &PublicKey,
         rng: &mut R,
     ) -> Ciphertext {
-        let ring = &self.ring;
-        let eta = self.params.error_eta;
-        let mut u = sampling::ternary_poly(ring, rng);
-        let mut e0 = sampling::error_poly(ring, eta, rng);
-        let mut e1 = sampling::error_poly(ring, eta, rng);
-        let mut m = pt.m.clone();
-        self.with_pooled_evaluator(|ev| {
-            if self.resident {
-                ev.make_resident(&mut u);
-                ev.make_resident(&mut e0);
-                ev.make_resident(&mut e1);
-                ev.make_resident(&mut m);
-            }
-            // All four forward transforms batched through the backend.
-            ev.forward_polys(&mut [&mut u, &mut e0, &mut e1, &mut m]);
-
-            let mut c0 = pk.b.clone();
-            ev.mul_pointwise(&mut c0, &u);
-            ev.add_assign(&mut c0, &e0);
-            ev.add_assign(&mut c0, &m);
-            let mut c1 = pk.a.clone();
-            ev.mul_pointwise(&mut c1, &u);
-            ev.add_assign(&mut c1, &e1);
-            Ciphertext {
-                c0,
-                c1,
-                scale: pt.scale,
-            }
-        })
+        self.with_pooled_evaluator(|ev| self.encrypt_group(ev, pk, &mut [(pt, rng)]))
+            .remove(0)
     }
 
-    /// Decrypt with the secret key. An explicit sync point: the returned
+    /// [`HeContext::encrypt`] of a group of jobs on `ev`, each drawing
+    /// `u, e0, e1` from its own generator: one
+    /// [`Evaluator::forward_polys`] over every job's samples and message,
+    /// one [`Evaluator::mul_pointwise_polys`] over the `2k` key products
+    /// `b·u`, `a·u`, then `c0 = b·u + e0 + m` and `c1 = a·u + e1`.
+    ///
+    /// The samples are made resident only when the key is, so a resident
+    /// key yields resident ciphertexts and a host-only key host-only ones,
+    /// through one host batch per stage whatever the backend.
+    pub fn encrypt_group<R: Rng + RngExt>(
+        &self,
+        ev: &mut Evaluator,
+        pk: &PublicKey,
+        jobs: &mut [(&Plaintext, R)],
+    ) -> Vec<Ciphertext> {
+        let (ring, eta) = (&self.ring, self.params.error_eta);
+        // Per job [u, e0, e1, m], back to back.
+        let mut samples = Vec::with_capacity(4 * jobs.len());
+        for (pt, rng) in jobs.iter_mut() {
+            samples.push(sampling::ternary_poly(ring, rng));
+            samples.push(sampling::error_poly(ring, eta, rng));
+            samples.push(sampling::error_poly(ring, eta, rng));
+            samples.push(pt.m.clone());
+        }
+        for s in &mut samples {
+            follow(ev, s, &pk.b);
+        }
+        ev.forward_polys(&mut samples.iter_mut().collect::<Vec<_>>());
+
+        let mut outs: Vec<Ciphertext> = jobs
+            .iter()
+            .map(|(pt, _)| Ciphertext {
+                c0: pk.b.clone(),
+                c1: pk.a.clone(),
+                scale: pt.scale,
+            })
+            .collect();
+        let mut pairs: Vec<(&mut RnsPoly, &RnsPoly)> = outs
+            .iter_mut()
+            .zip(samples.chunks_exact(4))
+            .flat_map(|(ct, s)| [(&mut ct.c0, &s[0]), (&mut ct.c1, &s[0])])
+            .collect();
+        ev.mul_pointwise_polys(&mut pairs);
+        for (ct, s) in outs.iter_mut().zip(samples.chunks_exact(4)) {
+            ev.add_assign(&mut ct.c0, &s[1]);
+            ev.add_assign(&mut ct.c0, &s[3]);
+            ev.add_assign(&mut ct.c1, &s[2]);
+        }
+        outs
+    }
+
+    /// Decrypt with the secret key: the one-job case of
+    /// [`HeContext::decrypt_group`]. An explicit sync point: the returned
     /// plaintext is host-fresh regardless of where the ciphertext lived.
     pub fn decrypt(&self, ct: &Ciphertext, sk: &SecretKey) -> Plaintext {
-        let level = ct.level();
-        self.with_pooled_evaluator(|ev| {
-            let mut s = sk.s_eval.truncated(level);
-            if self.resident {
-                ev.make_resident(&mut s);
-            }
-            let mut m = ct.c1.clone();
-            ev.mul_pointwise(&mut m, &s);
-            ev.add_assign(&mut m, &ct.c0);
-            ev.to_coefficient(&mut m);
-            m.sync();
-            Plaintext { m, scale: ct.scale }
-        })
+        self.with_pooled_evaluator(|ev| self.decrypt_group(ev, sk, &[ct]))
+            .remove(0)
+    }
+
+    /// [`HeContext::decrypt`] of a group of ciphertexts at one level on
+    /// `ev`: one [`Evaluator::mul_pointwise_polys`] over the `k` products
+    /// `c1·s`, the adds of each `c0`, and one [`Evaluator::inverse_polys`]
+    /// over the `k` sums. The secret, truncated once to the group's level,
+    /// is made resident only when the first ciphertext is, so a group of
+    /// host-only ciphertexts runs two host batches whatever the backend.
+    /// Every plaintext comes back host-fresh, to decode once an
+    /// armed checkout that ran this returned `Ok`: after a latched fault
+    /// its rows are stale, and stale residues need not even fit the
+    /// decoder's centered range.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the group mixes levels.
+    pub fn decrypt_group(
+        &self,
+        ev: &mut Evaluator,
+        sk: &SecretKey,
+        cts: &[&Ciphertext],
+    ) -> Vec<Plaintext> {
+        let Some(level) = cts.first().map(|ct| ct.level()) else {
+            return Vec::new();
+        };
+        let mut s = sk.s_eval.truncated(level);
+        follow(ev, &mut s, &cts[0].c1);
+        let mut ms: Vec<RnsPoly> = cts
+            .iter()
+            .map(|ct| {
+                assert_eq!(ct.level(), level, "decrypt group mixes levels");
+                ct.c1.clone()
+            })
+            .collect();
+        let mut pairs: Vec<(&mut RnsPoly, &RnsPoly)> = ms.iter_mut().map(|m| (m, &s)).collect();
+        ev.mul_pointwise_polys(&mut pairs);
+        for (m, ct) in ms.iter_mut().zip(cts) {
+            ev.add_assign(m, &ct.c0);
+        }
+        ev.inverse_polys(&mut ms.iter_mut().collect::<Vec<_>>());
+        ms.into_iter()
+            .zip(cts)
+            .map(|(mut m, ct)| {
+                m.sync();
+                Plaintext { m, scale: ct.scale }
+            })
+            .collect()
     }
 
     /// Homomorphic addition (device-side for resident ciphertexts).
@@ -1102,7 +1237,8 @@ impl HeContext {
     }
 
     /// Plaintext multiplication (no relinearization needed), then a
-    /// rescale: [`HeContext::multiply_plain_raw`] followed by
+    /// rescale: the one-job case of [`HeContext::multiply_plain_group`],
+    /// which is [`HeContext::multiply_plain_raw`] followed by
     /// [`HeContext::rescale`], so a prepared plaintext
     /// ([`HeContext::prepare_plaintext`]) is used as-is.
     ///
@@ -1110,9 +1246,8 @@ impl HeContext {
     ///
     /// Panics if the ciphertext is at level 1 (nothing left to rescale).
     pub fn multiply_plain(&self, ct: &Ciphertext, pt: &Plaintext) -> Ciphertext {
-        let mut out = self.multiply_plain_raw(ct, pt);
-        self.rescale(&mut out);
-        out
+        self.with_pooled_evaluator(|ev| self.multiply_plain_group(ev, &[(ct, pt)]))
+            .remove(0)
     }
 
     /// Homomorphic multiplication: tensor, relinearize, rescale. For
@@ -1151,7 +1286,7 @@ impl HeContext {
                 c1,
                 scale: a.scale * b.scale,
             };
-            self.rescale_in_place(ev, &mut out);
+            self.rescale_in_place(ev, std::slice::from_mut(&mut out));
             out
         })
     }
@@ -1206,15 +1341,29 @@ impl HeContext {
         }
     }
 
-    /// Exact RNS rescale: divide by the last active prime and drop it.
-    /// Both components rescale together in the evaluation domain — only
-    /// their dropped rows cross domains ([`Evaluator::rescale_polys`]) —
-    /// and resident ciphertexts rescale on the device.
-    fn rescale_in_place(&self, ev: &mut Evaluator, ct: &mut Ciphertext) {
-        let level = ct.level();
+    /// Exact RNS rescale of ciphertexts at one level: divide by the last
+    /// active prime and drop it. Every component rescales together in the
+    /// evaluation domain — only their dropped rows cross domains
+    /// ([`Evaluator::rescale_polys`]) — and resident ciphertexts rescale
+    /// on the device.
+    ///
+    /// # Panics
+    ///
+    /// Panics on mixed levels or at level 1.
+    fn rescale_in_place(&self, ev: &mut Evaluator, cts: &mut [Ciphertext]) {
+        let Some(level) = cts.first().map(Ciphertext::level) else {
+            return;
+        };
+        assert!(level >= 2, "no prime left to rescale into");
         let dropped = self.ring.basis().primes()[level - 1] as f64;
-        ev.rescale_polys(&mut [&mut ct.c0, &mut ct.c1]);
-        ct.scale /= dropped;
+        let mut parts: Vec<&mut RnsPoly> = cts
+            .iter_mut()
+            .flat_map(|ct| [&mut ct.c0, &mut ct.c1])
+            .collect();
+        ev.rescale_polys(&mut parts);
+        for ct in cts {
+            ct.scale /= dropped;
+        }
     }
 
     /// Rough upper bound on the coefficient magnitude a level can hold:

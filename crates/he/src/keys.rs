@@ -3,7 +3,9 @@
 //! On residency-preferring backends, keygen uploads every key polynomial
 //! once (part of the chain's initial upload); relinearization then reads
 //! the key halves directly from device memory — key material never
-//! crosses the bus again.
+//! crosses the bus again. A host copy ([`PublicKey::evict_device`],
+//! [`SecretKey::evict_device`]) keeps the encryptions and decryptions it
+//! runs in host batches instead.
 
 use ntt_core::poly::RnsPoly;
 use std::collections::BTreeMap;
@@ -17,12 +19,11 @@ pub struct SecretKey {
 }
 
 impl SecretKey {
-    /// `s` in evaluation form at full level. This *is* the secret —
-    /// exposed so decrypting layers above the scheme (request batchers)
-    /// can batch the `c1·s` products of many jobs; anything holding
-    /// `&SecretKey` can already decrypt, so no capability is added.
-    pub fn eval_poly(&self) -> &RnsPoly {
-        &self.s_eval
+    /// Drop the key's device copy (downloading it first if it was the
+    /// fresh one): a host copy, whose decrypts run in host batches on
+    /// any backend ([`crate::HeContext::decrypt_group`]).
+    pub fn evict_device(&mut self) {
+        self.s_eval.evict_device();
     }
 }
 
@@ -36,11 +37,12 @@ pub struct PublicKey {
 }
 
 impl PublicKey {
-    /// The `(b, a)` halves in evaluation form — public material, exposed
-    /// so encrypting layers above the scheme can batch the `b·u` / `a·u`
-    /// products of many jobs.
-    pub fn halves(&self) -> (&RnsPoly, &RnsPoly) {
-        (&self.b, &self.a)
+    /// Drop the key's device copies (downloading them first if they were
+    /// the fresh ones): a host copy, whose encryptions run in host
+    /// batches on any backend ([`crate::HeContext::encrypt_group`]).
+    pub fn evict_device(&mut self) {
+        self.b.evict_device();
+        self.a.evict_device();
     }
 }
 

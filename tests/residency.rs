@@ -20,7 +20,7 @@ use ntt_warp::core::backend::{Evaluator, NttBackend};
 use ntt_warp::core::poly::{Representation, Residency};
 use ntt_warp::core::{CpuBackend, RnsPoly, RnsRing};
 use ntt_warp::gpu::{ShardedBackend, SimBackend};
-use ntt_warp::he::{sampling, Ciphertext, HeContext, HeLiteParams, PublicKey};
+use ntt_warp::he::{sampling, Ciphertext, HeContext, HeLiteParams, Plaintext, PublicKey};
 use proptest::prelude::*;
 
 fn ring(n: usize, np: usize) -> RnsRing {
@@ -272,7 +272,9 @@ fn cpu_context_stays_host_resident() {
 
 /// `multiply_plain` uses a prepared (resident, transformed) plaintext
 /// as-is: on `SimBackend` it gives the bits of the fresh-plaintext call
-/// and of the CPU context.
+/// and of the CPU context. A host-only ciphertext stays on the host: its
+/// product with a fresh plaintext and its decrypt run in host batches,
+/// as a served group of one does, and come back host-only.
 #[test]
 fn multiply_plain_takes_a_prepared_plaintext() {
     let bits = |mut ct: Ciphertext| {
@@ -287,8 +289,8 @@ fn multiply_plain_takes_a_prepared_plaintext() {
     };
     let cpu = HeContext::new(sim_params()).unwrap();
     let keys = cpu.keygen(&mut sampling::seeded_rng(11));
-    let ct = encrypt(&cpu, &keys.public);
-    let want = bits(cpu.multiply_plain(&ct, &cpu.encode(&values)));
+    let host_ct = encrypt(&cpu, &keys.public);
+    let want = bits(cpu.multiply_plain(&host_ct, &cpu.encode(&values)));
 
     let sim = HeContext::with_backend(sim_params(), Box::new(SimBackend::titan_v())).unwrap();
     let dev_keys = sim.adopt_keys(&keys);
@@ -297,6 +299,130 @@ fn multiply_plain_takes_a_prepared_plaintext() {
     let prepared = sim.prepare_plaintext(&pt, ct.level());
     assert_eq!(bits(sim.multiply_plain(&ct, &pt)), want, "fresh");
     assert_eq!(bits(sim.multiply_plain(&ct, &prepared)), want, "prepared");
+
+    let product = sim.multiply_plain(&host_ct, &pt);
+    assert_eq!(
+        product.residency(),
+        Residency::HostOnly,
+        "host-only product"
+    );
+    assert_eq!(bits(product), want, "host-only");
+    let decrypted = sim.decrypt(&host_ct, &dev_keys.secret);
+    assert_eq!(decrypted.poly().residency(), Residency::HostOnly);
+    assert_eq!(
+        decrypted,
+        cpu.decrypt(&host_ct, &keys.secret),
+        "host-only decrypt"
+    );
+}
+
+/// Components and scale bits of a ciphertext, host-fresh.
+fn ct_bits(ct: &Ciphertext) -> (RnsPoly, RnsPoly, u64) {
+    let mut ct = ct.clone();
+    ct.sync();
+    let (c0, c1) = ct.components();
+    (c0.clone(), c1.clone(), ct.scale().to_bits())
+}
+
+/// What `f` returns, and the launches it issues on `sim` as
+/// `[pointwise + add, every other]`.
+fn traced<R>(sim: &SimBackend, f: impl FnOnce() -> R) -> (R, [usize; 2]) {
+    let from = sim.with_gpu(|gpu| gpu.trace.len());
+    let r = f();
+    let counts = sim.with_gpu(|gpu| {
+        let launches = &gpu.trace[from..];
+        let elementwise = launches
+            .iter()
+            .filter(|l| matches!(l.launch.label.as_str(), "sim-pointwise" | "sim-add"))
+            .count();
+        [elementwise, launches.len() - elementwise]
+    });
+    (r, counts)
+}
+
+/// The group forms are their single ops `k` at a time: on Cpu, Sim and
+/// Sharded K = 2, a 3-job encrypt, plaintext-multiply and decrypt group
+/// with the context's own keys equals three single ops in components
+/// and scale bits. On Sim the group issues the three single ops'
+/// pointwise and add launches, and a third of their other launches: a
+/// transform, rescale or inverse over every job's polynomials is one op.
+#[test]
+fn group_forms_equal_single_ops() {
+    let params = sim_params();
+    let sim = SimBackend::titan_v();
+    let backends: [Box<dyn NttBackend>; 3] = [
+        Box::<CpuBackend>::default(),
+        sim.fork(),
+        Box::new(ShardedBackend::titan_v(2, params.n())),
+    ];
+    let values = [vec![1.5, -2.0], vec![0.25], vec![3.0, 4.0, -5.0]];
+    let weights = [vec![2.0], vec![-0.5, 1.0], vec![0.75]];
+    let rng = |j: usize| sampling::seeded_rng(100 + j as u64);
+    for backend in backends {
+        let name = backend.name();
+        let ctx = HeContext::with_backend(params, backend).unwrap();
+        let keys = ctx.keygen(&mut sampling::seeded_rng(5));
+        let pts: Vec<Plaintext> = values.iter().map(|v| ctx.encode(v)).collect();
+        let ws: Vec<Plaintext> = weights.iter().map(|w| ctx.encode(w)).collect();
+        let group = |f: &dyn Fn(&mut Evaluator) -> Vec<Ciphertext>| {
+            traced(&sim, || ctx.with_pooled_evaluator(|ev| f(ev)))
+        };
+
+        let (cts, launches) = group(&|ev| {
+            let mut jobs: Vec<_> = pts.iter().enumerate().map(|(j, pt)| (pt, rng(j))).collect();
+            ctx.encrypt_group(ev, &keys.public, &mut jobs)
+        });
+        let (want, single) = traced(&sim, || {
+            let encrypt = |(j, pt)| ctx.encrypt(pt, &keys.public, &mut rng(j));
+            pts.iter().enumerate().map(encrypt).collect::<Vec<_>>()
+        });
+        assert_eq!(
+            launches,
+            [single[0], single[1] / 3],
+            "{name}: encrypt launches"
+        );
+
+        let jobs: Vec<(&Ciphertext, &Plaintext)> = cts.iter().zip(&ws).collect();
+        let (prods, launches) = group(&|ev| ctx.multiply_plain_group(ev, &jobs));
+        let (want_prods, single) = traced(&sim, || {
+            let multiply = |(ct, w)| ctx.multiply_plain(ct, w);
+            want.iter().zip(&ws).map(multiply).collect::<Vec<_>>()
+        });
+        assert_eq!(
+            launches,
+            [single[0], single[1] / 3],
+            "{name}: multiply launches"
+        );
+
+        let (outs, launches) = traced(&sim, || {
+            let refs: Vec<&Ciphertext> = prods.iter().collect();
+            ctx.with_pooled_evaluator(|ev| ctx.decrypt_group(ev, &keys.secret, &refs))
+        });
+        let (want_outs, single) = traced(&sim, || {
+            let decrypt = |ct| ctx.decrypt(ct, &keys.secret);
+            want_prods.iter().map(decrypt).collect::<Vec<_>>()
+        });
+        assert_eq!(
+            launches,
+            [single[0], single[1] / 3],
+            "{name}: decrypt launches"
+        );
+
+        for j in 0..3 {
+            assert_eq!(ct_bits(&cts[j]), ct_bits(&want[j]), "{name} #{j}: encrypt");
+            assert_eq!(
+                ct_bits(&prods[j]),
+                ct_bits(&want_prods[j]),
+                "{name} #{j}: multiply"
+            );
+            assert_eq!(outs[j], want_outs[j], "{name} #{j}: decrypt");
+            assert_eq!(outs[j].scale().to_bits(), want_outs[j].scale().to_bits());
+        }
+    }
+    assert!(
+        sim.with_gpu(|gpu| !gpu.trace.is_empty()),
+        "Sim launched nothing"
+    );
 }
 
 /// Nested checkouts take a second evaluator instead of deadlocking on a
