@@ -2379,14 +2379,17 @@ impl Evaluator {
     /// terms: a key switch's inner product (digit views × key halves,
     /// plus any product terms it folds in) or a plaintext-product sum.
     ///
-    /// Every term whose factors are both device-fresh in this backend's
-    /// memory joins **one** [`BackendOp::Fma`]; `acc` is pulled to the
-    /// device for it like [`Evaluator::add_assign`] pulls its
-    /// accumulator. A term with a factor anywhere else takes the two-op
-    /// chain [`Evaluator::mul_pointwise`] + [`Evaluator::add_assign`]
-    /// first, which stages operands and counts transfers exactly as that
-    /// chain always has. Sums mod `p` are exact in any order, so the bits
-    /// are the chain's either way.
+    /// Every term with a factor device-fresh in this backend's memory
+    /// joins **one** [`BackendOp::Fma`]; its other factor, if it is on
+    /// the host, is staged up for the op (one counted upload, freed
+    /// after), and `acc` is pulled to the device like
+    /// [`Evaluator::add_assign`] pulls its accumulator. A term with both
+    /// factors on the host is added straight into `acc`'s host rows,
+    /// with the row function `CpuBackend`'s `Fma` arm runs: no backend
+    /// op, so nothing is staged or drawn. Products are canonical under
+    /// the plan's strategy and sums mod `p` are exact in any order, so
+    /// the bits are those of a [`Evaluator::mul_pointwise`] +
+    /// [`Evaluator::add_assign`] chain either way.
     ///
     /// # Panics
     ///
@@ -2399,29 +2402,37 @@ impl Evaluator {
             Representation::Evaluation,
             "accumulator not in NTT form"
         );
-        let words = acc.level() * self.plan.degree();
-        let (mut xs, mut ys) = (Vec::new(), Vec::new());
+        let (level, words) = (acc.level(), acc.level() * self.plan.degree());
+        let (mut xs, mut ys, mut staged) = (Vec::new(), Vec::new(), Vec::new());
         for &(x, y) in terms {
-            assert_eq!(acc.level(), y.level(), "level mismatch");
+            assert_eq!(level, y.level(), "level mismatch");
             assert_eq!(y.repr(), Representation::Evaluation, "rhs not in NTT form");
             let yb = self.dev_buf(y);
-            match x {
+            let x = match x {
                 FmaFactor::View(view) => {
                     assert_eq!(view.len(), words, "fma view shape mismatch");
                     xs.push(view);
                     ys.push(yb.expect("a device view's partner must be device-resident"));
+                    continue;
                 }
-                FmaFactor::Poly(x) => {
-                    assert_eq!(acc.level(), x.level(), "level mismatch");
-                    assert_eq!(x.repr(), Representation::Evaluation, "lhs not in NTT form");
-                    if let Some((xb, yb)) = self.dev_buf(x).zip(yb) {
-                        xs.push(xb);
-                        ys.push(yb);
-                    } else {
-                        let mut prod = x.clone();
-                        self.mul_pointwise(&mut prod, y);
-                        self.add_assign(acc, &prod);
-                    }
+                FmaFactor::Poly(x) => x,
+            };
+            assert_eq!(level, x.level(), "level mismatch");
+            assert_eq!(x.repr(), Representation::Evaluation, "lhs not in NTT form");
+            match (self.dev_buf(x), yb) {
+                (None, None) => {
+                    host_fma_rows(&self.plan, level, acc.flat_mut(), x.flat(), y.flat())
+                }
+                (xb, yb) => {
+                    let mut on_device = |buf: Option<DeviceBuf>, poly: &RnsPoly| {
+                        buf.unwrap_or_else(|| {
+                            let up = self.stage_up(poly);
+                            staged.push(up);
+                            up
+                        })
+                    };
+                    xs.push(on_device(xb, x));
+                    ys.push(on_device(yb, y));
                 }
             }
         }
@@ -2434,10 +2445,25 @@ impl Evaluator {
             acc: acc.device_buf_in(&mem).expect("just uploaded"),
             x: &xs,
             y: &ys,
-            level: acc.level(),
+            level,
         };
         self.dispatch(op);
         acc.mark_device_dirty();
+        for buf in staged {
+            lock_memory(&mem).free(buf);
+        }
+    }
+
+    /// A device copy of a host polynomial's rows in a buffer of its own
+    /// (one counted upload, like [`Evaluator::make_resident`]'s), for an
+    /// op that reads it once; the caller frees it.
+    fn stage_up(&mut self, poly: &RnsPoly) -> DeviceBuf {
+        self.backend.bind_stream();
+        let mem = self.backend.memory();
+        let mut mem = lock_memory(&mem);
+        let buf = mem.alloc(poly.flat().len());
+        mem.upload(buf, poly.flat());
+        buf
     }
 
     /// Gadget-decompose a coefficient polynomial and forward-NTT every

@@ -8,7 +8,8 @@
 //! failure in place up to three times, latches the first fault that
 //! outlasts that and issues nothing after it. These tests count draws
 //! with `FaultPlan::ops_seen` on the simulated device: what each served
-//! group, each rotation and a whole bootstrap draws, that a sticky fault
+//! group, each rotation, a host multiply-accumulate and a whole
+//! bootstrap draws, that a sticky fault
 //! stops the draws at the failing op, that transient faults are re-drawn
 //! in place, that an injected OOM latches like a launch fault, how the
 //! pool treats the member that saw a fault, and that a decrypt whose
@@ -18,6 +19,7 @@ use he_serve::{
     job_seed, Batcher, BootParams, Bootstrapper, EncryptJob, HeServer, Request, Response,
     ServeConfig, ServeError, TenantId,
 };
+use ntt_warp::core::backend::{Evaluator, FmaFactor};
 use ntt_warp::core::{BackendError, NttBackend, RnsPoly};
 use ntt_warp::gpu::{ShardedBackend, SimBackend};
 use ntt_warp::he::{
@@ -181,6 +183,39 @@ fn armed_groups_and_rotation_draw_per_op() {
     let armed = ctx.try_rotate(&s.ct, G, &s.rtk).expect("zero-rate plan");
     assert_eq!(draws(&s.sim), 8, "rotation draws");
     assert_eq!(bits(&armed), bits(&unarmed), "arming changed the bits");
+}
+
+/// A multiply-accumulate whose terms are all on the host adds them
+/// straight into the accumulator's host rows: armed under a zero-rate
+/// plan it draws nothing, where the pointwise + add chain draws 3 per
+/// term (one staged pointwise batch each), and it gives that chain's
+/// bits.
+#[test]
+fn host_fma_draws_nothing() {
+    let s = setup();
+    let ring = s.ctx.ring();
+    let poly = |seed: u64| sampling::uniform_eval_poly(ring, 3, &mut sampling::seeded_rng(seed));
+    let (xs, ys): (Vec<RnsPoly>, Vec<RnsPoly>) = (0..3).map(|k| (poly(k), poly(10 + k))).unzip();
+    let terms: Vec<_> = xs.iter().map(FmaFactor::Poly).zip(&ys).collect();
+    let mut ev = Evaluator::with_backend(ring, s.sim.fork());
+    let (mut fused, mut chain) = (poly(20), poly(20));
+
+    arm(&s.sim, FaultPlan::seeded(1));
+    ev.gated(|ev| ev.fma(&mut fused, &terms))
+        .expect("a zero-rate plan never faults");
+    assert_eq!(draws(&s.sim), 0, "a host fma drew");
+
+    arm(&s.sim, FaultPlan::seeded(1));
+    ev.gated(|ev| {
+        for (x, y) in xs.iter().zip(&ys) {
+            let mut prod = x.clone();
+            ev.mul_pointwise(&mut prod, y);
+            ev.add_assign(&mut chain, &prod);
+        }
+    })
+    .expect("a zero-rate plan never faults");
+    assert_eq!(draws(&s.sim), 3 * 3, "chain draws");
+    assert_eq!(fused, chain, "fma bits");
 }
 
 /// A sticky fault at draw `k` fails the rotation, and the latch stops
