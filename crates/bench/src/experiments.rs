@@ -717,7 +717,7 @@ pub struct ServeReport {
     /// Modeled device time over the serving window.
     pub timeline: gpu_sim::DeviceTimeline,
     /// Transient gate failures re-drawn in place (0 unless a fault plan
-    /// is armed, e.g. through `NTT_WARP_FAULTS`).
+    /// is armed).
     pub op_retries: u64,
 }
 

@@ -21,22 +21,26 @@
 //! active stream so the aborted command still occupies the modeled
 //! timeline, like a real failed command occupies the hardware queue.
 //!
-//! # Environment knob
+//! # Configuration
 //!
-//! [`FaultPlan::from_env`] parses `NTT_WARP_FAULTS`, a comma-separated
-//! `key=value` list:
+//! A plan is built in code: [`FaultPlan::seeded`] picks the RNG seed,
+//! then [`rate`](FaultPlan::rate) sets a per-mille transient fault
+//! probability per operation class (upload / download / launch / alloc,
+//! 0–1000, default 0), [`sticky_after`](FaultPlan::sticky_after) wedges
+//! the device after that many fallible operations (every later draw
+//! fails sticky), and [`oom_words`](FaultPlan::oom_words) caps the device
+//! capacity in words, so an allocation that would push the address space
+//! past it fails with an OOM fault:
 //!
-//! ```text
-//! NTT_WARP_FAULTS="seed=7,upload=20,launch=10,sticky_after=400,oom_words=1048576"
 //! ```
-//!
-//! * `seed` — RNG seed (default 1).
-//! * `upload` / `download` / `launch` / `alloc` — per-mille transient
-//!   fault probability for that operation class (0–1000, default 0).
-//! * `sticky_after` — after this many fallible operations the device
-//!   wedges: every later draw fails sticky (unset = never).
-//! * `oom_words` — device capacity in words; an allocation that would
-//!   push the address space past it fails with an OOM fault.
+//! use gpu_sim::{FaultOp, FaultPlan};
+//! let plan = FaultPlan::seeded(7)
+//!     .rate(FaultOp::Upload, 20)
+//!     .rate(FaultOp::Launch, 10)
+//!     .sticky_after(400)
+//!     .oom_words(1 << 20);
+//! assert_eq!(plan.ops_seen(), 0);
+//! ```
 //!
 //! An allocation is not a device command: it draws the schedule (and
 //! counts toward `sticky_after`) only when `alloc` has a rate or it
@@ -57,28 +61,12 @@ pub enum FaultOp {
 }
 
 impl FaultOp {
-    const ALL: [FaultOp; 4] = [
-        FaultOp::Upload,
-        FaultOp::Download,
-        FaultOp::Launch,
-        FaultOp::Alloc,
-    ];
-
     fn index(self) -> usize {
         match self {
             FaultOp::Upload => 0,
             FaultOp::Download => 1,
             FaultOp::Launch => 2,
             FaultOp::Alloc => 3,
-        }
-    }
-
-    fn env_key(self) -> &'static str {
-        match self {
-            FaultOp::Upload => "upload",
-            FaultOp::Download => "download",
-            FaultOp::Launch => "launch",
-            FaultOp::Alloc => "alloc",
         }
     }
 }
@@ -100,9 +88,7 @@ pub enum FaultKind {
 ///
 /// Configure with the builder methods ([`rate`](FaultPlan::rate),
 /// [`sticky_after`](FaultPlan::sticky_after),
-/// [`oom_words`](FaultPlan::oom_words)) or from the `NTT_WARP_FAULTS`
-/// environment variable ([`from_env`](FaultPlan::from_env)). Probabilities
-/// are expressed in per-mille (integer ‰) so the schedule involves no
+/// [`oom_words`](FaultPlan::oom_words)). Probabilities are expressed in per-mille (integer ‰) so the schedule involves no
 /// floating point and replays identically everywhere.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
@@ -156,49 +142,6 @@ impl FaultPlan {
     pub fn oom_words(mut self, words: usize) -> Self {
         self.oom_words = Some(words);
         self
-    }
-
-    /// Build a plan from the `NTT_WARP_FAULTS` environment variable, or
-    /// `None` when it is unset or empty. See the module docs for the
-    /// format.
-    ///
-    /// # Panics
-    ///
-    /// Panics on malformed entries — the variable is a test/ops knob and
-    /// a silently ignored typo would un-arm a chaos run.
-    pub fn from_env() -> Option<Self> {
-        let spec = std::env::var("NTT_WARP_FAULTS").ok()?;
-        if spec.trim().is_empty() {
-            return None;
-        }
-        let mut plan = FaultPlan::seeded(1);
-        for entry in spec.split(',') {
-            let entry = entry.trim();
-            if entry.is_empty() {
-                continue;
-            }
-            let (key, value) = entry
-                .split_once('=')
-                .unwrap_or_else(|| panic!("NTT_WARP_FAULTS: `{entry}` is not key=value"));
-            let parse = |what: &str| -> u64 {
-                value
-                    .parse()
-                    .unwrap_or_else(|_| panic!("NTT_WARP_FAULTS: bad {what} value `{value}`"))
-            };
-            match key {
-                "seed" => plan.state = parse("seed") | 1,
-                "sticky_after" => plan.sticky_after = Some(parse("sticky_after")),
-                "oom_words" => plan.oom_words = Some(parse("oom_words") as usize),
-                op_key => {
-                    let op = FaultOp::ALL
-                        .into_iter()
-                        .find(|op| op.env_key() == op_key)
-                        .unwrap_or_else(|| panic!("NTT_WARP_FAULTS: unknown key `{op_key}`"));
-                    plan = plan.rate(op, parse("rate").min(1000) as u16);
-                }
-            }
-        }
-        Some(plan)
     }
 
     fn next_u64(&mut self) -> u64 {
@@ -342,11 +285,8 @@ mod tests {
     }
 
     #[test]
-    fn env_parsing_round_trips() {
-        // from_env reads the process environment, which is shared across
-        // test threads — parse via a local helper instead by setting and
-        // clearing around a dedicated key is racy. Exercise the builder
-        // equivalence of the documented example instead.
+    fn builder_sets_rates_sticky_threshold_and_oom_cap() {
+        // Each builder method sets its own field and leaves the others.
         let plan = FaultPlan::seeded(7)
             .rate(FaultOp::Upload, 20)
             .rate(FaultOp::Launch, 10)

@@ -69,9 +69,7 @@
 //! [`DeviceMemory::try_alloc`] is the injected-OOM hook, through which an
 //! armed evaluator makes its own allocations. Everything else, host↔device
 //! staging included, never consults the plan, which keeps split sweeps
-//! and the figure harness fault-free even when `NTT_WARP_FAULTS`
-//! is set (the env plan is armed when a backend is constructed, not in
-//! [`SimMemory::new`], for the same reason).
+//! and the figure harness fault-free.
 //!
 //! # Panic audit
 //!

@@ -1007,26 +1007,15 @@ const LAUNCH: &[FaultOp] = &[FaultOp::Launch];
 
 impl<F: Flavor> SimDevices<F> {
     /// A root executor on the default streams of `mem`'s shards.
-    ///
-    /// If `NTT_WARP_FAULTS` is set, the parsed [`gpu_sim::FaultPlan`]
-    /// is armed on **every** shard — each device draws its own
-    /// schedule, so fault rates scale with the device count the way a
-    /// real multi-GPU node's do. Arming happens here, not in
-    /// [`SimMemory::new`], so the scratch devices the split sweep
-    /// builds stay fault-free by construction.
     pub(crate) fn over(mem: ShardedMemory) -> Self {
         let k = mem.shard_count();
-        let backend = Self {
+        Self {
             mem: Arc::new(Mutex::new(mem)),
             streams: vec![Stream::DEFAULT; k],
             staging: (0..k).map(|_| ShardStaging::default()).collect(),
             split_cache: Arc::new(Mutex::new(HashMap::new())),
             flavor: PhantomData,
-        };
-        if let Some(plan) = gpu_sim::FaultPlan::from_env() {
-            backend.set_fault_plan(Some(plan));
         }
-        backend
     }
 
     /// Arm (or with `None`, disarm) a deterministic fault schedule on
