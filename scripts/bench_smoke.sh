@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Bench-regression smoke: re-measure the wall-clock benchmark suite and
-# enforce WITHIN-RUN ratio gates — structural speedups that must hold on
-# any host because both sides of each gate come from the same run:
+# Bench-regression smoke: run the figure harness once at --quick scale
+# (every section, with the assertions inside it; its output goes to the
+# log), then re-measure the wall-clock benchmark suite and enforce
+# WITHIN-RUN ratio gates — structural speedups that must hold on any
+# host because both sides of each gate come from the same run:
 #
 #   * the fused lazy RNS multiply stays well under the strict legacy
 #     pipeline it replaced (PR 2 measured ~5.8x; the gate allows 0.6x);
@@ -72,10 +74,10 @@ fi
 NOW="$(pwd)/target/bench_now.json"
 
 rm -f "$NOW"
-# The figure harness is the shape smoke; the criterion benches are the
-# timing smoke. Keep both on the same build.
+# The figure harness is the shape smoke, run once per CI run here; the
+# criterion benches are the timing smoke. Keep both on the same build.
 cargo build --release --quiet
-cargo run --release --quiet --bin figures -- --quick > /dev/null
+cargo run --release --quiet --bin figures -- --quick
 CRITERION_JSON="$NOW" cargo bench -p ntt-bench --bench cpu_ntt --bench he_ops --bench modmul
 
 cargo run --release --quiet -p ntt-bench --bin bench_guard -- "$NOW" \
