@@ -23,24 +23,8 @@
 //!
 //! # Configuration
 //!
-//! A plan is built in code: [`FaultPlan::seeded`] picks the RNG seed,
-//! then [`rate`](FaultPlan::rate) sets a per-mille transient fault
-//! probability per operation class (upload / download / launch / alloc,
-//! 0–1000, default 0), [`sticky_after`](FaultPlan::sticky_after) wedges
-//! the device after that many fallible operations (every later draw
-//! fails sticky), and [`oom_words`](FaultPlan::oom_words) caps the device
-//! capacity in words, so an allocation that would push the address space
-//! past it fails with an OOM fault:
-//!
-//! ```
-//! use gpu_sim::{FaultOp, FaultPlan};
-//! let plan = FaultPlan::seeded(7)
-//!     .rate(FaultOp::Upload, 20)
-//!     .rate(FaultOp::Launch, 10)
-//!     .sticky_after(400)
-//!     .oom_words(1 << 20);
-//! assert_eq!(plan.ops_seen(), 0);
-//! ```
+//! A plan is built in code, from [`FaultPlan::seeded`] and its builder
+//! methods, and armed through the backend's `set_fault_plan`.
 //!
 //! An allocation is not a device command: it draws the schedule (and
 //! counts toward `sticky_after`) only when `alloc` has a rate or it

@@ -30,17 +30,9 @@
 //!   upload, an encrypt → multiply → relinearize → rescale chain performs
 //!   **zero** host↔device transfers (asserted by `tests/residency.rs`
 //!   and gated in CI); data comes back only at explicit sync points
-//!   (decrypt/decode, [`Ciphertext::sync`]). What an op creates —
-//!   encryption samples, a truncated plaintext, the truncated secret —
-//!   goes where the key or ciphertext it combines with lives, so host
-//!   copies stay on the host and run in host batches.
-//!
-//! Encrypt, plaintext multiply + rescale and decrypt each have a group
-//! form ([`HeContext::encrypt_group`], [`HeContext::multiply_plain_group`],
-//! [`HeContext::decrypt_group`]) that runs `k` jobs on the caller's
-//! evaluator with one multi-polynomial op per stage; the single ops are
-//! their one-job case, and the he-serve batcher serves its dispatch
-//! groups through them.
+//!   (decrypt/decode, [`Ciphertext::sync`]). What an op creates goes
+//!   where the key or ciphertext it combines with lives, so host copies
+//!   stay on the host.
 
 use crate::ciphertext::{Ciphertext, Plaintext};
 use crate::keys::{KeySet, PublicKey, RelinEntry, RelinKeys, RotationKeys, SecretKey};
@@ -879,16 +871,11 @@ impl HeContext {
             .remove(0)
     }
 
-    /// [`HeContext::multiply_plain_raw`] of a group of jobs on `ev`: one
-    /// [`Evaluator::forward_polys`] over every plaintext not prepared at
-    /// its ciphertext's level, and one [`Evaluator::mul_pointwise_polys`]
-    /// over the `2k` component products, `c0·m` then `c1·m` per job.
-    ///
-    /// A plaintext the op truncates is made resident only when its
-    /// ciphertext is, so a resident job runs on the device — a resident
-    /// single job issues an unprepared plaintext's transform and two
-    /// pointwise launches, in that order — and a group of host-only
-    /// ciphertexts runs one host batch per stage, whatever the backend.
+    /// [`HeContext::multiply_plain_raw`] of a group of jobs on `ev`: the
+    /// plaintexts' one transform ([`HeContext::plains_at`]), then one
+    /// [`Evaluator::mul_pointwise_polys`] over the `2k` products, `c0·m`
+    /// then `c1·m` per job, so a resident single job issues its launches
+    /// in the order the bootstrap always has.
     fn multiply_plain_raw_group(
         &self,
         ev: &mut Evaluator,
@@ -1089,9 +1076,8 @@ impl HeContext {
     /// one [`Evaluator::mul_pointwise_polys`] over the `2k` key products
     /// `b·u`, `a·u`, then `c0 = b·u + e0 + m` and `c1 = a·u + e1`.
     ///
-    /// The samples are made resident only when the key is, so a resident
-    /// key yields resident ciphertexts and a host-only key host-only ones,
-    /// through one host batch per stage whatever the backend.
+    /// The samples are made resident only when the key is, so a host-only
+    /// key yields host-only ciphertexts through one host batch per stage.
     pub fn encrypt_group<R: Rng + RngExt>(
         &self,
         ev: &mut Evaluator,
@@ -1145,13 +1131,11 @@ impl HeContext {
     /// [`HeContext::decrypt`] of a group of ciphertexts at one level on
     /// `ev`: one [`Evaluator::mul_pointwise_polys`] over the `k` products
     /// `c1·s`, the adds of each `c0`, and one [`Evaluator::inverse_polys`]
-    /// over the `k` sums. The secret, truncated once to the group's level,
-    /// is made resident only when the first ciphertext is, so a group of
-    /// host-only ciphertexts runs two host batches whatever the backend.
-    /// Every plaintext comes back host-fresh, to decode once an
-    /// armed checkout that ran this returned `Ok`: after a latched fault
-    /// its rows are stale, and stale residues need not even fit the
-    /// decoder's centered range.
+    /// over the `k` sums. The secret, truncated once, is made resident only
+    /// when the first ciphertext is, so host-only ciphertexts run two host
+    /// batches on any backend. Decode the host-fresh plaintexts only once
+    /// an armed checkout that ran this returned `Ok`: stale residues after
+    /// a latched fault need not even fit the decoder's centered range.
     ///
     /// # Panics
     ///
