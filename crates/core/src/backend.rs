@@ -693,8 +693,15 @@ pub(crate) fn host_pointwise_rows(
     }
 }
 
-/// `acc[i] += x[i] * y[i]` per row (the key-switch accumulate step).
-pub(crate) fn host_fma_rows(plan: &RingPlan, level: usize, acc: &mut [u64], x: &[u64], y: &[u64]) {
+/// `acc[i] += x[i] * y[i]` per row under `primes` (the key-switch
+/// accumulate step).
+pub(crate) fn host_fma_rows(
+    plan: &RingPlan,
+    primes: Range<usize>,
+    acc: &mut [u64],
+    x: &[u64],
+    y: &[u64],
+) {
     let n = plan.degree();
     for (r, ((arow, xrow), yrow)) in acc
         .chunks_exact_mut(n)
@@ -702,7 +709,7 @@ pub(crate) fn host_fma_rows(plan: &RingPlan, level: usize, acc: &mut [u64], x: &
         .zip(y.chunks_exact(n))
         .enumerate()
     {
-        let s = plan.strategy(r % level);
+        let s = plan.strategy(primes.start + r % primes.len());
         let p = s.modulus();
         for ((a, &xv), &yv) in arow.iter_mut().zip(xrow).zip(yrow) {
             // `add_mod` without its branch: whether the sum wraps is
@@ -714,18 +721,18 @@ pub(crate) fn host_fma_rows(plan: &RingPlan, level: usize, acc: &mut [u64], x: &
     }
 }
 
-/// `acc[i] = acc[i] ± rhs[i]` per row.
+/// `acc[i] = acc[i] ± rhs[i]` per row under `primes`.
 pub(crate) fn host_addsub_rows(
     plan: &RingPlan,
-    level: usize,
+    primes: Range<usize>,
     acc: &mut [u64],
     rhs: &[u64],
     subtract: bool,
 ) {
     let n = plan.degree();
-    let primes = plan.ring().basis().primes();
+    let moduli = plan.ring().basis().primes();
     for (r, (row, rhs_row)) in acc.chunks_exact_mut(n).zip(rhs.chunks_exact(n)).enumerate() {
-        let p = primes[r % level];
+        let p = moduli[primes.start + r % primes.len()];
         for (x, &y) in row.iter_mut().zip(rhs_row) {
             *x = if subtract {
                 sub_mod(*x, y, p)
@@ -736,26 +743,26 @@ pub(crate) fn host_addsub_rows(
     }
 }
 
-/// Row-wise negation.
-pub(crate) fn host_negate_rows(plan: &RingPlan, level: usize, data: &mut [u64]) {
+/// Row-wise negation under `primes`.
+pub(crate) fn host_negate_rows(plan: &RingPlan, primes: Range<usize>, data: &mut [u64]) {
     let n = plan.degree();
-    let primes = plan.ring().basis().primes();
+    let moduli = plan.ring().basis().primes();
     for (r, row) in data.chunks_exact_mut(n).enumerate() {
-        let p = primes[r % level];
+        let p = moduli[primes.start + r % primes.len()];
         for x in row.iter_mut() {
             *x = neg_mod(*x, p);
         }
     }
 }
 
-/// Galois automorphism `X → X^g` (g odd) of a `level`-row coefficient
-/// buffer: `dst[r·N + (i·g mod 2N)] = ±src[r·N + i]`, negated when the
-/// exponent wraps past `N` (negacyclic: `X^N = −1`), with row `r` reduced
-/// mod prime `r % level`. Out-of-place — the map is a permutation, so an
-/// in-place gather would trample unread inputs.
+/// Galois automorphism `X → X^g` (g odd) of a coefficient buffer:
+/// `dst[r·N + (i·g mod 2N)] = ±src[r·N + i]`, negated when the exponent
+/// wraps past `N` (negacyclic: `X^N = −1`), with row `r` under prime
+/// `primes.start + r % primes.len()`. Out-of-place — the map is a
+/// permutation, so an in-place gather would trample unread inputs.
 pub(crate) fn host_automorphism_rows(
     plan: &RingPlan,
-    level: usize,
+    primes: Range<usize>,
     g: u64,
     src: &[u64],
     dst: &mut [u64],
@@ -765,9 +772,9 @@ pub(crate) fn host_automorphism_rows(
     let g = g % two_n;
     assert_eq!(g % 2, 1, "Galois element must be odd");
     assert_eq!(src.len(), dst.len(), "operand shape mismatch");
-    let primes = plan.ring().basis().primes();
+    let moduli = plan.ring().basis().primes();
     for (r, (out, row)) in dst.chunks_exact_mut(n).zip(src.chunks_exact(n)).enumerate() {
-        let p = primes[r % level];
+        let p = moduli[primes.start + r % primes.len()];
         for (i, &x) in row.iter().enumerate() {
             let idx = (i as u64 * g) % two_n;
             if idx < n as u64 {
@@ -1000,13 +1007,15 @@ pub struct SubScale<'a> {
 ///
 /// * **host batches** (`*Batch`) work on host [`LimbBatch`] views, so a
 ///   backend with a real device stages every call through its memory;
-/// * **device ops** work in place on [`DeviceBuf`] views in the backend's
-///   own memory ([`NttBackend::memory`]) and move nothing across the bus.
-///   Their `level` is the active prime count: row `r` of every operand is
-///   reduced mod prime `r % level`. The transforms and the base
-///   conversion take one [`PolyView`] per polynomial instead, each under
-///   its own primes, so both components of a ciphertext (or one dropped
-///   row of each) go in one op.
+/// * **device ops** work on [`DeviceBuf`] views in the backend's own
+///   memory ([`NttBackend::memory`]) and move nothing across the bus.
+///   Every device op but the decompose takes one [`PolyView`] per
+///   polynomial, each under its own primes, and any other operand as
+///   one buffer per view, shaped like it. So both components of a
+///   ciphertext (or one dropped row of each) go in one op, on a
+///   simulated GPU one launch per device. The decompose's `level` is
+///   its active prime count: row `r` of every operand is reduced mod
+///   prime `r % level`.
 ///
 /// One op is also the unit a backend's fault model gates: [`label`]
 /// names it in a [`BackendError`], and [`handles`] lists the buffers
@@ -1057,52 +1066,50 @@ pub enum BackendOp<'a> {
         /// The rows transformed in place, each view under its own primes.
         views: &'a [PolyView],
     },
-    /// Device-resident pointwise product `acc[i] *= rhs[i]` per row.
+    /// Device-resident pointwise products `acc[k][i] *= rhs[k][i]` per
+    /// row, one view per polynomial, in one op.
     Pointwise {
-        /// The rows multiplied in place.
-        acc: DeviceBuf,
-        /// The right-hand rows.
-        rhs: DeviceBuf,
-        /// Active primes.
-        level: usize,
+        /// The rows multiplied in place, each view under its own primes.
+        acc: &'a [PolyView],
+        /// The right-hand rows, `rhs[k]` shaped like `acc[k]`.
+        rhs: &'a [DeviceBuf],
     },
     /// Device-resident multi-term multiply-accumulate
-    /// `acc[i] += Σ_k x[k][i] · y[k][i]` per row: a whole
-    /// multiply-accumulate chain over one accumulator in one op. The key
-    /// switch passes its digit sub-views as `x` and the matching key
-    /// halves as `y`, plus any product terms it folds in; a
+    /// `acc[k][i] += Σ_t x[k][t][i] · y[k][t][i]` per row: whole
+    /// multiply-accumulate chains over one or more accumulators, every
+    /// accumulator with as many terms, in one op. The key switch passes
+    /// its two accumulators, its digit sub-views as `x` and the matching
+    /// key halves as `y`, plus any product terms it folds in; a
     /// baby-step/giant-step inner sum passes ciphertext components and
     /// diagonal plaintexts.
     Fma {
-        /// The accumulator.
-        acc: DeviceBuf,
-        /// The first factor of each term, accumulator-shaped (any views,
-        /// separate allocations or slices of one stacked buffer).
+        /// The accumulators, each view under its own primes.
+        acc: &'a [PolyView],
+        /// The first factor of each term, shaped like its accumulator
+        /// (any views, separate allocations or slices of one stacked
+        /// buffer), accumulator by accumulator: with `m = x.len() /
+        /// acc.len()` terms each, accumulator `k` takes
+        /// `x[k·m..(k + 1)·m]`.
         x: &'a [DeviceBuf],
-        /// The second factor of each term, accumulator-shaped;
+        /// The second factor of each term, laid out like `x`;
         /// `y.len() == x.len()`.
         y: &'a [DeviceBuf],
-        /// Active primes.
-        level: usize,
     },
-    /// Device-resident row-wise sum `acc[i] += rhs[i]`, or difference
-    /// `acc[i] -= rhs[i]` when `subtract` is set.
+    /// Device-resident row-wise sums `acc[k][i] += rhs[k][i]`, or
+    /// differences `acc[k][i] -= rhs[k][i]` when `subtract` is set, one
+    /// view per polynomial, in one op.
     AddSub {
-        /// The rows updated in place.
-        acc: DeviceBuf,
-        /// The right-hand rows.
-        rhs: DeviceBuf,
-        /// Active primes.
-        level: usize,
+        /// The rows updated in place, each view under its own primes.
+        acc: &'a [PolyView],
+        /// The right-hand rows, `rhs[k]` shaped like `acc[k]`.
+        rhs: &'a [DeviceBuf],
         /// Subtract instead of add.
         subtract: bool,
     },
-    /// Device-resident negation of every row.
+    /// Device-resident negation of every row of every view, in one op.
     Negate {
-        /// The rows negated in place.
-        buf: DeviceBuf,
-        /// Active primes.
-        level: usize,
+        /// The rows negated in place, each view under its own primes.
+        views: &'a [PolyView],
     },
     /// Device-resident gadget digit decomposition: `src` holds `level`
     /// coefficient rows, `dst` receives `level·digits` stacked polynomials
@@ -1136,17 +1143,16 @@ pub enum BackendOp<'a> {
         /// Centered instead of plain lift.
         centered: bool,
     },
-    /// Device-resident Galois automorphism `X → X^g` (`g` odd): `src`
-    /// holds `level` coefficient rows, `dst` receives the permuted rows,
-    /// `dst[i·g mod 2N] = ±src[i]` per row, negated where the exponent
-    /// wraps past `N`.
+    /// Device-resident Galois automorphism `X → X^g` (`g` odd) of
+    /// coefficient rows, one view per polynomial, in one op: `dst[k]`
+    /// receives the permuted rows of `src[k]`, `dst[i·g mod 2N] =
+    /// ±src[i]` per row, negated where the exponent wraps past `N`.
     Automorphism {
-        /// The source rows.
-        src: DeviceBuf,
-        /// The permuted rows (must not alias `src`).
-        dst: DeviceBuf,
-        /// Active primes.
-        level: usize,
+        /// The source rows, each view under its own primes.
+        src: &'a [PolyView],
+        /// The permuted rows, `dst[k]` shaped like `src[k]` (and not
+        /// aliasing it).
+        dst: &'a [DeviceBuf],
         /// The Galois element.
         g: u64,
     },
@@ -1198,21 +1204,28 @@ impl BackendOp<'_> {
                 .map(|v| v.buf)
                 .chain(fold.iter().flat_map(|f| f.acc.iter().copied()))
                 .collect(),
-            BackendOp::Inverse { views } => views.iter().map(|v| v.buf).collect(),
+            BackendOp::Inverse { views } | BackendOp::Negate { views } => {
+                views.iter().map(|v| v.buf).collect()
+            }
             BackendOp::BaseConvert { src, dst, .. } => {
                 src.iter().chain(dst).map(|v| v.buf).collect()
             }
-            BackendOp::Negate { buf, .. } => vec![buf],
-            BackendOp::Pointwise { acc, rhs, .. } | BackendOp::AddSub { acc, rhs, .. } => {
-                vec![acc, rhs]
-            }
-            BackendOp::Fma { acc, x, y, .. } => std::iter::once(acc)
+            BackendOp::Pointwise { acc, rhs }
+            | BackendOp::AddSub { acc, rhs, .. }
+            | BackendOp::Automorphism {
+                src: acc, dst: rhs, ..
+            } => acc
+                .iter()
+                .map(|v| v.buf)
+                .chain(rhs.iter().copied())
+                .collect(),
+            BackendOp::Fma { acc, x, y } => acc
+                .iter()
+                .map(|v| v.buf)
                 .chain(x.iter().copied())
                 .chain(y.iter().copied())
                 .collect(),
-            BackendOp::Decompose { src, dst, .. } | BackendOp::Automorphism { src, dst, .. } => {
-                vec![src, dst]
-            }
+            BackendOp::Decompose { src, dst, .. } => vec![src, dst],
         }
     }
 }
@@ -1469,47 +1482,60 @@ impl NttBackend for CpuBackend {
                     self.stage_out(0, view.buf);
                 }
             }
-            BackendOp::Pointwise { acc, rhs, level } => {
-                self.stage_in(0, acc);
-                self.stage_in(1, rhs);
-                let mut a = std::mem::take(&mut self.stage[0]);
-                host_pointwise_rows(plan, 0..level, &mut a, &self.stage[1]);
-                self.stage[0] = a;
-                self.stage_out(0, acc);
-            }
-            BackendOp::Fma { acc, x, y, level } => {
-                assert_eq!(x.len(), y.len(), "fma term count mismatch");
-                self.stage_in(0, acc);
-                let mut a = std::mem::take(&mut self.stage[0]);
-                for (&xk, &yk) in x.iter().zip(y) {
-                    assert_eq!(xk.len(), acc.len(), "fma term shape mismatch");
-                    assert_eq!(yk.len(), acc.len(), "fma term shape mismatch");
-                    self.stage_in(1, xk);
-                    self.stage_in(2, yk);
-                    host_fma_rows(plan, level, &mut a, &self.stage[1], &self.stage[2]);
+            BackendOp::Pointwise { acc, rhs } => {
+                assert_eq!(acc.len(), rhs.len(), "one right-hand view per view");
+                for (view, &rhs) in acc.iter().zip(rhs) {
+                    self.stage_in(0, view.buf);
+                    self.stage_in(1, rhs);
+                    let mut a = std::mem::take(&mut self.stage[0]);
+                    host_pointwise_rows(plan, view.primes.clone(), &mut a, &self.stage[1]);
+                    self.stage[0] = a;
+                    self.stage_out(0, view.buf);
                 }
-                self.stage[0] = a;
-                self.stage_out(0, acc);
             }
-            BackendOp::AddSub {
-                acc,
-                rhs,
-                level,
-                subtract,
-            } => {
-                self.stage_in(0, acc);
-                self.stage_in(1, rhs);
-                let mut a = std::mem::take(&mut self.stage[0]);
-                host_addsub_rows(plan, level, &mut a, &self.stage[1], subtract);
-                self.stage[0] = a;
-                self.stage_out(0, acc);
+            BackendOp::Fma { acc, x, y } => {
+                assert_eq!(x.len(), y.len(), "fma term count mismatch");
+                assert_eq!(
+                    x.len() % acc.len(),
+                    0,
+                    "every accumulator takes as many terms"
+                );
+                let m = x.len() / acc.len();
+                for (k, view) in acc.iter().enumerate() {
+                    self.stage_in(0, view.buf);
+                    let mut a = std::mem::take(&mut self.stage[0]);
+                    for (&xk, &yk) in x[k * m..(k + 1) * m].iter().zip(&y[k * m..(k + 1) * m]) {
+                        assert_eq!(xk.len(), view.buf.len(), "fma term shape mismatch");
+                        assert_eq!(yk.len(), view.buf.len(), "fma term shape mismatch");
+                        self.stage_in(1, xk);
+                        self.stage_in(2, yk);
+                        let primes = view.primes.clone();
+                        host_fma_rows(plan, primes, &mut a, &self.stage[1], &self.stage[2]);
+                    }
+                    self.stage[0] = a;
+                    self.stage_out(0, view.buf);
+                }
             }
-            BackendOp::Negate { buf, level } => {
-                self.stage_in(0, buf);
-                let mut a = std::mem::take(&mut self.stage[0]);
-                host_negate_rows(plan, level, &mut a);
-                self.stage[0] = a;
-                self.stage_out(0, buf);
+            BackendOp::AddSub { acc, rhs, subtract } => {
+                assert_eq!(acc.len(), rhs.len(), "one right-hand view per view");
+                for (view, &rhs) in acc.iter().zip(rhs) {
+                    self.stage_in(0, view.buf);
+                    self.stage_in(1, rhs);
+                    let mut a = std::mem::take(&mut self.stage[0]);
+                    let primes = view.primes.clone();
+                    host_addsub_rows(plan, primes, &mut a, &self.stage[1], subtract);
+                    self.stage[0] = a;
+                    self.stage_out(0, view.buf);
+                }
+            }
+            BackendOp::Negate { views } => {
+                for view in views {
+                    self.stage_in(0, view.buf);
+                    let mut a = std::mem::take(&mut self.stage[0]);
+                    host_negate_rows(plan, view.primes.clone(), &mut a);
+                    self.stage[0] = a;
+                    self.stage_out(0, view.buf);
+                }
             }
             BackendOp::Decompose {
                 src,
@@ -1533,14 +1559,18 @@ impl NttBackend for CpuBackend {
                 self.stage[0] = d;
                 self.stage_out(0, dst);
             }
-            BackendOp::Automorphism { src, dst, level, g } => {
-                self.stage_in(1, src);
-                let mut d = std::mem::take(&mut self.stage[0]);
-                d.clear();
-                d.resize(dst.len(), 0);
-                host_automorphism_rows(plan, level, g, &self.stage[1], &mut d);
-                self.stage[0] = d;
-                self.stage_out(0, dst);
+            BackendOp::Automorphism { src, dst, g } => {
+                assert_eq!(src.len(), dst.len(), "one destination per view");
+                for (view, &dst) in src.iter().zip(dst) {
+                    self.stage_in(1, view.buf);
+                    let mut d = std::mem::take(&mut self.stage[0]);
+                    d.clear();
+                    d.resize(dst.len(), 0);
+                    let primes = view.primes.clone();
+                    host_automorphism_rows(plan, primes, g, &self.stage[1], &mut d);
+                    self.stage[0] = d;
+                    self.stage_out(0, dst);
+                }
             }
             BackendOp::BaseConvert { src, dst, centered } => {
                 assert_eq!(src.len(), dst.len(), "one source row per destination");
@@ -1653,9 +1683,9 @@ pub struct Evaluator {
     backend: Box<dyn NttBackend>,
     /// Grow-only device scratch in the backend's memory, one allocation
     /// per slot (freed on drop): slot 0 holds the key switch's
-    /// buffer-of-digits or the automorphism's output, slot `1 + k` the
-    /// rescale's lifted rows of its `k`-th polynomial, each viewed from
-    /// row 0 like that polynomial's accumulator.
+    /// buffer-of-digits, slot `1 + k` the rescale's lifted rows or the
+    /// automorphism's output of its `k`-th polynomial, each viewed from
+    /// row 0 like that polynomial.
     scratch: Vec<Option<DeviceBuf>>,
     /// The fault gate: `None` unarmed, `Some(Ok(()))` armed and healthy,
     /// `Some(Err(_))` the first fault since arming (see
@@ -2043,92 +2073,141 @@ impl Evaluator {
         self.mul_pointwise_polys(&mut [(acc, rhs)]);
     }
 
-    /// Pointwise products `acc *= rhs` of evaluation-form pairs. A pair
-    /// whose `rhs` is device-resident in this backend's memory runs on
-    /// the device (its `acc` pulled there too), one
-    /// [`BackendOp::Pointwise`] each; the host pairs of each level share
-    /// one [`BackendOp::PointwiseBatch`].
+    /// Pointwise products `acc *= rhs` of evaluation-form pairs. The
+    /// pairs whose `rhs` is device-resident in this backend's memory run
+    /// on the device (each `acc` pulled there too) in **one**
+    /// [`BackendOp::Pointwise`], one view per pair; the host pairs of
+    /// each level share one [`BackendOp::PointwiseBatch`].
     ///
     /// # Panics
     ///
     /// Panics on a level mismatch within a pair or if an operand is in
     /// coefficient form.
     pub fn mul_pointwise_polys(&mut self, pairs: &mut [(&mut RnsPoly, &RnsPoly)]) {
-        let mut host = Vec::new();
-        for (acc, rhs) in pairs.iter_mut() {
-            assert_eq!(acc.level(), rhs.level(), "level mismatch");
-            assert_eq!(
-                acc.repr(),
-                Representation::Evaluation,
-                "lhs not in NTT form"
-            );
-            assert_eq!(
-                rhs.repr(),
-                Representation::Evaluation,
-                "rhs not in NTT form"
-            );
-            if let Some((abuf, rbuf)) = self.device_pair(acc, rhs) {
-                let op = BackendOp::Pointwise {
-                    acc: abuf,
-                    rhs: rbuf,
-                    level: acc.level(),
-                };
-                self.dispatch(op);
-                acc.mark_device_dirty();
-            } else {
-                host.push((&mut **acc, Some(*rhs)));
+        let (mut acc, mut rhs, mut resident, mut host) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        for (a, r) in pairs.iter_mut() {
+            assert_eq!(a.level(), r.level(), "level mismatch");
+            assert_eq!(a.repr(), Representation::Evaluation, "lhs not in NTT form");
+            assert_eq!(r.repr(), Representation::Evaluation, "rhs not in NTT form");
+            match self.device_pair(a, r) {
+                Some((abuf, rbuf)) => {
+                    acc.push(PolyView::new(abuf, 0..a.level()));
+                    rhs.push(rbuf);
+                    resident.push(&mut **a);
+                }
+                None => host.push((&mut **a, Some(*r))),
+            }
+        }
+        if !acc.is_empty() {
+            self.dispatch(BackendOp::Pointwise {
+                acc: &acc,
+                rhs: &rhs,
+            });
+            for a in resident {
+                a.mark_device_dirty();
             }
         }
         self.host_batches(host, |acc, rhs| BackendOp::PointwiseBatch { acc, rhs });
     }
 
     /// Row-wise sum `acc += rhs` (representations must match; valid in
-    /// either domain).
+    /// either domain): the one-pair case of [`Evaluator::add_polys`].
     ///
     /// # Panics
     ///
     /// Panics on level or representation mismatch.
     pub fn add_assign(&mut self, acc: &mut RnsPoly, rhs: &RnsPoly) {
-        self.addsub_assign(acc, rhs, false);
+        self.add_polys(&mut [(acc, rhs)]);
     }
 
-    /// Row-wise difference `acc -= rhs`.
+    /// Row-wise difference `acc -= rhs`: the one-pair case of
+    /// [`Evaluator::sub_polys`].
     ///
     /// # Panics
     ///
     /// Panics on level or representation mismatch.
     pub fn sub_assign(&mut self, acc: &mut RnsPoly, rhs: &RnsPoly) {
-        self.addsub_assign(acc, rhs, true);
+        self.sub_polys(&mut [(acc, rhs)]);
     }
 
-    fn addsub_assign(&mut self, acc: &mut RnsPoly, rhs: &RnsPoly, subtract: bool) {
-        assert_eq!(acc.level(), rhs.level(), "level mismatch");
-        assert_eq!(acc.repr(), rhs.repr(), "representation mismatch");
-        if let Some((abuf, rbuf)) = self.device_pair(acc, rhs) {
-            let op = BackendOp::AddSub {
-                acc: abuf,
-                rhs: rbuf,
-                level: acc.level(),
-                subtract,
-            };
-            self.dispatch(op);
-            acc.mark_device_dirty();
-        } else if subtract {
-            acc.sub_assign(rhs, self.plan.ring());
-        } else {
-            acc.add_assign(rhs, self.plan.ring());
+    /// Row-wise sums `acc += rhs` of pairs whose representations match.
+    /// The pairs whose `rhs` is device-resident in this backend's memory
+    /// run on the device (each `acc` pulled there too) in **one**
+    /// [`BackendOp::AddSub`], one view per pair; the others add on the
+    /// host.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a level or representation mismatch within a pair.
+    pub fn add_polys(&mut self, pairs: &mut [(&mut RnsPoly, &RnsPoly)]) {
+        self.addsub_polys(pairs, false);
+    }
+
+    /// Row-wise differences `acc -= rhs`, issued as
+    /// [`Evaluator::add_polys`] issues its sums.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a level or representation mismatch within a pair.
+    pub fn sub_polys(&mut self, pairs: &mut [(&mut RnsPoly, &RnsPoly)]) {
+        self.addsub_polys(pairs, true);
+    }
+
+    fn addsub_polys(&mut self, pairs: &mut [(&mut RnsPoly, &RnsPoly)], subtract: bool) {
+        let (mut acc, mut rhs, mut resident) = (Vec::new(), Vec::new(), Vec::new());
+        for (a, r) in pairs.iter_mut() {
+            assert_eq!(a.level(), r.level(), "level mismatch");
+            assert_eq!(a.repr(), r.repr(), "representation mismatch");
+            match self.device_pair(a, r) {
+                Some((abuf, rbuf)) => {
+                    acc.push(PolyView::new(abuf, 0..a.level()));
+                    rhs.push(rbuf);
+                    resident.push(&mut **a);
+                }
+                None if subtract => a.sub_assign(r, self.plan.ring()),
+                None => a.add_assign(r, self.plan.ring()),
+            }
+        }
+        if acc.is_empty() {
+            return;
+        }
+        self.dispatch(BackendOp::AddSub {
+            acc: &acc,
+            rhs: &rhs,
+            subtract,
+        });
+        for a in resident {
+            a.mark_device_dirty();
         }
     }
 
-    /// Negate `poly` in place (device-side when resident).
+    /// Negate `poly` in place: the one-polynomial case of
+    /// [`Evaluator::negate_polys`].
     pub fn negate(&mut self, poly: &mut RnsPoly) {
-        if let Some(buf) = self.device_target(poly) {
-            let level = poly.level();
-            let op = BackendOp::Negate { buf, level };
-            self.dispatch(op);
+        self.negate_polys(&mut [poly]);
+    }
+
+    /// Negate polynomials in place: the ones resident in this backend's
+    /// memory in **one** [`BackendOp::Negate`], one view each, the others
+    /// on the host.
+    pub fn negate_polys(&mut self, polys: &mut [&mut RnsPoly]) {
+        let (mut views, mut resident) = (Vec::new(), Vec::new());
+        for poly in polys.iter_mut() {
+            match self.device_target(poly) {
+                Some(buf) => {
+                    views.push(PolyView::new(buf, 0..poly.level()));
+                    resident.push(&mut **poly);
+                }
+                None => poly.negate(self.plan.ring()),
+            }
+        }
+        if views.is_empty() {
+            return;
+        }
+        self.dispatch(BackendOp::Negate { views: &views });
+        for poly in resident {
             poly.mark_device_dirty();
-        } else {
-            poly.negate(self.plan.ring());
         }
     }
 
@@ -2259,36 +2338,60 @@ impl Evaluator {
         }
     }
 
-    /// Galois automorphism `X → X^g` in place (coefficient form; `g` odd).
-    /// Device-resident polynomials permute on the device through the
-    /// evaluator's scratch buffer — no host transfer; the write-back is a
-    /// device-to-device copy.
+    /// Galois automorphism `X → X^g` in place (coefficient form; `g`
+    /// odd): the one-polynomial case of [`Evaluator::automorphism_polys`].
     ///
     /// # Panics
     ///
     /// Panics if `poly` is in evaluation form or `g` is even.
     pub fn automorphism(&mut self, poly: &mut RnsPoly, g: u64) {
-        assert_eq!(
-            poly.repr(),
-            Representation::Coefficient,
-            "automorphism requires coefficient form"
-        );
-        if let Some(src) = self.device_target(poly) {
-            let tmp = self.scratch(0, src.len());
-            let op = BackendOp::Automorphism {
-                src,
-                dst: tmp,
-                level: poly.level(),
-                g,
-            };
-            self.dispatch(op);
-            lock_memory(&self.backend.memory()).copy(tmp, src);
+        self.automorphism_polys(&mut [poly], g);
+    }
+
+    /// Galois automorphism `X → X^g` of several polynomials in place
+    /// (coefficient form; `g` odd). The ones resident in this backend's
+    /// memory permute on the device in **one** [`BackendOp::Automorphism`]
+    /// into the evaluator's scratch, one buffer each — no host transfer;
+    /// each write-back is a device-to-device copy. The others permute on
+    /// the host.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a polynomial is in evaluation form or `g` is even.
+    pub fn automorphism_polys(&mut self, polys: &mut [&mut RnsPoly], g: u64) {
+        let (mut src, mut dst, mut resident) = (Vec::new(), Vec::new(), Vec::new());
+        for poly in polys.iter_mut() {
+            assert_eq!(
+                poly.repr(),
+                Representation::Coefficient,
+                "automorphism requires coefficient form"
+            );
+            if let Some(buf) = self.device_target(poly) {
+                dst.push(self.scratch(1 + src.len(), buf.len()));
+                src.push(PolyView::new(buf, 0..poly.level()));
+                resident.push(&mut **poly);
+            } else {
+                poly.sync();
+                let mut out = vec![0u64; poly.flat().len()];
+                let primes = 0..poly.level();
+                host_automorphism_rows(&self.plan, primes, g, poly.flat(), &mut out);
+                poly.flat_mut().copy_from_slice(&out);
+            }
+        }
+        if src.is_empty() {
+            return;
+        }
+        self.dispatch(BackendOp::Automorphism {
+            src: &src,
+            dst: &dst,
+            g,
+        });
+        let mem = self.backend.memory();
+        for (view, &tmp) in src.iter().zip(&dst) {
+            lock_memory(&mem).copy(tmp, view.buf);
+        }
+        for poly in resident {
             poly.mark_device_dirty();
-        } else {
-            poly.sync();
-            let mut out = vec![0u64; poly.flat().len()];
-            host_automorphism_rows(&self.plan, poly.level(), g, poly.flat(), &mut out);
-            poly.flat_mut().copy_from_slice(&out);
         }
     }
 
@@ -2380,19 +2483,32 @@ impl Evaluator {
     }
 
     /// Multiply-accumulate `acc += Σ_k x_k ⊙ y_k` over evaluation-form
-    /// terms: a key switch's inner product (digit views × key halves,
-    /// plus any product terms it folds in) or a plaintext-product sum.
+    /// terms: the one-accumulator case of [`Evaluator::fma_polys`].
+    ///
+    /// # Panics
+    ///
+    /// As [`Evaluator::fma_polys`].
+    pub fn fma(&mut self, acc: &mut RnsPoly, terms: &[(FmaFactor<'_>, &RnsPoly)]) {
+        self.fma_polys(&mut [(acc, terms)]);
+    }
+
+    /// Multiply-accumulates `acc += Σ_k x_k ⊙ y_k` over evaluation-form
+    /// terms, one term list per accumulator: a key switch's two inner
+    /// products (digit views × key halves, plus any product terms it
+    /// folds in) or the two components of a plaintext-product sum.
     ///
     /// Every term with a factor device-fresh in this backend's memory
-    /// joins **one** [`BackendOp::Fma`]; its other factor, if it is on
-    /// the host, is staged up for the op (one counted upload, freed
-    /// after), and `acc` is pulled to the device like
-    /// [`Evaluator::add_assign`] pulls its accumulator. A term with both
-    /// factors on the host is added straight into `acc`'s host rows,
-    /// with the row function `CpuBackend`'s `Fma` arm runs: no backend
-    /// op, so nothing is staged or drawn. Products are canonical under
-    /// the plan's strategy and sums mod `p` are exact in any order, so
-    /// the bits are those of a [`Evaluator::mul_pointwise`] +
+    /// goes to the device; its other factor, if it is on the host, is
+    /// staged up for the op (one counted upload, freed after), and its
+    /// accumulator is pulled to the device like [`Evaluator::add_polys`]
+    /// pulls its accumulators. The accumulators with as many device terms
+    /// share **one** [`BackendOp::Fma`], so the same-shaped inner products
+    /// of a key switch or a ciphertext are one op. A term with both
+    /// factors on the host is added straight into its accumulator's host
+    /// rows, with the row function `CpuBackend`'s `Fma` arm runs: no
+    /// backend op, so nothing is staged or drawn. Products are canonical
+    /// under the plan's strategy and sums mod `p` are exact in any order,
+    /// so the bits are those of a [`Evaluator::mul_pointwise`] +
     /// [`Evaluator::add_assign`] chain either way.
     ///
     /// # Panics
@@ -2400,59 +2516,76 @@ impl Evaluator {
     /// Panics on level or representation mismatch, on a
     /// [`FmaFactor::View`] whose partner is not device-fresh here, or on
     /// a view that is not accumulator-shaped.
-    pub fn fma(&mut self, acc: &mut RnsPoly, terms: &[(FmaFactor<'_>, &RnsPoly)]) {
-        assert_eq!(
-            acc.repr(),
-            Representation::Evaluation,
-            "accumulator not in NTT form"
-        );
-        let (level, words) = (acc.level(), acc.level() * self.plan.degree());
-        let (mut xs, mut ys, mut staged) = (Vec::new(), Vec::new(), Vec::new());
-        for &(x, y) in terms {
-            assert_eq!(level, y.level(), "level mismatch");
-            assert_eq!(y.repr(), Representation::Evaluation, "rhs not in NTT form");
-            let yb = self.dev_buf(y);
-            let x = match x {
-                FmaFactor::View(view) => {
-                    assert_eq!(view.len(), words, "fma view shape mismatch");
-                    xs.push(view);
-                    ys.push(yb.expect("a device view's partner must be device-resident"));
-                    continue;
-                }
-                FmaFactor::Poly(x) => x,
-            };
-            assert_eq!(level, x.level(), "level mismatch");
-            assert_eq!(x.repr(), Representation::Evaluation, "lhs not in NTT form");
-            match (self.dev_buf(x), yb) {
-                (None, None) => {
-                    host_fma_rows(&self.plan, level, acc.flat_mut(), x.flat(), y.flat())
-                }
-                (xb, yb) => {
-                    let mut on_device = |buf: Option<DeviceBuf>, poly: &RnsPoly| {
-                        buf.unwrap_or_else(|| {
-                            let up = self.stage_up(poly);
-                            staged.push(up);
-                            up
-                        })
-                    };
-                    xs.push(on_device(xb, x));
-                    ys.push(on_device(yb, y));
+    pub fn fma_polys(&mut self, accs: &mut [(&mut RnsPoly, &[(FmaFactor<'_>, &RnsPoly)])]) {
+        // Per accumulator with device terms: its index and factor views.
+        let (mut device, mut staged) = (Vec::new(), Vec::new());
+        for (i, (acc, terms)) in accs.iter_mut().enumerate() {
+            assert_eq!(
+                acc.repr(),
+                Representation::Evaluation,
+                "accumulator not in NTT form"
+            );
+            let (level, words) = (acc.level(), acc.level() * self.plan.degree());
+            let (mut xs, mut ys) = (Vec::new(), Vec::new());
+            for &(x, y) in terms.iter() {
+                assert_eq!(level, y.level(), "level mismatch");
+                assert_eq!(y.repr(), Representation::Evaluation, "rhs not in NTT form");
+                let yb = self.dev_buf(y);
+                let x = match x {
+                    FmaFactor::View(view) => {
+                        assert_eq!(view.len(), words, "fma view shape mismatch");
+                        xs.push(view);
+                        ys.push(yb.expect("a device view's partner must be device-resident"));
+                        continue;
+                    }
+                    FmaFactor::Poly(x) => x,
+                };
+                assert_eq!(level, x.level(), "level mismatch");
+                assert_eq!(x.repr(), Representation::Evaluation, "lhs not in NTT form");
+                match (self.dev_buf(x), yb) {
+                    (None, None) => {
+                        host_fma_rows(&self.plan, 0..level, acc.flat_mut(), x.flat(), y.flat())
+                    }
+                    (xb, yb) => {
+                        let mut on_device = |buf: Option<DeviceBuf>, poly: &RnsPoly| {
+                            buf.unwrap_or_else(|| {
+                                let up = self.stage_up(poly);
+                                staged.push(up);
+                                up
+                            })
+                        };
+                        xs.push(on_device(xb, x));
+                        ys.push(on_device(yb, y));
+                    }
                 }
             }
-        }
-        if xs.is_empty() {
-            return;
+            if !xs.is_empty() {
+                device.push((i, xs, ys));
+            }
         }
         let mem = self.backend.memory();
-        acc.make_resident_in(&mem);
-        let op = BackendOp::Fma {
-            acc: acc.device_buf_in(&mem).expect("just uploaded"),
-            x: &xs,
-            y: &ys,
-            level,
-        };
-        self.dispatch(op);
-        acc.mark_device_dirty();
+        while let Some(terms) = device.first().map(|(_, xs, _)| xs.len()) {
+            let (group, rest): (Vec<_>, Vec<_>) =
+                device.into_iter().partition(|(_, xs, _)| xs.len() == terms);
+            device = rest;
+            let (mut views, mut x, mut y) = (Vec::new(), Vec::new(), Vec::new());
+            for (i, xs, ys) in &group {
+                let acc = &mut *accs[*i].0;
+                acc.make_resident_in(&mem);
+                let buf = acc.device_buf_in(&mem).expect("just uploaded");
+                views.push(PolyView::new(buf, 0..acc.level()));
+                x.extend_from_slice(xs);
+                y.extend_from_slice(ys);
+            }
+            self.dispatch(BackendOp::Fma {
+                acc: &views,
+                x: &x,
+                y: &y,
+            });
+            for (i, ..) in group {
+                accs[i].0.mark_device_dirty();
+            }
+        }
         for buf in staged {
             lock_memory(&mem).free(buf);
         }
@@ -2957,5 +3090,76 @@ mod tests {
         ev.mul_pointwise(&mut ea, &eb);
         ev.to_coefficient(&mut ea);
         assert_eq!(fused, ea);
+    }
+
+    /// The multi-polynomial forms give their one-polynomial calls' bits,
+    /// host or resident. `fma_polys` over accumulators with unequal
+    /// device-term counts (the second also has a host-only term) issues
+    /// one op per count and loses no term.
+    #[test]
+    fn multi_polynomial_forms_match_their_one_polynomial_calls() {
+        let ring = ring(16, 3);
+        let mut ev = Evaluator::cpu(&ring);
+        for resident in [false, true] {
+            let mut poly = |seed: i64, repr| {
+                let coeffs: Vec<i64> = (0..16).map(|i| (seed * (i + 3)) % 29 - 14).collect();
+                let mut p = RnsPoly::from_i64_coeffs(&ring, &coeffs);
+                if resident {
+                    ev.make_resident(&mut p);
+                }
+                if repr == Representation::Evaluation {
+                    ev.to_evaluation(&mut p);
+                }
+                p
+            };
+            let coef = Representation::Coefficient;
+            let [a0, a1, b0, b1] = [1, 2, 3, 4].map(|k| poly(k, coef));
+            let eval = Representation::Evaluation;
+            let [e0, e1, f0, f1, x0, x1, x2, y0, y1, y2] =
+                [5, 6, 7, 8, 9, 10, 11, 12, 13, 14].map(|k| poly(k, eval));
+            let (mut host_x, mut host_y) = (poly(15, eval), poly(16, eval));
+            host_x.evict_device();
+            host_y.evict_device();
+            let ctx = format!("resident = {resident}");
+
+            let (mut m0, mut m1) = (a0.clone(), a1.clone());
+            ev.add_polys(&mut [(&mut m0, &b0), (&mut m1, &b1)]);
+            ev.sub_polys(&mut [(&mut m0, &b1), (&mut m1, &b0)]);
+            ev.negate_polys(&mut [&mut m0, &mut m1]);
+            ev.automorphism_polys(&mut [&mut m0, &mut m1], 5);
+            let (mut s0, mut s1) = (a0.clone(), a1.clone());
+            for (s, b, c) in [(&mut s0, &b0, &b1), (&mut s1, &b1, &b0)] {
+                ev.add_assign(s, b);
+                ev.sub_assign(s, c);
+                ev.negate(s);
+                ev.automorphism(s, 5);
+            }
+            for p in [&mut m0, &mut m1, &mut s0, &mut s1] {
+                p.sync();
+            }
+            assert_eq!(
+                (&m0, &m1),
+                (&s0, &s1),
+                "{ctx}: add, sub, negate, automorphism"
+            );
+
+            let t0 = [(FmaFactor::Poly(&x0), &y0), (FmaFactor::Poly(&x1), &y1)];
+            let t1 = [
+                (FmaFactor::Poly(&x2), &y2),
+                (FmaFactor::Poly(&host_x), &host_y),
+            ];
+            let (mut m0, mut m1) = (e0.clone(), e1.clone());
+            ev.mul_pointwise_polys(&mut [(&mut m0, &f0), (&mut m1, &f1)]);
+            ev.fma_polys(&mut [(&mut m0, &t0), (&mut m1, &t1)]);
+            let (mut s0, mut s1) = (e0.clone(), e1.clone());
+            for (s, f, t) in [(&mut s0, &f0, &t0[..]), (&mut s1, &f1, &t1[..])] {
+                ev.mul_pointwise(s, f);
+                ev.fma(s, t);
+            }
+            for p in [&mut m0, &mut m1, &mut s0, &mut s1] {
+                p.sync();
+            }
+            assert_eq!((&m0, &m1), (&s0, &s1), "{ctx}: pointwise, fma");
+        }
     }
 }

@@ -31,14 +31,17 @@
 //!
 //! The op mix is exactly the paper's: rotations are key switches (one
 //! batched launch group of gadget digit NTTs, then one multi-term FMA
-//! launch per accumulator) and every stage is NTT-dominated, which is
-//! what `figures bootstrap` measures and `bench_smoke.sh` gates. The
-//! memory-bound multiply-accumulate chains around them run the same way,
-//! one multi-term FMA launch per accumulator instead of one launch per
-//! product and one per add: a relinearizing multiply's tensor terms and
-//! a rotation's `c0` add join the key switch's two FMAs, and a giant
-//! step's plaintext-product sum ([`HeContext::multiply_plain_sum`]) is an
-//! FMA pair of its own.
+//! launch into both accumulators) and every stage is NTT-dominated,
+//! which is what `figures bootstrap` measures and `bench_smoke.sh`
+//! gates. The memory-bound multiply-accumulate chains around them run
+//! the same way, one multi-term FMA launch over both components instead
+//! of one launch per product and one per add: a relinearizing
+//! multiply's tensor terms and a rotation's `c0` add join the key
+//! switch's FMA, and a giant step's plaintext-product sum
+//! ([`HeContext::multiply_plain_sum`]) is one FMA of its own. Every
+//! other ciphertext op — an add, a plaintext product, an automorphism —
+//! is likewise one launch for both components, as the paper batches
+//! residue polynomials into one kernel launch.
 //!
 //! **Scale discipline.** Every ciphertext×ciphertext product drifts the
 //! scale off the working point `T` (the squaring recursion
@@ -444,7 +447,7 @@ impl Bootstrapper {
     /// raw (same scale), summed, then rescaled **once** — one level per
     /// stage, and every rotation at one level. Each giant step's inner
     /// sum is one [`HeContext::multiply_plain_sum`]: one multi-term FMA
-    /// launch per component on a device.
+    /// launch over both components on a device.
     fn bsgs(
         &self,
         rots_a: &[Ciphertext],

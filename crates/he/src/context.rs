@@ -653,9 +653,10 @@ impl HeContext {
     /// slot vector (and `g = 2N − 1` conjugates it).
     ///
     /// Both components leave the evaluation domain in one batched inverse
-    /// transform. On a resident context a host-fresh input (say, one
-    /// encrypted on a CPU context) is uploaded first, one upload per
-    /// component, so every step runs on the device.
+    /// transform and are permuted by one batched automorphism. On a
+    /// resident context a host-fresh input (say, one encrypted on a CPU
+    /// context) is uploaded first, one upload per component, so every
+    /// step runs on the device.
     ///
     /// # Panics
     ///
@@ -669,14 +670,13 @@ impl HeContext {
         self.with_pooled_evaluator(|ev| {
             let (mut c0, mut c1) = self.components(ev, ct);
             ev.inverse_polys(&mut [&mut c0, &mut c1]);
-            ev.automorphism(&mut c0, g);
-            ev.automorphism(&mut c1, g);
+            ev.automorphism_polys(&mut [&mut c0, &mut c1], g);
             // The key switch accumulates straight into the transformed
             // `c0` (no separate add) and takes `c1` in coefficient form
             // (its internal inverse transform is a no-op here).
             ev.to_evaluation(&mut c0);
             let mut r1 = self.zero_acc(ev, level);
-            self.key_switch(ev, &c1, entries, level, [&mut c0, &mut r1], [&[], &[]]);
+            self.key_switch(ev, c1, entries, level, [&mut c0, &mut r1], [&[], &[]]);
             Ciphertext {
                 c0,
                 c1: r1,
@@ -690,8 +690,9 @@ impl HeContext {
     /// gate, errors classify into transient/fatal/OOM, and a
     /// non-transient fault quarantines the pool member (rotation keys
     /// are context-owned, so they survive quarantine + re-fork
-    /// untouched). On a simulated GPU below 256 points that is 8 gated
-    /// launches per device.
+    /// untouched). On a simulated GPU below 256 points that is 6 gated
+    /// launches per device: the inverse, the automorphism, the forward of
+    /// `c0`, the decompose, the digit forward and the FMA.
     ///
     /// # Errors
     ///
@@ -863,7 +864,9 @@ impl HeContext {
 
     /// Plaintext multiplication **without** the trailing rescale: the
     /// product keeps the ciphertext's level and multiplies the scales.
-    /// A sum of such products at one scale, rescaled once, is
+    /// With a prepared plaintext ([`HeContext::prepare_plaintext`]) both
+    /// components are one launch on a device. A sum of such products at
+    /// one scale, rescaled once, is
     /// [`HeContext::multiply_plain_sum`] — the baby-step/giant-step DFT
     /// stages' shape, which fuses the whole sum.
     pub fn multiply_plain_raw(&self, ct: &Ciphertext, pt: &Plaintext) -> Ciphertext {
@@ -873,9 +876,8 @@ impl HeContext {
 
     /// [`HeContext::multiply_plain_raw`] of a group of jobs on `ev`: the
     /// plaintexts' one transform ([`HeContext::plains_at`]), then one
-    /// [`Evaluator::mul_pointwise_polys`] over the `2k` products, `c0·m`
-    /// then `c1·m` per job, so a resident single job issues its launches
-    /// in the order the bootstrap always has.
+    /// [`Evaluator::mul_pointwise_polys`] over the `2k` products `c0·m`
+    /// and `c1·m`: on a device one launch for the whole group.
     fn multiply_plain_raw_group(
         &self,
         ev: &mut Evaluator,
@@ -924,10 +926,10 @@ impl HeContext {
 
     /// The plaintext-product sum `Σ_k ct_k ⊙ pt_k` at one level and one
     /// product scale, **without** a rescale: the inner sum of a
-    /// baby-step/giant-step DFT stage. Each component is one
-    /// [`Evaluator::fma`], so on a device-resident context the whole sum
-    /// is 2 launches, where [`HeContext::multiply_plain_raw`] +
-    /// [`HeContext::add`] per term spend 2 per product and 2 per add.
+    /// baby-step/giant-step DFT stage. Both components are one
+    /// [`Evaluator::fma_polys`], so on a device-resident context the
+    /// whole sum is 1 launch, where [`HeContext::multiply_plain_raw`] +
+    /// [`HeContext::add`] per term spend 1 per product and 1 per add.
     /// The bits are that chain's: sums mod `p` are exact in any order.
     ///
     /// # Panics
@@ -947,21 +949,14 @@ impl HeContext {
         }
         self.with_pooled_evaluator(|ev| {
             let ms = Self::plains_at(ev, terms);
-            let mut sum = |part: fn(&Ciphertext) -> &RnsPoly| {
-                let mut acc = self.zero_acc(ev, level);
-                let products: Vec<_> = terms
-                    .iter()
-                    .zip(&ms)
-                    .map(|((ct, _), m)| (FmaFactor::Poly(part(ct)), &**m))
-                    .collect();
-                ev.fma(&mut acc, &products);
-                acc
+            let products = |part: fn(&Ciphertext) -> &RnsPoly| -> Vec<_> {
+                let factors = terms.iter().map(|(ct, _)| FmaFactor::Poly(part(ct)));
+                factors.zip(ms.iter().map(|m| &**m)).collect()
             };
-            Ciphertext {
-                c0: sum(|ct| &ct.c0),
-                c1: sum(|ct| &ct.c1),
-                scale,
-            }
+            let (p0, p1) = (products(|ct| &ct.c0), products(|ct| &ct.c1));
+            let (mut c0, mut c1) = (self.zero_acc(ev, level), self.zero_acc(ev, level));
+            ev.fma_polys(&mut [(&mut c0, &p0), (&mut c1, &p1)]);
+            Ciphertext { c0, c1, scale }
         })
     }
 
@@ -999,10 +994,8 @@ impl HeContext {
     /// Homomorphic negation.
     pub fn negate(&self, ct: &Ciphertext) -> Ciphertext {
         self.with_pooled_evaluator(|ev| {
-            let mut c0 = ct.c0.clone();
-            ev.negate(&mut c0);
-            let mut c1 = ct.c1.clone();
-            ev.negate(&mut c1);
+            let (mut c0, mut c1) = (ct.c0.clone(), ct.c1.clone());
+            ev.negate_polys(&mut [&mut c0, &mut c1]);
             Ciphertext {
                 c0,
                 c1,
@@ -1074,7 +1067,9 @@ impl HeContext {
     /// `u, e0, e1` from its own generator: one
     /// [`Evaluator::forward_polys`] over every job's samples and message,
     /// one [`Evaluator::mul_pointwise_polys`] over the `2k` key products
-    /// `b·u`, `a·u`, then `c0 = b·u + e0 + m` and `c1 = a·u + e1`.
+    /// `b·u`, `a·u`, then `c0 = b·u + e0 + m` and `c1 = a·u + e1` in two
+    /// [`Evaluator::add_polys`]: the `2k` error sums, then the `k` message
+    /// sums.
     ///
     /// The samples are made resident only when the key is, so a host-only
     /// key yields host-only ciphertexts through one host batch per stage.
@@ -1112,11 +1107,20 @@ impl HeContext {
             .flat_map(|(ct, s)| [(&mut ct.c0, &s[0]), (&mut ct.c1, &s[0])])
             .collect();
         ev.mul_pointwise_polys(&mut pairs);
-        for (ct, s) in outs.iter_mut().zip(samples.chunks_exact(4)) {
-            ev.add_assign(&mut ct.c0, &s[1]);
-            ev.add_assign(&mut ct.c0, &s[3]);
-            ev.add_assign(&mut ct.c1, &s[2]);
-        }
+        // `c0` takes two addends, so the sums are two ops: the errors,
+        // then the messages.
+        let mut errors: Vec<(&mut RnsPoly, &RnsPoly)> = outs
+            .iter_mut()
+            .zip(samples.chunks_exact(4))
+            .flat_map(|(ct, s)| [(&mut ct.c0, &s[1]), (&mut ct.c1, &s[2])])
+            .collect();
+        ev.add_polys(&mut errors);
+        let mut messages: Vec<(&mut RnsPoly, &RnsPoly)> = outs
+            .iter_mut()
+            .zip(samples.chunks_exact(4))
+            .map(|(ct, s)| (&mut ct.c0, &s[3]))
+            .collect();
+        ev.add_polys(&mut messages);
         outs
     }
 
@@ -1130,12 +1134,13 @@ impl HeContext {
 
     /// [`HeContext::decrypt`] of a group of ciphertexts at one level on
     /// `ev`: one [`Evaluator::mul_pointwise_polys`] over the `k` products
-    /// `c1·s`, the adds of each `c0`, and one [`Evaluator::inverse_polys`]
-    /// over the `k` sums. The secret, truncated once, is made resident only
-    /// when the first ciphertext is, so host-only ciphertexts run two host
-    /// batches on any backend. Decode the host-fresh plaintexts only once
-    /// an armed checkout that ran this returned `Ok`: stale residues after
-    /// a latched fault need not even fit the decoder's centered range.
+    /// `c1·s`, one [`Evaluator::add_polys`] of each `c0`, and one
+    /// [`Evaluator::inverse_polys`] over the `k` sums. The secret,
+    /// truncated once, is made resident only when the first ciphertext
+    /// is, so host-only ciphertexts run two host batches on any backend.
+    /// Decode the host-fresh plaintexts only once an armed checkout that
+    /// ran this returned `Ok`: stale residues after a latched fault need
+    /// not even fit the decoder's centered range.
     ///
     /// # Panics
     ///
@@ -1160,9 +1165,9 @@ impl HeContext {
             .collect();
         let mut pairs: Vec<(&mut RnsPoly, &RnsPoly)> = ms.iter_mut().map(|m| (m, &s)).collect();
         ev.mul_pointwise_polys(&mut pairs);
-        for (m, ct) in ms.iter_mut().zip(cts) {
-            ev.add_assign(m, &ct.c0);
-        }
+        let mut sums: Vec<(&mut RnsPoly, &RnsPoly)> =
+            ms.iter_mut().zip(cts).map(|(m, ct)| (m, &ct.c0)).collect();
+        ev.add_polys(&mut sums);
         ev.inverse_polys(&mut ms.iter_mut().collect::<Vec<_>>());
         ms.into_iter()
             .zip(cts)
@@ -1187,10 +1192,8 @@ impl HeContext {
             b.scale
         );
         self.with_pooled_evaluator(|ev| {
-            let mut c0 = a.c0.clone();
-            ev.add_assign(&mut c0, &b.c0);
-            let mut c1 = a.c1.clone();
-            ev.add_assign(&mut c1, &b.c1);
+            let (mut c0, mut c1) = (a.c0.clone(), a.c1.clone());
+            ev.add_polys(&mut [(&mut c0, &b.c0), (&mut c1, &b.c1)]);
             Ciphertext {
                 c0,
                 c1,
@@ -1208,10 +1211,8 @@ impl HeContext {
         assert_eq!(a.level(), b.level(), "level mismatch");
         assert!((a.scale / b.scale - 1.0).abs() < 1e-9, "scale mismatch");
         self.with_pooled_evaluator(|ev| {
-            let mut c0 = a.c0.clone();
-            ev.sub_assign(&mut c0, &b.c0);
-            let mut c1 = a.c1.clone();
-            ev.sub_assign(&mut c1, &b.c1);
+            let (mut c0, mut c1) = (a.c0.clone(), a.c1.clone());
+            ev.sub_polys(&mut [(&mut c0, &b.c0), (&mut c1, &b.c1)]);
             Ciphertext {
                 c0,
                 c1,
@@ -1237,12 +1238,12 @@ impl HeContext {
     /// Homomorphic multiplication: tensor, relinearize, rescale. For
     /// device-resident ciphertexts the whole chain — including the gadget
     /// digit decomposition and every digit NTT — runs on the device with
-    /// zero host↔device transfers. Only `a1·b1` is a product of its own:
-    /// the other tensor terms fold into the key switch's two
+    /// zero host↔device transfers. One pointwise op takes `e2 = a1·b1`
+    /// and `c1 = a1·b0`; the other tensor terms fold into the key switch's
     /// multiply-accumulates, `c0 = a0·b0 + Σ digit·key_b` and
-    /// `c1 = a0·b1 + a1·b0 + Σ digit·key_a`, so a device multiply is one
-    /// pointwise and two FMA launches around the digit transforms, with
-    /// no add.
+    /// `c1 += a0·b1 + Σ digit·key_a`, which take as many terms each and
+    /// so share one op. A device multiply is one pointwise and one FMA
+    /// launch around the digit transforms, with no add.
     ///
     /// # Panics
     ///
@@ -1252,18 +1253,17 @@ impl HeContext {
         assert_eq!(level, b.level(), "level mismatch");
         assert!(level >= 2, "no prime left to rescale into");
         self.with_pooled_evaluator(|ev| {
-            let mut e2 = a.c1.clone();
-            ev.mul_pointwise(&mut e2, &b.c1);
+            let (mut e2, mut c1) = (a.c1.clone(), a.c1.clone());
+            ev.mul_pointwise_polys(&mut [(&mut e2, &b.c1), (&mut c1, &b.c0)]);
             let mut c0 = self.zero_acc(ev, level);
-            let mut c1 = self.zero_acc(ev, level);
-            let (a0, a1) = (FmaFactor::Poly(&a.c0), FmaFactor::Poly(&a.c1));
+            let a0 = FmaFactor::Poly(&a.c0);
             self.key_switch(
                 ev,
-                &e2,
+                e2,
                 &rk.entries[level - 1],
                 level,
                 [&mut c0, &mut c1],
-                [&[(a0, &b.c0)], &[(a0, &b.c1), (a1, &b.c0)]],
+                [&[(a0, &b.c0)], &[(a0, &b.c1)]],
             );
             let mut out = Ciphertext {
                 c0,
@@ -1277,52 +1277,54 @@ impl HeContext {
 
     /// Gadget key switch of `e2` (`level` primes) under an `entries[j][d]`
     /// key set: relinearization passes `B^d·g_j·s²` encryptions, rotation
-    /// `B^d·g_j·τ_g(s)` encryptions ([`crate::keys::RotationKeys`]).
+    /// `B^d·g_j·τ_g(s)` encryptions ([`crate::keys::RotationKeys`]). `e2`
+    /// is consumed: both callers are done with it, so it is transformed
+    /// and decomposed where it lives, with no device copy.
     ///
     /// The switched pair lands in caller-supplied evaluation-form
     /// accumulators, `acc[0] += Σ extra[0] + Σ_k digit_k·b_k` and
     /// `acc[1] += Σ extra[1] + Σ_k digit_k·a_k`, where `extra[i]` holds
     /// product terms to fold into the same multiply-accumulate: rotation
     /// passes its permuted `c0` as `acc[0]` and no extra terms,
-    /// multiplication zero accumulators and its tensor terms.
+    /// multiplication its tensor terms.
     ///
     /// One path on every backend, batched the way the paper batches
     /// kernel launches: [`Evaluator::decompose`] splits `e2` into its
     /// `level·digits` gadget digits and forward-transforms all of them in
     /// one call (on the device when `e2` is resident there, on the host
-    /// otherwise), and each accumulator's whole inner product, the extra
-    /// terms included, is one multi-term [`Evaluator::fma`] — on a device
-    /// two launches per key switch, not one per digit, product or add.
+    /// otherwise), and both accumulators' whole inner products, the extra
+    /// terms included, are one [`Evaluator::fma_polys`] — on a device one
+    /// launch per key switch when `extra[0]` and `extra[1]` are as long,
+    /// not one per accumulator, digit, product or add.
     fn key_switch(
         &self,
         ev: &mut Evaluator,
-        e2: &RnsPoly,
+        mut e2: RnsPoly,
         entries: &[Vec<RelinEntry>],
         level: usize,
         [acc0, acc1]: [&mut RnsPoly; 2],
         extra: [&[(FmaFactor<'_>, &RnsPoly)]; 2],
     ) {
         let digits = self.params.gadget_digits();
-        let mut e2c = e2.clone();
         // On a residency-preferring backend the key entries live on the
         // device, so a host-submitted operand is uploaded first and its
         // digits never leave the device.
         if ev.prefers_residency() {
-            ev.make_resident(&mut e2c);
+            ev.make_resident(&mut e2);
         }
-        ev.to_coefficient(&mut e2c);
-        let decomposed = ev.decompose(&mut e2c, digits, self.params.gadget_bits);
+        ev.to_coefficient(&mut e2);
+        let decomposed = ev.decompose(&mut e2, digits, self.params.gadget_bits);
         // Digit `k = j·digits + d` pairs with key entry `(j, d)`.
         let keys = entries[..level].iter().flat_map(|row| &row[..digits]);
         let (b, a): (Vec<&RnsPoly>, Vec<&RnsPoly>) = keys.map(|e| (&e.b, &e.a)).unzip();
-        for (acc, extra, keys) in [(acc0, extra[0], b), (acc1, extra[1], a)] {
+        let [t0, t1] = [(extra[0], b), (extra[1], a)].map(|(extra, keys)| {
             let digit_terms = keys
                 .into_iter()
                 .enumerate()
                 .map(|(k, key)| (decomposed.factor(k), key));
-            let terms: Vec<_> = extra.iter().copied().chain(digit_terms).collect();
-            ev.fma(acc, &terms);
-        }
+            extra.iter().copied().chain(digit_terms).collect::<Vec<_>>()
+        });
+        ev.fma_polys(&mut [(acc0, &t0), (acc1, &t1)]);
     }
 
     /// Exact RNS rescale of ciphertexts at one level: divide by the last

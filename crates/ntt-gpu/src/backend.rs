@@ -527,6 +527,7 @@ impl WarpKernel for ElemwiseKernel<'_> {
 /// streams in its two factors — one modular product and one modular add
 /// per element and term.
 struct FmaKernel<'a> {
+    /// The rows of every accumulator.
     acc: &'a RowTable,
     /// The factor pairs, `[x_0, y_0, x_1, y_1, …]`, each holding per
     /// accumulator row the row it reads.

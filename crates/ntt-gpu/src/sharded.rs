@@ -17,7 +17,7 @@
 //! `r % K` (cyclic, at local row `r / K`) for its whole life and never
 //! move. The partition is cyclic rather than block-contiguous because
 //! of how the key-switch inner product slices its operands: its one
-//! multi-term FMA per accumulator reads term `k` from the digit
+//! multi-term FMA reads term `k` of each accumulator from the digit
 //! sub-view at row offset `k * level` of the decompose scratch, and
 //! under a cyclic partition those views land on the same shards as the
 //! `level`-row accumulators whenever `level % K == 0` — every term's
@@ -1136,34 +1136,43 @@ impl<F: Flavor> SimDevices<F> {
 /// dispatch walks, and so the shards it launches on. Empty for a host
 /// batch, which splits its rows by [`shard_rows`] instead.
 fn written_views(op: &BackendOp<'_>) -> Vec<PolyView> {
-    let (buf, level) = match *op {
+    match *op {
         BackendOp::Forward { views, fold: None }
         | BackendOp::Inverse { views }
-        | BackendOp::BaseConvert { dst: views, .. } => return views.to_vec(),
+        | BackendOp::Negate { views }
+        | BackendOp::BaseConvert { dst: views, .. }
+        | BackendOp::Pointwise { acc: views, .. }
+        | BackendOp::AddSub { acc: views, .. }
+        | BackendOp::Fma { acc: views, .. } => views.to_vec(),
         BackendOp::Forward {
             views,
-            fold: Some(SubScale { acc, .. }),
-        } => {
-            let acc = views.iter().zip(acc);
-            return acc
-                .map(|(v, &a)| PolyView::new(a, v.primes.clone()))
-                .collect();
+            fold: Some(SubScale { acc: bufs, .. }),
         }
-        BackendOp::Pointwise { acc, level, .. }
-        | BackendOp::Fma { acc, level, .. }
-        | BackendOp::AddSub { acc, level, .. } => (acc, level),
-        BackendOp::Negate { buf, level } => (buf, level),
-        BackendOp::Decompose { dst, level, .. } | BackendOp::Automorphism { dst, level, .. } => {
-            (dst, level)
-        }
-        _ => return Vec::new(),
-    };
-    level_view(buf, level).to_vec()
+        | BackendOp::Automorphism {
+            src: views,
+            dst: bufs,
+            ..
+        } => shaped(bufs, views),
+        BackendOp::Decompose { dst, level, .. } => vec![PolyView::new(dst, 0..level)],
+        _ => Vec::new(),
+    }
 }
 
-/// The rows of `buf` under the first `level` primes, as one view.
-fn level_view(buf: DeviceBuf, level: usize) -> [PolyView; 1] {
-    [PolyView::new(buf, 0..level)]
+/// `bufs[k]` under the primes of `like[k]`: an operand given as one
+/// buffer per view, as views.
+///
+/// # Panics
+///
+/// Panics unless there is one buffer per view, each as long as its view.
+fn shaped(bufs: &[DeviceBuf], like: &[PolyView]) -> Vec<PolyView> {
+    assert_eq!(bufs.len(), like.len(), "one buffer per view");
+    bufs.iter()
+        .zip(like)
+        .map(|(&buf, view)| {
+            assert_eq!(buf.len(), view.buf.len(), "operand shape mismatch");
+            PolyView::new(buf, view.primes.clone())
+        })
+        .collect()
 }
 
 /// The fused negacyclic product `out ← out ·̄ rhs` of coefficient rows:
@@ -1290,11 +1299,7 @@ impl<F: Flavor> NttBackend for SimDevices<F> {
                     // separate allocation aligns with its accumulator, so
                     // the gather is the zero-copy direct reference), and
                     // the transform stores into the accumulators.
-                    Some(SubScale { acc, dropped }) => {
-                        assert_eq!(acc.len(), views.len(), "one accumulator per view");
-                        for (v, a) in views.iter().zip(acc) {
-                            assert_eq!(a.len(), v.buf.len(), "fold shape mismatch");
-                        }
+                    Some(SubScale { dropped, .. }) => {
                         let moduli = plan.ring().basis().primes();
                         let lifted = [(views, RowMap::Same)];
                         self.each_shard(plan, &written, &lifted, |sh, l| {
@@ -1310,51 +1315,51 @@ impl<F: Flavor> NttBackend for SimDevices<F> {
                     run_inverse(sh, plan, &l.dst, split)
                 });
             }
-            BackendOp::Pointwise { rhs, level, .. } => {
-                let rhs = level_view(rhs, level);
+            BackendOp::Pointwise { rhs, .. } => {
+                let rhs = shaped(rhs, &written);
                 self.each_shard(plan, &written, &[(&rhs, RowMap::Same)], |sh, l| {
                     launch_elemwise(sh, ElemOp::Mul, &l.dst, Some(&l.src[0]))
                 });
             }
-            BackendOp::Fma { acc, x, y, level } => {
+            BackendOp::Fma { acc, x, y } => {
                 // Multiply-accumulate chains land here: the key-switch
-                // inner product (term `k` a digit sub-view at row offset
-                // `k * level` of the decompose scratch, plus any folded
-                // product terms) and the plaintext-product sums. Each
-                // term gathers `x[k]` then `y[k]` onto the accumulator's
-                // shard. The cyclic partition makes every digit view
-                // land on the accumulator's shards whenever
-                // `level % K == 0`, and a separate level-row allocation
-                // always does — the zero-copy fast path of the gather —
-                // while any genuinely misaligned view (e.g. `K = 3` with
-                // `level = 8`) arrives over the link, correct either way.
-                // All terms then run as one launch per shard.
+                // inner products (term `t` a digit sub-view at row offset
+                // `t * level` of the decompose scratch, plus any folded
+                // product terms) and the plaintext-product sums. Read
+                // operand `2t` (`2t + 1`) is the first (second) factor of
+                // every accumulator's term `t`, and each shard gathers
+                // them onto the accumulator rows it owns. The cyclic
+                // partition makes every digit view land on the
+                // accumulator's shards whenever `level % K == 0`, and a
+                // separate level-row allocation always does — the
+                // zero-copy fast path of the gather — while any genuinely
+                // misaligned view (e.g. `K = 3` with `level = 8`) arrives
+                // over the link, correct either way. Every term of every
+                // accumulator then runs as one launch per shard.
                 assert_eq!(x.len(), y.len(), "fma term count mismatch");
-                let terms: Vec<PolyView> = x
-                    .iter()
-                    .zip(y)
-                    .flat_map(|(&xk, &yk)| {
-                        assert_eq!(xk.len(), acc.len(), "fma term shape mismatch");
-                        assert_eq!(yk.len(), acc.len(), "fma term shape mismatch");
-                        [PolyView::new(xk, 0..level), PolyView::new(yk, 0..level)]
+                assert_eq!(
+                    x.len() % acc.len(),
+                    0,
+                    "every accumulator takes as many terms"
+                );
+                let m = x.len() / acc.len();
+                let factors: Vec<Vec<PolyView>> = (0..m)
+                    .flat_map(|t| {
+                        [x, y].map(|f| {
+                            let term: Vec<DeviceBuf> =
+                                (0..acc.len()).map(|k| f[k * m + t]).collect();
+                            shaped(&term, acc)
+                        })
                     })
                     .collect();
-                let reads: Vec<Read<'_>> = terms
-                    .iter()
-                    .map(|t| (std::slice::from_ref(t), RowMap::Same))
-                    .collect();
+                let reads: Vec<Read<'_>> = factors.iter().map(|f| (&f[..], RowMap::Same)).collect();
                 self.each_shard(plan, &written, &reads, |sh, l| {
                     launch_fma(sh, &l.dst, &l.src)
                 });
             }
-            BackendOp::AddSub {
-                rhs,
-                level,
-                subtract,
-                ..
-            } => {
+            BackendOp::AddSub { rhs, subtract, .. } => {
                 let op = if subtract { ElemOp::Sub } else { ElemOp::Add };
-                let rhs = level_view(rhs, level);
+                let rhs = shaped(rhs, &written);
                 self.each_shard(plan, &written, &[(&rhs, RowMap::Same)], |sh, l| {
                     launch_elemwise(sh, op, &l.dst, Some(&l.src[0]))
                 });
@@ -1381,7 +1386,7 @@ impl<F: Flavor> NttBackend for SimDevices<F> {
                 // sharded base conversion is an all-gather of the remote
                 // rows (≈ (K-1)/K · level · N words across the link per
                 // shard).
-                let src = level_view(src, level);
+                let src = [PolyView::new(src, 0..level)];
                 self.each_shard(plan, &written, &[(&src, RowMap::All)], |sh, l| {
                     let kernel = DecomposeKernel {
                         dst: &l.dst,
@@ -1398,15 +1403,13 @@ impl<F: Flavor> NttBackend for SimDevices<F> {
                     launch_rows(sh.gpu_mut(), "sim-decompose", l.dst.len() * n, &kernel);
                 });
             }
-            BackendOp::Automorphism { src, dst, level, g } => {
-                assert_eq!(src.len(), dst.len(), "operand shape mismatch");
+            BackendOp::Automorphism { src, g, .. } => {
                 let g = g % (2 * n as u64);
                 assert_eq!(g % 2, 1, "Galois element must be odd");
                 // The permutation is row-local, so each dst row needs
                 // exactly its own src row — aligned allocations stay
                 // link-free.
-                let src = level_view(src, level);
-                self.each_shard(plan, &written, &[(&src, RowMap::Same)], |sh, l| {
+                self.each_shard(plan, &written, &[(src, RowMap::Same)], |sh, l| {
                     launch_automorphism(sh, &l.src[0], &l.dst, g)
                 });
             }
@@ -1868,10 +1871,9 @@ mod tests {
             }
             drop(mem);
             let op = Op::Fma {
-                acc,
+                acc: &[PolyView::new(acc, 0..level)],
                 x: &x,
                 y: &ys,
-                level,
             };
             backend.run(&plan, op);
             let mut out = vec![0u64; poly];
@@ -1938,27 +1940,28 @@ mod tests {
         &[3, 7],
     ];
 
-    /// The views the transforms and base conversions take: `a` whole,
-    /// `row` under prime 1 and under prime 0.
-    fn views_of(bufs: &[DeviceBuf; 8]) -> [PolyView; 3] {
-        let [a, _, _, row, ..] = *bufs;
+    /// The views the device ops take: `a` whole, `row` under prime 1 and
+    /// under prime 0, and `x0`, `x1` whole.
+    fn views_of(bufs: &[DeviceBuf; 8]) -> [PolyView; 5] {
+        let [a, _, _, row, _, x0, x1, _] = *bufs;
         [
             PolyView::new(a, 0..2),
             PolyView::new(row, 1..2),
             PolyView::new(row, 0..1),
+            PolyView::new(x0, 0..2),
+            PolyView::new(x1, 0..2),
         ]
     }
 
     /// Device op `i` of the table, over the operands of [`ROWS`]: every
     /// device op once, the base conversion twice and the forward twice.
-    /// The FMA is 2-term — `acc += x0 · b + x1 · c`, each first factor
-    /// its own buffer. The base conversions lift `row` into `a`, plainly
-    /// from prime 1 (a rescale's dropped row) and centered from prime 0
-    /// (a mod-raise); the last op is a rescale-folded forward of `row`
-    /// into `acc`.
-    fn device_op<'a>(i: usize, bufs: &'a [DeviceBuf; 8], views: &'a [PolyView; 3]) -> Op<'a> {
-        let [a, b, _, _, digits, ..] = *bufs;
-        let level = 2;
+    /// The FMA is 2-term — `a += x0 · b + x1 · c`, each first factor its
+    /// own buffer. The base conversions lift `row` into `a`, plainly from
+    /// prime 1 (a rescale's dropped row) and centered from prime 0 (a
+    /// mod-raise); the last op is a rescale-folded forward of `row` into
+    /// `acc`.
+    fn device_op<'a>(i: usize, bufs: &'a [DeviceBuf; 8], views: &'a [PolyView; 5]) -> Op<'a> {
+        let [a, _, _, _, digits, ..] = *bufs;
         match i {
             0 => Op::Forward {
                 views: &views[..1],
@@ -1966,23 +1969,20 @@ mod tests {
             },
             1 => Op::Inverse { views: &views[..1] },
             2 => Op::Pointwise {
-                acc: a,
-                rhs: b,
-                level,
+                acc: &views[..1],
+                rhs: &bufs[1..2],
             },
             3 => Op::Fma {
-                acc: a,
+                acc: &views[..1],
                 x: &bufs[5..7],
                 y: &bufs[1..3],
-                level,
             },
             4 => Op::AddSub {
-                acc: a,
-                rhs: b,
-                level,
+                acc: &views[..1],
+                rhs: &bufs[1..2],
                 subtract: true,
             },
-            5 => Op::Negate { buf: a, level },
+            5 => Op::Negate { views: &views[..1] },
             6 => Op::BaseConvert {
                 src: &views[1..2],
                 dst: &views[..1],
@@ -1991,23 +1991,22 @@ mod tests {
             7 => Op::Decompose {
                 src: a,
                 dst: digits,
-                level,
+                level: 2,
                 digits: 2,
                 gadget_bits: 20,
             },
             8 => Op::BaseConvert {
-                src: &views[2..],
+                src: &views[2..3],
                 dst: &views[..1],
                 centered: true,
             },
             9 => Op::Automorphism {
-                src: a,
-                dst: b,
-                level,
+                src: &views[..1],
+                dst: &bufs[1..2],
                 g: 3,
             },
             _ => Op::Forward {
-                views: &views[2..],
+                views: &views[2..3],
                 fold: Some(SubScale {
                     acc: &bufs[7..],
                     dropped: 1,
@@ -2213,24 +2212,56 @@ mod tests {
     /// computes `CpuBackend`'s bits with pinned launches per shard and
     /// link traffic; so does a misaligned product (`rhs` one row into the
     /// digit buffer, so at K = 2 and 3 each row it reads lives on another
-    /// shard than the row it writes).
+    /// shard than the row it writes). Each element-wise op, the FMA and
+    /// the automorphism over two views (`x0` and `x1`) are one launch per
+    /// shard as well, moving the link words of two one-view calls: none
+    /// for aligned views, and twice the misaligned product's.
     #[test]
     fn every_device_op_pins_launches_and_link_traffic_per_shard() {
         let ring = ring(N, 2);
         let plan = RingPlan::new(&ring);
-        fn op<'a>(i: usize, bufs: &'a [DeviceBuf; 8], views: &'a [PolyView; 3]) -> Op<'a> {
+        fn op<'a>(
+            i: usize,
+            bufs: &'a [DeviceBuf; 8],
+            views: &'a [PolyView; 5],
+            skew: &'a [DeviceBuf; 2],
+        ) -> Op<'a> {
+            let (two, rhs) = (&views[3..], &bufs[1..3]);
             match i {
                 11 => Op::Pointwise {
-                    acc: bufs[0],
-                    rhs: bufs[4].sub(N, 2 * N),
-                    level: 2,
+                    acc: &views[..1],
+                    rhs: &skew[..1],
+                },
+                12 => Op::Pointwise { acc: two, rhs },
+                // x0 += b · a, x1 += c · b.
+                13 => Op::Fma {
+                    acc: two,
+                    x: rhs,
+                    y: &bufs[..2],
+                },
+                14 => Op::AddSub {
+                    acc: two,
+                    rhs,
+                    subtract: false,
+                },
+                15 => Op::Negate { views: two },
+                16 => Op::Automorphism {
+                    src: two,
+                    dst: rhs,
+                    g: 5,
+                },
+                17 => Op::Pointwise {
+                    acc: two,
+                    rhs: skew,
                 },
                 _ => device_op(i, bufs, views),
             }
         }
+        // Rows 1-2 and 5-6 of the digit buffer, each as a level-2 view.
+        let skew = |bufs: &[DeviceBuf; 8]| [bufs[4].sub(N, 2 * N), bufs[4].sub(5 * N, 2 * N)];
         // Per op: launches per shard and link transfers/words on Sim,
         // then on Sharded K = 1, 2, 3.
-        const WANT: [&str; 12] = [
+        const WANT: [&str; 18] = [
             "dev_forward: [1] 0/0 [1] 0/0 [1, 1] 0/0 [1, 1, 0] 0/0",
             "dev_inverse: [1] 0/0 [1] 0/0 [1, 1] 0/0 [1, 1, 0] 0/0",
             "dev_pointwise: [1] 0/0 [1] 0/0 [1, 1] 0/0 [1, 1, 0] 0/0",
@@ -2243,18 +2274,26 @@ mod tests {
             "dev_automorphism: [1] 0/0 [1] 0/0 [1, 1] 0/0 [1, 1, 0] 0/0",
             "dev_forward: [1] 0/0 [1] 0/0 [1, 0] 0/0 [1, 0, 0] 0/0",
             "dev_pointwise: [1] 0/0 [1] 0/0 [1, 1] 2/32 [1, 1, 0] 2/32",
+            "dev_pointwise: [1] 0/0 [1] 0/0 [1, 1] 0/0 [1, 1, 0] 0/0",
+            "dev_fma: [1] 0/0 [1] 0/0 [1, 1] 0/0 [1, 1, 0] 0/0",
+            "dev_addsub: [1] 0/0 [1] 0/0 [1, 1] 0/0 [1, 1, 0] 0/0",
+            "dev_negate: [1] 0/0 [1] 0/0 [1, 1] 0/0 [1, 1, 0] 0/0",
+            "dev_automorphism: [1] 0/0 [1] 0/0 [1, 1] 0/0 [1, 1, 0] 0/0",
+            "dev_pointwise: [1] 0/0 [1] 0/0 [1, 1] 4/64 [1, 1, 0] 4/64",
         ];
         for (i, want_line) in WANT.iter().enumerate() {
             let mut cpu = CpuBackend::default();
             let bufs = fresh(&cpu);
-            cpu.run(&plan, op(i, &bufs, &views_of(&bufs)));
+            let (views, skewed) = (views_of(&bufs), skew(&bufs));
+            cpu.run(&plan, op(i, &bufs, &views, &skewed));
             let want = read(&cpu, &bufs);
-            let mut line = format!("{}:", op(i, &bufs, &views_of(&bufs)).label());
+            let mut line = format!("{}:", op(i, &bufs, &views, &skewed).label());
             for k in 0..4 {
                 let (mut be, mem) = subject(k, N);
                 let bufs = fresh(&*be);
+                let (views, skewed) = (views_of(&bufs), skew(&bufs));
                 let (l0, t0) = (launches(&mem), lock_sharded(&mem).link_stats());
-                be.run(&plan, op(i, &bufs, &views_of(&bufs)));
+                be.run(&plan, op(i, &bufs, &views, &skewed));
                 assert_eq!(
                     read(&*be, &bufs),
                     want,
@@ -2576,8 +2615,11 @@ mod tests {
             (acc, rhs)
         };
         // Row r of the product reads row r + 1 of `rhs`, on another shard.
-        let rhs = rhs.sub(n, level * n);
-        let op = || Op::Pointwise { acc, rhs, level };
+        let (acc, rhs) = ([PolyView::new(acc, 0..level)], [rhs.sub(n, level * n)]);
+        let op = || Op::Pointwise {
+            acc: &acc,
+            rhs: &rhs,
+        };
         let entries = || -> Vec<usize> {
             let m = lock_sharded(&handle);
             m.shards

@@ -22,9 +22,10 @@
 //!   multiply-accumulates as multi-term FMA launches, bit-identical to
 //!   the unfused product-and-add chain on every backend, with host-fresh
 //!   operands moving exactly the words that chain moves.
-//! * **Launches per step at the `boot` shape** — a rescale, a mod-raise
-//!   and a rotation issue a pinned number of launches on every shard
-//!   and give Cpu's bits.
+//! * **Launches per step at the `boot` shape** — a rescale, a mod-raise,
+//!   a rotation, a relinearizing multiply and the element-wise ciphertext
+//!   ops issue a pinned number of launches on every shard and give Cpu's
+//!   bits.
 //!
 //! CI runs this file under `NTT_WARP_THREADS=1,2,4`: the thread policy
 //! must not leak into results.
@@ -33,7 +34,9 @@ use ntt_warp::boot::{BootParams, Bootstrapper};
 use ntt_warp::core::backend::NttBackend;
 use ntt_warp::core::{CpuBackend, TransferStats};
 use ntt_warp::gpu::{ShardedBackend, SimBackend};
-use ntt_warp::he::{sampling, Ciphertext, HeContext, HeLiteParams, KeySet, Plaintext, PublicKey};
+use ntt_warp::he::{
+    sampling, Ciphertext, HeContext, HeLiteParams, KeySet, Plaintext, PublicKey, RotationKeys,
+};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -263,11 +266,11 @@ fn host_fresh_bootstrap_input_uploads_once() {
 ///
 /// * a 12-term `multiply_plain_sum` (one BSGS giant step) equals the
 ///   `multiply_plain_raw` + `add` chain bit for bit on Cpu, Sim and
-///   Sharded K ∈ {2, 3}, and on Sim is 2 `sim-fma` launches with no
-///   `sim-pointwise` or `sim-add`;
-/// * a relinearizing multiply is 1 `sim-pointwise` and 2 `sim-fma`
-///   launches with no `sim-add` (its rescale adds none);
-/// * a rotation folds `c0` into its key switch: 2 `sim-fma`, no `sim-add`;
+///   Sharded K ∈ {2, 3}, and on Sim is 1 `sim-fma` launch over both
+///   components with no `sim-pointwise` or `sim-add`;
+/// * a relinearizing multiply is 1 `sim-pointwise` and 1 `sim-fma`
+///   launch with no `sim-add` (its rescale adds none);
+/// * a rotation folds `c0` into its key switch: 1 `sim-fma`, no `sim-add`;
 /// * host-fresh operands on Sim — a Cpu-encrypted ciphertext rotated, and
 ///   one Cpu-encrypted term in the sum — give Cpu's bits; the sum counts
 ///   the transfers of the unfused chain, and the rotation uploads each
@@ -346,18 +349,18 @@ fn fused_multiply_accumulate_chains_match_the_unfused_chain() {
     let terms: Vec<(&Ciphertext, &Plaintext)> = cts.iter().zip(&pts).collect();
     let mut out = None;
     let step = launches(&mut || out = Some(ctx.multiply_plain_sum(&terms)));
-    assert_eq!(step, [2, 0, 0], "giant step [fma, pointwise, add]");
+    assert_eq!(step, [1, 0, 0], "giant step [fma, pointwise, add]");
     assert_eq!(bits(out.take().expect("ran")), want);
     let mult = launches(&mut || out = Some(ctx.multiply(&cts[1], &cts[2], &dev_keys.relin)));
     assert_eq!(
         mult,
-        [2, 1, 0],
+        [1, 1, 0],
         "relinearizing multiply [fma, pointwise, add]"
     );
     let mult_cpu = cpu.multiply(&cpu_cts[1], &cpu_cts[2], &keys.relin);
     assert_eq!(bits(out.take().expect("ran")), bits(mult_cpu));
     let rot = launches(&mut || out = Some(ctx.rotate(&cts[0], g, &dev_rtk)));
-    assert_eq!(rot, [2, 0, 0], "rotation [fma, pointwise, add]");
+    assert_eq!(rot, [1, 0, 0], "rotation [fma, pointwise, add]");
     assert_eq!(bits(out.take().expect("ran")), want_rot);
 
     // Mixed residency: host-fresh operands on the device context.
@@ -412,41 +415,92 @@ fn fused_multiply_accumulate_chains_match_the_unfused_chain() {
 /// * a mod-raise is one inverse transform, one centered base conversion
 ///   and one forward transform, each over both components: 3 launches,
 ///   2 on a shard without the level-1 row;
-/// * a rotation is one inverse transform of both components, two
-///   automorphisms, the forward of `c0`, a decompose, the digit forward
-///   and two FMAs: 8 launches on every shard.
+/// * a rotation is one inverse transform of both components, one
+///   automorphism of both, the forward of `c0`, a decompose, the digit
+///   forward and one FMA into both accumulators: 6 launches on every
+///   shard;
+/// * a relinearizing multiply is one pointwise op (`a1·b1` and `a1·b0`),
+///   the inverse of `a1·b1`, a decompose, the digit forward and one FMA
+///   into both accumulators, then its rescale: 8 launches, 7 on a shard
+///   without the dropped row;
+/// * `add`, `sub`, `negate`, `multiply_plain_raw` with a prepared
+///   plaintext and a `multiply_plain_sum` of two terms are one launch
+///   each, over both components.
 ///
-/// The counts pin the auto route (whole-row SMEM kernels below 256
-/// points), so the CI passes that force another transform family skip
-/// this test.
+/// The counts pin the whole-row SMEM transforms that every ring below
+/// 256 points runs.
 #[test]
 fn boot_shape_rescale_mod_raise_and_rotation_launches_per_shard() {
     let params = BootParams::deep().he_params(6, 50);
-    let (n, top, g) = (params.n(), params.levels, 5u64);
+    let (n, top) = (params.n(), params.levels);
     let (cpu, keys) = ctx_with(params, Box::<CpuBackend>::default(), 51);
-    let rtk = cpu.keygen_rotation(&keys.secret, &[g], &[top], &mut sampling::seeded_rng(52));
+    let rtk = cpu.keygen_rotation(&keys.secret, &[5], &[top], &mut sampling::seeded_rng(52));
     let values: Vec<f64> = (0..16).map(|i| ((i as f64) * 0.3).cos() * 0.5).collect();
-    let encrypt = |ctx: &HeContext, pk: &PublicKey| {
-        ctx.encrypt(&ctx.encode(&values), pk, &mut sampling::seeded_rng(53))
+    let encrypt = |ctx: &HeContext, pk: &PublicKey, seed: u64| {
+        ctx.encrypt(&ctx.encode(&values), pk, &mut sampling::seeded_rng(seed))
     };
-    let ct = encrypt(&cpu, &keys.public);
-    let mut rescaled = ct.clone();
-    cpu.rescale(&mut rescaled);
-    let want = [
-        bits(rescaled),
-        bits(cpu.mod_raise(&cpu.drop_to_level(&ct, 1), top)),
-        bits(cpu.rotate(&ct, g, &rtk)),
+    const STEPS: [&str; 9] = [
+        "rescale",
+        "mod-raise",
+        "rotation",
+        "multiply",
+        "add",
+        "sub",
+        "negate",
+        "multiply_plain_raw",
+        "multiply_plain_sum",
     ];
+    /// The inputs of the steps on one context: two top-level
+    /// ciphertexts, the first dropped to level 1, and a prepared
+    /// top-level plaintext.
+    struct Inputs {
+        a: Ciphertext,
+        b: Ciphertext,
+        low: Ciphertext,
+        pt: Plaintext,
+    }
+    /// Step `i` of `STEPS` on `ctx`.
+    fn run(ctx: &HeContext, i: usize, x: &Inputs, keys: &KeySet, rtk: &RotationKeys) -> Ciphertext {
+        let (top, g) = (ctx.params().levels, 5);
+        match i {
+            0 => {
+                let mut out = x.a.clone();
+                ctx.rescale(&mut out);
+                out
+            }
+            1 => ctx.mod_raise(&x.low, top),
+            2 => ctx.rotate(&x.a, g, rtk),
+            3 => ctx.multiply(&x.a, &x.b, &keys.relin),
+            4 => ctx.add(&x.a, &x.b),
+            5 => ctx.sub(&x.a, &x.b),
+            6 => ctx.negate(&x.a),
+            7 => ctx.multiply_plain_raw(&x.a, &x.pt),
+            _ => ctx.multiply_plain_sum(&[(&x.a, &x.pt), (&x.b, &x.pt)]),
+        }
+    }
+    let inputs = |ctx: &HeContext, pk: &PublicKey| {
+        let a = encrypt(ctx, pk, 53);
+        Inputs {
+            low: ctx.drop_to_level(&a, 1),
+            b: encrypt(ctx, pk, 54),
+            pt: ctx.prepare_plaintext(&ctx.encode(&[0.75, -1.5]), top),
+            a,
+        }
+    };
+    let x = inputs(&cpu, &keys.public);
+    let want: Vec<_> = (0..STEPS.len())
+        .map(|i| bits(run(&cpu, i, &x, &keys, &rtk)))
+        .collect();
 
     // Per device: the backend, its launches per shard so far, and the
-    // pinned launches per shard of a rescale, a mod-raise and a rotation.
+    // pinned launches per shard of a rescale and of a mod-raise.
     type Launches = Box<dyn Fn() -> Vec<u64>>;
-    type Device = (Box<dyn NttBackend>, Launches, [Vec<u64>; 3]);
+    type Device = (Box<dyn NttBackend>, Launches, [Vec<u64>; 2]);
     let sim = SimBackend::titan_v();
     let sim_mem = sim.memory_handle();
     let sim_launches: Launches =
         Box::new(move || vec![sim_mem.lock().unwrap().gpu().timeline().launches]);
-    let mut devices: Vec<Device> = vec![(Box::new(sim), sim_launches, [vec![3], vec![3], vec![8]])];
+    let mut devices: Vec<Device> = vec![(Box::new(sim), sim_launches, [vec![3], vec![3]])];
     // The dropped row 20 lives on shard 20 % K; the level-1 row on 0.
     for (k, rescale) in [(2, vec![3, 2]), (3, vec![2, 2, 3])] {
         let sharded = ShardedBackend::titan_v(k, n);
@@ -457,34 +511,24 @@ fn boot_shape_rescale_mod_raise_and_rotation_launches_per_shard() {
         });
         let mut raise = vec![2; k];
         raise[0] = 3;
-        devices.push((Box::new(sharded), launches, [rescale, raise, vec![8; k]]));
+        devices.push((Box::new(sharded), launches, [rescale, raise]));
     }
-    for (backend, launches, pinned) in devices {
+    for (backend, launches, [rescale, raise]) in devices {
         let ctx = HeContext::with_backend(params, backend).expect("context builds");
         let name = ctx.backend_name();
+        let shards = rescale.len();
         let dev_keys = ctx.adopt_keys(&keys);
         let dev_rtk = ctx.adopt_rotation_keys(&rtk);
-        let ct = encrypt(&ctx, &dev_keys.public);
-        let low = ctx.drop_to_level(&ct, 1);
-        let count = |f: &mut dyn FnMut() -> Ciphertext| -> (Vec<u64>, Ciphertext) {
+        let multiply: Vec<u64> = rescale.iter().map(|r| r + 5).collect();
+        let pinned = [rescale, raise, vec![6; shards], multiply];
+        let x = inputs(&ctx, &dev_keys.public);
+        for (i, name_i) in STEPS.iter().enumerate() {
             let before = launches();
-            let out = f();
-            let after = launches();
-            (after.iter().zip(before).map(|(a, b)| a - b).collect(), out)
-        };
-        let runs = [
-            count(&mut || {
-                let mut out = ct.clone();
-                ctx.rescale(&mut out);
-                out
-            }),
-            count(&mut || ctx.mod_raise(&low, top)),
-            count(&mut || ctx.rotate(&ct, g, &dev_rtk)),
-        ];
-        let steps = ["rescale", "mod-raise", "rotation"];
-        for (((step, (got, out)), pin), want) in steps.iter().zip(runs).zip(&pinned).zip(&want) {
-            assert_eq!(&got, pin, "{name}: {step} launches per shard");
-            assert_eq!(&bits(out), want, "{name}: {step} departs from Cpu");
+            let out = run(&ctx, i, &x, &dev_keys, &dev_rtk);
+            let got: Vec<u64> = launches().iter().zip(before).map(|(a, b)| a - b).collect();
+            let pin = pinned.get(i).cloned().unwrap_or_else(|| vec![1; shards]);
+            assert_eq!(got, pin, "{name}: {name_i} launches per shard");
+            assert_eq!(bits(out), want[i], "{name}: {name_i} departs from Cpu");
         }
     }
 }

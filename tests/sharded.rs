@@ -11,7 +11,7 @@
 //! * **Link accounting** — key-switch base conversion is the one step
 //!   whose operands cross shard boundaries: relinearize pays inter-device
 //!   words when `K > 1` and exactly zero when `K = 1` (the degenerate
-//!   single-device configuration). Its inner product is 2 FMA launches
+//!   single-device configuration). Its inner products are 1 FMA launch
 //!   per multiply, with the per-term link traffic pinned per `K`.
 //! * **Serving wiring** — the multi-worker `he-serve` stack (evaluator
 //!   pool, fork-per-worker streams, batching) runs a closed multi-tenant
@@ -124,14 +124,14 @@ fn key_switch_pays_link_traffic_only_when_sharded() {
     }
 }
 
-/// The key-switch inner product runs as one multi-term FMA launch per
-/// accumulator: a relinearizing multiply issues exactly 2 `sim-fma`
-/// launches at every level, not one per (prime, digit) term. Fusing the
-/// terms moves no extra link word: each term still gathers what a
-/// one-term launch gathers, so the sharded traffic per multiply is the
-/// table recorded with one launch per term.
+/// The key-switch inner products run as one multi-term FMA launch over
+/// both accumulators: a relinearizing multiply issues exactly 1 `sim-fma`
+/// launch at every level, not one per accumulator or per (prime, digit)
+/// term. Fusing the terms and the accumulators moves no extra link word:
+/// each term still gathers what a one-term launch gathers, so the sharded
+/// traffic per multiply is the table recorded with one launch per term.
 #[test]
-fn relinearize_runs_two_fma_launches_and_keeps_its_link_traffic() {
+fn relinearize_runs_one_fma_launch_and_keeps_its_link_traffic() {
     let params = |levels| HeLiteParams {
         levels,
         ..chain_params()
@@ -159,7 +159,7 @@ fn relinearize_runs_two_fma_launches_and_keeps_its_link_traffic() {
         let _ = ctx.multiply(&a, &b, &keys.relin);
         assert_eq!(
             fma_launches() - before,
-            2,
+            1,
             "sim-fma launches at level {level}"
         );
     }
