@@ -524,25 +524,29 @@ fn main() {
             println!("params: {}", r.params);
             let total = r.total_s();
             println!(
-                "{:<14} {:>9} {:>12} {:>8}",
-                "kernel class", "launches", "device us", "share"
+                "{:<14} {:>9} {:>12} {:>8} {:>10}",
+                "kernel class", "launches", "device us", "share", "DRAM MB"
             );
-            for (name, row) in [
+            let rows = [
                 ("NTT", r.ntt),
                 ("key-switch", r.key_switch),
                 ("pointwise", r.pointwise),
-            ] {
+            ];
+            for (name, row) in rows {
                 println!(
-                    "{:<14} {:>9} {:>12.1} {:>7.1}%",
+                    "{:<14} {:>9} {:>12.1} {:>7.1}% {:>10.2}",
                     name,
                     row.launches,
                     row.time_s * 1e6,
-                    row.time_s / total * 100.0
+                    row.time_s / total * 100.0,
+                    row.dram_bytes as f64 / 1e6
                 );
             }
             println!(
-                "total modeled device time: {:.1} us over one steady-state bootstrap",
-                total * 1e6
+                "total: {} launches, {:.3} model-ms, {:.2} DRAM MB over one steady-state bootstrap",
+                rows.iter().map(|(_, row)| row.launches).sum::<u64>(),
+                total * 1e3,
+                rows.iter().map(|(_, row)| row.dram_bytes).sum::<u64>() as f64 / 1e6
             );
             if gated {
                 println!(
@@ -574,10 +578,13 @@ fn main() {
 
         // The deep pipeline at bootstrapping scale: full 21-level
         // parameters, sparse slot matrix so key/diagonal material stays
-        // tractable. Quick mode shrinks the ring (host keygen at 2^16 is
-        // minutes of single-thread NTTs); the full run is the paper-scale
-        // measurement the BTS cross-check below refers to.
+        // tractable, first at N = 2^8 (the op-mix gate's ring), then
+        // larger. Quick mode shrinks the larger ring (host keygen at 2^16
+        // is minutes of single-thread NTTs); the full run is the
+        // paper-scale measurement the BTS cross-check below refers to.
         let deep_log_n: u32 = if quick { 12 } else { 16 };
+        println!();
+        print_report(&ex::bootstrap_deep(8, 8), true);
         println!();
         let d = ex::bootstrap_deep(deep_log_n, 8);
         print_report(&d, true);

@@ -1016,14 +1016,16 @@ pub fn boot_fault_overhead(log_n: u32) -> BootFaultOverheadReport {
     }
 }
 
-/// One kernel-class row of the bootstrap op-mix: launches and modeled
-/// device seconds attributed to the class.
+/// One kernel-class row of the bootstrap op-mix: launches, modeled
+/// device seconds and DRAM bytes attributed to the class.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct OpMixRow {
     /// Kernel launches in the class.
     pub launches: u64,
     /// Modeled device seconds in the class.
     pub time_s: f64,
+    /// DRAM bytes the class's launches move, register spills included.
+    pub dram_bytes: u64,
 }
 
 /// The flagship workload's accounting: one full CKKS-style bootstrap on
@@ -1048,14 +1050,16 @@ pub struct BootstrapReport {
     /// Forward/inverse NTT kernels (every transform family the paper
     /// studies: fused SMEM, radix-2, high-radix, DFT).
     pub ntt: OpMixRow,
-    /// Key-switch kernels: gadget decompose, fused multiply-add
-    /// accumulation, Galois automorphism. The multi-term `sim-fma` launch
-    /// also carries what is fused into it — a relinearizing multiply's
-    /// tensor terms and the homomorphic DFT's plaintext-product sums — so
-    /// those multiply-accumulates are booked here too.
+    /// Key-switch kernels: fused multiply-add accumulation and Galois
+    /// automorphism (the gadget decomposition rides the digit forward,
+    /// booked as NTT). The multi-term `sim-fma` launch also carries what
+    /// is fused into it — a relinearizing multiply's tensor terms and the
+    /// homomorphic DFT's plaintext-product sums — so those
+    /// multiply-accumulates are booked here too.
     pub key_switch: OpMixRow,
-    /// Everything else (pointwise multiply/add/sub/neg, rescale,
-    /// mod-raise).
+    /// Everything else: the element-wise kernels (pointwise multiply,
+    /// add, sub, neg). A rescale's and a mod-raise's lift ride their
+    /// forward transforms, booked as NTT.
     pub pointwise: OpMixRow,
 }
 
@@ -1085,7 +1089,7 @@ fn launch_class(label: &str) -> usize {
         || label == "intt-scale"
     {
         0 // NTT
-    } else if matches!(label, "sim-decompose" | "sim-fma" | "sim-automorphism") {
+    } else if matches!(label, "sim-fma" | "sim-automorphism") {
         1 // key switch
     } else {
         2 // pointwise / other
@@ -1180,10 +1184,12 @@ fn bootstrap_with(
         let mem = dev
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        for rec in &mem.gpu().trace[trace_from..] {
+        let gpu = mem.gpu();
+        for rec in &gpu.trace[trace_from..] {
             let row = &mut rows[launch_class(&rec.launch.label)];
             row.launches += 1;
             row.time_s += rec.timing.total_s;
+            row.dram_bytes += rec.dram_bytes(&gpu.config);
         }
     }
     let [ntt, key_switch, pointwise] = rows;

@@ -787,13 +787,13 @@ pub(crate) fn host_automorphism_rows(
 }
 
 /// One-source-prime RNS base conversion, the reference every backend's
-/// [`BackendOp::BaseConvert`] matches: lift one coefficient row under
-/// prime `from` exactly into every row of `dst` (row `r` under prime
+/// [`Load::Lift`] matches: lift one coefficient row under prime `from`
+/// exactly into every row of `dst` (row `r` under prime
 /// `dst_primes.start + r % dst_primes.len()`). The plain lift keeps `v`;
 /// the centered one maps `v > q/2` to `v − q` — CKKS mod-raise, whose
 /// output decrypts to the same small polynomial plus a `q·I` overflow
 /// term that `EvalMod` removes.
-pub(crate) fn host_lift_rows(
+pub fn host_lift_rows(
     plan: &RingPlan,
     (src, from): (&[u64], usize),
     centered: bool,
@@ -819,9 +819,9 @@ pub(crate) fn host_lift_rows(
 }
 
 /// The rescale's subtract-and-scale per row, the reference of a
-/// [`BackendOp::Forward`] fold: `acc ← (acc − t)·p_dropped⁻¹` with row
-/// `r` under prime `r % level`.
-pub(crate) fn host_sub_scale_rows(
+/// [`BackendOp::Forward`] with a [`SubScale`] store:
+/// `acc ← (acc − t)·p_dropped⁻¹` with row `r` under prime `r % level`.
+pub fn host_sub_scale_rows(
     plan: &RingPlan,
     level: usize,
     dropped: usize,
@@ -839,14 +839,41 @@ pub(crate) fn host_sub_scale_rows(
     }
 }
 
+/// The rows view `view` of a [`BackendOp::Forward`] loads through `load`
+/// from its source `src`, whose rows are `from`: the host reference of
+/// [`Load`].
+fn host_load_rows(
+    plan: &RingPlan,
+    load: Load<'_>,
+    (src, from): (&PolyView, &[u64]),
+    view: &PolyView,
+    out: &mut [u64],
+) {
+    match load {
+        Load::Digits {
+            digits,
+            gadget_bits,
+            ..
+        } => {
+            let (n, level) = (plan.degree(), src.primes.len());
+            host_decompose_rows(n, level, digits, gadget_bits, from, out);
+        }
+        Load::Lift { centered, .. } => {
+            assert_eq!(src.primes.len(), 1, "a lift reads one row");
+            let from = (from, src.primes.start);
+            host_lift_rows(plan, from, centered, out, view.primes.clone());
+        }
+    }
+}
+
 /// Gadget digit decomposition of one `level`-row coefficient polynomial
 /// into a `level·digits`-polynomial buffer-of-digits: digit `(j, d)`
 /// occupies polynomial slot `j·digits + d` as `level` **replicated** rows
 /// of `(src_row_j >> (w·d)) & (2^w − 1)` (small digits are the same
 /// residue mod every active prime). This is the host branch of
 /// [`Evaluator::decompose`] and the reference every backend's
-/// [`BackendOp::Decompose`] matches.
-pub(crate) fn host_decompose_rows(
+/// [`Load::Digits`] matches.
+pub fn host_decompose_rows(
     n: usize,
     level: usize,
     digits: usize,
@@ -987,17 +1014,57 @@ impl PolyView {
 }
 
 /// The subtract-and-scale step of an evaluation-domain rescale, folded
-/// into a [`BackendOp::Forward`]: the transform `t` of each view lands in
-/// the matching accumulator as `acc ← (acc − t)·p_dropped⁻¹` (per row
-/// under its prime), which with `t` the plain lift of the dropped row is
-/// exactly `poly::rescale_rows` in the evaluation domain.
-#[derive(Debug, Clone, Copy)]
-pub struct SubScale<'a> {
-    /// One accumulator per view, shaped like it (rows under the same
-    /// primes).
-    pub acc: &'a [DeviceBuf],
+/// into a [`BackendOp::Forward`]'s store: the transform `t` of each
+/// written row lands in it as `x ← (x − t)·p_dropped⁻¹` (under the row's
+/// prime) instead of replacing it. With `t` the plain lift of the dropped
+/// row ([`Load::Lift`]) this is exactly `poly::rescale_rows` in the
+/// evaluation domain.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SubScale {
     /// Index of the prime the rescale drops.
     pub dropped: usize,
+}
+
+/// A producer folded into a [`BackendOp::Forward`]'s load: every written
+/// row reads a row of its view's source instead of its own, and maps each
+/// word before the transform, so the produced rows are never stored. Row
+/// `r` of a `W`-row view reads row `r / (W / R)` of its `R`-row source.
+#[derive(Debug, Clone, Copy)]
+pub enum Load<'a> {
+    /// Gadget digit decomposition, laid out as [`host_decompose_rows`]
+    /// writes it: `src[k]` holds `level` coefficient rows and view `k`
+    /// the `level·digits` digit polynomials of `level` rows each. Digit
+    /// `(j, d)` occupies polynomial slot `j·digits + d`, every row of it
+    /// `(src_row_j >> (w·d)) & (2^w − 1)`, `w = gadget_bits`.
+    Digits {
+        /// The coefficient rows, one view per written view.
+        src: &'a [PolyView],
+        /// Digits per residue.
+        digits: usize,
+        /// Digit width `w` in bits.
+        gadget_bits: u32,
+    },
+    /// One-source-prime RNS base conversion ([`host_lift_rows`]):
+    /// `src[k]` is one coefficient row under one prime `q`, and every row
+    /// of view `k` reads its exact lift under that row's prime, `v` itself
+    /// (plain) or, when `centered`, `v − q` for `v > q/2` (CKKS
+    /// mod-raise). The many-prime case of hybrid key switching is not
+    /// implemented.
+    Lift {
+        /// One-row source views, one per written view.
+        src: &'a [PolyView],
+        /// Centered instead of plain lift.
+        centered: bool,
+    },
+}
+
+impl<'a> Load<'a> {
+    /// The source views, one per written view.
+    pub fn src(&self) -> &'a [PolyView] {
+        match *self {
+            Load::Digits { src, .. } | Load::Lift { src, .. } => src,
+        }
+    }
 }
 
 /// One backend operation: the typed vocabulary every [`NttBackend`]
@@ -1009,13 +1076,13 @@ pub struct SubScale<'a> {
 ///   backend with a real device stages every call through its memory;
 /// * **device ops** work on [`DeviceBuf`] views in the backend's own
 ///   memory ([`NttBackend::memory`]) and move nothing across the bus.
-///   Every device op but the decompose takes one [`PolyView`] per
-///   polynomial, each under its own primes, and any other operand as
-///   one buffer per view, shaped like it. So both components of a
-///   ciphertext (or one dropped row of each) go in one op, on a
-///   simulated GPU one launch per device. The decompose's `level` is
-///   its active prime count: row `r` of every operand is reduced mod
-///   prime `r % level`.
+///   Every device op takes one [`PolyView`] per polynomial, each under
+///   its own primes, and any other operand as one buffer per view,
+///   shaped like it. So both components of a ciphertext (or one dropped
+///   row of each) go in one op, on a simulated GPU one launch per device.
+///   The gadget decomposition and the base conversion are no ops of
+///   their own: they are [`Load`]s of the forward transform that
+///   consumes their rows.
 ///
 /// One op is also the unit a backend's fault model gates: [`label`]
 /// names it in a [`BackendError`], and [`handles`] lists the buffers
@@ -1050,15 +1117,18 @@ pub enum BackendOp<'a> {
         out: LimbBatch<'a>,
     },
     /// Forward-NTT device-resident rows, one view per polynomial, in one
-    /// op (one launch per device on a simulated GPU).
+    /// op (one launch per device on a simulated GPU below 256 points).
     Forward {
-        /// The rows transformed, each view under its own primes.
+        /// The rows written, each view under its own primes.
         views: &'a [PolyView],
-        /// `None` transforms in place. `Some` is the tail of an
-        /// evaluation-domain rescale: the transform of `views[k]` lands
-        /// in `fold.acc[k]` as `(acc − t)·p_dropped⁻¹` instead, and the
-        /// views are left as scratch.
-        fold: Option<SubScale<'a>>,
+        /// `None` transforms the views' own rows. `Some` reads each row
+        /// from its view's source instead, through the [`Load`]'s map:
+        /// a key switch's digits, a rescale's or mod-raise's lift.
+        load: Option<Load<'a>>,
+        /// `None` stores the transform `t`. `Some` is the tail of an
+        /// evaluation-domain rescale: each row becomes
+        /// `(x − t)·p_dropped⁻¹`.
+        fold: Option<SubScale>,
     },
     /// Inverse-NTT device-resident rows in place, one view per
     /// polynomial, in one op.
@@ -1111,38 +1181,6 @@ pub enum BackendOp<'a> {
         /// The rows negated in place, each view under its own primes.
         views: &'a [PolyView],
     },
-    /// Device-resident gadget digit decomposition: `src` holds `level`
-    /// coefficient rows, `dst` receives `level·digits` stacked polynomials
-    /// of `level` replicated digit rows each. Digit `(j, d)` occupies
-    /// polynomial slot `j·digits + d` as `level` copies of
-    /// `(src_row_j >> (w·d)) & (2^w − 1)`, `w = gadget_bits`.
-    Decompose {
-        /// The `level` coefficient rows.
-        src: DeviceBuf,
-        /// The `level·digits·level` digit rows.
-        dst: DeviceBuf,
-        /// Active primes.
-        level: usize,
-        /// Digits per residue.
-        digits: usize,
-        /// Digit width `w` in bits.
-        gadget_bits: u32,
-    },
-    /// Device-resident RNS base conversion of coefficient rows from one
-    /// source prime: `src[k]` is one row under one prime `q`, and every
-    /// row of `dst[k]` receives its exact lift mod that row's prime, `v`
-    /// itself (plain) or, when `centered`, `v − q` for `v > q/2` (CKKS
-    /// mod-raise). The rescale lifts its dropped rows with the plain
-    /// lift; the many-prime case of hybrid key switching is not
-    /// implemented.
-    BaseConvert {
-        /// One-row source views, one per polynomial.
-        src: &'a [PolyView],
-        /// The lifted rows, `dst[k]` from `src[k]`.
-        dst: &'a [PolyView],
-        /// Centered instead of plain lift.
-        centered: bool,
-    },
     /// Device-resident Galois automorphism `X → X^g` (`g` odd) of
     /// coefficient rows, one view per polynomial, in one op: `dst[k]`
     /// receives the permuted rows of `src[k]`, `dst[i·g mod 2N] =
@@ -1173,8 +1211,6 @@ impl BackendOp<'_> {
             BackendOp::Fma { .. } => "dev_fma",
             BackendOp::AddSub { .. } => "dev_addsub",
             BackendOp::Negate { .. } => "dev_negate",
-            BackendOp::Decompose { .. } => "dev_decompose",
-            BackendOp::BaseConvert { .. } => "dev_baseconv",
             BackendOp::Automorphism { .. } => "dev_automorphism",
         }
     }
@@ -1199,16 +1235,13 @@ impl BackendOp<'_> {
             | BackendOp::InverseBatch(_)
             | BackendOp::PointwiseBatch { .. }
             | BackendOp::MultiplyBatch { .. } => Vec::new(),
-            BackendOp::Forward { views, fold } => views
+            BackendOp::Forward { views, load, .. } => views
                 .iter()
+                .chain(load.iter().flat_map(|l| l.src()))
                 .map(|v| v.buf)
-                .chain(fold.iter().flat_map(|f| f.acc.iter().copied()))
                 .collect(),
             BackendOp::Inverse { views } | BackendOp::Negate { views } => {
                 views.iter().map(|v| v.buf).collect()
-            }
-            BackendOp::BaseConvert { src, dst, .. } => {
-                src.iter().chain(dst).map(|v| v.buf).collect()
             }
             BackendOp::Pointwise { acc, rhs }
             | BackendOp::AddSub { acc, rhs, .. }
@@ -1225,7 +1258,6 @@ impl BackendOp<'_> {
                 .chain(x.iter().copied())
                 .chain(y.iter().copied())
                 .collect(),
-            BackendOp::Decompose { src, dst, .. } => vec![src, dst],
         }
     }
 }
@@ -1448,28 +1480,36 @@ impl NttBackend for CpuBackend {
                     Some(plan.strategies()),
                 );
             }
-            BackendOp::Forward { views, fold } => {
+            BackendOp::Forward { views, load, fold } => {
+                if let Some(load) = load {
+                    assert_eq!(load.src().len(), views.len(), "one source per view");
+                }
                 for (k, view) in views.iter().enumerate() {
-                    self.stage_in(0, view.buf);
-                    let mut t = std::mem::take(&mut self.stage[0]);
-                    self.exec
-                        .transform_rows_under(plan.ring(), view.primes.clone(), &mut t, true);
-                    match fold {
-                        None => {
-                            self.stage[0] = t;
-                            self.stage_out(0, view.buf);
-                        }
-                        Some(SubScale { acc, dropped }) => {
-                            assert_eq!(view.primes.start, 0, "a fold's rows start at prime 0");
-                            assert_eq!(acc[k].len(), view.buf.len(), "fold shape mismatch");
-                            self.stage_in(1, acc[k]);
-                            let mut a = std::mem::take(&mut self.stage[1]);
-                            host_sub_scale_rows(plan, view.primes.len(), dropped, &mut a, &t);
-                            self.stage[1] = a;
-                            self.stage_out(1, acc[k]);
+                    match load {
+                        None => self.stage_in(0, view.buf),
+                        Some(load) => {
+                            let src = &load.src()[k];
+                            self.stage_in(1, src.buf);
+                            let mut t = std::mem::take(&mut self.stage[0]);
+                            t.clear();
+                            t.resize(view.buf.len(), 0);
+                            host_load_rows(plan, load, (src, &self.stage[1]), view, &mut t);
                             self.stage[0] = t;
                         }
                     }
+                    let mut t = std::mem::take(&mut self.stage[0]);
+                    self.exec
+                        .transform_rows_under(plan.ring(), view.primes.clone(), &mut t, true);
+                    if let Some(SubScale { dropped }) = fold {
+                        assert_eq!(view.primes.start, 0, "a fold's rows start at prime 0");
+                        self.stage_in(1, view.buf);
+                        let mut acc = std::mem::take(&mut self.stage[1]);
+                        host_sub_scale_rows(plan, view.primes.len(), dropped, &mut acc, &t);
+                        std::mem::swap(&mut t, &mut acc);
+                        self.stage[1] = acc;
+                    }
+                    self.stage[0] = t;
+                    self.stage_out(0, view.buf);
                 }
             }
             BackendOp::Inverse { views } => {
@@ -1537,28 +1577,6 @@ impl NttBackend for CpuBackend {
                     self.stage_out(0, view.buf);
                 }
             }
-            BackendOp::Decompose {
-                src,
-                dst,
-                level,
-                digits,
-                gadget_bits,
-            } => {
-                self.stage_in(1, src);
-                let mut d = std::mem::take(&mut self.stage[0]);
-                d.clear();
-                d.resize(dst.len(), 0);
-                host_decompose_rows(
-                    plan.degree(),
-                    level,
-                    digits,
-                    gadget_bits,
-                    &self.stage[1],
-                    &mut d,
-                );
-                self.stage[0] = d;
-                self.stage_out(0, dst);
-            }
             BackendOp::Automorphism { src, dst, g } => {
                 assert_eq!(src.len(), dst.len(), "one destination per view");
                 for (view, &dst) in src.iter().zip(dst) {
@@ -1570,20 +1588,6 @@ impl NttBackend for CpuBackend {
                     host_automorphism_rows(plan, primes, g, &self.stage[1], &mut d);
                     self.stage[0] = d;
                     self.stage_out(0, dst);
-                }
-            }
-            BackendOp::BaseConvert { src, dst, centered } => {
-                assert_eq!(src.len(), dst.len(), "one source row per destination");
-                for (s, d) in src.iter().zip(dst) {
-                    assert_eq!(s.primes.len(), 1, "one-source-prime conversion");
-                    self.stage_in(1, s.buf);
-                    let mut out = std::mem::take(&mut self.stage[0]);
-                    out.clear();
-                    out.resize(d.buf.len(), 0);
-                    let from = (self.stage[1].as_slice(), s.primes.start);
-                    host_lift_rows(plan, from, centered, &mut out, d.primes.clone());
-                    self.stage[0] = out;
-                    self.stage_out(0, d.buf);
                 }
             }
         }
@@ -1683,9 +1687,8 @@ pub struct Evaluator {
     backend: Box<dyn NttBackend>,
     /// Grow-only device scratch in the backend's memory, one allocation
     /// per slot (freed on drop): slot 0 holds the key switch's
-    /// buffer-of-digits, slot `1 + k` the rescale's lifted rows or the
-    /// automorphism's output of its `k`-th polynomial, each viewed from
-    /// row 0 like that polynomial.
+    /// buffer-of-digits, slot `1 + k` the automorphism's output of its
+    /// `k`-th polynomial, viewed from row 0 like that polynomial.
     scratch: Vec<Option<DeviceBuf>>,
     /// The fault gate: `None` unarmed, `Some(Ok(()))` armed and healthy,
     /// `Some(Err(_))` the first fault since arming (see
@@ -1905,6 +1908,7 @@ impl Evaluator {
         self.dispatch(if forward {
             BackendOp::Forward {
                 views: &views,
+                load: None,
                 fold: None,
             }
         } else {
@@ -2236,18 +2240,18 @@ impl Evaluator {
     /// coefficients.
     ///
     /// Only the dropped rows cross domains. One inverse transform covers
-    /// every polynomial's dropped row, one [`BackendOp::BaseConvert`]
-    /// lifts them exactly into the `l − 1` remaining primes, and one
-    /// [`BackendOp::Forward`] transforms the lifted rows with the
-    /// subtract-and-scale `(c_i − t_i)·p_{l-1}⁻¹` folded in — `2l` NTT
-    /// rows per polynomial instead of `4l − 2`, and on a simulated GPU
-    /// below 256 points three launches for a whole ciphertext. The NTT
-    /// is exact and linear mod each `p_i`, so the result is the
-    /// coefficient-domain rescale's. If any polynomial is resident in
-    /// this backend's memory, all are made resident and nothing crosses
-    /// the bus; otherwise the same steps run as two host batches, one
-    /// [`BackendOp::InverseBatch`] of every dropped row and one
-    /// [`BackendOp::ForwardBatch`] of every lifted row.
+    /// every polynomial's dropped row, and one [`BackendOp::Forward`]
+    /// writes the `l − 1` remaining rows of every polynomial: each row
+    /// loads the plain lift of its dropped row ([`Load::Lift`]) and stores
+    /// `(c_i − t_i)·p_{l-1}⁻¹` ([`SubScale`]) — `2l` NTT rows per
+    /// polynomial instead of `4l − 2`, no lifted row stored, and on a
+    /// simulated GPU below 256 points two launches for a whole
+    /// ciphertext. The NTT is exact and linear mod each `p_i`, so the
+    /// result is the coefficient-domain rescale's. If any polynomial is
+    /// resident in this backend's memory, all are made resident and
+    /// nothing crosses the bus; otherwise the same steps run as two host
+    /// batches, one [`BackendOp::InverseBatch`] of every dropped row and
+    /// one [`BackendOp::ForwardBatch`] of every lifted row.
     ///
     /// # Panics
     ///
@@ -2283,28 +2287,18 @@ impl Evaluator {
             .map(|b| PolyView::new(b.sub(last * n, n), last..level))
             .collect();
         self.dispatch(BackendOp::Inverse { views: &dropped });
-        // One scratch allocation per polynomial, each viewed from row 0
-        // like the accumulators, so on a sharded device every lifted row
-        // lands where its accumulator row lives.
-        let lifted: Vec<PolyView> = (0..bufs.len())
-            .map(|k| PolyView::new(self.scratch(1 + k, last * n), 0..last))
+        let acc: Vec<PolyView> = bufs
+            .iter()
+            .map(|b| PolyView::new(b.sub(0, last * n), 0..last))
             .collect();
-        let op = BackendOp::BaseConvert {
-            src: &dropped,
-            dst: &lifted,
-            centered: false,
-        };
-        self.dispatch(op);
-        let acc: Vec<DeviceBuf> = bufs.iter().map(|b| b.sub(0, last * n)).collect();
-        let fold = SubScale {
-            acc: &acc,
-            dropped: last,
-        };
-        let op = BackendOp::Forward {
-            views: &lifted,
-            fold: Some(fold),
-        };
-        self.dispatch(op);
+        self.dispatch(BackendOp::Forward {
+            views: &acc,
+            load: Some(Load::Lift {
+                src: &dropped,
+                centered: false,
+            }),
+            fold: Some(SubScale { dropped: last }),
+        });
         for poly in polys.iter_mut() {
             poly.device_truncate_level();
         }
@@ -2397,10 +2391,12 @@ impl Evaluator {
 
     /// Mod-raise: re-embed last-level (single-prime) coefficient
     /// polynomials into the first `to_level` primes of the RNS basis by a
-    /// centered lift mod `p₀` — the bootstrapping entry point. The
-    /// sources are unchanged. Resident sources are raised together by one
-    /// centered [`BackendOp::BaseConvert`] into resident results with no
-    /// host transfer; host sources are raised on the host.
+    /// centered lift mod `p₀`, in evaluation form — the bootstrapping
+    /// entry point. The sources are unchanged. Resident sources are
+    /// raised together by one [`BackendOp::Forward`] that loads the
+    /// centered lift ([`Load::Lift`]) into resident results, with no host
+    /// transfer and no lifted row stored; host sources are lifted on the
+    /// host and transformed in one host batch.
     ///
     /// # Panics
     ///
@@ -2415,39 +2411,38 @@ impl Evaluator {
                 "mod_raise requires coefficient form"
             );
         }
-        let mut src = Vec::new();
-        let mut outs = Vec::new();
+        let (mut src, mut outs) = (Vec::new(), Vec::new());
         for poly in polys.iter_mut() {
             if let Some(buf) = self.device_target(poly) {
                 src.push(PolyView::new(buf, 0..1));
-                outs.push(self.zero_resident(to_level, Representation::Coefficient));
+                outs.push(self.zero_resident(to_level, Representation::Evaluation));
             } else {
                 poly.sync();
                 let ring = self.plan.ring();
                 let mut out = RnsPoly::zero_with_repr(ring, to_level, Representation::Coefficient);
-                host_lift_rows(
-                    &self.plan,
-                    (poly.flat(), 0),
-                    true,
-                    out.flat_mut(),
-                    0..to_level,
-                );
+                let from = (poly.flat(), 0);
+                host_lift_rows(&self.plan, from, true, out.flat_mut(), 0..to_level);
                 outs.push(out);
             }
         }
+        // The resident results are born in evaluation form, so this
+        // transforms the host lifts alone.
+        self.forward_polys(&mut outs.iter_mut().collect::<Vec<_>>());
         if !src.is_empty() {
             let mem = self.backend.memory();
-            let dst: Vec<PolyView> = outs
+            let views: Vec<PolyView> = outs
                 .iter()
                 .filter_map(|out| out.device_buf_in(&mem))
                 .map(|buf| PolyView::new(buf, 0..to_level))
                 .collect();
-            let op = BackendOp::BaseConvert {
-                src: &src,
-                dst: &dst,
-                centered: true,
-            };
-            self.dispatch(op);
+            self.dispatch(BackendOp::Forward {
+                views: &views,
+                load: Some(Load::Lift {
+                    src: &src,
+                    centered: true,
+                }),
+                fold: None,
+            });
             for out in outs.iter_mut().filter(|o| o.has_mirror_in(&mem)) {
                 out.mark_device_dirty();
             }
@@ -2608,11 +2603,13 @@ impl Evaluator {
     /// switch, zero digits included.
     ///
     /// A source that is device-fresh in this backend's memory is
-    /// decomposed and transformed in the evaluator's device scratch
-    /// ([`BackendOp::Decompose`] + [`BackendOp::Forward`]), so nothing
-    /// crosses the bus; any other source is decomposed on the host and
-    /// transformed by one [`BackendOp::ForwardBatch`] over the whole
-    /// buffer of digits. Both give the same bits.
+    /// decomposed inside one [`BackendOp::Forward`] into the evaluator's
+    /// device scratch: each digit row loads its source row and extracts
+    /// its digit ([`Load::Digits`]) before the transform, so no digit is
+    /// stored in coefficient form and nothing crosses the bus. Any other
+    /// source is decomposed on the host and transformed by one
+    /// [`BackendOp::ForwardBatch`] over the whole buffer of digits. Both
+    /// give the same bits.
     ///
     /// # Panics
     ///
@@ -2627,20 +2624,15 @@ impl Evaluator {
         let words = level * n;
         if let Some(src) = self.dev_buf(poly) {
             let buf = self.scratch(0, level * digits * words);
-            let op = BackendOp::Decompose {
-                src,
-                dst: buf,
-                level,
-                digits,
-                gadget_bits,
-            };
-            self.dispatch(op);
-            let views = [PolyView::new(buf, 0..level)];
-            let op = BackendOp::Forward {
-                views: &views,
+            self.dispatch(BackendOp::Forward {
+                views: &[PolyView::new(buf, 0..level)],
+                load: Some(Load::Digits {
+                    src: &[PolyView::new(src, 0..level)],
+                    digits,
+                    gadget_bits,
+                }),
                 fold: None,
-            };
-            self.dispatch(op);
+            });
             return Digits::Device { buf, words };
         }
         poly.sync();

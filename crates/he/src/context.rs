@@ -690,9 +690,10 @@ impl HeContext {
     /// gate, errors classify into transient/fatal/OOM, and a
     /// non-transient fault quarantines the pool member (rotation keys
     /// are context-owned, so they survive quarantine + re-fork
-    /// untouched). On a simulated GPU below 256 points that is 6 gated
+    /// untouched). On a simulated GPU below 256 points that is 5 gated
     /// launches per device: the inverse, the automorphism, the forward of
-    /// `c0`, the decompose, the digit forward and the FMA.
+    /// `c0`, the digit forward (which decomposes as it loads) and the
+    /// FMA.
     ///
     /// # Errors
     ///
@@ -719,8 +720,9 @@ impl HeContext {
     /// On a resident context a host-fresh input (say, one encrypted on a
     /// CPU context) is uploaded first, one level-1 row per component, so
     /// the raise and every operation on its output run on the device:
-    /// one inverse transform, one centered base conversion and one
-    /// forward transform, each over both components.
+    /// one inverse transform and one forward transform that loads the
+    /// centered lift ([`Evaluator::mod_raise`]), each over both
+    /// components.
     ///
     /// # Panics
     ///
@@ -733,8 +735,7 @@ impl HeContext {
             let (mut c0, mut c1) = self.components(ev, ct);
             ev.inverse_polys(&mut [&mut c0, &mut c1]);
             let mut raised = ev.mod_raise(&mut [&mut c0, &mut c1], to_level);
-            let (mut r0, mut r1) = (raised.remove(0), raised.remove(0));
-            ev.forward_polys(&mut [&mut r0, &mut r1]);
+            let (r0, r1) = (raised.remove(0), raised.remove(0));
             Ciphertext {
                 c0: r0,
                 c1: r1,
@@ -1008,7 +1009,7 @@ impl HeContext {
     /// the public form of the rescale every `multiply` already performs,
     /// for pipelines that defer it across a sum of raw plain-products.
     /// Both components rescale together in the evaluation domain
-    /// ([`Evaluator::rescale_polys`]): on a device, three launches below
+    /// ([`Evaluator::rescale_polys`]): on a device, two launches below
     /// 256 points.
     ///
     /// # Panics

@@ -89,8 +89,9 @@ impl RelinKeys {
 /// `O(|gs| · |levels| · digits)` instead of `O(|gs| · levels²· digits)`.
 /// Each per-level entry set has the same `entries[j][d]` hoisting-friendly
 /// digit layout as [`RelinKeys`] — an encryption of `B^d · g_j · τ_g(s)`
-/// — so rotations run the relinearization key switch (decompose, one
-/// batched digit transform, one FMA into both accumulators) unchanged.
+/// — so rotations run the relinearization key switch (one batched digit
+/// transform that decomposes as it loads, one FMA into both
+/// accumulators) unchanged.
 #[derive(Debug, Clone, Default)]
 pub struct RotationKeys {
     /// `by_g[g][level][j][d]`; `g` stored reduced mod `2N`.

@@ -29,21 +29,27 @@
 //! * **Device-resident execution** (the device [`BackendOp`]s over
 //!   [`DeviceBuf`] handles) runs whole pipelines on buffers that live in
 //!   simulated GMEM: forward/inverse NTTs over several polynomials per
-//!   launch, element-wise ring ops, RNS base conversion, the
-//!   evaluation-domain rescale (its subtract-and-scale folded into the
-//!   SMEM forward's store) and gadget digit decomposition, with **zero**
-//!   host↔device transfers. Every kernel a backend op launches takes one
-//!   shape of operand, a per-row address table (`crate::rows`): one table
-//!   of the rows it writes and one per read operand, filled by one
-//!   per-shard dispatcher for every device op (see [`crate::sharded`]).
-//!   So one launch can cover rows of separate allocations.
+//!   launch, element-wise ring ops, FMA and automorphism, with **zero**
+//!   host↔device transfers. The producers of a forward's rows ride its
+//!   SMEM kernels instead of launching on their own: gadget digit
+//!   decomposition and the one-source-prime RNS lift (a rescale's, a
+//!   mod-raise's) are folded into the first kernel's load, and a
+//!   rescale's subtract-and-scale into the last kernel's store, so no
+//!   digit or lifted row is ever stored. Every kernel a backend op
+//!   launches takes one shape of operand, a per-row address table
+//!   (`crate::rows`): one table of the rows it writes and one per read
+//!   operand, filled by one per-shard dispatcher for every device op (see
+//!   [`crate::sharded`]). So one launch can cover rows of separate
+//!   allocations.
 //!
 //! Every transform runs the SMEM family the paper's Table II favors, at
 //! one split per ring degree `N` that depends on `N` and the device model
 //! alone:
 //!
 //! * rows below 256 points run whole, several per block, in one packed
-//!   launch per direction (the degenerate `N × 1` split, no sweep);
+//!   launch per direction (the degenerate `N × 1` split, no sweep); their
+//!   strided level's GMEM access (the forward's store, the inverse's
+//!   load) goes through a cooperative SMEM tile, so it stays coalesced;
 //! * longer rows take the two-kernel split (OT on 0 or 2 stages) with the
 //!   minimum *modeled* time over the Fig. 12(a) candidates, swept once
 //!   per `N` on one row of a scratch device and cached, so the verdict is
@@ -84,7 +90,7 @@
 //! * "tables uploaded" — every trait op calls `ensure_tables` before the
 //!   kernel helpers run, so an absent table is an internal sequencing
 //!   bug, unreachable through the trait.
-//! * Shape `assert!`s on op entry (`Decompose`, `PointwiseBatch`) —
+//! * Shape `assert!`s on op entry (a forward's `Load`, `PointwiseBatch`) —
 //!   caller-contract violations, mirrored from the documented panics of
 //!   the `ntt-core` trait.
 //! * Kernel-lane `expect`s ("rhs loaded", "lane active") — a warp lane
@@ -111,9 +117,9 @@
 
 use crate::batch::upload_table;
 use crate::ot::DeviceOt;
-use crate::rows::{FoldRows, RowTable};
+use crate::rows::{LoadRows, RowTable};
 use crate::sharded::{ShardedMemory, SimDevices, Single};
-use crate::smem::{self, Direction, SmemConfig, SmemJob};
+use crate::smem::{self, Direction, Folds, SmemConfig, SmemJob};
 use gpu_sim::{Buf, Event, Gpu, GpuConfig, LaunchConfig, OpClass, Stream, WarpCtx, WarpKernel};
 use ntt_core::backend::{BackendError, DeviceBuf, DeviceMemory, RingPlan, TransferStats};
 #[cfg(doc)]
@@ -724,51 +730,61 @@ fn ensure_ot(m: &mut SimMemory, plan: &RingPlan, base: usize, direction: Directi
 }
 
 /// Launch a forward NTT over `rows` at `split` ([`best_split`]): two SMEM
-/// kernels, or one over whole rows. With a `fold`, the transformed rows
-/// land in the fold's accumulators through the subtract-and-scale in the
-/// last kernel's store.
+/// kernels, or one over whole rows. With a `load`, the first kernel reads
+/// each row from the load's source; with a `sub_scale` (per-prime factors
+/// of `rows::sub_scale_factors`), the last kernel's store folds the
+/// transform into the rows' own words as `(x − t)·p_d⁻¹`.
 pub(crate) fn run_forward(
     m: &mut SimMemory,
     plan: &RingPlan,
     rows: &RowTable,
     split: SmemConfig,
-    fold: Option<&FoldRows>,
+    load: Option<&LoadRows>,
+    sub_scale: Option<&[(u64, u64)]>,
 ) {
-    run_smem(m, plan, rows, split, Direction::Forward, fold);
+    // A split's folded store reads the rows' words in its second kernel,
+    // so its first kernel stores into scratch instead of over them.
+    let n = plan.degree();
+    let scratch = (sub_scale.is_some() && split.n1 < n).then(|| m.acquire_scratch(rows.len() * n));
+    let mid = scratch.map(|buf| RowTable::contiguous(buf, n, rows.primes()));
+    let folds = Folds {
+        load,
+        sub_scale,
+        mid: mid.as_ref(),
+    };
+    run_smem(m, plan, rows, split, Direction::Forward, folds);
+    if let Some(buf) = scratch {
+        m.release_scratch(buf);
+    }
 }
 
 /// Launch an inverse NTT over `rows`: the forward's `split` mirrored, OT
 /// included and `N⁻¹` folded into the last store — two kernels, or for
 /// whole rows (`n1 = N`) the one `smem-k1-{N}-inv` launch.
 pub(crate) fn run_inverse(m: &mut SimMemory, plan: &RingPlan, rows: &RowTable, split: SmemConfig) {
-    run_smem(m, plan, rows, split, Direction::Inverse, None);
+    run_smem(m, plan, rows, split, Direction::Inverse, Folds::default());
 }
 
 /// Launch the SMEM kernels of `cfg` in `direction` over the plan's table
-/// of that direction, with `fold` in the forward's final store.
+/// of that direction, with a forward's `folds`.
 fn run_smem(
     m: &mut SimMemory,
     plan: &RingPlan,
     rows: &RowTable,
     cfg: SmemConfig,
     direction: Direction,
-    fold: Option<&FoldRows>,
+    folds: Folds<'_>,
 ) {
     let ot = (cfg.ot_stages > 0).then(|| ensure_ot(m, plan, cfg.ot_base, direction));
     let SimMemory { gpu, tables, .. } = m;
     let t = tables.as_ref().expect("tables uploaded");
-    let (tw, twc) = match direction {
+    let tw = match direction {
         Direction::Forward => (t.tw, t.twc),
         Direction::Inverse => (t.itw, t.itwc),
     };
     let job = SmemJob {
-        rows,
-        tw,
-        twc,
-        n: t.n,
-        log_n: t.n.trailing_zeros(),
-        moduli: &t.primes,
-        fold,
+        folds,
+        ..SmemJob::new(rows, t.n, tw, &t.primes)
     };
     smem::launch_job(gpu, &job, &cfg, ot.as_ref(), direction);
 }
@@ -1087,6 +1103,7 @@ mod tests {
                     plan,
                     Op::Forward {
                         views: &views,
+                        load: None,
                         fold: None,
                     },
                 );

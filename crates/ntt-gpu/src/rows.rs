@@ -13,6 +13,7 @@
 //! `data.word(row · N + i)` did.
 
 use gpu_sim::Buf;
+use ntt_math::modops::neg_mod;
 
 /// The rows one launch works on: each row's GMEM view and RNS prime.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -71,31 +72,69 @@ impl RowTable {
     }
 }
 
-/// A rescale's subtract-and-scale, folded into a forward transform: row
-/// `r` of the transform lands in row `r` of `acc` as
-/// `(acc − v)·p_d⁻¹ mod p` instead of in place. The SMEM kernels apply it
-/// in their final store.
-#[derive(Debug, Clone)]
-pub(crate) struct FoldRows {
-    /// The accumulator rows, one per transformed row, under its prime.
-    pub(crate) acc: RowTable,
-    /// Per prime index: `(p_d⁻¹ mod p, Shoup companion)`.
-    pub(crate) inv: Vec<(u64, u64)>,
+/// The per-prime factors of a rescale's subtract-and-scale folded into a
+/// forward transform's store, indexed by prime: `(p_d⁻¹ mod p, Shoup
+/// companion)` for the dropped prime `moduli[dropped]`. A folded row
+/// stores `(x − v)·p_d⁻¹ mod p` over the word `x` it overwrites.
+pub(crate) fn sub_scale_factors(moduli: &[u64], dropped: usize) -> Vec<(u64, u64)> {
+    let p_d = moduli[dropped];
+    moduli
+        .iter()
+        .map(|&p| {
+            // The dropped prime itself never receives a fold; any pair
+            // keeps the table indexable by prime.
+            let w = ntt_math::inv_mod(p_d % p, p).unwrap_or(1);
+            (w, ntt_math::shoup::precompute(w, p))
+        })
+        .collect()
 }
 
-impl FoldRows {
-    /// The fold of dropped prime `moduli[dropped]` into the rows `acc`.
-    pub(crate) fn new(acc: RowTable, moduli: &[u64], dropped: usize) -> Self {
-        let p_d = moduli[dropped];
-        let inv = moduli
-            .iter()
-            .map(|&p| {
-                // The dropped prime itself never receives a fold; any
-                // pair keeps the table indexable by prime.
-                let w = ntt_math::inv_mod(p_d % p, p).unwrap_or(1);
-                (w, ntt_math::shoup::precompute(w, p))
-            })
-            .collect();
-        Self { acc, inv }
+/// A producer folded into a forward transform's first load: transformed
+/// row `r` reads word `i` of row `r` of `src` instead of its own, through
+/// the read-only path (many rows share one source row), and maps it
+/// before the first butterfly.
+#[derive(Debug, Clone)]
+pub(crate) struct LoadRows {
+    /// Per transformed row, the row it reads, under the source's prime.
+    pub(crate) src: RowTable,
+    /// What each word read becomes.
+    pub(crate) map: LoadMap,
+}
+
+/// The map of a [`LoadRows`].
+#[derive(Debug, Clone)]
+pub(crate) enum LoadMap {
+    /// Row `r` keeps digit `(v >> shift[r]) & mask` of each word.
+    Digits {
+        /// Per transformed row, the bit offset of its digit.
+        shift: Vec<u32>,
+        /// `2^w − 1`.
+        mask: u64,
+    },
+    /// Each word is lifted exactly from its source row's prime `q` into
+    /// the transformed row's: `v` itself (plain) or, when `centered`,
+    /// `v − q` for `v > q/2`.
+    Lift {
+        /// Centered instead of plain lift.
+        centered: bool,
+    },
+}
+
+impl LoadRows {
+    /// Word `v` of row `r`'s source as transformed row `r` under
+    /// `moduli[prime]` sees it.
+    pub(crate) fn map(&self, r: usize, v: u64, moduli: &[u64], prime: usize) -> u64 {
+        match &self.map {
+            LoadMap::Digits { shift, mask } => (v >> shift[r]) & mask,
+            LoadMap::Lift { centered } => {
+                let (p, q) = (moduli[prime], moduli[self.src.prime(r)]);
+                let half = if *centered { q >> 1 } else { q };
+                if v <= half {
+                    v % p
+                } else {
+                    neg_mod((q - v) % p, p)
+                }
+            }
+        }
     }
 }

@@ -24,20 +24,21 @@
 //! gather stays link-free instead of re-gathering a near-full operand
 //! per digit. What does move is the key-switch base-conversion
 //! itself: gadget digit decomposition reads **every** residue row of
-//! the source polynomial to build each digit, so a `K`-way sharded
-//! decompose pays an explicit all-gather of the remote rows over the
-//! inter-device link — the same traffic pattern multi-GPU HE systems
-//! report as their scaling ceiling. The one-source-prime base
-//! conversion of a rescale (broadcast of each component's dropped row)
-//! and of a mod-raise (broadcast of the level-1 row) pays the same way,
-//! just `N` words per component instead of `level * N`; the rest of an
-//! evaluation-domain rescale stays on the shards that own the rows.
+//! the source polynomial to build each digit, so the digit forward
+//! (whose load decomposes) pays an explicit all-gather of the remote
+//! source rows over the inter-device link — the same traffic pattern
+//! multi-GPU HE systems report as their scaling ceiling. The
+//! one-source-prime lift a rescale's and a mod-raise's forward loads
+//! (broadcast of each component's dropped row, of the level-1 row) pays
+//! the same way, just `N` words per component instead of `level * N`;
+//! the rest of an evaluation-domain rescale stays on the shards that own
+//! the rows.
 //!
 //! Every device op runs through one dispatcher, `Held::each_shard`, at
 //! **one launch per shard**: each shard lists the rows it owns of every
 //! written view in one row-address table, gathers what those rows read,
 //! and hands its kernels one read table per operand — the same rows, one
-//! broadcast row, or every row (the decompose all-gather), as the
+//! broadcast row, or every row (a load's all-gather), as the
 //! operand's `RowMap` says. So both components of a ciphertext, or one
 //! dropped row of each, share a launch, and every kernel takes the same
 //! operand shape. The host batches run the same kernel closures over
@@ -97,18 +98,15 @@
 
 use crate::backend::{
     best_split, classify, ensure_tables, launch_automorphism, launch_elemwise, launch_fma,
-    launch_rows, lock_mem, run_forward, run_inverse, DevData, ElemOp, SimMemory,
+    lock_mem, run_forward, run_inverse, DevData, ElemOp, SimMemory,
 };
-use crate::rows::{FoldRows, RowTable};
+use crate::rows::{sub_scale_factors, LoadMap, LoadRows, RowTable};
 use crate::smem::SmemConfig;
-use gpu_sim::{
-    Buf, DeviceTimeline, Event, FaultOp, GpuConfig, OpClass, Stream, WarpCtx, WarpKernel,
-};
+use gpu_sim::{Buf, DeviceTimeline, Event, FaultOp, GpuConfig, Stream};
 use ntt_core::backend::{
-    handle_namespace, BackendError, BackendOp, DeviceBuf, DeviceMemory, LimbBatch, NttBackend,
-    PolyView, RingPlan, SharedDeviceMemory, SubScale, TransferStats,
+    handle_namespace, BackendError, BackendOp, DeviceBuf, DeviceMemory, LimbBatch, Load,
+    NttBackend, PolyView, RingPlan, SharedDeviceMemory, SubScale, TransferStats,
 };
-use ntt_math::modops::neg_mod;
 use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::ops::Range;
@@ -191,8 +189,8 @@ enum RowMap {
     Same,
     /// Every row of the read view is gathered, and written row `r` of a
     /// `W`-row view reads row `r / (W / R)` of its `R`-row read view: one
-    /// row for all (a broadcast), or one source row per block of digit
-    /// rows (the decompose all-gather).
+    /// row for all (a lift's broadcast), or one source row per block of
+    /// digit rows (the digit load's all-gather).
     All,
 }
 
@@ -711,7 +709,7 @@ impl Held<'_> {
     /// and at `K = 1` every gather does). Otherwise scratch is acquired
     /// on `to` and every row is pulled in: same-shard rows move d2d,
     /// remote rows over the link. This *is* the base-conversion
-    /// all-gather when `view` is a decompose source. Pair with
+    /// all-gather when `view` is a digit load's source. Pair with
     /// [`release_gather`](Held::release_gather).
     fn gather_rows(&mut self, view: DeviceBuf, rows: Rows, n: usize, to: usize) -> Gathered {
         let a = alloc_of(self.map, view);
@@ -1137,23 +1135,13 @@ impl<F: Flavor> SimDevices<F> {
 /// batch, which splits its rows by [`shard_rows`] instead.
 fn written_views(op: &BackendOp<'_>) -> Vec<PolyView> {
     match *op {
-        BackendOp::Forward { views, fold: None }
+        BackendOp::Forward { views, .. }
         | BackendOp::Inverse { views }
         | BackendOp::Negate { views }
-        | BackendOp::BaseConvert { dst: views, .. }
         | BackendOp::Pointwise { acc: views, .. }
         | BackendOp::AddSub { acc: views, .. }
         | BackendOp::Fma { acc: views, .. } => views.to_vec(),
-        BackendOp::Forward {
-            views,
-            fold: Some(SubScale { acc: bufs, .. }),
-        }
-        | BackendOp::Automorphism {
-            src: views,
-            dst: bufs,
-            ..
-        } => shaped(bufs, views),
-        BackendOp::Decompose { dst, level, .. } => vec![PolyView::new(dst, 0..level)],
+        BackendOp::Automorphism { src, dst, .. } => shaped(dst, src),
         _ => Vec::new(),
     }
 }
@@ -1186,8 +1174,8 @@ fn multiply(
     out: &RowTable,
     rhs: &RowTable,
 ) {
-    run_forward(sh, plan, out, split, None);
-    run_forward(sh, plan, rhs, split, None);
+    run_forward(sh, plan, out, split, None, None);
+    run_forward(sh, plan, rhs, split, None, None);
     launch_elemwise(sh, ElemOp::Mul, out, Some(rhs));
     run_inverse(sh, plan, out, split);
 }
@@ -1262,7 +1250,7 @@ impl<F: Flavor> NttBackend for SimDevices<F> {
             BackendOp::ForwardBatch(batch) => {
                 let split = self.split(n);
                 self.host_batch(plan, batch, None, |sh, l| {
-                    run_forward(sh, plan, &l.dst, split, None)
+                    run_forward(sh, plan, &l.dst, split, None, None)
                 });
             }
             BackendOp::InverseBatch(batch) => {
@@ -1288,26 +1276,25 @@ impl<F: Flavor> NttBackend for SimDevices<F> {
             }
 
             // ---- Device-resident execution (zero host↔device traffic) ----
-            BackendOp::Forward { views, fold } => {
+            BackendOp::Forward { load, fold, .. } => {
                 let split = self.split(n);
-                match fold {
-                    None => self.each_shard(plan, &written, &[], |sh, l| {
-                        run_forward(sh, plan, &l.dst, split, None)
-                    }),
-                    // The rescale tail: the accumulators are the written
-                    // views, each lifted view is read row for row (its
-                    // separate allocation aligns with its accumulator, so
-                    // the gather is the zero-copy direct reference), and
-                    // the transform stores into the accumulators.
-                    Some(SubScale { dropped, .. }) => {
-                        let moduli = plan.ring().basis().primes();
-                        let lifted = [(views, RowMap::Same)];
-                        self.each_shard(plan, &written, &lifted, |sh, l| {
-                            let fold = FoldRows::new(l.dst.clone(), moduli, dropped);
-                            run_forward(sh, plan, &l.src[0], split, Some(&fold))
-                        })
-                    }
-                }
+                let sub_scale = fold.map(|SubScale { dropped }| {
+                    sub_scale_factors(plan.ring().basis().primes(), dropped)
+                });
+                // A load reads rows other than the one it writes: every
+                // row of its view's source is gathered (the key switch's
+                // digits read every residue row, a lift its one row), so
+                // on a sharded device the remote source rows cross the
+                // link, about (K−1)/K of them per shard.
+                let level = load.map_or(0, |load| load_level(load, &written, n));
+                let reads: Vec<Read<'_>> = load.iter().map(|l| (l.src(), RowMap::All)).collect();
+                self.each_shard(plan, &written, &reads, |sh, l| {
+                    let load = load.map(|load| LoadRows {
+                        src: l.src[0].clone(),
+                        map: load_map(load, level, &l.index),
+                    });
+                    run_forward(sh, plan, &l.dst, split, load.as_ref(), sub_scale.as_deref())
+                });
             }
             BackendOp::Inverse { .. } => {
                 let split = self.split(n);
@@ -1369,40 +1356,6 @@ impl<F: Flavor> NttBackend for SimDevices<F> {
                     launch_elemwise(sh, ElemOp::Neg, &l.dst, None)
                 });
             }
-            BackendOp::Decompose {
-                src,
-                dst,
-                level,
-                digits,
-                gadget_bits,
-            } => {
-                assert_eq!(src.len(), level * n, "source must be level x N");
-                assert_eq!(
-                    dst.len(),
-                    level * digits * level * n,
-                    "digit buffer shape mismatch"
-                );
-                // Every digit reads every residue row of the source: the
-                // sharded base conversion is an all-gather of the remote
-                // rows (≈ (K-1)/K · level · N words across the link per
-                // shard).
-                let src = [PolyView::new(src, 0..level)];
-                self.each_shard(plan, &written, &[(&src, RowMap::All)], |sh, l| {
-                    let kernel = DecomposeKernel {
-                        dst: &l.dst,
-                        src: &l.src[0],
-                        // Row `r` holds digit `(r / level) % digits`.
-                        shift: l
-                            .index
-                            .iter()
-                            .map(|&r| gadget_bits * ((r / level) % digits) as u32)
-                            .collect(),
-                        mask: (1u64 << gadget_bits) - 1,
-                        n,
-                    };
-                    launch_rows(sh.gpu_mut(), "sim-decompose", l.dst.len() * n, &kernel);
-                });
-            }
             BackendOp::Automorphism { src, g, .. } => {
                 let g = g % (2 * n as u64);
                 assert_eq!(g % 2, 1, "Galois element must be odd");
@@ -1411,27 +1364,6 @@ impl<F: Flavor> NttBackend for SimDevices<F> {
                 // link-free.
                 self.each_shard(plan, &written, &[(src, RowMap::Same)], |sh, l| {
                     launch_automorphism(sh, &l.src[0], &l.dst, g)
-                });
-            }
-            BackendOp::BaseConvert { src, centered, .. } => {
-                assert_eq!(src.len(), written.len(), "one source row per destination");
-                for v in src {
-                    assert_eq!(v.buf.len(), n, "one-source-prime conversion reads one row");
-                }
-                let moduli = plan.ring().basis().primes();
-                // Every shard owning destination rows needs the source
-                // row: a broadcast of N words per remote shard over the
-                // link (the rescale's dropped row, the mod-raise's
-                // level-1 row).
-                self.each_shard(plan, &written, &[(src, RowMap::All)], |sh, l| {
-                    let kernel = LiftKernel {
-                        dst: &l.dst,
-                        src: &l.src[0],
-                        n,
-                        centered,
-                        moduli,
-                    };
-                    launch_rows(sh.gpu_mut(), "sim-baseconv", l.dst.len() * n, &kernel);
                 });
             }
         }
@@ -1466,127 +1398,47 @@ impl<F: Flavor> NttBackend for SimDevices<F> {
     }
 }
 
-// ---- Cross-row kernels ---------------------------------------------
-//
-// Decompose and base conversion read rows other than the one they
-// write: their read table maps each written row to a row of the
-// all-gathered source (`RowMap::All`), and the decompose takes each
-// row's digit from its index in the written view. At `K = 1` the
-// written rows are the whole operand and the gather is a direct
-// reference, so these are the single-device kernels too.
-
-/// Gadget digit decomposition (layout per [`BackendOp::Decompose`])
-/// writing one shard's digit rows from the gathered source rows: one
-/// thread per output element, each reading its source word and extracting
-/// one base-`2^w` digit.
-struct DecomposeKernel<'a> {
-    /// The digit rows written.
-    dst: &'a RowTable,
-    /// Per digit row, the source row it splits.
-    src: &'a RowTable,
-    /// Per digit row, the bit offset of its digit.
-    shift: Vec<u32>,
-    /// `2^w − 1`.
-    mask: u64,
-    n: usize,
+/// Check a load's shape against the views it writes, and return the row
+/// count of its sources.
+///
+/// # Panics
+///
+/// Panics unless there is one source per view, shaped as [`Load`] says.
+fn load_level(load: Load<'_>, written: &[PolyView], n: usize) -> usize {
+    let src = load.src();
+    assert_eq!(src.len(), written.len(), "one source per view");
+    let level = src.first().map_or(0, |s| s.buf.len() / n);
+    for (s, w) in src.iter().zip(written) {
+        assert_eq!(s.buf.len(), level * n, "a load's sources share one level");
+        match load {
+            Load::Digits { digits, .. } => assert_eq!(
+                w.buf.len(),
+                level * digits * level * n,
+                "digit buffer shape mismatch"
+            ),
+            Load::Lift { .. } => assert_eq!(level, 1, "a lift reads one row"),
+        }
+    }
+    level
 }
 
-impl WarpKernel for DecomposeKernel<'_> {
-    fn phases(&self) -> usize {
-        1
-    }
-
-    fn run_warp(&self, ctx: &mut WarpCtx<'_>) {
-        let total = self.dst.len() * self.n;
-        let lanes = ctx.lanes();
-        let mut addr_s = vec![None; lanes];
-        let mut shift = vec![0u32; lanes];
-        let mut active = 0u64;
-        for l in 0..lanes {
-            let gt = ctx.global_thread(l);
-            if gt >= total {
-                continue;
-            }
-            active += 1;
-            shift[l] = self.shift[gt / self.n];
-            addr_s[l] = Some(self.src.flat_word(self.n, gt));
-        }
-        if active == 0 {
-            return;
-        }
-        // Replicated rows re-read the same source words; the read-only
-        // path absorbs the repeats the way twiddle broadcasts do.
-        let vals = ctx.gmem_load_cached(&addr_s);
-        let writes: Vec<Option<(usize, u64)>> = (0..lanes)
-            .map(|l| {
-                let v = vals[l]?;
-                let word = self.dst.flat_word(self.n, ctx.global_thread(l));
-                Some((word, (v >> shift[l]) & self.mask))
-            })
-            .collect();
-        ctx.count_op(OpClass::Generic, active);
-        ctx.gmem_store(&writes);
-    }
-}
-
-/// One-source-prime base conversion (contract per
-/// [`BackendOp::BaseConvert`]) over one shard's destination rows of every
-/// view: one thread per *output* element, writing the exact lift of its
-/// row's source word under the row's prime. Every destination row of one
-/// source re-reads the same `N` words, so the read goes through the
-/// cached path like the decompose kernel's replicated rows.
-struct LiftKernel<'a> {
-    dst: &'a RowTable,
-    /// Per destination row, its source row under the source prime.
-    src: &'a RowTable,
-    n: usize,
-    /// Centered instead of plain lift.
-    centered: bool,
-    moduli: &'a [u64],
-}
-
-impl WarpKernel for LiftKernel<'_> {
-    fn phases(&self) -> usize {
-        1
-    }
-
-    fn run_warp(&self, ctx: &mut WarpCtx<'_>) {
-        let total = self.dst.len() * self.n;
-        let lanes = ctx.lanes();
-        let mut addr_s = vec![None; lanes];
-        let mut row = vec![0usize; lanes];
-        let mut active = 0u64;
-        for l in 0..lanes {
-            let gt = ctx.global_thread(l);
-            if gt >= total {
-                continue;
-            }
-            active += 1;
-            row[l] = gt / self.n;
-            addr_s[l] = Some(self.src.flat_word(self.n, gt));
-        }
-        if active == 0 {
-            return;
-        }
-        let vals = ctx.gmem_load_cached(&addr_s);
-        let writes: Vec<Option<(usize, u64)>> = (0..lanes)
-            .map(|l| {
-                let v = vals[l]?;
-                let (p, q) = (
-                    self.moduli[self.dst.prime(row[l])],
-                    self.moduli[self.src.prime(row[l])],
-                );
-                let half = if self.centered { q >> 1 } else { q };
-                let lifted = if v <= half {
-                    v % p
-                } else {
-                    neg_mod((q - v) % p, p)
-                };
-                Some((self.dst.flat_word(self.n, ctx.global_thread(l)), lifted))
-            })
-            .collect();
-        ctx.count_op(OpClass::Generic, active);
-        ctx.gmem_store(&writes);
+/// The [`LoadMap`] of written rows whose indices in their views are
+/// `index`, for a load of `level`-row sources: the digit of a row follows
+/// from its index.
+fn load_map(load: Load<'_>, level: usize, index: &[usize]) -> LoadMap {
+    match load {
+        Load::Digits {
+            digits,
+            gadget_bits,
+            ..
+        } => LoadMap::Digits {
+            shift: index
+                .iter()
+                .map(|&r| gadget_bits * ((r / level) % digits) as u32)
+                .collect(),
+            mask: (1u64 << gadget_bits) - 1,
+        },
+        Load::Lift { centered, .. } => LoadMap::Lift { centered },
     }
 }
 
@@ -1770,10 +1622,9 @@ mod tests {
 
     #[test]
     fn decompose_all_gather_crosses_the_link_only_when_sharded() {
-        // Drive the key-switch digit shape directly: decompose a
-        // level × N source into the level·digits·level digit rows,
-        // then FMA a digit sub-view (whose partition is misaligned
-        // with the accumulator's) — the two ops that carry the
+        // Drive the key-switch digit shape directly: a forward that
+        // loads the digits of a level × N source into the
+        // level·digits·level digit rows, the op that carries the
         // base-conversion traffic.
         let ring = ring(16, 4);
         let plan = RingPlan::new(&ring);
@@ -1792,12 +1643,14 @@ mod tests {
             drop(mem);
             backend.run(
                 &plan,
-                Op::Decompose {
-                    src,
-                    dst,
-                    level,
-                    digits,
-                    gadget_bits,
+                Op::Forward {
+                    views: &[PolyView::new(dst, 0..level)],
+                    load: Some(Load::Digits {
+                        src: &[PolyView::new(src, 0..level)],
+                        digits,
+                        gadget_bits,
+                    }),
+                    fold: None,
                 },
             );
             let mut out = vec![0u64; digit_rows * n];
@@ -1933,38 +1786,40 @@ mod tests {
         &[0, 5, 6, 1, 2],
         &[0, 1],
         &[0],
-        &[3, 0],
-        &[0, 4],
-        &[3, 0],
+        &[0, 3],
+        &[4, 0],
+        &[0, 3],
         &[0, 1],
-        &[3, 7],
+        &[7, 3],
     ];
 
     /// The views the device ops take: `a` whole, `row` under prime 1 and
-    /// under prime 0, and `x0`, `x1` whole.
-    fn views_of(bufs: &[DeviceBuf; 8]) -> [PolyView; 5] {
-        let [a, _, _, row, _, x0, x1, _] = *bufs;
+    /// under prime 0, `x0`, `x1` and the digit buffer whole, and `acc`.
+    fn views_of(bufs: &[DeviceBuf; 8]) -> [PolyView; 7] {
+        let [a, _, _, row, digits, x0, x1, acc] = *bufs;
         [
             PolyView::new(a, 0..2),
             PolyView::new(row, 1..2),
             PolyView::new(row, 0..1),
             PolyView::new(x0, 0..2),
             PolyView::new(x1, 0..2),
+            PolyView::new(digits, 0..2),
+            PolyView::new(acc, 0..1),
         ]
     }
 
     /// Device op `i` of the table, over the operands of [`ROWS`]: every
-    /// device op once, the base conversion twice and the forward twice.
-    /// The FMA is 2-term — `a += x0 · b + x1 · c`, each first factor its
-    /// own buffer. The base conversions lift `row` into `a`, plainly from
-    /// prime 1 (a rescale's dropped row) and centered from prime 0 (a
-    /// mod-raise); the last op is a rescale-folded forward of `row` into
-    /// `acc`.
-    fn device_op<'a>(i: usize, bufs: &'a [DeviceBuf; 8], views: &'a [PolyView; 5]) -> Op<'a> {
-        let [a, _, _, _, digits, ..] = *bufs;
+    /// device op once and the forward with each of its folds. The FMA is
+    /// 2-term — `a += x0 · b + x1 · c`, each first factor its own buffer.
+    /// Two forwards load the lift of `row` into `a`, plainly from prime 1
+    /// (a rescale's dropped row) and centered from prime 0 (a mod-raise),
+    /// one loads the digits of `a`, and the last loads the plain lift of
+    /// `row` and stores the rescale's subtract-and-scale into `acc`.
+    fn device_op<'a>(i: usize, bufs: &'a [DeviceBuf; 8], views: &'a [PolyView; 7]) -> Op<'a> {
         match i {
             0 => Op::Forward {
                 views: &views[..1],
+                load: None,
                 fold: None,
             },
             1 => Op::Inverse { views: &views[..1] },
@@ -1983,22 +1838,30 @@ mod tests {
                 subtract: true,
             },
             5 => Op::Negate { views: &views[..1] },
-            6 => Op::BaseConvert {
-                src: &views[1..2],
-                dst: &views[..1],
-                centered: false,
+            6 => Op::Forward {
+                views: &views[..1],
+                load: Some(Load::Lift {
+                    src: &views[1..2],
+                    centered: false,
+                }),
+                fold: None,
             },
-            7 => Op::Decompose {
-                src: a,
-                dst: digits,
-                level: 2,
-                digits: 2,
-                gadget_bits: 20,
+            7 => Op::Forward {
+                views: &views[5..6],
+                load: Some(Load::Digits {
+                    src: &views[..1],
+                    digits: 2,
+                    gadget_bits: 20,
+                }),
+                fold: None,
             },
-            8 => Op::BaseConvert {
-                src: &views[2..3],
-                dst: &views[..1],
-                centered: true,
+            8 => Op::Forward {
+                views: &views[..1],
+                load: Some(Load::Lift {
+                    src: &views[2..3],
+                    centered: true,
+                }),
+                fold: None,
             },
             9 => Op::Automorphism {
                 src: &views[..1],
@@ -2006,11 +1869,12 @@ mod tests {
                 g: 3,
             },
             _ => Op::Forward {
-                views: &views[2..3],
-                fold: Some(SubScale {
-                    acc: &bufs[7..],
-                    dropped: 1,
+                views: &views[6..],
+                load: Some(Load::Lift {
+                    src: &views[1..2],
+                    centered: false,
                 }),
+                fold: Some(SubScale { dropped: 1 }),
             },
         }
     }
@@ -2108,6 +1972,7 @@ mod tests {
                 &plan,
                 Op::Forward {
                     views: &views,
+                    load: None,
                     fold: None,
                 },
             )
@@ -2133,8 +1998,8 @@ mod tests {
         assert_eq!(
             labels.join(" "),
             "forward_batch inverse_batch pointwise_batch multiply_batch dev_forward \
-             dev_inverse dev_pointwise dev_fma dev_addsub dev_negate dev_baseconv \
-             dev_decompose dev_baseconv dev_automorphism dev_forward"
+             dev_inverse dev_pointwise dev_fma dev_addsub dev_negate dev_forward \
+             dev_forward dev_forward dev_automorphism dev_forward"
         );
 
         let sim = SimBackend::titan_v();
@@ -2223,10 +2088,10 @@ mod tests {
         fn op<'a>(
             i: usize,
             bufs: &'a [DeviceBuf; 8],
-            views: &'a [PolyView; 5],
+            views: &'a [PolyView; 7],
             skew: &'a [DeviceBuf; 2],
         ) -> Op<'a> {
-            let (two, rhs) = (&views[3..], &bufs[1..3]);
+            let (two, rhs) = (&views[3..5], &bufs[1..3]);
             match i {
                 11 => Op::Pointwise {
                     acc: &views[..1],
@@ -2268,9 +2133,9 @@ mod tests {
             "dev_fma: [1] 0/0 [1] 0/0 [1, 1] 0/0 [1, 1, 0] 0/0",
             "dev_addsub: [1] 0/0 [1] 0/0 [1, 1] 0/0 [1, 1, 0] 0/0",
             "dev_negate: [1] 0/0 [1] 0/0 [1, 1] 0/0 [1, 1, 0] 0/0",
-            "dev_baseconv: [1] 0/0 [1] 0/0 [1, 1] 1/16 [1, 1, 0] 1/16",
-            "dev_decompose: [1] 0/0 [1] 0/0 [1, 1] 2/32 [1, 1, 1] 4/64",
-            "dev_baseconv: [1] 0/0 [1] 0/0 [1, 1] 1/16 [1, 1, 0] 1/16",
+            "dev_forward: [1] 0/0 [1] 0/0 [1, 1] 1/16 [1, 1, 0] 1/16",
+            "dev_forward: [1] 0/0 [1] 0/0 [1, 1] 2/32 [1, 1, 1] 4/64",
+            "dev_forward: [1] 0/0 [1] 0/0 [1, 1] 1/16 [1, 1, 0] 1/16",
             "dev_automorphism: [1] 0/0 [1] 0/0 [1, 1] 0/0 [1, 1, 0] 0/0",
             "dev_forward: [1] 0/0 [1] 0/0 [1, 0] 0/0 [1, 0, 0] 0/0",
             "dev_pointwise: [1] 0/0 [1] 0/0 [1, 1] 2/32 [1, 1, 0] 2/32",
@@ -2346,7 +2211,7 @@ mod tests {
         ev.gated(|ev| ev.rescale_polys(&mut [&mut c0, &mut c1]))
             .expect("a zero-rate plan never faults");
         let issued = since(commands(&mem), &before);
-        assert_eq!(issued, [2, 3, 2], "level 20 -> 19 drops row 19, on shard 1");
+        assert_eq!(issued, [1, 2, 1], "level 20 -> 19 drops row 19, on shard 1");
         assert_eq!(draws(&mem), issued, "rescale draws");
         arm(&mem, None);
 
@@ -2446,6 +2311,7 @@ mod tests {
             plan,
             Op::Forward {
                 views: &views,
+                load: None,
                 fold: None,
             },
         );
@@ -2489,15 +2355,16 @@ mod tests {
 
     /// Every op of a tiny ring on `be`, in order: a host-batch forward
     /// and inverse of `poly`, a resident forward and inverse of it, and a
-    /// forward of `lifted` with the rescale dropping the last prime folded
-    /// into `acc`. Returns the outputs after each op and the launches per
-    /// shard that `launches` counts each op issue.
+    /// forward into `acc` that loads the lift of the one-row `dropped`
+    /// under the last prime and stores the rescale dropping it. Returns
+    /// the outputs after each op and the launches per shard that
+    /// `launches` counts each op issue.
     fn tiny_ring_ops(
         be: &mut dyn NttBackend,
         launches: impl Fn() -> Vec<u64>,
         plan: &RingPlan,
         poly: &[u64],
-        (acc, lifted): (&[u64], &[u64]),
+        (acc, dropped): (&[u64], &[u64]),
     ) -> (Vec<Vec<u64>>, Vec<Vec<u64>>) {
         let (n, level) = (plan.degree(), plan.np());
         let mem = be.memory();
@@ -2527,6 +2394,7 @@ mod tests {
             plan,
             Op::Forward {
                 views: &views,
+                load: None,
                 fold: None,
             },
         );
@@ -2535,17 +2403,16 @@ mod tests {
         be.run(plan, Op::Inverse { views: &views });
         outs.push(download(buf));
         marks.push(launches());
-        let (acc, lifted) = (upload(acc), upload(lifted));
-        let fold = Some(SubScale {
-            acc: &[acc],
-            dropped: level - 1,
-        });
-        let views = [PolyView::new(lifted, 0..level - 1)];
+        let (acc, dropped) = (upload(acc), upload(dropped));
         be.run(
             plan,
             Op::Forward {
-                views: &views,
-                fold,
+                views: &[PolyView::new(acc, 0..level - 1)],
+                load: Some(Load::Lift {
+                    src: &[PolyView::new(dropped, level - 1..level)],
+                    centered: false,
+                }),
+                fold: Some(SubScale { dropped: level - 1 }),
             },
         );
         outs.push(download(acc));
@@ -2568,8 +2435,8 @@ mod tests {
             let ring = ring(n, 3);
             let plan = RingPlan::new(&ring);
             let poly = sample(&ring, 5).flat().to_vec();
-            let (acc, lifted) = (sample(&ring, 9), sample(&ring, 13));
-            let fold = (&acc.flat()[..2 * n], &lifted.flat()[..2 * n]);
+            let (acc, dropped) = (sample(&ring, 9), sample(&ring, 13));
+            let fold = (&acc.flat()[..2 * n], &dropped.flat()[2 * n..]);
             let (want, _) = tiny_ring_ops(&mut CpuBackend::default(), Vec::new, &plan, &poly, fold);
             assert_eq!((&want[1], &want[3]), (&poly, &poly), "N = {n}: round trips");
             for k in [1usize, 2] {

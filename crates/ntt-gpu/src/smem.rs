@@ -46,7 +46,7 @@ use crate::batch::DeviceBatch;
 use crate::ot::DeviceOt;
 use crate::radix2::ModMul;
 use crate::report::RunReport;
-use crate::rows::{FoldRows, RowTable};
+use crate::rows::{LoadRows, RowTable};
 use gpu_sim::{Buf, Gpu, LaunchConfig, OpClass, WarpCtx, WarpKernel};
 use ntt_core::bitrev::bit_reverse;
 use ntt_math::modops::{add_mod, inv_mod, mul_mod, sub_mod};
@@ -191,22 +191,32 @@ struct Site {
 }
 
 struct TwoStepKernel {
-    /// The rows read, and each row's RNS prime (identity for a plain
-    /// `np`-prime batch; `r % level` for stacked buffer-of-digits
-    /// batches; any mix for a multi-view op). Data addressing uses the
-    /// row table, twiddle/modulus selection the prime.
+    /// The rows the first level reads (unless `load` is set), and each
+    /// row's RNS prime (identity for a plain `np`-prime batch; `r % level`
+    /// for stacked buffer-of-digits batches; any mix for a multi-view
+    /// op). Data addressing uses the row table, twiddle/modulus selection
+    /// the prime.
     data: RowTable,
     /// Output rows of the final level (the same rows as `data` for the
     /// classic two-kernel split; the hierarchical row kernel stores into
     /// the original array while reading the transposed intermediate, and
-    /// a folded rescale into its accumulators).
+    /// a split with a folded rescale parks its first kernel's output in
+    /// scratch).
     out: RowTable,
+    /// A producer folded into the first level's load (a forward's first
+    /// kernel only): row `r` reads its row of the fold's source instead.
+    load: Option<LoadRows>,
+    /// The first level reads GMEM through a cooperative coalesced copy
+    /// of the block's tile into SMEM instead of lane by lane: whole rows
+    /// whose first level is strided (the inverse's).
+    staged_in: bool,
     /// Final stores go through SMEM and a cooperative coalesced write-out
-    /// that *transposes* the block's tile: group `g`'s `r` points land
-    /// contiguously at `out[g*r ..]` even though the kernel reads them
-    /// strided. Used by the hierarchical row kernel so the result comes
-    /// back in natural row-major layout.
-    transposed_out: bool,
+    /// of the block's tile, the mirror of `staged_in`: group `g`'s `r`
+    /// points land contiguously at `out[g*r ..]` even though the kernel
+    /// computes them strided. Used by the whole-row forward, by the
+    /// hierarchical row kernel so the result comes back in natural
+    /// row-major layout, and by a split's folded second kernel.
+    staged_out: bool,
     tw: Buf,
     twc: Buf,
     n: usize,
@@ -235,7 +245,7 @@ struct TwoStepKernel {
     n_inv: Option<Vec<(u64, u64)>>,
     /// Per-prime `(p_d⁻¹, companion)` of a rescale folded into the final
     /// store (the forward's last kernel only): the store loads the output
-    /// word `acc` and writes `(acc − v)·p_d⁻¹` instead of `v`.
+    /// word `x` and writes `(x − v)·p_d⁻¹` instead of `v`.
     sub_scale: Option<Vec<(u64, u64)>>,
 }
 
@@ -314,13 +324,150 @@ impl TwoStepKernel {
         sites
     }
 
-    /// Global word in `rows` for (row, group, local element).
-    fn elem_addr(&self, rows: &RowTable, row: usize, group: usize, e: usize) -> usize {
-        let off = match self.orientation {
+    /// Word offset within its row of (group, local element).
+    fn elem_off(&self, group: usize, e: usize) -> usize {
+        match self.orientation {
             Orientation::Strided => group + e * self.groups_per_prime(),
             Orientation::Contiguous => group * self.r + e,
+        }
+    }
+
+    /// (row, word offset in the row) of word `i` of `block`'s SMEM tile:
+    /// whole rows hold the block's rows back to back, and any other
+    /// kernel its `c` groups of `r` points, contiguous in their one row.
+    /// `None` past the last row of a partial block.
+    fn tile_point(&self, block: usize, i: usize) -> Option<(usize, usize)> {
+        if self.whole_rows() {
+            let row = block * self.c + i / self.r;
+            (row < self.data.len()).then_some((row, i % self.r))
+        } else {
+            let (row, block_in_row) = self.block_row(block);
+            Some((row, block_in_row * self.c * self.r + i))
+        }
+    }
+
+    /// Warp-wide read of the input points `(row, offset)`: each row's own
+    /// word, or through the load fold its source word, mapped under the
+    /// row's prime. A fold's source rows are shared by many rows, so it
+    /// reads through the read-only path; `cached` sends a direct read
+    /// there too (the uncoalesced Fig. 6(a) layout, served by L2).
+    fn read_points(
+        &self,
+        ctx: &mut WarpCtx<'_>,
+        at: &[Option<(usize, usize)>],
+        cached: bool,
+    ) -> Vec<Option<u64>> {
+        let Some(load) = &self.load else {
+            let addrs: Vec<Option<usize>> = at
+                .iter()
+                .map(|a| a.map(|(row, off)| self.data.word(row, off)))
+                .collect();
+            return if cached {
+                ctx.gmem_load_cached(&addrs)
+            } else {
+                ctx.gmem_load(&addrs)
+            };
         };
-        rows.word(row, off)
+        let addrs: Vec<Option<usize>> = at
+            .iter()
+            .map(|a| a.map(|(row, off)| load.src.word(row, off)))
+            .collect();
+        let vals = ctx.gmem_load_cached(&addrs);
+        ctx.count_op(OpClass::Generic, addrs.iter().flatten().count() as u64);
+        at.iter()
+            .zip(vals)
+            .map(|(a, v)| {
+                let (row, _) = (*a)?;
+                Some(load.map(row, v?, &self.moduli, self.data.prime(row)))
+            })
+            .collect()
+    }
+
+    /// Warp-wide store of finished points `(row, offset, value)` into
+    /// `out`: times `N⁻¹` in the inverse's last kernel, or with a folded
+    /// rescale `(x − v)·p_d⁻¹` over the word `x` it overwrites, read the
+    /// way the store writes. `merged` stores through L2 (the uncoalesced
+    /// Fig. 6(a) layout).
+    fn store_points(
+        &self,
+        ctx: &mut WarpCtx<'_>,
+        pts: &[Option<(usize, usize, u64)>],
+        merged: bool,
+    ) {
+        let addrs: Vec<Option<usize>> = pts
+            .iter()
+            .map(|pt| pt.map(|(row, off, _)| self.out.word(row, off)))
+            .collect();
+        let acc = match self.sub_scale {
+            Some(_) => ctx.gmem_load(&addrs),
+            None => vec![None; pts.len()],
+        };
+        let writes: Vec<Option<(usize, u64)>> = pts
+            .iter()
+            .zip(&addrs)
+            .zip(acc)
+            .map(|((pt, addr), x)| {
+                let (row, _, mut v) = (*pt)?;
+                let prime = self.data.prime(row);
+                let p = self.moduli[prime];
+                if let Some(n_inv) = &self.n_inv {
+                    let (w, wc) = n_inv[prime];
+                    v = mul_shoup(v, w, wc, p);
+                }
+                if let Some(inv) = &self.sub_scale {
+                    let (w, wc) = inv[prime];
+                    v = mul_shoup(sub_mod(x.expect("output word loaded"), v, p), w, wc, p);
+                }
+                Some(((*addr)?, v))
+            })
+            .collect();
+        let active = writes.iter().flatten().count() as u64;
+        if self.n_inv.is_some() {
+            ctx.count_op(OpClass::ShoupMul, active);
+        }
+        if self.sub_scale.is_some() {
+            ctx.count_op(OpClass::ModAddSub, active);
+            ctx.count_op(OpClass::ShoupMul, active);
+        }
+        if merged {
+            ctx.gmem_store_merged(&writes);
+        } else {
+            ctx.gmem_store(&writes);
+        }
+    }
+
+    /// Whether this kernel's direct GMEM accesses are uncoalesced (the
+    /// paper's Fig. 6(a) layout): read through L2, stores merged there.
+    fn scattered(&self) -> bool {
+        !self.coalesced && self.orientation == Orientation::Strided
+    }
+
+    /// Load `level`'s points from the SMEM tile into registers (the
+    /// Fig. 2 "transposed" load between levels, and the first level of a
+    /// staged load).
+    fn gather_level(&self, ctx: &mut WarpCtx<'_>, level: usize, sites: &[Option<Site>; 32]) {
+        let lanes = ctx.lanes();
+        let tpg = self.threads_per_group();
+        let size = self.levels[level];
+        for b in 0..self.t / size {
+            for s in 0..size {
+                let addrs: Vec<Option<usize>> = sites[..lanes]
+                    .iter()
+                    .map(|site| {
+                        site.map(|x| {
+                            let e = self.item_elem(level, x.u + b * tpg, s);
+                            self.smem_elem(x.slot, e)
+                        })
+                    })
+                    .collect();
+                let vals = ctx.smem_load(&addrs);
+                for l in 0..lanes {
+                    if sites[l].is_some() {
+                        ctx.regs(l)[b * size + s] = vals[l].expect("lane active");
+                    }
+                }
+            }
+        }
     }
 
     /// Global group index for (block-in-prime, group-in-block).
@@ -534,8 +681,8 @@ impl TwoStepKernel {
 
 impl WarpKernel for TwoStepKernel {
     fn phases(&self) -> usize {
-        // The transposing write-out needs one extra cooperative phase.
-        2 * self.levels.len() + usize::from(self.transposed_out)
+        // Each staged access needs one extra cooperative phase.
+        2 * self.levels.len() + usize::from(self.staged_in) + usize::from(self.staged_out)
     }
 
     fn run_warp(&self, ctx: &mut WarpCtx<'_>) {
@@ -544,9 +691,9 @@ impl WarpKernel for TwoStepKernel {
         let threads = self.c * tpg;
         let sites = self.sites(ctx);
         let n_levels = self.levels.len();
-        let phase = ctx.phase;
+        let tile = self.c * self.r;
 
-        if phase == 0 {
+        if ctx.phase == 0 {
             // Optional twiddle preload (Kernel-1 of a two-kernel split
             // only): all threads cooperatively stage Ψ[0..r] and
             // companions into SMEM.
@@ -582,28 +729,45 @@ impl WarpKernel for TwoStepKernel {
                     idx += threads; // all warps advance together
                 }
             }
+            if self.staged_in {
+                // Staged load: the block's tile, GMEM word `q` to SMEM
+                // word `q`, every warp reading adjacent addresses.
+                let mut q = ctx.warp * 32;
+                while q < tile {
+                    let at: Vec<Option<(usize, usize)>> = (0..lanes)
+                        .map(|l| {
+                            if q + l < tile {
+                                self.tile_point(ctx.block, q + l)
+                            } else {
+                                None
+                            }
+                        })
+                        .collect();
+                    let vals = self.read_points(ctx, &at, false);
+                    let writes: Vec<Option<(usize, u64)>> =
+                        (0..lanes).map(|l| vals[l].map(|v| (q + l, v))).collect();
+                    ctx.smem_store(&writes);
+                    q += threads; // all warps advance together
+                }
+                return;
+            }
             // First-level gather: GMEM -> registers. Without block merging
             // the per-warp pattern is scattered but dense across the grid,
             // so the loads are served through L2 (Fig. 6(a) behaviour).
             let first = self.level_at(0);
             let size = self.levels[first];
             for s in 0..size {
-                let subs = self.t / size;
-                for b in 0..subs {
-                    let addrs: Vec<Option<usize>> = sites[..lanes]
+                for b in 0..self.t / size {
+                    let at: Vec<Option<(usize, usize)>> = sites[..lanes]
                         .iter()
                         .map(|site| {
                             site.map(|x| {
                                 let e = self.item_elem(first, x.u + b * tpg, s);
-                                self.elem_addr(&self.data, x.row, x.group, e)
+                                (x.row, self.elem_off(x.group, e))
                             })
                         })
                         .collect();
-                    let vals = if self.coalesced || self.orientation == Orientation::Contiguous {
-                        ctx.gmem_load(&addrs)
-                    } else {
-                        ctx.gmem_load_cached(&addrs)
-                    };
+                    let vals = self.read_points(ctx, &at, self.scattered());
                     for l in 0..lanes {
                         if sites[l].is_some() {
                             ctx.regs(l)[b * size + s] = vals[l].expect("lane active");
@@ -614,144 +778,68 @@ impl WarpKernel for TwoStepKernel {
             return;
         }
 
+        // A staged load spends phase 0 on the tile: the levels start one
+        // phase later, the first of them gathering from SMEM.
+        let phase = ctx.phase - usize::from(self.staged_in);
         if phase == 2 * n_levels {
-            // Transposing write-out (the hierarchical row kernel, and the
-            // second kernel of a forward with a folded rescale): the
-            // block's finished tile sits in SMEM as `c` groups × `r`
-            // points; group `g`'s points go contiguously to
-            // `out[(u0+g)*r ..]`, so SMEM word `q` maps straight to output
-            // word `u0*r + q` and every warp writes adjacent addresses
-            // (coalesced despite the strided compute layout). A folded
-            // rescale reads its accumulator words the same coalesced way.
-            let (row, block_in_row) = self.block_row(ctx.block);
-            let u0 = block_in_row * self.c;
-            let base = self.out.word(row, u0 * self.r);
-            let prime = self.data.prime(row);
-            let tile = self.c * self.r;
+            // Staged write-out: the block's finished tile sits in SMEM;
+            // SMEM word `q` goes to its point of the tile in `out`, so
+            // every warp writes adjacent addresses (coalesced despite the
+            // strided compute layout), and a folded rescale reads its
+            // output words the same coalesced way.
             let mut q = ctx.warp * 32;
             while q < tile {
                 let addrs: Vec<Option<usize>> = (0..lanes)
-                    .map(|l| {
-                        let i = q + l;
-                        (i < tile).then_some(i)
-                    })
+                    .map(|l| (q + l < tile).then_some(q + l))
                     .collect();
                 let vals = ctx.smem_load(&addrs);
-                let mut writes: Vec<Option<(usize, u64)>> = (0..lanes)
-                    .map(|l| vals[l].map(|v| (base + q + l, v)))
+                let pts: Vec<Option<(usize, usize, u64)>> = (0..lanes)
+                    .map(|l| {
+                        let (row, off) = self.tile_point(ctx.block, q + l)?;
+                        Some((row, off, vals[l]?))
+                    })
                     .collect();
-                if let Some(inv) = &self.sub_scale {
-                    let out: Vec<Option<usize>> =
-                        writes.iter().map(|w| w.map(|(a, _)| a)).collect();
-                    let acc = ctx.gmem_load(&out);
-                    let (p, (w, wc)) = (self.moduli[prime], inv[prime]);
-                    for (slot, a) in writes.iter_mut().zip(acc) {
-                        if let (Some((_, v)), Some(a)) = (slot.as_mut(), a) {
-                            *v = mul_shoup(sub_mod(a, *v, p), w, wc, p);
-                        }
-                    }
-                    let active = writes.iter().flatten().count() as u64;
-                    ctx.count_op(OpClass::ModAddSub, active);
-                    ctx.count_op(OpClass::ShoupMul, active);
-                }
-                ctx.gmem_store(&writes);
+                self.store_points(ctx, &pts, false);
                 q += threads; // all warps advance together
             }
             return;
         }
 
-        if phase % 2 == 1 {
-            // Compute level and store out.
-            let step = (phase - 1) / 2;
-            let level = self.level_at(step);
-            self.compute_level(ctx, level, &sites);
-            let size = self.levels[level];
-            let subs = self.t / size;
-            // With a transposing write-out the last level parks its
-            // results in SMEM for the final cooperative phase instead of
-            // scattering strided stores to GMEM.
-            let last = step + 1 == n_levels && !self.transposed_out;
-            for b in 0..subs {
-                for s in 0..size {
-                    if last {
-                        let addrs: Vec<Option<usize>> = (0..lanes)
-                            .map(|l| {
-                                let x = sites[l]?;
-                                let e = self.item_elem(level, x.u + b * tpg, s);
-                                Some(self.elem_addr(&self.out, x.row, x.group, e))
-                            })
-                            .collect();
-                        // A folded rescale reads the accumulator word it
-                        // overwrites (coalesced like the store itself).
-                        let acc = match self.sub_scale {
-                            Some(_) => ctx.gmem_load(&addrs),
-                            None => vec![None; lanes],
-                        };
-                        let writes: Vec<Option<(usize, u64)>> = (0..lanes)
-                            .map(|l| {
-                                let x = sites[l]?;
-                                let p = self.moduli[x.prime];
-                                let mut v = ctx.regs(l)[b * size + s];
-                                if let Some(n_inv) = &self.n_inv {
-                                    let (w, wc) = n_inv[x.prime];
-                                    v = mul_shoup(v, w, wc, p);
-                                }
-                                if let Some(inv) = &self.sub_scale {
-                                    let (w, wc) = inv[x.prime];
-                                    let a = acc[l].expect("accumulator loaded");
-                                    v = mul_shoup(sub_mod(a, v, p), w, wc, p);
-                                }
-                                Some((addrs[l]?, v))
-                            })
-                            .collect();
-                        let active = writes.iter().flatten().count() as u64;
-                        if self.n_inv.is_some() {
-                            ctx.count_op(OpClass::ShoupMul, active);
-                        }
-                        if self.sub_scale.is_some() {
-                            ctx.count_op(OpClass::ModAddSub, active);
-                            ctx.count_op(OpClass::ShoupMul, active);
-                        }
-                        if self.coalesced || self.orientation == Orientation::Contiguous {
-                            ctx.gmem_store(&writes);
-                        } else {
-                            ctx.gmem_store_merged(&writes);
-                        }
-                    } else {
-                        let writes: Vec<Option<(usize, u64)>> = (0..lanes)
-                            .map(|l| {
-                                let x = sites[l]?;
-                                let e = self.item_elem(level, x.u + b * tpg, s);
-                                let v = ctx.regs(l)[b * size + s];
-                                Some((self.smem_elem(x.slot, e), v))
-                            })
-                            .collect();
-                        ctx.smem_store(&writes);
-                    }
-                }
-            }
-        } else {
+        if phase.is_multiple_of(2) {
             // Gather the next level from SMEM (the Fig. 2 "transposed" load).
-            let level = self.level_at(phase / 2);
-            let size = self.levels[level];
-            let subs = self.t / size;
-            for b in 0..subs {
-                for s in 0..size {
-                    let addrs: Vec<Option<usize>> = sites[..lanes]
-                        .iter()
-                        .map(|site| {
-                            site.map(|x| {
-                                let e = self.item_elem(level, x.u + b * tpg, s);
-                                self.smem_elem(x.slot, e)
-                            })
+            self.gather_level(ctx, self.level_at(phase / 2), &sites);
+            return;
+        }
+        // Compute level and store out.
+        let step = (phase - 1) / 2;
+        let level = self.level_at(step);
+        self.compute_level(ctx, level, &sites);
+        let size = self.levels[level];
+        // A staged write-out parks the last level's results in SMEM for
+        // the final cooperative phase instead of scattering strided
+        // stores to GMEM.
+        let last = step + 1 == n_levels && !self.staged_out;
+        for b in 0..self.t / size {
+            for s in 0..size {
+                if last {
+                    let pts: Vec<Option<(usize, usize, u64)>> = (0..lanes)
+                        .map(|l| {
+                            let x = sites[l]?;
+                            let e = self.item_elem(level, x.u + b * tpg, s);
+                            Some((x.row, self.elem_off(x.group, e), ctx.regs(l)[b * size + s]))
                         })
                         .collect();
-                    let vals = ctx.smem_load(&addrs);
-                    for l in 0..lanes {
-                        if sites[l].is_some() {
-                            ctx.regs(l)[b * size + s] = vals[l].expect("lane active");
-                        }
-                    }
+                    self.store_points(ctx, &pts, self.scattered());
+                } else {
+                    let writes: Vec<Option<(usize, u64)>> = (0..lanes)
+                        .map(|l| {
+                            let x = sites[l]?;
+                            let e = self.item_elem(level, x.u + b * tpg, s);
+                            let v = ctx.regs(l)[b * size + s];
+                            Some((self.smem_elem(x.slot, e), v))
+                        })
+                        .collect();
+                    ctx.smem_store(&writes);
                 }
             }
         }
@@ -785,8 +873,7 @@ pub(crate) fn launch_shape(r: usize, t: usize, groups: usize) -> (usize, usize) 
 /// `SimBackend` route arbitrary (stacked, device-resident) batches through
 /// the two-kernel implementation.
 pub(crate) struct SmemJob<'a> {
-    /// The rows transformed (in place unless `fold` is set) and their
-    /// RNS primes.
+    /// The rows transformed (written in place) and their RNS primes.
     pub rows: &'a RowTable,
     /// `np × N` twiddle values (bit-reversed) of the transform's
     /// direction: `Ψ` forward, `Ψ⁻¹` inverse.
@@ -799,10 +886,45 @@ pub(crate) struct SmemJob<'a> {
     pub log_n: u32,
     /// Per-prime moduli (indexed by prime id).
     pub moduli: &'a [u64],
-    /// A rescale folded into the forward's final store: row `r` of the
-    /// transform lands in row `r` of the fold's accumulators instead of
-    /// in place (`rows` keeps whatever the earlier kernel left there).
-    pub fold: Option<&'a FoldRows>,
+    /// A forward's folds; none for a plain transform.
+    pub folds: Folds<'a>,
+}
+
+/// What a forward job folds into its kernels.
+#[derive(Default)]
+pub(crate) struct Folds<'a> {
+    /// A producer folded into the first load: row `r` reads its row of
+    /// the fold's source instead of its own.
+    pub load: Option<&'a LoadRows>,
+    /// A rescale's subtract-and-scale folded into the last store, per
+    /// prime (`rows::sub_scale_factors`): each row becomes
+    /// `(x − t)·p_d⁻¹` over its own words `x`.
+    pub sub_scale: Option<&'a [(u64, u64)]>,
+    /// Where a two-kernel split's first kernel stores, one row per row of
+    /// the job's, when a folded store needs the job's rows intact until
+    /// the second kernel reads them; `None` stores in place.
+    pub mid: Option<&'a RowTable>,
+}
+
+impl<'a> SmemJob<'a> {
+    /// A plain in-place transform of `rows` of `n` points over the table
+    /// `(tw, twc)`.
+    pub(crate) fn new(
+        rows: &'a RowTable,
+        n: usize,
+        (tw, twc): (Buf, Buf),
+        moduli: &'a [u64],
+    ) -> Self {
+        SmemJob {
+            rows,
+            tw,
+            twc,
+            n,
+            log_n: n.trailing_zeros(),
+            moduli,
+            folds: Folds::default(),
+        }
+    }
 }
 
 /// Whether an `n`-point SMEM run with this config fits the device's
@@ -832,15 +954,26 @@ pub(crate) fn job_feasible(n: usize, cfg: &SmemConfig, config: &gpu_sim::GpuConf
     true
 }
 
+/// One kernel of a job: its orientation, the rows it reads and writes,
+/// and the folds it applies (a load in the first kernel, a rescale in the
+/// last).
+struct KernelPart<'a> {
+    orientation: Orientation,
+    data: &'a RowTable,
+    out: &'a RowTable,
+    load: Option<&'a LoadRows>,
+    sub_scale: Option<&'a [(u64, u64)]>,
+}
+
 fn make_kernel(
     job: &SmemJob<'_>,
     cfg: &SmemConfig,
-    orientation: Orientation,
+    part: KernelPart<'_>,
     direction: Direction,
     ot: Option<(DeviceOt, usize)>,
-    fold: Option<&FoldRows>,
 ) -> (TwoStepKernel, LaunchConfig) {
     let n = job.n;
+    let orientation = part.orientation;
     let r = match orientation {
         Orientation::Strided => cfg.n1,
         Orientation::Contiguous => n / cfg.n1,
@@ -878,13 +1011,19 @@ fn make_kernel(
                 })
                 .collect()
         });
+    // Whole rows walk their last forward level (`8u + s` for lane `u` at
+    // N = 64) strided: the forward's store and the inverse's load, which
+    // both stage their tile through SMEM to stay coalesced. A split's
+    // folded second kernel stores through the staged write-out too, so
+    // it reads its output words coalesced.
+    let strided_level = whole && levels.len() > 1;
     let kernel = TwoStepKernel {
-        data: job.rows.clone(),
-        out: fold.map_or(job.rows, |f| &f.acc).clone(),
-        // A fold in a split's second kernel stores through the coalescing
-        // SMEM write-out, so it reads its accumulators coalesced too;
-        // whole rows fold in their final store.
-        transposed_out: fold.is_some() && !whole,
+        data: part.data.clone(),
+        out: part.out.clone(),
+        load: part.load.cloned(),
+        staged_in: strided_level && direction == Direction::Inverse,
+        staged_out: (strided_level && direction == Direction::Forward)
+            || (part.sub_scale.is_some() && !whole),
         tw: job.tw,
         twc: job.twc,
         n,
@@ -901,7 +1040,7 @@ fn make_kernel(
         ot,
         direction,
         n_inv,
-        sub_scale: fold.map(|f| f.inv.clone()),
+        sub_scale: part.sub_scale.map(<[_]>::to_vec),
     };
     let launch = LaunchConfig::new(name, blocks, threads)
         .regs_per_thread(regs_per_thread(t))
@@ -962,7 +1101,9 @@ pub(crate) fn launch_hier_stage(gpu: &mut Gpu, job: &HierStageJob<'_>) {
     let kernel = TwoStepKernel {
         data: job.data.clone(),
         out: job.out.clone(),
-        transposed_out: job.contiguous_out,
+        load: None,
+        staged_in: false,
+        staged_out: job.contiguous_out,
         tw: job.tw,
         twc: job.twc,
         n: job.n,
@@ -996,15 +1137,16 @@ pub(crate) fn launch_hier_stage(gpu: &mut Gpu, job: &HierStageJob<'_>) {
 /// (`smem-k1-{N}`, or `smem-k1-{N}-inv` with `N⁻¹` folded into its
 /// store). Shared by the [`DeviceBatch`] harness entries (identity
 /// mapping) and the `SimBackend` transform paths (stacked /
-/// device-resident batches). A forward job's fold rides the last
-/// kernel's store.
+/// device-resident batches). A forward job's load rides the first
+/// kernel's load, its rescale the last kernel's store.
 ///
 /// # Panics
 ///
 /// Panics on invalid splits (`n1` must be a power of two with
 /// `2 ≤ n1 ≤ N`), if OT stages are requested without tables or on the
 /// `N × 1` split, if OT or the inverse is asked of the native
-/// multiplication, or on an inverse job with a fold.
+/// multiplication, on an inverse job with a fold, or on a split with a
+/// folded rescale but no `mid` rows.
 pub(crate) fn launch_job(
     gpu: &mut Gpu,
     job: &SmemJob<'_>,
@@ -1031,8 +1173,9 @@ pub(crate) fn launch_job(
         "the inverse requires Shoup multiplication"
     );
     assert!(
-        !(direction == Direction::Inverse && job.fold.is_some()),
-        "a rescale folds into the forward only"
+        !(direction == Direction::Inverse
+            && (job.folds.load.is_some() || job.folds.sub_scale.is_some())),
+        "folds ride the forward only"
     );
     let ot_pair = if cfg.ot_stages > 0 {
         let tables = *ot.expect("OT stages requested but no tables supplied");
@@ -1051,10 +1194,22 @@ pub(crate) fn launch_job(
         Direction::Forward => &[Orientation::Strided, Orientation::Contiguous],
         Direction::Inverse => &[Orientation::Contiguous, Orientation::Strided],
     };
+    let folds = &job.folds;
+    if order.len() > 1 && folds.sub_scale.is_some() {
+        assert!(folds.mid.is_some(), "a split's folded store needs mid rows");
+    }
+    let mid = folds.mid.unwrap_or(job.rows);
     for (i, &orientation) in order.iter().enumerate() {
+        let (first, last) = (i == 0, i + 1 == order.len());
+        let part = KernelPart {
+            orientation,
+            data: if first { job.rows } else { mid },
+            out: if last { job.rows } else { mid },
+            load: folds.load.filter(|_| first),
+            sub_scale: folds.sub_scale.filter(|_| last),
+        };
         let ot = ot_pair.filter(|_| orientation == Orientation::Contiguous);
-        let fold = job.fold.filter(|_| i + 1 == order.len());
-        let (kernel, launch) = make_kernel(job, cfg, orientation, direction, ot, fold);
+        let (kernel, launch) = make_kernel(job, cfg, part, direction, ot);
         gpu.launch(&kernel, &launch);
     }
     order.len()
@@ -1122,15 +1277,7 @@ pub fn run_inverse(gpu: &mut Gpu, batch: &DeviceBatch, cfg: &SmemConfig) -> RunR
 /// The [`SmemJob`] of a harness batch's `rows` over the twiddle table
 /// `(tw, twc)`.
 fn batch_job<'a>(batch: &'a DeviceBatch, rows: &'a RowTable, tw: Buf, twc: Buf) -> SmemJob<'a> {
-    SmemJob {
-        rows,
-        tw,
-        twc,
-        n: batch.n(),
-        log_n: batch.log_n(),
-        moduli: batch.moduli(),
-        fold: None,
-    }
+    SmemJob::new(rows, batch.n(), (tw, twc), batch.moduli())
 }
 
 #[cfg(test)]
@@ -1345,15 +1492,8 @@ mod tests {
                     let mut gpu = Gpu::new(config.clone());
                     let data = gpu.gmem.alloc_from(&input);
                     let rows = RowTable::contiguous(data, n, &row_prime);
-                    let job = SmemJob {
-                        rows: &rows,
-                        tw: gpu.gmem.alloc_from(&tw),
-                        twc: gpu.gmem.alloc_from(&twc),
-                        n,
-                        log_n,
-                        moduli: &moduli,
-                        fold: None,
-                    };
+                    let tables = (gpu.gmem.alloc_from(&tw), gpu.gmem.alloc_from(&twc));
+                    let job = SmemJob::new(&rows, n, tables, &moduli);
                     launch(&mut gpu, &job);
                     let time = gpu.trace.iter().map(|l| l.timing.total_s).sum();
                     (time, gpu.gmem.slice(data).to_vec())
@@ -1455,6 +1595,72 @@ mod tests {
     fn whole_rows_beat_every_candidate_at_n128() {
         let below_floor = crate::backend::SMEM_MIN_N.trailing_zeros();
         whole_rows_model_no_slower_than_any_candidate(7..below_floor);
+    }
+
+    /// The whole-row forward stores its strided last level (`8u + s` for
+    /// lane `u`) through the block's SMEM tile, and the inverse loads its
+    /// first level the same way: at N = 64 over a deep key switch's 1,764
+    /// digit rows (row `r` under prime `r % 21`) each direction writes
+    /// every 32-byte sector once, 28,224 DRAM write transactions where a
+    /// lane-by-lane store issued 112,896, and both read as many sectors,
+    /// with the bits of `ct::ntt` and `ct::intt`.
+    #[test]
+    fn whole_rows_move_every_sector_once_in_both_directions() {
+        use ntt_core::NttTable;
+        let (n, rows) = (64usize, 1764usize);
+        let moduli = ntt_math::ntt_primes(50, 2 * n as u64, 21);
+        let tables: Vec<NttTable> = moduli
+            .iter()
+            .map(|&p| NttTable::new(n, p).unwrap())
+            .collect();
+        let row_prime: Vec<usize> = (0..rows).map(|r| r % 21).collect();
+        let input: Vec<u64> = (0..rows * n)
+            .map(|i| (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) % moduli[row_prime[i / n]])
+            .collect();
+        let table_of = |f: fn(&NttTable) -> &[u64]| -> Vec<u64> {
+            tables.iter().flat_map(|t| f(t).to_vec()).collect()
+        };
+        let mut gpu = Gpu::new(GpuConfig::titan_v());
+        let data = gpu.gmem.alloc_from(&input);
+        let table = RowTable::contiguous(data, n, &row_prime);
+        let mut stats = Vec::new();
+        for (direction, tw, twc) in [
+            (
+                Direction::Forward,
+                table_of(NttTable::forward_values),
+                table_of(NttTable::forward_companions),
+            ),
+            (
+                Direction::Inverse,
+                table_of(NttTable::inverse_values),
+                table_of(NttTable::inverse_companions),
+            ),
+        ] {
+            let tw = (gpu.gmem.alloc_from(&tw), gpu.gmem.alloc_from(&twc));
+            let job = SmemJob::new(&table, n, tw, &moduli);
+            assert_eq!(
+                launch_job(&mut gpu, &job, &SmemConfig::new(n), None, direction),
+                1
+            );
+            let got = gpu.gmem.slice(data).to_vec();
+            for (r, row) in got.chunks(n).enumerate() {
+                let mut want = input[r * n..(r + 1) * n].to_vec();
+                if direction == Direction::Forward {
+                    ntt_core::ct::ntt(&mut want, &tables[row_prime[r]]);
+                }
+                assert_eq!(row, want, "{direction:?}: row {r}");
+            }
+            stats.push(gpu.trace.last().expect("launched").stats.clone());
+        }
+        let sectors = (rows * n / 4) as u64;
+        assert_eq!(sectors, 28_224);
+        for (s, direction) in stats.iter().zip(["forward", "inverse"]) {
+            assert_eq!(s.dram_write_transactions, sectors, "{direction} writes");
+        }
+        assert_eq!(
+            stats[0].dram_read_transactions, stats[1].dram_read_transactions,
+            "the inverse reads what the forward reads"
+        );
     }
 
     #[test]

@@ -465,20 +465,20 @@ fn concurrent_pool_chains_are_bit_identical_across_backends() {
 
 /// The multi-view device ops against `CpuBackend`, on Sim and on Sharded
 /// K ∈ {1, 2, 3}, at N ∈ {4, 64, 256, 1024}: one `Forward`/`Inverse`
-/// over four views at once, the one-source-prime `BaseConvert` (plain
-/// and centered) over two, and a `Forward` with a rescale fold.
+/// over four views at once, forwards over two views that load the
+/// one-source-prime lift (plain and centered), and one that loads the
+/// plain lift and stores the rescale's subtract-and-scale.
 ///
 /// The views cover the shapes the rescale and mod-raise produce and
 /// more: separate allocations, offset sub-views of one 7-row allocation
 /// (whose rows start on another shard than the view's row 0 for K > 1),
-/// 1-row views under a non-zero prime, and a fold accumulator whose
-/// partition is misaligned with its lifted rows at K = 3 (gathered over
-/// the link). Every allocation the ops write is compared after every op,
-/// except a fold's lifted views, which it leaves as scratch. A freed
-/// view is `Fatal` on every backend and moves no byte.
+/// 1-row views under a non-zero prime, and lift sources on another shard
+/// than the rows they feed (gathered over the link). Every allocation
+/// the ops write is compared after every op. A freed view is `Fatal` on
+/// every backend and moves no byte.
 #[test]
 fn multi_view_transforms_and_base_conversion_match_cpu() {
-    use ntt_warp::core::backend::{BackendError, DeviceBuf, PolyView, SubScale};
+    use ntt_warp::core::backend::{BackendError, DeviceBuf, Load, PolyView, SubScale};
     use ntt_warp::gpu::ShardedBackend;
     for log_n in [2u32, 6, 8, 10] {
         let n = 1usize << log_n;
@@ -505,7 +505,7 @@ fn multi_view_transforms_and_base_conversion_match_cpu() {
             let snapshot = || -> Vec<u64> {
                 let mut m = mem.lock().unwrap();
                 let mut out = Vec::new();
-                for buf in [a, big, b, c] {
+                for buf in [a, big, b, c, t0] {
                     let mut rows = vec![0u64; buf.len()];
                     m.download(buf, &mut rows);
                     out.extend(rows);
@@ -524,43 +524,57 @@ fn multi_view_transforms_and_base_conversion_match_cpu() {
                 &plan,
                 Op::Forward {
                     views: &views,
+                    load: None,
                     fold: None,
                 },
             );
             snaps.push(snapshot());
             be.run(&plan, Op::Inverse { views: &views });
             snaps.push(snapshot());
-            let op = Op::BaseConvert {
-                src: &[PolyView::new(b, 2..3), PolyView::new(rows(big, 6, 1), 4..5)],
-                dst: &[PolyView::new(c, 0..2), PolyView::new(rows(big, 0, 2), 1..3)],
-                centered: false,
+            let op = Op::Forward {
+                views: &[PolyView::new(c, 0..2), PolyView::new(rows(big, 0, 2), 1..3)],
+                load: Some(Load::Lift {
+                    src: &[PolyView::new(b, 2..3), PolyView::new(rows(big, 6, 1), 4..5)],
+                    centered: false,
+                }),
+                fold: None,
             };
             be.run(&plan, op);
             snaps.push(snapshot());
-            let op = Op::BaseConvert {
-                src: &[PolyView::new(rows(a, 2, 1), 2..3), PolyView::new(b, 2..3)],
-                dst: &[
+            let op = Op::Forward {
+                views: &[
                     PolyView::new(t0, 0..2),
                     PolyView::new(rows(big, 3, 3), 0..3),
                 ],
-                centered: true,
+                load: Some(Load::Lift {
+                    src: &[PolyView::new(rows(a, 2, 1), 2..3), PolyView::new(b, 2..3)],
+                    centered: true,
+                }),
+                fold: None,
             };
             be.run(&plan, op);
             snaps.push(snapshot());
-            let fold = SubScale {
-                acc: &[rows(a, 0, 2), rows(big, 4, 2)],
-                dropped: 4,
-            };
-            let lifted = [PolyView::new(t0, 0..2), PolyView::new(t1, 0..2)];
             let op = Op::Forward {
-                views: &lifted,
-                fold: Some(fold),
+                views: &[
+                    PolyView::new(rows(a, 0, 2), 0..2),
+                    PolyView::new(rows(big, 4, 2), 0..2),
+                ],
+                load: Some(Load::Lift {
+                    src: &[
+                        PolyView::new(rows(big, 6, 1), 4..5),
+                        PolyView::new(rows(t1, 1, 1), 4..5),
+                    ],
+                    centered: false,
+                }),
+                fold: Some(SubScale { dropped: 4 }),
             };
             be.run(&plan, op);
             snaps.push(snapshot());
+            let lifted = [PolyView::new(t0, 0..2), PolyView::new(t1, 0..2)];
             mem.lock().unwrap().free(t1);
             let op = Op::Forward {
                 views: &lifted,
+                load: None,
                 fold: None,
             };
             let err = be.try_run(&plan, op).expect_err("freed view");
@@ -597,11 +611,142 @@ fn multi_view_transforms_and_base_conversion_match_cpu() {
                 "inverse",
                 "plain lift",
                 "centered lift",
-                "fold",
+                "lift and rescale",
             ];
             for ((step, g), w) in steps.iter().zip(&got).zip(&want) {
                 assert!(g == w, "N={n}, {name}: {step} departs from Cpu");
             }
+        }
+    }
+}
+
+/// The three loads a forward folds, on Cpu, Sim and Sharded K ∈ {1, 2,
+/// 3}, at N = 64 (whole rows) and N = 512 (the two-kernel split), against
+/// the host reference: the rows the load stands for
+/// (`host_decompose_rows`, `host_lift_rows`), one `ForwardBatch` of them
+/// on the CPU, and for the rescale `host_sub_scale_rows` into the written
+/// rows. The cases are a key switch's digits, a rescale (plain lift of a
+/// polynomial's own dropped row, subtract-and-scale store) and a
+/// mod-raise (centered lift of a level-1 row).
+#[test]
+fn folded_forward_loads_match_the_host_reference() {
+    use ntt_warp::core::backend::{
+        host_decompose_rows, host_lift_rows, host_sub_scale_rows, DeviceBuf, Load, PolyView,
+        SubScale,
+    };
+    use ntt_warp::gpu::ShardedBackend;
+    let (level, digits, gadget_bits) = (3usize, 3usize, 20u32);
+    for n in [64usize, 512] {
+        let ring = ring_with(n, 59, level + 1);
+        let plan = RingPlan::new(&ring);
+        let primes = ring.basis().primes().to_vec();
+        // Row `r` below `primes[r % cycle]`.
+        let rows = |count: usize, cycle: usize, seed: u64| -> Vec<u64> {
+            (0..count * n)
+                .map(|i| {
+                    let x = (seed << 40 | i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    x % primes[(i / n) % cycle]
+                })
+                .collect()
+        };
+        let coeffs = rows(level, level, 1);
+        // A level-4 polynomial: three evaluation rows, then the dropped
+        // row in coefficient form.
+        let poly = rows(level + 1, level + 1, 2);
+        let low = rows(1, 1, 3);
+        let forward = |data: &mut [u64], level: usize| {
+            let op = Op::ForwardBatch(LimbBatch::new(data, n, level));
+            CpuBackend::default().run(&plan, op);
+        };
+        let mut want_digits = vec![0u64; level * digits * level * n];
+        host_decompose_rows(n, level, digits, gadget_bits, &coeffs, &mut want_digits);
+        forward(&mut want_digits, level);
+        let mut lifted = vec![0u64; level * n];
+        let dropped = (&poly[level * n..], level);
+        host_lift_rows(&plan, dropped, false, &mut lifted, 0..level);
+        forward(&mut lifted, level);
+        let mut want_rescaled = poly[..level * n].to_vec();
+        host_sub_scale_rows(&plan, level, level, &mut want_rescaled, &lifted);
+        let mut want_raised = vec![0u64; (level + 1) * n];
+        host_lift_rows(&plan, (&low, 0), true, &mut want_raised, 0..level + 1);
+        forward(&mut want_raised, level + 1);
+
+        let backends: Vec<(String, Box<dyn NttBackend>)> = [
+            (
+                "cpu".to_string(),
+                Box::<CpuBackend>::default() as Box<dyn NttBackend>,
+            ),
+            ("sim".to_string(), Box::new(SimBackend::titan_v())),
+        ]
+        .into_iter()
+        .chain([1, 2, 3].map(|k| {
+            let be: Box<dyn NttBackend> = Box::new(ShardedBackend::titan_v(k, n));
+            (format!("sharded k={k}"), be)
+        }))
+        .collect();
+        for (name, mut be) in backends {
+            let mem = be.memory();
+            let upload = |data: &[u64]| -> DeviceBuf {
+                let mut m = mem.lock().unwrap();
+                let buf = m.alloc(data.len());
+                m.upload(buf, data);
+                buf
+            };
+            let download = |buf: DeviceBuf| -> Vec<u64> {
+                let mut out = vec![0u64; buf.len()];
+                mem.lock().unwrap().download(buf, &mut out);
+                out
+            };
+            let src = upload(&coeffs);
+            let digit_buf = upload(&vec![0; want_digits.len()]);
+            be.run(
+                &plan,
+                Op::Forward {
+                    views: &[PolyView::new(digit_buf, 0..level)],
+                    load: Some(Load::Digits {
+                        src: &[PolyView::new(src, 0..level)],
+                        digits,
+                        gadget_bits,
+                    }),
+                    fold: None,
+                },
+            );
+            assert!(download(digit_buf) == want_digits, "N={n}, {name}: digits");
+            assert_eq!(download(src), coeffs, "N={n}, {name}: digit source");
+
+            let whole = upload(&poly);
+            be.run(
+                &plan,
+                Op::Forward {
+                    views: &[PolyView::new(whole.sub(0, level * n), 0..level)],
+                    load: Some(Load::Lift {
+                        src: &[PolyView::new(whole.sub(level * n, n), level..level + 1)],
+                        centered: false,
+                    }),
+                    fold: Some(SubScale { dropped: level }),
+                },
+            );
+            let got = download(whole);
+            assert!(got[..level * n] == want_rescaled, "N={n}, {name}: rescale");
+            assert_eq!(
+                got[level * n..],
+                poly[level * n..],
+                "N={n}, {name}: dropped row"
+            );
+
+            let (low_buf, raised) = (upload(&low), upload(&vec![0; (level + 1) * n]));
+            be.run(
+                &plan,
+                Op::Forward {
+                    views: &[PolyView::new(raised, 0..level + 1)],
+                    load: Some(Load::Lift {
+                        src: &[PolyView::new(low_buf, 0..1)],
+                        centered: true,
+                    }),
+                    fold: None,
+                },
+            );
+            assert!(download(raised) == want_raised, "N={n}, {name}: mod-raise");
         }
     }
 }

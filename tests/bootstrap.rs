@@ -409,20 +409,20 @@ fn fused_multiply_accumulate_chains_match_the_unfused_chain() {
 /// of Sharded K ∈ {2, 3}, with outputs equal to Cpu's:
 ///
 /// * a rescale is one inverse transform of both components' dropped rows
-///   (on the shard that owns the dropped row), one base conversion and
-///   one forward transform with the subtract-and-scale folded into its
-///   store: 3 launches, 2 on a shard without the dropped row;
-/// * a mod-raise is one inverse transform, one centered base conversion
-///   and one forward transform, each over both components: 3 launches,
-///   2 on a shard without the level-1 row;
+///   (on the shard that owns the dropped row) and one forward transform
+///   that loads their lift and folds the subtract-and-scale into its
+///   store: 2 launches, 1 on a shard without the dropped row;
+/// * a mod-raise is one inverse transform and one forward transform that
+///   loads the centered lift, each over both components: 2 launches, 1 on
+///   a shard without the level-1 row;
 /// * a rotation is one inverse transform of both components, one
-///   automorphism of both, the forward of `c0`, a decompose, the digit
-///   forward and one FMA into both accumulators: 6 launches on every
-///   shard;
+///   automorphism of both, the forward of `c0`, the digit forward (which
+///   decomposes as it loads) and one FMA into both accumulators: 5
+///   launches on every shard;
 /// * a relinearizing multiply is one pointwise op (`a1·b1` and `a1·b0`),
-///   the inverse of `a1·b1`, a decompose, the digit forward and one FMA
-///   into both accumulators, then its rescale: 8 launches, 7 on a shard
-///   without the dropped row;
+///   the inverse of `a1·b1`, the digit forward and one FMA into both
+///   accumulators, then its rescale: 6 launches, 5 on a shard without the
+///   dropped row;
 /// * `add`, `sub`, `negate`, `multiply_plain_raw` with a prepared
 ///   plaintext and a `multiply_plain_sum` of two terms are one launch
 ///   each, over both components.
@@ -500,17 +500,17 @@ fn boot_shape_rescale_mod_raise_and_rotation_launches_per_shard() {
     let sim_mem = sim.memory_handle();
     let sim_launches: Launches =
         Box::new(move || vec![sim_mem.lock().unwrap().gpu().timeline().launches]);
-    let mut devices: Vec<Device> = vec![(Box::new(sim), sim_launches, [vec![3], vec![3]])];
+    let mut devices: Vec<Device> = vec![(Box::new(sim), sim_launches, [vec![2], vec![2]])];
     // The dropped row 20 lives on shard 20 % K; the level-1 row on 0.
-    for (k, rescale) in [(2, vec![3, 2]), (3, vec![2, 2, 3])] {
+    for (k, rescale) in [(2, vec![2, 1]), (3, vec![1, 1, 2])] {
         let sharded = ShardedBackend::titan_v(k, n);
         let mem = sharded.memory_handle();
         let launches: Launches = Box::new(move || {
             let timelines = mem.lock().unwrap().shard_timelines();
             timelines.iter().map(|t| t.launches).collect()
         });
-        let mut raise = vec![2; k];
-        raise[0] = 3;
+        let mut raise = vec![1; k];
+        raise[0] = 2;
         devices.push((Box::new(sharded), launches, [rescale, raise]));
     }
     for (backend, launches, [rescale, raise]) in devices {
@@ -519,8 +519,8 @@ fn boot_shape_rescale_mod_raise_and_rotation_launches_per_shard() {
         let shards = rescale.len();
         let dev_keys = ctx.adopt_keys(&keys);
         let dev_rtk = ctx.adopt_rotation_keys(&rtk);
-        let multiply: Vec<u64> = rescale.iter().map(|r| r + 5).collect();
-        let pinned = [rescale, raise, vec![6; shards], multiply];
+        let multiply: Vec<u64> = rescale.iter().map(|r| r + 4).collect();
+        let pinned = [rescale, raise, vec![5; shards], multiply];
         let x = inputs(&ctx, &dev_keys.public);
         for (i, name_i) in STEPS.iter().enumerate() {
             let before = launches();

@@ -152,10 +152,10 @@ fn unarmed_ops_and_groups_draw_nothing() {
 /// An armed checkout draws once per command of every op: a served
 /// encrypt, eval and decrypt group draw what they drew as separate
 /// fallible pipelines (each host batch is one staged upload, launch and
-/// download on one device), and a rotation draws its 6 launches — the
+/// download on one device), and a rotation draws its 5 launches — the
 /// inverse of both components, their automorphism, the forward of `c0`,
-/// the decompose, the digit forward and the multiply-accumulate into
-/// both accumulators.
+/// the digit forward (which decomposes as it loads) and the
+/// multiply-accumulate into both accumulators.
 #[test]
 fn armed_groups_and_rotation_draw_per_op() {
     let s = setup();
@@ -182,7 +182,7 @@ fn armed_groups_and_rotation_draw_per_op() {
 
     arm(&s.sim, FaultPlan::seeded(1));
     let armed = ctx.try_rotate(&s.ct, G, &s.rtk).expect("zero-rate plan");
-    assert_eq!(draws(&s.sim), 6, "rotation draws");
+    assert_eq!(draws(&s.sim), 5, "rotation draws");
     assert_eq!(bits(&armed), bits(&unarmed), "arming changed the bits");
 }
 
@@ -221,12 +221,12 @@ fn host_fma_draws_nothing() {
 
 /// A sticky fault at draw `k` fails the rotation, and the latch stops
 /// every draw after the failing one; with the wedge past the rotation's
-/// 6 draws it computes exactly what the unarmed rotation does.
+/// 5 draws it computes exactly what the unarmed rotation does.
 #[test]
 fn sticky_rotation_stops_at_the_failing_draw() {
     let s = setup();
     let want = bits(&s.ctx.rotate(&s.ct, G, &s.rtk));
-    for k in 0..6 {
+    for k in 0..5 {
         arm(&s.sim, FaultPlan::seeded(1).sticky_after(k));
         let err = s
             .ctx
@@ -235,14 +235,14 @@ fn sticky_rotation_stops_at_the_failing_draw() {
         assert!(!err.is_transient(), "k = {k}: {err:?}");
         assert_eq!(draws(&s.sim), k + 1, "k = {k}: drew after the fault");
     }
-    for k in 6..9 {
+    for k in 5..8 {
         arm(&s.sim, FaultPlan::seeded(1).sticky_after(k));
         let got = s
             .ctx
             .try_rotate(&s.ct, G, &s.rtk)
             .expect("wedge after the rotation");
         assert_eq!(bits(&got), want, "k = {k}: armed rotation bits");
-        assert_eq!(draws(&s.sim), 6, "k = {k}");
+        assert_eq!(draws(&s.sim), 5, "k = {k}");
     }
 }
 
@@ -394,7 +394,7 @@ fn wedged_boot_group_quarantines_only_rotation_members() {
 }
 
 /// Under a transient-only plan an armed rotation re-draws each failing
-/// gate in place: it computes the unarmed bits, draws more than its 6
+/// gate in place: it computes the unarmed bits, draws more than its 5
 /// launches, and the context tallies exactly the extra draws.
 #[test]
 fn transient_faults_are_redrawn_in_place() {
@@ -408,8 +408,8 @@ fn transient_faults_are_redrawn_in_place() {
         .expect("in-place re-draws absorb the transient faults");
     assert_eq!(bits(&got), want, "re-drawn rotation bits");
     let seen = draws(&s.sim);
-    assert!(seen > 6, "no transient fault fired: {seen} draws");
-    assert_eq!(ctx.op_retry_count() - before, seen - 6, "retry tally");
+    assert!(seen > 5, "no transient fault fired: {seen} draws");
+    assert_eq!(ctx.op_retry_count() - before, seen - 5, "retry tally");
     assert_eq!(ctx.quarantined_count(), 0);
 }
 
@@ -465,15 +465,16 @@ fn launches_of(sim: &SimBackend, f: impl FnOnce()) -> Vec<String> {
 /// zero-rate plan it draws exactly once per launch of the unarmed
 /// bootstrap (mod-raise, rotations, plaintext products, EvalMod's
 /// multiplies and every rescale), with the unarmed bits. A steady
-/// bootstrap is 239 launches: each ciphertext op is one launch over
-/// both components where it can be.
+/// bootstrap is 192 launches: each ciphertext op is one launch over
+/// both components where it can be, and the digit decomposition and the
+/// lifts ride the forward transforms that consume them.
 #[test]
 fn armed_bootstrap_draws_once_per_launch() {
     let (sim, boot, low) = boot_setup();
     let _ = boot.bootstrap(&low);
     let mut want = None;
     let launches = launches_of(&sim, || want = Some(boot.bootstrap(&low)));
-    assert_eq!(launches.len(), 239, "launches per steady bootstrap");
+    assert_eq!(launches.len(), 192, "launches per steady bootstrap");
     arm(&sim, FaultPlan::seeded(1));
     let got = boot
         .try_bootstrap(&low)

@@ -318,6 +318,7 @@ fn smem_sized_stacked_and_resident_transforms_match_cpu_on_every_shard_count() {
             &plan,
             Op::Forward {
                 views: &views,
+                load: None,
                 fold: None,
             },
         );
@@ -351,6 +352,7 @@ fn smem_sized_inverses_run_both_smem_kernels_on_every_shard() {
             &plan,
             Op::Forward {
                 views: &views,
+                load: None,
                 fold: None,
             },
         );
