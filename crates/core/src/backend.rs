@@ -1016,9 +1016,9 @@ impl PolyView {
 /// The subtract-and-scale step of an evaluation-domain rescale, folded
 /// into a [`BackendOp::Forward`]'s store: the transform `t` of each
 /// written row lands in it as `x ← (x − t)·p_dropped⁻¹` (under the row's
-/// prime) instead of replacing it. With `t` the plain lift of the dropped
-/// row ([`Load::Lift`]) this is exactly `poly::rescale_rows` in the
-/// evaluation domain.
+/// prime) instead of replacing it. It folds only a plain [`Load::Lift`]
+/// (of the dropped row), which makes it exactly `poly::rescale_rows` in
+/// the evaluation domain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SubScale {
     /// Index of the prime the rescale drops.
@@ -1127,7 +1127,8 @@ pub enum BackendOp<'a> {
         load: Option<Load<'a>>,
         /// `None` stores the transform `t`. `Some` is the tail of an
         /// evaluation-domain rescale: each row becomes
-        /// `(x − t)·p_dropped⁻¹`.
+        /// `(x − t)·p_dropped⁻¹`. It requires a plain [`Load::Lift`]
+        /// (backends panic otherwise).
         fold: Option<SubScale>,
     },
     /// Inverse-NTT device-resident rows in place, one view per
@@ -1481,6 +1482,11 @@ impl NttBackend for CpuBackend {
                 );
             }
             BackendOp::Forward { views, load, fold } => {
+                let plain_lift = matches!(load, Some(Load::Lift { centered, .. }) if !centered);
+                assert!(
+                    fold.is_none() || plain_lift,
+                    "a sub-scale store folds a plain lift"
+                );
                 if let Some(load) = load {
                     assert_eq!(load.src().len(), views.len(), "one source per view");
                 }
@@ -2796,6 +2802,24 @@ mod tests {
     fn limb_batch_rejects_ragged_stack() {
         let mut data = vec![0u64; 5 * 8];
         let _ = LimbBatch::new(&mut data, 8, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "a sub-scale store folds a plain lift")]
+    fn forward_rejects_a_sub_scale_without_a_plain_lift() {
+        let ring = ring(16, 2);
+        let plan = RingPlan::new(&ring);
+        let mut be = CpuBackend::default();
+        let buf = be.memory().lock().unwrap().alloc(16);
+        let views = [PolyView::new(buf, 0..1)];
+        be.run(
+            &plan,
+            Op::Forward {
+                views: &views,
+                load: None,
+                fold: Some(SubScale { dropped: 1 }),
+            },
+        );
     }
 
     #[test]

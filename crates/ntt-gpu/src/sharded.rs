@@ -1277,6 +1277,11 @@ impl<F: Flavor> NttBackend for SimDevices<F> {
 
             // ---- Device-resident execution (zero host↔device traffic) ----
             BackendOp::Forward { load, fold, .. } => {
+                let plain_lift = matches!(load, Some(Load::Lift { centered, .. }) if !centered);
+                assert!(
+                    fold.is_none() || plain_lift,
+                    "a sub-scale store folds a plain lift"
+                );
                 let split = self.split(n);
                 let sub_scale = fold.map(|SubScale { dropped }| {
                     sub_scale_factors(plan.ring().basis().primes(), dropped)
@@ -1458,6 +1463,27 @@ mod tests {
             .map(|i| (seed.wrapping_mul(i + 3) % 97) - 48)
             .collect();
         RnsPoly::from_i64_coeffs(ring, &coeffs)
+    }
+
+    #[test]
+    #[should_panic(expected = "a sub-scale store folds a plain lift")]
+    fn forward_rejects_a_sub_scale_without_a_plain_lift() {
+        let ring = ring(16, 2);
+        let plan = RingPlan::new(&ring);
+        let mut sim = SimBackend::titan_v();
+        let buf = sim.memory().lock().unwrap().alloc(16);
+        let src = [PolyView::new(buf, 1..2)];
+        sim.run(
+            &plan,
+            Op::Forward {
+                views: &[PolyView::new(buf, 0..1)],
+                load: Some(Load::Lift {
+                    src: &src,
+                    centered: true,
+                }),
+                fold: Some(SubScale { dropped: 1 }),
+            },
+        );
     }
 
     #[test]

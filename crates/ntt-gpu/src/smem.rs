@@ -332,17 +332,27 @@ impl TwoStepKernel {
         }
     }
 
-    /// (row, word offset in the row) of word `i` of `block`'s SMEM tile:
-    /// whole rows hold the block's rows back to back, and any other
-    /// kernel its `c` groups of `r` points, contiguous in their one row.
-    /// `None` past the last row of a partial block.
-    fn tile_point(&self, block: usize, i: usize) -> Option<(usize, usize)> {
+    /// Words of `block`'s SMEM tile that hold points: all `c·r`, except in
+    /// a partial last block of whole rows, which stops at the last row.
+    fn tile_len(&self, block: usize) -> usize {
+        let rows = if self.whole_rows() {
+            self.c.min(self.data.len() - block * self.c)
+        } else {
+            self.c
+        };
+        rows * self.r
+    }
+
+    /// (row, word offset in the row) of word `i < tile_len` of `block`'s
+    /// SMEM tile: whole rows hold the block's rows back to back, and any
+    /// other kernel its `c` groups of `r` points, contiguous in their one
+    /// row.
+    fn tile_point(&self, block: usize, i: usize) -> (usize, usize) {
         if self.whole_rows() {
-            let row = block * self.c + i / self.r;
-            (row < self.data.len()).then_some((row, i % self.r))
+            (block * self.c + i / self.r, i % self.r)
         } else {
             let (row, block_in_row) = self.block_row(block);
-            Some((row, block_in_row * self.c * self.r + i))
+            (row, block_in_row * self.c * self.r + i)
         }
     }
 
@@ -691,7 +701,9 @@ impl WarpKernel for TwoStepKernel {
         let threads = self.c * tpg;
         let sites = self.sites(ctx);
         let n_levels = self.levels.len();
-        let tile = self.c * self.r;
+        // A staged phase walks only the tile's points, so a warp past the
+        // last row of a partial block issues nothing.
+        let tile = self.tile_len(ctx.block);
 
         if ctx.phase == 0 {
             // Optional twiddle preload (Kernel-1 of a two-kernel split
@@ -735,13 +747,7 @@ impl WarpKernel for TwoStepKernel {
                 let mut q = ctx.warp * 32;
                 while q < tile {
                     let at: Vec<Option<(usize, usize)>> = (0..lanes)
-                        .map(|l| {
-                            if q + l < tile {
-                                self.tile_point(ctx.block, q + l)
-                            } else {
-                                None
-                            }
-                        })
+                        .map(|l| (q + l < tile).then(|| self.tile_point(ctx.block, q + l)))
                         .collect();
                     let vals = self.read_points(ctx, &at, false);
                     let writes: Vec<Option<(usize, u64)>> =
@@ -795,7 +801,7 @@ impl WarpKernel for TwoStepKernel {
                 let vals = ctx.smem_load(&addrs);
                 let pts: Vec<Option<(usize, usize, u64)>> = (0..lanes)
                     .map(|l| {
-                        let (row, off) = self.tile_point(ctx.block, q + l)?;
+                        let (row, off) = self.tile_point(ctx.block, q + l);
                         Some((row, off, vals[l]?))
                     })
                     .collect();
@@ -1603,7 +1609,8 @@ mod tests {
     /// digit rows (row `r` under prime `r % 21`) each direction writes
     /// every 32-byte sector once, 28,224 DRAM write transactions where a
     /// lane-by-lane store issued 112,896, and both read as many sectors,
-    /// with the bits of `ct::ntt` and `ct::intt`.
+    /// with the bits of `ct::ntt` and `ct::intt`. The staged phases skip
+    /// the rows a partial last block lacks.
     #[test]
     fn whole_rows_move_every_sector_once_in_both_directions() {
         use ntt_core::NttTable;
@@ -1654,8 +1661,14 @@ mod tests {
         }
         let sectors = (rows * n / 4) as u64;
         assert_eq!(sectors, 28_224);
+        // Two levels of 8 points: each point crosses SMEM once per level,
+        // and no warp touches the tile words of the rows the partial last
+        // block (4 of its 32 rows) lacks.
+        let smem_bytes = 2 * 8 * (rows * n) as u64;
         for (s, direction) in stats.iter().zip(["forward", "inverse"]) {
             assert_eq!(s.dram_write_transactions, sectors, "{direction} writes");
+            assert_eq!(s.smem_write_bytes, smem_bytes, "{direction} SMEM writes");
+            assert_eq!(s.smem_read_bytes, smem_bytes, "{direction} SMEM reads");
         }
         assert_eq!(
             stats[0].dram_read_transactions, stats[1].dram_read_transactions,
