@@ -448,10 +448,15 @@ fn main() {
         }
         let b = ex::serve_batching(log_n, if quick { 6 } else { 12 });
         println!(
-            "batching ({} jobs): unbatched {:.1} us vs batched {:.1} us modeled device time",
+            "batching ({} jobs): unbatched {:.1} us ({} launches, {} transfers) vs batched \
+             {:.1} us ({} launches, {} transfers) modeled device time",
             b.jobs,
             b.unbatched.serialized_s * 1e6,
-            b.batched.serialized_s * 1e6
+            b.unbatched.launches,
+            b.unbatched.transfers,
+            b.batched.serialized_s * 1e6,
+            b.batched.launches,
+            b.batched.transfers
         );
         println!(
             "   batching gate (>= 1.5x): {:.2}x {}",

@@ -649,8 +649,8 @@ impl DeviceMemory for HostArena {
     }
 
     fn free(&mut self, buf: DeviceBuf) {
-        // Sub-views share their parent's id; only whole-allocation handles
-        // release storage.
+        // Sub-views share their parent's id, so any view of an allocation
+        // releases all of it; a second free of it finds nothing.
         if self.bufs.remove(&buf.id).is_some() {
             self.stats.frees += 1;
         }
@@ -723,14 +723,14 @@ pub(crate) fn host_fma_rows(
 
 /// `acc[i] = acc[i] ± rhs[i]` per row under `primes`.
 pub(crate) fn host_addsub_rows(
-    plan: &RingPlan,
+    ring: &RnsRing,
     primes: Range<usize>,
     acc: &mut [u64],
     rhs: &[u64],
     subtract: bool,
 ) {
-    let n = plan.degree();
-    let moduli = plan.ring().basis().primes();
+    let n = ring.degree();
+    let moduli = ring.basis().primes();
     for (r, (row, rhs_row)) in acc.chunks_exact_mut(n).zip(rhs.chunks_exact(n)).enumerate() {
         let p = moduli[primes.start + r % primes.len()];
         for (x, &y) in row.iter_mut().zip(rhs_row) {
@@ -744,9 +744,9 @@ pub(crate) fn host_addsub_rows(
 }
 
 /// Row-wise negation under `primes`.
-pub(crate) fn host_negate_rows(plan: &RingPlan, primes: Range<usize>, data: &mut [u64]) {
-    let n = plan.degree();
-    let moduli = plan.ring().basis().primes();
+pub(crate) fn host_negate_rows(ring: &RnsRing, primes: Range<usize>, data: &mut [u64]) {
+    let n = ring.degree();
+    let moduli = ring.basis().primes();
     for (r, row) in data.chunks_exact_mut(n).enumerate() {
         let p = moduli[primes.start + r % primes.len()];
         for x in row.iter_mut() {
@@ -1569,7 +1569,7 @@ impl NttBackend for CpuBackend {
                     self.stage_in(1, rhs);
                     let mut a = std::mem::take(&mut self.stage[0]);
                     let primes = view.primes.clone();
-                    host_addsub_rows(plan, primes, &mut a, &self.stage[1], subtract);
+                    host_addsub_rows(plan.ring(), primes, &mut a, &self.stage[1], subtract);
                     self.stage[0] = a;
                     self.stage_out(0, view.buf);
                 }
@@ -1578,7 +1578,7 @@ impl NttBackend for CpuBackend {
                 for view in views {
                     self.stage_in(0, view.buf);
                     let mut a = std::mem::take(&mut self.stage[0]);
-                    host_negate_rows(plan, view.primes.clone(), &mut a);
+                    host_negate_rows(plan.ring(), view.primes.clone(), &mut a);
                     self.stage[0] = a;
                     self.stage_out(0, view.buf);
                 }

@@ -5,7 +5,9 @@
 //! RNS prime, and multiplied via `np` independent N-point negacyclic NTTs
 //! — exactly the batched workload the paper accelerates.
 
-use crate::backend::{lock_memory, same_memory, DeviceBuf, SharedDeviceMemory};
+use crate::backend::{
+    host_addsub_rows, host_negate_rows, lock_memory, same_memory, DeviceBuf, SharedDeviceMemory,
+};
 use crate::ct;
 use crate::hier::HierPlan;
 use crate::rns::{RnsBasis, RnsError};
@@ -834,15 +836,7 @@ impl RnsPoly {
         assert_eq!(self.level, other.level, "level mismatch");
         assert_eq!(self.repr, other.repr, "representation mismatch");
         other.assert_host_fresh();
-        self.ensure_host();
-        self.mark_host_edit();
-        for i in 0..self.level {
-            let p = ring.basis().primes()[i];
-            let base = i * self.n;
-            for j in 0..self.n {
-                self.data[base + j] = add_mod(self.data[base + j], other.data[base + j], p);
-            }
-        }
+        host_addsub_rows(ring, 0..self.level, self.flat_mut(), &other.data, false);
     }
 
     /// `self -= other`.
@@ -854,25 +848,12 @@ impl RnsPoly {
         assert_eq!(self.level, other.level, "level mismatch");
         assert_eq!(self.repr, other.repr, "representation mismatch");
         other.assert_host_fresh();
-        self.ensure_host();
-        self.mark_host_edit();
-        for i in 0..self.level {
-            let p = ring.basis().primes()[i];
-            let base = i * self.n;
-            for j in 0..self.n {
-                self.data[base + j] = sub_mod(self.data[base + j], other.data[base + j], p);
-            }
-        }
+        host_addsub_rows(ring, 0..self.level, self.flat_mut(), &other.data, true);
     }
 
     /// Negate in place.
     pub fn negate(&mut self, ring: &RnsRing) {
-        for i in 0..self.level {
-            let p = ring.basis().primes()[i];
-            for v in self.row_mut(i) {
-                *v = neg_mod(*v, p);
-            }
-        }
+        host_negate_rows(ring, 0..self.level, self.flat_mut());
     }
 
     /// Pointwise product (both operands must be in evaluation form).

@@ -22,10 +22,12 @@
 //! * **Tables** upload once per plan (re-uploaded only when the plan
 //!   changes) and are shared by every fork of the backend.
 //! * **Host-batch staging** (the `*Batch` variants of [`BackendOp`])
-//!   reuses cached device buffers, but still pays one upload and one
-//!   download per call — both charged to the [`gpu_sim::Gmem`] transfer
-//!   ledger, which is exactly the per-call round-trip the residency layer
-//!   exists to remove.
+//!   uploads each operand into one of the executor's two grow-only
+//!   staging allocations, runs the batch's device op over them and
+//!   downloads the rows: one upload per operand and one download per
+//!   call, all charged to the [`gpu_sim::Gmem`] transfer ledger, which is
+//!   exactly the per-call round-trip the residency layer exists to
+//!   remove. The executor frees its staging when it drops.
 //! * **Device-resident execution** (the device [`BackendOp`]s over
 //!   [`DeviceBuf`] handles) runs whole pipelines on buffers that live in
 //!   simulated GMEM: forward/inverse NTTs over several polynomials per
@@ -153,29 +155,6 @@ struct DevTables {
     /// first OT-routed transform, so the first inverse after a warm-up
     /// forward uploads nothing.
     ot: Option<[DeviceOt; 2]>,
-}
-
-/// A reusable device data buffer (outgrown buffers are returned to the
-/// GMEM free list).
-#[derive(Default, Clone, Copy)]
-pub(crate) struct DevData {
-    buf: Option<Buf>,
-}
-
-impl DevData {
-    pub(crate) fn ensure(&mut self, gpu: &mut Gpu, words: usize) -> Buf {
-        match self.buf {
-            Some(b) if b.len() >= words => b,
-            old => {
-                if let Some(b) = old {
-                    gpu.gmem.free(b);
-                }
-                let b = gpu.gmem.alloc(words);
-                self.buf = Some(b);
-                b
-            }
-        }
-    }
 }
 
 /// One simulated device — a shard of [`ShardedMemory`]: the [`Gpu`]

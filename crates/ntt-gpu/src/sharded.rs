@@ -41,8 +41,11 @@
 //! broadcast row, or every row (a load's all-gather), as the
 //! operand's `RowMap` says. So both components of a ciphertext, or one
 //! dropped row of each, share a launch, and every kernel takes the same
-//! operand shape. The host batches run the same kernel closures over
-//! contiguous staged tables (`SimDevices::host_batch`).
+//! operand shape. A host batch is its device op over staged rows
+//! (`Held::stage`): each operand goes up into one of the executor's two
+//! grow-only staging allocations, which the cyclic partition spreads like
+//! every resident one, the device op runs on them through the same
+//! dispatcher, and the batch's rows come back down.
 //!
 //! Every shard is a full simulated device ([`SimMemory`] over its own
 //! [`gpu_sim::Gpu`]): its own GMEM, its own stream scheduler, its own
@@ -68,8 +71,9 @@
 //! no ring degree and serves any plan; there is no link and no copy
 //! engine; every operand "gather" is the zero-copy direct reference. Each
 //! op therefore issues exactly the launches, transfers and fault draws of
-//! one device: upload, launch and download per host batch, one launch per
-//! device op, one alloc check per alloc.
+//! one device: a host batch uploads each operand once, runs its device op
+//! and downloads once; a device op launches once per kernel; an alloc
+//! checks once.
 //!
 //! # Locks
 //!
@@ -98,14 +102,14 @@
 
 use crate::backend::{
     best_split, classify, ensure_tables, launch_automorphism, launch_elemwise, launch_fma,
-    lock_mem, run_forward, run_inverse, DevData, ElemOp, SimMemory,
+    lock_mem, run_forward, run_inverse, ElemOp, SimMemory,
 };
 use crate::rows::{sub_scale_factors, LoadMap, LoadRows, RowTable};
 use crate::smem::SmemConfig;
 use gpu_sim::{Buf, DeviceTimeline, Event, FaultOp, GpuConfig, Stream};
 use ntt_core::backend::{
-    handle_namespace, BackendError, BackendOp, DeviceBuf, DeviceMemory, LimbBatch, Load,
-    NttBackend, PolyView, RingPlan, SharedDeviceMemory, SubScale, TransferStats,
+    handle_namespace, BackendError, BackendOp, DeviceBuf, DeviceMemory, Load, NttBackend, PolyView,
+    RingPlan, SharedDeviceMemory, SubScale, TransferStats,
 };
 use std::collections::HashMap;
 use std::marker::PhantomData;
@@ -113,8 +117,8 @@ use std::ops::Range;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Inter-device link traffic ledger (the sharded counterpart of
-/// [`TransferStats`]; one entry per cross-shard move, words summed over
-/// both directions of nothing — each move is counted once).
+/// [`TransferStats`]): each cross-shard move counts once, with its
+/// words, whichever way it goes.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct LinkStats {
     /// Cross-shard moves issued.
@@ -131,17 +135,6 @@ impl LinkStats {
             words: self.words - earlier.words,
         }
     }
-}
-
-/// Row range of a `rows`-row *host batch* handled by shard `s` of `k`
-/// (contiguous block split; late shards take the larger blocks when
-/// `rows % k != 0`, and early ones none when `rows < k`, so a one-row
-/// batch runs on the last shard). Host-batch operands are transient —
-/// uploaded, transformed, downloaded in one call — so their split is
-/// free to differ from the cyclic partition device-resident allocations
-/// use.
-fn shard_rows(rows: usize, k: usize, s: usize) -> Range<usize> {
-    (s * rows / k)..((s + 1) * rows / k)
 }
 
 /// Number of residue rows of a `rows`-row allocation owned by shard
@@ -786,21 +779,233 @@ impl Held<'_> {
         by_shard
     }
 
-    /// Which shards `op` issues commands on: those holding a row block
-    /// of a host batch ([`shard_rows`]), or owning a row of a device op's
-    /// written views, as its dispatch walks them.
+    /// Which shards hold a part of a `words`-word allocation.
+    fn holders(&self, words: usize) -> Vec<bool> {
+        let rows = self.partition_rows(words);
+        (0..self.sh.len())
+            .map(|s| self.share(rows, words, s).is_some())
+            .collect()
+    }
+
+    /// Which shards `op` issues commands on: those a host batch's staged
+    /// rows land on ([`Held::stage`]), or those owning a row of a device
+    /// op's written views, as its dispatch walks them.
     fn issuing(&self, op: &BackendOp<'_>) -> Vec<bool> {
-        let k = self.sh.len();
         match op {
             BackendOp::ForwardBatch(b)
             | BackendOp::InverseBatch(b)
             | BackendOp::PointwiseBatch { acc: b, .. }
-            | BackendOp::MultiplyBatch { out: b, .. } => (0..k)
-                .map(|s| !shard_rows(b.rows(), k, s).is_empty())
-                .collect(),
+            | BackendOp::MultiplyBatch { out: b, .. } => self.holders(b.as_slice().len()),
             _ => {
                 let by_shard = self.by_shard(&written_views(op), self.n);
                 by_shard.iter().map(|segs| !segs.is_empty()).collect()
+            }
+        }
+    }
+
+    /// Upload each of `host` into its own grow-only allocation of
+    /// `staging`, freeing one it has outgrown, and return them as views of
+    /// the operands' length: the rows a host batch runs its device op
+    /// over. The plan's tables go up first on every shard the rows land
+    /// on, before any staging is allocated there.
+    fn stage<const M: usize>(
+        &mut self,
+        plan: &RingPlan,
+        staging: &mut Staging,
+        host: [&[u64]; M],
+    ) -> [DeviceBuf; M] {
+        let words = host[0].len();
+        for (s, holds) in self.holders(words).into_iter().enumerate() {
+            if holds {
+                ensure_tables(&mut self.sh[s], plan);
+            }
+        }
+        let mut slots = staging.iter_mut();
+        host.map(|rows| {
+            assert_eq!(rows.len(), words, "operand shape mismatch");
+            let slot = slots.next().expect("one staging allocation per operand");
+            let buf = match *slot {
+                Some(buf) if buf.len() >= words => buf,
+                outgrown => {
+                    if let Some(buf) = outgrown {
+                        self.free(buf);
+                    }
+                    *slot.insert(self.alloc(words))
+                }
+            };
+            let view = buf.sub(0, words);
+            self.upload(view, rows);
+            view
+        })
+    }
+
+    /// The split of every `n`-point transform in both directions
+    /// ([`best_split`]), swept on a scratch single device the first time
+    /// a transform of `n` points runs and cached in `splits` by `n`:
+    /// per-shard row counts shrink with `K`, but the split is decided by
+    /// `N`.
+    fn split(&self, splits: &Splits, n: usize) -> SmemConfig {
+        let mut cache = splits
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        *cache
+            .entry(n)
+            .or_insert_with(|| best_split(&self.sh[0].gpu().config, n))
+    }
+
+    /// Run `op` on the locked shards. A device op runs through
+    /// [`Held::each_shard`]. A host batch runs as its device op over its
+    /// operands staged in `staging` ([`Held::stage`]), and its rows come
+    /// back down: one upload per operand and one download on each shard
+    /// the rows land on. A staged multiply is the resident one, a forward
+    /// of both operands in one op, a pointwise product and an inverse.
+    fn run(&mut self, plan: &RingPlan, staging: &mut Staging, splits: &Splits, op: BackendOp<'_>) {
+        let n = plan.degree();
+        let written = written_views(&op);
+        match op {
+            BackendOp::ForwardBatch(mut batch) => {
+                let [x] = self.stage(plan, staging, [batch.as_slice()]);
+                let views = [PolyView::new(x, batch.primes())];
+                let op = BackendOp::Forward {
+                    views: &views,
+                    load: None,
+                    fold: None,
+                };
+                self.run(plan, staging, splits, op);
+                self.download(x, batch.data());
+            }
+            BackendOp::InverseBatch(mut batch) => {
+                let [x] = self.stage(plan, staging, [batch.as_slice()]);
+                let views = [PolyView::new(x, batch.primes())];
+                self.run(plan, staging, splits, BackendOp::Inverse { views: &views });
+                self.download(x, batch.data());
+            }
+            BackendOp::PointwiseBatch { mut acc, rhs } => {
+                let [x, y] = self.stage(plan, staging, [acc.as_slice(), rhs]);
+                let views = [PolyView::new(x, acc.primes())];
+                let op = BackendOp::Pointwise {
+                    acc: &views,
+                    rhs: &[y],
+                };
+                self.run(plan, staging, splits, op);
+                self.download(x, acc.data());
+            }
+            BackendOp::MultiplyBatch { a, b, mut out } => {
+                assert_eq!(a.len(), out.as_slice().len(), "operand shape mismatch");
+                let [x, y] = self.stage(plan, staging, [a, b]);
+                let views = [x, y].map(|buf| PolyView::new(buf, out.primes()));
+                for op in [
+                    BackendOp::Forward {
+                        views: &views,
+                        load: None,
+                        fold: None,
+                    },
+                    BackendOp::Pointwise {
+                        acc: &views[..1],
+                        rhs: &[y],
+                    },
+                    BackendOp::Inverse { views: &views[..1] },
+                ] {
+                    self.run(plan, staging, splits, op);
+                }
+                self.download(x, out.data());
+            }
+
+            // ---- Device-resident execution (zero host↔device traffic) ----
+            BackendOp::Forward { load, fold, .. } => {
+                let plain_lift = matches!(load, Some(Load::Lift { centered, .. }) if !centered);
+                assert!(
+                    fold.is_none() || plain_lift,
+                    "a sub-scale store folds a plain lift"
+                );
+                let split = self.split(splits, n);
+                let sub_scale = fold.map(|SubScale { dropped }| {
+                    sub_scale_factors(plan.ring().basis().primes(), dropped)
+                });
+                // A load reads rows other than the one it writes: every
+                // row of its view's source is gathered (the key switch's
+                // digits read every residue row, a lift its one row), so
+                // on a sharded device the remote source rows cross the
+                // link, about (K−1)/K of them per shard.
+                let level = load.map_or(0, |load| load_level(load, &written, n));
+                let reads: Vec<Read<'_>> = load.iter().map(|l| (l.src(), RowMap::All)).collect();
+                self.each_shard(plan, &written, &reads, |sh, l| {
+                    let load = load.map(|load| LoadRows {
+                        src: l.src[0].clone(),
+                        map: load_map(load, level, &l.index),
+                    });
+                    run_forward(sh, plan, &l.dst, split, load.as_ref(), sub_scale.as_deref())
+                });
+            }
+            BackendOp::Inverse { .. } => {
+                let split = self.split(splits, n);
+                self.each_shard(plan, &written, &[], |sh, l| {
+                    run_inverse(sh, plan, &l.dst, split)
+                });
+            }
+            BackendOp::Pointwise { rhs, .. } => {
+                let rhs = shaped(rhs, &written);
+                self.each_shard(plan, &written, &[(&rhs, RowMap::Same)], |sh, l| {
+                    launch_elemwise(sh, ElemOp::Mul, &l.dst, Some(&l.src[0]))
+                });
+            }
+            BackendOp::Fma { acc, x, y } => {
+                // Multiply-accumulate chains land here: the key-switch
+                // inner products (term `t` a digit sub-view at row offset
+                // `t * level` of the decompose scratch, plus any folded
+                // product terms) and the plaintext-product sums. Read
+                // operand `2t` (`2t + 1`) is the first (second) factor of
+                // every accumulator's term `t`, and each shard gathers
+                // them onto the accumulator rows it owns. The cyclic
+                // partition makes every digit view land on the
+                // accumulator's shards whenever `level % K == 0`, and a
+                // separate level-row allocation always does — the
+                // zero-copy fast path of the gather — while any genuinely
+                // misaligned view (e.g. `K = 3` with `level = 8`) arrives
+                // over the link, correct either way. Every term of every
+                // accumulator then runs as one launch per shard.
+                assert_eq!(x.len(), y.len(), "fma term count mismatch");
+                assert_eq!(
+                    x.len() % acc.len(),
+                    0,
+                    "every accumulator takes as many terms"
+                );
+                let m = x.len() / acc.len();
+                let factors: Vec<Vec<PolyView>> = (0..m)
+                    .flat_map(|t| {
+                        [x, y].map(|f| {
+                            let term: Vec<DeviceBuf> =
+                                (0..acc.len()).map(|k| f[k * m + t]).collect();
+                            shaped(&term, acc)
+                        })
+                    })
+                    .collect();
+                let reads: Vec<Read<'_>> = factors.iter().map(|f| (&f[..], RowMap::Same)).collect();
+                self.each_shard(plan, &written, &reads, |sh, l| {
+                    launch_fma(sh, &l.dst, &l.src)
+                });
+            }
+            BackendOp::AddSub { rhs, subtract, .. } => {
+                let op = if subtract { ElemOp::Sub } else { ElemOp::Add };
+                let rhs = shaped(rhs, &written);
+                self.each_shard(plan, &written, &[(&rhs, RowMap::Same)], |sh, l| {
+                    launch_elemwise(sh, op, &l.dst, Some(&l.src[0]))
+                });
+            }
+            BackendOp::Negate { .. } => {
+                self.each_shard(plan, &written, &[], |sh, l| {
+                    launch_elemwise(sh, ElemOp::Neg, &l.dst, None)
+                });
+            }
+            BackendOp::Automorphism { src, g, .. } => {
+                let g = g % (2 * n as u64);
+                assert_eq!(g % 2, 1, "Galois element must be odd");
+                // The permutation is row-local, so each dst row needs
+                // exactly its own src row — aligned allocations stay
+                // link-free.
+                self.each_shard(plan, &written, &[(src, RowMap::Same)], |sh, l| {
+                    launch_automorphism(sh, &l.src[0], &l.dst, g)
+                });
             }
         }
     }
@@ -967,20 +1172,19 @@ impl Flavor for Sharded {
 /// constructor; see the module docs for the partition and traffic model.
 pub type ShardedBackend = SimDevices<Sharded>;
 
-/// One executor's per-shard staging state.
-#[derive(Default)]
-struct ShardStaging {
-    /// Primary host-batch operand.
-    data: DevData,
-    /// Secondary host-batch operand.
-    scratch: DevData,
-}
+/// An executor's host-batch staging: two grow-only allocations of the
+/// shared memory, one per operand ([`Held::stage`]), freed with the
+/// executor.
+type Staging = [Option<DeviceBuf>; 2];
+
+/// The transform split per ring degree ([`Held::split`]).
+type Splits = Mutex<HashMap<usize, SmemConfig>>;
 
 /// The simulated-GPU backend over `K` devices: shared sharded memory
 /// (GMEM + handle maps + plan tables per shard), this executor's
-/// compute stream and staging buffers on each shard, and the memoized
-/// transform split per ring degree. Use it through its two faces,
-/// [`crate::SimBackend`] and [`ShardedBackend`].
+/// compute stream on each shard and its host-batch staging, and the
+/// memoized transform split per ring degree. Use it through its two
+/// faces, [`crate::SimBackend`] and [`ShardedBackend`].
 ///
 /// The root backend runs on each shard's [`Stream::DEFAULT`]; every
 /// [`NttBackend::fork`] allocates its own stream per shard, so
@@ -990,11 +1194,12 @@ pub struct SimDevices<F: Flavor> {
     mem: Arc<Mutex<ShardedMemory>>,
     /// This executor's compute stream on each shard (index = shard).
     streams: Vec<Stream>,
-    /// This executor's staging state on each shard.
-    staging: Vec<ShardStaging>,
+    /// This executor's host-batch staging, partitioned over the shards
+    /// like every resident allocation.
+    staging: Staging,
     /// Memoized per-`N` transform split (shared by forks so the sweep
     /// runs once per ring degree per backend family).
-    split_cache: Arc<Mutex<HashMap<usize, SmemConfig>>>,
+    split_cache: Arc<Splits>,
     flavor: PhantomData<F>,
 }
 
@@ -1010,7 +1215,7 @@ impl<F: Flavor> SimDevices<F> {
         Self {
             mem: Arc::new(Mutex::new(mem)),
             streams: vec![Stream::DEFAULT; k],
-            staging: (0..k).map(|_| ShardStaging::default()).collect(),
+            staging: [None; 2],
             split_cache: Arc::new(Mutex::new(HashMap::new())),
             flavor: PhantomData,
         }
@@ -1035,104 +1240,11 @@ impl<F: Flavor> SimDevices<F> {
     pub fn transfer_stats(&self) -> TransferStats {
         self.lock().stats()
     }
-
-    /// Run `op` on the shard set with every shard locked and bound to
-    /// this executor's streams, handing it this executor's staging.
-    fn on_shards<R>(&mut self, op: impl FnOnce(&mut Held<'_>, &mut [ShardStaging]) -> R) -> R {
-        let mut m = lock_sharded(&self.mem);
-        let mut h = m.hold();
-        h.bind(&self.streams);
-        op(&mut h, &mut self.staging)
-    }
-
-    /// The split of every `n`-point transform in both directions
-    /// ([`best_split`]), swept on a scratch single device the first time
-    /// a transform of `n` points runs and cached by `n`: per-shard row
-    /// counts shrink with `K`, but the split is decided by `N`.
-    fn split(&self, n: usize) -> SmemConfig {
-        let cache = || {
-            self.split_cache
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-        };
-        if let Some(&split) = cache().get(&n) {
-            return split;
-        }
-        let config = lock_mem(&self.lock().shards[0]).gpu().config.clone();
-        let split = best_split(&config, n);
-        cache().insert(n, split);
-        split
-    }
-
-    /// One staged host-batch op: shard `s` takes the contiguous row
-    /// block `shard_rows(rows, K, s)` of `io`, uploads its slice of `io`
-    /// (and of `rhs`) into its staging buffers, runs `kernel` on them as
-    /// contiguous row tables, and downloads the primary operand back into
-    /// `io` — one upload per operand and one download per call on each
-    /// shard with rows, charged to the [`gpu_sim::Gmem`] transfer ledger:
-    /// exactly the per-call round trip the residency layer exists to
-    /// remove.
-    fn host_batch(
-        &mut self,
-        plan: &RingPlan,
-        mut io: LimbBatch<'_>,
-        rhs: Option<&[u64]>,
-        kernel: impl Fn(&mut SimMemory, &Launch),
-    ) {
-        let (n, rows) = (io.n(), io.rows());
-        let prime_of: Vec<usize> = (0..rows).map(|r| io.prime_of(r)).collect();
-        let io = io.data();
-        self.on_shards(|h, staging| {
-            let k = h.sh.len();
-            for (s, (sh, st)) in h.sh.iter_mut().zip(staging).enumerate() {
-                let r = shard_rows(rows, k, s);
-                if r.is_empty() {
-                    continue;
-                }
-                let row_prime = &prime_of[r.clone()];
-                let words = r.start * n..r.end * n;
-                ensure_tables(sh, plan);
-                let a = st.data.ensure(sh.gpu_mut(), words.len());
-                let a = a.sub(0, words.len());
-                let b = rhs.map(|_| st.scratch.ensure(sh.gpu_mut(), words.len()));
-                let b = b.map(|b| b.sub(0, words.len()));
-                let bases = [a.base(), b.unwrap_or(a).base()];
-                sh.wait_ready(&bases);
-                sh.gpu_mut().stream_upload(a, 0, &io[words.clone()]);
-                if let (Some(b), Some(rhs)) = (b, rhs) {
-                    sh.gpu_mut().stream_upload(b, 0, &rhs[words.clone()]);
-                }
-                let launch = Launch {
-                    dst: RowTable::contiguous(a, n, row_prime),
-                    src: b
-                        .map(|b| RowTable::contiguous(b, n, row_prime))
-                        .into_iter()
-                        .collect(),
-                    index: r.collect(),
-                };
-                kernel(sh, &launch);
-                sh.gpu_mut().stream_download(a, &mut io[words]);
-                sh.mark_written(&bases);
-            }
-        });
-    }
-
-    /// One device op over resident views ([`Held::each_shard`]), with
-    /// every shard locked and bound to this executor's streams.
-    fn each_shard(
-        &mut self,
-        plan: &RingPlan,
-        written: &[PolyView],
-        reads: &[Read<'_>],
-        kernel: impl FnMut(&mut SimMemory, &Launch),
-    ) {
-        self.on_shards(|h, _| h.each_shard(plan, written, reads, kernel));
-    }
 }
 
 /// The views a device op writes, each under its primes: the rows its
 /// dispatch walks, and so the shards it launches on. Empty for a host
-/// batch, which splits its rows by [`shard_rows`] instead.
+/// batch, whose staged rows a device op then writes.
 fn written_views(op: &BackendOp<'_>) -> Vec<PolyView> {
     match *op {
         BackendOp::Forward { views, .. }
@@ -1163,23 +1275,6 @@ fn shaped(bufs: &[DeviceBuf], like: &[PolyView]) -> Vec<PolyView> {
         .collect()
 }
 
-/// The fused negacyclic product `out ← out ·̄ rhs` of coefficient rows:
-/// NTT both, multiply pointwise, iNTT `out` — the classic device
-/// pipeline, four launch groups over the staged rows of a
-/// [`BackendOp::MultiplyBatch`].
-fn multiply(
-    sh: &mut SimMemory,
-    plan: &RingPlan,
-    split: SmemConfig,
-    out: &RowTable,
-    rhs: &RowTable,
-) {
-    run_forward(sh, plan, out, split, None, None);
-    run_forward(sh, plan, rhs, split, None, None);
-    launch_elemwise(sh, ElemOp::Mul, out, Some(rhs));
-    run_inverse(sh, plan, out, split);
-}
-
 impl SimDevices<Sharded> {
     /// `shards` devices of one model, partitioning rings of `degree`.
     pub fn new(config: GpuConfig, shards: usize, degree: usize) -> Self {
@@ -1199,11 +1294,16 @@ impl SimDevices<Sharded> {
 }
 
 impl<F: Flavor> Drop for SimDevices<F> {
+    /// Free this executor's staging and destroy its streams.
     fn drop(&mut self) {
-        let m = lock_sharded(&self.mem);
-        for (sh, &stream) in m.shards.iter().zip(&self.streams) {
+        let mut m = lock_sharded(&self.mem);
+        let mut h = m.hold();
+        for buf in self.staging.into_iter().flatten() {
+            h.free(buf);
+        }
+        for (sh, &stream) in h.sh.iter_mut().zip(&self.streams) {
             if stream != Stream::DEFAULT {
-                lock_mem(sh).gpu_mut().destroy_stream(stream);
+                sh.gpu_mut().destroy_stream(stream);
             }
         }
     }
@@ -1228,8 +1328,8 @@ impl<F: Flavor> NttBackend for SimDevices<F> {
             .collect();
         Box::new(SimDevices::<F> {
             mem: Arc::clone(&self.mem),
-            staging: streams.iter().map(|_| ShardStaging::default()).collect(),
             streams,
+            staging: [None; 2],
             split_cache: Arc::clone(&self.split_cache),
             flavor: PhantomData,
         })
@@ -1243,135 +1343,13 @@ impl<F: Flavor> NttBackend for SimDevices<F> {
         self.lock().hold().bind(&self.streams);
     }
 
+    /// Run `op` with every shard locked and bound to this executor's
+    /// streams (`Held::run`).
     fn run(&mut self, plan: &RingPlan, op: BackendOp<'_>) {
-        let n = plan.degree();
-        let written = written_views(&op);
-        match op {
-            BackendOp::ForwardBatch(batch) => {
-                let split = self.split(n);
-                self.host_batch(plan, batch, None, |sh, l| {
-                    run_forward(sh, plan, &l.dst, split, None, None)
-                });
-            }
-            BackendOp::InverseBatch(batch) => {
-                let split = self.split(n);
-                self.host_batch(plan, batch, None, |sh, l| {
-                    run_inverse(sh, plan, &l.dst, split)
-                });
-            }
-            BackendOp::PointwiseBatch { acc, rhs } => {
-                assert_eq!(acc.as_slice().len(), rhs.len(), "operand shape mismatch");
-                self.host_batch(plan, acc, Some(rhs), |sh, l| {
-                    launch_elemwise(sh, ElemOp::Mul, &l.dst, Some(&l.src[0]))
-                });
-            }
-            BackendOp::MultiplyBatch { a, b, mut out } => {
-                assert_eq!(a.len(), out.as_slice().len(), "operand shape mismatch");
-                assert_eq!(b.len(), out.as_slice().len(), "operand shape mismatch");
-                let split = self.split(n);
-                out.data().copy_from_slice(a);
-                self.host_batch(plan, out, Some(b), |sh, l| {
-                    multiply(sh, plan, split, &l.dst, &l.src[0])
-                });
-            }
-
-            // ---- Device-resident execution (zero host↔device traffic) ----
-            BackendOp::Forward { load, fold, .. } => {
-                let plain_lift = matches!(load, Some(Load::Lift { centered, .. }) if !centered);
-                assert!(
-                    fold.is_none() || plain_lift,
-                    "a sub-scale store folds a plain lift"
-                );
-                let split = self.split(n);
-                let sub_scale = fold.map(|SubScale { dropped }| {
-                    sub_scale_factors(plan.ring().basis().primes(), dropped)
-                });
-                // A load reads rows other than the one it writes: every
-                // row of its view's source is gathered (the key switch's
-                // digits read every residue row, a lift its one row), so
-                // on a sharded device the remote source rows cross the
-                // link, about (K−1)/K of them per shard.
-                let level = load.map_or(0, |load| load_level(load, &written, n));
-                let reads: Vec<Read<'_>> = load.iter().map(|l| (l.src(), RowMap::All)).collect();
-                self.each_shard(plan, &written, &reads, |sh, l| {
-                    let load = load.map(|load| LoadRows {
-                        src: l.src[0].clone(),
-                        map: load_map(load, level, &l.index),
-                    });
-                    run_forward(sh, plan, &l.dst, split, load.as_ref(), sub_scale.as_deref())
-                });
-            }
-            BackendOp::Inverse { .. } => {
-                let split = self.split(n);
-                self.each_shard(plan, &written, &[], |sh, l| {
-                    run_inverse(sh, plan, &l.dst, split)
-                });
-            }
-            BackendOp::Pointwise { rhs, .. } => {
-                let rhs = shaped(rhs, &written);
-                self.each_shard(plan, &written, &[(&rhs, RowMap::Same)], |sh, l| {
-                    launch_elemwise(sh, ElemOp::Mul, &l.dst, Some(&l.src[0]))
-                });
-            }
-            BackendOp::Fma { acc, x, y } => {
-                // Multiply-accumulate chains land here: the key-switch
-                // inner products (term `t` a digit sub-view at row offset
-                // `t * level` of the decompose scratch, plus any folded
-                // product terms) and the plaintext-product sums. Read
-                // operand `2t` (`2t + 1`) is the first (second) factor of
-                // every accumulator's term `t`, and each shard gathers
-                // them onto the accumulator rows it owns. The cyclic
-                // partition makes every digit view land on the
-                // accumulator's shards whenever `level % K == 0`, and a
-                // separate level-row allocation always does — the
-                // zero-copy fast path of the gather — while any genuinely
-                // misaligned view (e.g. `K = 3` with `level = 8`) arrives
-                // over the link, correct either way. Every term of every
-                // accumulator then runs as one launch per shard.
-                assert_eq!(x.len(), y.len(), "fma term count mismatch");
-                assert_eq!(
-                    x.len() % acc.len(),
-                    0,
-                    "every accumulator takes as many terms"
-                );
-                let m = x.len() / acc.len();
-                let factors: Vec<Vec<PolyView>> = (0..m)
-                    .flat_map(|t| {
-                        [x, y].map(|f| {
-                            let term: Vec<DeviceBuf> =
-                                (0..acc.len()).map(|k| f[k * m + t]).collect();
-                            shaped(&term, acc)
-                        })
-                    })
-                    .collect();
-                let reads: Vec<Read<'_>> = factors.iter().map(|f| (&f[..], RowMap::Same)).collect();
-                self.each_shard(plan, &written, &reads, |sh, l| {
-                    launch_fma(sh, &l.dst, &l.src)
-                });
-            }
-            BackendOp::AddSub { rhs, subtract, .. } => {
-                let op = if subtract { ElemOp::Sub } else { ElemOp::Add };
-                let rhs = shaped(rhs, &written);
-                self.each_shard(plan, &written, &[(&rhs, RowMap::Same)], |sh, l| {
-                    launch_elemwise(sh, op, &l.dst, Some(&l.src[0]))
-                });
-            }
-            BackendOp::Negate { .. } => {
-                self.each_shard(plan, &written, &[], |sh, l| {
-                    launch_elemwise(sh, ElemOp::Neg, &l.dst, None)
-                });
-            }
-            BackendOp::Automorphism { src, g, .. } => {
-                let g = g % (2 * n as u64);
-                assert_eq!(g % 2, 1, "Galois element must be odd");
-                // The permutation is row-local, so each dst row needs
-                // exactly its own src row — aligned allocations stay
-                // link-free.
-                self.each_shard(plan, &written, &[(src, RowMap::Same)], |sh, l| {
-                    launch_automorphism(sh, &l.src[0], &l.dst, g)
-                });
-            }
-        }
+        let mut m = lock_sharded(&self.mem);
+        let mut h = m.hold();
+        h.bind(&self.streams);
+        h.run(plan, &mut self.staging, &self.split_cache, op);
     }
 
     /// Validate the op's handles, then draw the armed fault plan, in
@@ -1451,7 +1429,7 @@ fn load_map(load: Load<'_>, level: usize, index: &[usize]) -> LoadMap {
 mod tests {
     use super::*;
     use crate::SimBackend;
-    use ntt_core::backend::{BackendOp as Op, CpuBackend, Evaluator};
+    use ntt_core::backend::{BackendOp as Op, CpuBackend, Evaluator, LimbBatch};
     use ntt_core::{RnsPoly, RnsRing};
 
     fn ring(n: usize, np: usize) -> RnsRing {
@@ -1502,21 +1480,6 @@ mod tests {
                 for (s, &got) in local.iter().enumerate() {
                     assert_eq!(got, rows_on_shard(rows, k, s), "per-shard row count");
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn host_batch_split_is_contiguous_and_total() {
-        for rows in [1, 2, 3, 5, 8, 12] {
-            for k in [1, 2, 3, 4, 8] {
-                let mut covered = 0;
-                for s in 0..k {
-                    let r = shard_rows(rows, k, s);
-                    assert_eq!(r.start, covered, "contiguous");
-                    covered = r.end;
-                }
-                assert_eq!(covered, rows, "total");
             }
         }
     }
@@ -1971,6 +1934,17 @@ mod tests {
         m.shard_timelines().iter().map(|t| t.launches).collect()
     }
 
+    /// Each shard's launches, uploads and downloads so far.
+    fn commands(mem: &Arc<Mutex<ShardedMemory>>) -> Vec<[u64; 3]> {
+        let m = lock_sharded(mem);
+        let issued = |sh: &Arc<Mutex<SimMemory>>| {
+            let sh = lock_mem(sh);
+            let t = sh.stats();
+            [sh.gpu().timeline().launches, t.uploads, t.downloads]
+        };
+        m.shards.iter().map(issued).collect()
+    }
+
     /// `SimBackend` at `k = 0`, else `ShardedBackend` over `k` devices of
     /// `n`-point rings, with its shared memory.
     fn subject(k: usize, n: usize) -> (Box<dyn NttBackend>, Arc<Mutex<ShardedMemory>>) {
@@ -2201,25 +2175,22 @@ mod tests {
     /// Under a zero-rate plan each shard draws one slot per command it
     /// issues and none where it issues nothing. At K = 3 a deep rescale's
     /// inverse of the two dropped rows launches on the one shard that
-    /// owns them, and a one-row host batch stages on one shard.
+    /// owns them, and a one-row host batch stages on shard 0, which owns
+    /// row 0 of its staging.
     #[test]
     fn fault_draws_match_the_commands_each_shard_issues() {
         // Deep parameters: 21 primes of 50 bits, here at N = 64.
         let n = 64;
         let ring = RnsRing::new(n, ntt_math::ntt_primes(50, 2 * n as u64, 21)).unwrap();
         let plan = RingPlan::new(&ring);
-        // Launches, uploads and downloads per shard so far.
-        let commands = |mem: &Arc<Mutex<ShardedMemory>>| -> Vec<u64> {
-            let m = lock_sharded(mem);
-            let issued = |sh: &Arc<Mutex<SimMemory>>| {
-                let sh = lock_mem(sh);
-                let t = sh.stats();
-                sh.gpu().timeline().launches + t.uploads + t.downloads
-            };
-            m.shards.iter().map(issued).collect()
-        };
-        let since = |now: Vec<u64>, before: &[u64]| -> Vec<u64> {
-            now.iter().zip(before).map(|(a, b)| a - b).collect()
+        // Commands issued per shard since `before`.
+        let since = |mem: &Arc<Mutex<ShardedMemory>>, before: &[[u64; 3]]| -> Vec<u64> {
+            let total = |c: &[u64; 3]| c.iter().sum::<u64>();
+            let now = commands(mem);
+            now.iter()
+                .zip(before)
+                .map(|(a, b)| total(a) - total(b))
+                .collect()
         };
 
         let sharded = ShardedBackend::titan_v(3, n);
@@ -2236,7 +2207,7 @@ mod tests {
         let before = commands(&mem);
         ev.gated(|ev| ev.rescale_polys(&mut [&mut c0, &mut c1]))
             .expect("a zero-rate plan never faults");
-        let issued = since(commands(&mem), &before);
+        let issued = since(&mem, &before);
         assert_eq!(issued, [1, 2, 1], "level 20 -> 19 drops row 19, on shard 1");
         assert_eq!(draws(&mem), issued, "rescale draws");
         arm(&mem, None);
@@ -2249,8 +2220,8 @@ mod tests {
         let before = commands(&mem);
         be.try_run(&plan, Op::ForwardBatch(LimbBatch::new(&mut row, n, 1)))
             .expect("a zero-rate plan never faults");
-        let issued = since(commands(&mem), &before);
-        assert_eq!(issued, [0, 0, 3], "one row stages on the last shard");
+        let issued = since(&mem, &before);
+        assert_eq!(issued, [3, 0, 0], "one row stages on shard 0");
         assert_eq!(draws(&mem), issued, "host batch draws");
     }
 
@@ -2280,6 +2251,102 @@ mod tests {
             assert_eq!((t.upload_words, t.downloads), (3 * 16, 0), "k = {k}");
             got.sync();
             assert_eq!(got, want, "k = {k}: bits");
+        }
+    }
+
+    /// A staged multiply is the resident one over its two staged
+    /// operands: on every shard its rows land on, 2 uploads, 3 launches
+    /// (a forward of both operands in one op, a pointwise product and an
+    /// inverse) and 1 download, with `CpuBackend`'s bits. The two rows
+    /// leave shard 2 of K = 3 idle.
+    #[test]
+    fn staged_multiply_is_three_launches_per_shard() {
+        let ring = ring(N, 2);
+        let plan = RingPlan::new(&ring);
+        let (a, b) = (residues(2 * N, 3), residues(2 * N, 5));
+        let multiply = |be: &mut dyn NttBackend| {
+            let mut out = vec![0; 2 * N];
+            let op = Op::MultiplyBatch {
+                a: &a,
+                b: &b,
+                out: LimbBatch::new(&mut out, N, 2),
+            };
+            be.run(&plan, op);
+            out
+        };
+        let want = multiply(&mut CpuBackend::default());
+        for k in 1..=3 {
+            let (mut be, mem) = subject(k, N);
+            // The first call uploads the plan tables.
+            multiply(&mut *be);
+            let before = commands(&mem);
+            assert_eq!(multiply(&mut *be), want, "K = {k}: bits");
+            let issued: Vec<[u64; 3]> = commands(&mem)
+                .iter()
+                .zip(&before)
+                .map(|(a, b)| [0, 1, 2].map(|i| a[i] - b[i]))
+                .collect();
+            let expect: Vec<[u64; 3]> = (0..k)
+                .map(|s| if s < 2 { [3, 2, 1] } else { [0; 3] })
+                .collect();
+            assert_eq!(issued, expect, "K = {k}: launches, uploads, downloads");
+        }
+    }
+
+    /// A fork's staging goes with it: five cycles of fork, forward,
+    /// pointwise and multiply host batches and drop leave every shard's
+    /// allocated words where the first cycle left them, with as many
+    /// frees as allocations in each cycle, on Sim and on Sharded K = 2
+    /// and 3.
+    #[test]
+    fn dropped_forks_free_their_staging() {
+        let ring = ring(N, 3);
+        let plan = RingPlan::new(&ring);
+        let rhs = residues(3 * N, 1);
+        let batches = |be: &mut dyn NttBackend| {
+            let mut x = residues(3 * N, 0);
+            be.run(&plan, Op::ForwardBatch(LimbBatch::new(&mut x, N, 3)));
+            let acc = LimbBatch::new(&mut x, N, 3);
+            be.run(&plan, Op::PointwiseBatch { acc, rhs: &rhs });
+            let mut out = vec![0; 3 * N];
+            let out = LimbBatch::new(&mut out, N, 3);
+            be.run(
+                &plan,
+                Op::MultiplyBatch {
+                    a: &x,
+                    b: &rhs,
+                    out,
+                },
+            );
+        };
+        for k in [0, 2, 3] {
+            let (mut root, mem) = subject(k, N);
+            // Each shard's allocated words, allocations and frees.
+            let ledger = || -> Vec<[u64; 3]> {
+                let m = lock_sharded(&mem);
+                let read = |sh: &Arc<Mutex<SimMemory>>| {
+                    let sh = lock_mem(sh);
+                    let t = sh.stats();
+                    [sh.gpu().gmem.allocated_words() as u64, t.allocs, t.frees]
+                };
+                m.shards.iter().map(read).collect()
+            };
+            // The root uploads the plan tables.
+            batches(&mut *root);
+            let mut first = None;
+            for cycle in 0..5 {
+                let before = ledger();
+                let mut fork = root.fork();
+                batches(&mut *fork);
+                drop(fork);
+                let after = ledger();
+                let ctx = format!("k = {k} (0 = Sim), cycle {cycle}");
+                let words: Vec<u64> = after.iter().map(|l| l[0]).collect();
+                assert_eq!(first.get_or_insert(words.clone()), &words, "{ctx}: words");
+                for (s, (a, b)) in after.iter().zip(&before).enumerate() {
+                    assert_eq!(a[1] - b[1], a[2] - b[2], "{ctx}, shard {s}: allocs, frees");
+                }
+            }
         }
     }
 

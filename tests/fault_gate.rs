@@ -12,8 +12,9 @@
 //! bootstrap draws, that a sticky fault
 //! stops the draws at the failing op, that transient faults are re-drawn
 //! in place, that an injected OOM latches like a launch fault, how the
-//! pool treats the member that saw a fault, and that a decrypt whose
-//! checkout faulted is never decoded.
+//! pool treats the member that saw a fault (a quarantined one frees what
+//! it staged), and that a decrypt whose checkout faulted is never
+//! decoded.
 
 use he_serve::{
     job_seed, Batcher, BootParams, Bootstrapper, EncryptJob, HeServer, Request, Response,
@@ -283,6 +284,42 @@ fn transient_fault_keeps_the_member_sticky_one_quarantines_it() {
     arm(&s.sim, always_faulting());
     let _ = ctx.rotate(&s.ct, G, &s.rtk);
     assert_eq!(draws(&s.sim), 0, "a pooled member stayed armed");
+}
+
+/// A quarantined member frees what it staged. Under `sticky_after(3)`
+/// an armed encrypt group of 3 jobs at N = 2^6 runs its first host batch
+/// (upload, launch and download), wedges on the second and quarantines
+/// its member, which is dropped. Five such quarantines leave the
+/// device's allocated words where the first one left them.
+#[test]
+fn quarantined_members_free_their_staging() {
+    let sim = SimBackend::titan_v();
+    let params = HeLiteParams {
+        log_n: 6,
+        ..params()
+    };
+    let ctx = HeContext::with_backend(params, sim.fork()).expect("sim context builds");
+    let batcher = Batcher::new(&ctx.keygen(&mut sampling::seeded_rng(3)));
+    let mut first = None;
+    for cycle in 0..5 {
+        arm(&sim, FaultPlan::seeded(1).sticky_after(3));
+        let err = ctx
+            .try_with_pooled_evaluator(|ev| batcher.encrypt_batch(&ctx, ev, &jobs(3)))
+            .expect_err("the second host batch wedges");
+        assert!(!err.is_transient(), "cycle {cycle}: {err:?}");
+        assert_eq!(
+            draws(&sim),
+            4,
+            "cycle {cycle}: one host batch, then the wedge"
+        );
+        assert_eq!(ctx.quarantined_count(), cycle + 1, "cycle {cycle}");
+        let words = sim.with_gpu(|gpu| gpu.gmem.allocated_words());
+        assert_eq!(
+            *first.get_or_insert(words),
+            words,
+            "cycle {cycle}: a quarantined member kept device words"
+        );
+    }
 }
 
 /// Host code after a latched fault reads stale rows. At a level whose
