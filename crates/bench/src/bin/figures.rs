@@ -577,6 +577,11 @@ fn main() {
                     "VIOLATED"
                 }
             );
+            let (w, st) = (r.warmup_memo, r.steady_memo);
+            println!(
+                "   launch memo: warm-up {} hits / {} misses, steady {} hits / {} misses",
+                w.hits, w.misses, st.hits, st.misses
+            );
         };
         let r = ex::bootstrap(if quick { 4 } else { 6 });
         print_report(&r, false);

@@ -8,7 +8,7 @@ use ntt_gpu::fpga_baseline::FpgaNtt;
 use ntt_gpu::ot::DeviceOt;
 use ntt_gpu::radix2::ModMul;
 use ntt_gpu::smem::SmemConfig;
-use ntt_gpu::{dft, high_radix, radix2, smem, RunReport};
+use ntt_gpu::{dft, high_radix, radix2, smem, MemoStats, RunReport};
 
 /// One measured configuration.
 #[derive(Debug, Clone)]
@@ -974,7 +974,7 @@ pub struct BootFaultOverheadReport {
 /// draws every gate a chaotic plan would and never injects. Asserts the
 /// two outputs are bit-identical before returning.
 pub fn boot_fault_overhead(log_n: u32) -> BootFaultOverheadReport {
-    let (dev, _ctx, boot, low) = warm_bootstrapper(he_boot::BootParams::shallow(), log_n, None);
+    let (dev, _ctx, boot, low, _) = warm_bootstrapper(he_boot::BootParams::shallow(), log_n, None);
     let synced = |mut ct: he_lite::Ciphertext| {
         ct.sync();
         let (c0, c1) = ct.components();
@@ -1061,6 +1061,11 @@ pub struct BootstrapReport {
     /// add, sub, neg). A rescale's and a mod-raise's lift ride their
     /// forward transforms, booked as NTT.
     pub pointwise: OpMixRow,
+    /// The device's launch memo over the warm-up bootstrap: launches
+    /// simulated (misses) and computed natively and replayed (hits).
+    pub warmup_memo: MemoStats,
+    /// The launch memo over the steady-state bootstrap.
+    pub steady_memo: MemoStats,
 }
 
 impl BootstrapReport {
@@ -1125,7 +1130,8 @@ pub fn bootstrap_deep(log_n: u32, mat_slots: usize) -> BootstrapReport {
 /// warm-up bootstrap: the twiddle tables are uploaded and the EvalMod
 /// constant cache is full, so the next bootstrap is the steady state a
 /// serving loop lives in. `mat_slots` caps the DFT matrix
-/// ([`he_boot::Bootstrapper::with_matrix_slots`]).
+/// ([`he_boot::Bootstrapper::with_matrix_slots`]). Also returns the
+/// device's launch-memo counts over the warm-up bootstrap.
 fn warm_bootstrapper(
     bp: he_boot::BootParams,
     log_n: u32,
@@ -1135,6 +1141,7 @@ fn warm_bootstrapper(
     std::sync::Arc<he_lite::HeContext>,
     he_boot::Bootstrapper,
     he_lite::Ciphertext,
+    MemoStats,
 ) {
     use he_boot::Bootstrapper;
     use he_lite::{sampling, HeContext};
@@ -1155,9 +1162,17 @@ fn warm_bootstrapper(
     let pt = ctx.encode_with_scale(&[0.4, -0.2, 0.1], boot.input_scale());
     let ct = ctx.encrypt(&pt, &keys.public, &mut sampling::seeded_rng(7));
     let low = ctx.drop_to_level(&ct, 1);
+    let before = memo_stats(&dev);
     let _ = boot.bootstrap(&low);
     drain_device(&dev);
-    (dev, ctx, boot, low)
+    let warmup = memo_stats(&dev).since(&before);
+    (dev, ctx, boot, low, warmup)
+}
+
+fn memo_stats(dev: &std::sync::Arc<std::sync::Mutex<SimMemory>>) -> MemoStats {
+    dev.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+        .memo_stats()
 }
 
 fn bootstrap_with(
@@ -1166,9 +1181,10 @@ fn bootstrap_with(
     mat_slots: Option<usize>,
 ) -> BootstrapReport {
     let params = bp.he_params(log_n, 50);
-    let (dev, ctx, boot, low) = warm_bootstrapper(bp, log_n, mat_slots);
+    let (dev, ctx, boot, low, warmup_memo) = warm_bootstrapper(bp, log_n, mat_slots);
 
     let initial = ctx.transfer_stats();
+    let memo_from = memo_stats(&dev);
     let trace_from = dev
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -1178,6 +1194,7 @@ fn bootstrap_with(
     let _ = boot.bootstrap(&low);
     drain_device(&dev);
     let steady = ctx.transfer_stats().since(&initial);
+    let steady_memo = memo_stats(&dev).since(&memo_from);
 
     let mut rows = [OpMixRow::default(); 3];
     {
@@ -1200,6 +1217,8 @@ fn bootstrap_with(
         ntt,
         key_switch,
         pointwise,
+        warmup_memo,
+        steady_memo,
     }
 }
 

@@ -669,12 +669,7 @@ impl DeviceMemory for HostArena {
 /// (`acc[i] *= rhs[i]` per row under `primes`, as a [`LimbBatch`]'s rows
 /// are, plan strategies for the products). Every backend's device kernels
 /// must match these bit for bit.
-pub(crate) fn host_pointwise_rows(
-    plan: &RingPlan,
-    primes: Range<usize>,
-    acc: &mut [u64],
-    rhs: &[u64],
-) {
+pub fn host_pointwise_rows(plan: &RingPlan, primes: Range<usize>, acc: &mut [u64], rhs: &[u64]) {
     let n = plan.degree();
     for (r, (row, rhs_row)) in acc.chunks_exact_mut(n).zip(rhs.chunks_exact(n)).enumerate() {
         // One strategy match per row keeps the element loops branch-free.
@@ -695,13 +690,7 @@ pub(crate) fn host_pointwise_rows(
 
 /// `acc[i] += x[i] * y[i]` per row under `primes` (the key-switch
 /// accumulate step).
-pub(crate) fn host_fma_rows(
-    plan: &RingPlan,
-    primes: Range<usize>,
-    acc: &mut [u64],
-    x: &[u64],
-    y: &[u64],
-) {
+pub fn host_fma_rows(plan: &RingPlan, primes: Range<usize>, acc: &mut [u64], x: &[u64], y: &[u64]) {
     let n = plan.degree();
     for (r, ((arow, xrow), yrow)) in acc
         .chunks_exact_mut(n)
@@ -722,7 +711,7 @@ pub(crate) fn host_fma_rows(
 }
 
 /// `acc[i] = acc[i] ± rhs[i]` per row under `primes`.
-pub(crate) fn host_addsub_rows(
+pub fn host_addsub_rows(
     ring: &RnsRing,
     primes: Range<usize>,
     acc: &mut [u64],
@@ -744,7 +733,7 @@ pub(crate) fn host_addsub_rows(
 }
 
 /// Row-wise negation under `primes`.
-pub(crate) fn host_negate_rows(ring: &RnsRing, primes: Range<usize>, data: &mut [u64]) {
+pub fn host_negate_rows(ring: &RnsRing, primes: Range<usize>, data: &mut [u64]) {
     let n = ring.degree();
     let moduli = ring.basis().primes();
     for (r, row) in data.chunks_exact_mut(n).enumerate() {
@@ -760,7 +749,7 @@ pub(crate) fn host_negate_rows(ring: &RnsRing, primes: Range<usize>, data: &mut 
 /// wraps past `N` (negacyclic: `X^N = −1`), with row `r` under prime
 /// `primes.start + r % primes.len()`. Out-of-place — the map is a
 /// permutation, so an in-place gather would trample unread inputs.
-pub(crate) fn host_automorphism_rows(
+pub fn host_automorphism_rows(
     plan: &RingPlan,
     primes: Range<usize>,
     g: u64,
@@ -820,19 +809,20 @@ pub fn host_lift_rows(
 
 /// The rescale's subtract-and-scale per row, the reference of a
 /// [`BackendOp::Forward`] with a [`SubScale`] store:
-/// `acc ← (acc − t)·p_dropped⁻¹` with row `r` under prime `r % level`.
+/// `acc ← (acc − t)·p_dropped⁻¹` with row `r` under prime
+/// `primes.start + r % primes.len()`.
 pub fn host_sub_scale_rows(
     plan: &RingPlan,
-    level: usize,
+    primes: Range<usize>,
     dropped: usize,
     acc: &mut [u64],
     t: &[u64],
 ) {
     let n = plan.degree();
-    let primes = plan.ring().basis().primes();
+    let moduli = plan.ring().basis().primes();
     for (r, (row, t_row)) in acc.chunks_exact_mut(n).zip(t.chunks_exact(n)).enumerate() {
-        let p = primes[r % level];
-        let inv = ntt_math::inv_mod(primes[dropped] % p, p).expect("distinct primes are coprime");
+        let p = moduli[primes.start + r % primes.len()];
+        let inv = ntt_math::inv_mod(moduli[dropped] % p, p).expect("distinct primes are coprime");
         for (x, &tv) in row.iter_mut().zip(t_row) {
             *x = ntt_math::mul_mod(sub_mod(*x, tv, p), inv, p);
         }
@@ -1510,7 +1500,7 @@ impl NttBackend for CpuBackend {
                         assert_eq!(view.primes.start, 0, "a fold's rows start at prime 0");
                         self.stage_in(1, view.buf);
                         let mut acc = std::mem::take(&mut self.stage[1]);
-                        host_sub_scale_rows(plan, view.primes.len(), dropped, &mut acc, &t);
+                        host_sub_scale_rows(plan, view.primes.clone(), dropped, &mut acc, &t);
                         std::mem::swap(&mut t, &mut acc);
                         self.stage[1] = acc;
                     }
@@ -2334,7 +2324,7 @@ impl Evaluator {
         self.dispatch(op);
         for (poly, t) in polys.iter_mut().zip(lifted.chunks_exact(last * n)) {
             poly.drop_last_level();
-            host_sub_scale_rows(&self.plan, last, last, poly.flat_mut(), t);
+            host_sub_scale_rows(&self.plan, 0..last, last, poly.flat_mut(), t);
         }
     }
 

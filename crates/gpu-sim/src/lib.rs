@@ -24,6 +24,14 @@
 //! anchor points the paper discloses (86.7% saturated DRAM utilization,
 //! 59.9% at radix-32's occupancy, spills from radix-64 up).
 //!
+//! A launch's record depends on its kernel's parameters and on where its
+//! operands sit, never on the words they hold, so a caller may simulate a
+//! launch once and reuse its record. [`Gpu::launch`] runs the kernel
+//! (a miss, for such a caller) and then charges its record to the active
+//! stream and appends it to the trace; [`Gpu::replay`] is that second
+//! step alone, for a repeat (a hit) whose outputs the caller computed
+//! some other way. The `ntt-gpu` backend memoizes its launches this way.
+//!
 //! # Example
 //!
 //! ```
@@ -49,9 +57,9 @@
 //! let mut gpu = Gpu::new(GpuConfig::titan_v());
 //! let buf = gpu.gmem.alloc_from(&[1u64, 2, 3, 4]);
 //! let cfg = LaunchConfig::new("double", 1, 4).regs_per_thread(16);
-//! let record = gpu.launch(&DoubleKernel { buf }, &cfg);
+//! let total_s = gpu.launch(&DoubleKernel { buf }, &cfg).timing.total_s;
 //! assert_eq!(gpu.gmem.slice(buf), &[2, 4, 6, 8]);
-//! assert!(record.timing.total_s > 0.0);
+//! assert!(total_s > 0.0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -160,14 +168,25 @@ impl Gpu {
     /// modeled time is scheduled against other streams' work subject to SM
     /// capacity ([`occupancy::sm_demand`]).
     ///
-    /// Returns a clone of the recorded [`LaunchRecord`].
-    pub fn launch<K: WarpKernel>(&mut self, kernel: &K, cfg: &LaunchConfig) -> LaunchRecord {
+    /// Returns the recorded [`LaunchRecord`]: the trace entry.
+    pub fn launch<K: WarpKernel>(&mut self, kernel: &K, cfg: &LaunchConfig) -> &LaunchRecord {
         let record = engine::run_kernel(&self.config, &mut self.gmem, kernel, cfg);
-        let demand = occupancy::sm_demand(&self.config, cfg);
+        self.replay(record)
+    }
+
+    /// Charge a recorded launch to the active stream and append it to the
+    /// trace, exactly as [`Gpu::launch`] does after running its kernel,
+    /// without running one: a caller that already knows a launch's record
+    /// (and computes its outputs some other way) moves the timeline and
+    /// the trace as the launch would have.
+    ///
+    /// Returns the trace entry.
+    pub fn replay(&mut self, record: LaunchRecord) -> &LaunchRecord {
+        let demand = occupancy::sm_demand(&self.config, &record.launch);
         self.streams
             .enqueue_kernel(self.active_stream, record.timing.total_s, demand);
-        self.trace.push(record.clone());
-        record
+        self.trace.push(record);
+        self.trace.last().expect("the record was just pushed")
     }
 
     /// Create a new stream (an independent command queue for the
@@ -309,7 +328,7 @@ mod tests {
         let src = gpu.gmem.alloc_from(&data);
         let dst = gpu.gmem.alloc(1024);
         let cfg = LaunchConfig::new("copy", 4, 256).regs_per_thread(16);
-        let rec = gpu.launch(&Copy { src, dst }, &cfg);
+        let rec = gpu.launch(&Copy { src, dst }, &cfg).clone();
         assert_eq!(gpu.gmem.slice(dst), &data[..]);
         // Fully coalesced: 1024 words * 8 B / 32 B per transaction, each way.
         assert_eq!(rec.stats.dram_read_transactions, 256);
@@ -339,6 +358,31 @@ mod tests {
         );
         // Data still moved correctly (functional model unchanged).
         assert_eq!(gpu.gmem.slice(dst), &data[..]);
+    }
+
+    #[test]
+    fn replaying_a_record_moves_timeline_and_trace_as_launching_it() {
+        // Two identical devices, each with a second stream that overlaps
+        // the default one: one launches the copy, the other replays the
+        // first device's record on the same stream.
+        let setup = || {
+            let mut gpu = Gpu::new(GpuConfig::titan_v());
+            let data: Vec<u64> = (0..1024).collect();
+            let (src, dst) = (gpu.gmem.alloc_from(&data), gpu.gmem.alloc(1024));
+            let cfg = LaunchConfig::new("copy", 4, 256).regs_per_thread(16);
+            gpu.launch(&Copy { src, dst }, &cfg);
+            let s = gpu.create_stream();
+            gpu.set_active_stream(s);
+            (gpu, Copy { src, dst }, cfg)
+        };
+        let (mut launched, kernel, cfg) = setup();
+        let (mut replayed, ..) = setup();
+        let record = launched.launch(&kernel, &cfg).clone();
+        assert_eq!(replayed.replay(record.clone()), &record);
+        assert_eq!(launched.timeline(), replayed.timeline());
+        assert_eq!(launched.trace, replayed.trace);
+        let s = launched.active_stream();
+        assert_eq!(launched.streams.cursor(s), replayed.streams.cursor(s));
     }
 
     #[test]

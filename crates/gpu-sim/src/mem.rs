@@ -124,6 +124,12 @@ impl Gmem {
         &self.words[buf.base..buf.base + buf.len]
     }
 
+    /// Host-side mutable view of a whole buffer (an uncharged access,
+    /// like [`Gmem::write`]).
+    pub fn slice_mut(&mut self, buf: Buf) -> &mut [u64] {
+        &mut self.words[buf.base..buf.base + buf.len]
+    }
+
     /// Host-side write into a buffer at `offset`.
     ///
     /// # Panics

@@ -192,7 +192,7 @@ const MAX_RESERVATIONS: usize = 512;
 /// and the shared PCIe bus cursor.
 ///
 /// All times are on a single virtual device clock starting at zero.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct StreamScheduler {
     sm_count: u32,
     pcie_bw: f64,

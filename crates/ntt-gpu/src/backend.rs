@@ -10,12 +10,22 @@
 //! plan tables, readiness events), the transform's split sweep, and the
 //! row-local kernels (element-wise ops, FMA, automorphism).
 //!
-//! Every trait call executes through the warp kernels on the `gpu-sim`
-//! substrate — data really moves through simulated GMEM, twiddles stream
-//! through the read-only cache path as per-stage `(value, companion)`
-//! slice-pairs, and the launch trace keeps the paper's traffic accounting.
-//! Outputs are **bit-identical** to [`ntt_core::backend::CpuBackend`]
-//! (pinned by `tests/backend_conformance.rs` and `tests/residency.rs`).
+//! Every trait call executes on the `gpu-sim` substrate — data really
+//! moves through simulated GMEM, twiddles stream through the read-only
+//! cache path as per-stage `(value, companion)` slice-pairs, and the
+//! launch trace keeps the paper's traffic accounting. Each kernel entry
+//! point (the SMEM transform job, the element-wise, FMA and automorphism
+//! launches) runs through the device's launch memo (the crate's `memo`
+//! module), keyed by the kernel's parameters and the layout of its
+//! operand rows.
+//! A **miss** runs the warp kernels and keeps their launch records; a
+//! **hit** computes the same outputs natively over the same GMEM rows with
+//! `ntt-core`'s `host_*_rows` functions and
+//! [`NttExecutor::transform_rows_under`], and replays the kept records
+//! through [`Gpu::replay`], so the trace, the stream timeline and every
+//! modeled number are those of simulating it. Outputs are
+//! **bit-identical** to [`ntt_core::backend::CpuBackend`] (pinned by
+//! `tests/backend_conformance.rs` and `tests/residency.rs`).
 //!
 //! Three layers of device state:
 //!
@@ -118,14 +128,21 @@
 //! ```
 
 use crate::batch::upload_table;
+use crate::memo::{element_adjacency, Entry, KeyBuilder, LaunchMemo, MemoStats};
 use crate::ot::DeviceOt;
 use crate::rows::{LoadRows, RowTable};
 use crate::sharded::{ShardedMemory, SimDevices, Single};
 use crate::smem::{self, Direction, Folds, SmemConfig, SmemJob};
-use gpu_sim::{Buf, Event, Gpu, GpuConfig, LaunchConfig, OpClass, Stream, WarpCtx, WarpKernel};
-use ntt_core::backend::{BackendError, DeviceBuf, DeviceMemory, RingPlan, TransferStats};
+use gpu_sim::{
+    Buf, Event, Gmem, Gpu, GpuConfig, LaunchConfig, OpClass, Stream, WarpCtx, WarpKernel,
+};
+use ntt_core::backend::{
+    host_addsub_rows, host_automorphism_rows, host_fma_rows, host_negate_rows, host_pointwise_rows,
+    host_sub_scale_rows, BackendError, DeviceBuf, DeviceMemory, RingPlan, TransferStats,
+};
 #[cfg(doc)]
 use ntt_core::backend::{BackendOp, NttBackend};
+use ntt_core::{NttExecutor, ThreadPolicy};
 use ntt_math::modops::{add_mod, mul_mod, neg_mod, sub_mod};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -184,6 +201,9 @@ pub struct SimMemory {
     /// Fence for the one-time plan-table upload (every kernel reads the
     /// tables, so every op waits on it).
     tables_ready: Event,
+    /// The records of the launches this device simulated, by launch key
+    /// (see [`crate::memo`]).
+    memo: LaunchMemo,
 }
 
 impl SimMemory {
@@ -201,7 +221,15 @@ impl SimMemory {
             buf_ready: HashMap::new(),
             spare: Vec::new(),
             tables_ready: Event::DONE,
+            memo: LaunchMemo::default(),
         }
+    }
+
+    /// The launch memo's counters: launches computed natively and
+    /// replayed, launches simulated, and keys held (at most
+    /// [`crate::MEMO_CAP`]).
+    pub fn memo_stats(&self) -> MemoStats {
+        self.memo.stats()
     }
 
     /// Translate an opaque handle view into a GMEM buffer view.
@@ -710,25 +738,25 @@ fn ensure_ot(m: &mut SimMemory, plan: &RingPlan, base: usize, direction: Directi
 
 /// Launch a forward NTT over `rows` at `split` ([`best_split`]): two SMEM
 /// kernels, or one over whole rows. With a `load`, the first kernel reads
-/// each row from the load's source; with a `sub_scale` (per-prime factors
-/// of `rows::sub_scale_factors`), the last kernel's store folds the
-/// transform into the rows' own words as `(x − t)·p_d⁻¹`.
+/// each row from the load's source; with a `dropped` prime `d`, the last
+/// kernel's store folds the transform into the rows' own words as
+/// `(x − t)·p_d⁻¹` (a rescale's subtract-and-scale).
 pub(crate) fn run_forward(
     m: &mut SimMemory,
     plan: &RingPlan,
     rows: &RowTable,
     split: SmemConfig,
     load: Option<&LoadRows>,
-    sub_scale: Option<&[(u64, u64)]>,
+    dropped: Option<usize>,
 ) {
     // A split's folded store reads the rows' words in its second kernel,
     // so its first kernel stores into scratch instead of over them.
     let n = plan.degree();
-    let scratch = (sub_scale.is_some() && split.n1 < n).then(|| m.acquire_scratch(rows.len() * n));
+    let scratch = (dropped.is_some() && split.n1 < n).then(|| m.acquire_scratch(rows.len() * n));
     let mid = scratch.map(|buf| RowTable::contiguous(buf, n, rows.primes()));
     let folds = Folds {
         load,
-        sub_scale,
+        dropped,
         mid: mid.as_ref(),
     };
     run_smem(m, plan, rows, split, Direction::Forward, folds);
@@ -745,7 +773,7 @@ pub(crate) fn run_inverse(m: &mut SimMemory, plan: &RingPlan, rows: &RowTable, s
 }
 
 /// Launch the SMEM kernels of `cfg` in `direction` over the plan's table
-/// of that direction, with a forward's `folds`.
+/// of that direction, with a forward's `folds`, through the launch memo.
 fn run_smem(
     m: &mut SimMemory,
     plan: &RingPlan,
@@ -755,23 +783,96 @@ fn run_smem(
     folds: Folds<'_>,
 ) {
     let ot = (cfg.ot_stages > 0).then(|| ensure_ot(m, plan, cfg.ot_base, direction));
-    let SimMemory { gpu, tables, .. } = m;
+    let SimMemory {
+        gpu, tables, memo, ..
+    } = m;
     let t = tables.as_ref().expect("tables uploaded");
     let tw = match direction {
         Direction::Forward => (t.tw, t.twc),
         Direction::Inverse => (t.itw, t.itwc),
     };
+    // Whole rows pack several rows into each warp; a split's warps stay
+    // in one row.
+    let key = KeyBuilder::new(Entry::Smem, cfg.n1 == t.n)
+        .scalar(direction as u64)
+        .scalars(&[
+            cfg.n1 as u64,
+            cfg.per_thread as u64,
+            u64::from(cfg.coalesced),
+            u64::from(cfg.preload),
+            u64::from(cfg.ot_stages),
+            cfg.ot_base as u64,
+            cfg.modmul as u64,
+        ])
+        .scalars(&t.primes)
+        .rows(rows)
+        .span(tw.0)
+        .span(tw.1);
+    let key = match &ot {
+        Some(o) => [o.lo_w, o.lo_c, o.hi_w, o.hi_c].into_iter().fold(
+            key.scalars(&[o.base as u64, o.lo_len as u64, o.hi_len as u64]),
+            KeyBuilder::span,
+        ),
+        None => key.scalar(0),
+    };
+    let key = match folds.load {
+        Some(load) => load.key(key.scalar(1)),
+        None => key.scalar(0),
+    }
+    .scalar(folds.dropped.map_or(0, |d| d as u64 + 1))
+    .opt_rows(folds.mid);
     let job = SmemJob {
         folds,
         ..SmemJob::new(rows, t.n, tw, &t.primes)
     };
-    smem::launch_job(gpu, &job, &cfg, ot.as_ref(), direction);
+    memo.run(
+        gpu,
+        key,
+        rows,
+        |gpu| {
+            smem::launch_job(gpu, &job, &cfg, ot.as_ref(), direction);
+        },
+        |gmem| transform_natively(gmem, plan, &job, direction),
+    );
+}
+
+/// A memo hit's SMEM job on the CPU engine: each row loaded (through
+/// the job's load), transformed under its prime
+/// ([`NttExecutor::transform_rows_under`]) and stored (through the
+/// rescale's fold, [`host_sub_scale_rows`]), in place over GMEM.
+fn transform_natively(gmem: &mut Gmem, plan: &RingPlan, job: &SmemJob<'_>, direction: Direction) {
+    let mut exec = NttExecutor::new(ThreadPolicy::Single);
+    let rows = job.rows;
+    for r in 0..rows.len() {
+        let p = rows.prime(r);
+        let mut row = match job.folds.load {
+            Some(load) => load.host_row(plan, r, gmem.slice(load.src.row(r)), p),
+            None => gmem.slice(rows.row(r)).to_vec(),
+        };
+        let forward = direction == Direction::Forward;
+        exec.transform_rows_under(plan.ring(), p..p + 1, &mut row, forward);
+        let out = gmem.slice_mut(rows.row(r));
+        match job.folds.dropped {
+            Some(d) => host_sub_scale_rows(plan, p..p + 1, d, out, &row),
+            None => out.copy_from_slice(&row),
+        }
+    }
 }
 
 /// Launch one element-wise kernel over the rows of `a`, each paired
-/// with its row of `b`.
-pub(crate) fn launch_elemwise(m: &mut SimMemory, op: ElemOp, a: &RowTable, b: Option<&RowTable>) {
-    let t = m.tables.as_ref().expect("tables uploaded");
+/// with its row of `b`, through the launch memo: a hit runs the CPU row
+/// function of `op` on each row under its prime.
+pub(crate) fn launch_elemwise(
+    m: &mut SimMemory,
+    plan: &RingPlan,
+    op: ElemOp,
+    a: &RowTable,
+    b: Option<&RowTable>,
+) {
+    let SimMemory {
+        gpu, tables, memo, ..
+    } = m;
+    let t = tables.as_ref().expect("tables uploaded");
     let kernel = ElemwiseKernel {
         op,
         a,
@@ -779,28 +880,90 @@ pub(crate) fn launch_elemwise(m: &mut SimMemory, op: ElemOp, a: &RowTable, b: Op
         n: t.n,
         moduli: &t.primes,
     };
-    launch_rows(&mut m.gpu, op.label(), a.len() * t.n, &kernel);
+    let key = KeyBuilder::new(Entry::Elemwise, element_adjacency(t.n))
+        .scalar(op as u64)
+        .scalar(t.n as u64)
+        .scalars(&t.primes)
+        .rows(a)
+        .opt_rows(b);
+    memo.run(
+        gpu,
+        key,
+        a,
+        |gpu| launch_rows(gpu, op.label(), a.len() * t.n, &kernel),
+        |gmem| {
+            let ring = plan.ring();
+            for r in 0..a.len() {
+                let (p, rhs) = (a.prime(r), b.map(|b| gmem.slice(b.row(r)).to_vec()));
+                let row = gmem.slice_mut(a.row(r));
+                match (op, rhs.as_deref()) {
+                    (ElemOp::Mul, Some(y)) => host_pointwise_rows(plan, p..p + 1, row, y),
+                    (ElemOp::Add, Some(y)) => host_addsub_rows(ring, p..p + 1, row, y, false),
+                    (ElemOp::Sub, Some(y)) => host_addsub_rows(ring, p..p + 1, row, y, true),
+                    (ElemOp::Neg, None) => host_negate_rows(ring, p..p + 1, row),
+                    _ => unreachable!("a binary op reads a right-hand side, a negation none"),
+                }
+            }
+        },
+    );
 }
 
 /// Launch one multi-term FMA kernel over the rows of `acc`, `terms`
-/// holding each term's `[x_k, y_k]` pair back to back.
-pub(crate) fn launch_fma(m: &mut SimMemory, acc: &RowTable, terms: &[RowTable]) {
-    let t = m.tables.as_ref().expect("tables uploaded");
+/// holding each term's `[x_k, y_k]` pair back to back, through the launch
+/// memo: a hit accumulates each row's terms with the CPU row function.
+pub(crate) fn launch_fma(m: &mut SimMemory, plan: &RingPlan, acc: &RowTable, terms: &[RowTable]) {
+    let SimMemory {
+        gpu, tables, memo, ..
+    } = m;
+    let t = tables.as_ref().expect("tables uploaded");
     let kernel = FmaKernel {
         acc,
         terms,
         n: t.n,
         moduli: &t.primes,
     };
-    launch_rows(&mut m.gpu, "sim-fma", acc.len() * t.n, &kernel);
+    let key = KeyBuilder::new(Entry::Fma, element_adjacency(t.n))
+        .scalar(t.n as u64)
+        .scalars(&t.primes)
+        .rows(acc)
+        .scalar(terms.len() as u64);
+    let key = terms.iter().fold(key, KeyBuilder::rows);
+    memo.run(
+        gpu,
+        key,
+        acc,
+        |gpu| launch_rows(gpu, "sim-fma", acc.len() * t.n, &kernel),
+        |gmem| {
+            // Every factor is read before the row is written, as each
+            // warp of the kernel loads all its terms before its store.
+            for r in 0..acc.len() {
+                let (p, mut sum) = (acc.prime(r), gmem.slice(acc.row(r)).to_vec());
+                for pair in terms.chunks_exact(2) {
+                    let (x, y) = (gmem.slice(pair[0].row(r)), gmem.slice(pair[1].row(r)));
+                    host_fma_rows(plan, p..p + 1, &mut sum, x, y);
+                }
+                gmem.slice_mut(acc.row(r)).copy_from_slice(&sum);
+            }
+        },
+    );
 }
 
 /// Launch the Galois automorphism kernel from `src` into the rows of
-/// `dst` (`X → X^g`, `g` already reduced mod `2N`). The permutation is
-/// row-local — each row of `dst` depends only on its row of `src` —
-/// which is what lets the sharded backend run it shard-parallel.
-pub(crate) fn launch_automorphism(m: &mut SimMemory, src: &RowTable, dst: &RowTable, g: u64) {
-    let t = m.tables.as_ref().expect("tables uploaded");
+/// `dst` (`X → X^g`, `g` already reduced mod `2N`), through the launch
+/// memo. The permutation is row-local — each row of `dst` depends only on
+/// its row of `src` — which is what lets the sharded backend run it
+/// shard-parallel, and a hit permute row by row on the CPU.
+pub(crate) fn launch_automorphism(
+    m: &mut SimMemory,
+    plan: &RingPlan,
+    src: &RowTable,
+    dst: &RowTable,
+    g: u64,
+) {
+    let SimMemory {
+        gpu, tables, memo, ..
+    } = m;
+    let t = tables.as_ref().expect("tables uploaded");
     let kernel = AutomorphismKernel {
         src,
         dst,
@@ -808,7 +971,24 @@ pub(crate) fn launch_automorphism(m: &mut SimMemory, src: &RowTable, dst: &RowTa
         g,
         moduli: &t.primes,
     };
-    launch_rows(&mut m.gpu, "sim-automorphism", dst.len() * t.n, &kernel);
+    let key = KeyBuilder::new(Entry::Automorphism, element_adjacency(t.n))
+        .scalar(t.n as u64)
+        .scalar(g)
+        .scalars(&t.primes)
+        .rows(src)
+        .rows(dst);
+    memo.run(
+        gpu,
+        key,
+        dst,
+        |gpu| launch_rows(gpu, "sim-automorphism", dst.len() * t.n, &kernel),
+        |gmem| {
+            for r in 0..dst.len() {
+                let (p, row) = (dst.prime(r), gmem.slice(src.row(r)).to_vec());
+                host_automorphism_rows(plan, p..p + 1, g, &row, gmem.slice_mut(dst.row(r)));
+            }
+        },
+    );
 }
 
 /// Launch a one-thread-per-element kernel over `threads` elements.

@@ -61,6 +61,7 @@ pub mod dft;
 pub mod fpga_baseline;
 pub mod hier;
 pub mod high_radix;
+mod memo;
 pub mod ot;
 pub mod radix2;
 pub mod report;
@@ -70,5 +71,6 @@ pub mod smem;
 
 pub use backend::SimBackend;
 pub use batch::DeviceBatch;
+pub use memo::{MemoStats, MEMO_CAP};
 pub use report::RunReport;
 pub use sharded::{LinkStats, ShardedBackend, ShardedMemory};

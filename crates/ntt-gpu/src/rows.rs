@@ -12,7 +12,9 @@
 //! traffic, and a contiguous table issues exactly the addresses the old
 //! `data.word(row · N + i)` did.
 
+use crate::memo::KeyBuilder;
 use gpu_sim::Buf;
+use ntt_core::backend::{host_lift_rows, RingPlan};
 use ntt_math::modops::neg_mod;
 
 /// The rows one launch works on: each row's GMEM view and RNS prime.
@@ -57,6 +59,11 @@ impl RowTable {
     /// RNS prime index of row `r`.
     pub(crate) fn prime(&self, r: usize) -> usize {
         self.primes[r]
+    }
+
+    /// The GMEM view of row `r`.
+    pub(crate) fn row(&self, r: usize) -> Buf {
+        self.rows[r]
     }
 
     /// GMEM word of point `i` of row `r`.
@@ -121,6 +128,41 @@ pub(crate) enum LoadMap {
 }
 
 impl LoadRows {
+    /// This load's part of a launch key: its source rows and its map.
+    pub(crate) fn key(&self, key: KeyBuilder) -> KeyBuilder {
+        let key = key.rows(&self.src);
+        match &self.map {
+            LoadMap::Digits { shift, mask } => {
+                let shift: Vec<u64> = shift.iter().map(|&s| u64::from(s)).collect();
+                key.scalar(0).scalar(*mask).scalars(&shift)
+            }
+            LoadMap::Lift { centered } => key.scalar(1).scalar(u64::from(*centered)),
+        }
+    }
+
+    /// Transformed row `r`, under prime `prime`, as this load delivers it
+    /// from `src`, its source row, by the CPU reference: its gadget digit
+    /// of each word, or the row lifted by [`host_lift_rows`].
+    pub(crate) fn host_row(
+        &self,
+        plan: &RingPlan,
+        r: usize,
+        src: &[u64],
+        prime: usize,
+    ) -> Vec<u64> {
+        match &self.map {
+            LoadMap::Digits { shift, mask } => {
+                src.iter().map(|&v| (v >> shift[r]) & mask).collect()
+            }
+            LoadMap::Lift { centered } => {
+                let mut row = vec![0; src.len()];
+                let from = (src, self.src.prime(r));
+                host_lift_rows(plan, from, *centered, &mut row, prime..prime + 1);
+                row
+            }
+        }
+    }
+
     /// Word `v` of row `r`'s source as transformed row `r` under
     /// `moduli[prime]` sees it.
     pub(crate) fn map(&self, r: usize, v: u64, moduli: &[u64], prime: usize) -> u64 {

@@ -104,7 +104,7 @@ use crate::backend::{
     best_split, classify, ensure_tables, launch_automorphism, launch_elemwise, launch_fma,
     lock_mem, run_forward, run_inverse, ElemOp, SimMemory,
 };
-use crate::rows::{sub_scale_factors, LoadMap, LoadRows, RowTable};
+use crate::rows::{LoadMap, LoadRows, RowTable};
 use crate::smem::SmemConfig;
 use gpu_sim::{Buf, DeviceTimeline, Event, FaultOp, GpuConfig, Stream};
 use ntt_core::backend::{
@@ -919,9 +919,7 @@ impl Held<'_> {
                     "a sub-scale store folds a plain lift"
                 );
                 let split = self.split(splits, n);
-                let sub_scale = fold.map(|SubScale { dropped }| {
-                    sub_scale_factors(plan.ring().basis().primes(), dropped)
-                });
+                let dropped = fold.map(|SubScale { dropped }| dropped);
                 // A load reads rows other than the one it writes: every
                 // row of its view's source is gathered (the key switch's
                 // digits read every residue row, a lift its one row), so
@@ -934,7 +932,7 @@ impl Held<'_> {
                         src: l.src[0].clone(),
                         map: load_map(load, level, &l.index),
                     });
-                    run_forward(sh, plan, &l.dst, split, load.as_ref(), sub_scale.as_deref())
+                    run_forward(sh, plan, &l.dst, split, load.as_ref(), dropped)
                 });
             }
             BackendOp::Inverse { .. } => {
@@ -946,7 +944,7 @@ impl Held<'_> {
             BackendOp::Pointwise { rhs, .. } => {
                 let rhs = shaped(rhs, &written);
                 self.each_shard(plan, &written, &[(&rhs, RowMap::Same)], |sh, l| {
-                    launch_elemwise(sh, ElemOp::Mul, &l.dst, Some(&l.src[0]))
+                    launch_elemwise(sh, plan, ElemOp::Mul, &l.dst, Some(&l.src[0]))
                 });
             }
             BackendOp::Fma { acc, x, y } => {
@@ -982,19 +980,19 @@ impl Held<'_> {
                     .collect();
                 let reads: Vec<Read<'_>> = factors.iter().map(|f| (&f[..], RowMap::Same)).collect();
                 self.each_shard(plan, &written, &reads, |sh, l| {
-                    launch_fma(sh, &l.dst, &l.src)
+                    launch_fma(sh, plan, &l.dst, &l.src)
                 });
             }
             BackendOp::AddSub { rhs, subtract, .. } => {
                 let op = if subtract { ElemOp::Sub } else { ElemOp::Add };
                 let rhs = shaped(rhs, &written);
                 self.each_shard(plan, &written, &[(&rhs, RowMap::Same)], |sh, l| {
-                    launch_elemwise(sh, op, &l.dst, Some(&l.src[0]))
+                    launch_elemwise(sh, plan, op, &l.dst, Some(&l.src[0]))
                 });
             }
             BackendOp::Negate { .. } => {
                 self.each_shard(plan, &written, &[], |sh, l| {
-                    launch_elemwise(sh, ElemOp::Neg, &l.dst, None)
+                    launch_elemwise(sh, plan, ElemOp::Neg, &l.dst, None)
                 });
             }
             BackendOp::Automorphism { src, g, .. } => {
@@ -1004,7 +1002,7 @@ impl Held<'_> {
                 // exactly its own src row — aligned allocations stay
                 // link-free.
                 self.each_shard(plan, &written, &[(src, RowMap::Same)], |sh, l| {
-                    launch_automorphism(sh, &l.src[0], &l.dst, g)
+                    launch_automorphism(sh, plan, &l.src[0], &l.dst, g)
                 });
             }
         }

@@ -46,7 +46,7 @@ use crate::batch::DeviceBatch;
 use crate::ot::DeviceOt;
 use crate::radix2::ModMul;
 use crate::report::RunReport;
-use crate::rows::{LoadRows, RowTable};
+use crate::rows::{sub_scale_factors, LoadRows, RowTable};
 use gpu_sim::{Buf, Gpu, LaunchConfig, OpClass, WarpCtx, WarpKernel};
 use ntt_core::bitrev::bit_reverse;
 use ntt_math::modops::{add_mod, inv_mod, mul_mod, sub_mod};
@@ -902,10 +902,10 @@ pub(crate) struct Folds<'a> {
     /// A producer folded into the first load: row `r` reads its row of
     /// the fold's source instead of its own.
     pub load: Option<&'a LoadRows>,
-    /// A rescale's subtract-and-scale folded into the last store, per
-    /// prime (`rows::sub_scale_factors`): each row becomes
-    /// `(x − t)·p_d⁻¹` over its own words `x`.
-    pub sub_scale: Option<&'a [(u64, u64)]>,
+    /// The dropped prime `d` of a rescale's subtract-and-scale folded
+    /// into the last store: each row becomes `(x − t)·p_d⁻¹` over its own
+    /// words `x`.
+    pub dropped: Option<usize>,
     /// Where a two-kernel split's first kernel stores, one row per row of
     /// the job's, when a folded store needs the job's rows intact until
     /// the second kernel reads them; `None` stores in place.
@@ -968,7 +968,7 @@ struct KernelPart<'a> {
     data: &'a RowTable,
     out: &'a RowTable,
     load: Option<&'a LoadRows>,
-    sub_scale: Option<&'a [(u64, u64)]>,
+    dropped: Option<usize>,
 }
 
 fn make_kernel(
@@ -1029,7 +1029,7 @@ fn make_kernel(
         load: part.load.cloned(),
         staged_in: strided_level && direction == Direction::Inverse,
         staged_out: (strided_level && direction == Direction::Forward)
-            || (part.sub_scale.is_some() && !whole),
+            || (part.dropped.is_some() && !whole),
         tw: job.tw,
         twc: job.twc,
         n,
@@ -1046,7 +1046,7 @@ fn make_kernel(
         ot,
         direction,
         n_inv,
-        sub_scale: part.sub_scale.map(<[_]>::to_vec),
+        sub_scale: part.dropped.map(|d| sub_scale_factors(job.moduli, d)),
     };
     let launch = LaunchConfig::new(name, blocks, threads)
         .regs_per_thread(regs_per_thread(t))
@@ -1180,7 +1180,7 @@ pub(crate) fn launch_job(
     );
     assert!(
         !(direction == Direction::Inverse
-            && (job.folds.load.is_some() || job.folds.sub_scale.is_some())),
+            && (job.folds.load.is_some() || job.folds.dropped.is_some())),
         "folds ride the forward only"
     );
     let ot_pair = if cfg.ot_stages > 0 {
@@ -1201,7 +1201,7 @@ pub(crate) fn launch_job(
         Direction::Inverse => &[Orientation::Contiguous, Orientation::Strided],
     };
     let folds = &job.folds;
-    if order.len() > 1 && folds.sub_scale.is_some() {
+    if order.len() > 1 && folds.dropped.is_some() {
         assert!(folds.mid.is_some(), "a split's folded store needs mid rows");
     }
     let mid = folds.mid.unwrap_or(job.rows);
@@ -1212,7 +1212,7 @@ pub(crate) fn launch_job(
             data: if first { job.rows } else { mid },
             out: if last { job.rows } else { mid },
             load: folds.load.filter(|_| first),
-            sub_scale: folds.sub_scale.filter(|_| last),
+            dropped: folds.dropped.filter(|_| last),
         };
         let ot = ot_pair.filter(|_| orientation == Orientation::Contiguous);
         let (kernel, launch) = make_kernel(job, cfg, part, direction, ot);

@@ -77,8 +77,14 @@ rm -f "$NOW"
 # The figure harness is the shape smoke, run once per CI run here; the
 # criterion benches are the timing smoke. Keep both on the same build.
 cargo build --release --quiet
+# Wall time of the two steps, printed with no gate: the simulator's host
+# cost against ROADMAP item 1's 60 s target for `figures --quick`.
+start=$SECONDS
 cargo run --release --quiet --bin figures -- --quick
+echo "bench_smoke: figures --quick took $((SECONDS - start)) s"
+start=$SECONDS
 CRITERION_JSON="$NOW" cargo bench -p ntt-bench --bench cpu_ntt --bench he_ops --bench modmul
+echo "bench_smoke: benches took $((SECONDS - start)) s"
 
 cargo run --release --quiet -p ntt-bench --bin bench_guard -- "$NOW" \
         --gate "rns_multiply_n8192_np8/fused_1thread<=0.6*rns_multiply_n8192_np8/strict_legacy" \

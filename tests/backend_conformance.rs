@@ -666,7 +666,7 @@ fn folded_forward_loads_match_the_host_reference() {
         host_lift_rows(&plan, dropped, false, &mut lifted, 0..level);
         forward(&mut lifted, level);
         let mut want_rescaled = poly[..level * n].to_vec();
-        host_sub_scale_rows(&plan, level, level, &mut want_rescaled, &lifted);
+        host_sub_scale_rows(&plan, 0..level, level, &mut want_rescaled, &lifted);
         let mut want_raised = vec![0u64; (level + 1) * n];
         host_lift_rows(&plan, (&low, 0), true, &mut want_raised, 0..level + 1);
         forward(&mut want_raised, level + 1);

@@ -1,6 +1,6 @@
 //! The bootstrapping pipeline across execution substrates.
 //!
-//! Six families of checks:
+//! Seven families of checks:
 //!
 //! * **Cross-substrate bit-exactness** — rotations (automorphism + key
 //!   switch) and the *entire* `bootstrap()` chain produce bit-identical
@@ -26,6 +26,8 @@
 //!   a rotation, a relinearizing multiply and the element-wise ciphertext
 //!   ops issue a pinned number of launches on every shard and give Cpu's
 //!   bits.
+//! * **The launch memo** — each device simulates a pinned number of the
+//!   warm-up bootstrap's launches and none of a steady bootstrap's.
 //!
 //! CI runs this file under `NTT_WARP_THREADS=1,2,4`: the thread policy
 //! must not leak into results.
@@ -33,12 +35,13 @@
 use ntt_warp::boot::{BootParams, Bootstrapper};
 use ntt_warp::core::backend::NttBackend;
 use ntt_warp::core::{CpuBackend, TransferStats};
-use ntt_warp::gpu::{ShardedBackend, SimBackend};
+use ntt_warp::gpu::backend::SimMemory;
+use ntt_warp::gpu::{MemoStats, ShardedBackend, SimBackend, MEMO_CAP};
 use ntt_warp::he::{
     sampling, Ciphertext, HeContext, HeLiteParams, KeySet, Plaintext, PublicKey, RotationKeys,
 };
 use proptest::prelude::*;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 fn rot_params() -> HeLiteParams {
     HeLiteParams {
@@ -581,6 +584,76 @@ proptest! {
             prop_assert!(
                 (got[i] - want[i]).abs() < 1e-2,
                 "g={g} coeff {i}: {} vs {}", got[i], want[i]
+            );
+        }
+    }
+}
+
+/// The launch memo over shallow bootstraps on Sim and on Sharded K = 2,
+/// counts summed over the shards: a fresh backend holds no key, the
+/// warm-up bootstrap simulates each distinct launch once and replays the
+/// rest, a steady bootstrap replays the launches it repeats, and no
+/// device holds more than `MEMO_CAP` keys. The free lists hand buffers
+/// back in a different order each bootstrap, so a key that holds which
+/// sectors touch misses where the order changed them: below N = 64 every
+/// key does (a warp reaches two rows), so a steady N = 2^4 bootstrap
+/// still simulates some launches; at N = 2^6 only the whole-row
+/// transforms' keys do.
+#[test]
+fn steady_bootstrap_replays_repeated_launches_from_the_memo() {
+    // Per ring, per backend: [warm-up hits, warm-up misses, steady hits,
+    // steady misses].
+    let pinned: [(u32, [[u64; 4]; 2]); 2] = [
+        (4, [[109, 90, 163, 29], [187, 186, 258, 101]]),
+        (6, [[244, 78, 313, 2], [474, 145, 589, 16]]),
+    ];
+    for (log_n, want) in pinned {
+        let bp = BootParams::shallow();
+        let params = bp.he_params(log_n, 50);
+        let sim = SimBackend::titan_v();
+        let sim_devices = vec![sim.memory_handle()];
+        let sharded = ShardedBackend::titan_v(2, params.n());
+        let sharded_devices: Vec<Arc<Mutex<SimMemory>>> = {
+            let mem = sharded.memory_handle();
+            let mem = mem.lock().unwrap();
+            (0..mem.shard_count()).map(|s| mem.shard(s)).collect()
+        };
+        let subjects: [(Box<dyn NttBackend>, _); 2] = [
+            (Box::new(sim), sim_devices),
+            (Box::new(sharded), sharded_devices),
+        ];
+        for ((backend, devices), want) in subjects.into_iter().zip(want) {
+            let name = format!("{} at N = 2^{log_n}", backend.name());
+            let memo = || {
+                devices.iter().fold(MemoStats::default(), |sum, d| {
+                    let s = d.lock().unwrap().memo_stats();
+                    assert!(s.entries <= MEMO_CAP, "{name}: {} keys", s.entries);
+                    MemoStats {
+                        hits: sum.hits + s.hits,
+                        misses: sum.misses + s.misses,
+                        entries: sum.entries + s.entries,
+                    }
+                })
+            };
+            assert_eq!(memo(), MemoStats::default(), "{name}: a fresh backend");
+            let ctx = Arc::new(HeContext::with_backend(params, backend).expect("context builds"));
+            let mut rng = sampling::seeded_rng(61);
+            let keys = ctx.keygen(&mut rng);
+            let boot = Bootstrapper::new(Arc::clone(&ctx), &keys, bp, &mut rng);
+            let pt = ctx.encode_with_scale(&[0.5, -0.25, 0.125], boot.input_scale());
+            let ct = ctx.encrypt(&pt, &keys.public, &mut sampling::seeded_rng(62));
+            let low = ctx.drop_to_level(&ct, 1);
+            let setup = memo();
+            let warm = bits(boot.bootstrap(&low));
+            let warmed = memo();
+            let steady = bits(boot.bootstrap(&low));
+            let end = memo();
+            assert_eq!(warm, steady, "{name}");
+            let (w, st) = (warmed.since(&setup), end.since(&warmed));
+            assert_eq!(
+                [w.hits, w.misses, st.hits, st.misses],
+                want,
+                "{name}: [warm-up hits, warm-up misses, steady hits, steady misses]"
             );
         }
     }
