@@ -196,7 +196,7 @@ fn run_rows(threads: usize, n: usize, data: &mut [u64], work: impl Fn(usize, &mu
 /// canonical result — the product mod p is exact — so the choice is purely
 /// a performance knob.
 fn fused_limb(
-    ring: &NegacyclicRing,
+    table: &NttTable,
     strategy: Option<&PointwiseStrategy>,
     a: &[u64],
     b: &[u64],
@@ -204,29 +204,10 @@ fn fused_limb(
     wb: &mut [u64],
     out: &mut [u64],
 ) {
-    let table = ring.table();
     let p = table.modulus();
     wa.copy_from_slice(a);
     wb.copy_from_slice(b);
-    if let Some(h) = ring.hier() {
-        // Bootstrapping-scale limb: the 4-step plan keeps every sub-pass
-        // cache-resident. Operands stay canonical end to end (the plan is
-        // canonical-in/canonical-out), so the pointwise product runs strict.
-        h.forward(wa);
-        h.forward(wb);
-        match strategy {
-            Some(PointwiseStrategy::Montgomery(m)) => {
-                for (o, (&x, &y)) in out.iter_mut().zip(wa.iter().zip(wb.iter())) {
-                    *o = m.mul_plain(x, y);
-                }
-            }
-            _ => {
-                out.copy_from_slice(wa);
-                ct::pointwise_assign(out, wb, p);
-            }
-        }
-        h.inverse(out);
-    } else if p < MAX_LAZY_MODULUS {
+    if p < MAX_LAZY_MODULUS {
         ct::ntt_lazy(wa, table); // < 4p
         ct::ntt_lazy(wb, table); // < 4p
         match strategy {
@@ -271,24 +252,6 @@ fn inverse_row(table: &NttTable, row: &mut [u64]) {
         ct::intt_lazy(row, table); // already fully reduced
     } else {
         ct::intt(row, table);
-    }
-}
-
-/// Forward-transform one row under a ring: bootstrapping-scale rings go
-/// through the hierarchical 4-step plan, the rest through the flat lazy
-/// kernel. Bit-identical either way (canonical in/out).
-fn forward_ring_row(ring: &NegacyclicRing, row: &mut [u64]) {
-    match ring.hier() {
-        Some(h) => h.forward(row),
-        None => forward_row(ring.table(), row),
-    }
-}
-
-/// Inverse counterpart of [`forward_ring_row`].
-fn inverse_ring_row(ring: &NegacyclicRing, row: &mut [u64]) {
-    match ring.hier() {
-        Some(h) => h.inverse(row),
-        None => inverse_row(ring.table(), row),
     }
 }
 
@@ -350,7 +313,7 @@ impl NttExecutor {
         assert_eq!(b.len(), n, "degree mismatch (rhs)");
         assert_eq!(out.len(), n, "degree mismatch (out)");
         let (wa, wb) = self.ws.pair(n);
-        fused_limb(ring, None, a, b, wa, wb, out);
+        fused_limb(ring.table(), None, a, b, wa, wb, out);
     }
 
     /// Fused single-prime negacyclic product (allocates only the result).
@@ -447,9 +410,9 @@ impl NttExecutor {
                 .zip(wa.chunks_exact_mut(n))
                 .zip(wb.chunks_exact_mut(n));
             for (i, ((o, sa), sb)) in limbs.enumerate() {
-                let limb_ring = ring.ring(prime_of(i));
+                let table = ring.ring(prime_of(i)).table();
                 let (ar, br) = (&a[i * n..(i + 1) * n], &b[i * n..(i + 1) * n]);
-                fused_limb(limb_ring, strat(i), ar, br, sa, sb, o);
+                fused_limb(table, strat(i), ar, br, sa, sb, o);
             }
         } else {
             // Contiguous per-thread spans over the three flat buffers —
@@ -471,9 +434,9 @@ impl NttExecutor {
                             .zip(bc.chunks_exact_mut(n));
                         for (k, ((o, sa), sb)) in limbs.enumerate() {
                             let i = c * per + k;
-                            let limb_ring = ring.ring(prime_of(i));
+                            let table = ring.ring(prime_of(i)).table();
                             let (ar, br) = (&a[i * n..(i + 1) * n], &b[i * n..(i + 1) * n]);
-                            fused_limb(limb_ring, strat(i), ar, br, sa, sb, o);
+                            fused_limb(table, strat(i), ar, br, sa, sb, o);
                         }
                     });
                 }
@@ -537,11 +500,11 @@ impl NttExecutor {
         assert_eq!(rows % level, 0, "rows must be whole polynomials");
         let threads = effective_threads(self.policy, rows, data.len());
         run_rows(threads, n, data, |i, row| {
-            let limb_ring = ring.ring(primes.start + i % level);
+            let table = ring.ring(primes.start + i % level).table();
             if forward {
-                forward_ring_row(limb_ring, row);
+                forward_row(table, row);
             } else {
-                inverse_ring_row(limb_ring, row);
+                inverse_row(table, row);
             }
         });
     }

@@ -63,7 +63,6 @@ pub mod bitrev;
 pub mod ct;
 pub mod dft;
 pub mod engine;
-pub mod hier;
 pub mod naive;
 pub mod ot;
 pub mod params;
@@ -79,7 +78,6 @@ pub use backend::{
 };
 pub use ct::{intt, ntt};
 pub use engine::{NttExecutor, ThreadPolicy};
-pub use hier::{HierConfig, HierPlan};
 pub use ot::OtTable;
 pub use params::HeParams;
 pub use poly::{NegacyclicRing, Polynomial, Residency, RingError, RnsPoly, RnsRing};

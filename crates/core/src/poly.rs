@@ -9,7 +9,6 @@ use crate::backend::{
     host_addsub_rows, host_negate_rows, lock_memory, same_memory, DeviceBuf, SharedDeviceMemory,
 };
 use crate::ct;
-use crate::hier::HierPlan;
 use crate::rns::{RnsBasis, RnsError};
 use crate::table::NttTable;
 use ntt_math::modops::{add_mod, neg_mod, sub_mod};
@@ -114,15 +113,9 @@ impl From<Polynomial> for Vec<u64> {
 }
 
 /// The ring `Z_p[X]/(X^N + 1)` with its NTT machinery.
-///
-/// Rings at or above [`crate::hier::HIER_MIN_N`] lazily build a
-/// [`HierPlan`] (hierarchical 4-step NTT) and route every forward/inverse
-/// transform through it; smaller rings keep the flat CT kernel. Both paths
-/// are bit-identical.
 #[derive(Debug, Clone)]
 pub struct NegacyclicRing {
     table: NttTable,
-    hier: std::sync::OnceLock<Option<HierPlan>>,
 }
 
 impl NegacyclicRing {
@@ -134,7 +127,6 @@ impl NegacyclicRing {
     pub fn new(n: usize, p: u64) -> Result<Self, RingError> {
         Ok(Self {
             table: NttTable::new(n, p)?,
-            hier: std::sync::OnceLock::new(),
         })
     }
 
@@ -167,31 +159,14 @@ impl NegacyclicRing {
         &self.table
     }
 
-    /// The hierarchical 4-step plan, for rings at or above
-    /// [`crate::hier::HIER_MIN_N`] (built lazily on first transform and
-    /// shared across clones' threads thereafter).
-    pub fn hier(&self) -> Option<&HierPlan> {
-        self.hier
-            .get_or_init(|| HierPlan::auto(&self.table))
-            .as_ref()
-    }
-
     /// Forward NTT in place (natural → bit-reversed evaluation order).
-    /// Large rings dispatch through the hierarchical plan; the result is
-    /// bit-identical either way.
     pub fn forward(&self, a: &mut [u64]) {
-        match self.hier() {
-            Some(h) => h.forward(a),
-            None => ct::ntt(a, &self.table),
-        }
+        ct::ntt(a, &self.table);
     }
 
     /// Inverse NTT in place (bit-reversed evaluation → natural order).
     pub fn inverse(&self, a: &mut [u64]) {
-        match self.hier() {
-            Some(h) => h.inverse(a),
-            None => ct::intt(a, &self.table),
-        }
+        ct::intt(a, &self.table);
     }
 
     /// Negacyclic product `a · b mod (X^N + 1, p)` via the fused lazy NTT

@@ -13,30 +13,29 @@
 //!   and shares it across all columns (`tw_base = 1`).
 //! * **`hier-twt`** — transpose + inter-block twist: element `(u, s)`
 //!   moves to the transposed intermediate and picks up `ψ^(e_u·s)`, where
-//!   `e_u = 2·bitrev(u) + 1 − N1 (mod 2N)`. The twist factors come from a
-//!   two-level factor table over the exponent range `[0, 2N)`
-//!   ([`DeviceTwist`], the §VII on-the-fly construction) — two Shoup
-//!   modmuls per element instead of an `N`-entry twist table.
+//!   `e_u = 2·bitrev(u) + 1 − N1 (mod 2N)`. The twist factors come from the
+//!   §VII forward OT factor tables ([`DeviceOt`]) over the exponent range
+//!   `[0, 2N)` — two Shoup modmuls per element instead of an `N`-entry
+//!   twist table.
 //! * **`hier-row`** — `N1` compact `N2`-point NTTs, reading the
 //!   intermediate strided and storing the finished rows *contiguously*
 //!   back into the original array through an SMEM-staged transposing
 //!   write-out.
 //!
-//! The result is bit-identical to `ntt_core::ct::ntt` (and to the CPU
-//! [`ntt_core::HierPlan`], which runs the same factorization).
+//! The result is bit-identical to `ntt_core::ct::ntt`.
 //!
 //! On the Titan-V model an SMEM split still fits, and models faster, at
 //! every `N` up to 2^17, so this plan is a figure and Table II harness
 //! ([`run`]); the simulated backend never routes a transform here.
 
-use crate::batch::{upload_table, DeviceBatch};
+use crate::batch::DeviceBatch;
+use crate::ot::DeviceOt;
 use crate::report::RunReport;
 use crate::rows::RowTable;
-use crate::smem::{self, HierStageJob};
+use crate::smem::{self, Direction, HierStageJob};
 use gpu_sim::{Buf, Gpu, LaunchConfig, OpClass, WarpCtx, WarpKernel};
 use ntt_core::bitrev::bit_reverse;
-use ntt_math::modops::pow_mod;
-use ntt_math::shoup::{mul_shoup, precompute};
+use ntt_math::shoup::mul_shoup;
 
 /// Threads per block for the twist kernel.
 const THREADS: usize = 256;
@@ -51,105 +50,13 @@ pub const PER_THREAD: usize = 8;
 /// Default twist-factor base (matches the paper's OT base).
 pub const TWIST_BASE: usize = 1024;
 
-/// Device-resident twist-factor tables, one pair per prime.
-///
-/// Like [`crate::ot::DeviceOt`], but over the exponent range `[0, 2N)`:
-/// the inter-block twist needs `ψ^e` for arbitrary `e mod 2N`, not just
-/// the `N` bit-reversed table entries. `ψ^e = lo[e mod B] · hi[e div B]`,
-/// two Shoup modmuls.
-#[derive(Debug, Clone, Copy)]
-pub struct DeviceTwist {
-    /// Factorization base `B`.
-    pub base: usize,
-    /// Entries in the low-digit table per prime (`min(B, 2N)`).
-    pub lo_len: usize,
-    /// Entries in the high-digit table per prime (`ceil(2N/B)`).
-    pub hi_len: usize,
-    /// `np × lo_len` low factor values.
-    pub lo_w: Buf,
-    /// `np × lo_len` low factor companions.
-    pub lo_c: Buf,
-    /// `np × hi_len` high factor values.
-    pub hi_w: Buf,
-    /// `np × hi_len` high factor companions.
-    pub hi_c: Buf,
-}
-
-impl DeviceTwist {
-    /// Build and upload the twist-factor tables for every prime in the
-    /// batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `base` is not a power of two ≥ 2.
-    pub fn upload(gpu: &mut Gpu, batch: &DeviceBatch, base: usize) -> Self {
-        let tables: Vec<&ntt_core::NttTable> = (0..batch.np()).map(|i| batch.table(i)).collect();
-        Self::upload_tables(gpu, batch.n(), &tables, base)
-    }
-
-    /// Build and upload the factor tables from explicit per-prime tables.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `base` is not a power of two ≥ 2.
-    pub fn upload_tables(
-        gpu: &mut Gpu,
-        n: usize,
-        tables: &[&ntt_core::NttTable],
-        base: usize,
-    ) -> Self {
-        assert!(base.is_power_of_two() && base >= 2, "invalid twist base");
-        let range = 2 * n;
-        let lo_len = base.min(range);
-        let hi_len = range.div_ceil(base);
-        let np = tables.len();
-        let mut lo_w = Vec::with_capacity(np * lo_len);
-        let mut lo_c = Vec::with_capacity(np * lo_len);
-        let mut hi_w = Vec::with_capacity(np * hi_len);
-        let mut hi_c = Vec::with_capacity(np * hi_len);
-        for table in tables {
-            let (p, psi) = (table.modulus(), table.psi());
-            for d in 0..lo_len as u64 {
-                let v = pow_mod(psi, d, p);
-                lo_w.push(v);
-                lo_c.push(precompute(v, p));
-            }
-            for d in 0..hi_len as u64 {
-                let v = pow_mod(psi, (d * base as u64) % (range as u64), p);
-                hi_w.push(v);
-                hi_c.push(precompute(v, p));
-            }
-        }
-        // Stream-charged uploads: every factor word crosses the modeled
-        // bus and lands in the transfer ledger (same policy as DeviceOt).
-        Self {
-            base,
-            lo_len,
-            hi_len,
-            lo_w: upload_table(gpu, &lo_w),
-            lo_c: upload_table(gpu, &lo_c),
-            hi_w: upload_table(gpu, &hi_w),
-            hi_c: upload_table(gpu, &hi_c),
-        }
-    }
-
-    /// Total factor-table bytes across the batch (values + companions).
-    pub fn table_bytes(&self, np: usize) -> usize {
-        np * (self.lo_len + self.hi_len) * 16
-    }
-
-    /// GMEM word addresses of the factor pair for `prime` and `exponent`
-    /// (`exponent < 2N`): `(lo_w, lo_c, hi_w, hi_c)`.
-    #[inline]
-    pub fn factor_addrs(&self, prime: usize, exponent: usize) -> (usize, usize, usize, usize) {
-        let (d0, d1) = (exponent % self.base, exponent / self.base);
-        (
-            self.lo_w.word(prime * self.lo_len + d0),
-            self.lo_c.word(prime * self.lo_len + d0),
-            self.hi_w.word(prime * self.hi_len + d1),
-            self.hi_c.word(prime * self.hi_len + d1),
-        )
-    }
+/// Upload the twist-factor tables of every prime in the batch: the
+/// forward OT factor tables over the exponent range `[0, 2N)`, since the
+/// inter-block twist needs `ψ^e` for every `e mod 2N`, not just the `N`
+/// bit-reversed table entries.
+fn upload_twist(gpu: &mut Gpu, batch: &DeviceBatch, base: usize) -> DeviceOt {
+    let tables: Vec<&ntt_core::NttTable> = (0..batch.np()).map(|i| batch.table(i)).collect();
+    DeviceOt::upload_tables(gpu, 2 * batch.n(), &tables, base, Direction::Forward)
 }
 
 /// Per-column twist exponents: `e_u = 2·bitrev(u, log2 N1) + 1 − N1`
@@ -168,7 +75,7 @@ pub(crate) fn twist_exponents(n: usize, n1: usize) -> Vec<u64> {
 /// (`T[row][s·N1 + u]`, coalesced stores), reads `x[row][u·N2 + s]`
 /// through the cached path (strided within a warp, dense across the
 /// grid), and multiplies by `ψ^(e_u·s)` via two Shoup modmuls against the
-/// [`DeviceTwist`] factor tables.
+/// [`DeviceOt`] factor tables.
 struct TwistKernel<'a> {
     src: &'a RowTable,
     /// The transposed intermediate, the source's rows back to back.
@@ -178,7 +85,7 @@ struct TwistKernel<'a> {
     moduli: &'a [u64],
     /// Per-column twist exponents (length `N1`).
     exps: &'a [u64],
-    twist: DeviceTwist,
+    twist: DeviceOt,
 }
 
 impl WarpKernel for TwistKernel<'_> {
@@ -298,7 +205,7 @@ pub(crate) fn launch_job(
     gpu: &mut Gpu,
     job: &HierJob<'_>,
     n1: usize,
-    twist: &DeviceTwist,
+    twist: &DeviceOt,
     per_thread: usize,
 ) -> usize {
     let n = job.n;
@@ -373,7 +280,7 @@ pub(crate) fn launch_job(
 /// Panics on invalid splits (`n1` must be a power of two with
 /// `2 ≤ n1 ≤ N/2`).
 pub fn run(gpu: &mut Gpu, batch: &DeviceBatch, n1: usize) -> RunReport {
-    let twist = DeviceTwist::upload(gpu, batch, TWIST_BASE.min(2 * batch.n()));
+    let twist = upload_twist(gpu, batch, TWIST_BASE.min(2 * batch.n()));
     run_with_twist(gpu, batch, n1, &twist)
 }
 
@@ -387,7 +294,7 @@ pub fn run_with_twist(
     gpu: &mut Gpu,
     batch: &DeviceBatch,
     n1: usize,
-    twist: &DeviceTwist,
+    twist: &DeviceOt,
 ) -> RunReport {
     let n = batch.n();
     let rows = batch.rows();
@@ -421,7 +328,7 @@ mod tests {
     fn twist_factors_reconstruct_every_power() {
         let mut gpu = Gpu::new(GpuConfig::titan_v());
         let batch = DeviceBatch::sequential(&mut gpu, 7, 2, 60).unwrap();
-        let tw = DeviceTwist::upload(&mut gpu, &batch, 32);
+        let tw = upload_twist(&mut gpu, &batch, 32);
         for prime in 0..2 {
             let table = batch.table(prime);
             let (p, psi) = (table.modulus(), table.psi());
@@ -433,7 +340,7 @@ mod tests {
                 let hc = gpu.gmem.slice(tw.hi_c)[a3 - tw.hi_c.base()];
                 let x = 0xABCDEFu64 % p;
                 let got = mul_shoup(mul_shoup(x, lw, lc, p), hw, hc, p);
-                let want = ntt_math::mul_mod(x, pow_mod(psi, e as u64, p), p);
+                let want = ntt_math::mul_mod(x, ntt_math::pow_mod(psi, e as u64, p), p);
                 assert_eq!(got, want, "prime {prime} exponent {e}");
             }
         }
@@ -471,23 +378,6 @@ mod tests {
     }
 
     #[test]
-    fn matches_cpu_hier_plan() {
-        // Same factorization as the CPU HierPlan: identical bits.
-        let (mut gpu, batch) = setup(12, 1);
-        run(&mut gpu, &batch, 64);
-        let got = batch.download(&gpu);
-        let plan = ntt_core::HierPlan::with_root(
-            batch.n(),
-            batch.table(0).modulus(),
-            batch.table(0).psi(),
-            &ntt_core::HierConfig::default().split(64, 64),
-        );
-        let mut want = batch.input()[0].clone();
-        plan.forward(&mut want);
-        assert_eq!(got[0], want);
-    }
-
-    #[test]
     fn three_dram_round_trips_for_data() {
         // 4-step trades one extra data round trip (3 total: column NTT,
         // twist+transpose, row NTT) for SMEM residency of both sub-NTTs.
@@ -513,7 +403,7 @@ mod tests {
         // The §VII story at twist scale: [0, 2N) factor coverage in
         // 1024 + 2N/1024 entries per prime instead of an N-entry table.
         let (mut gpu, batch) = setup(16, 1);
-        let tw = DeviceTwist::upload(&mut gpu, &batch, 1024);
+        let tw = upload_twist(&mut gpu, &batch, 1024);
         assert_eq!(tw.lo_len, 1024);
         assert_eq!(tw.hi_len, (2 << 16) / 1024);
         assert!(tw.table_bytes(1) < batch.table_bytes() / 16);

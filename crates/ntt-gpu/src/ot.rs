@@ -15,6 +15,10 @@
 //! The inverse transform's twiddle `Ψ⁻¹[i] = psi^{-bitrev(i)}` factors the
 //! same way over `psi⁻¹`: same layout, same lookup, only the root changes
 //! ([`Direction::Inverse`]).
+//!
+//! The 4-step plan's inter-block twist ([`crate::hier`]) reads the forward
+//! tables over the exponent range `[0, 2N)`: they are uploaded with `2N` in
+//! place of `N`.
 
 use crate::batch::{upload_table, DeviceBatch};
 use crate::smem::Direction;

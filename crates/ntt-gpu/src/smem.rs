@@ -1467,7 +1467,7 @@ mod tests {
     /// and models no slower than radix-2, every feasible two-kernel split
     /// (OT 0, 1 and 2) and every feasible hierarchical split.
     fn whole_rows_model_no_slower_than_any_candidate(log_ns: std::ops::Range<u32>) {
-        use crate::hier::{self, DeviceTwist, HierJob};
+        use crate::hier::{self, HierJob};
         use ntt_core::NttTable;
         let config = GpuConfig::titan_v();
         for log_n in log_ns {
@@ -1560,7 +1560,13 @@ mod tests {
                     if hier::job_feasible(n, n1, hier::PER_THREAD, &config) {
                         let time = run(&|gpu, job| {
                             let base = hier::TWIST_BASE.min(2 * n);
-                            let twist = DeviceTwist::upload_tables(gpu, n, &refs, base);
+                            let twist = DeviceOt::upload_tables(
+                                gpu,
+                                2 * n,
+                                &refs,
+                                base,
+                                Direction::Forward,
+                            );
                             let hier_job = HierJob {
                                 rows: job.rows,
                                 scratch: gpu.gmem.alloc(rows * n),

@@ -124,9 +124,8 @@ fn bootstrap_is_bit_exact_across_backends() {
 /// The Sim side runs its transforms at the ring's swept best SMEM split.
 /// Debug builds run the identical pipeline (including the key-adoption
 /// path) at N=2^8 to keep `cargo test -q` fast; release builds
-/// (`cargo test --release`) run the full N=2^16 ring, where the CPU
-/// side crosses the hierarchical threshold and the Sim side runs the
-/// two-kernel SMEM split with OT.
+/// (`cargo test --release`) run the full N=2^16 ring, where the Sim
+/// side runs the two-kernel SMEM split with OT.
 #[test]
 fn deep_bootstrap_at_bootstrap_ring_is_bit_exact_across_backends() {
     let bp = BootParams::deep();

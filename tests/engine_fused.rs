@@ -87,10 +87,11 @@ proptest! {
     }
 }
 
-/// The expensive tail of the size sweep (log_n ∈ 12..=14), one seed each.
+/// The expensive tail of the size sweep (log_n ∈ 12..=15 and 17), one seed
+/// each.
 #[test]
 fn fused_matches_strict_large_sizes() {
-    for (log_n, bits) in [(12u32, 50u32), (13, 55), (14, 62)] {
+    for (log_n, bits) in [(12u32, 50u32), (13, 55), (14, 62), (15, 59), (17, 62)] {
         let n = 1usize << log_n;
         let table = NttTable::new_with_bits(n, bits).unwrap();
         let ring = NegacyclicRing::new(n, table.modulus()).unwrap();

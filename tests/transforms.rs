@@ -4,7 +4,7 @@
 //! must agree with the naive O(N²) oracle and with each other on random
 //! inputs, moduli, and shapes.
 
-use ntt_warp::core::{bitrev, ct, naive, radix, stockham, HierConfig, HierPlan, NttTable, OtTable};
+use ntt_warp::core::{bitrev, ct, naive, radix, stockham, NttTable, OtTable};
 use proptest::prelude::*;
 
 /// Random (log_n, prime_bits) pairs small enough for quadratic oracles.
@@ -137,37 +137,6 @@ proptest! {
         let mut prod = ct::pointwise(&na, &nxk, p);
         ct::intt(&mut prod, &table);
         prop_assert_eq!(prod, expected);
-    }
-}
-
-proptest! {
-    // Bootstrapping-scale sizes: few cases, each one large.
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// The hierarchical 4-step plan ≡ the strict in-place CT oracle, and
-    /// `inverse ∘ forward` = id, for every bootstrapping-scale size
-    /// N ∈ {2^12..2^17} and random power-of-two column splits.
-    #[test]
-    fn hierarchical_four_step_equals_strict_oracle(
-        log_n in 12u32..=17,
-        split in 1u32..=16,
-        seed in any::<u64>(),
-    ) {
-        let n = 1usize << log_n;
-        let n1 = 1usize << split.min(log_n - 1);
-        let table = NttTable::new_with_bits(n, 59).unwrap();
-        let p = table.modulus();
-        let a: Vec<u64> = (0..n as u64)
-            .map(|i| i.wrapping_mul(seed | 1).wrapping_add(seed >> 9) % p)
-            .collect();
-        let plan = HierPlan::from_table(&table, &HierConfig::default().split(n1, n / n1));
-        let mut hier = a.clone();
-        plan.forward(&mut hier);
-        let mut reference = a.clone();
-        ct::ntt(&mut reference, &table);
-        prop_assert_eq!(&hier, &reference);
-        plan.inverse(&mut hier);
-        prop_assert_eq!(hier, a);
     }
 }
 
